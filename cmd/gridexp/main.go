@@ -17,7 +17,11 @@
 //	gridexp -scenario s.json -find-saturation                   # capacity search
 //
 // Any mode accepts -out results.json to export the selected studies as
-// machine-readable JSON instead of scraping the printed tables.
+// machine-readable JSON instead of scraping the printed tables, and
+// -cpuprofile / -memprofile to say where the run's time and memory went:
+//
+//	gridexp -scenario examples/scenarios/mega-smoke.json -workers 1 -cpuprofile cpu.prof
+//	go tool pprof -top cpu.prof
 package main
 
 import (
@@ -69,8 +73,13 @@ func main() {
 
 		telemetryOut = flag.String("telemetry", "", "instrument the runs and write the telemetry exports (registry snapshot + virtual-time series) as JSON to this file; results are byte-identical with or without it")
 		samplePeriod = flag.Float64("sample-period", 10, "telemetry series sampling period in virtual seconds")
+
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (go tool pprof)")
+		memProfile = flag.String("memprofile", "", "write the allocation profile of the whole run to this file when it ends")
 	)
 	flag.Parse()
+	fail(startProfiles(*cpuProfile, *memProfile))
+	defer stopProfiles()
 
 	if *scenarioPath != "" {
 		runScenario(*scenarioPath, *sweepArg, *findSat, *outPath, *workers, *telemetryOut, *samplePeriod, *migrate, *traceOut)
@@ -246,7 +255,7 @@ func main() {
 			fail(writeTelemetry(*telemetryOut, telemetryExports))
 		}
 		if auditFailed {
-			os.Exit(1)
+			exit(1)
 		}
 		return
 	}
@@ -304,7 +313,7 @@ func main() {
 		fail(writeTelemetry(*telemetryOut, telemetryExports))
 	}
 	if auditFailed {
-		os.Exit(1)
+		exit(1)
 	}
 }
 
@@ -394,13 +403,13 @@ func runScenario(path, sweepArg string, findSat bool, outPath string, workers in
 		fail(writeTelemetry(telemetryOut, telemetryExports))
 	}
 	if failed {
-		os.Exit(1)
+		exit(1)
 	}
 }
 
 func fail(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gridexp:", err)
-		os.Exit(1)
+		exit(1)
 	}
 }

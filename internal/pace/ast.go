@@ -149,6 +149,12 @@ type AppModel struct {
 	DeadlineLo float64    // Table 1 requirement domain lower bound (seconds)
 	DeadlineHi float64    // Table 1 requirement domain upper bound (seconds)
 	Source     string     // original PSL text
+
+	// slot is the model's position in the library it was added to: a small
+	// dense index the evaluation engine uses to find the model's table row
+	// without hashing its name (0 for a model in no library — still a
+	// valid hint, since the engine confirms every hint by name).
+	slot int
 }
 
 // HasDeadlineDomain reports whether the model declared a deadline domain.

@@ -2,7 +2,9 @@ package pace
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -38,29 +40,42 @@ type paddedCounter struct {
 }
 
 // predTable is the engine's immutable prediction table: a dense
-// [app][hw][nprocs] matrix reached through two small name-index maps.
-// Readers access it through an atomic pointer without taking any lock; a
-// miss builds an extended copy under the engine mutex and republishes it
-// (copy-on-write), so after warm-up the table is effectively sealed and
-// every Predict is lock-free.
+// [app][hw][nprocs] matrix. Readers access it through an atomic pointer
+// without taking any lock; a miss builds an extended copy under the engine
+// mutex and republishes it (copy-on-write), so after warm-up the table is
+// effectively sealed and every Predict is lock-free. Rows and columns are
+// only ever appended, so an index stays valid in every later table.
 type predTable struct {
 	apps  map[string]int // application model name -> row
 	hws   map[string]int // hardware column key -> column
+	names []string       // row -> application model name
+	slots []int32        // AppModel.slot -> 1 + row of the first model seen with that slot; 0 = none
 	vals  [][][]float64  // [app][hw][nprocs-1]; NaN marks an absent entry
 	count int            // populated entries
 }
 
-// lookup returns the memoised prediction for (app, hw, nprocs), if any.
-func (t *predTable) lookup(app, hw string, nprocs int) (float64, bool) {
-	ai, ok := t.apps[app]
-	if !ok {
+// row finds app's row without hashing its name when it can: the model's
+// library slot is a hint, confirmed by comparing names (models of the same
+// name share a row, as they always have). Models outside a library, or
+// whose slot another library's model took first, go through the name map.
+func (t *predTable) row(app *AppModel) (int, bool) {
+	if app.slot < len(t.slots) {
+		if ai := int(t.slots[app.slot]) - 1; ai >= 0 && t.names[ai] == app.Name {
+			return ai, true
+		}
+	}
+	ai, ok := t.apps[app.Name]
+	return ai, ok
+}
+
+// lookup returns the memoised prediction for app on column col and nprocs
+// processors, if any.
+func (t *predTable) lookup(app *AppModel, col, nprocs int) (float64, bool) {
+	ai, ok := t.row(app)
+	if !ok || col >= len(t.vals[ai]) {
 		return 0, false
 	}
-	hi, ok := t.hws[hw]
-	if !ok {
-		return 0, false
-	}
-	row := t.vals[ai][hi]
+	row := t.vals[ai][col]
 	if nprocs-1 >= len(row) {
 		return 0, false
 	}
@@ -71,40 +86,52 @@ func (t *predTable) lookup(app, hw string, nprocs int) (float64, bool) {
 	return v, true
 }
 
-// extend returns a copy of t with (app, hw, nprocs) -> v added. Shared
-// row slices are cloned only along the touched path, so republishing after
-// a miss is cheap relative to the model evaluation it accompanies.
-func (t *predTable) extend(app, hw string, nprocs int, v float64) *predTable {
-	nt := &predTable{
-		apps:  make(map[string]int, len(t.apps)+1),
-		hws:   make(map[string]int, len(t.hws)+1),
-		count: t.count + 1,
+// grow returns a copy of t that has a column for hw and, when app is not
+// nil, a row for app, with their indices (ai is -1 without an app). Value
+// rows are immutable and shared with t.
+func (t *predTable) grow(app *AppModel, hw string) (nt *predTable, ai, hi int) {
+	nt = &predTable{
+		apps:  maps.Clone(t.apps),
+		hws:   maps.Clone(t.hws),
+		names: slices.Clone(t.names),
+		slots: slices.Clone(t.slots),
+		count: t.count,
 	}
-	for k, i := range t.apps {
-		nt.apps[k] = i
-	}
-	for k, i := range t.hws {
-		nt.hws[k] = i
-	}
-	ai, ok := nt.apps[app]
-	if !ok {
-		ai = len(nt.apps)
-		nt.apps[app] = ai
+	ai = -1
+	if app != nil {
+		var ok bool
+		if ai, ok = nt.apps[app.Name]; !ok {
+			ai = len(nt.names)
+			nt.apps[app.Name] = ai
+			nt.names = append(nt.names, app.Name)
+			for len(nt.slots) <= app.slot {
+				nt.slots = append(nt.slots, 0)
+			}
+			if nt.slots[app.slot] == 0 {
+				nt.slots[app.slot] = int32(ai) + 1
+			}
+		}
 	}
 	hi, ok := nt.hws[hw]
 	if !ok {
 		hi = len(nt.hws)
 		nt.hws[hw] = hi
 	}
-	nt.vals = make([][][]float64, len(nt.apps))
+	nt.vals = make([][][]float64, len(nt.names))
 	for a := range nt.vals {
 		nt.vals[a] = make([][]float64, len(nt.hws))
-		for h := range nt.vals[a] {
-			if a < len(t.vals) && h < len(t.vals[a]) {
-				nt.vals[a][h] = t.vals[a][h] // immutable rows are shared
-			}
+		if a < len(t.vals) {
+			copy(nt.vals[a], t.vals[a])
 		}
 	}
+	return nt, ai, hi
+}
+
+// extend returns a copy of t with (app, hw, nprocs) -> v added. Only the
+// touched value row is cloned, so republishing after a miss is cheap
+// relative to the model evaluation it accompanies.
+func (t *predTable) extend(app *AppModel, hw string, nprocs int, v float64) *predTable {
+	nt, ai, hi := t.grow(app, hw)
 	row := nt.vals[ai][hi]
 	if nprocs-1 >= len(row) {
 		grown := make([]float64, nprocs)
@@ -114,10 +141,11 @@ func (t *predTable) extend(app, hw string, nprocs int, v float64) *predTable {
 		copy(grown, row)
 		row = grown
 	} else {
-		row = append([]float64(nil), row...)
+		row = slices.Clone(row)
 	}
 	row[nprocs-1] = v
 	nt.vals[ai][hi] = row
+	nt.count++
 	return nt
 }
 
@@ -170,28 +198,14 @@ const parametricPrefix = "parametric:"
 // models clamp internally: e.g. sweep3d does not improve past 16
 // processors, §4.1).
 func (e *Engine) Predict(app *AppModel, hw Hardware, nprocs int) (float64, error) {
-	if app == nil {
-		return 0, fmt.Errorf("pace: nil application model")
-	}
 	if err := hw.Valid(); err != nil {
 		return 0, err
 	}
-	if nprocs < 1 {
-		return 0, fmt.Errorf("pace: prediction requires at least one processor, got %d", nprocs)
+	col, ok := e.table.Load().hws[hw.Name]
+	if !ok {
+		col = -1 // no prediction on hw yet: straight to the miss path
 	}
-	if e.cacheEnabled {
-		if v, ok := e.table.Load().lookup(app.Name, hw.Name, nprocs); ok {
-			e.hits[nprocs%hitShards].v.Add(1)
-			return v, nil
-		}
-	}
-	return e.miss(app.Name, hw.Name, nprocs, func() (float64, error) {
-		ref, err := app.Eval(map[string]float64{"n": float64(nprocs)})
-		if err != nil {
-			return 0, err
-		}
-		return ref * hw.Factor, nil
-	})
+	return e.predict(app, hw, col, nprocs)
 }
 
 // MustPredict is Predict for callers that have already validated their
@@ -203,6 +217,75 @@ func (e *Engine) MustPredict(app *AppModel, hw Hardware, nprocs int) float64 {
 		panic(err)
 	}
 	return v
+}
+
+// Column is one hardware model's column of an engine's prediction table,
+// resolved once: a scheduler predicts on the same hardware for its whole
+// life, and with the column in hand a cache hit is two slice indexings and
+// the hit counter — no string is hashed. It is only a faster way to ask
+// the engine: hits, misses and evaluations are counted exactly as Predict
+// counts them, entries fill on demand through the same miss path, and on
+// an engine without a cache every call evaluates. Safe for concurrent use.
+type Column struct {
+	e   *Engine
+	hw  Hardware
+	col int
+}
+
+// Column resolves hw's column, adding an empty one to the table if no
+// prediction on hw has been asked for yet.
+func (e *Engine) Column(hw Hardware) (*Column, error) {
+	if err := hw.Valid(); err != nil {
+		return nil, err
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	t := e.table.Load()
+	col, ok := t.hws[hw.Name]
+	if !ok {
+		t, _, col = t.grow(nil, hw.Name)
+		e.table.Store(t)
+	}
+	return &Column{e: e, hw: hw, col: col}, nil
+}
+
+// Predict is Engine.Predict on the column's hardware.
+func (c *Column) Predict(app *AppModel, nprocs int) (float64, error) {
+	return c.e.predict(app, c.hw, c.col, nprocs)
+}
+
+// MustPredict is Predict for callers that have already validated their
+// inputs; it panics on error.
+func (c *Column) MustPredict(app *AppModel, nprocs int) float64 {
+	v, err := c.Predict(app, nprocs)
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+// predict serves a static-hardware prediction from column col of the
+// table (negative: hw has none yet), or evaluates the model.
+func (e *Engine) predict(app *AppModel, hw Hardware, col, nprocs int) (float64, error) {
+	if app == nil {
+		return 0, fmt.Errorf("pace: nil application model")
+	}
+	if nprocs < 1 {
+		return 0, fmt.Errorf("pace: prediction requires at least one processor, got %d", nprocs)
+	}
+	if e.cacheEnabled && col >= 0 {
+		if v, ok := e.table.Load().lookup(app, col, nprocs); ok {
+			e.hits[nprocs%hitShards].v.Add(1)
+			return v, nil
+		}
+	}
+	return e.miss(app, hw.Name, nprocs, func() (float64, error) {
+		ref, err := app.Eval(map[string]float64{"n": float64(nprocs)})
+		if err != nil {
+			return 0, err
+		}
+		return ref * hw.Factor, nil
+	})
 }
 
 // PredictOn returns t_x for a layered application model on nprocs nodes
@@ -220,12 +303,15 @@ func (e *Engine) PredictOn(app *AppModel, hw *ParametricHardware, nprocs int) (f
 	}
 	key := parametricPrefix + hw.Name
 	if e.cacheEnabled {
-		if v, ok := e.table.Load().lookup(app.Name, key, nprocs); ok {
-			e.hits[nprocs%hitShards].v.Add(1)
-			return v, nil
+		t := e.table.Load()
+		if col, ok := t.hws[key]; ok {
+			if v, ok := t.lookup(app, col, nprocs); ok {
+				e.hits[nprocs%hitShards].v.Add(1)
+				return v, nil
+			}
 		}
 	}
-	return e.miss(app.Name, key, nprocs, func() (float64, error) {
+	return e.miss(app, key, nprocs, func() (float64, error) {
 		return app.EvalOn(map[string]float64{"n": float64(nprocs)}, hw)
 	})
 }
@@ -234,7 +320,7 @@ func (e *Engine) PredictOn(app *AppModel, hw *ParametricHardware, nprocs int) (f
 // worker may have just published the key), evaluates the model while
 // holding the lock so each unique key is evaluated exactly once, and
 // republishes an extended immutable table.
-func (e *Engine) miss(app, hw string, nprocs int, eval func() (float64, error)) (float64, error) {
+func (e *Engine) miss(app *AppModel, hw string, nprocs int, eval func() (float64, error)) (float64, error) {
 	if !e.cacheEnabled {
 		// Uncached engines count evaluations only, as before.
 		v, err := eval()
@@ -246,9 +332,12 @@ func (e *Engine) miss(app, hw string, nprocs int, eval func() (float64, error)) 
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if v, ok := e.table.Load().lookup(app, hw, nprocs); ok {
-		e.hits[nprocs%hitShards].v.Add(1)
-		return v, nil
+	t := e.table.Load()
+	if col, ok := t.hws[hw]; ok {
+		if v, ok := t.lookup(app, col, nprocs); ok {
+			e.hits[nprocs%hitShards].v.Add(1)
+			return v, nil
+		}
 	}
 	e.misses.Add(1)
 	v, err := eval()
@@ -256,7 +345,7 @@ func (e *Engine) miss(app, hw string, nprocs int, eval func() (float64, error)) 
 		return 0, err
 	}
 	e.evals.Add(1)
-	e.table.Store(e.table.Load().extend(app, hw, nprocs, v))
+	e.table.Store(t.extend(app, hw, nprocs, v))
 	return v, nil
 }
 

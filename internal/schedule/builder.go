@@ -92,70 +92,84 @@ func build(sol Solution, tasks []Task, res Resource, base float64, predict Predi
 	if err := res.Validate(); err != nil {
 		panic(fmt.Sprintf("schedule: Build on invalid resource: %v", err))
 	}
-	out := &Schedule{
-		Items:    make([]Placed, 0, len(tasks)),
-		NodeBusy: make([]float64, res.NumNodes),
-		Base:     base,
-		Booked:   res.Booked,
-	}
-	out.Makespan = buildInto(out, sol, tasks, res, base, predict, sequential)
+	out := &Schedule{Items: make([]Placed, 0, len(tasks))}
+	out.Reset(res, base)
+	buildInto(out, sol, tasks, base, predict, sequential)
 	return out
 }
 
-// buildInto runs the placement loop of eq. 6 against the schedule's
-// pre-sized Items and NodeBusy buffers and returns the makespan. It is
-// the allocation-free core shared by Build and Builder.Build; validation
-// is the caller's responsibility.
-func buildInto(out *Schedule, sol Solution, tasks []Task, res Resource, base float64, predict Predictor, sequential bool) float64 {
-	busy := out.NodeBusy
-	copy(busy, res.Avail)
-	makespan := base
-	for _, a := range busy {
-		if a > makespan {
-			makespan = a
+// Reset empties the schedule to the state before any task is placed on
+// res at the scheduling instant base: no items, every node busy until its
+// committed availability, the makespan at the latest of those and base.
+// The Items and NodeBusy buffers are kept, so a caller that owns a
+// Schedule can rebuild it — Reset, then one Place per task — without
+// allocating. res is not validated.
+func (s *Schedule) Reset(res Resource, base float64) {
+	s.Items = s.Items[:0]
+	s.NodeBusy = append(s.NodeBusy[:0], res.Avail...)
+	s.Makespan = base
+	for _, a := range s.NodeBusy {
+		if a > s.Makespan {
+			s.Makespan = a
 		}
 	}
+	s.Base = base
+	s.Booked = res.Booked
+	s.byTask = nil
+}
 
+// Place appends the task at taskPos to the schedule (eq. 6): its nodes
+// start in unison at floor or when the last of them becomes free,
+// whichever is later, pushed past any booked window the run of dur seconds
+// would overlap. floor carries what the caller's queue discipline demands:
+// the scheduling instant, the task's arrival and, under strict queue
+// order, the start of the task ahead of it. It is the one placement step
+// behind Build, BuildSequential, Builder.Build and the FIFO policy.
+func (s *Schedule) Place(taskPos int, mask uint64, floor, dur float64) Placed {
+	start := floor
+	for m := mask; m != 0; m &= m - 1 {
+		if b := s.NodeBusy[bits.TrailingZeros64(m)]; b > start {
+			start = b
+		}
+	}
+	if s.Booked != nil {
+		// Reservations are immovable: push the task past any booked
+		// window it would overlap on its allocated nodes.
+		start = AdjustStart(s.Booked, mask, start, dur)
+	}
+	end := start + dur
+	for m := mask; m != 0; m &= m - 1 {
+		s.NodeBusy[bits.TrailingZeros64(m)] = end
+	}
+	if end > s.Makespan {
+		s.Makespan = end
+	}
+	p := Placed{TaskPos: taskPos, Mask: mask, Start: start, End: end}
+	s.Items = append(s.Items, p)
+	return p
+}
+
+// buildInto places every task of sol, in its order, on a schedule that was
+// Reset for the problem. It allocates nothing beyond growing Items;
+// validation is the caller's responsibility.
+func buildInto(out *Schedule, sol Solution, tasks []Task, base float64, predict Predictor, sequential bool) {
 	prevStart := base
 	for _, taskPos := range sol.Order {
 		t := tasks[taskPos]
 		mask := sol.Maps[taskPos]
-		start := base
-		if t.Arrival > start {
-			start = t.Arrival
+		floor := base
+		if t.Arrival > floor {
+			floor = t.Arrival
 		}
-		if sequential && prevStart > start {
-			start = prevStart
-		}
-		for m := mask; m != 0; {
-			i := bits.TrailingZeros64(m)
-			if busy[i] > start {
-				start = busy[i]
-			}
-			m &= m - 1
+		if sequential && prevStart > floor {
+			floor = prevStart
 		}
 		dur := predict(t.App, bits.OnesCount64(mask))
 		if dur < 0 {
 			panic(fmt.Sprintf("schedule: negative predicted duration %g for %s", dur, t))
 		}
-		if res.Booked != nil {
-			// Reservations are immovable: push the task past any booked
-			// window it would overlap on its allocated nodes.
-			start = AdjustStart(res.Booked, mask, start, dur)
-		}
-		end := start + dur
-		for m := mask; m != 0; {
-			i := bits.TrailingZeros64(m)
-			busy[i] = end
-			m &= m - 1
-		}
-		if end > makespan {
-			makespan = end
-		}
-		out.Items = append(out.Items, Placed{TaskPos: taskPos, Mask: mask, Start: start, End: end})
-		prevStart = start
+		prevStart = out.Place(taskPos, mask, floor, dur).Start
 	}
-	return makespan
 }
 
 // Builder repeatedly times solutions against one fixed problem instance
@@ -189,11 +203,7 @@ func NewBuilder(tasks []Task, res Resource, predict Predictor) (*Builder, error)
 		tasks:   tasks,
 		res:     res,
 		predict: predict,
-		sched: Schedule{
-			Items:    make([]Placed, 0, len(tasks)),
-			NodeBusy: make([]float64, res.NumNodes),
-			Booked:   res.Booked,
-		},
+		sched:   Schedule{Items: make([]Placed, 0, len(tasks)), NodeBusy: make([]float64, 0, res.NumNodes)},
 	}, nil
 }
 
@@ -203,9 +213,7 @@ func NewBuilder(tasks []Task, res Resource, predict Predictor) (*Builder, error)
 // if it is to be retained. sol must be legitimate for the builder's
 // problem instance; Build does not re-validate it.
 func (b *Builder) Build(sol Solution, base float64) *Schedule {
-	b.sched.Items = b.sched.Items[:0]
-	b.sched.Base = base
-	b.sched.byTask = nil
-	b.sched.Makespan = buildInto(&b.sched, sol, b.tasks, b.res, base, b.predict, false)
+	b.sched.Reset(b.res, base)
+	buildInto(&b.sched, sol, b.tasks, base, b.predict, false)
 	return &b.sched
 }

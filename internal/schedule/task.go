@@ -55,6 +55,13 @@ type Resource struct {
 	// non-overlapping. nil — the default, and the only state reachable
 	// without the reservation subsystem — changes nothing.
 	Booked [][]Window
+	// Phys names the physical node behind each of the NumNodes plan-space
+	// nodes, ascending — the up nodes of a resource that has lost some. A
+	// policy that keeps per-task state across scheduling events (FIFO's
+	// fixed allocations) keys it on these, so a node going down or coming
+	// back renumbers nothing. nil means plan-space node i is physical
+	// node i.
+	Phys []int
 }
 
 // NewResource returns a resource whose nodes are all free at time 0.
@@ -76,7 +83,7 @@ func (r Resource) Clone() Resource {
 			booked[i] = append([]Window(nil), ws...)
 		}
 	}
-	return Resource{NumNodes: r.NumNodes, Avail: avail, Booked: booked}
+	return Resource{NumNodes: r.NumNodes, Avail: avail, Booked: booked, Phys: append([]int(nil), r.Phys...)}
 }
 
 // Validate checks internal consistency.
@@ -86,6 +93,16 @@ func (r Resource) Validate() error {
 	}
 	if len(r.Avail) != r.NumNodes {
 		return fmt.Errorf("schedule: %d availability entries for %d nodes", len(r.Avail), r.NumNodes)
+	}
+	if r.Phys != nil {
+		if len(r.Phys) != r.NumNodes {
+			return fmt.Errorf("schedule: %d physical node indices for %d nodes", len(r.Phys), r.NumNodes)
+		}
+		for i, p := range r.Phys {
+			if p < 0 || p >= MaxNodes || (i > 0 && p <= r.Phys[i-1]) {
+				return fmt.Errorf("schedule: physical node indices %v not ascending within [0, %d)", r.Phys, MaxNodes)
+			}
+		}
 	}
 	if r.Booked != nil {
 		if len(r.Booked) != r.NumNodes {

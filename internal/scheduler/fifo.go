@@ -1,9 +1,10 @@
 package scheduler
 
 import (
+	"cmp"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"repro/internal/pace"
 	"repro/internal/schedule"
@@ -15,6 +16,10 @@ import (
 // first planned. "As soon as the current best solution is found, it is
 // fixed and will not change as new tasks enter the system." The search
 // tries all 2^n − 1 possible allocations.
+//
+// Because nothing planned ever moves, the plan for a queue is the plan for
+// the queue without its last task plus one placement: Plan is a loop over
+// Append, and a scheduler that kept the last plan calls Append alone.
 type FIFOPolicy struct {
 	// Exhaustive selects the literal 2^n−1 subset enumeration of the
 	// paper. When false, an equivalent fast path is used: for each
@@ -25,7 +30,18 @@ type FIFOPolicy struct {
 	// (end, cardinality) equivalence).
 	Exhaustive bool
 
-	fixed map[int]uint64 // task ID -> allocation fixed at first planning
+	// fixed is task ID -> the allocation fixed at first planning, as a
+	// mask of physical nodes (Resource.Phys): plan-space indices shift
+	// whenever a node goes down or comes back.
+	fixed map[int]uint64
+
+	sched schedule.Schedule // Plan's result, rebuilt in place on every call
+
+	// Allocation search scratch, kept so that the fast search allocates
+	// nothing. The exhaustive search's 2^n table is not kept: see ROADMAP
+	// item 2 for what keeping it does to the live farm.
+	durs    []float64 // predicted duration by node count
+	byAvail []int     // nodes ordered by (availability, index)
 }
 
 // NewFIFOPolicy returns the baseline policy with the paper's literal
@@ -48,52 +64,70 @@ func (f *FIFOPolicy) Forget(taskID int) { delete(f.fixed, taskID) }
 
 // Plan implements Policy. Tasks already planned keep their fixed
 // allocation; new tasks (in arrival order) are allocated greedily against
-// the projected node availability.
+// the projected node availability. The returned schedule is the policy's
+// own and is overwritten by the next Plan.
 func (f *FIFOPolicy) Plan(tasks []schedule.Task, res schedule.Resource, now float64, predict schedule.Predictor) *schedule.Schedule {
-	busy := make([]float64, res.NumNodes)
-	copy(busy, res.Avail)
+	f.sched.Reset(res, now)
+	for _, t := range tasks {
+		f.Append(&f.sched, t, res.Phys, now, predict)
+	}
+	return &f.sched
+}
 
-	sol := schedule.Solution{Order: make([]int, len(tasks)), Maps: make([]uint64, len(tasks))}
-	for pos := range tasks {
-		sol.Order[pos] = pos // FIFO never reorders
+// Append implements Appender: it places t behind the tasks already on
+// plan, on its fixed allocation if it has one that is still wholly
+// available and otherwise on the allocation that completes it earliest
+// given plan.NodeBusy, which it then fixes.
+func (f *FIFOPolicy) Append(plan *schedule.Schedule, t schedule.Task, phys []int, now float64, predict schedule.Predictor) {
+	floor := now
+	if t.Arrival > floor {
+		floor = t.Arrival
 	}
-	prevStart := now
-	for pos, t := range tasks {
-		floor := now
-		if t.Arrival > floor {
-			floor = t.Arrival
-		}
-		if prevStart > floor {
-			floor = prevStart // strict queue order: no backfilling
-		}
-		mask, ok := f.fixed[t.ID]
-		if !ok {
-			if f.Exhaustive {
-				mask = bestAllocationExhaustive(busy, res.Booked, floor, t.App, predict)
-			} else {
-				mask = bestAllocationFast(busy, res.Booked, floor, t.App, predict)
-			}
-			f.fixed[t.ID] = mask
-		}
-		sol.Maps[pos] = mask
-		// Project this task onto the availability the next task sees.
-		start := floor
-		for m := mask; m != 0; m &= m - 1 {
-			if a := busy[bits.TrailingZeros64(m)]; a > start {
-				start = a
-			}
-		}
-		dur := predict(t.App, bits.OnesCount64(mask))
-		if res.Booked != nil {
-			start = schedule.AdjustStart(res.Booked, mask, start, dur)
-		}
-		end := start + dur
-		for m := mask; m != 0; m &= m - 1 {
-			busy[bits.TrailingZeros64(m)] = end
-		}
-		prevStart = start
+	if n := len(plan.Items); n > 0 && plan.Items[n-1].Start > floor {
+		floor = plan.Items[n-1].Start // strict queue order: no backfilling
 	}
-	return schedule.BuildSequential(sol, tasks, res, now, predict)
+	// A fixed allocation that touches a node since lost cannot be kept;
+	// the task is allocated afresh, as if first planned now.
+	fixed, planned := f.fixed[t.ID]
+	mask, there := planMask(fixed, phys, len(plan.NodeBusy))
+	if !planned || !there {
+		if f.Exhaustive {
+			mask = f.bestAllocationExhaustive(plan.NodeBusy, plan.Booked, floor, t.App, predict)
+		} else {
+			mask = f.bestAllocationFast(plan.NodeBusy, plan.Booked, floor, t.App, predict)
+		}
+		f.fixed[t.ID] = physMask(mask, phys)
+	}
+	plan.Place(len(plan.Items), mask, floor, predict(t.App, bits.OnesCount64(mask)))
+}
+
+// physMask translates a plan-space node mask to physical nodes; phys is
+// Resource.Phys, nil meaning the two spaces coincide.
+func physMask(mask uint64, phys []int) uint64 {
+	if phys == nil {
+		return mask
+	}
+	var out uint64
+	for m := mask; m != 0; m &= m - 1 {
+		out |= uint64(1) << uint(phys[bits.TrailingZeros64(m)])
+	}
+	return out
+}
+
+// planMask translates a physical node mask to the plan space of n nodes,
+// and reports whether every one of its nodes is there.
+func planMask(mask uint64, phys []int, n int) (uint64, bool) {
+	if phys == nil {
+		return mask, mask>>uint(n) == 0
+	}
+	var out uint64
+	for c, p := range phys {
+		if bit := uint64(1) << uint(p); mask&bit != 0 {
+			out |= uint64(1) << uint(c)
+			mask &^= bit
+		}
+	}
+	return out, mask == 0
 }
 
 // bestAllocationExhaustive tries every non-empty node subset and returns
@@ -104,12 +138,13 @@ func (f *FIFOPolicy) Plan(tasks []schedule.Task, res schedule.Resource, now floa
 // reservation windows delay a subset's start past any window it would
 // overlap, so a subset straddling a reservation is judged by the
 // completion it can actually achieve.
-func bestAllocationExhaustive(busy []float64, booked [][]schedule.Window, floor float64, app *pace.AppModel, predict schedule.Predictor) uint64 {
+func (f *FIFOPolicy) bestAllocationExhaustive(busy []float64, booked [][]schedule.Window, floor float64, app *pace.AppModel, predict schedule.Predictor) uint64 {
 	n := len(busy)
 	total := uint64(1) << uint(n)
 	maxAvail := make([]float64, total)
 	// Predicted durations depend only on cardinality; tabulate once.
-	dur := make([]float64, n+1)
+	f.durs = slices.Grow(f.durs[:0], n+1)[:n+1]
+	dur := f.durs
 	for k := 1; k <= n; k++ {
 		dur[k] = predict(app, k)
 	}
@@ -150,21 +185,19 @@ func bestAllocationExhaustive(busy []float64, booked [][]schedule.Window, floor 
 // can block precisely the earliest nodes), but each candidate's end is
 // still computed honestly via AdjustStart, so the chosen allocation never
 // overlaps a reservation once the builder places it.
-func bestAllocationFast(busy []float64, booked [][]schedule.Window, floor float64, app *pace.AppModel, predict schedule.Predictor) uint64 {
+func (f *FIFOPolicy) bestAllocationFast(busy []float64, booked [][]schedule.Window, floor float64, app *pace.AppModel, predict schedule.Predictor) uint64 {
 	n := len(busy)
-	type na struct {
-		idx   int
-		avail float64
+	f.byAvail = f.byAvail[:0]
+	for i := range busy {
+		f.byAvail = append(f.byAvail, i)
 	}
-	nodes := make([]na, n)
-	for i, a := range busy {
-		nodes[i] = na{i, a}
-	}
-	sort.Slice(nodes, func(i, j int) bool {
-		if nodes[i].avail != nodes[j].avail {
-			return nodes[i].avail < nodes[j].avail
+	// (availability, index) is a total order, so the result does not
+	// depend on the sorting algorithm.
+	slices.SortFunc(f.byAvail, func(i, j int) int {
+		if c := cmp.Compare(busy[i], busy[j]); c != 0 {
+			return c
 		}
-		return nodes[i].idx < nodes[j].idx
+		return i - j
 	})
 
 	best := uint64(0)
@@ -173,9 +206,10 @@ func bestAllocationFast(busy []float64, booked [][]schedule.Window, floor float6
 	var mask uint64
 	start := floor
 	for k := 1; k <= n; k++ {
-		mask |= uint64(1) << uint(nodes[k-1].idx)
-		if nodes[k-1].avail > start {
-			start = nodes[k-1].avail
+		i := f.byAvail[k-1]
+		mask |= uint64(1) << uint(i)
+		if busy[i] > start {
+			start = busy[i]
 		}
 		d := predict(app, k)
 		adj := start

@@ -95,8 +95,8 @@ func TestFIFOExhaustiveMatchesFastPath(t *testing.T) {
 		}
 		floor := float64(floorRaw % 60)
 		pred := enginePredictor(e, pace.SunUltra5)
-		em := bestAllocationExhaustive(busy, nil, floor, app, pred)
-		fm := bestAllocationFast(busy, nil, floor, app, pred)
+		em := NewFIFOPolicy().bestAllocationExhaustive(busy, nil, floor, app, pred)
+		fm := NewFastFIFOPolicy().bestAllocationFast(busy, nil, floor, app, pred)
 
 		end := func(mask uint64) float64 {
 			start := floor
@@ -159,8 +159,9 @@ func TestBestAllocationDeterministic(t *testing.T) {
 	pred := enginePredictor(e, pace.SGIOrigin2000)
 	app := appOf(t, "closure")
 	busy := []float64{3, 1, 4, 1, 5, 9, 2, 6}
-	a := bestAllocationExhaustive(busy, nil, 0, app, pred)
-	b := bestAllocationExhaustive(busy, nil, 0, app, pred)
+	f := NewFIFOPolicy()
+	a := f.bestAllocationExhaustive(busy, nil, 0, app, pred)
+	b := f.bestAllocationExhaustive(busy, nil, 0, app, pred)
 	if a != b {
 		t.Fatalf("exhaustive search nondeterministic: %b vs %b", a, b)
 	}

@@ -1,9 +1,11 @@
 package scheduler
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"time"
 
@@ -81,14 +83,34 @@ type Config struct {
 // concurrent use; the networked daemon in cmd/gridsched serialises access.
 type Local struct {
 	cfg     Config
+	col     *pace.Column       // cfg.HW's column of the engine's prediction table
+	predict schedule.Predictor // l.duration, bound once
 	monitor *Monitor
 	metrics Metrics
 
-	pending   []schedule.Task // the GA's optimisation set T, arrival order
-	plan      *schedule.Schedule
-	planPhys  []int // compact node index -> physical node index for plan
+	pending []schedule.Task // the GA's optimisation set T, arrival order
+	// plan is the live plan: one item per pending task (none while no node
+	// is up), in buffers the scheduler owns and reuses. NodeBusy is the
+	// per-node availability projected past every planned task — what the
+	// next arrival is allocated against.
+	plan     schedule.Schedule
+	planPhys []int  // plan-space node -> physical node; nil while every node is up
+	planDown uint64 // the monitor's down-node mask the plan was built under
+	// appender is the policy's append step, if it has one. Such a policy
+	// plans in queue order, so promotion pops plan and queue together
+	// from the front and a submit can extend the plan instead of
+	// rebuilding it (see appendToPlan).
+	appender Appender
+	// exact reports that plan is still, bit for bit, what a replan of the
+	// pending queue would build: it was built around no reservation
+	// window, and every task promoted since started and ended exactly
+	// when planned.
+	exact bool
+
 	committed []Record
 	nodeBusy  []float64 // physical per-node busy-until from committed tasks
+	avail     []float64 // scratch: Resource.Avail of the plan being built
+	upNodes   []int     // scratch behind planPhys
 
 	// book is the resource's advance-reservation book, created on first
 	// use; reserved holds the confirmed reservations waiting for their
@@ -147,12 +169,20 @@ func NewLocal(cfg Config) (*Local, error) {
 	if cfg.Executor == nil {
 		cfg.Executor = &TestExecutor{}
 	}
-	return &Local{
+	col, err := cfg.Engine.Column(cfg.HW)
+	if err != nil {
+		return nil, err
+	}
+	l := &Local{
 		cfg:       cfg,
+		col:       col,
 		monitor:   NewMonitor(cfg.NumNodes),
 		nodeBusy:  make([]float64, cfg.NumNodes),
 		nextStart: math.Inf(1),
-	}, nil
+	}
+	l.predict = l.duration
+	l.appender, _ = cfg.Policy.(Appender)
+	return l, nil
 }
 
 // SetClock installs a shared virtual-time source (nil removes it).
@@ -176,18 +206,24 @@ func (l *Local) NextPlannedStart() float64 { return l.nextStart }
 // plan hook.
 func (l *Local) refreshNextStart() {
 	next := math.Inf(1)
-	if l.plan != nil {
-		for _, it := range l.plan.Items {
+	if items := l.plan.Items; l.appender != nil && len(items) > 0 {
+		next = items[0].Start // queue order is start order
+	} else {
+		for _, it := range items {
 			if it.Start < next {
 				next = it.Start
 			}
 		}
 	}
-	for _, r := range l.reserved {
-		if r.start < next {
-			next = r.start
-		}
+	if len(l.reserved) > 0 && l.reserved[0].start < next {
+		next = l.reserved[0].start // sorted by window start
 	}
+	l.setNextStart(next)
+}
+
+// setNextStart caches the plan horizon and tells the plan hook, which
+// wants an entry at every finite horizon the scheduler ever has.
+func (l *Local) setNextStart(next float64) {
 	l.nextStart = next
 	if l.planHook != nil && !math.IsInf(next, 1) {
 		l.planHook(next)
@@ -239,12 +275,14 @@ func (l *Local) Now() float64 { return l.now }
 func (l *Local) QueueLen() int { return len(l.pending) }
 
 // duration returns t_x(k, app) for this resource's hardware. The call
-// goes straight to the evaluation engine: the demand-driven cache of past
-// evaluations "between the scheduler and the PACE evaluation engine"
-// (§2.2) lives inside the engine, so disabling it for the ablation study
-// exposes the full evaluation cost to the GA.
+// goes to the evaluation engine through the hardware column resolved at
+// construction — a hit costs no string hashing, and is counted as the hit
+// it is: the demand-driven cache of past evaluations "between the
+// scheduler and the PACE evaluation engine" (§2.2) lives inside the
+// engine, so disabling it for the ablation study exposes the full
+// evaluation cost to the GA.
 func (l *Local) duration(app *pace.AppModel, k int) float64 {
-	return l.cfg.Engine.MustPredict(app, l.cfg.HW, k)
+	return l.col.MustPredict(app, k)
 }
 
 // Submit enqueues a task with the given application model and absolute
@@ -270,8 +308,11 @@ func (l *Local) SubmitRequest(app *pace.AppModel, deadline, now float64, reqID u
 	l.AdvanceTo(now)
 	l.nextID++
 	id := l.nextID
-	l.pending = append(l.pending, schedule.Task{ID: id, ReqID: reqID, App: app, Arrival: now, Deadline: deadline})
-	l.replan()
+	t := schedule.Task{ID: id, ReqID: reqID, App: app, Arrival: now, Deadline: deadline}
+	l.pending = append(l.pending, t)
+	if wins := l.windows(); wins != nil || !l.appendToPlan(t) {
+		l.replan(wins)
+	}
 	l.metrics.TasksSubmitted.Inc()
 	l.updateGauges()
 	return id, nil
@@ -286,7 +327,7 @@ func (l *Local) Delete(taskID int, now float64) error {
 		if t.ID == taskID {
 			l.pending = append(l.pending[:i], l.pending[i+1:]...)
 			l.cfg.Policy.Forget(taskID)
-			l.replan()
+			l.replan(l.windows())
 			l.updateGauges()
 			return nil
 		}
@@ -294,40 +335,112 @@ func (l *Local) Delete(taskID int, now float64) error {
 	return fmt.Errorf("scheduler: %q: task %d is not waiting", l.cfg.Name, taskID)
 }
 
-// replan runs the scheduling policy over the pending queue against the
-// currently available nodes.
-func (l *Local) replan() {
-	defer l.refreshNextStart()
-	up := l.monitor.UpNodes()
-	if len(up) == 0 {
-		l.plan, l.planPhys = nil, nil
-		return
+// windows returns the active reservation windows in physical node space,
+// nil when nothing is booked.
+func (l *Local) windows() [][]schedule.Window {
+	if l.book == nil {
+		return nil
 	}
-	res := schedule.Resource{NumNodes: len(up), Avail: make([]float64, len(up))}
-	for c, phys := range up {
-		res.Avail[c] = l.nodeBusy[phys]
-	}
-	if l.book != nil {
-		// Booked windows are immovable constraints: map the active
-		// physical-node windows into the plan's compact node space.
-		if wins := l.book.Windows(l.now); wins != nil {
-			booked := make([][]schedule.Window, len(up))
-			for c, phys := range up {
-				booked[c] = wins[phys]
-			}
-			res.Booked = booked
+	return l.book.Windows(l.now)
+}
+
+// resource describes the nodes available now, each free once its
+// committed work ends, to a planning step — in scratch the next call
+// overwrites — and records them as the node set of the plan about to be
+// built. wins are the windows to plan around.
+func (l *Local) resource(wins [][]schedule.Window) schedule.Resource {
+	l.planDown, l.planPhys, l.avail = l.monitor.down, nil, l.avail[:0]
+	if l.planDown == 0 {
+		l.avail = append(l.avail, l.nodeBusy...)
+	} else {
+		l.upNodes = l.monitor.appendUp(l.upNodes[:0])
+		l.planPhys = l.upNodes
+		for _, phys := range l.upNodes {
+			l.avail = append(l.avail, l.nodeBusy[phys])
 		}
 	}
-	predict := func(app *pace.AppModel, k int) float64 { return l.duration(app, k) }
+	res := schedule.Resource{NumNodes: len(l.avail), Avail: l.avail, Phys: l.planPhys}
+	if wins != nil {
+		// Booked windows are immovable constraints: map the active
+		// physical-node windows into the plan's node space.
+		res.Booked = wins
+		if l.planPhys != nil {
+			res.Booked = make([][]schedule.Window, len(l.planPhys))
+			for c, phys := range l.planPhys {
+				res.Booked[c] = wins[phys]
+			}
+		}
+	}
+	return res
+}
+
+// planStart and planDone bracket one planning step, a replan or an append
+// alike, for the Plans counter and the PlanLatency histogram:
+// defer l.planDone(l.planStart()).
+func (l *Local) planStart() (t0 time.Time) {
 	l.metrics.Plans.Inc()
 	if l.metrics.PlanLatency != nil {
-		t0 := time.Now()
-		l.plan = l.cfg.Policy.Plan(l.pending, res, l.now, predict)
-		l.metrics.PlanLatency.Observe(time.Since(t0).Seconds())
-	} else {
-		l.plan = l.cfg.Policy.Plan(l.pending, res, l.now, predict)
+		t0 = time.Now()
 	}
-	l.planPhys = up
+	return t0
+}
+
+func (l *Local) planDone(t0 time.Time) {
+	if l.metrics.PlanLatency != nil {
+		l.metrics.PlanLatency.Observe(time.Since(t0).Seconds())
+	}
+}
+
+// replan runs the scheduling policy over the whole pending queue against
+// the currently available nodes, around the reservation windows wins.
+func (l *Local) replan(wins [][]schedule.Window) {
+	defer l.refreshNextStart()
+	res := l.resource(wins)
+	l.exact = false
+	if res.NumNodes == 0 {
+		l.plan.Items = l.plan.Items[:0]
+		return
+	}
+	defer l.planDone(l.planStart())
+	p := l.cfg.Policy.Plan(l.pending, res, l.now, l.predict)
+	// The policy may hand out scratch of its own: keep a copy.
+	l.plan.Items = append(l.plan.Items[:0], p.Items...)
+	l.plan.NodeBusy = append(l.plan.NodeBusy[:0], p.NodeBusy...)
+	l.plan.Makespan, l.plan.Base, l.plan.Booked = p.Makespan, p.Base, p.Booked
+	l.exact = wins == nil
+}
+
+// appendToPlan plans t — just queued behind everything else, with no
+// reservation window active — by one append step of the policy on the
+// live plan, and reports whether it could; the caller replans the whole
+// queue otherwise. What the step costs does not depend on the queue
+// length, and it is taken only while the live plan is provably what that
+// replan would rebuild for the tasks ahead of t, so the two agree bit
+// for bit: the policy never moves a planned task (it has an append step),
+// the plan was built around no window and every promotion since landed
+// exactly on its planned slot (exact), and the same nodes are up. A
+// replan at a later instant then recomputes the same numbers: committed
+// availability is what the plan projected past the promoted tasks, and
+// every waiting task starts after now, arrival and scheduling instant
+// behind it. With nothing waiting there is no plan to be wrong: the
+// append starts from the committed state.
+func (l *Local) appendToPlan(t schedule.Task) bool {
+	if l.appender == nil {
+		return false
+	}
+	if len(l.pending) == 1 {
+		l.plan.Reset(l.resource(nil), l.now)
+		l.exact = true
+	} else if !l.exact || l.monitor.down != l.planDown {
+		return false
+	}
+	defer l.planDone(l.planStart())
+	l.appender.Append(&l.plan, t, l.planPhys, l.now, l.predict)
+	// t starts no earlier than anything planned before it.
+	if at := l.plan.Items[len(l.plan.Items)-1].Start; at < l.nextStart {
+		l.setNextStart(at)
+	}
+	return true
 }
 
 // AdvanceTo moves the scheduler's clock to now, promoting every planned
@@ -339,14 +452,14 @@ func (l *Local) AdvanceTo(now float64) {
 	}
 	l.now = now
 	// Nothing is due strictly before the cached plan horizon; skip the
-	// promotion scan (it copies and sorts the plan). now == nextStart must
-	// fall through: a replan can place a start exactly at the current
-	// instant and the next advance to that same instant promotes it.
+	// promotion scan. now == nextStart must fall through: a replan can
+	// place a start exactly at the current instant and the next advance to
+	// that same instant promotes it.
 	if now < l.nextStart {
 		return
 	}
 	l.promoteReserved(now)
-	l.promote(func(p schedule.Placed) bool { return p.Start <= now })
+	l.promote(now)
 }
 
 // Drain promotes every remaining planned task regardless of the clock,
@@ -355,7 +468,7 @@ func (l *Local) AdvanceTo(now float64) {
 // queue.
 func (l *Local) Drain() float64 {
 	l.promoteReserved(math.Inf(1))
-	l.promote(func(schedule.Placed) bool { return true })
+	l.promote(math.Inf(1))
 	end := l.now
 	for _, b := range l.nodeBusy {
 		if b > end {
@@ -365,149 +478,154 @@ func (l *Local) Drain() float64 {
 	return end
 }
 
-// promote moves planned tasks matching ready into the committed set, in
-// start-time order. The surviving items keep their timing: they were
-// computed jointly with the promoted ones, so the residual plan stays
-// feasible and consistent. The policy replans on the next Submit or
-// Delete; rerunning the GA on every clock advance would add cost without
-// new information.
-func (l *Local) promote(ready func(schedule.Placed) bool) {
-	if l.plan == nil || len(l.plan.Items) == 0 {
+// promote moves the planned tasks whose start is at or before until into
+// the committed set, in start-time order. The surviving items keep their
+// timing: they were computed jointly with the promoted ones, so the
+// residual plan stays feasible and consistent, and it stays in force until
+// the next Submit, Delete or reservation change plans again; rerunning
+// the GA on every clock advance would add cost without new information.
+func (l *Local) promote(until float64) {
+	items := l.plan.Items
+	if len(items) == 0 {
 		return
 	}
-	byStart := make([]schedule.Placed, len(l.plan.Items))
-	copy(byStart, l.plan.Items)
-	sort.SliceStable(byStart, func(i, j int) bool { return byStart[i].Start < byStart[j].Start })
-
 	// Active reservation windows, in physical node space: a best-effort
 	// start pushed late by real execution times must slide past them, not
 	// into them (the plan avoided the windows with predicted durations;
 	// reality can overrun the gap in front of one).
-	var wins [][]schedule.Window
-	if l.book != nil {
-		wins = l.book.Windows(l.now)
-	}
-
-	oldPending := l.pending
-	promoted := map[int]bool{} // keyed by task ID
-	for _, it := range byStart {
-		if !ready(it) {
-			continue
+	wins := l.windows()
+	n := 0
+	if l.appender != nil {
+		// Queue order is start order: the ready tasks are the head of the
+		// plan and of the queue, and leave without the rest being touched.
+		for n < len(items) && items[n].Start <= until {
+			l.launch(l.pending[n], items[n], wins)
+			n++
 		}
-		t := oldPending[it.TaskPos]
-		mask := l.physMask(it.Mask)
-		// When actual execution times diverge from predictions, a node may
-		// still be busy past the planned start; the task then begins late
-		// (in reality the earlier task has not released the node yet).
-		start := it.Start
-		for m := mask; m != 0; m &= m - 1 {
-			if b := l.nodeBusy[bits.TrailingZeros64(m)]; b > start {
-				start = b
-			}
+		l.pending, l.plan.Items = l.pending[n:], items[n:]
+	} else {
+		byStart := slices.Clone(items)
+		slices.SortStableFunc(byStart, func(a, b schedule.Placed) int { return cmp.Compare(a.Start, b.Start) })
+		gone := make([]bool, len(l.pending)) // by queue position
+		for n < len(byStart) && byStart[n].Start <= until {
+			it := byStart[n]
+			l.launch(l.pending[it.TaskPos], it, wins)
+			gone[it.TaskPos] = true
+			n++
 		}
-		predicted := it.End - it.Start
-		dur := predicted
-		if l.cfg.ActualDuration != nil {
-			dur = l.cfg.ActualDuration(t.App, bits.OnesCount64(it.Mask), dur, t.ID)
-			if dur < 0 {
-				dur = 0
-			}
-		}
-		base := dur // actual duration before any start-keyed slowdown
-		if l.slowdown != nil {
-			if f := l.slowdown(start); f > 0 {
-				dur *= f
-			}
-		}
-		if wins != nil {
-			// Fixed point: clearing a window can move the start into a
-			// different slowdown regime, which changes the duration, which
-			// can hit another window. The start only ever moves forward.
-			for {
-				adj := schedule.AdjustStart(wins, mask, start, dur)
-				if adj == start {
-					break
-				}
-				start = adj
-				dur = base
-				if l.slowdown != nil {
-					if f := l.slowdown(start); f > 0 {
-						dur = base * f
-					}
+		if n > 0 {
+			// Close the gaps in the queue and point the surviving items
+			// at the new positions.
+			newPos := make([]int, len(l.pending))
+			kept := l.pending[:0]
+			for pos, t := range l.pending {
+				if !gone[pos] {
+					newPos[pos] = len(kept)
+					kept = append(kept, t)
 				}
 			}
-		}
-		rec := Record{
-			TaskID:    t.ID,
-			ReqID:     t.ReqID,
-			App:       t.App,
-			Arrival:   t.Arrival,
-			Deadline:  t.Deadline,
-			Mask:      mask,
-			Start:     start,
-			End:       start + dur,
-			Resource:  l.cfg.Name,
-			Predicted: predicted,
-		}
-		l.committed = append(l.committed, rec)
-		l.cfg.Executor.Launch(rec)
-		for m := rec.Mask; m != 0; m &= m - 1 {
-			phys := bits.TrailingZeros64(m)
-			if rec.End > l.nodeBusy[phys] {
-				l.nodeBusy[phys] = rec.End
+			l.pending = kept
+			residual := items[:0]
+			for _, it := range items {
+				if !gone[it.TaskPos] {
+					it.TaskPos = newPos[it.TaskPos]
+					residual = append(residual, it)
+				}
 			}
+			l.plan.Items = residual
 		}
-		promoted[t.ID] = true
-		l.cfg.Policy.Forget(t.ID)
 	}
-	if len(promoted) == 0 {
+	if n == 0 {
 		return
 	}
-	defer l.refreshNextStart()
-	l.metrics.TasksStarted.Add(uint64(len(promoted)))
-	defer l.updateGauges()
-
-	// Rebuild pending and translate the surviving plan items to the new
-	// task positions.
-	newPos := make(map[int]int, len(oldPending)) // task ID -> new position
-	newPending := make([]schedule.Task, 0, len(oldPending)-len(promoted))
-	for _, t := range oldPending {
-		if !promoted[t.ID] {
-			newPos[t.ID] = len(newPending)
-			newPending = append(newPending, t)
-		}
-	}
-	l.pending = newPending
-	if len(l.pending) == 0 {
-		l.plan, l.planPhys = nil, nil
-		return
-	}
-	residual := make([]schedule.Placed, 0, len(l.pending))
-	for _, it := range l.plan.Items {
-		id := oldPending[it.TaskPos].ID
-		if promoted[id] {
-			continue
-		}
-		it.TaskPos = newPos[id]
-		residual = append(residual, it)
-	}
-	l.plan = &schedule.Schedule{
-		Items:    residual,
-		NodeBusy: l.plan.NodeBusy,
-		Makespan: l.plan.Makespan,
-		Base:     l.plan.Base,
-	}
+	l.metrics.TasksStarted.Add(uint64(n))
+	l.refreshNextStart()
+	l.updateGauges()
 }
 
-// physMask translates a plan-space (compacted) node mask to physical node
-// indices.
-func (l *Local) physMask(compact uint64) uint64 {
-	var phys uint64
-	for m := compact; m != 0; m &= m - 1 {
-		c := bits.TrailingZeros64(m)
-		phys |= uint64(1) << uint(l.planPhys[c])
+// launch commits the waiting task t to execution on its planned slot it.
+func (l *Local) launch(t schedule.Task, it schedule.Placed, wins [][]schedule.Window) {
+	mask := physMask(it.Mask, l.planPhys)
+	// When actual execution times diverge from predictions, a node may
+	// still be busy past the planned start; the task then begins late
+	// (in reality the earlier task has not released the node yet).
+	start := it.Start
+	for m := mask; m != 0; m &= m - 1 {
+		if b := l.nodeBusy[bits.TrailingZeros64(m)]; b > start {
+			start = b
+		}
 	}
-	return phys
+	predicted := it.End - it.Start
+	dur := predicted
+	if l.cfg.ActualDuration != nil {
+		dur = l.cfg.ActualDuration(t.App, bits.OnesCount64(it.Mask), dur, t.ID)
+		if dur < 0 {
+			dur = 0
+		}
+	}
+	base := dur // actual duration before any start-keyed slowdown
+	if l.slowdown != nil {
+		if f := l.slowdown(start); f > 0 {
+			dur *= f
+		}
+	}
+	if wins != nil {
+		// Fixed point: clearing a window can move the start into a
+		// different slowdown regime, which changes the duration, which
+		// can hit another window. The start only ever moves forward.
+		for {
+			adj := schedule.AdjustStart(wins, mask, start, dur)
+			if adj == start {
+				break
+			}
+			start = adj
+			dur = base
+			if l.slowdown != nil {
+				if f := l.slowdown(start); f > 0 {
+					dur = base * f
+				}
+			}
+		}
+	}
+	rec := Record{
+		TaskID:    t.ID,
+		ReqID:     t.ReqID,
+		App:       t.App,
+		Arrival:   t.Arrival,
+		Deadline:  t.Deadline,
+		Mask:      mask,
+		Start:     start,
+		End:       start + dur,
+		Resource:  l.cfg.Name,
+		Predicted: predicted,
+	}
+	if rec.Start != it.Start || rec.End != it.End {
+		// Reality left the plan (a late node, a real duration, a
+		// slowdown, or just the rounding of End−Start): the tasks behind
+		// would be placed differently by a replan now.
+		l.exact = false
+	}
+	l.committed = append(l.committed, rec)
+	l.cfg.Executor.Launch(rec)
+	for m := rec.Mask; m != 0; m &= m - 1 {
+		phys := bits.TrailingZeros64(m)
+		if rec.End > l.nodeBusy[phys] {
+			l.nodeBusy[phys] = rec.End
+		}
+	}
+	l.cfg.Policy.Forget(t.ID)
+}
+
+// taskOf returns the waiting task that item i of the plan places. A plan
+// in queue order is popped together with the queue, so it is simply the
+// i-th waiting task — TaskPos indexes the queue the plan was built over
+// and goes stale; any other plan is resolved through TaskPos, which
+// promote keeps current.
+func (l *Local) taskOf(i int) schedule.Task {
+	if l.appender != nil {
+		return l.pending[i]
+	}
+	return l.pending[l.plan.Items[i].TaskPos]
 }
 
 // AdvanceBefore returns the summed advance time Σ(δ_r − end) and the
@@ -564,19 +682,19 @@ func (l *Local) Records() []Record {
 // execution, as records carrying the planned start/completion times, in
 // start order. The plan changes as tasks arrive, start, or are deleted.
 func (l *Local) Planned() []Record {
-	if l.plan == nil {
+	if len(l.plan.Items) == 0 {
 		return nil
 	}
 	out := make([]Record, 0, len(l.plan.Items))
-	for _, it := range l.plan.Items {
-		t := l.pending[it.TaskPos]
+	for i, it := range l.plan.Items {
+		t := l.taskOf(i)
 		out = append(out, Record{
 			TaskID:   t.ID,
 			ReqID:    t.ReqID,
 			App:      t.App,
 			Arrival:  t.Arrival,
 			Deadline: t.Deadline,
-			Mask:     l.physMask(it.Mask),
+			Mask:     physMask(it.Mask, l.planPhys),
 			Start:    it.Start,
 			End:      it.End,
 			Resource: l.cfg.Name,
@@ -615,7 +733,7 @@ func (l *Local) Freetime() float64 {
 			ft = b
 		}
 	}
-	if l.plan != nil && len(l.plan.Items) > 0 && l.plan.Makespan > ft {
+	if len(l.plan.Items) > 0 && l.plan.Makespan > ft {
 		ft = l.plan.Makespan
 	}
 	return ft
@@ -635,7 +753,7 @@ func (l *Local) EstimateCompletion(app *pace.AppModel) (float64, error) {
 	}
 	best := math.Inf(1)
 	for k := 1; k <= up; k++ {
-		d, err := l.cfg.Engine.Predict(app, l.cfg.HW, k)
+		d, err := l.col.Predict(app, k)
 		if err != nil {
 			return 0, err
 		}

@@ -2,7 +2,10 @@ package scheduler
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
+
+	"repro/internal/schedule"
 )
 
 // DefaultPollInterval is the resource monitor's query period: "the
@@ -22,21 +25,17 @@ type AvailabilityEvent struct {
 // Failure injection for tests and examples goes through SetNodeDown.
 type Monitor struct {
 	numNodes     int
-	down         map[int]bool
+	down         uint64 // bit i set: node i is down
 	PollInterval float64
 	events       []AvailabilityEvent
 }
 
 // NewMonitor returns a monitor over numNodes nodes, all up.
 func NewMonitor(numNodes int) *Monitor {
-	if numNodes < 1 {
-		panic(fmt.Sprintf("scheduler: monitor over %d nodes", numNodes))
+	if numNodes < 1 || numNodes > schedule.MaxNodes {
+		panic(fmt.Sprintf("scheduler: monitor over %d nodes, outside [1, %d]", numNodes, schedule.MaxNodes))
 	}
-	return &Monitor{
-		numNodes:     numNodes,
-		down:         map[int]bool{},
-		PollInterval: DefaultPollInterval,
-	}
+	return &Monitor{numNodes: numNodes, PollInterval: DefaultPollInterval}
 }
 
 // NumNodes returns the total node count, up or down.
@@ -48,36 +47,36 @@ func (m *Monitor) SetNodeDown(node int, down bool, now float64) error {
 	if node < 0 || node >= m.numNodes {
 		return fmt.Errorf("scheduler: node %d outside [0, %d)", node, m.numNodes)
 	}
-	if m.down[node] == down {
+	if !m.IsUp(node) == down {
 		return nil // no state change, no event
 	}
-	if down {
-		m.down[node] = true
-	} else {
-		delete(m.down, node)
-	}
+	m.down ^= uint64(1) << uint(node)
 	m.events = append(m.events, AvailabilityEvent{Time: now, Node: node, Up: !down})
 	return nil
 }
 
 // IsUp reports whether the node is available.
 func (m *Monitor) IsUp(node int) bool {
-	return node >= 0 && node < m.numNodes && !m.down[node]
+	return node >= 0 && node < m.numNodes && m.down>>uint(node)&1 == 0
 }
 
 // UpNodes returns the available node indices in ascending order.
 func (m *Monitor) UpNodes() []int {
-	out := make([]int, 0, m.numNodes-len(m.down))
+	return m.appendUp(make([]int, 0, m.NumUp()))
+}
+
+// appendUp appends the available node indices, ascending, to dst.
+func (m *Monitor) appendUp(dst []int) []int {
 	for i := 0; i < m.numNodes; i++ {
-		if !m.down[i] {
-			out = append(out, i)
+		if m.IsUp(i) {
+			dst = append(dst, i)
 		}
 	}
-	return out
+	return dst
 }
 
 // NumUp returns the number of available nodes.
-func (m *Monitor) NumUp() int { return m.numNodes - len(m.down) }
+func (m *Monitor) NumUp() int { return m.numNodes - bits.OnesCount64(m.down) }
 
 // Events returns the observed availability changes in time order.
 func (m *Monitor) Events() []AvailabilityEvent {

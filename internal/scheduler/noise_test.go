@@ -132,7 +132,7 @@ func TestFreetimeCoversCommittedHorizonUnderNoise(t *testing.T) {
 	if len(l.Records()) != 2 {
 		t.Fatalf("%d records, want 2 promoted", len(l.Records()))
 	}
-	if l.plan == nil || len(l.plan.Items) == 0 {
+	if len(l.plan.Items) == 0 {
 		t.Fatal("expected a residual planned task")
 	}
 	if l.plan.Makespan >= horizon {

@@ -24,3 +24,21 @@ type Policy interface {
 	// without being planned again (e.g. deleted by the user).
 	Forget(taskID int)
 }
+
+// Appender is an optional extension of Policy, for a policy that never
+// moves a task once it is planned (FIFO, §4.1). Its Plan places tasks[i]
+// at Items[i] with non-decreasing start times, and its plan for a queue is
+// its plan for the queue without the last task plus one Append — which
+// lets a scheduler that kept the plan take an arrival for the cost of
+// that one step. Nothing selects the step: a Local uses it whenever the
+// plan it kept is still what Plan would rebuild.
+type Appender interface {
+	// Append places t, the newest task of the queue, on plan exactly as
+	// Plan over the whole queue at instant now would place it. plan is a
+	// schedule Reset for the available nodes, extended by this policy's
+	// Appends (or copied from its Plan), possibly less a prefix of tasks
+	// that have since started as planned; plan.NodeBusy is the
+	// availability t is allocated against. phys is Resource.Phys for the
+	// plan's nodes.
+	Append(plan *schedule.Schedule, t schedule.Task, phys []int, now float64, predict schedule.Predictor)
+}

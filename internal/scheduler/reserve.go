@@ -95,7 +95,7 @@ func (l *Local) HoldReservation(id uint64, holder string, mask uint64, start, en
 	if err := l.ensureBook().Hold(id, holder, mask, start, end, now, ttl); err != nil {
 		return err
 	}
-	l.replan()
+	l.replan(l.windows())
 	l.updateGauges()
 	return nil
 }
@@ -163,7 +163,7 @@ func (l *Local) ReleaseReservation(id uint64, now float64) error {
 			break
 		}
 	}
-	l.replan()
+	l.replan(l.windows())
 	l.updateGauges()
 	return nil
 }
@@ -179,7 +179,7 @@ func (l *Local) ExpireReservations(now float64) []reserve.Booking {
 	l.AdvanceTo(now)
 	due := l.book.ExpireDue(now)
 	if len(due) > 0 {
-		l.replan()
+		l.replan(l.windows())
 		l.updateGauges()
 	}
 	return due
