@@ -2,7 +2,12 @@
 // fronting a performance-driven local scheduler for one resource (§3.2).
 // Agents exchange Fig. 5 service advertisements and Fig. 6 requests over
 // the XML wire protocol; a hierarchy is assembled by starting one daemon
-// per resource and pointing children at their parent.
+// per resource and pointing children at their parent. Started with no
+// -upper and no -lowers it is the Fig. 3 standalone scheduler: it takes
+// Fig. 6 requests directly from users ("a request can be received
+// directly from a user when the system functions independently", §2.2),
+// always evaluates them against the local resource, and with -exec runs
+// a real command when a task starts.
 //
 // Example — a two-agent hierarchy:
 //
@@ -10,6 +15,11 @@
 //	          -lowers slow=127.0.0.1:7002 &
 //	gridagent -name slow -hw SunSPARCstation2 -nodes 16 -listen 127.0.0.1:7002 \
 //	          -upper fast=127.0.0.1:7001 &
+//
+// Example — a standalone scheduler that launches real processes:
+//
+//	gridagent -name cluster1 -hw SunUltra10 -listen 127.0.0.1:7100 \
+//	          -exec 'sweep3d=/usr/bin/mpirun -np {nproc} sweep3d'
 //
 // Submit work with gridsubmit; pulls tolerate a neighbour that has not
 // started yet, so startup order does not matter.
@@ -24,7 +34,6 @@ import (
 	"syscall"
 
 	"repro/internal/agent"
-	"repro/internal/ga"
 	"repro/internal/pace"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
@@ -51,7 +60,9 @@ func main() {
 
 		admission = flag.Int("admission", 0, "admission gate: max executing requests before shedding with a busy reply; 0 disables")
 		binary    = flag.Bool("binary", false, "allow peers to negotiate the compact binary codec (XML stays the wire default)")
+		execs     multiFlag
 	)
+	flag.Var(&execs, "exec", "run a real command when a task starts: app=binary args... ({task},{nproc},{app} expand); repeatable")
 	flag.Parse()
 
 	if *listHW {
@@ -67,19 +78,21 @@ func main() {
 		fail(fmt.Errorf("unknown hardware %q (try -list-hw)", *hwName))
 	}
 	engine := pace.NewEngine()
-	var pol scheduler.Policy
-	switch *policy {
-	case "ga":
-		pol = scheduler.NewGAPolicy(ga.DefaultConfig(), sim.NewRNG(*seed))
-	case "fifo":
-		pol = scheduler.NewFIFOPolicy()
-	default:
-		fail(fmt.Errorf("unknown policy %q", *policy))
-	}
-	local, err := scheduler.NewLocal(scheduler.Config{
+	pol, err := transport.NewPolicy(*policy, sim.NewRNG(*seed))
+	fail(err)
+	cfg := scheduler.Config{
 		Name: *name, HW: hw, NumNodes: *nodes, Policy: pol, Engine: engine,
 		Environments: []string{"test", "mpi", "pvm"},
-	})
+	}
+	if len(execs) > 0 {
+		ce := scheduler.NewCommandExecutor()
+		for _, spec := range execs {
+			fail(ce.ParseMapping(spec))
+		}
+		cfg.Executor = ce
+		fmt.Printf("gridagent: real execution enabled for %d applications\n", len(execs))
+	}
+	local, err := scheduler.NewLocal(cfg)
 	fail(err)
 	a, err := agent.New(local, engine)
 	fail(err)
@@ -158,6 +171,15 @@ func main() {
 		_ = msrv.Close()
 	}
 	fail(node.Close())
+}
+
+// multiFlag collects repeatable string flags.
+type multiFlag []string
+
+func (m *multiFlag) String() string { return strings.Join(*m, ",") }
+func (m *multiFlag) Set(v string) error {
+	*m = append(*m, v)
+	return nil
 }
 
 func parsePeer(spec string, lib *pace.Library) (*transport.RemotePeer, error) {

@@ -14,8 +14,8 @@ import (
 
 // exportDoc is the machine-readable product of a gridexp invocation
 // (-out results.json): whichever studies the flags selected, as numbers
-// rather than tables, so downstream tooling (scripts/bench.sh, the
-// capacity study) consumes JSON instead of scraping text.
+// rather than tables, so downstream tooling (the capacity study)
+// consumes JSON instead of scraping text.
 type exportDoc struct {
 	Seed     uint64 `json:"seed"`
 	Requests int    `json:"requests"`

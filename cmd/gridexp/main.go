@@ -247,7 +247,9 @@ func main() {
 		// `gridexp -audit` alone still means "audit the experiments".
 		needRuns = true
 	}
-	if !needRuns {
+	// finish writes the selected exports and turns a failed audit into
+	// the exit status.
+	finish := func() {
 		if *outPath != "" {
 			fail(doc.write(*outPath))
 		}
@@ -257,6 +259,9 @@ func main() {
 		if auditFailed {
 			exit(1)
 		}
+	}
+	if !needRuns {
+		finish()
 		return
 	}
 
@@ -306,15 +311,7 @@ func main() {
 		fail(f.Close())
 		fmt.Printf("lifecycle trace written to %s (%s)\n", *traceOut, rec.Summary())
 	}
-	if *outPath != "" {
-		fail(doc.write(*outPath))
-	}
-	if *telemetryOut != "" {
-		fail(writeTelemetry(*telemetryOut, telemetryExports))
-	}
-	if auditFailed {
-		exit(1)
-	}
+	finish()
 }
 
 // runScenario is the -scenario entry point: one audited run, a sweep

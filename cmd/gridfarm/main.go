@@ -35,7 +35,6 @@ func main() {
 		shed      = flag.Bool("shed", false, "fail over-window exchanges immediately instead of blocking")
 		binary    = flag.Bool("binary", false, "negotiate the compact binary codec between farm nodes (XML stays the wire default)")
 		admission = flag.Int("admission", 0, "per-node admission gate: max executing requests before shedding with a busy reply; 0 disables")
-		nopool    = flag.Bool("no-pool", false, "legacy dial-per-exchange transport (comparison mode)")
 	)
 	flag.Parse()
 
@@ -53,7 +52,6 @@ func main() {
 		Push:       *push,
 		Telemetry:  reg,
 		Pool:       transport.PoolConfig{Size: *poolSize, Window: *window, Shed: *shed, Binary: *binary},
-		NoPool:     *nopool,
 		Server:     transport.ServerConfig{MaxInflight: *admission, AllowBinary: *binary},
 	})
 	if err != nil {

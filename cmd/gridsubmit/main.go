@@ -1,6 +1,6 @@
 // Command gridsubmit is the user portal (§3.2): it builds Fig. 6 task
-// execution requests, submits them to a gridagent/gridsched/gridfarm
-// daemon, and fetches execution results.
+// execution requests, submits them to a gridagent or gridfarm daemon,
+// and fetches execution results.
 //
 // Examples:
 //
@@ -42,15 +42,11 @@ func main() {
 		interval = flag.Duration("interval", time.Second, "batch pacing between submissions")
 		seed     = flag.Uint64("seed", 1, "batch randomness seed")
 
-		pool       = flag.Bool("pool", true, "ride pooled multiplexed connections; false dials per exchange (legacy)")
 		wireBinary = flag.Bool("wire-binary", false, "offer the compact binary wire codec (the server must allow it; XML stays the default and the request document is unchanged)")
 	)
 	flag.Parse()
 
-	client := transport.NewClient()
-	if *pool {
-		client = transport.NewPooledClient(transport.PoolConfig{Binary: *wireBinary})
-	}
+	client := transport.NewPooledClient(transport.PoolConfig{Binary: *wireBinary})
 
 	lib := pace.CaseStudyLibrary()
 	if *listApps {

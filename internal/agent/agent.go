@@ -422,31 +422,12 @@ func (a *Agent) neighbours() []Peer {
 // failed attempt feeds the peer's circuit breaker, and each success
 // doubles as the probe that closes a tripped breaker.
 func (a *Agent) Pull(now float64) {
-	for _, n := range a.neighbours() {
-		name := n.PeerName()
-		var info scheduler.ServiceInfo
-		err := a.gateErr(name, now)
-		if err == nil {
-			info, err = n.PullService()
-		}
-		if err != nil {
-			a.stats.failedPulls.Inc()
-			a.RecordPeerFailure(name)
-			continue
-		}
-		a.RecordPeerSuccess(name)
-		a.cache[name] = cachedService{
-			info:      info,
-			agentName: name,
-			pulledAt:  now,
-		}
-	}
-	a.stats.pulls.Inc()
+	a.PullBatched(now, func(string) (scheduler.ServiceInfo, bool) { return scheduler.ServiceInfo{}, false })
 }
 
-// PullBatched refreshes the advert cache exactly like Pull, but takes
-// each neighbour's base advertisement from a tick-wide snapshot instead
-// of recomputing ServiceInfo per puller. Within one pull tick a
+// PullBatched is the cache-refresh loop behind Pull: it takes each
+// neighbour's base advertisement from a tick-wide snapshot instead of
+// recomputing ServiceInfo per puller. Within one pull tick a
 // scheduler's state does not change, so every puller of the same
 // publisher would compute an identical base advertisement; batching
 // coalesces those O(degree) computations into one per publisher. The
@@ -454,7 +435,7 @@ func (a *Agent) Pull(now float64) {
 // because Pull annotates them per exchange and a lossy-gate failure
 // earlier in the same tick must be visible to later pullers. Peers
 // missing from the snapshot (or that are not in-process agents) fall
-// back to PullService, so the two paths are behaviourally identical.
+// back to PullService — which is all of them under Pull's empty snapshot.
 func (a *Agent) PullBatched(now float64, base func(name string) (scheduler.ServiceInfo, bool)) {
 	for _, n := range a.neighbours() {
 		name := n.PeerName()

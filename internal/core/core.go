@@ -221,6 +221,11 @@ type Grid struct {
 	execs       map[string]*tracingExecutor
 	workerCount int
 
+	// pullStale tells Run's advert pull that the tree changed under it
+	// (memberState sets it on every join, leave and re-home) and the
+	// cached publisher set must be rebuilt before the next exchange.
+	pullStale bool
+
 	lastRequestAt float64
 	requests      int
 	nextReqID     uint64 // grid-wide request IDs, minted at SubmitAt
@@ -487,6 +492,22 @@ func (g *Grid) Local(name string) (*scheduler.Local, bool) {
 	return l, ok
 }
 
+// NodeCounts maps every resource a run can execute on — the start-up
+// specs and the churn plan's runtime joiners (nil for none) — to its node
+// count: the table an audit.Observer is built from before the grid is.
+func NodeCounts(specs []ResourceSpec, churn *membership.Plan) map[string]int {
+	nodes := make(map[string]int, len(specs))
+	for _, s := range specs {
+		nodes[s.Name] = s.Nodes
+	}
+	if churn != nil {
+		for _, j := range churn.Joins {
+			nodes[j.Name] = j.Nodes
+		}
+	}
+	return nodes
+}
+
 // NodesByResource maps resource names to node counts, as the metrics
 // package expects.
 func (g *Grid) NodesByResource() map[string]int {
@@ -566,20 +587,23 @@ func (g *Grid) SubmitAt(at float64, agentName, appName string, deadlineRel float
 		// one complete or fail (the conservation invariant internal/audit
 		// checks).
 		g.traceEvent(trace.Event{Time: now, Kind: trace.KindArrive, ReqID: reqID, Agent: agentName, App: appName, Detail: arriveDetail})
-		if arrivalDown {
-			err := fmt.Errorf("request at %g: no live agent for arrival at %s", now, agentName)
+		// failRequest terminates the request: the error joins Run's
+		// result and the fail event closes the arrival for the audit.
+		failRequest := func(err error, detail string) {
 			g.errs = append(g.errs, err)
 			g.mErrors.Inc()
-			g.traceEvent(trace.Event{Time: now, Kind: trace.KindFail, ReqID: reqID, Agent: agentName, App: appName, Detail: err.Error()})
+			g.traceEvent(trace.Event{Time: now, Kind: trace.KindFail, ReqID: reqID, Agent: agentName, App: appName, Detail: detail})
+		}
+		if arrivalDown {
+			err := fmt.Errorf("request at %g: no live agent for arrival at %s", now, agentName)
+			failRequest(err, err.Error())
 			return
 		}
 		if g.opts.UseAgents {
 			a, _ := g.hier.Lookup(arrival)
 			d, err := a.HandleRequest(agent.Request{ReqID: reqID, App: app, Env: "test", Deadline: deadline}, now)
 			if err != nil {
-				g.errs = append(g.errs, fmt.Errorf("request at %g: %w", now, err))
-				g.mErrors.Inc()
-				g.traceEvent(trace.Event{Time: now, Kind: trace.KindFail, ReqID: reqID, Agent: agentName, App: appName, Detail: err.Error()})
+				failRequest(fmt.Errorf("request at %g: %w", now, err), err.Error())
 				return
 			}
 			g.recordDispatch(d)
@@ -600,9 +624,7 @@ func (g *Grid) SubmitAt(at float64, agentName, appName string, deadlineRel float
 		}
 		id, err := g.locals[agentName].SubmitRequest(app, deadline, now, reqID)
 		if err != nil {
-			g.errs = append(g.errs, fmt.Errorf("request at %g: %w", now, err))
-			g.mErrors.Inc()
-			g.traceEvent(trace.Event{Time: now, Kind: trace.KindFail, ReqID: reqID, Agent: agentName, App: appName, Detail: err.Error()})
+			failRequest(fmt.Errorf("request at %g: %w", now, err), err.Error())
 			return
 		}
 		g.recordDispatch(agent.Dispatch{Resource: agentName, TaskID: id, ReqID: reqID})
@@ -836,64 +858,18 @@ func (g *Grid) Run() error {
 		return fmt.Errorf("core: grid already ran")
 	}
 	g.ran = true
-	if g.opts.UseAgents && g.members != nil {
-		// Dynamic membership: the advert exchange re-derives the live
-		// agent set every tick, because joins, leaves and re-homes change
-		// it mid-run. The static fast path below keeps its fixed arrays —
-		// and its byte-identical stream — whenever membership is off.
-		pull := func(now float64) {
-			names := g.hier.Names()
-			idx := make(map[string]int, len(names))
-			for i, n := range names {
-				idx[n] = i
-			}
-			base := make([]scheduler.ServiceInfo, len(names))
-			live := make([]bool, len(names))
-			lookup := func(name string) (scheduler.ServiceInfo, bool) {
-				i, ok := idx[name]
-				if !ok || !live[i] {
-					return scheduler.ServiceInfo{}, false
-				}
-				return base[i], true
-			}
-			g.parallelFor(len(names), func(i int) {
-				if g.injector != nil && g.injector.Registry().AgentDown(names[i]) {
-					live[i] = false
-					return
-				}
-				base[i] = g.locals[names[i]].ServiceInfo()
-				live[i] = true
-			})
-			for _, name := range names {
-				if g.injector != nil && g.injector.Registry().AgentDown(name) {
-					continue
-				}
-				a, ok := g.hier.Lookup(name)
-				if !ok {
-					continue
-				}
-				a.PullBatched(now, lookup)
-			}
-		}
-		pull(0)
-		// Pulls continue through the churn tail so late joiners start
-		// advertising even when every request has already arrived.
-		last := g.lastRequestAt
-		if t := g.opts.Churn.LastEventTime(); t > last {
-			last = t
-		}
-		g.simr.Every(g.opts.PullPeriod, func(now float64) bool {
-			pull(now)
-			return now < last
-		})
-	} else if g.opts.UseAgents {
-		names := g.hier.Names()
-		idx := make(map[string]int, len(names))
-		for i, n := range names {
-			idx[n] = i
-		}
-		base := make([]scheduler.ServiceInfo, len(names))
-		live := make([]bool, len(names))
+	if g.opts.UseAgents {
+		// The publisher set — names in pull order, their index, the
+		// per-tick advert and liveness arrays — is kept until memberState
+		// marks it stale (a join, leave or re-home): a static grid sorts
+		// its names once, a churning one only when the tree moved.
+		var (
+			names []string
+			idx   map[string]int
+			base  []scheduler.ServiceInfo
+			live  []bool
+		)
+		g.pullStale = true
 		lookup := func(name string) (scheduler.ServiceInfo, bool) {
 			i, ok := idx[name]
 			if !ok || !live[i] {
@@ -902,6 +878,16 @@ func (g *Grid) Run() error {
 			return base[i], true
 		}
 		pull := func(now float64) {
+			if g.pullStale {
+				g.pullStale = false
+				names = g.hier.Names()
+				idx = make(map[string]int, len(names))
+				for i, n := range names {
+					idx[n] = i
+				}
+				base = make([]scheduler.ServiceInfo, len(names))
+				live = make([]bool, len(names))
+			}
 			// Phase 1: every live publisher computes its base
 			// advertisement once. Scheduler state does not change within
 			// a pull tick, so each puller of the same publisher would
@@ -917,11 +903,11 @@ func (g *Grid) Run() error {
 				live[i] = true
 			})
 			// Phase 2: the exchanges themselves, strictly sequential in
-			// the legacy name order — lossy-gate draws and the live fault
-			// counters stamped on each advert are order-sensitive.
-			// A crashed agent neither pulls nor is pulled; the gate fails
-			// its peers' exchanges, but skipping the crashed agent's own
-			// loop keeps it from racking up failures against live peers.
+			// name order — lossy-gate draws and the live fault counters
+			// stamped on each advert are order-sensitive. A crashed agent
+			// neither pulls nor is pulled; the gate fails its peers'
+			// exchanges, but skipping the crashed agent's own loop keeps it
+			// from racking up failures against live peers.
 			for _, name := range names {
 				if g.injector != nil && g.injector.Registry().AgentDown(name) {
 					continue
@@ -931,11 +917,14 @@ func (g *Grid) Run() error {
 			}
 		}
 		pull(0)
+		// Pulls continue through the churn tail (none without a churn
+		// plan) so late joiners start advertising even when every request
+		// has already arrived.
 		last := g.lastRequestAt
-		g.simr.Every(g.opts.PullPeriod, func(now float64) bool {
-			pull(now)
-			return now < last
-		})
+		if t := g.opts.Churn.LastEventTime(); t > last {
+			last = t
+		}
+		g.tick(g.opts.PullPeriod, last, pull)
 	}
 	if g.injector != nil {
 		g.injector.Schedule(g.simr)
@@ -945,11 +934,7 @@ func (g *Grid) Run() error {
 		// migration check at a coincident instant sees fresh adverts and
 		// the post-fault grid. With the policy disabled no event is ever
 		// queued — the stream the schedulers see is byte-identical.
-		last := g.lastRequestAt
-		g.simr.Every(g.migrator.pol.CheckPeriod, func(now float64) bool {
-			g.migrator.check(now)
-			return now < last
-		})
+		g.tick(g.migrator.pol.CheckPeriod, g.lastRequestAt, g.migrator.check)
 	}
 	if g.members != nil {
 		// Join/leave events and the rebalance ticks are scheduled after
@@ -963,11 +948,7 @@ func (g *Grid) Run() error {
 		// The expiry sweep retires holds whose TTL lapsed unconfirmed.
 		// Scheduled only when a reservation was submitted, so runs without
 		// reservations see a byte-identical event stream.
-		last := g.lastRequestAt
-		g.simr.Every(g.resv.pol.SweepPeriod, func(now float64) bool {
-			g.resv.sweep(now)
-			return now < last
-		})
+		g.tick(g.resv.pol.SweepPeriod, g.lastRequestAt, g.resv.sweep)
 	}
 	if g.sampler != nil {
 		// Scheduled after the pull Every so at coincident fire times the
@@ -975,11 +956,7 @@ func (g *Grid) Run() error {
 		// nothing and draws no randomness, so the event stream the
 		// schedulers see is identical with or without it.
 		g.sampler.Sample(0)
-		last := g.lastRequestAt
-		g.simr.Every(g.sampler.Period(), func(now float64) bool {
-			g.sampler.Sample(now)
-			return now < last
-		})
+		g.tick(g.sampler.Period(), g.lastRequestAt, g.sampler.Sample)
 	}
 	g.simr.RunAll(g.eventBudget())
 	g.forEachLocal(g.allNames(), func(l *scheduler.Local) { l.Drain() })
@@ -995,6 +972,15 @@ func (g *Grid) Run() error {
 		g.sampler.Sample(end)
 	}
 	return errors.Join(g.errs...)
+}
+
+// tick schedules fn every period of virtual time, the last firing being
+// the first at or past last.
+func (g *Grid) tick(period, last float64, fn func(now float64)) {
+	g.simr.Every(period, func(now float64) bool {
+		fn(now)
+		return now < last
+	})
 }
 
 // eventBudget derives the RunAll bound from the run's actual shape —

@@ -99,10 +99,7 @@ func (ms *memberState) schedule() {
 		if t := ms.g.opts.Churn.LastEventTime(); t > last {
 			last = t
 		}
-		ms.g.simr.Every(ms.reb.Policy().CheckPeriod, func(now float64) bool {
-			ms.rebalance(now)
-			return now < last
-		})
+		ms.g.tick(ms.reb.Policy().CheckPeriod, last, ms.rebalance)
 	}
 }
 
@@ -120,6 +117,7 @@ func (ms *memberState) join(j membership.Join, now float64) {
 		return
 	}
 	delete(ms.pending, j.Name)
+	ms.g.pullStale = true
 	ms.cJoins.Inc()
 	ms.g.traceEvent(trace.Event{
 		Time: now, Kind: trace.KindJoin, Agent: j.Name, Resource: j.Name,
@@ -137,6 +135,7 @@ func (ms *memberState) leave(name string, now float64) {
 		ms.g.errs = append(ms.g.errs, fmt.Errorf("core: leave at %g: %w", now, err))
 		return
 	}
+	ms.g.pullStale = true
 	ms.cLeaves.Inc()
 	detail := "parent=" + res.Parent.Name()
 	if len(res.Rehomed) > 0 {
@@ -274,6 +273,7 @@ func (ms *memberState) rebalance(now float64) {
 		return
 	}
 	ms.reb.Moved(now)
+	ms.g.pullStale = true
 	ms.cMoves.Inc()
 	ms.g.traceEvent(trace.Event{
 		Time: now, Kind: trace.KindRehomeDetach, Agent: mv.Subtree,

@@ -6,8 +6,7 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/core"
-	"repro/internal/trace"
-	"repro/internal/workload"
+	"repro/internal/metrics"
 )
 
 // AccuracyPoint is one row of the prediction-accuracy study (§5 future
@@ -45,70 +44,31 @@ func DefaultNoiseCases() []NoiseCase {
 // and the eq. 10 matchmaking reason over predictions that reality no
 // longer honours.
 func RunAccuracyStudy(cases []NoiseCase, p Params) ([]AccuracyPoint, error) {
+	// One recorder must never hold several runs' events (the ReqIDs
+	// collide), and this study sweeps many; its points carry no
+	// telemetry export.
+	p.Trace, p.Telemetry = nil, false
 	out := make([]AccuracyPoint, 0, len(cases))
 	for _, c := range cases {
-		var rec *trace.Recorder
-		if p.Audit {
-			rec = trace.NewRecorder(8*p.Requests + 64)
-		}
-		grid, err := core.New(CaseStudyResources(), core.Options{
+		o, _, err := p.run(CaseStudyResources(), core.Options{
 			Policy:          core.PolicyGA,
-			GA:              p.GA,
-			Workers:         p.Workers,
 			UseAgents:       true,
-			Seed:            p.Seed,
 			PredictionError: c.Rel,
 			PredictionBias:  c.Bias,
-			Trace:           rec,
-		})
+		}, p.workload(), p.phase())
 		if err != nil {
 			return nil, err
 		}
-		spec := workload.CaseStudySpec(p.Seed, AgentNames())
-		spec.Count = p.Requests
-		spec.Interval = p.Interval
-		reqs, err := workload.Generate(spec)
-		if err != nil {
-			return nil, err
-		}
-		if err := grid.SubmitWorkload(reqs); err != nil {
-			return nil, err
-		}
-		if err := grid.Run(); err != nil {
-			return nil, err
-		}
-		rep, err := grid.Metrics(float64(p.Requests) * p.Interval)
-		if err != nil {
-			return nil, err
-		}
-		met := 0
-		recs := grid.Records()
-		for _, r := range recs {
-			if r.End <= r.Deadline {
-				met++
-			}
-		}
-		pt := AccuracyPoint{
+		out = append(out, AccuracyPoint{
 			Rel:      c.Rel,
 			Bias:     c.Bias,
-			Epsilon:  rep.Total.Epsilon,
-			Upsilon:  rep.Total.Upsilon,
-			Beta:     rep.Total.Beta,
-			MetRate:  float64(met) / float64(len(recs)),
-			Requests: len(recs),
-		}
-		if p.Audit {
-			res := audit.Check(audit.Run{
-				Events:     rec.Events(),
-				Records:    recs,
-				Dispatches: grid.Dispatches(),
-				Nodes:      grid.NodesByResource(),
-				Report:     rep,
-				Dropped:    rec.Dropped(),
-			})
-			pt.Audit = &res
-		}
-		out = append(out, pt)
+			Epsilon:  o.Report.Total.Epsilon,
+			Upsilon:  o.Report.Total.Upsilon,
+			Beta:     o.Report.Total.Beta,
+			MetRate:  metrics.HitRate(o.Records),
+			Requests: len(o.Records),
+			Audit:    o.Audit,
+		})
 	}
 	return out, nil
 }

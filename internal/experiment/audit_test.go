@@ -3,6 +3,11 @@ package experiment
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/agent"
+	"repro/internal/audit"
+	"repro/internal/core"
+	"repro/internal/trace"
 )
 
 // TestExperimentsPassAudit runs every Table 2 configuration at reduced
@@ -73,5 +78,61 @@ func TestResilienceRunPassesAudit(t *testing.T) {
 	}
 	if !strings.Contains(FormatResilience(r), "audit:") {
 		t.Fatal("FormatResilience omits the audit verdict")
+	}
+}
+
+// TestRunnerAuditMatchesReplay pins the shared runner's streaming audit
+// against the replay entry point it replaced here: on the Exp 4/5/7
+// quick configurations, the Observer fed live by the grid must reach the
+// verdict audit.Check reaches over the same run's retained trace.
+func TestRunnerAuditMatchesReplay(t *testing.T) {
+	if testing.Short() {
+		t.Skip("audited runs in short mode")
+	}
+	p := QuickParams()
+	p.Requests = 120
+	p.Audit = true
+	faults := ScaledFaultPlan(p.phase())
+	degraded := ScaledDegradedPlan(p.phase())
+	churn := DefaultChurnPlan()
+	rebalance := DefaultRebalancePolicy()
+	cases := []struct {
+		name      string
+		opts      core.Options
+		minWindow float64
+	}{
+		{"exp4", core.Options{FaultPlan: &faults}, p.phase()},
+		{"exp5", core.Options{FaultPlan: &degraded, Migration: DefaultMigrationPolicy()}, p.phase()},
+		{"exp7", core.Options{Churn: &churn, Rebalance: &rebalance}, 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			p := p
+			p.Trace = trace.NewRecorder(8*p.Requests + 64)
+			c.opts.Policy, c.opts.UseAgents = core.PolicyGA, true
+			c.opts.AdvertTTL = 3 * agent.DefaultPullPeriod
+			spec := p.workload()
+			if c.opts.Churn != nil {
+				spec = p.crowdWorkload()
+			}
+			out, grid, err := p.run(CaseStudyResources(), c.opts, spec, c.minWindow)
+			if err != nil {
+				t.Fatal(err)
+			}
+			replay := audit.Check(audit.Run{
+				Events:     p.Trace.Events(),
+				Records:    out.Records,
+				Dispatches: out.Dispatches,
+				Nodes:      grid.NodesByResource(),
+				Report:     out.Report,
+				Dropped:    p.Trace.Dropped(),
+			})
+			if !out.Audit.OK() {
+				t.Fatalf("streamed audit: %v", out.Audit.Violations)
+			}
+			if got, want := out.Audit.Summary(), replay.Summary(); got != want {
+				t.Fatalf("streamed audit diverges from the replay:\n got %s\nwant %s", got, want)
+			}
+		})
 	}
 }

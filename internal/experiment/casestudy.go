@@ -104,70 +104,101 @@ type Outcome struct {
 	Telemetry  *telemetry.Export // set when Params.Telemetry is on
 }
 
-// Run executes one experiment configuration against the case-study grid
-// and workload.
-func Run(setup Setup, p Params) (Outcome, error) {
-	// Auditing needs the full lifecycle trace. When the caller did not
-	// supply a recorder, run a private one sized so the ring cannot
-	// evict (a request contributes at most a handful of events); when
-	// the caller did, audit from theirs.
-	rec := p.Trace
-	if p.Audit && rec == nil {
-		rec = trace.NewRecorder(8*p.Requests + 64)
-	}
-	copts := core.Options{
-		Policy:    setup.Policy,
-		GA:        p.GA,
-		Workers:   p.Workers,
-		UseAgents: setup.UseAgents,
-		Seed:      p.Seed,
-		Trace:     rec,
-	}
-	if p.Telemetry {
-		copts.Telemetry = telemetry.NewRegistry()
-		copts.SamplePeriod = p.SamplePeriod
-	}
-	grid, err := core.New(CaseStudyResources(), copts)
-	if err != nil {
-		return Outcome{}, err
-	}
+// workload returns the §4.1 request stream at the params' size.
+func (p Params) workload() workload.Spec {
 	spec := workload.CaseStudySpec(p.Seed, AgentNames())
 	spec.Count = p.Requests
 	spec.Interval = p.Interval
+	return spec
+}
+
+// phase is the §4.1 request phase length, the measurement-window floor.
+func (p Params) phase() float64 { return float64(p.Requests) * p.Interval }
+
+// run is the one run path of this package: build the grid, submit the
+// generated workload, run it and reduce it to an Outcome. opts carries
+// what distinguishes the study (policy, noise, fault plan, churn, ...);
+// GA, workers, seed, trace, telemetry and audit come from p. The audit
+// streams into an audit.Observer, as scenario.Run's does. minWindow <= 0
+// selects the stream's own span (an open arrival process only knows its
+// last arrival). The grid is returned for the per-study statistics.
+func (p Params) run(resources []core.ResourceSpec, opts core.Options, spec workload.Spec, minWindow float64) (Outcome, *core.Grid, error) {
+	opts.GA, opts.Workers, opts.Seed, opts.Trace = p.GA, p.Workers, p.Seed, p.Trace
+	if p.Telemetry {
+		// A fresh registry per run: RunAll runs experiments concurrently
+		// and their totals must not mix.
+		opts.Telemetry = telemetry.NewRegistry()
+		opts.SamplePeriod = p.SamplePeriod
+	}
+	if p.Audit {
+		opts.Audit = audit.NewObserver(core.NodeCounts(resources, opts.Churn))
+	}
+	grid, err := core.New(resources, opts)
+	if err != nil {
+		return Outcome{}, nil, err
+	}
 	reqs, err := workload.Generate(spec)
 	if err != nil {
-		return Outcome{}, err
+		return Outcome{}, nil, err
 	}
 	if err := grid.SubmitWorkload(reqs); err != nil {
-		return Outcome{}, err
+		return Outcome{}, nil, err
 	}
 	if err := grid.Run(); err != nil {
-		return Outcome{}, fmt.Errorf("experiment %d: %w", setup.ID, err)
+		return Outcome{}, nil, err
 	}
-	report, err := grid.Metrics(float64(p.Requests) * p.Interval)
+	if minWindow <= 0 {
+		minWindow = workload.Summarise(reqs).Span
+	}
+	recs := grid.Records()
+	report, err := grid.MetricsOver(recs, minWindow)
 	if err != nil {
-		return Outcome{}, err
+		return Outcome{}, nil, err
 	}
 	out := Outcome{
-		Setup:      setup,
 		Report:     report,
 		Dispatches: grid.Dispatches(),
-		Records:    grid.Records(),
+		Records:    recs,
 		EvalStats:  grid.Engine().Stats(),
 		Requests:   len(reqs),
 		Telemetry:  grid.TelemetryExport(),
 	}
-	if p.Audit {
-		res := audit.Check(audit.Run{
-			Events:     rec.Events(),
-			Records:    out.Records,
-			Dispatches: out.Dispatches,
-			Nodes:      grid.NodesByResource(),
-			Report:     report,
-			Dropped:    rec.Dropped(),
-		})
+	if opts.Audit != nil {
+		res := opts.Audit.Finish(report, 0)
 		out.Audit = &res
 	}
+	return out, grid, nil
+}
+
+// offOn runs one case-study configuration twice over the identical
+// workload — the feature under study off, then on — so any delta is the
+// feature's. An external trace recorder goes to the on run only: one
+// recorder must never hold two runs' events (the ReqIDs collide and the
+// audit would see every task executed twice).
+func (p Params) offOn(setup Setup, off, on core.Options, spec workload.Spec, minWindow float64) (Outcome, Outcome, *core.Grid, error) {
+	pOff := p
+	pOff.Trace = nil
+	a, _, err := pOff.run(CaseStudyResources(), off, spec, minWindow)
+	if err != nil {
+		return Outcome{}, Outcome{}, nil, fmt.Errorf("experiment %d (off): %w", setup.ID, err)
+	}
+	b, grid, err := p.run(CaseStudyResources(), on, spec, minWindow)
+	if err != nil {
+		return Outcome{}, Outcome{}, nil, fmt.Errorf("experiment %d (on): %w", setup.ID, err)
+	}
+	a.Setup, b.Setup = setup, setup
+	return a, b, grid, nil
+}
+
+// Run executes one experiment configuration against the case-study grid
+// and workload.
+func Run(setup Setup, p Params) (Outcome, error) {
+	out, _, err := p.run(CaseStudyResources(),
+		core.Options{Policy: setup.Policy, UseAgents: setup.UseAgents}, p.workload(), p.phase())
+	if err != nil {
+		return Outcome{}, fmt.Errorf("experiment %d: %w", setup.ID, err)
+	}
+	out.Setup = setup
 	return out, nil
 }
 
@@ -179,20 +210,14 @@ func Run(setup Setup, p Params) (Outcome, error) {
 // into one ring would scramble the per-experiment event order.
 func RunAll(p Params) ([]Outcome, error) {
 	out := make([]Outcome, len(Configs))
-	if p.Trace != nil {
-		for i, s := range Configs {
-			o, err := Run(s, p)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = o
-		}
-		return out, nil
-	}
 	errs := make([]error, len(Configs))
 	var wg sync.WaitGroup
-	wg.Add(len(Configs))
 	for i, s := range Configs {
+		if p.Trace != nil {
+			out[i], errs[i] = Run(s, p)
+			continue
+		}
+		wg.Add(1)
 		go func(i int, s Setup) {
 			defer wg.Done()
 			out[i], errs[i] = Run(s, p)

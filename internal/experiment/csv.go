@@ -20,19 +20,20 @@ func WriteCSV(dir string, outs []Outcome) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	if err := writeTable3(filepath.Join(dir, "table3.csv"), outs); err != nil {
-		return err
-	}
-	figs := []struct {
-		file  string
-		value func(metrics.Report) float64
+	eps := func(r metrics.Report) float64 { return r.Epsilon }
+	ups := func(r metrics.Report) float64 { return r.Upsilon }
+	beta := func(r metrics.Report) float64 { return r.Beta }
+	files := []struct {
+		file string
+		cols []column
 	}{
-		{"fig8.csv", func(r metrics.Report) float64 { return r.Epsilon }},
-		{"fig9.csv", func(r metrics.Report) float64 { return r.Upsilon }},
-		{"fig10.csv", func(r metrics.Report) float64 { return r.Beta }},
+		{"table3.csv", []column{{"eps_", eps}, {"ups_", ups}, {"beta_", beta}}},
+		{"fig8.csv", []column{{"exp", eps}}},
+		{"fig9.csv", []column{{"exp", ups}}},
+		{"fig10.csv", []column{{"exp", beta}}},
 	}
-	for _, f := range figs {
-		if err := writeTrend(filepath.Join(dir, f.file), outs, f.value); err != nil {
+	for _, f := range files {
+		if err := writeSeries(filepath.Join(dir, f.file), outs, f.cols); err != nil {
 			return err
 		}
 	}
@@ -59,31 +60,21 @@ func writeRows(path string, rows [][]string) error {
 
 func fmtF(v float64) string { return strconv.FormatFloat(v, 'f', 3, 64) }
 
-func writeTable3(path string, outs []Outcome) error {
-	header := []string{"resource"}
-	for _, o := range outs {
-		id := strconv.Itoa(o.Setup.ID)
-		header = append(header, "eps_"+id, "ups_"+id, "beta_"+id)
-	}
-	rows := [][]string{header}
-	for _, name := range append(namesOf(outs[0].Report), "Total") {
-		row := []string{name}
-		for _, o := range outs {
-			rep := o.Report.Total
-			if name != "Total" {
-				rep, _ = o.Report.ResourceByName(name)
-			}
-			row = append(row, fmtF(rep.Epsilon), fmtF(rep.Upsilon), fmtF(rep.Beta))
-		}
-		rows = append(rows, row)
-	}
-	return writeRows(path, rows)
+// column is one per-experiment CSV column: its header is the prefix
+// followed by the experiment ID.
+type column struct {
+	prefix string
+	value  func(metrics.Report) float64
 }
 
-func writeTrend(path string, outs []Outcome, value func(metrics.Report) float64) error {
+// writeSeries writes one row per resource plus the grid total, with the
+// given columns repeated for every experiment.
+func writeSeries(path string, outs []Outcome, cols []column) error {
 	header := []string{"resource"}
 	for _, o := range outs {
-		header = append(header, "exp"+strconv.Itoa(o.Setup.ID))
+		for _, c := range cols {
+			header = append(header, c.prefix+strconv.Itoa(o.Setup.ID))
+		}
 	}
 	rows := [][]string{header}
 	for _, name := range append(namesOf(outs[0].Report), "Total") {
@@ -93,7 +84,9 @@ func writeTrend(path string, outs []Outcome, value func(metrics.Report) float64)
 			if name != "Total" {
 				rep, _ = o.Report.ResourceByName(name)
 			}
-			row = append(row, fmtF(value(rep)))
+			for _, c := range cols {
+				row = append(row, fmtF(c.value(rep)))
+			}
 		}
 		rows = append(rows, row)
 	}

@@ -5,11 +5,8 @@ import (
 	"strings"
 
 	"repro/internal/agent"
-	"repro/internal/audit"
 	"repro/internal/core"
 	"repro/internal/membership"
-	"repro/internal/metrics"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -55,6 +52,21 @@ func DefaultFlashCrowd() workload.FlashCrowd {
 // imbalances of the warm-up phase.
 func DefaultRebalancePolicy() membership.Policy { return membership.Policy{MinLoad: 30} }
 
+// crowdWorkload is the Experiment 7 request stream: the case-study mix
+// arriving as the flash crowd, under slightly tightened deadlines. The
+// crowd hits one region: every request enters through the S3/S4
+// branches, far from where the powerful joiners attached. A static tree
+// reaches the new capacity only by climbing through the head and
+// descending the far side hop by hop; the dynamic tree re-homes the hot
+// branch next to it.
+func (p Params) crowdWorkload() workload.Spec {
+	spec := p.workload()
+	spec.Arrivals = DefaultFlashCrowd()
+	spec.DeadlineScale = 0.9
+	spec.AgentNames = []string{"S3", "S4", "S7", "S8", "S9", "S10"}
+	return spec
+}
+
 // MembershipOutcome pairs the churning run with a static tree (agents
 // join and leave, but nothing re-homes under load) against the identical
 // run with the rebalancer on.
@@ -64,8 +76,6 @@ type MembershipOutcome struct {
 	Plan    membership.Plan
 	Policy  membership.Policy
 	Stats   membership.Stats // membership activity of the dynamic run
-	HitOff  float64          // deadline-hit rate, static tree
-	HitOn   float64          // deadline-hit rate, dynamic tree
 }
 
 // RunMembershipStudy executes Experiment 7: the experiment 3
@@ -75,98 +85,28 @@ type MembershipOutcome struct {
 // workload, GA knobs, churn schedule — is held identical, so any delta
 // is the rebalancer's.
 func RunMembershipStudy(p Params, plan membership.Plan, pol membership.Policy) (MembershipOutcome, error) {
-	// An external trace recorder goes to the dynamic run only: one
-	// recorder must never hold two runs' events (the ReqIDs collide and
-	// the audit would see every task executed twice).
-	pOff := p
-	pOff.Trace = nil
-	static, _, err := runChurn(pOff, plan, nil)
-	if err != nil {
-		return MembershipOutcome{}, fmt.Errorf("experiment 7 (static tree): %w", err)
+	// The churning runs are where the membership invariants earn their
+	// keep: no request lost or run twice across a leave-drain, no work
+	// landing on a departed resource, every re-home atomic.
+	off := core.Options{
+		Policy:    Exp7.Policy,
+		UseAgents: true,
+		AdvertTTL: 3 * agent.DefaultPullPeriod,
+		Churn:     &plan,
 	}
-	dynamic, stats, err := runChurn(p, plan, &pol)
+	on := off
+	on.Rebalance = &pol
+	static, dynamic, grid, err := p.offOn(Exp7, off, on, p.crowdWorkload(), 0)
 	if err != nil {
-		return MembershipOutcome{}, fmt.Errorf("experiment 7 (dynamic tree): %w", err)
+		return MembershipOutcome{}, err
 	}
 	return MembershipOutcome{
 		Static:  static,
 		Dynamic: dynamic,
 		Plan:    plan,
 		Policy:  pol,
-		Stats:   stats,
-		HitOff:  metrics.HitRate(static.Records),
-		HitOn:   metrics.HitRate(dynamic.Records),
+		Stats:   grid.MembershipStats(),
 	}, nil
-}
-
-// runChurn runs the flash-crowd workload over the churning Fig. 7 grid
-// with the given rebalance policy (nil = static tree).
-func runChurn(p Params, plan membership.Plan, pol *membership.Policy) (Outcome, membership.Stats, error) {
-	rec := p.Trace
-	if p.Audit && rec == nil {
-		rec = trace.NewRecorder(8*p.Requests + 64)
-	}
-	grid, err := core.New(CaseStudyResources(), core.Options{
-		Policy:    Exp7.Policy,
-		GA:        p.GA,
-		Workers:   p.Workers,
-		UseAgents: true,
-		Seed:      p.Seed,
-		Trace:     rec,
-		AdvertTTL: 3 * agent.DefaultPullPeriod,
-		Churn:     &plan,
-		Rebalance: pol,
-	})
-	if err != nil {
-		return Outcome{}, membership.Stats{}, err
-	}
-	spec := workload.CaseStudySpec(p.Seed, AgentNames())
-	spec.Count = p.Requests
-	spec.Arrivals = DefaultFlashCrowd()
-	spec.DeadlineScale = 0.9
-	// The crowd hits one region: every request enters through the S3/S4
-	// branches, far from where the powerful joiners attached. A static
-	// tree reaches the new capacity only by climbing through the head and
-	// descending the far side hop by hop; the dynamic tree re-homes the
-	// hot branch next to it.
-	spec.AgentNames = []string{"S3", "S4", "S7", "S8", "S9", "S10"}
-	reqs, err := workload.Generate(spec)
-	if err != nil {
-		return Outcome{}, membership.Stats{}, err
-	}
-	if err := grid.SubmitWorkload(reqs); err != nil {
-		return Outcome{}, membership.Stats{}, err
-	}
-	if err := grid.Run(); err != nil {
-		return Outcome{}, membership.Stats{}, err
-	}
-	report, err := grid.Metrics(workload.Summarise(reqs).Span)
-	if err != nil {
-		return Outcome{}, membership.Stats{}, err
-	}
-	out := Outcome{
-		Setup:      Exp7,
-		Report:     report,
-		Dispatches: grid.Dispatches(),
-		Records:    grid.Records(),
-		EvalStats:  grid.Engine().Stats(),
-		Requests:   len(reqs),
-	}
-	if p.Audit {
-		// The churning run is where the membership invariants earn their
-		// keep: no request lost or run twice across a leave-drain, no work
-		// landing on a departed resource, every re-home atomic.
-		res := audit.Check(audit.Run{
-			Events:     rec.Events(),
-			Records:    out.Records,
-			Dispatches: out.Dispatches,
-			Nodes:      grid.NodesByResource(),
-			Report:     report,
-			Dropped:    rec.Dropped(),
-		})
-		out.Audit = &res
-	}
-	return out, grid.MembershipStats(), nil
 }
 
 // FormatMembership renders the Experiment 7 report: the churn schedule,
@@ -190,19 +130,6 @@ func FormatMembership(r MembershipOutcome) string {
 		r.Stats.Joins, r.Stats.Leaves, r.Stats.Drained, r.Stats.Moves)
 	b.WriteString("\n")
 
-	off, on := r.Static.Report.Total, r.Dynamic.Report.Total
-	fmt.Fprintf(&b, "%-24s %10s %10s %10s\n", "grid totals", "static", "dynamic", "delta")
-	row := func(label, unit string, a, f float64) {
-		fmt.Fprintf(&b, "%-24s %10.1f %10.1f %+10.1f  %s\n", label, a, f, f-a, unit)
-	}
-	row("epsilon (advance time)", "s", off.Epsilon, on.Epsilon)
-	row("upsilon (utilisation)", "%", off.Upsilon, on.Upsilon)
-	row("beta (balance level)", "%", off.Beta, on.Beta)
-	row("deadline-hit rate", "%", r.HitOff*100, r.HitOn*100)
-	if r.Dynamic.Audit != nil {
-		b.WriteString("\n")
-		b.WriteString(r.Dynamic.Audit.Summary())
-		b.WriteString("\n")
-	}
+	formatTotals(&b, "static", "dynamic", r.Static, r.Dynamic, true)
 	return b.String()
 }

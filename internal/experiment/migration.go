@@ -5,12 +5,8 @@ import (
 	"strings"
 
 	"repro/internal/agent"
-	"repro/internal/audit"
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/metrics"
-	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 // Exp5 is the proactive-migration configuration: experiment 3 (GA +
@@ -38,10 +34,6 @@ func ScaledDegradedPlan(phase float64) fault.Plan {
 	}
 }
 
-// DefaultDegradedPlan returns the Experiment 5 schedule for the full
-// §4.1 request phase (600 requests at 1 s intervals).
-func DefaultDegradedPlan() fault.Plan { return ScaledDegradedPlan(600) }
-
 // DefaultMigrationPolicy returns the Experiment 5 policy: check every
 // advert period, trigger after two consecutive checks at 50% drift.
 func DefaultMigrationPolicy() core.MigrationPolicy {
@@ -56,8 +48,6 @@ type MigrationOutcome struct {
 	Plan     fault.Plan
 	Policy   core.MigrationPolicy
 	Stats    core.MigrationStats // migration activity of the migrated run
-	HitOff   float64             // deadline-hit rate, migration off
-	HitOn    float64             // deadline-hit rate, migration on
 }
 
 // RunMigrationStudy executes Experiment 5: the experiment 3
@@ -68,91 +58,28 @@ type MigrationOutcome struct {
 // delta is the policy's.
 func RunMigrationStudy(p Params, plan fault.Plan, pol core.MigrationPolicy) (MigrationOutcome, error) {
 	pol.Enabled = true
-	// An external trace recorder goes to the migration-on run only: one
-	// recorder must never hold two runs' events (the ReqIDs collide and
-	// the audit would see every task executed twice).
-	pOff := p
-	pOff.Trace = nil
-	off, _, err := runDegraded(pOff, plan, core.MigrationPolicy{})
-	if err != nil {
-		return MigrationOutcome{}, fmt.Errorf("experiment 5 (migration off): %w", err)
-	}
-	on, stats, err := runDegraded(p, plan, pol)
-	if err != nil {
-		return MigrationOutcome{}, fmt.Errorf("experiment 5 (migration on): %w", err)
-	}
-	return MigrationOutcome{
-		Degraded: off,
-		Migrated: on,
-		Plan:     plan,
-		Policy:   pol,
-		Stats:    stats,
-		HitOff:   metrics.HitRate(off.Records),
-		HitOn:    metrics.HitRate(on.Records),
-	}, nil
-}
-
-// runDegraded runs the case-study workload under the degraded-node plan
-// with the given migration policy.
-func runDegraded(p Params, plan fault.Plan, pol core.MigrationPolicy) (Outcome, core.MigrationStats, error) {
-	rec := p.Trace
-	if p.Audit && rec == nil {
-		rec = trace.NewRecorder(8*p.Requests + 64)
-	}
-	grid, err := core.New(CaseStudyResources(), core.Options{
+	off := core.Options{
 		Policy:    Exp5.Policy,
-		GA:        p.GA,
-		Workers:   p.Workers,
 		UseAgents: true,
-		Seed:      p.Seed,
-		Trace:     rec,
 		FaultPlan: &plan,
 		AdvertTTL: 3 * agent.DefaultPullPeriod,
-		Migration: pol,
-	})
+	}
+	// The migrated run is where the chain invariants earn their keep:
+	// every offer → withdraw → re-dispatch must net to exactly one
+	// execution, never zero and never two.
+	on := off
+	on.Migration = pol
+	degraded, migrated, grid, err := p.offOn(Exp5, off, on, p.workload(), p.phase())
 	if err != nil {
-		return Outcome{}, core.MigrationStats{}, err
+		return MigrationOutcome{}, err
 	}
-	spec := workload.CaseStudySpec(p.Seed, AgentNames())
-	spec.Count = p.Requests
-	spec.Interval = p.Interval
-	reqs, err := workload.Generate(spec)
-	if err != nil {
-		return Outcome{}, core.MigrationStats{}, err
-	}
-	if err := grid.SubmitWorkload(reqs); err != nil {
-		return Outcome{}, core.MigrationStats{}, err
-	}
-	if err := grid.Run(); err != nil {
-		return Outcome{}, core.MigrationStats{}, err
-	}
-	report, err := grid.Metrics(float64(p.Requests) * p.Interval)
-	if err != nil {
-		return Outcome{}, core.MigrationStats{}, err
-	}
-	out := Outcome{
-		Setup:      Exp5,
-		Report:     report,
-		Dispatches: grid.Dispatches(),
-		Records:    grid.Records(),
-		EvalStats:  grid.Engine().Stats(),
-		Requests:   len(reqs),
-	}
-	if p.Audit {
-		// The migrated run is where the chain invariants earn their
-		// keep: every offer → withdraw → re-dispatch must net to exactly
-		// one execution, never zero and never two.
-		res := audit.Check(audit.Run{
-			Events:     rec.Events(),
-			Records:    out.Records,
-			Dispatches: out.Dispatches,
-			Nodes:      grid.NodesByResource(),
-			Report:     report,
-			Dropped:    rec.Dropped(),
-		})
-		out.Audit = &res
-	}
-	return out, grid.MigrationStats(), nil
+	return MigrationOutcome{
+		Degraded: degraded,
+		Migrated: migrated,
+		Plan:     plan,
+		Policy:   pol,
+		Stats:    grid.MigrationStats(),
+	}, nil
 }
 
 // FormatMigration renders the Experiment 5 report: the degradation
@@ -171,19 +98,6 @@ func FormatMigration(r MigrationOutcome) string {
 	fmt.Fprintf(&b, "Tasks offered:         %d (accepted %d, rejected %d)\n", r.Stats.Offers, r.Stats.Accepts, r.Stats.Rejects)
 	b.WriteString("\n")
 
-	off, on := r.Degraded.Report.Total, r.Migrated.Report.Total
-	fmt.Fprintf(&b, "%-24s %10s %10s %10s\n", "grid totals", "mig off", "mig on", "delta")
-	row := func(label, unit string, a, f float64) {
-		fmt.Fprintf(&b, "%-24s %10.1f %10.1f %+10.1f  %s\n", label, a, f, f-a, unit)
-	}
-	row("epsilon (advance time)", "s", off.Epsilon, on.Epsilon)
-	row("upsilon (utilisation)", "%", off.Upsilon, on.Upsilon)
-	row("beta (balance level)", "%", off.Beta, on.Beta)
-	row("deadline-hit rate", "%", r.HitOff*100, r.HitOn*100)
-	if r.Migrated.Audit != nil {
-		b.WriteString("\n")
-		b.WriteString(r.Migrated.Audit.Summary())
-		b.WriteString("\n")
-	}
+	formatTotals(&b, "mig off", "mig on", r.Degraded, r.Migrated, true)
 	return b.String()
 }

@@ -182,3 +182,24 @@ func FormatDispatchSummary(outs []Outcome) string {
 	}
 	return b.String()
 }
+
+// formatTotals renders the table the A/B studies share: the grid-level
+// ε/υ/β of run on against run off with their deltas, the deadline-hit
+// rates when hitRow is set, and on's audit summary when it was audited.
+func formatTotals(b *strings.Builder, offLabel, onLabel string, off, on Outcome, hitRow bool) {
+	fmt.Fprintf(b, "%-24s %10s %10s %10s\n", "grid totals", offLabel, onLabel, "delta")
+	row := func(label, unit string, a, f float64) {
+		fmt.Fprintf(b, "%-24s %10.1f %10.1f %+10.1f  %s\n", label, a, f, f-a, unit)
+	}
+	row("epsilon (advance time)", "s", off.Report.Total.Epsilon, on.Report.Total.Epsilon)
+	row("upsilon (utilisation)", "%", off.Report.Total.Upsilon, on.Report.Total.Upsilon)
+	row("beta (balance level)", "%", off.Report.Total.Beta, on.Report.Total.Beta)
+	if hitRow {
+		row("deadline-hit rate", "%", metrics.HitRate(off.Records)*100, metrics.HitRate(on.Records)*100)
+	}
+	if on.Audit != nil {
+		b.WriteString("\n")
+		b.WriteString(on.Audit.Summary())
+		b.WriteString("\n")
+	}
+}

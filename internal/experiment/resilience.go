@@ -5,11 +5,8 @@ import (
 	"strings"
 
 	"repro/internal/agent"
-	"repro/internal/audit"
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 // Exp4 is the resilience configuration: experiment 3 (GA + agent
@@ -41,10 +38,6 @@ func ScaledFaultPlan(phase float64) fault.Plan {
 	}
 }
 
-// DefaultFaultPlan returns the Experiment 4 schedule for the full §4.1
-// request phase (600 requests at 1 s intervals).
-func DefaultFaultPlan() fault.Plan { return ScaledFaultPlan(600) }
-
 // ResilienceOutcome pairs the fault-free experiment 3 run with the
 // faulted re-run over the identical workload.
 type ResilienceOutcome struct {
@@ -64,63 +57,19 @@ func RunResilience(p Params, plan fault.Plan) (ResilienceOutcome, error) {
 	if err != nil {
 		return ResilienceOutcome{}, err
 	}
-
-	rec := p.Trace
-	if p.Audit && rec == nil {
-		rec = trace.NewRecorder(8*p.Requests + 64)
-	}
-	grid, err := core.New(CaseStudyResources(), core.Options{
+	// The faulted run is where conservation earns its keep: crashes
+	// re-dispatch pending tasks and lose unrescuable ones, and every one
+	// of those must still net out to one terminal per request.
+	faulted, grid, err := p.run(CaseStudyResources(), core.Options{
 		Policy:    Exp4.Policy,
-		GA:        p.GA,
-		Workers:   p.Workers,
 		UseAgents: true,
-		Seed:      p.Seed,
-		Trace:     rec,
 		FaultPlan: &plan,
 		AdvertTTL: 3 * agent.DefaultPullPeriod,
-	})
+	}, p.workload(), p.phase())
 	if err != nil {
-		return ResilienceOutcome{}, err
-	}
-	spec := workload.CaseStudySpec(p.Seed, AgentNames())
-	spec.Count = p.Requests
-	spec.Interval = p.Interval
-	reqs, err := workload.Generate(spec)
-	if err != nil {
-		return ResilienceOutcome{}, err
-	}
-	if err := grid.SubmitWorkload(reqs); err != nil {
-		return ResilienceOutcome{}, err
-	}
-	if err := grid.Run(); err != nil {
 		return ResilienceOutcome{}, fmt.Errorf("experiment 4: %w", err)
 	}
-	report, err := grid.Metrics(float64(p.Requests) * p.Interval)
-	if err != nil {
-		return ResilienceOutcome{}, err
-	}
-	faulted := Outcome{
-		Setup:      Exp4,
-		Report:     report,
-		Dispatches: grid.Dispatches(),
-		Records:    grid.Records(),
-		EvalStats:  grid.Engine().Stats(),
-		Requests:   len(reqs),
-	}
-	if p.Audit {
-		// The faulted run is where conservation earns its keep: crashes
-		// re-dispatch pending tasks and lose unrescuable ones, and every
-		// one of those must still net out to one terminal per request.
-		res := audit.Check(audit.Run{
-			Events:     rec.Events(),
-			Records:    faulted.Records,
-			Dispatches: faulted.Dispatches,
-			Nodes:      grid.NodesByResource(),
-			Report:     report,
-			Dropped:    rec.Dropped(),
-		})
-		faulted.Audit = &res
-	}
+	faulted.Setup = Exp4
 	return ResilienceOutcome{
 		Baseline: baseline,
 		Faulted:  faulted,
@@ -147,18 +96,6 @@ func FormatResilience(r ResilienceOutcome) string {
 	fmt.Fprintf(&b, "Tasks lost:            %d\n", r.Fault.Lost)
 	b.WriteString("\n")
 
-	base, flt := r.Baseline.Report.Total, r.Faulted.Report.Total
-	fmt.Fprintf(&b, "%-24s %10s %10s %10s\n", "grid totals", "exp 3", "exp 4", "delta")
-	row := func(label, unit string, a, f float64) {
-		fmt.Fprintf(&b, "%-24s %10.1f %10.1f %+10.1f  %s\n", label, a, f, f-a, unit)
-	}
-	row("epsilon (advance time)", "s", base.Epsilon, flt.Epsilon)
-	row("upsilon (utilisation)", "%", base.Upsilon, flt.Upsilon)
-	row("beta (balance level)", "%", base.Beta, flt.Beta)
-	if r.Faulted.Audit != nil {
-		b.WriteString("\n")
-		b.WriteString(r.Faulted.Audit.Summary())
-		b.WriteString("\n")
-	}
+	formatTotals(&b, "exp 3", "exp 4", r.Baseline, r.Faulted, false)
 	return b.String()
 }

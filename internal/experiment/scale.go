@@ -61,15 +61,11 @@ func RunScalabilityStudy(sizes []int, branching int, reqsPerAgent int, p Params)
 	if reqsPerAgent <= 0 {
 		reqsPerAgent = 50
 	}
+	// The study reports no trace, audit verdict or telemetry export.
+	p.Trace, p.Audit, p.Telemetry = nil, false, false
 	out := make([]ScalePoint, 0, len(sizes))
 	for _, n := range sizes {
 		specs := SyntheticResources(n, branching)
-		grid, err := core.New(specs, core.Options{
-			Policy: core.PolicyGA, GA: p.GA, Workers: p.Workers, Seed: p.Seed, UseAgents: true,
-		})
-		if err != nil {
-			return nil, err
-		}
 		names := make([]string, len(specs))
 		for i, s := range specs {
 			names[i] = s.Name
@@ -77,32 +73,17 @@ func RunScalabilityStudy(sizes []int, branching int, reqsPerAgent int, p Params)
 		// Fixed request phase (reqsPerAgent × Interval seconds per the
 		// 12-agent case study): arrival rate scales with grid size.
 		phase := float64(reqsPerAgent) * p.Interval * 12
-		count := reqsPerAgent * n
-		spec := workload.Spec{
-			Seed:       p.Seed,
-			Count:      count,
-			Interval:   phase / float64(count),
-			AgentNames: names,
-			Library:    grid.Library(),
-		}
-		reqs, err := workload.Generate(spec)
-		if err != nil {
-			return nil, err
-		}
-		if err := grid.SubmitWorkload(reqs); err != nil {
-			return nil, err
-		}
-		if err := grid.Run(); err != nil {
-			return nil, err
-		}
-		rep, err := grid.Metrics(phase)
+		spec := workload.CaseStudySpec(p.Seed, names)
+		spec.Count = reqsPerAgent * n
+		spec.Interval = phase / float64(spec.Count)
+		o, _, err := p.run(specs, core.Options{Policy: core.PolicyGA, UseAgents: true}, spec, phase)
 		if err != nil {
 			return nil, err
 		}
 		pt := ScalePoint{Agents: n, Requests: spec.Count,
-			Epsilon: rep.Total.Epsilon, Upsilon: rep.Total.Upsilon, Beta: rep.Total.Beta}
+			Epsilon: o.Report.Total.Epsilon, Upsilon: o.Report.Total.Upsilon, Beta: o.Report.Total.Beta}
 		var hops int
-		for _, d := range grid.Dispatches() {
+		for _, d := range o.Dispatches {
 			hops += d.Hops
 			if d.Hops > pt.MaxHops {
 				pt.MaxHops = d.Hops
@@ -111,8 +92,8 @@ func RunScalabilityStudy(sizes []int, branching int, reqsPerAgent int, p Params)
 				pt.Fallbacks++
 			}
 		}
-		if len(grid.Dispatches()) > 0 {
-			pt.MeanHops = float64(hops) / float64(len(grid.Dispatches()))
+		if len(o.Dispatches) > 0 {
+			pt.MeanHops = float64(hops) / float64(len(o.Dispatches))
 		}
 		out = append(out, pt)
 	}

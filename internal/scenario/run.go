@@ -147,18 +147,9 @@ func runSeeded(spec Spec, seed uint64, opt RunOptions) (Result, error) {
 	// dispatch feeds the observer as it happens, and the post-advance
 	// watermark lets it retire finished requests — O(in-flight) memory
 	// where the old end-of-run audit.Check retained the whole run.
-	nodes := make(map[string]int, len(resources))
-	for _, r := range resources {
-		nodes[r.Name] = r.Nodes
-	}
-	if spec.Churn != nil {
-		// Runtime joiners execute work too; the audit must know their
-		// node counts or their records read as "unknown resource".
-		for _, j := range spec.Churn.Joins {
-			nodes[j.Name] = j.Nodes
-		}
-	}
-	obs := audit.NewObserver(nodes)
+	// Runtime joiners execute work too; the audit must know their node
+	// counts or their records read as "unknown resource".
+	obs := audit.NewObserver(core.NodeCounts(resources, spec.ChurnPlan()))
 	copts := core.Options{
 		Policy:      policy,
 		GA:          spec.GAConfig(),

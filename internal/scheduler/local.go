@@ -80,7 +80,7 @@ type Config struct {
 // Local is driven in virtual time by its caller: AdvanceTo promotes
 // planned tasks into execution as the clock passes their start times, and
 // Submit enqueues work and replans the queue. It is not safe for
-// concurrent use; the networked daemon in cmd/gridsched serialises access.
+// concurrent use; the networked daemon in cmd/gridagent serialises access.
 type Local struct {
 	cfg     Config
 	col     *pace.Column       // cfg.HW's column of the engine's prediction table

@@ -14,18 +14,9 @@ import (
 // concurrent request/ack exchanges against one server, with a cheap
 // handler so the wire dominates (a full farm node serialises on its
 // agent lock, which would mask transport differences). Reports exact
-// p50/p99 latency alongside req/s — scripts/bench.sh pr8 turns the
-// legacy-vs-pooled sub-benches into BENCH_PR8.json.
+// p50/p99 latency alongside req/s.
 func BenchmarkExchange(b *testing.B) {
 	const conc = 16
-	b.Run("legacy", func(b *testing.B) {
-		s, err := Serve("127.0.0.1:0", echoHandler)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer s.Close()
-		benchExchanges(b, NewClient(), s.Addr(), conc)
-	})
 	b.Run("pooled", func(b *testing.B) {
 		s, err := Serve("127.0.0.1:0", echoHandler)
 		if err != nil {

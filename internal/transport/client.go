@@ -1,9 +1,7 @@
 package transport
 
 import (
-	"bufio"
 	"fmt"
-	"net"
 	"time"
 
 	"repro/internal/telemetry"
@@ -48,10 +46,10 @@ func (e *ExchangeError) Error() string {
 func (e *ExchangeError) Unwrap() error { return e.Err }
 
 // Client performs framed request/reply exchanges with bounded retries
-// and exponential backoff. The zero value is not usable; NewClient fills
-// in the defaults. Timeouts and retry policy are per-client so daemons
-// on flaky links can be tuned without recompiling (the package-level
-// Call uses the defaults, preserving the original behaviour).
+// and exponential backoff over pooled multiplexed connections. The zero
+// value is not usable; NewPooledClient fills in the defaults. Timeouts
+// and retry policy are per-client so daemons on flaky links can be tuned
+// without recompiling (the package-level Call uses the defaults).
 type Client struct {
 	DialTimeout     time.Duration // per-attempt dial bound
 	ExchangeTimeout time.Duration // per-attempt request/reply bound
@@ -76,10 +74,9 @@ type Client struct {
 	// nil, the default) adds one branch per call and nothing else.
 	Metrics ClientMetrics
 
-	// Pool, when set, routes exchanges through pooled multiplexed
-	// connections instead of dialling per attempt. Retry policy, backoff
-	// and metrics are unchanged — the pool only replaces the transport
-	// underneath an attempt. Nil keeps the legacy dial-per-exchange path.
+	// Pool carries every attempt: the keep-alive multiplexed connections
+	// and the per-peer in-flight window. Retry policy, backoff and
+	// metrics sit above it.
 	Pool *Pool
 }
 
@@ -121,26 +118,17 @@ func NewClientMetrics(reg *telemetry.Registry, kv ...string) ClientMetrics {
 	}
 }
 
-// NewClient returns a client with the package defaults, using the
-// legacy dial-per-exchange transport. Production paths should prefer
-// NewPooledClient; this constructor keeps the one-connection-per-frame
-// behaviour for tools and tests that depend on it.
-func NewClient() *Client {
+// NewPooledClient returns a client with the package defaults whose
+// exchanges ride pooled, multiplexed keep-alive connections.
+func NewPooledClient(cfg PoolConfig) *Client {
 	return &Client{
 		DialTimeout:     DialTimeout,
 		ExchangeTimeout: ExchangeTimeout,
 		MaxAttempts:     DefaultMaxAttempts,
 		BackoffBase:     DefaultBackoffBase,
 		BackoffMax:      DefaultBackoffMax,
+		Pool:            NewPool(cfg),
 	}
-}
-
-// NewPooledClient returns a client with the package defaults whose
-// exchanges ride pooled, multiplexed keep-alive connections.
-func NewPooledClient(cfg PoolConfig) *Client {
-	c := NewClient()
-	c.Pool = NewPool(cfg)
-	return c
 }
 
 // defaultClient backs the package-level Call. It pools: package-level
@@ -241,9 +229,7 @@ func (c *Client) call(addr string, msg interface{}, attempts int, sleep func(tim
 }
 
 // once runs a single exchange attempt; a non-nil *ExchangeError has its
-// Op set but Attempts left for the caller. With a Pool configured the
-// attempt rides a pooled multiplexed connection; otherwise it dials,
-// exchanges one legacy frame and hangs up, as the original client did.
+// Op set but Attempts left for the caller.
 func (c *Client) once(addr string, msg interface{}) (interface{}, xmlmsg.Kind, *ExchangeError) {
 	dialTO := c.DialTimeout
 	if dialTO <= 0 {
@@ -253,30 +239,7 @@ func (c *Client) once(addr string, msg interface{}) (interface{}, xmlmsg.Kind, *
 	if exchTO <= 0 {
 		exchTO = ExchangeTimeout
 	}
-	if c.Pool != nil {
-		return c.Pool.Exchange(addr, msg, dialTO, exchTO)
-	}
-	conn, err := net.DialTimeout("tcp", addr, dialTO)
-	if err != nil {
-		return nil, "", &ExchangeError{Addr: addr, Op: "dial", Err: err}
-	}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(exchTO))
-	if err := xmlmsg.WriteMessage(conn, msg); err != nil {
-		return nil, "", &ExchangeError{Addr: addr, Op: "write", Err: err}
-	}
-	reply, kind, err := xmlmsg.ReadMessage(bufio.NewReader(conn))
-	if err != nil {
-		return nil, "", &ExchangeError{Addr: addr, Op: "read", Err: err}
-	}
-	if b, ok := reply.(*xmlmsg.Busy); ok {
-		return nil, kind, &ExchangeError{Addr: addr, Op: "busy",
-			Err: fmt.Errorf("transport: peer shedding load (%d in flight, limit %d)", b.Depth, b.Limit)}
-	}
-	if er, ok := reply.(*xmlmsg.ErrorReply); ok {
-		return nil, kind, &ExchangeError{Addr: addr, Op: "reply", Err: er.Err()}
-	}
-	return reply, kind, nil
+	return c.Pool.Exchange(addr, msg, dialTO, exchTO)
 }
 
 // splitmix64 is the standard 64-bit mixing function, here driving

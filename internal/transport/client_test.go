@@ -42,7 +42,7 @@ func TestErrorReplyRoundTripNotRetried(t *testing.T) {
 	defer srv.Close()
 
 	rec := &sleepRecorder{}
-	c := NewClient()
+	c := NewPooledClient(PoolConfig{})
 	c.Sleep = rec.sleep
 	_, _, err = c.Call(srv.Addr(), xmlmsg.NewServiceQuery())
 	var xe *ExchangeError
@@ -82,7 +82,7 @@ func TestServerClosedMidExchangeRetriesThenFails(t *testing.T) {
 	}()
 
 	rec := &sleepRecorder{}
-	c := NewClient()
+	c := NewPooledClient(PoolConfig{})
 	c.MaxAttempts = 3
 	c.Sleep = rec.sleep
 	_, _, err = c.Call(ln.Addr().String(), xmlmsg.NewServiceQuery())
@@ -104,7 +104,7 @@ func TestServerClosedMidExchangeRetriesThenFails(t *testing.T) {
 func TestDialDeadPortExhaustsRetriesWithBackoff(t *testing.T) {
 	addr := deadAddr(t)
 	rec := &sleepRecorder{}
-	c := NewClient()
+	c := NewPooledClient(PoolConfig{})
 	c.MaxAttempts = 4
 	c.JitterSeed = 7
 	c.Sleep = rec.sleep
@@ -140,7 +140,7 @@ func TestDialDeadPortExhaustsRetriesWithBackoff(t *testing.T) {
 }
 
 func TestBackoffCapsAtMax(t *testing.T) {
-	c := NewClient()
+	c := NewPooledClient(PoolConfig{})
 	c.BackoffBase = 50 * time.Millisecond
 	c.BackoffMax = 200 * time.Millisecond
 	d := c.Backoff("x:1", 10)
@@ -165,7 +165,7 @@ func TestBackoffCapsAtMax(t *testing.T) {
 // hash-derived schedule exactly — the delay for every (seed, address,
 // attempt) triple is the same value it was before the field existed.
 func TestBackoffWithoutJitterSourceIsByteIdentical(t *testing.T) {
-	c := NewClient()
+	c := NewPooledClient(PoolConfig{})
 	c.JitterSeed = 42
 	for _, addr := range []string{"a:1", "b:2"} {
 		for attempt := 1; attempt <= 4; attempt++ {
@@ -195,7 +195,7 @@ func TestBackoffWithoutJitterSourceIsByteIdentical(t *testing.T) {
 // (meaningful under -race).
 func TestBackoffJitterSourceDrawsFromRNGStream(t *testing.T) {
 	mk := func() *Client {
-		c := NewClient()
+		c := NewPooledClient(PoolConfig{})
 		c.Jitter = NewJitterSource(sim.NewRNG(7))
 		return c
 	}

@@ -49,13 +49,21 @@ type FarmConfig struct {
 	// the pool defaults.
 	Pool PoolConfig
 
-	// NoPool reverts outbound exchanges to the legacy dial-per-exchange
-	// transport — a comparison/escape hatch, not a production mode.
-	NoPool bool
-
 	// Server is applied to every node's listener: admission gate,
 	// binary-codec permission and dedup window.
 	Server ServerConfig
+}
+
+// NewPolicy builds the local scheduling policy a daemon flag or
+// FarmConfig.Policy names: "ga" (seeded from rng) or "fifo".
+func NewPolicy(name string, rng *sim.RNG) (scheduler.Policy, error) {
+	switch name {
+	case "ga":
+		return scheduler.NewGAPolicy(ga.DefaultConfig(), rng), nil
+	case "fifo":
+		return scheduler.NewFIFOPolicy(), nil
+	}
+	return nil, fmt.Errorf("transport: unknown policy %q (want ga or fifo)", name)
 }
 
 // StartFarm brings up one TCP node per resource spec, wires the hierarchy
@@ -82,30 +90,29 @@ func StartFarm(cfg FarmConfig) (*Farm, error) {
 	for i, spec := range cfg.Specs {
 		hw, ok := pace.LookupHardware(spec.Hardware)
 		if !ok {
-			f.closeAll()
+			_ = f.Close()
 			return nil, fmt.Errorf("transport: resource %q: unknown hardware %q", spec.Name, spec.Hardware)
 		}
-		var pol scheduler.Policy
-		switch cfg.Policy {
-		case "ga":
-			pol = scheduler.NewGAPolicy(ga.DefaultConfig(), master.Split())
-		case "fifo":
-			pol = scheduler.NewFIFOPolicy()
-		default:
-			f.closeAll()
-			return nil, fmt.Errorf("transport: unknown policy %q", cfg.Policy)
-		}
-		local, err := scheduler.NewLocal(scheduler.Config{
-			Name: spec.Name, HW: hw, NumNodes: spec.Nodes, Policy: pol,
-			Engine: pace.NewEngine(), Environments: spec.Environments,
-		})
+		pol, err := NewPolicy(cfg.Policy, master.Split())
 		if err != nil {
-			f.closeAll()
+			_ = f.Close()
 			return nil, err
 		}
-		a, err := agent.New(local, pace.NewEngine())
+		// One engine per node, shared by the scheduler and its agent as in
+		// gridagent, so the agent's eq. 10 estimates hit the §2.2
+		// evaluation cache the scheduler's plans filled.
+		engine := pace.NewEngine()
+		local, err := scheduler.NewLocal(scheduler.Config{
+			Name: spec.Name, HW: hw, NumNodes: spec.Nodes, Policy: pol,
+			Engine: engine, Environments: spec.Environments,
+		})
 		if err != nil {
-			f.closeAll()
+			_ = f.Close()
+			return nil, err
+		}
+		a, err := agent.New(local, engine)
+		if err != nil {
+			_ = f.Close()
 			return nil, err
 		}
 		if cfg.PullPeriod > 0 {
@@ -113,7 +120,7 @@ func StartFarm(cfg FarmConfig) (*Farm, error) {
 		}
 		node, err := NewNode(a, cfg.Library)
 		if err != nil {
-			f.closeAll()
+			_ = f.Close()
 			return nil, err
 		}
 		node.SetPushEnabled(cfg.Push)
@@ -124,27 +131,23 @@ func StartFarm(cfg FarmConfig) (*Farm, error) {
 			addr = fmt.Sprintf("%s:%d", cfg.Host, cfg.BasePort+i)
 		}
 		if err := node.Start(addr); err != nil {
-			f.closeAll()
+			_ = f.Close()
 			return nil, err
 		}
 		f.nodes[spec.Name] = node
 		f.order = append(f.order, spec.Name)
 	}
 	// Wire the hierarchy over the wire protocol. Each node's outbound
-	// exchanges go through one client — pooled unless NoPool — labelled
+	// exchanges go through one pooled client, labelled
 	// (when instrumented) with the *calling* node's name, so retry storms
 	// and pool churn are attributable to the node experiencing them.
 	clients := map[string]*Client{}
 	clientFor := func(name string) *Client {
 		c, ok := clients[name]
 		if !ok {
-			if cfg.NoPool {
-				c = NewClient()
-			} else {
-				pool := cfg.Pool
-				pool.Metrics = NewPoolMetrics(cfg.Telemetry, "resource", name)
-				c = NewPooledClient(pool)
-			}
+			pool := cfg.Pool
+			pool.Metrics = NewPoolMetrics(cfg.Telemetry, "resource", name)
+			c = NewPooledClient(pool)
 			c.Metrics = NewClientMetrics(cfg.Telemetry, "resource", name)
 			clients[name] = c
 			f.clients = append(f.clients, c)
@@ -157,17 +160,17 @@ func StartFarm(cfg FarmConfig) (*Farm, error) {
 		}
 		child, parent := f.nodes[spec.Name], f.nodes[spec.Parent]
 		if parent == nil {
-			f.closeAll()
+			_ = f.Close()
 			return nil, fmt.Errorf("transport: resource %q: unknown parent %q", spec.Name, spec.Parent)
 		}
 		up := &RemotePeer{Name: spec.Parent, Addr: parent.Addr(), Lib: cfg.Library, Client: clientFor(spec.Name)}
 		if err := child.SetUpper(up); err != nil {
-			f.closeAll()
+			_ = f.Close()
 			return nil, err
 		}
 		down := &RemotePeer{Name: spec.Name, Addr: child.Addr(), Lib: cfg.Library, Client: clientFor(spec.Parent)}
 		if err := parent.AddLower(down); err != nil {
-			f.closeAll()
+			_ = f.Close()
 			return nil, err
 		}
 	}
@@ -193,22 +196,8 @@ func (f *Farm) Healthz() error {
 	return nil
 }
 
-func (f *Farm) closeAll() {
-	for _, n := range f.nodes {
-		_ = n.Close()
-	}
-	f.closeClients()
-}
-
-func (f *Farm) closeClients() {
-	for _, c := range f.clients {
-		if c.Pool != nil {
-			c.Pool.Close()
-		}
-	}
-}
-
-// Close shuts every node down and retires the pooled connections.
+// Close shuts every node down and retires the pooled connections; it is
+// also how a half-started farm is torn down when StartFarm fails.
 func (f *Farm) Close() error {
 	var first error
 	for _, name := range f.order {
@@ -216,7 +205,9 @@ func (f *Farm) Close() error {
 			first = err
 		}
 	}
-	f.closeClients()
+	for _, c := range f.clients {
+		c.Pool.Close()
+	}
 	return first
 }
 

@@ -15,9 +15,8 @@ import (
 // muxConn is one keep-alive connection carrying many concurrent
 // exchanges. Each request frame is tagged with an exchange ID; the reader
 // goroutine routes reply frames back to the waiting caller by ID, so
-// replies may return in any order — a slow exchange no longer blocks the
-// exchanges queued behind it (the head-of-line problem of the legacy
-// one-frame-per-connection protocol).
+// replies may return in any order — a slow exchange does not block the
+// exchanges queued behind it.
 type muxConn struct {
 	addr  string
 	conn  net.Conn
@@ -135,9 +134,8 @@ func (m *muxConn) retire() {
 }
 
 // roundTrip performs one multiplexed exchange with a bounded wait. A
-// timeout retires the connection — the health-check policy matches the
-// legacy client, where a timed-out exchange abandoned its (dedicated)
-// connection — so a stuck peer cannot poison the pool.
+// timeout retires the connection, so a stuck peer cannot poison the
+// pool.
 func (m *muxConn) roundTrip(msg interface{}, timeout time.Duration) (interface{}, xmlmsg.Kind, *ExchangeError) {
 	payload, merr := xmlmsg.Encode(m.codec, msg)
 	if merr != nil {

@@ -64,12 +64,11 @@ func NewPoolMetrics(reg *telemetry.Registry, kv ...string) PoolMetrics {
 }
 
 // Pool keeps per-peer sets of multiplexed keep-alive connections and
-// enforces the per-peer in-flight window. It replaces the legacy
-// dial-per-exchange behaviour on the hot path: an exchange reuses a live
+// enforces the per-peer in-flight window: an exchange reuses a live
 // connection, tags its frame with an exchange ID, and waits only for its
 // own reply. Broken connections fail all their in-flight exchanges, are
-// pruned on the next use, and redialled on demand — so the retry loop in
-// Client sees exactly the dial/write/read failure stages it always has.
+// pruned on the next use, and redialled on demand — the retry loop in
+// Client sees them as dial/write/read failure stages.
 type Pool struct {
 	cfg PoolConfig
 
@@ -110,8 +109,8 @@ func (p *Pool) peer(addr string) *peerConns {
 
 // Exchange performs one request/reply exchange with addr through the
 // pool: acquire a window slot, pick (or dial) a connection, round-trip.
-// Errors come back as typed *ExchangeError stages so the caller's retry
-// policy treats pooled and legacy exchanges identically.
+// Errors come back as typed *ExchangeError stages for the caller's retry
+// policy.
 func (p *Pool) Exchange(addr string, msg interface{}, dialTO, exchTO time.Duration) (interface{}, xmlmsg.Kind, *ExchangeError) {
 	pc := p.peer(addr)
 

@@ -498,28 +498,6 @@ func TestConcurrentPooledCallsOneClient(t *testing.T) {
 	}
 }
 
-// Legacy one-shot clients and pooled clients share one listener: the
-// server sniffs the framing per connection.
-func TestLegacyAndPooledClientsShareOneServer(t *testing.T) {
-	s, err := Serve("127.0.0.1:0", echoHandler)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	legacy := NewClient()
-	pooled := NewPooledClient(PoolConfig{})
-	defer pooled.Pool.Close()
-	for i := 0; i < 3; i++ {
-		if _, _, err := legacy.Call(s.Addr(), xmlmsg.NewServiceQuery()); err != nil {
-			t.Fatalf("legacy call %d: %v", i, err)
-		}
-		if _, _, err := pooled.Call(s.Addr(), xmlmsg.NewServiceQuery()); err != nil {
-			t.Fatalf("pooled call %d: %v", i, err)
-		}
-	}
-}
-
 // A connection that dies mid-wait delivers the failure to every
 // in-flight exchange instead of leaving them to time out.
 func TestBrokenConnFailsAllInflightExchanges(t *testing.T) {

@@ -1,12 +1,11 @@
 // Package transport runs the agent system over real TCP connections with
 // the XML message formats of internal/xmlmsg, the Go analogue of the
 // paper's Java/XML deployment (§3.2). Agents are long-lived daemons
-// (cmd/gridagent, cmd/gridsched) and the portal (cmd/gridsubmit) is a
-// one-shot client. Two framings share every listener: the legacy
-// one-exchange-per-connection protocol, and the pooled multiplexed
-// protocol (see Pool) where many concurrent exchanges ride one
-// keep-alive connection and replies return out of order. A server tells
-// them apart by the first byte of the connection.
+// (cmd/gridagent) and the portal (cmd/gridsubmit) is a one-shot client.
+// Every connection speaks the multiplexed framing of xmlmsg (see Pool):
+// many concurrent exchanges ride one keep-alive connection and replies
+// return out of order. XML is the default payload, binary the
+// negotiated option.
 package transport
 
 import (
@@ -173,54 +172,25 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// serveConn sniffs the framing from the first byte — a mux frame starts
-// with the marker byte, a legacy frame with a length digit — and serves
-// the connection in that protocol until the peer closes or errors.
+// serveConn serves one connection until the peer closes or errors.
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
 	if !s.track(conn) {
 		return
 	}
 	defer s.untrack(conn)
+	s.serveMux(conn)
+}
+
+// serveMux speaks the wire protocol: a hello exchange picks the payload
+// codec, then each request frame is dispatched on its own goroutine and
+// replies are written back — tagged with the request's exchange ID — in
+// whatever order the handlers finish. Connections carry no idle read
+// deadline (pooled connections park between bursts); shutdown closes
+// them explicitly. A connection that opens with anything but a mux hello
+// frame is dropped without a reply.
+func (s *Server) serveMux(conn net.Conn) {
 	r := bufio.NewReader(conn)
-	isMux, err := xmlmsg.IsMuxConn(r)
-	if err != nil {
-		return
-	}
-	if isMux {
-		s.serveMux(conn, r)
-	} else {
-		s.serveLegacy(conn, r)
-	}
-}
-
-// serveLegacy handles one-frame-at-a-time exchanges exactly as the
-// original server did: per-exchange deadline, one request, one reply.
-// Replies to handler errors are ErrorReply messages rather than dropped
-// connections, so callers always learn what went wrong.
-func (s *Server) serveLegacy(conn net.Conn, r *bufio.Reader) {
-	for {
-		if s.isClosed() {
-			return
-		}
-		_ = conn.SetDeadline(time.Now().Add(ExchangeTimeout))
-		msg, kind, err := xmlmsg.ReadMessage(r)
-		if err != nil {
-			return // EOF or protocol error: drop the connection
-		}
-		if err := xmlmsg.WriteMessage(conn, s.dispatch(msg, kind)); err != nil {
-			return
-		}
-	}
-}
-
-// serveMux handles a pooled multiplexed connection: a hello exchange
-// picks the payload codec, then each request frame is dispatched on its
-// own goroutine and replies are written back — tagged with the request's
-// exchange ID — in whatever order the handlers finish. Mux connections
-// carry no idle read deadline (pooled connections park between bursts);
-// shutdown closes them explicitly.
-func (s *Server) serveMux(conn net.Conn, r *bufio.Reader) {
 	_ = conn.SetReadDeadline(time.Now().Add(ExchangeTimeout))
 	hf, err := xmlmsg.ReadMuxFrame(r)
 	if err != nil {

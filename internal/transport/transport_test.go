@@ -1,10 +1,15 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
+	"io"
+	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/xmlmsg"
 )
@@ -140,5 +145,48 @@ func TestServerCloseIdempotent(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("second close: %v", err)
+	}
+}
+
+// TestDigitPrefixedConnIsDropped sends a well-formed frame of the
+// retired digit-prefixed framing: the server must hang up without
+// writing a reply and without running the handler.
+func TestDigitPrefixedConnIsDropped(t *testing.T) {
+	var handled atomic.Int64
+	s, err := Serve("127.0.0.1:0", func(msg interface{}, kind xmlmsg.Kind) (interface{}, error) {
+		handled.Add(1)
+		return echoHandler(msg, kind)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	doc, err := xmlmsg.Marshal(xmlmsg.NewServiceQuery())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fmt.Fprintf(conn, "%010d%s", len(doc), doc); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	// The server hangs up with the frame body unread, so the close may
+	// surface as a reset rather than a clean EOF; only a timeout means
+	// the connection was left open.
+	reply, err := io.ReadAll(conn)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("connection not closed by the server: %v", err)
+	}
+	if len(reply) != 0 {
+		t.Fatalf("server replied %q to a digit-prefixed frame", reply)
+	}
+	if n := handled.Load(); n != 0 {
+		t.Fatalf("handler ran %d times for a digit-prefixed frame", n)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"encoding/xml"
 	"fmt"
+	"math"
 )
 
 // Compact binary codec, negotiated per connection alongside the XML wire
@@ -85,7 +86,19 @@ func (r *binReader) u64(what string) uint64 {
 	return v
 }
 
-func (r *binReader) i(what string) int { return int(r.u64(what)) }
+// i reads a non-negative integer. A varint past MaxInt would wrap to a
+// negative int — a value the encoder refuses to write — so it is a
+// protocol error here.
+func (r *binReader) i(what string) int {
+	v := r.u64(what)
+	if v > math.MaxInt {
+		if r.err == nil {
+			r.err = fmt.Errorf("xmlmsg: binary codec: %s overflows int", what)
+		}
+		return 0
+	}
+	return int(v)
+}
 
 func (r *binReader) str(what string) string {
 	n := r.u64(what)

@@ -1,7 +1,6 @@
 package xmlmsg
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/xml"
 	"fmt"
@@ -61,66 +60,6 @@ func Decode(data []byte) (interface{}, Kind, error) {
 		return &m, KindResult, nil
 	}
 	return decodeExtended(env, data)
-}
-
-// Framing on stream transports: a 10-digit decimal length prefix followed
-// by the XML document. Fixed-width keeps the framing trivially parseable
-// from any language.
-const lenDigits = 10
-
-// WriteFrame writes one length-prefixed message to w.
-func WriteFrame(w io.Writer, data []byte) error {
-	if _, err := fmt.Fprintf(w, "%0*d", lenDigits, len(data)); err != nil {
-		return fmt.Errorf("xmlmsg: write frame header: %w", err)
-	}
-	if _, err := w.Write(data); err != nil {
-		return fmt.Errorf("xmlmsg: write frame body: %w", err)
-	}
-	return nil
-}
-
-// MaxFrame bounds a single message; anything larger is a protocol error.
-const MaxFrame = 1 << 20
-
-// ReadFrame reads one length-prefixed message from r.
-func ReadFrame(r *bufio.Reader) ([]byte, error) {
-	head := make([]byte, lenDigits)
-	if _, err := io.ReadFull(r, head); err != nil {
-		return nil, err // io.EOF passes through for clean shutdown
-	}
-	n := 0
-	for _, c := range head {
-		if c < '0' || c > '9' {
-			return nil, fmt.Errorf("xmlmsg: malformed frame header %q", head)
-		}
-		n = n*10 + int(c-'0')
-	}
-	if n > MaxFrame {
-		return nil, fmt.Errorf("xmlmsg: frame of %d bytes exceeds limit %d", n, MaxFrame)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, fmt.Errorf("xmlmsg: short frame: %w", err)
-	}
-	return body, nil
-}
-
-// WriteMessage marshals and frames a message in one step.
-func WriteMessage(w io.Writer, v interface{}) error {
-	data, err := Marshal(v)
-	if err != nil {
-		return err
-	}
-	return WriteFrame(w, data)
-}
-
-// ReadMessage reads and decodes one framed message.
-func ReadMessage(r *bufio.Reader) (interface{}, Kind, error) {
-	data, err := ReadFrame(r)
-	if err != nil {
-		return nil, "", err
-	}
-	return Decode(data)
 }
 
 // Pretty re-indents an XML document for display; invalid input is

@@ -8,80 +8,43 @@ import (
 	"testing"
 )
 
-func TestFrameRoundTrip(t *testing.T) {
+func TestMessagesShareOneStream(t *testing.T) {
 	var buf bytes.Buffer
-	msgs := [][]byte{
-		[]byte("<agentgrid/>"),
-		[]byte(""),
-		bytes.Repeat([]byte("x"), 10000),
-	}
-	for _, m := range msgs {
-		if err := WriteFrame(&buf, m); err != nil {
+	req := NewRequest("cpi", "/bin/cpi", "/m/cpi", "test", 50, "x@y")
+	si := NewServiceInfo(Endpoint{"a", 1}, Endpoint{"a", 2}, "SunUltra5", 16, []string{"test"}, 9)
+	for i, m := range []interface{}{req, si} {
+		payload, err := Encode(CodecXML, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteMuxFrame(&buf, MuxFrame{ID: uint64(i), Codec: CodecXML, Payload: payload}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	r := bufio.NewReader(&buf)
-	for i, want := range msgs {
-		got, err := ReadFrame(r)
+	read := func() (interface{}, Kind, error) {
+		f, err := ReadMuxFrame(r)
 		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
+			return nil, "", err
 		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("frame %d: got %d bytes, want %d", i, len(got), len(want))
-		}
+		return DecodeWith(f.Codec, f.Payload)
 	}
-	if _, err := ReadFrame(r); err != io.EOF {
-		t.Fatalf("EOF not surfaced: %v", err)
-	}
-}
-
-func TestReadFrameMalformedHeader(t *testing.T) {
-	r := bufio.NewReader(strings.NewReader("abcdefghij body"))
-	if _, err := ReadFrame(r); err == nil {
-		t.Fatal("malformed header accepted")
-	}
-}
-
-func TestReadFrameTruncatedBody(t *testing.T) {
-	var buf bytes.Buffer
-	_ = WriteFrame(&buf, []byte("hello"))
-	data := buf.Bytes()[:buf.Len()-2]
-	if _, err := ReadFrame(bufio.NewReader(bytes.NewReader(data))); err == nil {
-		t.Fatal("truncated frame accepted")
-	}
-}
-
-func TestReadFrameOversize(t *testing.T) {
-	r := bufio.NewReader(strings.NewReader("9999999999"))
-	if _, err := ReadFrame(r); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
-		t.Fatalf("oversize frame: %v", err)
-	}
-}
-
-func TestWriteReadMessage(t *testing.T) {
-	var buf bytes.Buffer
-	req := NewRequest("cpi", "/bin/cpi", "/m/cpi", "test", 50, "x@y")
-	if err := WriteMessage(&buf, req); err != nil {
-		t.Fatal(err)
-	}
-	si := NewServiceInfo(Endpoint{"a", 1}, Endpoint{"a", 2}, "SunUltra5", 16, []string{"test"}, 9)
-	if err := WriteMessage(&buf, si); err != nil {
-		t.Fatal(err)
-	}
-	r := bufio.NewReader(&buf)
-	m1, k1, err := ReadMessage(r)
+	m1, k1, err := read()
 	if err != nil || k1 != KindRequest {
 		t.Fatalf("first message: %v %v", k1, err)
 	}
 	if m1.(*Request).Application.Name != "cpi" {
 		t.Fatalf("request content lost: %+v", m1)
 	}
-	m2, k2, err := ReadMessage(r)
+	m2, k2, err := read()
 	if err != nil || k2 != KindService {
 		t.Fatalf("second message: %v %v", k2, err)
 	}
 	if m2.(*ServiceInfo).Local.HWType != "SunUltra5" {
 		t.Fatalf("service content lost: %+v", m2)
+	}
+	if _, _, err := read(); err != io.EOF {
+		t.Fatalf("EOF not surfaced: %v", err)
 	}
 }
 

@@ -8,22 +8,19 @@ import (
 	"io"
 )
 
-// Multiplexed framing. The original stream framing (codec.go) carries one
-// anonymous message per frame, which forces strict request/reply lockstep
-// on a connection. The mux frame adds a header so many exchanges can share
-// one keep-alive connection and replies can return out of order:
+// Framing. Every message on a stream transport travels in one mux
+// frame, whose header lets many exchanges share one keep-alive
+// connection and replies return out of order:
 //
 //	offset  size  field
-//	0       1     marker 'M' (a legacy frame starts with a decimal digit)
+//	0       1     marker 'M'
 //	1       1     codec: 'x' XML, 'b' compact binary
 //	2       8     exchange ID, big-endian uint64
 //	10      4     payload length, big-endian uint32
 //	14      n     payload (message encoded with the frame's codec)
 //
-// The marker byte disambiguates the two framings on the same listener: a
-// server peeks one byte and speaks whichever protocol the client opened
-// with, so legacy one-shot clients (and the byte-compatible portal XML)
-// keep working against upgraded servers.
+// A stream that does not open with the marker is not this protocol, and
+// ReadMuxFrame rejects it at the header.
 const (
 	// MuxMarker is the first byte of a multiplexed frame.
 	MuxMarker = 'M'
@@ -33,6 +30,9 @@ const (
 	CodecBinary = 'b'
 	// muxHeaderLen is the fixed mux frame header size.
 	muxHeaderLen = 14
+	// MaxFrame bounds a single message payload; anything larger is a
+	// protocol error.
+	MaxFrame = 1 << 20
 )
 
 // ValidCodec reports whether c names a payload encoding this package can
@@ -95,16 +95,6 @@ func ReadMuxFrame(r *bufio.Reader) (MuxFrame, error) {
 		return MuxFrame{}, fmt.Errorf("xmlmsg: short mux frame: %w", err)
 	}
 	return f, nil
-}
-
-// IsMuxConn peeks one byte to tell which framing the peer opened with:
-// true for the mux marker, false for a legacy digit-prefixed frame.
-func IsMuxConn(r *bufio.Reader) (bool, error) {
-	b, err := r.Peek(1)
-	if err != nil {
-		return false, err
-	}
-	return b[0] == MuxMarker, nil
 }
 
 // Encode renders a message with the given codec.

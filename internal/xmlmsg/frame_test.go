@@ -39,13 +39,17 @@ func TestMuxFrameRejectsBadInput(t *testing.T) {
 	if err := WriteMuxFrame(&bytes.Buffer{}, MuxFrame{Codec: CodecXML, Payload: make([]byte, MaxFrame+1)}); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
-	// A legacy frame is not a mux frame.
-	var legacy bytes.Buffer
-	if err := WriteFrame(&legacy, []byte("<agentgrid/>")); err != nil {
-		t.Fatal(err)
+	// A stream that does not open with the marker — here the retired
+	// digit-prefixed framing — is not a mux frame.
+	legacy := strings.NewReader("0000000012<agentgrid/>")
+	if _, err := ReadMuxFrame(bufio.NewReader(legacy)); err == nil {
+		t.Fatal("digit-prefixed frame read as mux frame")
 	}
-	if _, err := ReadMuxFrame(bufio.NewReader(&legacy)); err == nil {
-		t.Fatal("legacy frame read as mux frame")
+	// A payload shorter than its header promises.
+	var short bytes.Buffer
+	_ = WriteMuxFrame(&short, MuxFrame{ID: 1, Codec: CodecXML, Payload: []byte("hello")})
+	if _, err := ReadMuxFrame(bufio.NewReader(bytes.NewReader(short.Bytes()[:short.Len()-2]))); err == nil {
+		t.Fatal("truncated frame accepted")
 	}
 	// Oversized length in the header.
 	head := make([]byte, muxHeaderLen)
@@ -54,20 +58,6 @@ func TestMuxFrameRejectsBadInput(t *testing.T) {
 	head[10], head[11], head[12], head[13] = 0xff, 0xff, 0xff, 0xff
 	if _, err := ReadMuxFrame(bufio.NewReader(bytes.NewReader(head))); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
 		t.Fatalf("oversized header err = %v", err)
-	}
-}
-
-func TestIsMuxConnDetectsBothFramings(t *testing.T) {
-	var legacy bytes.Buffer
-	_ = WriteFrame(&legacy, []byte("<agentgrid/>"))
-	var mux bytes.Buffer
-	_ = WriteMuxFrame(&mux, MuxFrame{ID: 1, Codec: CodecXML, Payload: []byte("<agentgrid/>")})
-
-	if is, err := IsMuxConn(bufio.NewReader(&legacy)); err != nil || is {
-		t.Fatalf("legacy detected as mux (is=%v err=%v)", is, err)
-	}
-	if is, err := IsMuxConn(bufio.NewReader(&mux)); err != nil || !is {
-		t.Fatalf("mux not detected (is=%v err=%v)", is, err)
 	}
 }
 

@@ -2,7 +2,8 @@
 // service information (Fig. 5), task requests (Fig. 6) and task execution
 // results. Agents "are implemented using Java and data are represented in
 // an XML format" (§3.2); here encoding/xml provides the same wire format
-// for the Go daemons in cmd/gridagent, cmd/gridsched and cmd/gridsubmit.
+// for the Go daemons in cmd/gridagent and cmd/gridfarm and the portal in
+// cmd/gridsubmit.
 package xmlmsg
 
 import (

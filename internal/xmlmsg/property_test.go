@@ -93,11 +93,11 @@ func TestServiceRoundTripProperty(t *testing.T) {
 		ft := float64(freetimeRaw % 10000000)
 		si := NewServiceInfo(Endpoint{"a", 1}, Endpoint{"b", 2}, hw, int(nproc)+1, envs, ft)
 
-		var buf bytes.Buffer
-		if err := WriteMessage(&buf, si); err != nil {
+		data, err := Marshal(si)
+		if err != nil {
 			return false
 		}
-		back, kind, err := ReadMessage(bufio.NewReader(&buf))
+		back, kind, err := Decode(data)
 		if err != nil || kind != KindService {
 			return false
 		}
@@ -124,7 +124,7 @@ func TestFrameRoundTripProperty(t *testing.T) {
 			if len(p) > MaxFrame {
 				p = p[:MaxFrame]
 			}
-			if err := WriteFrame(&buf, p); err != nil {
+			if err := WriteMuxFrame(&buf, MuxFrame{Codec: CodecBinary, Payload: p}); err != nil {
 				return false
 			}
 		}
@@ -133,11 +133,11 @@ func TestFrameRoundTripProperty(t *testing.T) {
 			if len(p) > MaxFrame {
 				p = p[:MaxFrame]
 			}
-			got, err := ReadFrame(r)
+			got, err := ReadMuxFrame(r)
 			if err != nil {
 				return false
 			}
-			if !bytes.Equal(got, p) {
+			if !bytes.Equal(got.Payload, p) {
 				return false
 			}
 		}

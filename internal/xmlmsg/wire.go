@@ -6,7 +6,7 @@ import (
 )
 
 // Additional agentgrid message kinds used by the networked deployment
-// (cmd/gridagent and cmd/gridsched). The Fig. 5/6 formats cover
+// (cmd/gridagent). The Fig. 5/6 formats cover
 // advertisement and submission; these cover the query/ack plumbing around
 // them.
 const (
