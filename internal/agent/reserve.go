@@ -74,7 +74,9 @@ type ReserveOp struct {
 	Visited []string
 }
 
-func (op *ReserveOp) visited(name string) bool {
+// HasVisited reports whether the op has already passed through the
+// named agent.
+func (op *ReserveOp) HasVisited(name string) bool {
 	for _, v := range op.Visited {
 		if v == name {
 			return true
@@ -106,6 +108,8 @@ const errNotRoutableText = "reservation target not reachable"
 // ErrNotRoutable reports that a targeted reservation op found no path to
 // its resource: every reachable direction was searched without finding
 // it. The target refusing the op is a different (and propagated) error.
+// Dead ends inside the hierarchy return it bare — a routed op meets one
+// per agent off its path — and only the op's origin adds the context.
 var ErrNotRoutable = errors.New("agent: " + errNotRoutableText)
 
 // IsNotRoutable reports whether err is a routing miss, surviving the
@@ -117,23 +121,29 @@ func IsNotRoutable(err error) bool {
 // HandleReserve implements ReservePeer: execute the op locally if this
 // agent is the target, otherwise route it through the hierarchy. A
 // flood quote aggregates the local quote with every reachable
-// neighbour's, deduplicated by resource and sorted by (start, resource)
-// — price-ordered for the shopper, earliest guaranteed start first.
+// neighbour's; the origin's reply is deduplicated by resource and sorted
+// by (start, resource) — price-ordered for the shopper, earliest
+// guaranteed start first.
 func (a *Agent) HandleReserve(op ReserveOp, now float64) (ReserveReply, error) {
+	origin := len(op.Visited) == 0
 	visited := make([]string, 0, len(op.Visited)+1)
 	visited = append(visited, op.Visited...)
 	visited = append(visited, a.name)
 	op.Visited = visited
 
 	if op.Action == ReserveQuoteOp && op.Resource == "" {
-		return a.floodQuote(op, now), nil
+		reply := a.floodQuote(op, now)
+		if origin {
+			reply.Quotes = SortQuotes(reply.Quotes)
+		}
+		return reply, nil
 	}
 	if op.Resource == a.name || op.Resource == "" {
 		return a.applyReserve(op, now)
 	}
 	for _, n := range a.neighbours() {
 		rp, ok := n.(ReservePeer)
-		if !ok || op.visited(n.PeerName()) || a.PeerTripped(n.PeerName()) {
+		if !ok || op.HasVisited(n.PeerName()) || a.PeerTripped(n.PeerName()) {
 			continue
 		}
 		if err := a.gateErr(n.PeerName(), now); err != nil {
@@ -154,14 +164,18 @@ func (a *Agent) HandleReserve(op ReserveOp, now float64) (ReserveReply, error) {
 		// hold, …): that is the protocol answer, not a routing failure.
 		return ReserveReply{}, err
 	}
+	if !origin {
+		return ReserveReply{}, ErrNotRoutable
+	}
 	return ReserveReply{}, fmt.Errorf("%w: no path from %s to %s for %s %d",
 		ErrNotRoutable, a.name, op.Resource, op.Action, op.ResvID)
 }
 
 // floodQuote gathers this resource's quote and every reachable
 // neighbour's, the reservation analogue of discovery's advertisement
-// walk. Resources that cannot satisfy the request (too few nodes up)
-// simply contribute no quote.
+// walk, in walk order: an interior agent only concatenates its subtree.
+// Resources that cannot satisfy the request (too few nodes up) simply
+// contribute no quote.
 func (a *Agent) floodQuote(op ReserveOp, now float64) ReserveReply {
 	var reply ReserveReply
 	if q, err := a.local.QuoteReservation(op.Nodes, op.Earliest, op.Duration, now); err == nil {
@@ -169,7 +183,7 @@ func (a *Agent) floodQuote(op ReserveOp, now float64) ReserveReply {
 	}
 	for _, n := range a.neighbours() {
 		rp, ok := n.(ReservePeer)
-		if !ok || op.visited(n.PeerName()) || a.PeerTripped(n.PeerName()) {
+		if !ok || op.HasVisited(n.PeerName()) || a.PeerTripped(n.PeerName()) {
 			continue
 		}
 		if err := a.gateErr(n.PeerName(), now); err != nil {
@@ -184,22 +198,28 @@ func (a *Agent) floodQuote(op ReserveOp, now float64) ReserveReply {
 		a.RecordPeerSuccess(n.PeerName())
 		reply.Quotes = append(reply.Quotes, r.Quotes...)
 	}
-	seen := map[string]bool{}
-	uniq := reply.Quotes[:0]
-	for _, q := range reply.Quotes {
+	return reply
+}
+
+// SortQuotes is what a flood's origin does to the quotes it gathered:
+// keep each resource's first quote and order them by (start, resource).
+// It reorders quotes in place and returns the deduplicated prefix.
+func SortQuotes(quotes []scheduler.ReserveQuote) []scheduler.ReserveQuote {
+	seen := make(map[string]bool, len(quotes))
+	uniq := quotes[:0]
+	for _, q := range quotes {
 		if !seen[q.Resource] {
 			seen[q.Resource] = true
 			uniq = append(uniq, q)
 		}
 	}
-	reply.Quotes = uniq
-	sort.Slice(reply.Quotes, func(i, j int) bool {
-		if reply.Quotes[i].Start != reply.Quotes[j].Start {
-			return reply.Quotes[i].Start < reply.Quotes[j].Start
+	sort.Slice(uniq, func(i, j int) bool {
+		if uniq[i].Start != uniq[j].Start {
+			return uniq[i].Start < uniq[j].Start
 		}
-		return reply.Quotes[i].Resource < reply.Quotes[j].Resource
+		return uniq[i].Resource < uniq[j].Resource
 	})
-	return reply
+	return uniq
 }
 
 // ApplyReserve executes the op against this agent's own scheduler with
@@ -276,8 +296,8 @@ const maxCoallocRounds = 32
 
 // ShopReservation runs the full shopping protocol from this agent:
 // flood-quote the hierarchy, choose the cheapest (earliest-starting)
-// Parts resources, iterate targeted re-quotes to a common window all
-// parts can guarantee, then hold every part. Either every part ends
+// Parts resources, flood again at their common start until every chosen
+// part can guarantee it, then hold every part. Either every part ends
 // held — the returned reservation is ready to confirm — or nothing is
 // held and an error explains why (no capacity, or the common start
 // slipped past MaxSlip). Holding is atomic across parts: any hold
@@ -287,12 +307,8 @@ func (a *Agent) ShopReservation(spec ReservationSpec, now float64) (HeldReservat
 	if parts < 1 {
 		parts = 1
 	}
-	rep, err := a.HandleReserve(ReserveOp{
-		Action:   ReserveQuoteOp,
-		Nodes:    spec.Nodes,
-		Earliest: spec.Earliest,
-		Duration: spec.Duration,
-	}, now)
+	quote := ReserveOp{Action: ReserveQuoteOp, Nodes: spec.Nodes, Earliest: spec.Earliest, Duration: spec.Duration}
+	rep, err := a.HandleReserve(quote, now)
 	if err != nil {
 		return HeldReservation{}, err
 	}
@@ -300,15 +316,14 @@ func (a *Agent) ShopReservation(spec ReservationSpec, now float64) (HeldReservat
 		return HeldReservation{}, fmt.Errorf("agent: %s: %d of %d co-allocation parts quotable for %d×%d nodes",
 			a.name, len(rep.Quotes), parts, parts, spec.Nodes)
 	}
-	resources := make([]string, 0, len(rep.Quotes))
-	for _, q := range rep.Quotes {
-		resources = append(resources, q.Resource)
-	}
 
-	// Fixed point on the common start: quote every candidate resource at
-	// earliest=T, take the Parts earliest offers, and raise T to the
-	// latest of them; stable when all chosen parts quote exactly T. With
-	// one part this converges immediately (the first quote is feasible).
+	// Fixed point on the common start T, the latest start among the Parts
+	// earliest offers: stable when every chosen part quotes exactly T,
+	// otherwise flood again at earliest=T. A window search is monotone in
+	// its earliest start, so a resource that offered T or later offers the
+	// same window when asked again at T: re-quoting a stable choice changes
+	// nothing and is skipped, and one part, its own common start, never
+	// needs a second flood.
 	chosen := rep.Quotes[:parts]
 	T := commonStart(chosen)
 	for round := 0; ; round++ {
@@ -316,36 +331,19 @@ func (a *Agent) ShopReservation(spec ReservationSpec, now float64) (HeldReservat
 			return HeldReservation{}, fmt.Errorf("agent: %s: co-allocation for reservation %d did not converge in %d rounds",
 				a.name, spec.ResvID, maxCoallocRounds)
 		}
-		requotes := make([]scheduler.ReserveQuote, 0, len(resources))
-		for _, r := range resources {
-			qr, err := a.HandleReserve(ReserveOp{
-				Action:   ReserveQuoteOp,
-				Resource: r,
-				Nodes:    spec.Nodes,
-				Earliest: T,
-				Duration: spec.Duration,
-			}, now)
-			if err != nil || len(qr.Quotes) != 1 {
-				continue
-			}
-			requotes = append(requotes, qr.Quotes[0])
+		if chosen[0].Start == T {
+			break
 		}
-		if len(requotes) < parts {
+		quote.Earliest = T
+		if rep, err = a.HandleReserve(quote, now); err != nil {
+			return HeldReservation{}, err
+		}
+		if len(rep.Quotes) < parts {
 			return HeldReservation{}, fmt.Errorf("agent: %s: only %d of %d co-allocation parts still quotable at %g",
-				a.name, len(requotes), parts, T)
+				a.name, len(rep.Quotes), parts, T)
 		}
-		sort.Slice(requotes, func(i, j int) bool {
-			if requotes[i].Start != requotes[j].Start {
-				return requotes[i].Start < requotes[j].Start
-			}
-			return requotes[i].Resource < requotes[j].Resource
-		})
-		chosen = requotes[:parts]
-		if latest := commonStart(chosen); latest > T {
-			T = latest
-			continue
-		}
-		break
+		chosen = rep.Quotes[:parts]
+		T = commonStart(chosen)
 	}
 	if spec.MaxSlip >= 0 && T > spec.Earliest+spec.MaxSlip {
 		return HeldReservation{}, fmt.Errorf("agent: %s: reservation %d start %g slips %g past requested %g (max slip %g)",

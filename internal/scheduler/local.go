@@ -109,7 +109,7 @@ type Local struct {
 
 	committed []Record
 	nodeBusy  []float64 // physical per-node busy-until from committed tasks
-	avail     []float64 // scratch: Resource.Avail of the plan being built
+	avail     []float64 // scratch: Resource.Avail of the plan being built, or a quote's node floors
 	upNodes   []int     // scratch behind planPhys
 
 	// book is the resource's advance-reservation book, created on first

@@ -62,7 +62,10 @@ func (l *Local) QuoteReservation(nodes int, earliest, dur, now float64) (Reserve
 	if earliest < now {
 		earliest = now
 	}
-	avail := make([]float64, l.cfg.NumNodes)
+	// The planner's scratch is free between plans, and FindWindow keeps
+	// nothing of it.
+	avail := append(l.avail[:0], l.nodeBusy...)
+	l.avail = avail
 	up := 0
 	for i := range avail {
 		if !l.monitor.IsUp(i) {
@@ -70,7 +73,6 @@ func (l *Local) QuoteReservation(nodes int, earliest, dur, now float64) (Reserve
 			continue
 		}
 		up++
-		avail[i] = l.nodeBusy[i]
 		if now > avail[i] {
 			avail[i] = now
 		}

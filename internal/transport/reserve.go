@@ -3,7 +3,6 @@ package transport
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/agent"
 	"repro/internal/scheduler"
@@ -174,10 +173,6 @@ type reservePeer struct {
 // reservePeersLocked snapshots the neighbours the op may still travel
 // to. Caller holds the node lock.
 func (n *Node) reservePeersLocked(op *agent.ReserveOp) []reservePeer {
-	visited := map[string]bool{}
-	for _, v := range op.Visited {
-		visited[v] = true
-	}
 	peers := n.agent.Lowers()
 	if up := n.agent.Upper(); up != nil {
 		peers = append(peers, up)
@@ -185,7 +180,7 @@ func (n *Node) reservePeersLocked(op *agent.ReserveOp) []reservePeer {
 	var out []reservePeer
 	for _, p := range peers {
 		rp, ok := p.(agent.ReservePeer)
-		if !ok || visited[p.PeerName()] || n.agent.PeerTripped(p.PeerName()) {
+		if !ok || op.HasVisited(p.PeerName()) || n.agent.PeerTripped(p.PeerName()) {
 			continue
 		}
 		out = append(out, reservePeer{name: p.PeerName(), rp: rp})
@@ -194,11 +189,14 @@ func (n *Node) reservePeersLocked(op *agent.ReserveOp) []reservePeer {
 }
 
 // reserveDispatch routes a reservation op exactly like the in-process
-// agent.HandleReserve, but with every remote exchange outside the node
-// lock — two nodes reserving through each other must not deadlock.
+// agent.HandleReserve — interior nodes concatenate a flood's quotes and
+// return a routing miss bare, the origin sorts and adds the context — but
+// with every remote exchange outside the node lock: two nodes reserving
+// through each other must not deadlock.
 func (n *Node) reserveDispatch(op agent.ReserveOp) (agent.ReserveReply, error) {
 	n.mu.Lock()
 	me := n.agent.Name()
+	origin := len(op.Visited) == 0
 	visited := make([]string, 0, len(op.Visited)+1)
 	visited = append(visited, op.Visited...)
 	visited = append(visited, me)
@@ -220,21 +218,9 @@ func (n *Node) reserveDispatch(op agent.ReserveOp) (agent.ReserveReply, error) {
 				reply.Quotes = append(reply.Quotes, r.Quotes...)
 			}
 		}
-		seen := map[string]bool{}
-		uniq := reply.Quotes[:0]
-		for _, q := range reply.Quotes {
-			if !seen[q.Resource] {
-				seen[q.Resource] = true
-				uniq = append(uniq, q)
-			}
+		if origin {
+			reply.Quotes = agent.SortQuotes(reply.Quotes)
 		}
-		reply.Quotes = uniq
-		sort.Slice(reply.Quotes, func(i, j int) bool {
-			if reply.Quotes[i].Start != reply.Quotes[j].Start {
-				return reply.Quotes[i].Start < reply.Quotes[j].Start
-			}
-			return reply.Quotes[i].Resource < reply.Quotes[j].Resource
-		})
 		return reply, nil
 	}
 
@@ -263,6 +249,9 @@ func (n *Node) reserveDispatch(op agent.ReserveOp) (agent.ReserveReply, error) {
 			return agent.ReserveReply{}, err
 		}
 		n.recordPeer(p.name, err)
+	}
+	if !origin {
+		return agent.ReserveReply{}, agent.ErrNotRoutable
 	}
 	return agent.ReserveReply{}, fmt.Errorf("%w: no path from %s to %s", agent.ErrNotRoutable, me, op.Resource)
 }

@@ -45,6 +45,11 @@ func TestReservationOverTCP(t *testing.T) {
 			t.Fatalf("idle-grid quote %+v, want start 1e5", q)
 		}
 	}
+	// The origin sorts: equal starts order by resource, not by the walk
+	// (which meets rhead first).
+	if ack.Quotes[0].Resource != "rchild" || ack.Quotes[1].Resource != "rhead" {
+		t.Fatalf("origin reply %+v, want (start, resource) order", ack.Quotes)
+	}
 
 	// Hold routed head -> child, then confirm, then release.
 	hold := xmlmsg.Reserve{
@@ -59,6 +64,21 @@ func TestReservationOverTCP(t *testing.T) {
 	}
 	if b, ok := child.Agent().Local().Book().Get(5); !ok || b.State != reserve.Held {
 		t.Fatalf("child booking = %+v ok=%v", b, ok)
+	}
+
+	// With two of rchild's nodes held, seven nodes are free there only
+	// after the window. Shopped from rchild the walk meets rchild first;
+	// its reply must still lead with the earlier start on rhead, which
+	// as an interior node returned its quote unsorted.
+	quote.Nodes = 7
+	reply, _, err = Call(child.Addr(), quote)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ack = reply.(*xmlmsg.ReserveAck)
+	if len(ack.Quotes) != 2 || ack.Quotes[0].Resource != "rhead" || ack.Quotes[1].Resource != "rchild" ||
+		ack.Quotes[0].Start != xmlmsg.FormatSeconds(1e5) || ack.Quotes[1].Start != xmlmsg.FormatSeconds(1e5+50) {
+		t.Fatalf("origin reply %+v, want rhead at 1e5 before rchild at 1e5+50", ack.Quotes)
 	}
 
 	confirm := xmlmsg.Reserve{
@@ -85,14 +105,24 @@ func TestReservationOverTCP(t *testing.T) {
 	}
 
 	// A ghost target is a routing miss with its identity preserved
-	// through the ErrorReply round trip.
+	// through the ErrorReply round trip, and the origin's context on it.
 	ghost := xmlmsg.Reserve{
 		Type: "reserve", Action: xmlmsg.ReserveActionRelease,
 		ResvID: 5, Resource: "ghost",
 	}
 	_, _, err = Call(head.Addr(), ghost)
-	if err == nil || !agent.IsNotRoutable(err) {
+	if err == nil || !agent.IsNotRoutable(err) || !strings.Contains(err.Error(), "no path from rhead to ghost") {
 		t.Fatalf("ghost error = %v, want routing miss", err)
+	}
+
+	// An interior node's dead end crosses the wire as the bare sentinel:
+	// no origin context, yet still a routing miss to the node that asked.
+	interior := &RemotePeer{Name: "rchild", Addr: child.Addr(), Lib: lib}
+	_, err = interior.HandleReserve(agent.ReserveOp{
+		Action: agent.ReserveReleaseOp, ResvID: 5, Resource: "ghost", Visited: []string{"rhead"},
+	}, 0)
+	if !agent.IsNotRoutable(err) || strings.Contains(err.Error(), "no path") {
+		t.Fatalf("interior dead end = %v, want the bare routing miss", err)
 	}
 
 	// A refusal from the target (double release) propagates as the
