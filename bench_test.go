@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/agent"
 	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/ga"
@@ -408,55 +407,6 @@ func BenchmarkAblationFIFOSearch(b *testing.B) {
 	b.Run("fast", func(b *testing.B) { run(b, core.PolicyFIFOFast) })
 }
 
-// BenchmarkHeuristicComparison pits the paper's GA against the other
-// nature's heuristics its related work cites ([1]: simulated annealing
-// and tabu search) plus FIFO, on one overloaded resource with the same
-// workload — kernel choice as an ablation.
-func BenchmarkHeuristicComparison(b *testing.B) {
-	run := func(b *testing.B, mk func() scheduler.Policy) {
-		lib := pace.CaseStudyLibrary()
-		names := lib.Names()
-		var eps float64
-		for i := 0; i < b.N; i++ {
-			engine := pace.NewEngine()
-			local, err := scheduler.NewLocal(scheduler.Config{
-				Name: "S", HW: pace.SunUltra5, NumNodes: 16,
-				Policy: mk(), Engine: engine,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			rng := sim.NewRNG(11)
-			for j := 0; j < 40; j++ {
-				m, _ := lib.Lookup(names[rng.Intn(len(names))])
-				deadline := float64(j) + rng.UniformIn(m.DeadlineLo, m.DeadlineHi)
-				if _, err := local.Submit(m, deadline, float64(j)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			local.Drain()
-			var adv float64
-			for _, r := range local.Records() {
-				adv += r.Deadline - r.End
-			}
-			eps = adv / float64(len(local.Records()))
-		}
-		b.ReportMetric(eps, "eps_s")
-	}
-	b.Run("fifo", func(b *testing.B) {
-		run(b, func() scheduler.Policy { return scheduler.NewFIFOPolicy() })
-	})
-	b.Run("ga", func(b *testing.B) {
-		run(b, func() scheduler.Policy { return scheduler.NewGAPolicy(ga.DefaultConfig(), sim.NewRNG(1)) })
-	})
-	b.Run("sa", func(b *testing.B) {
-		run(b, func() scheduler.Policy { return scheduler.NewSAPolicy(sim.NewRNG(1)) })
-	})
-	b.Run("tabu", func(b *testing.B) {
-		run(b, func() scheduler.Policy { return scheduler.NewTabuPolicy(sim.NewRNG(1)) })
-	})
-}
-
 // --- Extension studies (§5 future work) ---
 
 // BenchmarkExtensionPredictionAccuracy runs the §5 prediction-accuracy
@@ -540,44 +490,7 @@ func BenchmarkAblationPushAdverts(b *testing.B) {
 	b.Run("pull+push", func(b *testing.B) { run(b, true) })
 }
 
-// --- Micro-benchmarks of the hot paths ---
-
-// BenchmarkGASchedulingEvent measures one full GA Plan call over a
-// 20-task queue — the per-arrival cost of the local scheduler — at
-// several worker-pool widths. The plan is bit-identical at every width
-// (see ga.Config.Workers); the sub-benches measure only the wall-clock
-// effect of parallel cost evaluation.
-func BenchmarkGASchedulingEvent(b *testing.B) {
-	lib := pace.CaseStudyLibrary()
-	names := lib.Names()
-	engine := pace.NewEngine()
-	pred := func(app *pace.AppModel, k int) float64 {
-		return engine.MustPredict(app, pace.SunUltra5, k)
-	}
-	tasks := make([]schedule.Task, 20)
-	for i := range tasks {
-		m, _ := lib.Lookup(names[i%len(names)])
-		tasks[i] = schedule.Task{ID: i + 1, App: m, Deadline: 500}
-	}
-	res := schedule.NewResource(16)
-	for _, workers := range []int{1, 4} {
-		workers := workers
-		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
-			cfg := ga.DefaultConfig()
-			cfg.MaxGenerations = 30
-			cfg.ConvergenceWindow = 0
-			cfg.Workers = workers
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				pol := scheduler.NewGAPolicy(cfg, sim.NewRNG(uint64(i)))
-				s := pol.Plan(tasks, res, 0, pred)
-				if len(s.Items) != 20 {
-					b.Fatal("plan lost tasks")
-				}
-			}
-		})
-	}
-}
+// --- Micro-benchmark (the per-layer probes live in bench/probes.go) ---
 
 // BenchmarkCrossover measures the two-part crossover operator.
 func BenchmarkCrossover(b *testing.B) {
@@ -591,120 +504,5 @@ func BenchmarkCrossover(b *testing.B) {
 		if len(c.Order) != 32 || len(d.Order) != 32 {
 			b.Fatal("bad children")
 		}
-	}
-}
-
-// BenchmarkPACEPredict measures a cache hit against a full model
-// evaluation.
-func BenchmarkPACEPredict(b *testing.B) {
-	lib := pace.CaseStudyLibrary()
-	m, _ := lib.Lookup("improc")
-	b.Run("cached", func(b *testing.B) {
-		engine := pace.NewEngine()
-		_, _ = engine.Predict(m, pace.SunUltra10, 8)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := engine.Predict(m, pace.SunUltra10, 8); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("uncached", func(b *testing.B) {
-		engine := pace.NewEngineWithoutCache()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := engine.Predict(m, pace.SunUltra10, 8); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("cached-parallel", func(b *testing.B) {
-		engine := pace.NewEngine()
-		_, _ = engine.Predict(m, pace.SunUltra10, 8)
-		b.ReportAllocs()
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				if _, err := engine.Predict(m, pace.SunUltra10, 8); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	})
-}
-
-// BenchmarkDiscovery measures one service-discovery decision at a loaded
-// agent with a populated advertisement cache.
-func BenchmarkDiscovery(b *testing.B) {
-	engine := pace.NewEngine()
-	lib := pace.CaseStudyLibrary()
-	mk := func(name string, hw pace.Hardware) *agent.Agent {
-		l, err := scheduler.NewLocal(scheduler.Config{
-			Name: name, HW: hw, NumNodes: 16,
-			Policy: scheduler.NewFIFOPolicy(), Engine: engine,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		a, err := agent.New(l, engine)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return a
-	}
-	head := mk("head", pace.SGIOrigin2000)
-	for i := 0; i < 3; i++ {
-		child := mk(fmt.Sprintf("c%d", i), pace.SunUltra5)
-		if err := agent.Link(head, child); err != nil {
-			b.Fatal(err)
-		}
-	}
-	head.Pull(0)
-	m, _ := lib.Lookup("fft")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dec := head.Decide(agent.Request{App: m, Env: "test", Deadline: 1e9}, 0)
-		if dec.Kind == agent.DecideFail {
-			b.Fatal("discovery failed")
-		}
-	}
-}
-
-// BenchmarkReservationQuote measures the reservation shopping hot path:
-// the earliest-window search a resource answers a quote flood with, on an
-// empty book and on one carrying 32 staggered active holds.
-func BenchmarkReservationQuote(b *testing.B) {
-	for _, bc := range []struct {
-		name     string
-		bookings int
-	}{{"empty-book", 0}, {"booked32", 32}} {
-		b.Run(bc.name, func(b *testing.B) {
-			l, err := scheduler.NewLocal(scheduler.Config{
-				Name: "S1", HW: pace.SGIOrigin2000, NumNodes: 16,
-				Policy: scheduler.NewFIFOPolicy(), Engine: pace.NewEngine(),
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < bc.bookings; i++ {
-				// Pairs of nodes, staggered windows: reuse of a node pair
-				// lands 500 s later, so every hold admits.
-				mask := uint64(0b11) << uint((i%8)*2)
-				start := 100 + float64(i/8)*500
-				if err := l.HoldReservation(uint64(i+1), "bench", mask, start, start+300, 0, 1e9); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := l.QuoteReservation(4, 50, 120, 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

@@ -66,7 +66,6 @@ func main() {
 		workers  = flag.Int("workers", runtime.NumCPU(), "GA cost-evaluation workers per scheduler (results are identical for any value)")
 
 		scenarioPath = flag.String("scenario", "", "run the scenario described by this JSON spec (see examples/scenarios/)")
-		migrate      = flag.Bool("migrate", false, "with -scenario: force the drift-driven migration policy on (spec defaults for every knob)")
 		sweepArg     = flag.String("sweep", "", "with -scenario: sweep one axis, e.g. rate=0.5,1,2 or agents=12,24,48")
 		findSat      = flag.Bool("find-saturation", false, "with -scenario: binary-search the arrival rate where ε crosses zero")
 		outPath      = flag.String("out", "", "export the selected results as JSON to this file (a -sweep also accepts a .csv path)")
@@ -82,14 +81,11 @@ func main() {
 	defer stopProfiles()
 
 	if *scenarioPath != "" {
-		runScenario(*scenarioPath, *sweepArg, *findSat, *outPath, *workers, *telemetryOut, *samplePeriod, *migrate, *traceOut)
+		runScenario(*scenarioPath, *sweepArg, *findSat, *outPath, *workers, *telemetryOut, *samplePeriod, *traceOut)
 		return
 	}
 	if *sweepArg != "" || *findSat {
 		fail(fmt.Errorf("-sweep and -find-saturation need a -scenario spec"))
-	}
-	if *migrate {
-		fail(fmt.Errorf("-migrate needs a -scenario spec (use -exp5 for the canned migration study)"))
 	}
 
 	all := !(*table1 || *table2 || *table3 || *fig8 || *fig9 || *fig10 || *topology || *dispatch || *stats || *accuracy || *scale || *exp4 || *exp5 || *exp6 || *exp7)
@@ -119,11 +115,6 @@ func main() {
 	params.Telemetry = *telemetryOut != ""
 	params.SamplePeriod = *samplePeriod
 	telemetryExports := map[string]*telemetry.Export{}
-	var rec *trace.Recorder
-	if *traceOut != "" {
-		rec = trace.NewRecorder(4 * *requests * len(experiment.Configs))
-		params.Trace = rec
-	}
 
 	// verdict prints an audit result and arranges a non-zero exit when
 	// any invariant broke, so CI can gate on `gridexp ... -audit`.
@@ -267,9 +258,17 @@ func main() {
 
 	fmt.Printf("Running experiments 1-3: %d requests at %gs intervals, seed %d\n",
 		params.Requests, params.Interval, params.Seed)
+	closeTrace := func() {}
+	if *traceOut != "" {
+		// Attached here, after the extension studies: the flag promises
+		// the experiment-3 trace, and RunAll hands the recorder to that
+		// run alone.
+		params.Trace, closeTrace = streamTrace(*traceOut)
+	}
 	start := time.Now()
 	outs, err := experiment.RunAll(params)
 	fail(err)
+	closeTrace()
 	fmt.Printf("(completed in %v wall time)\n\n", time.Since(start).Round(time.Millisecond))
 	for _, o := range outs {
 		doc.Experiments = append(doc.Experiments, summariseOutcome(o))
@@ -304,47 +303,22 @@ func main() {
 		fail(experiment.WriteCSV(*csvDir, outs))
 		fmt.Printf("CSV exported to %s (table3, fig8-10, dispatch)\n", *csvDir)
 	}
-	if rec != nil {
-		f, err := os.Create(*traceOut)
-		fail(err)
-		fail(rec.WriteCSV(f))
-		fail(f.Close())
-		fmt.Printf("lifecycle trace written to %s (%s)\n", *traceOut, rec.Summary())
-	}
 	finish()
 }
 
 // runScenario is the -scenario entry point: one audited run, a sweep
 // over one axis, or a saturation search, with optional JSON/CSV export.
 // Every scenario run is audited; any violation exits non-zero.
-func runScenario(path, sweepArg string, findSat bool, outPath string, workers int, telemetryOut string, samplePeriod float64, migrate bool, traceOut string) {
+func runScenario(path, sweepArg string, findSat bool, outPath string, workers int, telemetryOut string, samplePeriod float64, traceOut string) {
 	spec, err := scenario.Load(path)
 	fail(err)
-	if migrate {
-		if spec.Migration == nil {
-			spec.Migration = &scenario.MigrationSpec{}
-		}
-		spec.Migration.Enabled = true
-	}
 	opt := scenario.RunOptions{Workers: workers, Telemetry: telemetryOut != "", SamplePeriod: samplePeriod}
-	// The scenario trace streams: a retention-off recorder feeds a CSV
-	// sink that flushes rows as the grid's virtual-time watermark passes
-	// them, so a 1M-request trace goes to disk without ever holding the
-	// run in memory. The bytes are identical to the batch WriteCSV export.
-	var sink *trace.CSVSink
-	var traceFile *os.File
+	closeTrace := func() {}
 	if traceOut != "" {
 		if sweepArg != "" || findSat {
 			fail(fmt.Errorf("-tracefile records a single scenario run, not a sweep or saturation search"))
 		}
-		f, err := os.Create(traceOut)
-		fail(err)
-		traceFile = f
-		sink = trace.NewCSVSink(f)
-		rec := trace.NewRecorder(1)
-		rec.SetRetention(false)
-		rec.AddSink(sink)
-		opt.Trace = rec
+		opt.Trace, closeTrace = streamTrace(traceOut)
 	}
 	doc := exportDoc{Seed: spec.Seed, Requests: spec.Arrivals.Count}
 	telemetryExports := map[string]*telemetry.Export{}
@@ -388,11 +362,7 @@ func runScenario(path, sweepArg string, findSat bool, outPath string, workers in
 			failed = true
 		}
 	}
-	if sink != nil {
-		fail(sink.Close(0))
-		fail(traceFile.Close())
-		fmt.Printf("lifecycle trace streamed to %s (peak reorder buffer %d events)\n", traceOut, sink.PeakBuffered())
-	}
+	closeTrace()
 	if outPath != "" {
 		fail(doc.write(outPath))
 	}
@@ -401,6 +371,25 @@ func runScenario(path, sweepArg string, findSat bool, outPath string, workers in
 	}
 	if failed {
 		exit(1)
+	}
+}
+
+// streamTrace returns a recorder that streams one run's lifecycle trace
+// to path as CSV, and the function that drains and closes the file once
+// the run has finished. The recorder retains nothing: it feeds a sink
+// that flushes rows as the grid's virtual-time watermark passes them, so
+// a 1M-request trace never holds the run in memory.
+func streamTrace(path string) (*trace.Recorder, func()) {
+	f, err := os.Create(path)
+	fail(err)
+	sink := trace.NewCSVSink(f)
+	rec := trace.NewRecorder(1)
+	rec.SetRetention(false)
+	rec.AddSink(sink)
+	return rec, func() {
+		fail(sink.Close(0))
+		fail(f.Close())
+		fmt.Printf("lifecycle trace streamed to %s (peak reorder buffer %d events)\n", path, sink.PeakBuffered())
 	}
 }
 

@@ -1,0 +1,88 @@
+package main
+
+import (
+	"encoding/csv"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestMain lets the test binary stand in for gridexp: re-executed with
+// GRIDEXP_TEST_MAIN=1 it runs main() on its arguments.
+func TestMain(m *testing.M) {
+	if os.Getenv("GRIDEXP_TEST_MAIN") == "1" {
+		main()
+		return
+	}
+	os.Exit(m.Run())
+}
+
+// gridexp runs the CLI on args and returns its combined output and exit
+// error.
+func gridexp(args ...string) (string, error) {
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "GRIDEXP_TEST_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	return string(out), err
+}
+
+// TestExperimentModeTracefile runs `gridexp -table3 -tracefile`: the
+// file is what the flag's help promises — the experiment-3 lifecycle
+// trace, one arrive row per request and every request ID once, in
+// virtual-time order — and the run it came from audits clean.
+func TestExperimentModeTracefile(t *testing.T) {
+	const requests = 60
+	path := filepath.Join(t.TempDir(), "trace.csv")
+	out, err := gridexp("-table3", "-requests", "60", "-audit", "-tracefile", path)
+	if err != nil {
+		t.Fatalf("gridexp: %v\n%s", err, out)
+	}
+	if !strings.Contains(out, "[experiment 3] audit: 60 requests: 60 arrives, 60 completes, 0 fails, 0 redispatches, 60 records; 0 violation(s)") {
+		t.Fatalf("experiment 3 did not audit clean:\n%s", out)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rows, err := csv.NewReader(f).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(rows[0], ","); got != "seq,time,kind,request,agent,resource,task,app,detail" {
+		t.Fatalf("header %q", got)
+	}
+	arrived := map[string]bool{}
+	for _, row := range rows[1:] {
+		if row[2] == "arrive" {
+			if arrived[row[3]] {
+				t.Fatalf("request %s arrives twice", row[3])
+			}
+			arrived[row[3]] = true
+		}
+	}
+	if len(arrived) != requests {
+		t.Fatalf("%d arrive rows for %d requests", len(arrived), requests)
+	}
+}
+
+// TestRemovedPolicyNamesRejected feeds a scenario naming a deleted
+// policy through the CLI: it must fail and say which names remain.
+func TestRemovedPolicyNamesRejected(t *testing.T) {
+	for _, name := range []string{"sa", "tabu"} {
+		path := filepath.Join(t.TempDir(), name+".json")
+		spec := `{"topology": {"preset": "fig7"}, "arrivals": {"count": 10, "interval": 1}, "policy": "` + name + `"}`
+		if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out, err := gridexp("-scenario", path)
+		if err == nil {
+			t.Fatalf("policy %q accepted:\n%s", name, out)
+		}
+		if !strings.Contains(out, "fifo, fifo-fast or ga") {
+			t.Fatalf("policy %q rejected without the accepted list:\n%s", name, out)
+		}
+	}
+}

@@ -13,10 +13,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/agent"
 	"repro/internal/audit"
@@ -41,8 +38,6 @@ const (
 	PolicyFIFO     PolicyKind = "fifo"      // §4.1 baseline, exhaustive 2^n−1 allocation search
 	PolicyFIFOFast PolicyKind = "fifo-fast" // equivalence-tested fast allocation search
 	PolicyGA       PolicyKind = "ga"        // §2.1 genetic algorithm
-	PolicySA       PolicyKind = "sa"        // simulated annealing (the [1] comparison)
-	PolicyTabu     PolicyKind = "tabu"      // tabu search (the [1] comparison)
 )
 
 // ParsePolicy resolves a policy name as written in scenario files and
@@ -50,12 +45,12 @@ const (
 // Options.setDefaults).
 func ParsePolicy(name string) (PolicyKind, error) {
 	switch k := PolicyKind(name); k {
-	case PolicyFIFO, PolicyFIFOFast, PolicyGA, PolicySA, PolicyTabu:
+	case PolicyFIFO, PolicyFIFOFast, PolicyGA:
 		return k, nil
 	case "":
 		return PolicyGA, nil
 	default:
-		return "", fmt.Errorf("core: unknown policy %q (want fifo, fifo-fast, ga, sa or tabu)", name)
+		return "", fmt.Errorf("core: unknown policy %q (want fifo, fifo-fast or ga)", name)
 	}
 }
 
@@ -209,17 +204,8 @@ type Grid struct {
 
 	// due indexes which schedulers have a planned start at or before a
 	// given virtual time, so a clock advance touches only the schedulers
-	// with work due instead of all 10k. Entries are lazily deleted;
-	// dueMu guards pushes from the parallel advance workers.
-	due   dueHeap
-	dueMu sync.Mutex
-
-	// execs holds the per-resource lifecycle executors (nil when neither
-	// tracing nor auditing is on). During a parallel advance each executor
-	// buffers its records so the merge can replay them in resource-name
-	// order — the exact stream a sequential advance would have produced.
-	execs       map[string]*tracingExecutor
-	workerCount int
+	// with work due instead of all 10k. Entries are lazily deleted.
+	due dueHeap
 
 	// pullStale tells Run's advert pull that the tree changed under it
 	// (memberState sets it on every join, leave and re-home) and the
@@ -259,13 +245,6 @@ func New(specs []ResourceSpec, opts Options) (*Grid, error) {
 		lib:    opts.Library,
 		locals: map[string]*scheduler.Local{},
 		simr:   sim.NewSimulator(),
-	}
-	g.workerCount = opts.Workers
-	if g.workerCount <= 0 {
-		g.workerCount = runtime.GOMAXPROCS(0)
-	}
-	if opts.Trace != nil || opts.Audit != nil {
-		g.execs = make(map[string]*tracingExecutor, len(specs))
 	}
 
 	master := sim.NewRNG(opts.Seed)
@@ -413,10 +392,8 @@ func (g *Grid) buildResource(spec ResourceSpec, master *sim.RNG) (*agent.Agent, 
 		Engine:       g.engine,
 		Environments: spec.Environments,
 	}
-	if g.execs != nil {
-		e := &tracingExecutor{g: g}
-		cfg.Executor = e
-		g.execs[spec.Name] = e
+	if g.opts.Trace != nil || g.opts.Audit != nil {
+		cfg.Executor = tracingExecutor{g}
 	}
 	opts := g.opts
 	if opts.PredictionError != 0 || opts.PredictionBias != 0 {
@@ -460,16 +437,6 @@ func (g *Grid) newPolicy(rng *sim.RNG) (scheduler.Policy, error) {
 		return scheduler.NewFastFIFOPolicy(), nil
 	case PolicyGA:
 		p := scheduler.NewGAPolicy(g.opts.GA, rng)
-		p.Weights = g.opts.Weights
-		p.FrontWeighted = !g.opts.DisableFrontWeightedIdle
-		return p, nil
-	case PolicySA:
-		p := scheduler.NewSAPolicy(rng)
-		p.Weights = g.opts.Weights
-		p.FrontWeighted = !g.opts.DisableFrontWeightedIdle
-		return p, nil
-	case PolicyTabu:
-		p := scheduler.NewTabuPolicy(rng)
 		p.Weights = g.opts.Weights
 		p.FrontWeighted = !g.opts.DisableFrontWeightedIdle
 		return p, nil
@@ -674,12 +641,9 @@ func (g *Grid) SubmitWorkload(reqs []workload.Request) error {
 }
 
 // pushDue records that the named scheduler may have a planned start at
-// time at. Installed as every scheduler's plan hook; safe to call from
-// the parallel advance workers.
+// time at. Installed as every scheduler's plan hook.
 func (g *Grid) pushDue(at float64, name string) {
-	g.dueMu.Lock()
 	g.due.push(dueEntry{at: at, name: name})
-	g.dueMu.Unlock()
 }
 
 // advanceAll moves every scheduler with work due past the grid clock,
@@ -697,7 +661,6 @@ func (g *Grid) pushDue(at float64, name string) {
 // order the full sweep used and the lifecycle stream is byte-identical.
 func (g *Grid) advanceAll(now float64) {
 	for {
-		g.dueMu.Lock()
 		var names []string
 		seen := map[string]bool{}
 		for len(g.due) > 0 && g.due[0].at <= now {
@@ -707,12 +670,13 @@ func (g *Grid) advanceAll(now float64) {
 				names = append(names, e.name)
 			}
 		}
-		g.dueMu.Unlock()
 		if len(names) == 0 {
 			break
 		}
 		sort.Strings(names)
-		g.forEachLocal(names, func(l *scheduler.Local) { l.AdvanceTo(now) })
+		for _, n := range names {
+			g.locals[n].AdvanceTo(now)
+		}
 	}
 	g.afterAdvance(now)
 }
@@ -728,72 +692,6 @@ func (g *Grid) afterAdvance(now float64) {
 	if g.opts.Trace != nil {
 		g.opts.Trace.Advance(now)
 	}
-}
-
-// parallelMinItems gates the worker-pool paths: below this, goroutine
-// startup costs more than the work.
-const parallelMinItems = 8
-
-// forEachLocal applies fn to the named schedulers, fanning across the
-// worker pool when the batch is large enough. Lifecycle records emitted
-// during a parallel batch are buffered per resource and replayed in name
-// order afterwards, so the observable stream is exactly the sequential
-// one no matter the worker count. fn must only touch the one scheduler
-// it is handed (plus atomics and the mutex-guarded due heap).
-func (g *Grid) forEachLocal(names []string, fn func(l *scheduler.Local)) {
-	if g.workerCount > 1 && len(names) >= parallelMinItems {
-		if g.execs != nil {
-			for _, n := range names {
-				g.execs[n].buffering = true
-			}
-		}
-		g.parallelFor(len(names), func(i int) { fn(g.locals[names[i]]) })
-		if g.execs != nil {
-			for _, n := range names {
-				e := g.execs[n]
-				e.buffering = false
-				for _, rec := range e.buf {
-					g.emitRecord(rec)
-				}
-				e.buf = e.buf[:0]
-			}
-		}
-		return
-	}
-	for _, n := range names {
-		fn(g.locals[n])
-	}
-}
-
-// parallelFor runs fn(0..n-1) across the grid's worker pool.
-func (g *Grid) parallelFor(n int, fn func(i int)) {
-	w := g.workerCount
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for k := 0; k < w; k++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // dueEntry marks that the named scheduler had a planned start at time at
@@ -892,16 +790,13 @@ func (g *Grid) Run() error {
 			// advertisement once. Scheduler state does not change within
 			// a pull tick, so each puller of the same publisher would
 			// compute an identical advertisement — the batch coalesces
-			// those O(degree) computations into one per publisher, and
-			// being read-only it fans across the worker pool.
-			g.parallelFor(len(names), func(i int) {
-				if g.injector != nil && g.injector.Registry().AgentDown(names[i]) {
-					live[i] = false
-					return
+			// those O(degree) computations into one per publisher.
+			for i, name := range names {
+				live[i] = g.injector == nil || !g.injector.Registry().AgentDown(name)
+				if live[i] {
+					base[i] = g.locals[name].ServiceInfo()
 				}
-				base[i] = g.locals[names[i]].ServiceInfo()
-				live[i] = true
-			})
+			}
 			// Phase 2: the exchanges themselves, strictly sequential in
 			// name order — lossy-gate draws and the live fault counters
 			// stamped on each advert are order-sensitive. A crashed agent
@@ -959,7 +854,9 @@ func (g *Grid) Run() error {
 		g.tick(g.sampler.Period(), g.lastRequestAt, g.sampler.Sample)
 	}
 	g.simr.RunAll(g.eventBudget())
-	g.forEachLocal(g.allNames(), func(l *scheduler.Local) { l.Drain() })
+	for _, name := range g.allNames() {
+		g.locals[name].Drain()
+	}
 	if g.sampler != nil {
 		// One final point after the drain, at the completion time of the
 		// last record, so the series ends with the finished grid.
@@ -1135,23 +1032,11 @@ func fnv64(s string) uint64 {
 }
 
 // tracingExecutor forwards execution records into the grid's lifecycle
-// stream. During a parallel advance it buffers instead (forEachLocal
-// flips buffering around the batch and replays the buffers in name
-// order), so the emitted stream is identical at any worker count.
-type tracingExecutor struct {
-	g         *Grid
-	buffering bool
-	buf       []scheduler.Record
-}
+// stream.
+type tracingExecutor struct{ g *Grid }
 
 // Launch implements scheduler.Executor.
-func (e *tracingExecutor) Launch(rec scheduler.Record) {
-	if e.buffering {
-		e.buf = append(e.buf, rec)
-		return
-	}
-	e.g.emitRecord(rec)
-}
+func (e tracingExecutor) Launch(rec scheduler.Record) { e.g.emitRecord(rec) }
 
 // emitRecord feeds one committed execution record to the streaming audit
 // and synthesizes its start/complete lifecycle events — the record

@@ -58,6 +58,34 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestParsePolicy pins the policy list: the paper's GA against its FIFO
+// baseline (and FIFO's fast twin). A removed or misspelt name is
+// rejected with an error that says what is accepted.
+func TestParsePolicy(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		want PolicyKind
+	}{
+		{"", PolicyGA}, {"ga", PolicyGA}, {"fifo", PolicyFIFO}, {"fifo-fast", PolicyFIFOFast},
+	} {
+		if got, err := ParsePolicy(c.name); err != nil || got != c.want {
+			t.Errorf("ParsePolicy(%q) = %q, %v; want %q", c.name, got, err, c.want)
+		}
+	}
+	for _, name := range []string{"sa", "tabu", "GA", "round-robin"} {
+		_, err := ParsePolicy(name)
+		if err == nil {
+			t.Errorf("ParsePolicy(%q) accepted", name)
+			continue
+		}
+		for _, want := range []string{name, "fifo", "fifo-fast", "ga"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("ParsePolicy(%q) error %q does not name %q", name, err, want)
+			}
+		}
+	}
+}
+
 func TestGridDefaults(t *testing.T) {
 	g := smallGrid(t, Options{})
 	if g.Library().Len() != 7 {

@@ -5,13 +5,13 @@ import (
 	"testing"
 
 	"repro/internal/audit"
+	"repro/internal/ga"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
-// wideGrid builds a hierarchy wide enough (12 resources) that the
-// sharded step loop actually goes parallel: forEachLocal only fans out
-// when at least parallelMinItems locals are due at once.
+// wideGrid builds a twelve-resource, three-level hierarchy of mixed
+// hardware and node counts.
 func wideGrid(t testing.TB, opts Options) *Grid {
 	t.Helper()
 	hardware := []string{"SGIOrigin2000", "SunUltra5", "SunSPARCstation2"}
@@ -35,28 +35,32 @@ func wideGrid(t testing.TB, opts Options) *Grid {
 	return g
 }
 
-// runSharded drives a wide grid with trace and streaming audit attached
-// and returns the run's full lifecycle stream as CSV. Run under -race
-// this exercises the parallel advance/drain merge paths end to end.
-func runSharded(t *testing.T, workers int) (string, *audit.Observer) {
+// runAtWidth drives a wide GA grid with a streamed trace and the
+// streaming audit attached and returns the run's lifecycle CSV.
+func runAtWidth(t *testing.T, workers int) (string, *audit.Observer) {
 	t.Helper()
-	rec := trace.NewRecorder(100000)
+	var csv strings.Builder
+	sink := trace.NewCSVSink(&csv)
+	rec := trace.NewRecorder(1)
+	rec.SetRetention(false)
+	rec.AddSink(sink)
+	cfg := ga.DefaultConfig()
+	cfg.PopulationSize, cfg.MaxGenerations, cfg.ConvergenceWindow = 20, 10, 4
 	g := wideGrid(t, Options{
-		Policy:    PolicyFIFOFast,
+		Policy:    PolicyGA,
+		GA:        cfg,
 		UseAgents: true,
 		Seed:      77,
 		Workers:   workers,
 		Trace:     rec,
 	})
-	names := g.hier.Names()
 	obs := audit.NewObserver(g.NodesByResource())
 	g.opts.Audit = obs
-	spec := workload.Spec{
+	reqs, err := workload.Generate(workload.Spec{
 		Seed: 77, Count: 120, Interval: 0.5,
-		AgentNames: names,
+		AgentNames: g.hier.Names(),
 		Library:    g.Library(),
-	}
-	reqs, err := workload.Generate(spec)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,23 +70,25 @@ func runSharded(t *testing.T, workers int) (string, *audit.Observer) {
 	if err := g.Run(); err != nil {
 		t.Fatal(err)
 	}
-	var b strings.Builder
-	if err := rec.WriteCSV(&b); err != nil {
+	if err := sink.Close(rec.Dropped()); err != nil {
 		t.Fatal(err)
 	}
-	return b.String(), obs
+	return csv.String(), obs
 }
 
-// TestShardedStepMergeDeterminism proves the tentpole merge contract at
-// the core layer: the lifecycle stream a parallel step loop emits is
-// byte-identical to the sequential one, and the streaming audit drains
-// to zero in-flight state either way. Run with -race (CI does) it also
-// serves as the data-race probe for the sharded advance.
-func TestShardedStepMergeDeterminism(t *testing.T) {
-	seq, seqObs := runSharded(t, 1)
-	par, parObs := runSharded(t, 4)
+// TestGAWorkerWidthDeterminism pins the one thing Options.Workers
+// varies: the GA's cost-evaluation width. The lifecycle stream is
+// byte-identical at widths 1 and 4 and the streaming audit drains to
+// zero in-flight state either way. Under -race (CI) it is also the
+// data-race probe for the evaluation pool inside a full grid run.
+func TestGAWorkerWidthDeterminism(t *testing.T) {
+	seq, seqObs := runAtWidth(t, 1)
+	par, parObs := runAtWidth(t, 4)
 	if seq != par {
 		t.Fatalf("lifecycle stream differs between worker widths 1 and 4:\nseq:\n%s\npar:\n%s", seq, par)
+	}
+	if n := strings.Count(seq, ",arrive,"); n != 120 {
+		t.Fatalf("lifecycle CSV holds %d arrive rows, want 120", n)
 	}
 	for _, obs := range []*audit.Observer{seqObs, parObs} {
 		if got := obs.InFlight(); got != 0 {

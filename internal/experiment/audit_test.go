@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"encoding/csv"
 	"strings"
 	"testing"
 
@@ -134,5 +135,55 @@ func TestRunnerAuditMatchesReplay(t *testing.T) {
 				t.Fatalf("streamed audit diverges from the replay:\n got %s\nwant %s", got, want)
 			}
 		})
+	}
+}
+
+// TestRunAllTracesExperimentThreeOnly is the contract behind `gridexp
+// -tracefile` in experiment mode: a recorder handed to RunAll holds the
+// experiment-3 run and nothing else — one arrive per request, every
+// request ID once — so the streamed CSV is a trace audit.Check can
+// replay against experiment 3's records.
+func TestRunAllTracesExperimentThreeOnly(t *testing.T) {
+	p := QuickParams()
+	p.Requests = 60
+	var csvOut strings.Builder
+	sink := trace.NewCSVSink(&csvOut)
+	p.Trace = trace.NewRecorder(8*p.Requests + 64)
+	p.Trace.AddSink(sink)
+	outs, err := RunAll(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Close(p.Trace.Dropped()); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := csv.NewReader(strings.NewReader(csvOut.String())).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	arrived := map[string]bool{}
+	for _, row := range rows[1:] {
+		if row[2] != string(trace.KindArrive) {
+			continue
+		}
+		if arrived[row[3]] {
+			t.Fatalf("request %s arrives twice: more than one run shares the trace", row[3])
+		}
+		arrived[row[3]] = true
+	}
+	if len(arrived) != p.Requests {
+		t.Fatalf("trace holds %d arrivals for %d requests", len(arrived), p.Requests)
+	}
+	exp3 := outs[2]
+	replay := audit.Check(audit.Run{
+		Events:     p.Trace.Events(),
+		Records:    exp3.Records,
+		Dispatches: exp3.Dispatches,
+		Nodes:      core.NodeCounts(CaseStudyResources(), nil),
+		Report:     exp3.Report,
+		Dropped:    p.Trace.Dropped(),
+	})
+	if !replay.OK() {
+		t.Fatalf("experiment-3 trace fails the replay audit: %v", replay.Violations)
 	}
 }

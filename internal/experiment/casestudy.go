@@ -64,7 +64,7 @@ type Params struct {
 	Interval float64 // §4.1 uses 1 s
 	GA       ga.Config
 	Workers  int             // GA cost-evaluation workers per policy; ≤1 sequential, results identical either way
-	Trace    *trace.Recorder // optional lifecycle recorder
+	Trace    *trace.Recorder // optional lifecycle recorder; holds one run (RunAll: experiment 3's)
 	Audit    bool            // run the lifecycle auditor over each experiment
 	// Telemetry instruments each experiment on its own fresh registry
 	// (RunAll runs experiments concurrently, so a shared registry would
@@ -205,17 +205,17 @@ func Run(setup Setup, p Params) (Outcome, error) {
 // RunAll executes the three Table 2 experiments over the identical
 // workload, one goroutine per experiment. Each experiment builds its own
 // grid, engine and seed-derived RNGs from Params alone, so the runs are
-// independent and the outcomes identical to a sequential sweep. A shared
-// trace recorder forces the sweep sequential: interleaving three grids
-// into one ring would scramble the per-experiment event order.
+// independent and the outcomes identical to a sequential sweep. A trace
+// recorder goes to experiment 3 only, for offOn's reason: the three runs
+// mint the same ReqIDs.
 func RunAll(p Params) ([]Outcome, error) {
 	out := make([]Outcome, len(Configs))
 	errs := make([]error, len(Configs))
 	var wg sync.WaitGroup
 	for i, s := range Configs {
-		if p.Trace != nil {
-			out[i], errs[i] = Run(s, p)
-			continue
+		p := p
+		if s.ID != 3 {
+			p.Trace = nil
 		}
 		wg.Add(1)
 		go func(i int, s Setup) {

@@ -7,9 +7,10 @@ import (
 
 // megaShapeSpec is a CI-sized shrink of examples/scenarios/mega.json:
 // the same shape — generated tree, mixed per-resource node counts,
-// fifo-fast policy, relaxed deadlines, Poisson arrivals — with two
-// orders of magnitude fewer agents and requests so it runs in a
-// test-suite budget.
+// relaxed deadlines, Poisson arrivals — with two orders of magnitude
+// fewer agents and requests so it runs in a test-suite budget, and the
+// GA policy in place of fifo-fast: the GA's evaluation pool is the only
+// thing a worker width varies.
 func megaShapeSpec() Spec {
 	return Spec{
 		Name: "mega-ci",
@@ -20,15 +21,16 @@ func megaShapeSpec() Spec {
 			NodeMix:   []int{16, 8, 8, 4},
 		},
 		Arrivals:      ArrivalSpec{Process: "poisson", Count: 600, Rate: 20},
-		Policy:        "fifo-fast",
+		Policy:        "ga",
+		GA:            &GASpec{PopulationSize: 20, MaxGenerations: 10, ConvergenceWindow: 4},
 		DeadlineScale: 4,
 	}
 }
 
-// TestMegaShapeWorkerWidthStability pins the tentpole guarantee on the
-// mega-grid shape: the sharded step loop and batched exchanges must
-// produce identical results — including the executed-event count — at
-// every worker width, and the streaming audit must come back clean.
+// TestMegaShapeWorkerWidthStability pins determinism on the mega-grid
+// shape: the due-heap advance and batched exchanges must produce
+// identical results — including the executed-event count — at every GA
+// worker width, and the streaming audit must come back clean.
 func TestMegaShapeWorkerWidthStability(t *testing.T) {
 	base, err := Run(megaShapeSpec(), RunOptions{Workers: 1})
 	if err != nil {

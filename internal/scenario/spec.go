@@ -42,10 +42,10 @@ type Spec struct {
 	AppWeights    map[string]float64 `json:"app_weights,omitempty"`
 	DeadlineScale float64            `json:"deadline_scale,omitempty"`
 
-	// Policy is the local scheduling algorithm (fifo, fifo-fast, ga, sa,
-	// tabu; empty = ga). UseAgents enables agent-based service
-	// discovery; nil defaults to true — the paper's experiment 3 is the
-	// configuration a scenario usually wants to stress.
+	// Policy is the local scheduling algorithm (fifo, fifo-fast, ga;
+	// empty = ga). UseAgents enables agent-based service discovery; nil
+	// defaults to true — the paper's experiment 3 is the configuration a
+	// scenario usually wants to stress.
 	Policy    string `json:"policy,omitempty"`
 	UseAgents *bool  `json:"use_agents,omitempty"`
 

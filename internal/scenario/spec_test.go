@@ -3,6 +3,7 @@ package scenario
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/workload"
@@ -72,9 +73,15 @@ func TestSpecValidate(t *testing.T) {
 	}
 
 	bad := good
-	bad.Policy = "round-robin"
-	if err := bad.Validate(); err == nil {
-		t.Fatal("unknown policy accepted")
+	for _, name := range []string{"round-robin", "sa", "tabu"} {
+		bad.Policy = name
+		err := bad.Validate()
+		if err == nil {
+			t.Fatalf("policy %q accepted", name)
+		}
+		if !strings.Contains(err.Error(), "fifo, fifo-fast or ga") {
+			t.Fatalf("policy %q rejected without naming the accepted list: %v", name, err)
+		}
 	}
 
 	bad = good

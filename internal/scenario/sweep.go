@@ -28,8 +28,7 @@ type SweepPoint struct {
 	Result Result  `json:"result"`
 }
 
-// SweepReport is the machine-readable product of a sweep (BENCH_PR4.json
-// records one).
+// SweepReport is the machine-readable product of a sweep.
 type SweepReport struct {
 	Scenario string       `json:"scenario"`
 	Axis     string       `json:"axis"`

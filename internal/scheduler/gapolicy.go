@@ -125,3 +125,68 @@ func (g *GAPolicy) Plan(tasks []schedule.Task, res schedule.Resource, now float6
 	g.carry.remember(tasks, res2.Best)
 	return schedule.Build(res2.Best, tasks, res, now, predict)
 }
+
+// carryState carries the previous best solution across scheduling events
+// keyed by task ID.
+type carryState struct {
+	order []int
+	maps  map[int]uint64
+}
+
+func newCarryState() carryState {
+	return carryState{maps: map[int]uint64{}}
+}
+
+func (c *carryState) forget(taskID int) { delete(c.maps, taskID) }
+
+func (c *carryState) remember(tasks []schedule.Task, best schedule.Solution) {
+	c.order = c.order[:0]
+	for _, pos := range best.Order {
+		c.order = append(c.order, tasks[pos].ID)
+	}
+	fresh := make(map[int]uint64, len(tasks))
+	for pos, t := range tasks {
+		fresh[t.ID] = best.Maps[pos]
+	}
+	c.maps = fresh
+}
+
+func (c *carryState) seed(tasks []schedule.Task, numNodes int) (schedule.Solution, bool) {
+	if len(c.order) == 0 {
+		return schedule.Solution{}, false
+	}
+	posByID := make(map[int]int, len(tasks))
+	for pos, t := range tasks {
+		posByID[t.ID] = pos
+	}
+	order := make([]int, 0, len(tasks))
+	used := make(map[int]bool, len(tasks))
+	for _, id := range c.order {
+		if pos, ok := posByID[id]; ok && !used[pos] {
+			order = append(order, pos)
+			used[pos] = true
+		}
+	}
+	for pos := range tasks {
+		if !used[pos] {
+			order = append(order, pos)
+		}
+	}
+	full := uint64(1)<<uint(numNodes) - 1
+	if numNodes >= 64 {
+		full = ^uint64(0)
+	}
+	maps := make([]uint64, len(tasks))
+	for pos, t := range tasks {
+		if m, ok := c.maps[t.ID]; ok && m&full != 0 {
+			maps[pos] = m & full
+		} else {
+			maps[pos] = full
+		}
+	}
+	sol := schedule.Solution{Order: order, Maps: maps}
+	if sol.Validate(len(tasks), numNodes) != nil {
+		return schedule.Solution{}, false
+	}
+	return sol, true
+}

@@ -145,3 +145,27 @@ func TestGAPolicyName(t *testing.T) {
 		t.Fatal("wrong policy name")
 	}
 }
+
+func TestCarryStateSharedSemantics(t *testing.T) {
+	c := newCarryState()
+	if _, ok := c.seed([]schedule.Task{{ID: 1}}, 4); ok {
+		t.Fatal("fresh carry produced a seed")
+	}
+	tasks := []schedule.Task{{ID: 1}, {ID: 2}}
+	c.remember(tasks, schedule.Solution{Order: []int{1, 0}, Maps: []uint64{0b01, 0b10}})
+	seed, ok := c.seed(tasks, 2)
+	if !ok {
+		t.Fatal("no seed after remember")
+	}
+	if seed.Order[0] != 1 || seed.Order[1] != 0 {
+		t.Fatalf("carry lost order: %v", seed.Order)
+	}
+	if seed.Maps[0] != 0b01 || seed.Maps[1] != 0b10 {
+		t.Fatalf("carry lost maps: %v", seed.Maps)
+	}
+	c.forget(1)
+	seed, _ = c.seed(tasks, 2)
+	if seed.Maps[0] != 0b11 { // forgotten task falls back to the full pool
+		t.Fatalf("forgotten task kept its mask: %b", seed.Maps[0])
+	}
+}

@@ -3,8 +3,6 @@ package scheduler
 import (
 	"reflect"
 	"testing"
-
-	"repro/internal/sim"
 )
 
 // policyCases enumerates every planning policy; blocked-window behaviour
@@ -20,8 +18,6 @@ func policyCases() []struct {
 		{"fifo", func() Policy { return NewFIFOPolicy() }},
 		{"fast-fifo", func() Policy { return NewFastFIFOPolicy() }},
 		{"ga", func() Policy { return newGAForTest(1) }},
-		{"sa", func() Policy { return NewSAPolicy(sim.NewRNG(2)) }},
-		{"tabu", func() Policy { return NewTabuPolicy(sim.NewRNG(3)) }},
 	}
 }
 

@@ -11,9 +11,12 @@ import (
 // recorded at promotion carrying future end times — so the sink holds a
 // small reorder buffer (a min-heap on (Time, Seq)) and flushes rows only
 // once the grid's Advance watermark proves nothing earlier can still
-// arrive. The output is byte-identical to Recorder.WriteCSV over the same
-// events, but memory is bounded by the in-flight window instead of the
-// run length: a 1M-request trace streams to disk as it happens.
+// arrive. Memory is bounded by the in-flight window instead of the run
+// length: a 1M-request trace streams to disk as it happens.
+//
+// The request column is the grid-wide request ID (empty for non-task
+// events such as peerdown); task is the scheduler-local ID on the
+// resource.
 type CSVSink struct {
 	w      *csv.Writer
 	heap   csvHeap
@@ -53,9 +56,11 @@ func (s *CSVSink) Advance(now float64) {
 	}
 }
 
-// Close drains the reorder buffer, appends the dropped-events trailer
-// (when dropped > 0, mirroring WriteCSV) and flushes. It returns the
-// first error encountered over the sink's lifetime.
+// Close drains the reorder buffer and flushes. When the recorder's ring
+// evicted events (dropped > 0), a final trailer row ("dropped", <count>)
+// makes the loss visible in the file itself — a trace missing its oldest
+// events must not pass for a complete one. It returns the first error
+// encountered over the sink's lifetime.
 func (s *CSVSink) Close(dropped uint64) error {
 	for len(s.heap) > 0 {
 		s.writeRow(s.heap.pop())
@@ -98,8 +103,8 @@ func (s *CSVSink) writeRow(ev Event) {
 	})
 }
 
-// csvHeap is a min-heap of events on (Time, Seq) — the same total order
-// eventsByTime sorts by, so streamed rows match the batch export exactly.
+// csvHeap is a min-heap of events on (Time, Seq): rows read
+// chronologically, with record order breaking ties.
 type csvHeap []Event
 
 func (h csvHeap) less(i, j int) bool {

@@ -7,11 +7,8 @@
 package trace
 
 import (
-	"encoding/csv"
 	"fmt"
-	"io"
 	"sort"
-	"strconv"
 	"sync"
 )
 
@@ -288,74 +285,6 @@ func (r *Recorder) CountByKind() map[Kind]int {
 		out[ev.Kind]++
 	}
 	return out
-}
-
-// eventsByTime returns the retained events sorted by virtual time (Seq
-// breaks ties). Record order is not virtual-time order: completions are
-// recorded when a task is promoted into execution, carrying their future
-// completion instant, so exports sorted this way read chronologically.
-func (r *Recorder) eventsByTime() []Event {
-	out := r.Events()
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Time != out[j].Time {
-			return out[i].Time < out[j].Time
-		}
-		return out[i].Seq < out[j].Seq
-	})
-	return out
-}
-
-// WriteText renders the retained events one per line, in virtual-time
-// order.
-func (r *Recorder) WriteText(w io.Writer) error {
-	for _, ev := range r.eventsByTime() {
-		if _, err := fmt.Fprintln(w, ev.String()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteCSV exports the retained events as CSV with a header row, in
-// virtual-time order. The request column is the grid-wide request ID
-// (empty for non-task events such as peerdown); task is the
-// scheduler-local ID on the resource. When the ring evicted events, a
-// final trailer row ("dropped", <count>) makes the loss visible in the
-// file itself — a trace missing its oldest events must not pass for a
-// complete one.
-func (r *Recorder) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"seq", "time", "kind", "request", "agent", "resource", "task", "app", "detail"}); err != nil {
-		return err
-	}
-	for _, ev := range r.eventsByTime() {
-		req := ""
-		if ev.Kind.TaskBearing() {
-			req = strconv.FormatUint(ev.ReqID, 10)
-		}
-		rec := []string{
-			strconv.FormatUint(ev.Seq, 10),
-			strconv.FormatFloat(ev.Time, 'f', 3, 64),
-			string(ev.Kind),
-			req,
-			ev.Agent,
-			ev.Resource,
-			strconv.Itoa(ev.TaskID),
-			ev.App,
-			ev.Detail,
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	if d := r.Dropped(); d > 0 {
-		trailer := []string{"dropped", strconv.FormatUint(d, 10), "", "", "", "", "", "", ""}
-		if err := cw.Write(trailer); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 // Summary aggregates per-kind counts into a stable one-line description.

@@ -58,13 +58,6 @@ type Client struct {
 	BackoffMax      time.Duration // backoff cap
 	JitterSeed      uint64        // seeds deterministic backoff jitter
 
-	// Jitter, when set, replaces the hash-derived jitter with draws from
-	// a shared RNG stream (mutex-guarded: node goroutines retry
-	// concurrently). Opt-in: nil keeps the JitterSeed/address/attempt
-	// schedule byte-for-byte, so existing deployments and tests see the
-	// exact delays they always did.
-	Jitter *JitterSource
-
 	// Sleep is called between attempts; tests inject a recorder so retry
 	// schedules are asserted without wall-clock sleeps. Nil means
 	// time.Sleep.
@@ -157,12 +150,7 @@ func (c *Client) Backoff(addr string, attempt int) time.Duration {
 	if d > max {
 		d = max
 	}
-	var jitter uint64
-	if c.Jitter != nil {
-		jitter = c.Jitter.draw()
-	} else {
-		jitter = splitmix64(c.JitterSeed ^ hashAddr(addr) ^ uint64(attempt))
-	}
+	jitter := splitmix64(c.JitterSeed ^ hashAddr(addr) ^ uint64(attempt))
 	return d + time.Duration(jitter%uint64(d/2+1))
 }
 

@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"net"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/sim"
 	"repro/internal/xmlmsg"
 )
 
@@ -160,10 +158,9 @@ func TestBackoffCapsAtMax(t *testing.T) {
 	}
 }
 
-// TestBackoffWithoutJitterSourceIsByteIdentical pins the opt-in
-// contract of Client.Jitter: a nil source must reproduce the original
-// hash-derived schedule exactly — the delay for every (seed, address,
-// attempt) triple is the same value it was before the field existed.
+// TestBackoffWithoutJitterSourceIsByteIdentical pins the one backoff
+// schedule there is: the delay for every (seed, address, attempt) triple
+// is the hash-derived value deployments have always seen.
 func TestBackoffWithoutJitterSourceIsByteIdentical(t *testing.T) {
 	c := NewPooledClient(PoolConfig{})
 	c.JitterSeed = 42
@@ -178,8 +175,8 @@ func TestBackoffWithoutJitterSourceIsByteIdentical(t *testing.T) {
 			if d > max {
 				d = max
 			}
-			// The pre-Jitter formula, inlined: any drift here means a
-			// deployment that never set Jitter changed behaviour.
+			// The formula, inlined: any drift here means deployed retry
+			// schedules changed.
 			jitter := splitmix64(c.JitterSeed ^ hashAddr(addr) ^ uint64(attempt))
 			want := d + time.Duration(jitter%uint64(d/2+1))
 			if got := c.Backoff(addr, attempt); got != want {
@@ -187,48 +184,4 @@ func TestBackoffWithoutJitterSourceIsByteIdentical(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestBackoffJitterSourceDrawsFromRNGStream exercises the opt-in path:
-// the same seed replays the same schedule, successive retries to one
-// peer differ (the stream advances), and concurrent draws are safe
-// (meaningful under -race).
-func TestBackoffJitterSourceDrawsFromRNGStream(t *testing.T) {
-	mk := func() *Client {
-		c := NewPooledClient(PoolConfig{})
-		c.Jitter = NewJitterSource(sim.NewRNG(7))
-		return c
-	}
-	a, b := mk(), mk()
-	var seqA, seqB []time.Duration
-	for attempt := 1; attempt <= 4; attempt++ {
-		seqA = append(seqA, a.Backoff("x:1", attempt))
-		seqB = append(seqB, b.Backoff("x:1", attempt))
-	}
-	for i := range seqA {
-		if seqA[i] != seqB[i] {
-			t.Fatalf("same seed, different schedule at %d: %v vs %v", i, seqA[i], seqB[i])
-		}
-	}
-	// Re-drawing the same (addr, attempt) advances the stream: unlike
-	// hash jitter, a repeated retry spreads differently.
-	if x, y := a.Backoff("x:1", 1), a.Backoff("x:1", 1); x == y {
-		t.Fatalf("stream jitter repeated a delay: %v", x)
-	}
-	if NewJitterSource(nil) != nil {
-		t.Fatal("NewJitterSource(nil) must return a nil source")
-	}
-
-	c := mk()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 1; i <= 50; i++ {
-				_ = c.Backoff("x:1", i%4+1)
-			}
-		}()
-	}
-	wg.Wait()
 }

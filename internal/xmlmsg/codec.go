@@ -1,10 +1,8 @@
 package xmlmsg
 
 import (
-	"bytes"
 	"encoding/xml"
 	"fmt"
-	"io"
 )
 
 // Kind discriminates the agentgrid message types on the wire.
@@ -60,29 +58,4 @@ func Decode(data []byte) (interface{}, Kind, error) {
 		return &m, KindResult, nil
 	}
 	return decodeExtended(env, data)
-}
-
-// Pretty re-indents an XML document for display; invalid input is
-// returned unchanged.
-func Pretty(data []byte) string {
-	var buf bytes.Buffer
-	dec := xml.NewDecoder(bytes.NewReader(data))
-	enc := xml.NewEncoder(&buf)
-	enc.Indent("", "  ")
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return string(data)
-		}
-		if err := enc.EncodeToken(tok); err != nil {
-			return string(data)
-		}
-	}
-	if err := enc.Flush(); err != nil {
-		return string(data)
-	}
-	return buf.String()
 }

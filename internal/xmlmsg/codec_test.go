@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"io"
-	"strings"
 	"testing"
 )
 
@@ -45,18 +44,6 @@ func TestMessagesShareOneStream(t *testing.T) {
 	}
 	if _, _, err := read(); err != io.EOF {
 		t.Fatalf("EOF not surfaced: %v", err)
-	}
-}
-
-func TestPretty(t *testing.T) {
-	in := []byte(`<a><b>1</b></a>`)
-	out := Pretty(in)
-	if !strings.Contains(out, "\n") || !strings.Contains(out, "<b>1</b>") {
-		t.Fatalf("Pretty output %q", out)
-	}
-	// Invalid input passes through unchanged.
-	if got := Pretty([]byte("<broken")); got != "<broken" {
-		t.Fatalf("Pretty on invalid input = %q", got)
 	}
 }
 
