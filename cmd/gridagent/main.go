@@ -34,6 +34,7 @@ import (
 	"syscall"
 
 	"repro/internal/agent"
+	"repro/internal/ga"
 	"repro/internal/pace"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
@@ -50,7 +51,7 @@ func main() {
 		upper   = flag.String("upper", "", "upper agent as name=host:port")
 		join    = flag.Bool("join", false, "register with -upper over the wire after startup (dynamic membership) and deregister gracefully on shutdown")
 		lowers  = flag.String("lowers", "", "comma-separated lower agents as name=host:port")
-		policy  = flag.String("policy", "ga", "local scheduling policy: ga or fifo")
+		policy  = flag.String("policy", "ga", "local scheduling policy: fifo, fifo-fast or ga")
 		seed    = flag.Uint64("seed", 1, "GA random seed")
 		pull    = flag.Float64("pull", agent.DefaultPullPeriod, "advertisement pull period in seconds")
 		push    = flag.Bool("push", false, "also push advertisements to neighbours on freetime changes (§3.1)")
@@ -78,7 +79,7 @@ func main() {
 		fail(fmt.Errorf("unknown hardware %q (try -list-hw)", *hwName))
 	}
 	engine := pace.NewEngine()
-	pol, err := transport.NewPolicy(*policy, sim.NewRNG(*seed))
+	pol, err := scheduler.NewPolicy(*policy, ga.DefaultConfig(), sim.NewRNG(*seed))
 	fail(err)
 	cfg := scheduler.Config{
 		Name: *name, HW: hw, NumNodes: *nodes, Policy: pol, Engine: engine,
@@ -118,7 +119,7 @@ func main() {
 		fail(err)
 		upperName, upperAddr = p.Name, p.Addr
 		if !*join {
-			fail(node.Agent().SetUpper(p))
+			fail(node.SetUpper(p))
 		}
 	} else if *join {
 		fail(fmt.Errorf("-join needs an -upper to register with"))
@@ -126,7 +127,7 @@ func main() {
 	for _, spec := range splitList(*lowers) {
 		p, err := parsePeer(spec, lib)
 		fail(err)
-		fail(node.Agent().AddLower(p))
+		fail(node.AddLower(p))
 	}
 
 	node.SetClockOrigin(transport.MidnightOrigin())

@@ -24,7 +24,7 @@ func main() {
 	var (
 		base    = flag.Int("base", 7100, "first TCP port; agents take consecutive ports")
 		host    = flag.String("host", "127.0.0.1", "bind host")
-		policy  = flag.String("policy", "ga", "local scheduling policy: ga or fifo")
+		policy  = flag.String("policy", "ga", "local scheduling policy: fifo, fifo-fast or ga")
 		seed    = flag.Uint64("seed", 1, "GA random seed")
 		pull    = flag.Float64("pull", 10, "advertisement pull period in seconds")
 		push    = flag.Bool("push", false, "event-triggered advertisement pushes")

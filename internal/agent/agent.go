@@ -9,8 +9,10 @@
 package agent
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/pace"
 	"repro/internal/scheduler"
@@ -36,14 +38,7 @@ type Request struct {
 }
 
 // visited reports whether name already evaluated this request.
-func (r *Request) visited(name string) bool {
-	for _, v := range r.Visited {
-		if v == name {
-			return true
-		}
-	}
-	return false
-}
+func (r *Request) visited(name string) bool { return slices.Contains(r.Visited, name) }
 
 // Dispatch reports where a request ended up.
 type Dispatch struct {
@@ -239,9 +234,9 @@ func (a *Agent) healthOf(name string) *peerHealth {
 
 // RecordPeerFailure counts one failed exchange with the named peer,
 // tripping its circuit at FailureThreshold consecutive failures. It
-// reports whether this failure newly tripped the breaker. The networked
-// node calls this for exchanges it performs outside the agent; the
-// in-process paths call it internally.
+// reports whether this failure newly tripped the breaker. Every exchange
+// the agent performs is counted through recordExchange; the method is
+// exported for drivers that learn of a dead peer some other way.
 func (a *Agent) RecordPeerFailure(name string) bool {
 	h := a.healthOf(name)
 	h.consecFails++
@@ -278,9 +273,32 @@ func (a *Agent) PeerTripped(name string) bool {
 	return ok && h.tripped
 }
 
-// CountFailedPull bumps the failed-pull counter for an externally
-// driven refresh attempt that errored.
-func (a *Agent) CountFailedPull() { a.stats.failedPulls.Inc() }
+// peerAnswered asks a failed exchange's error who answered. A peer over a
+// real wire fails in two ways: it answered with a refusal (alive, so its
+// breaker must not trip), or nothing came back. The wire's error type says
+// which through a PeerAnswered method; known is false for an error without
+// one — every in-process peer, the fault gate — which keeps the single
+// meaning an error has in the simulator.
+func peerAnswered(err error) (answered, known bool) {
+	var e interface{ PeerAnswered() bool }
+	if errors.As(err, &e) {
+		return e.PeerAnswered(), true
+	}
+	return false, false
+}
+
+// recordExchange feeds the named peer's circuit breaker with the outcome
+// of one exchange: nil or a refusal the peer itself sent closes the
+// circuit, anything else counts against it.
+func (a *Agent) recordExchange(name string, err error) {
+	if err != nil {
+		if answered, _ := peerAnswered(err); !answered {
+			a.RecordPeerFailure(name)
+			return
+		}
+	}
+	a.RecordPeerSuccess(name)
+}
 
 // CountRedispatch records that this agent re-placed a task rescued from
 // a failed resource (the injector drives the re-dispatch through
@@ -454,12 +472,11 @@ func (a *Agent) PullBatched(now float64, base func(name string) (scheduler.Servi
 				info, err = n.PullService()
 			}
 		}
+		a.recordExchange(name, err)
 		if err != nil {
 			a.stats.failedPulls.Inc()
-			a.RecordPeerFailure(name)
 			continue
 		}
-		a.RecordPeerSuccess(name)
 		a.cache[name] = cachedService{
 			info:      info,
 			agentName: name,
@@ -469,28 +486,18 @@ func (a *Agent) PullBatched(now float64, base func(name string) (scheduler.Servi
 	a.stats.pulls.Inc()
 }
 
-// StoreAdvertisement records a neighbour's advertisement pulled by an
-// external driver (the networked node pulls outside the agent lock to
-// avoid distributed deadlock, then stores the results through here).
-func (a *Agent) StoreAdvertisement(name string, info scheduler.ServiceInfo, now float64) {
-	a.cache[name] = cachedService{info: info, agentName: name, pulledAt: now}
-}
-
-// CountPull bumps the pull counter for an externally driven refresh.
-func (a *Agent) CountPull() { a.stats.pulls.Inc() }
-
 // PushAdvertisement implements AdvertSink: record a neighbour's pushed
 // service information.
 func (a *Agent) PushAdvertisement(from string, info scheduler.ServiceInfo, now float64) error {
-	a.StoreAdvertisement(from, info, now)
+	a.cache[from] = cachedService{info: info, agentName: from, pulledAt: now}
 	a.stats.pushesReceived.Inc()
 	return nil
 }
 
-// ShouldPush reports whether the agent's service information has drifted
+// shouldPush reports whether the agent's service information has drifted
 // enough from the last pushed advertisement to justify an event-triggered
 // push, returning the current information either way.
-func (a *Agent) ShouldPush() (scheduler.ServiceInfo, bool) {
+func (a *Agent) shouldPush() (scheduler.ServiceInfo, bool) {
 	si := a.local.ServiceInfo()
 	if a.pushedOnce {
 		delta := si.Freetime - a.lastPushedFreetime
@@ -504,9 +511,9 @@ func (a *Agent) ShouldPush() (scheduler.ServiceInfo, bool) {
 	return si, true
 }
 
-// MarkPushed records that the advertisement was delivered to sent
-// neighbours; subsequent ShouldPush calls measure drift from this point.
-func (a *Agent) MarkPushed(si scheduler.ServiceInfo, sent int) {
+// markPushed records that the advertisement was delivered to sent
+// neighbours; subsequent shouldPush calls measure drift from this point.
+func (a *Agent) markPushed(si scheduler.ServiceInfo, sent int) {
 	if sent <= 0 {
 		return
 	}
@@ -518,10 +525,10 @@ func (a *Agent) MarkPushed(si scheduler.ServiceInfo, sent int) {
 // MaybePush pushes the agent's advertisement to every neighbour that
 // accepts pushes when the freetime has drifted past PushThreshold since
 // the last push. It returns the number of neighbours updated. The
-// networked node drives ShouldPush/MarkPushed itself so the deliveries
-// can happen outside its lock.
+// simulator and the networked node both call it after a task lands on
+// this agent's resource.
 func (a *Agent) MaybePush(now float64) int {
-	si, ok := a.ShouldPush()
+	si, ok := a.shouldPush()
 	if !ok {
 		return 0
 	}
@@ -531,18 +538,16 @@ func (a *Agent) MaybePush(now float64) int {
 		if !ok {
 			continue
 		}
-		if err := a.gateErr(n.PeerName(), now); err != nil {
-			a.RecordPeerFailure(n.PeerName())
-			continue
+		err := a.gateErr(n.PeerName(), now)
+		if err == nil {
+			err = sink.PushAdvertisement(a.name, si, now)
 		}
-		if err := sink.PushAdvertisement(a.name, si, now); err != nil {
-			a.RecordPeerFailure(n.PeerName())
-			continue
+		a.recordExchange(n.PeerName(), err)
+		if err == nil {
+			sent++
 		}
-		a.RecordPeerSuccess(n.PeerName())
-		sent++
 	}
-	a.MarkPushed(si, sent)
+	a.markPushed(si, sent)
 	return sent
 }
 
@@ -564,9 +569,10 @@ func (a *Agent) Handle(req Request, now float64) (Dispatch, error) {
 	return a.HandleRequest(req, now)
 }
 
-// SubmitDirect implements Peer.
+// SubmitDirect implements Peer. Like AcceptLocal it floors now at the
+// scheduler's own clock.
 func (a *Agent) SubmitDirect(req Request, now float64) (Dispatch, error) {
-	id, err := a.local.SubmitRequest(req.App, req.Deadline, now, req.ReqID)
+	id, err := a.local.SubmitRequest(req.App, req.Deadline, max(now, a.local.Now()), req.ReqID)
 	if err != nil {
 		return Dispatch{}, err
 	}
@@ -619,12 +625,7 @@ func (a *Agent) fresh(cs cachedService, now float64) bool {
 // supportsEnv checks a cached advertisement against the request's
 // execution environment (the straightforward part of matchmaking, §3.2).
 func supportsEnv(cs cachedService, env string) bool {
-	for _, e := range cs.info.Environments {
-		if e == env {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(cs.info.Environments, env)
 }
 
 // DecisionKind classifies the outcome of one discovery step at an agent.
@@ -649,8 +650,8 @@ const (
 )
 
 // Decision is one discovery step: what to do, with whom, and the visited
-// list to carry forward. Decide performs no dispatch itself, which lets
-// the networked node release its lock before calling the peer.
+// list to carry forward. Decide performs no dispatch itself; HandleRequest
+// carries the decision out.
 type Decision struct {
 	Kind    DecisionKind
 	Peer    Peer    // set for Forward, Escalate and FallbackRemote
@@ -718,42 +719,29 @@ func (a *Agent) Decide(req Request, now float64) Decision {
 	return d
 }
 
-// callHandle forwards the request to the peer for discovery, feeding
-// the peer's circuit breaker: a gate block counts exactly like a
-// transport failure, a success closes a tripped breaker.
-func (a *Agent) callHandle(p Peer, req Request, now float64) (Dispatch, error) {
-	if err := a.gateErr(p.PeerName(), now); err != nil {
-		a.RecordPeerFailure(p.PeerName())
-		return Dispatch{}, err
+// callPeer sends the request to the peer — for discovery, or with direct
+// set straight onto its scheduler's queue — feeding the peer's circuit
+// breaker: a gate block counts exactly like a transport failure, a success
+// (or a refusal the peer itself sent) closes a tripped breaker.
+func (a *Agent) callPeer(p Peer, req Request, now float64, direct bool) (d Dispatch, err error) {
+	if err = a.gateErr(p.PeerName(), now); err == nil {
+		if direct {
+			d, err = p.SubmitDirect(req, now)
+		} else {
+			d, err = p.Handle(req, now)
+		}
 	}
-	d, err := p.Handle(req, now)
-	if err != nil {
-		a.RecordPeerFailure(p.PeerName())
-		return Dispatch{}, err
-	}
-	a.RecordPeerSuccess(p.PeerName())
-	return d, nil
-}
-
-// callSubmitDirect queues the task on the peer's scheduler directly,
-// with the same health tracking as callHandle.
-func (a *Agent) callSubmitDirect(p Peer, req Request, now float64) (Dispatch, error) {
-	if err := a.gateErr(p.PeerName(), now); err != nil {
-		a.RecordPeerFailure(p.PeerName())
-		return Dispatch{}, err
-	}
-	d, err := p.SubmitDirect(req, now)
-	if err != nil {
-		a.RecordPeerFailure(p.PeerName())
-		return Dispatch{}, err
-	}
-	a.RecordPeerSuccess(p.PeerName())
-	return d, nil
+	a.recordExchange(p.PeerName(), err)
+	return d, err
 }
 
 // HandleRequest runs discovery and carries out the decision, recursing
-// through in-process peers. The networked node drives the same Decide
-// logic itself so it can release its lock around remote calls.
+// through its peers: in-process agents in the simulator, wire stubs under
+// a networked node, which holds its lock around this call and releases it
+// inside each stub for the length of the exchange — so the scheduler's
+// clock may have moved on when a stub returns (see AcceptLocal). A forward
+// reports Hops = len(Visited) at every agent on the way back, so the
+// submitter sees the first agent's count.
 //
 // Every peer failure en route (dead agent, severed link) re-enters the
 // eq. 10 machinery — escalation, then the best-effort fallback — so a
@@ -766,7 +754,7 @@ func (a *Agent) HandleRequest(req Request, now float64) (Dispatch, error) {
 	case DecideLocal:
 		return a.AcceptLocal(req, now, dec.Eta, false)
 	case DecideForward:
-		d, err := a.callHandle(dec.Peer, req, now)
+		d, err := a.callPeer(dec.Peer, req, now, false)
 		if err == nil {
 			d.Hops = len(req.Visited) // approximate travel count
 			return d, nil
@@ -778,7 +766,7 @@ func (a *Agent) HandleRequest(req Request, now float64) (Dispatch, error) {
 		if a.upper != nil && !req.visited(a.upper.PeerName()) && !failed[a.upper.PeerName()] &&
 			!a.PeerTripped(a.upper.PeerName()) {
 			a.stats.escalated.Inc()
-			if d, err := a.callHandle(a.upper, req, now); err == nil {
+			if d, err := a.callPeer(a.upper, req, now, false); err == nil {
 				return d, nil
 			}
 			failed[a.upper.PeerName()] = true
@@ -786,7 +774,7 @@ func (a *Agent) HandleRequest(req Request, now float64) (Dispatch, error) {
 		a.stats.fallbacks.Inc()
 		return a.dispatchFallback(req, now, failed)
 	case DecideEscalate:
-		d, err := a.callHandle(dec.Peer, req, now)
+		d, err := a.callPeer(dec.Peer, req, now, false)
 		if err == nil {
 			return d, nil
 		}
@@ -796,7 +784,7 @@ func (a *Agent) HandleRequest(req Request, now float64) (Dispatch, error) {
 	case DecideFallbackLocal:
 		return a.AcceptLocal(req, now, dec.Eta, true)
 	case DecideFallbackRemote:
-		d, err := a.callSubmitDirect(dec.Peer, req, now)
+		d, err := a.callPeer(dec.Peer, req, now, true)
 		if err != nil {
 			// Best-effort target gone too: retry excluding it.
 			return a.dispatchFallback(req, now, map[string]bool{dec.Peer.PeerName(): true})
@@ -840,7 +828,7 @@ func (a *Agent) HandleMigration(req Request, now float64) (Dispatch, error) {
 		}
 	}
 	if target, _, ok := a.bestNeighbour(req, now); ok {
-		d, err := a.callHandle(target, req, now)
+		d, err := a.callPeer(target, req, now, false)
 		if err == nil {
 			a.stats.received.Inc()
 			a.stats.forwarded.Inc()
@@ -851,9 +839,15 @@ func (a *Agent) HandleMigration(req Request, now float64) (Dispatch, error) {
 	return Dispatch{}, ErrNoMigrationTarget
 }
 
-// AcceptLocal submits the request to this agent's own scheduler.
+// AcceptLocal submits the request to this agent's own scheduler, flooring
+// now at the scheduler's clock. When one driver moves both — always, in
+// the simulator — the scheduler is never ahead of now. Under a networked
+// node a failing exchange can outlast a tick of the node's clock, which
+// advances the scheduler past the now this call began with; submitting at
+// that now would panic AdvanceTo ("clock moved backwards"), which rightly
+// treats a backwards clock as a bug.
 func (a *Agent) AcceptLocal(req Request, now, eta float64, fallback bool) (Dispatch, error) {
-	id, err := a.local.SubmitRequest(req.App, req.Deadline, now, req.ReqID)
+	id, err := a.local.SubmitRequest(req.App, req.Deadline, max(now, a.local.Now()), req.ReqID)
 	if err != nil {
 		return Dispatch{}, err
 	}
@@ -938,7 +932,7 @@ func (a *Agent) dispatchFallback(req Request, now float64, exclude map[string]bo
 		if local {
 			return a.AcceptLocal(req, now, eta, true)
 		}
-		d, err := a.callSubmitDirect(peer, req, now)
+		d, err := a.callPeer(peer, req, now, true)
 		if err != nil {
 			if exclude == nil {
 				exclude = map[string]bool{}

@@ -72,16 +72,16 @@ func TestShouldPushThreshold(t *testing.T) {
 	_, child := pair(t, e)
 	child.PushThreshold = 100
 
-	si, ok := child.ShouldPush()
+	si, ok := child.shouldPush()
 	if !ok {
-		t.Fatal("first ShouldPush suppressed")
+		t.Fatal("first shouldPush suppressed")
 	}
-	child.MarkPushed(si, 1)
+	child.markPushed(si, 1)
 	// Drift below the threshold: suppressed.
 	if _, err := child.Local().Submit(appOf(t, "closure"), 1e9, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := child.ShouldPush(); ok {
+	if _, ok := child.shouldPush(); ok {
 		t.Fatal("sub-threshold drift triggered a push")
 	}
 }
@@ -89,12 +89,12 @@ func TestShouldPushThreshold(t *testing.T) {
 func TestMarkPushedIgnoresZeroSent(t *testing.T) {
 	e := pace.NewEngine()
 	_, child := pair(t, e)
-	si, _ := child.ShouldPush()
-	child.MarkPushed(si, 0)
+	si, _ := child.shouldPush()
+	child.markPushed(si, 0)
 	if child.Stats().PushesSent != 0 {
 		t.Fatal("zero-delivery push counted")
 	}
-	if _, ok := child.ShouldPush(); !ok {
+	if _, ok := child.shouldPush(); !ok {
 		t.Fatal("failed push suppressed the retry")
 	}
 }

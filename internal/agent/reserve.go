@@ -3,6 +3,7 @@ package agent
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -74,16 +75,9 @@ type ReserveOp struct {
 	Visited []string
 }
 
-// HasVisited reports whether the op has already passed through the
+// visited reports whether the op has already passed through the
 // named agent.
-func (op *ReserveOp) HasVisited(name string) bool {
-	for _, v := range op.Visited {
-		if v == name {
-			return true
-		}
-	}
-	return false
-}
+func (op *ReserveOp) visited(name string) bool { return slices.Contains(op.Visited, name) }
 
 // ReserveReply answers a ReserveOp: the aggregated quotes for a quote
 // op, the scheduler-local task ID for a confirm.
@@ -134,7 +128,7 @@ func (a *Agent) HandleReserve(op ReserveOp, now float64) (ReserveReply, error) {
 	if op.Action == ReserveQuoteOp && op.Resource == "" {
 		reply := a.floodQuote(op, now)
 		if origin {
-			reply.Quotes = SortQuotes(reply.Quotes)
+			reply.Quotes = sortQuotes(reply.Quotes)
 		}
 		return reply, nil
 	}
@@ -143,7 +137,7 @@ func (a *Agent) HandleReserve(op ReserveOp, now float64) (ReserveReply, error) {
 	}
 	for _, n := range a.neighbours() {
 		rp, ok := n.(ReservePeer)
-		if !ok || op.HasVisited(n.PeerName()) || a.PeerTripped(n.PeerName()) {
+		if !ok || op.visited(n.PeerName()) || a.PeerTripped(n.PeerName()) {
 			continue
 		}
 		if err := a.gateErr(n.PeerName(), now); err != nil {
@@ -159,6 +153,15 @@ func (a *Agent) HandleReserve(op ReserveOp, now float64) (ReserveReply, error) {
 			// The peer answered — the target just isn't in that direction.
 			a.RecordPeerSuccess(n.PeerName())
 			continue
+		}
+		if answered, known := peerAnswered(err); known {
+			// Over a wire: nothing coming back is one more direction that
+			// does not lead to the target, like a gate block; an answer is
+			// the refusal below, sent by a live peer.
+			a.recordExchange(n.PeerName(), err)
+			if !answered {
+				continue
+			}
 		}
 		// The op reached its target and was refused (overlap, expired
 		// hold, …): that is the protocol answer, not a routing failure.
@@ -183,7 +186,7 @@ func (a *Agent) floodQuote(op ReserveOp, now float64) ReserveReply {
 	}
 	for _, n := range a.neighbours() {
 		rp, ok := n.(ReservePeer)
-		if !ok || op.HasVisited(n.PeerName()) || a.PeerTripped(n.PeerName()) {
+		if !ok || op.visited(n.PeerName()) || a.PeerTripped(n.PeerName()) {
 			continue
 		}
 		if err := a.gateErr(n.PeerName(), now); err != nil {
@@ -191,20 +194,19 @@ func (a *Agent) floodQuote(op ReserveOp, now float64) ReserveReply {
 			continue
 		}
 		r, err := rp.HandleReserve(op, now)
+		a.recordExchange(n.PeerName(), err)
 		if err != nil {
-			a.RecordPeerFailure(n.PeerName())
 			continue
 		}
-		a.RecordPeerSuccess(n.PeerName())
 		reply.Quotes = append(reply.Quotes, r.Quotes...)
 	}
 	return reply
 }
 
-// SortQuotes is what a flood's origin does to the quotes it gathered:
+// sortQuotes is what a flood's origin does to the quotes it gathered:
 // keep each resource's first quote and order them by (start, resource).
 // It reorders quotes in place and returns the deduplicated prefix.
-func SortQuotes(quotes []scheduler.ReserveQuote) []scheduler.ReserveQuote {
+func sortQuotes(quotes []scheduler.ReserveQuote) []scheduler.ReserveQuote {
 	seen := make(map[string]bool, len(quotes))
 	uniq := quotes[:0]
 	for _, q := range quotes {
@@ -220,14 +222,6 @@ func SortQuotes(quotes []scheduler.ReserveQuote) []scheduler.ReserveQuote {
 		return uniq[i].Resource < uniq[j].Resource
 	})
 	return uniq
-}
-
-// ApplyReserve executes the op against this agent's own scheduler with
-// no routing — the networked node drives routing itself (remote calls
-// must happen outside its lock) and applies the local share through
-// here.
-func (a *Agent) ApplyReserve(op ReserveOp, now float64) (ReserveReply, error) {
-	return a.applyReserve(op, now)
 }
 
 // applyReserve executes the op against this agent's own scheduler.

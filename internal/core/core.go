@@ -380,9 +380,13 @@ func (g *Grid) buildResource(spec ResourceSpec, master *sim.RNG) (*agent.Agent, 
 	if _, dup := g.locals[spec.Name]; dup {
 		return nil, fmt.Errorf("core: duplicate resource %q", spec.Name)
 	}
-	pol, err := g.newPolicy(master.Split())
+	pol, err := scheduler.NewPolicy(string(g.opts.Policy), g.opts.GA, master.Split())
 	if err != nil {
 		return nil, err
+	}
+	if p, ok := pol.(*scheduler.GAPolicy); ok {
+		p.Weights = g.opts.Weights
+		p.FrontWeighted = !g.opts.DisableFrontWeightedIdle
 	}
 	cfg := scheduler.Config{
 		Name:         spec.Name,
@@ -427,21 +431,6 @@ func (g *Grid) buildResource(spec ResourceSpec, master *sim.RNG) (*agent.Agent, 
 	}
 	g.locals[spec.Name] = local
 	return a, nil
-}
-
-func (g *Grid) newPolicy(rng *sim.RNG) (scheduler.Policy, error) {
-	switch g.opts.Policy {
-	case PolicyFIFO:
-		return scheduler.NewFIFOPolicy(), nil
-	case PolicyFIFOFast:
-		return scheduler.NewFastFIFOPolicy(), nil
-	case PolicyGA:
-		p := scheduler.NewGAPolicy(g.opts.GA, rng)
-		p.Weights = g.opts.Weights
-		p.FrontWeighted = !g.opts.DisableFrontWeightedIdle
-		return p, nil
-	}
-	return nil, fmt.Errorf("core: unknown policy %q", g.opts.Policy)
 }
 
 // Library returns the application model library.

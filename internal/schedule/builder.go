@@ -72,7 +72,7 @@ func (s *Schedule) ItemFor(taskPos int) (Placed, bool) {
 // an illegitimate solution; genetic operators maintain legitimacy, so a
 // violation is a programming error.
 func Build(sol Solution, tasks []Task, res Resource, base float64, predict Predictor) *Schedule {
-	return build(sol, tasks, res, base, predict, false)
+	return oneShot(sol, tasks, res, predict, false).Build(sol, base)
 }
 
 // BuildSequential is Build with strict queue semantics: start times are
@@ -82,20 +82,23 @@ func Build(sol Solution, tasks []Task, res Resource, base float64, predict Predi
 // tasks" (§4.1), so a wide task at the head of the queue holds narrower
 // tasks behind it — exactly the idle time the GA's reordering recovers.
 func BuildSequential(sol Solution, tasks []Task, res Resource, base float64, predict Predictor) *Schedule {
-	return build(sol, tasks, res, base, predict, true)
+	return oneShot(sol, tasks, res, predict, true).Build(sol, base)
 }
 
-func build(sol Solution, tasks []Task, res Resource, base float64, predict Predictor, sequential bool) *Schedule {
+// oneShot is the single-use Builder behind Build and BuildSequential,
+// whose callers hand over a solution nobody has checked: both it and the
+// resource are validated here, on every call.
+func oneShot(sol Solution, tasks []Task, res Resource, predict Predictor, sequential bool) *Builder {
 	if err := sol.Validate(len(tasks), res.NumNodes); err != nil {
 		panic(fmt.Sprintf("schedule: Build on invalid solution: %v", err))
 	}
 	if err := res.Validate(); err != nil {
 		panic(fmt.Sprintf("schedule: Build on invalid resource: %v", err))
 	}
-	out := &Schedule{Items: make([]Placed, 0, len(tasks))}
-	out.Reset(res, base)
-	buildInto(out, sol, tasks, base, predict, sequential)
-	return out
+	return &Builder{
+		tasks: tasks, res: res, predict: predict, sequential: sequential,
+		sched: Schedule{Items: make([]Placed, 0, len(tasks))},
+	}
 }
 
 // Reset empties the schedule to the state before any task is placed on
@@ -124,7 +127,7 @@ func (s *Schedule) Reset(res Resource, base float64) {
 // would overlap. floor carries what the caller's queue discipline demands:
 // the scheduling instant, the task's arrival and, under strict queue
 // order, the start of the task ahead of it. It is the one placement step
-// behind Build, BuildSequential, Builder.Build and the FIFO policy.
+// behind Builder.Build and the FIFO policy.
 func (s *Schedule) Place(taskPos int, mask uint64, floor, dur float64) Placed {
 	start := floor
 	for m := mask; m != 0; m &= m - 1 {
@@ -149,29 +152,6 @@ func (s *Schedule) Place(taskPos int, mask uint64, floor, dur float64) Placed {
 	return p
 }
 
-// buildInto places every task of sol, in its order, on a schedule that was
-// Reset for the problem. It allocates nothing beyond growing Items;
-// validation is the caller's responsibility.
-func buildInto(out *Schedule, sol Solution, tasks []Task, base float64, predict Predictor, sequential bool) {
-	prevStart := base
-	for _, taskPos := range sol.Order {
-		t := tasks[taskPos]
-		mask := sol.Maps[taskPos]
-		floor := base
-		if t.Arrival > floor {
-			floor = t.Arrival
-		}
-		if sequential && prevStart > floor {
-			floor = prevStart
-		}
-		dur := predict(t.App, bits.OnesCount64(mask))
-		if dur < 0 {
-			panic(fmt.Sprintf("schedule: negative predicted duration %g for %s", dur, t))
-		}
-		prevStart = out.Place(taskPos, mask, floor, dur).Start
-	}
-}
-
 // Builder repeatedly times solutions against one fixed problem instance
 // (tasks, resource, predictor) without per-call allocation: the schedule,
 // its placement list and the per-node busy vector are scratch buffers
@@ -184,10 +164,11 @@ func buildInto(out *Schedule, sol Solution, tasks []Task, base float64, predict 
 // legitimacy; validate seeds once per Plan with Solution.Validate). A
 // Builder is not safe for concurrent use; use one per goroutine.
 type Builder struct {
-	tasks   []Task
-	res     Resource
-	predict Predictor
-	sched   Schedule
+	tasks      []Task
+	res        Resource
+	predict    Predictor
+	sequential bool // strict queue order, see BuildSequential
+	sched      Schedule
 }
 
 // NewBuilder validates the resource once and returns a builder for the
@@ -211,9 +192,27 @@ func NewBuilder(tasks []Task, res Resource, predict Predictor) (*Builder, error)
 // aliases the builder's scratch buffers: it is valid only until the next
 // Build call and must be copied (or rebuilt via the package-level Build)
 // if it is to be retained. sol must be legitimate for the builder's
-// problem instance; Build does not re-validate it.
+// problem instance; Build does not re-validate it. This is the one
+// placement loop: Reset, then one Place per task in the solution's order,
+// allocating nothing beyond growing Items.
 func (b *Builder) Build(sol Solution, base float64) *Schedule {
 	b.sched.Reset(b.res, base)
-	buildInto(&b.sched, sol, b.tasks, base, b.predict, false)
+	prevStart := base
+	for _, taskPos := range sol.Order {
+		t := b.tasks[taskPos]
+		mask := sol.Maps[taskPos]
+		floor := base
+		if t.Arrival > floor {
+			floor = t.Arrival
+		}
+		if b.sequential && prevStart > floor {
+			floor = prevStart
+		}
+		dur := b.predict(t.App, bits.OnesCount64(mask))
+		if dur < 0 {
+			panic(fmt.Sprintf("schedule: negative predicted duration %g for %s", dur, t))
+		}
+		prevStart = b.sched.Place(taskPos, mask, floor, dur).Start
+	}
 	return &b.sched
 }

@@ -6,7 +6,11 @@
 package scheduler
 
 import (
+	"fmt"
+
+	"repro/internal/ga"
 	"repro/internal/schedule"
+	"repro/internal/sim"
 )
 
 // Policy plans the pending task queue onto the resource. Implementations
@@ -41,4 +45,20 @@ type Appender interface {
 	// availability t is allocated against. phys is Resource.Phys for the
 	// plan's nodes.
 	Append(plan *schedule.Schedule, t schedule.Task, phys []int, now float64, predict schedule.Predictor)
+}
+
+// NewPolicy builds the policy a scenario file, core.Options or a daemon's
+// -policy flag names: "fifo" (§4.1 baseline, exhaustive 2^n−1 allocation
+// search), "fifo-fast" (its equivalence-tested fast search) or "ga" (§2.1,
+// configured by cfg and drawing randomness from rng).
+func NewPolicy(name string, cfg ga.Config, rng *sim.RNG) (Policy, error) {
+	switch name {
+	case "fifo":
+		return NewFIFOPolicy(), nil
+	case "fifo-fast":
+		return NewFastFIFOPolicy(), nil
+	case "ga":
+		return NewGAPolicy(cfg, rng), nil
+	}
+	return nil, fmt.Errorf("scheduler: unknown policy %q (want fifo, fifo-fast or ga)", name)
 }

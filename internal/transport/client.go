@@ -45,6 +45,14 @@ func (e *ExchangeError) Error() string {
 // Unwrap exposes the underlying error to errors.Is/As.
 func (e *ExchangeError) Unwrap() error { return e.Err }
 
+// PeerAnswered reports whether the exchange reached a live peer that
+// answered it: an ErrorReply ("reply") is the peer declining this one
+// request, Busy is the peer shedding load that will drain. Neither may
+// trip a circuit breaker — that would turn brief saturation into minutes
+// of exile — while every other Op means no answer came back. The hosted
+// agent finds this method with errors.As (agent.peerAnswered).
+func (e *ExchangeError) PeerAnswered() bool { return e.Op == "reply" || e.Op == "busy" }
+
 // Client performs framed request/reply exchanges with bounded retries
 // and exponential backoff over pooled multiplexed connections. The zero
 // value is not usable; NewPooledClient fills in the defaults. Timeouts

@@ -32,7 +32,7 @@ type FarmConfig struct {
 	Specs      []core.ResourceSpec
 	Host       string  // bind host; defaults to 127.0.0.1 (ephemeral ports)
 	BasePort   int     // first port; 0 = ephemeral
-	Policy     string  // "ga" (default) or "fifo"
+	Policy     string  // "ga" (default), "fifo" or "fifo-fast"
 	Seed       uint64  // GA seed
 	PullPeriod float64 // advertisement pull period; defaults to §4.1's 10 s
 	Push       bool    // event-triggered advertisement pushes
@@ -52,18 +52,6 @@ type FarmConfig struct {
 	// Server is applied to every node's listener: admission gate,
 	// binary-codec permission and dedup window.
 	Server ServerConfig
-}
-
-// NewPolicy builds the local scheduling policy a daemon flag or
-// FarmConfig.Policy names: "ga" (seeded from rng) or "fifo".
-func NewPolicy(name string, rng *sim.RNG) (scheduler.Policy, error) {
-	switch name {
-	case "ga":
-		return scheduler.NewGAPolicy(ga.DefaultConfig(), rng), nil
-	case "fifo":
-		return scheduler.NewFIFOPolicy(), nil
-	}
-	return nil, fmt.Errorf("transport: unknown policy %q (want ga or fifo)", name)
 }
 
 // StartFarm brings up one TCP node per resource spec, wires the hierarchy
@@ -93,7 +81,7 @@ func StartFarm(cfg FarmConfig) (*Farm, error) {
 			_ = f.Close()
 			return nil, fmt.Errorf("transport: resource %q: unknown hardware %q", spec.Name, spec.Hardware)
 		}
-		pol, err := NewPolicy(cfg.Policy, master.Split())
+		pol, err := scheduler.NewPolicy(cfg.Policy, ga.DefaultConfig(), master.Split())
 		if err != nil {
 			_ = f.Close()
 			return nil, err

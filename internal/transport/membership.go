@@ -50,10 +50,12 @@ func (n *Node) LeaveUpper() error {
 		return nil
 	}
 	var wireErr error
-	if rp, ok := up.(*RemotePeer); ok {
-		_, _, err := rp.client().Call(rp.Addr, xmlmsg.NewLeave(n.agent.Name()))
+	if hp, ok := up.(hostedPeer); ok {
+		// The lock is free here, so the leave goes through the RemotePeer
+		// underneath, not through the wrapper that would release it.
+		_, _, err := hp.client().Call(hp.Addr, xmlmsg.NewLeave(n.agent.Name()))
 		if err != nil {
-			wireErr = fmt.Errorf("transport: leave %s: %w", rp.Addr, err)
+			wireErr = fmt.Errorf("transport: leave %s: %w", hp.Addr, err)
 		}
 	}
 	n.mu.Lock()
@@ -81,7 +83,7 @@ func (n *Node) handleMembership(m *xmlmsg.Membership) (interface{}, error) {
 		// A re-join (daemon restart) replaces the stale link; RemoveLower
 		// also drops the old advertisement and breaker history.
 		n.agent.RemoveLower(m.Agent)
-		err := n.agent.AddLower(peer)
+		err := n.agent.AddLower(hostedPeer{peer, &n.mu})
 		n.mu.Unlock()
 		if err != nil {
 			return nil, err

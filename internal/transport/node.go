@@ -1,8 +1,8 @@
 package transport
 
 import (
-	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -49,17 +49,31 @@ func (p *RemotePeer) PullService() (scheduler.ServiceInfo, error) {
 	if !ok {
 		return scheduler.ServiceInfo{}, fmt.Errorf("transport: %s replied %T to a service query", p.Name, reply)
 	}
-	ft, err := si.FreetimeSeconds()
+	return serviceFromWire(p.Name, si)
+}
+
+// serviceFromWire parses a Fig. 5 message into the advertisement of the
+// named agent.
+func serviceFromWire(name string, m *xmlmsg.ServiceInfo) (scheduler.ServiceInfo, error) {
+	ft, err := m.FreetimeSeconds()
 	if err != nil {
 		return scheduler.ServiceInfo{}, err
 	}
 	return scheduler.ServiceInfo{
-		Name:         p.Name,
-		HWType:       si.Local.HWType,
-		NProc:        si.Local.NProc,
-		Environments: si.Local.Environments,
+		Name:         name,
+		HWType:       m.Local.HWType,
+		NProc:        m.Local.NProc,
+		Environments: m.Local.Environments,
 		Freetime:     ft,
 	}, nil
+}
+
+// serviceToWire renders an advertisement as a Fig. 5 message from the
+// agent name at ep.
+func serviceToWire(name string, ep xmlmsg.Endpoint, si scheduler.ServiceInfo) xmlmsg.ServiceInfo {
+	msg := xmlmsg.NewServiceInfo(ep, ep, si.HWType, si.NProc, si.Environments, si.Freetime)
+	msg.Local.Name = name
+	return msg
 }
 
 // Handle implements agent.Peer: forward the request for discovery.
@@ -76,9 +90,7 @@ func (p *RemotePeer) SubmitDirect(req agent.Request, now float64) (agent.Dispatc
 // PushAdvertisement implements agent.AdvertSink: deliver a pushed Fig. 5
 // advertisement to the remote neighbour.
 func (p *RemotePeer) PushAdvertisement(from string, info scheduler.ServiceInfo, now float64) error {
-	msg := xmlmsg.NewServiceInfo(xmlmsg.Endpoint{}, xmlmsg.Endpoint{}, info.HWType, info.NProc, info.Environments, info.Freetime)
-	msg.Local.Name = from
-	_, _, err := p.client().Call(p.Addr, msg)
+	_, _, err := p.client().Call(p.Addr, serviceToWire(from, xmlmsg.Endpoint{}, info))
 	return err
 }
 
@@ -92,7 +104,10 @@ func (p *RemotePeer) send(req agent.Request, mode string) (agent.Dispatch, error
 	if !ok {
 		return agent.Dispatch{}, fmt.Errorf("transport: %s replied %T to a request", p.Name, reply)
 	}
-	eta, _ := ack.EtaSeconds()
+	eta, err := ack.EtaSeconds()
+	if err != nil {
+		return agent.Dispatch{}, fmt.Errorf("transport: %s acked request %d: %w", p.Name, req.ReqID, err)
+	}
 	return agent.Dispatch{
 		Resource: ack.Resource,
 		TaskID:   ack.TaskID,
@@ -103,8 +118,52 @@ func (p *RemotePeer) send(req agent.Request, mode string) (agent.Dispatch, error
 	}, nil
 }
 
-// Node hosts one agent (and its local scheduler) behind a TCP server,
-// translating wire messages into agent calls. Virtual time is wall time
+// hostedPeer is every neighbour the hosted agent sees: a RemotePeer that
+// releases the node lock for the length of each exchange and re-takes it
+// before returning. The agent's protocol code is single-threaded and runs
+// under the lock; a remote exchange must not, or two nodes calling each
+// other would wait on one another's locks until their exchange timeouts.
+// The lock is released inside an agent call here and nowhere else, so
+// these five methods are the only points where the agent can find its
+// state changed. Every call that can reach a peer must hold the lock.
+type hostedPeer struct {
+	*RemotePeer
+	mu *sync.Mutex
+}
+
+func (p hostedPeer) PullService() (scheduler.ServiceInfo, error) {
+	p.mu.Unlock()
+	defer p.mu.Lock()
+	return p.RemotePeer.PullService()
+}
+
+func (p hostedPeer) Handle(req agent.Request, now float64) (agent.Dispatch, error) {
+	p.mu.Unlock()
+	defer p.mu.Lock()
+	return p.RemotePeer.Handle(req, now)
+}
+
+func (p hostedPeer) SubmitDirect(req agent.Request, now float64) (agent.Dispatch, error) {
+	p.mu.Unlock()
+	defer p.mu.Lock()
+	return p.RemotePeer.SubmitDirect(req, now)
+}
+
+func (p hostedPeer) PushAdvertisement(from string, info scheduler.ServiceInfo, now float64) error {
+	p.mu.Unlock()
+	defer p.mu.Lock()
+	return p.RemotePeer.PushAdvertisement(from, info, now)
+}
+
+func (p hostedPeer) HandleReserve(op agent.ReserveOp, now float64) (agent.ReserveReply, error) {
+	p.mu.Unlock()
+	defer p.mu.Lock()
+	return p.RemotePeer.HandleReserve(op, now)
+}
+
+// Node hosts one agent (and its local scheduler) behind a TCP server: a
+// listener that parses wire messages, takes the node lock and calls the
+// agent, whose neighbours are hostedPeers. Virtual time is wall time
 // since the node started, so a networked deployment runs in real time
 // like the original system. All agent access is serialised: the agent and
 // scheduler types are deliberately single-threaded.
@@ -169,21 +228,25 @@ func MidnightOrigin() time.Time {
 func (n *Node) Now() float64 { return time.Since(n.start).Seconds() }
 
 // Agent returns the hosted agent. Callers must not use it concurrently
-// with a started node; prefer SetUpper/AddLower/Stats on the node.
+// with a started node, and must wire neighbours through the node's
+// SetUpper/AddLower, never the agent's: a bare RemotePeer would hold the
+// node lock across its exchanges.
 func (n *Node) Agent() *agent.Agent { return n.agent }
 
 // SetUpper wires a remote upper neighbour under the node lock.
-func (n *Node) SetUpper(p agent.Peer) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.agent.SetUpper(p)
-}
+func (n *Node) SetUpper(p *RemotePeer) error { return n.link(p, n.agent.SetUpper) }
 
 // AddLower wires a remote lower neighbour under the node lock.
-func (n *Node) AddLower(p agent.Peer) error {
+func (n *Node) AddLower(p *RemotePeer) error { return n.link(p, n.agent.AddLower) }
+
+// link hands the agent its neighbour wrapped as a hostedPeer.
+func (n *Node) link(p *RemotePeer, wire func(agent.Peer) error) error {
+	if p == nil {
+		return fmt.Errorf("transport: nil neighbour")
+	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.agent.AddLower(p)
+	return wire(hostedPeer{p, &n.mu})
 }
 
 // Stats returns the hosted agent's counters under the node lock.
@@ -235,36 +298,46 @@ func (n *Node) Start(addr string) error {
 		return err
 	}
 	n.srv = srv
-	n.wg.Add(1)
-	go n.pullLoop()
+	period := time.Duration(n.agent.PullPeriod * float64(time.Second))
+	if period <= 0 {
+		period = time.Duration(agent.DefaultPullPeriod) * time.Second
+	}
+	// The advertisement refresh is the agent's own Pull, each exchange
+	// outside the node lock (see hostedPeer).
+	n.every(period, func() { n.agent.Pull(n.Now()) })
 	if n.tick != 0 {
-		n.wg.Add(1)
-		go n.tickLoop()
+		n.every(n.tick, func() { n.advance() })
 	}
 	return nil
 }
 
-func (n *Node) tickLoop() {
-	defer n.wg.Done()
-	t := time.NewTicker(n.tick)
-	defer t.Stop()
-	for {
-		select {
-		case <-n.stop:
-			return
-		case <-t.C:
+// every starts a loop that runs fn under the node lock at once — the
+// first pull primes the cache so early requests can be forwarded — and
+// then once per period until Close.
+func (n *Node) every(period time.Duration, fn func()) {
+	n.wg.Add(1)
+	go func() {
+		defer n.wg.Done()
+		t := time.NewTicker(period)
+		defer t.Stop()
+		for {
 			n.mu.Lock()
-			n.agent.Local().AdvanceTo(n.Now())
+			fn()
 			n.mu.Unlock()
+			select {
+			case <-n.stop:
+				return
+			case <-t.C:
+			}
 		}
-	}
+	}()
 }
 
 // Addr returns the listen address after Start.
 func (n *Node) Addr() string { return n.srv.Addr() }
 
-// Close stops the pull loop and the server. Idempotent: a daemon's
-// signal handler and its deferred shutdown may both reach it.
+// Close stops the pull and tick loops and the server. Idempotent: a
+// daemon's signal handler and its deferred shutdown may both reach it.
 func (n *Node) Close() error {
 	var err error
 	n.stopOnce.Do(func() {
@@ -277,86 +350,13 @@ func (n *Node) Close() error {
 	return err
 }
 
-func (n *Node) pullLoop() {
-	defer n.wg.Done()
-	period := time.Duration(n.agent.PullPeriod * float64(time.Second))
-	if period <= 0 {
-		period = time.Duration(agent.DefaultPullPeriod) * time.Second
-	}
-	t := time.NewTicker(period)
-	defer t.Stop()
-	// Prime the cache immediately so early requests can be forwarded.
-	n.pullOnce()
-	for {
-		select {
-		case <-n.stop:
-			return
-		case <-t.C:
-			n.pullOnce()
-		}
-	}
-}
-
-// pullOnce refreshes the advertisement cache. The network calls happen
-// without holding the node lock — two nodes pulling from each other
-// simultaneously would otherwise deadlock until their exchange timeouts —
-// and the results are stored under the lock afterwards.
-func (n *Node) pullOnce() {
-	n.mu.Lock()
-	peers := n.agent.Lowers()
-	if up := n.agent.Upper(); up != nil {
-		peers = append(peers, up)
-	}
-	n.mu.Unlock()
-
-	type pulled struct {
-		name string
-		info scheduler.ServiceInfo
-		err  error
-	}
-	var got []pulled
-	for _, p := range peers {
-		info, err := p.PullService()
-		got = append(got, pulled{p.PeerName(), info, err})
-	}
-
-	n.mu.Lock()
+// advance brings the scheduler's clock up to wall time, so freetime and
+// eq. 10 estimates are measured against real elapsed time, and returns
+// it. Caller holds the node lock, which keeps successive readings ordered.
+func (n *Node) advance() float64 {
 	now := n.Now()
-	for _, g := range got {
-		if g.err != nil {
-			// An unreachable neighbour keeps its previous advertisement
-			// but feeds the circuit breaker; once tripped the peer stops
-			// attracting dispatches until a pull succeeds again.
-			n.agent.CountFailedPull()
-			n.agent.RecordPeerFailure(g.name)
-			continue
-		}
-		n.agent.RecordPeerSuccess(g.name)
-		n.agent.StoreAdvertisement(g.name, g.info, now)
-	}
-	n.agent.CountPull()
-	n.mu.Unlock()
-}
-
-// recordPeer feeds the agent's per-peer circuit breaker after a remote
-// exchange. Only transport-level failures count against a peer: an
-// ErrorReply (ExchangeError with Op "reply") means the peer is alive and
-// answering, just unable to take this request — and a Busy reply (Op
-// "busy") likewise proves a live peer, one shedding load that will
-// drain; tripping the breaker on it would turn brief saturation into
-// minutes of exile.
-func (n *Node) recordPeer(name string, err error) {
-	var xe *ExchangeError
-	if err != nil && errors.As(err, &xe) && (xe.Op == "reply" || xe.Op == "busy") {
-		err = nil
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if err != nil {
-		n.agent.RecordPeerFailure(name)
-	} else {
-		n.agent.RecordPeerSuccess(name)
-	}
+	n.agent.Local().AdvanceTo(now)
+	return now
 }
 
 // handle translates one wire message into an agent call.
@@ -366,14 +366,9 @@ func (n *Node) handle(msg interface{}, kind xmlmsg.Kind) (interface{}, error) {
 		switch m.What {
 		case "service":
 			n.mu.Lock()
-			n.agent.Local().AdvanceTo(n.Now())
-			si, err := n.agent.PullService()
-			n.mu.Unlock()
-			if err != nil {
-				return nil, err
-			}
-			local := xmlmsg.Endpoint{Address: "127.0.0.1", Port: n.srv.Port()}
-			return xmlmsg.NewServiceInfo(local, local, si.HWType, si.NProc, si.Environments, si.Freetime), nil
+			defer n.mu.Unlock()
+			n.advance()
+			return n.advertisement("")
 		case "results":
 			return n.results(m.Email), nil
 		}
@@ -384,28 +379,15 @@ func (n *Node) handle(msg interface{}, kind xmlmsg.Kind) (interface{}, error) {
 		if m.Local.Name == "" {
 			return nil, fmt.Errorf("pushed advertisement carries no sender name")
 		}
-		ft, err := m.FreetimeSeconds()
+		pushed, err := serviceFromWire(m.Local.Name, m)
 		if err != nil {
 			return nil, err
 		}
 		n.mu.Lock()
-		_ = n.agent.PushAdvertisement(m.Local.Name, scheduler.ServiceInfo{
-			Name:         m.Local.Name,
-			HWType:       m.Local.HWType,
-			NProc:        m.Local.NProc,
-			Environments: m.Local.Environments,
-			Freetime:     ft,
-		}, n.Now())
-		si, err := n.agent.PullService()
-		n.mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
+		defer n.mu.Unlock()
+		_ = n.agent.PushAdvertisement(m.Local.Name, pushed, n.Now())
 		// Reply with our own advertisement: pushes double as exchanges.
-		local := xmlmsg.Endpoint{Address: "127.0.0.1", Port: n.srv.Port()}
-		reply := xmlmsg.NewServiceInfo(local, local, si.HWType, si.NProc, si.Environments, si.Freetime)
-		reply.Local.Name = n.agent.Name()
-		return reply, nil
+		return n.advertisement(n.agent.Name())
 
 	case *xmlmsg.Request:
 		if err := m.Validate(); err != nil {
@@ -450,14 +432,24 @@ func (n *Node) handle(msg interface{}, kind xmlmsg.Kind) (interface{}, error) {
 	return nil, fmt.Errorf("unsupported message kind %q", kind)
 }
 
+// advertisement is the node's own Fig. 5 message as a reply, signed name
+// (the figure's plain query reply carries none). Caller holds the lock.
+func (n *Node) advertisement(name string) (interface{}, error) {
+	si, err := n.agent.PullService()
+	if err != nil {
+		return nil, err
+	}
+	ep := xmlmsg.Endpoint{Address: "127.0.0.1", Port: n.srv.Port()}
+	return serviceToWire(name, ep, si), nil
+}
+
 // results builds the answer to a results query: every task this node's
 // scheduler has started, marked done once its (test-mode) completion time
 // passes, optionally filtered by submitting email.
 func (n *Node) results(email string) xmlmsg.ResultSet {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	now := n.Now()
-	n.agent.Local().AdvanceTo(now)
+	now := n.advance()
 	local := n.agent.Local()
 	recs := local.Records()
 	recs = append(recs, local.Planned()...) // queued tasks report planned times
@@ -471,15 +463,11 @@ func (n *Node) results(email string) xmlmsg.ResultSet {
 		if r.App != nil {
 			app = r.App.Name
 		}
-		nproc := 0
-		for m := r.Mask; m != 0; m &= m - 1 {
-			nproc++
-		}
 		tasks = append(tasks, xmlmsg.TaskResult{
 			App:      app,
 			TaskID:   r.TaskID,
 			Resource: r.Resource,
-			NProc:    nproc,
+			NProc:    bits.OnesCount64(r.Mask),
 			Start:    xmlmsg.FormatVirtual(r.Start),
 			End:      xmlmsg.FormatVirtual(r.End),
 			Deadline: xmlmsg.FormatVirtual(r.Deadline),
@@ -491,82 +479,24 @@ func (n *Node) results(email string) xmlmsg.ResultSet {
 	return xmlmsg.NewResultSet(tasks)
 }
 
-// dispatch drives the agent's discovery decision, performing remote calls
-// without holding the node lock: a recursive HandleRequest under the lock
-// would deadlock when two nodes forward to each other concurrently.
+// dispatch hands the request to the agent — discovery, or the local queue
+// outright for a direct submission — and, when the task landed on this
+// node's resource, records whom the result is for and lets the agent push
+// its changed advertisement.
 func (n *Node) dispatch(req agent.Request, mode string) (agent.Dispatch, error) {
-	if mode == xmlmsg.ModeDirect {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		n.agent.Local().AdvanceTo(n.Now())
-		d, err := n.agent.SubmitDirect(req, n.Now())
-		if err == nil {
-			n.emails[d.TaskID] = req.Email
-		}
-		return d, err
-	}
-
 	n.mu.Lock()
-	// Keep the scheduler's virtual clock current so freetime and eq. 10
-	// estimates are measured against real elapsed time, not the last
-	// submission instant.
-	n.agent.Local().AdvanceTo(n.Now())
-	dec := n.agent.Decide(req, n.Now())
-	n.mu.Unlock()
-	req.Visited = dec.Visited
-
-	switch dec.Kind {
-	case agent.DecideLocal, agent.DecideFallbackLocal:
-		n.mu.Lock()
-		d, err := n.agent.AcceptLocal(req, n.Now(), dec.Eta, dec.Kind == agent.DecideFallbackLocal)
-		if err == nil {
-			n.emails[d.TaskID] = req.Email
-		}
-		var pushInfo scheduler.ServiceInfo
-		var sinks []agent.AdvertSink
-		if err == nil && n.pushEnabled {
-			if si, ok := n.agent.ShouldPush(); ok {
-				pushInfo = si
-				peers := n.agent.Lowers()
-				if up := n.agent.Upper(); up != nil {
-					peers = append(peers, up)
-				}
-				for _, p := range peers {
-					if s, ok := p.(agent.AdvertSink); ok {
-						sinks = append(sinks, s)
-					}
-				}
-			}
-		}
-		n.mu.Unlock()
-		if len(sinks) > 0 {
-			// Deliveries happen outside the lock: two nodes pushing at
-			// each other simultaneously must not deadlock.
-			sent := 0
-			for _, s := range sinks {
-				if s.PushAdvertisement(n.agent.Name(), pushInfo, n.Now()) == nil {
-					sent++
-				}
-			}
-			n.mu.Lock()
-			n.agent.MarkPushed(pushInfo, sent)
-			n.mu.Unlock()
-		}
-		return d, err
-	case agent.DecideForward, agent.DecideEscalate:
-		// Remote exchange outside the lock.
-		d, err := dec.Peer.Handle(req, n.Now())
-		n.recordPeer(dec.Peer.PeerName(), err)
-		return d, err
-	case agent.DecideFallbackRemote:
-		d, err := dec.Peer.SubmitDirect(req, n.Now())
-		n.recordPeer(dec.Peer.PeerName(), err)
-		if err != nil {
-			return agent.Dispatch{}, err
-		}
-		d.Eta = dec.Eta
-		d.Fallback = true
-		return d, nil
+	defer n.mu.Unlock()
+	now := n.advance()
+	handle := n.agent.HandleRequest
+	if mode == xmlmsg.ModeDirect {
+		handle = n.agent.SubmitDirect
 	}
-	return agent.Dispatch{}, dec.Err
+	d, err := handle(req, now)
+	if err == nil && d.Resource == n.agent.Name() {
+		n.emails[d.TaskID] = req.Email
+		if n.pushEnabled {
+			n.agent.MaybePush(now)
+		}
+	}
+	return d, err
 }

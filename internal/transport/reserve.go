@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/agent"
@@ -163,95 +162,12 @@ func reserveAckToWire(r agent.ReserveReply) xmlmsg.ReserveAck {
 	return xmlmsg.NewReserveAck(r.TaskID, quotes)
 }
 
-// reservePeer pairs a routable neighbour with its name for breaker
-// accounting outside the lock.
-type reservePeer struct {
-	name string
-	rp   agent.ReservePeer
-}
-
-// reservePeersLocked snapshots the neighbours the op may still travel
-// to. Caller holds the node lock.
-func (n *Node) reservePeersLocked(op *agent.ReserveOp) []reservePeer {
-	peers := n.agent.Lowers()
-	if up := n.agent.Upper(); up != nil {
-		peers = append(peers, up)
-	}
-	var out []reservePeer
-	for _, p := range peers {
-		rp, ok := p.(agent.ReservePeer)
-		if !ok || op.HasVisited(p.PeerName()) || n.agent.PeerTripped(p.PeerName()) {
-			continue
-		}
-		out = append(out, reservePeer{name: p.PeerName(), rp: rp})
-	}
-	return out
-}
-
-// reserveDispatch routes a reservation op exactly like the in-process
-// agent.HandleReserve — interior nodes concatenate a flood's quotes and
-// return a routing miss bare, the origin sorts and adds the context — but
-// with every remote exchange outside the node lock: two nodes reserving
-// through each other must not deadlock.
+// reserveDispatch runs the agent's own HandleReserve — flood, routing,
+// the origin's sort and error context — under the node lock; each remote
+// exchange on the way leaves it (see hostedPeer), so two nodes reserving
+// through each other do not deadlock.
 func (n *Node) reserveDispatch(op agent.ReserveOp) (agent.ReserveReply, error) {
 	n.mu.Lock()
-	me := n.agent.Name()
-	origin := len(op.Visited) == 0
-	visited := make([]string, 0, len(op.Visited)+1)
-	visited = append(visited, op.Visited...)
-	visited = append(visited, me)
-	op.Visited = visited
-	now := n.Now()
-	n.agent.Local().AdvanceTo(now)
-
-	if op.Action == agent.ReserveQuoteOp && op.Resource == "" {
-		var reply agent.ReserveReply
-		if r, err := n.agent.ApplyReserve(op, now); err == nil {
-			reply.Quotes = r.Quotes
-		}
-		peers := n.reservePeersLocked(&op)
-		n.mu.Unlock()
-		for _, p := range peers {
-			r, err := p.rp.HandleReserve(op, n.Now())
-			n.recordPeer(p.name, err)
-			if err == nil {
-				reply.Quotes = append(reply.Quotes, r.Quotes...)
-			}
-		}
-		if origin {
-			reply.Quotes = agent.SortQuotes(reply.Quotes)
-		}
-		return reply, nil
-	}
-
-	if op.Resource == me || op.Resource == "" {
-		defer n.mu.Unlock()
-		return n.agent.ApplyReserve(op, now)
-	}
-	peers := n.reservePeersLocked(&op)
-	n.mu.Unlock()
-	for _, p := range peers {
-		r, err := p.rp.HandleReserve(op, n.Now())
-		if err == nil {
-			n.recordPeer(p.name, nil)
-			return r, nil
-		}
-		if agent.IsNotRoutable(err) {
-			// The peer answered; the target just isn't in that direction.
-			n.recordPeer(p.name, nil)
-			continue
-		}
-		var xe *ExchangeError
-		if errors.As(err, &xe) && xe.Op == "reply" {
-			// The op reached its target and was refused: that is the
-			// protocol answer, not a transport failure.
-			n.recordPeer(p.name, nil)
-			return agent.ReserveReply{}, err
-		}
-		n.recordPeer(p.name, err)
-	}
-	if !origin {
-		return agent.ReserveReply{}, agent.ErrNotRoutable
-	}
-	return agent.ReserveReply{}, fmt.Errorf("%w: no path from %s to %s", agent.ErrNotRoutable, me, op.Resource)
+	defer n.mu.Unlock()
+	return n.agent.HandleReserve(op, n.advance())
 }
