@@ -497,10 +497,11 @@ func BenchmarkCrossover(b *testing.B) {
 	rng := sim.NewRNG(1)
 	x := schedule.NewRandomSolution(32, 16, rng)
 	y := schedule.NewRandomSolution(32, 16, rng)
+	var c, d schedule.Solution
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c, d := schedule.Crossover(x, y, 16, rng)
+		schedule.Crossover(&c, &d, x, y, 16, rng)
 		if len(c.Order) != 32 || len(d.Order) != 32 {
 			b.Fatal("bad children")
 		}

@@ -79,7 +79,8 @@ func gaVersusFIFO() {
 	res := schedule.NewResource(16)
 	p := schedule.NewProblem(tasks, res, 0, pred)
 
-	greedy := p.GreedySeed()
+	var greedy schedule.Solution
+	p.GreedySeed(&greedy)
 	gs := schedule.Build(greedy, tasks, res, 0, pred)
 	gc := schedule.Cost(gs, tasks, p.Weights, true)
 	fmt.Printf("\narrival-order greedy: makespan %.0fs, weighted idle %.0fs, contract penalty %.0fs\n",

@@ -9,7 +9,7 @@ package ga
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -19,21 +19,27 @@ import (
 // Problem defines a minimisation problem over genomes of type G. Cost is
 // the f_c of the paper (eq. 8): lower is better. The engine converts costs
 // to fitness values with the dynamic scaling of eq. 9.
+//
+// The operators write into genomes the engine owns, so a run recycles its
+// population instead of allocating one per generation. A destination may
+// be the zero genome or a genome an earlier call wrote, of any size: the
+// operator resizes it, reusing its storage, and overwrites all of it. A
+// destination never aliases a source.
 type Problem[G any] interface {
-	// Random returns a new random genome.
-	Random(rng *sim.RNG) G
-	// Crossover combines two parents into two offspring. Implementations
-	// must not mutate the parents.
-	Crossover(a, b G, rng *sim.RNG) (G, G)
-	// Mutate returns a mutated copy of g, leaving g intact.
-	Mutate(g G, rng *sim.RNG) G
+	// Random makes dst a random genome.
+	Random(dst *G, rng *sim.RNG)
+	// Crossover combines two parents into two offspring written to dst1
+	// and dst2. Implementations must not mutate the parents.
+	Crossover(dst1, dst2 *G, a, b G, rng *sim.RNG)
+	// Mutate mutates g in place.
+	Mutate(g *G, rng *sim.RNG)
 	// Cost evaluates the genome; lower is better. Cost must be pure (no
 	// observable side effects on the problem or genome) and safe for
 	// concurrent use when Config.Workers > 1: the engine evaluates the
 	// population on a worker pool.
 	Cost(g G) float64
-	// Clone returns an independent deep copy of g.
-	Clone(g G) G
+	// Copy makes dst an independent deep copy of src.
+	Copy(dst *G, src G)
 }
 
 // Config holds the GA hyper-parameters. The paper fixes the population at
@@ -115,49 +121,81 @@ type Result[G any] struct {
 }
 
 // Run evolves a population and returns the best genome found. seeds are
-// injected into the initial population (cloned first), which is how the
+// injected into the initial population (copied first), which is how the
 // scheduler carries the previous best schedule across scheduling events so
-// the evolutionary process "absorbs system changes" (§1).
+// the evolutionary process "absorbs system changes" (§1). Run is a
+// one-shot Runner, so the result belongs to the caller.
 func Run[G any](p Problem[G], cfg Config, rng *sim.RNG, seeds []G) Result[G] {
-	cfg.sanitize()
+	var r Runner[G]
+	return r.Run(p, cfg, rng, seeds)
+}
 
-	pop := make([]G, 0, cfg.PopulationSize)
-	for _, s := range seeds {
-		if len(pop) == cfg.PopulationSize {
-			break
+// Runner is the GA engine with its working state kept between runs: two
+// population arenas (the generation being evaluated and the one being
+// bred), the best-so-far genome, and the cost, fitness, selection and
+// history scratch. A scheduler that plans on every arrival keeps one
+// Runner, so a run allocates nothing once the arenas have grown to the
+// largest genomes seen. A Runner is not safe for concurrent use.
+type Runner[G any] struct {
+	pop, next []G // population arenas, swapped after each generation
+	best      G
+	costs     []float64
+	fitness   []float64
+	frac      []float64 // fractional expected counts (stochastic remainder)
+	pool      []int     // the mating pool, as indices into pop
+	order     []int     // fillFromBest's fitness order
+	history   []float64
+}
+
+// Run is ga.Run on the runner's arenas: the same random draws in the same
+// order and the same result, bit for bit. The returned Best and History
+// alias the runner and stay valid until its next Run; seeds must not
+// alias them.
+func (r *Runner[G]) Run(p Problem[G], cfg Config, rng *sim.RNG, seeds []G) Result[G] {
+	cfg.sanitize()
+	n := cfg.PopulationSize
+	r.pop, r.next = resize(r.pop, n), resize(r.next, n)
+	r.costs, r.fitness = resize(r.costs, n), resize(r.fitness, n)
+	r.history = r.history[:0]
+
+	for i := range r.pop {
+		if i < len(seeds) {
+			p.Copy(&r.pop[i], seeds[i])
+		} else {
+			p.Random(&r.pop[i], rng)
 		}
-		pop = append(pop, p.Clone(s))
-	}
-	for len(pop) < cfg.PopulationSize {
-		pop = append(pop, p.Random(rng))
 	}
 
 	res := Result[G]{BestCost: math.Inf(1)}
-	costs := make([]float64, cfg.PopulationSize)
 	stale := 0
-
 	for gen := 0; gen < cfg.MaxGenerations; gen++ {
 		// Evaluate the population. With Workers > 1 the Cost calls run on
 		// a bounded pool, each result written to its own index; the best
 		// is then chosen by a sequential index-order scan, so the outcome
 		// is bit-identical to the sequential engine.
-		evaluate(p, pop, costs, cfg.Workers)
-		res.CostEvals += len(pop)
+		evaluate(p, r.pop, r.costs, cfg.Workers)
+		res.CostEvals += n
 		genBest, genBestCost := -1, math.Inf(1)
-		for i, c := range costs {
+		for i, c := range r.costs {
 			if c < genBestCost {
 				genBest, genBestCost = i, c
 			}
 		}
 		if genBestCost < res.BestCost {
-			res.Best = p.Clone(pop[genBest])
+			p.Copy(&r.best, r.pop[genBest])
 			res.BestCost = genBestCost
 			stale = 0
 		} else {
+			if gen == 0 {
+				// No finite cost: Best is still a genome of the population
+				// (the lowest index), never the zero genome elitism would
+				// otherwise breed from.
+				p.Copy(&r.best, r.pop[0])
+			}
 			stale++
 		}
 		res.Generations = gen + 1
-		res.History = append(res.History, res.BestCost)
+		r.history = append(r.history, res.BestCost)
 		if cfg.ConvergenceWindow > 0 && stale >= cfg.ConvergenceWindow {
 			break
 		}
@@ -167,38 +205,49 @@ func Run[G any](p Problem[G], cfg Config, rng *sim.RNG, seeds []G) Result[G] {
 
 		// Select a mating pool via stochastic remainder selection over the
 		// dynamically scaled fitness (eq. 9).
-		fitness := scaleFitness(costs)
-		pool := stochasticRemainder(pop, fitness, cfg.PopulationSize, rng, p)
+		scaleFitness(r.fitness, r.costs)
+		r.stochasticRemainder(n, rng)
 
-		// Recombine pairs and mutate.
-		next := make([]G, 0, cfg.PopulationSize)
+		// Breed into the other arena. The pool holds indices into pop, and
+		// shuffling them makes the same draws as shuffling the genomes.
+		pool := r.pool
 		rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
 		for i := 0; i+1 < len(pool); i += 2 {
-			a, b := pool[i], pool[i+1]
+			a, b := r.pop[pool[i]], r.pop[pool[i+1]]
 			if rng.Bool(cfg.CrossoverRate) {
-				a, b = p.Crossover(a, b, rng)
+				p.Crossover(&r.next[i], &r.next[i+1], a, b, rng)
 			} else {
-				a, b = p.Clone(a), p.Clone(b)
+				p.Copy(&r.next[i], a)
+				p.Copy(&r.next[i+1], b)
 			}
-			next = append(next, a, b)
 		}
-		if len(pool)%2 == 1 {
-			next = append(next, p.Clone(pool[len(pool)-1]))
+		if last := len(pool) - 1; len(pool)%2 == 1 {
+			p.Copy(&r.next[last], r.pop[pool[last]])
 		}
-		for i := range next {
+		for i := range r.next {
 			if rng.Bool(cfg.MutationRate) {
-				next[i] = p.Mutate(next[i], rng)
+				p.Mutate(&r.next[i], rng)
 			}
 		}
 
-		// Elitism: the best genome so far always survives, plus clones of
-		// the generation's best for Elitism slots.
-		for i := 0; i < cfg.Elitism && i < len(next); i++ {
-			next[i] = p.Clone(res.Best)
+		// Elitism: the best genome so far always survives, in the first
+		// Elitism slots.
+		for i := 0; i < cfg.Elitism; i++ {
+			p.Copy(&r.next[i], r.best)
 		}
-		pop = next[:cfg.PopulationSize]
+		r.pop, r.next = r.next, r.pop
 	}
+	res.Best, res.History = r.best, r.history
 	return res
+}
+
+// resize returns s with length n, keeping the elements (and so the
+// storage of the genomes) it holds up to its capacity.
+func resize[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return append(s[:cap(s)], make([]T, n-cap(s))...)
 }
 
 // evaluate fills costs[i] = p.Cost(pop[i]). With workers > 1 the calls
@@ -232,14 +281,15 @@ func evaluate[G any](p Problem[G], pop []G, costs []float64, workers int) {
 	wg.Wait()
 }
 
-// scaleFitness applies the paper's dynamic scaling (eq. 9):
+// scaleFitness writes to fitness the paper's dynamic scaling (eq. 9) of
+// costs:
 //
 //	f_v = (fc_max − fc_k) / (fc_max − fc_min)
 //
 // so the worst genome in the current population has fitness 0 and the best
 // has fitness 1. A degenerate population (all equal costs) gets uniform
 // fitness 1.
-func scaleFitness(costs []float64) []float64 {
+func scaleFitness(fitness, costs []float64) {
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, c := range costs {
 		if c < lo {
@@ -249,45 +299,45 @@ func scaleFitness(costs []float64) []float64 {
 			hi = c
 		}
 	}
-	out := make([]float64, len(costs))
 	if hi == lo {
-		for i := range out {
-			out[i] = 1
+		for i := range fitness {
+			fitness[i] = 1
 		}
-		return out
+		return
 	}
 	span := hi - lo
 	for i, c := range costs {
-		out[i] = (hi - c) / span
+		fitness[i] = (hi - c) / span
 	}
-	return out
 }
 
-// stochasticRemainder fills a mating pool of size n. Each individual first
-// receives floor(e_k) deterministic copies, where e_k is its expected count
+// stochasticRemainder fills the mating pool with n indices into the
+// population whose fitness is r.fitness. Each individual first receives
+// floor(e_k) deterministic copies, where e_k is its expected count
 // f_k·n/Σf; remaining slots are filled by Bernoulli trials on the
 // fractional parts (stochastic remainder selection without replacement).
-func stochasticRemainder[G any](pop []G, fitness []float64, n int, rng *sim.RNG, p Problem[G]) []G {
+func (r *Runner[G]) stochasticRemainder(n int, rng *sim.RNG) {
+	size := len(r.fitness)
 	total := 0.0
-	for _, f := range fitness {
+	for _, f := range r.fitness {
 		total += f
 	}
-	pool := make([]G, 0, n)
+	r.pool = r.pool[:0]
 	if total <= 0 {
 		// All fitness zero: select uniformly.
-		for len(pool) < n {
-			pool = append(pool, p.Clone(pop[rng.Intn(len(pop))]))
+		for len(r.pool) < n {
+			r.pool = append(r.pool, rng.Intn(size))
 		}
-		return pool
+		return
 	}
 
-	frac := make([]float64, len(pop))
-	for i, f := range fitness {
+	r.frac = resize(r.frac, size)
+	for i, f := range r.fitness {
 		expected := f / total * float64(n)
 		whole := math.Floor(expected)
-		frac[i] = expected - whole
-		for c := 0; c < int(whole) && len(pool) < n; c++ {
-			pool = append(pool, p.Clone(pop[i]))
+		r.frac[i] = expected - whole
+		for c := 0; c < int(whole) && len(r.pool) < n; c++ {
+			r.pool = append(r.pool, i)
 		}
 	}
 	// Fill the remainder by cycling Bernoulli trials on the fractional
@@ -296,31 +346,39 @@ func stochasticRemainder[G any](pop []G, fitness []float64, n int, rng *sim.RNG,
 	// rounding) the trials cannot fill the pool, and the remaining slots
 	// are then filled explicitly in best-fitness order — not, as a naive
 	// guard would, with uniformly random individuals that ignore fitness.
-	for guard := 0; guard < 16*n && len(pool) < n; guard++ {
-		i := rng.Intn(len(pop))
-		if rng.Bool(frac[i]) {
-			pool = append(pool, p.Clone(pop[i]))
+	for guard := 0; guard < 16*n && len(r.pool) < n; guard++ {
+		i := rng.Intn(size)
+		if rng.Bool(r.frac[i]) {
+			r.pool = append(r.pool, i)
 		}
 	}
-	return fillFromBest(pool, pop, fitness, n, p)
+	r.pool, r.order = fillFromBest(r.pool, r.order, r.fitness, n)
 }
 
-// fillFromBest tops the mating pool up to n by cycling through the
+// fillFromBest tops the mating pool up to n indices by cycling through the
 // population in descending fitness order (ties broken by index, so the
-// fill is deterministic). It is the explicit fallback for degenerate
-// selection states where Bernoulli trials on the fractional parts cannot
-// terminate.
-func fillFromBest[G any](pool []G, pop []G, fitness []float64, n int, p Problem[G]) []G {
+// fill is deterministic); order is its scratch, returned for reuse. It is
+// the explicit fallback for degenerate selection states where Bernoulli
+// trials on the fractional parts cannot terminate.
+func fillFromBest(pool, order []int, fitness []float64, n int) ([]int, []int) {
 	if len(pool) >= n {
-		return pool
+		return pool, order
 	}
-	order := make([]int, len(pop))
-	for i := range order {
-		order[i] = i
+	order = order[:0]
+	for i := range fitness {
+		order = append(order, i)
 	}
-	sort.SliceStable(order, func(a, b int) bool { return fitness[order[a]] > fitness[order[b]] })
+	slices.SortStableFunc(order, func(a, b int) int {
+		switch {
+		case fitness[a] > fitness[b]:
+			return -1
+		case fitness[b] > fitness[a]:
+			return 1
+		}
+		return 0
+	})
 	for k := 0; len(pool) < n; k++ {
-		pool = append(pool, p.Clone(pop[order[k%len(order)]]))
+		pool = append(pool, order[k%len(order)])
 	}
-	return pool
+	return pool, order
 }

@@ -1,7 +1,10 @@
 package ga
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -11,29 +14,29 @@ import (
 // expressed as minimising the number of clear bits.
 type oneMax struct{ bits int }
 
-func (p oneMax) Random(rng *sim.RNG) []bool {
-	g := make([]bool, p.bits)
+func (p oneMax) sized(g *[]bool) []bool {
+	*g = slices.Grow((*g)[:0], p.bits)[:p.bits]
+	return *g
+}
+
+func (p oneMax) Random(dst *[]bool, rng *sim.RNG) {
+	g := p.sized(dst)
 	for i := range g {
 		g[i] = rng.Bool(0.5)
 	}
-	return g
 }
 
-func (p oneMax) Crossover(a, b []bool, rng *sim.RNG) ([]bool, []bool) {
+func (p oneMax) Crossover(dst1, dst2 *[]bool, a, b []bool, rng *sim.RNG) {
 	cut := rng.Intn(p.bits)
-	c := make([]bool, p.bits)
-	d := make([]bool, p.bits)
+	c, d := p.sized(dst1), p.sized(dst2)
 	copy(c, a[:cut])
 	copy(c[cut:], b[cut:])
 	copy(d, b[:cut])
 	copy(d[cut:], a[cut:])
-	return c, d
 }
 
-func (p oneMax) Mutate(g []bool, rng *sim.RNG) []bool {
-	out := p.Clone(g)
-	out[rng.Intn(p.bits)] = !out[rng.Intn(p.bits)]
-	return out
+func (p oneMax) Mutate(g *[]bool, rng *sim.RNG) {
+	(*g)[rng.Intn(p.bits)] = !(*g)[rng.Intn(p.bits)]
 }
 
 func (p oneMax) Cost(g []bool) float64 {
@@ -46,10 +49,56 @@ func (p oneMax) Cost(g []bool) float64 {
 	return float64(clear)
 }
 
-func (p oneMax) Clone(g []bool) []bool {
-	out := make([]bool, len(g))
-	copy(out, g)
-	return out
+func (p oneMax) Copy(dst *[]bool, src []bool) { *dst = append((*dst)[:0], src...) }
+
+// constCost is oneMax with every genome costing c.
+type constCost struct {
+	oneMax
+	c float64
+}
+
+func (p constCost) Cost([]bool) float64 { return p.c }
+
+// TestRunWithoutFiniteCost: when no genome ever has a finite cost, Best
+// is the first genome of the initial population — an evaluated member,
+// never the zero genome that elitism used to breed from (which panicked
+// with "slice bounds out of range" in the crossover).
+func TestRunWithoutFiniteCost(t *testing.T) {
+	for _, c := range []float64{math.Inf(1), math.NaN()} {
+		t.Run(fmt.Sprint(c), func(t *testing.T) {
+			p := constCost{oneMax{bits: 16}, c}
+			cfg := DefaultConfig()
+			cfg.MaxGenerations = 20
+			cfg.ConvergenceWindow = 0
+			res := Run[[]bool](p, cfg, sim.NewRNG(12), nil)
+			var first []bool
+			p.Random(&first, sim.NewRNG(12))
+			if !slices.Equal(res.Best, first) {
+				t.Errorf("Best = %v, want the lowest-index initial genome %v", res.Best, first)
+			}
+			if !math.IsInf(res.BestCost, 1) || res.Generations != 20 || res.CostEvals != 20*cfg.PopulationSize {
+				t.Errorf("BestCost %v after %d generations / %d evaluations", res.BestCost, res.Generations, res.CostEvals)
+			}
+		})
+	}
+}
+
+// TestRunnerReuseMatchesOneShot runs problems of changing genome length
+// on one Runner: every result must be what a fresh ga.Run returns, so
+// nothing carries over in the arenas.
+func TestRunnerReuseMatchesOneShot(t *testing.T) {
+	var r Runner[[]bool]
+	cfg := DefaultConfig()
+	cfg.MaxGenerations = 15
+	for i, bits := range []int{40, 8, 64, 3, 40} {
+		cfg.PopulationSize = 10 + 7*i
+		p := oneMax{bits: bits}
+		want := Run[[]bool](p, cfg, sim.NewRNG(uint64(i)), nil)
+		got := r.Run(p, cfg, sim.NewRNG(uint64(i)), nil)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d (%d bits): reused runner %+v, one-shot %+v", i, bits, got, want)
+		}
+	}
 }
 
 func TestGASolvesOneMax(t *testing.T) {
@@ -74,8 +123,10 @@ func TestGABeatsRandomSearch(t *testing.T) {
 	// Random search with the same evaluation budget.
 	randRng := sim.NewRNG(2)
 	bestRandom := math.Inf(1)
+	var g []bool
 	for i := 0; i < res.CostEvals; i++ {
-		if c := p.Cost(p.Random(randRng)); c < bestRandom {
+		p.Random(&g, randRng)
+		if c := p.Cost(g); c < bestRandom {
 			bestRandom = c
 		}
 	}
@@ -170,12 +221,13 @@ func TestGAConfigSanitisation(t *testing.T) {
 }
 
 func TestScaleFitness(t *testing.T) {
-	f := scaleFitness([]float64{10, 20, 30})
+	f := make([]float64, 3)
+	scaleFitness(f, []float64{10, 20, 30})
 	if f[0] != 1 || f[2] != 0 || f[1] != 0.5 {
 		t.Fatalf("scaleFitness = %v, want [1 0.5 0]", f)
 	}
 	// Degenerate population: uniform fitness.
-	f = scaleFitness([]float64{5, 5, 5})
+	scaleFitness(f, []float64{5, 5, 5})
 	for _, v := range f {
 		if v != 1 {
 			t.Fatalf("degenerate scaleFitness = %v, want all 1", f)
@@ -185,7 +237,8 @@ func TestScaleFitness(t *testing.T) {
 
 func TestScaleFitnessBestIsHighest(t *testing.T) {
 	costs := []float64{3, 9, 1, 7}
-	f := scaleFitness(costs)
+	f := make([]float64, len(costs))
+	scaleFitness(f, costs)
 	bestIdx, bestFit := 0, f[0]
 	for i, v := range f {
 		if v > bestFit {
@@ -197,22 +250,28 @@ func TestScaleFitnessBestIsHighest(t *testing.T) {
 	}
 }
 
+// selectPool runs stochastic remainder selection of n slots over a
+// population with the given fitness and returns the mating pool.
+func selectPool(fitness []float64, n int, rng *sim.RNG) []int {
+	r := Runner[[]bool]{fitness: fitness}
+	r.stochasticRemainder(n, rng)
+	return r.pool
+}
+
 func TestStochasticRemainderProportionality(t *testing.T) {
 	// Individual 0 has fitness 3, individual 1 has fitness 1: expect ~3x
 	// more copies of 0 in the pool.
-	p := oneMax{bits: 2}
-	pop := [][]bool{{true, true}, {false, false}}
 	rng := sim.NewRNG(9)
 	count0 := 0
 	const rounds = 500
 	const n = 8
 	for r := 0; r < rounds; r++ {
-		pool := stochasticRemainder(pop, []float64{3, 1}, n, rng, p)
+		pool := selectPool([]float64{3, 1}, n, rng)
 		if len(pool) != n {
 			t.Fatalf("pool size %d, want %d", len(pool), n)
 		}
-		for _, g := range pool {
-			if g[0] {
+		for _, i := range pool {
+			if i == 0 {
 				count0++
 			}
 		}
@@ -224,73 +283,56 @@ func TestStochasticRemainderProportionality(t *testing.T) {
 }
 
 func TestStochasticRemainderAllZeroFitness(t *testing.T) {
-	p := oneMax{bits: 2}
-	pop := [][]bool{{true, false}, {false, true}}
-	pool := stochasticRemainder(pop, []float64{0, 0}, 10, sim.NewRNG(10), p)
+	pool := selectPool([]float64{0, 0}, 10, sim.NewRNG(10))
 	if len(pool) != 10 {
 		t.Fatalf("pool size %d, want 10", len(pool))
 	}
 }
 
-func TestStochasticRemainderPoolIsCloned(t *testing.T) {
-	p := oneMax{bits: 2}
-	pop := [][]bool{{true, true}}
-	pool := stochasticRemainder(pop, []float64{1}, 3, sim.NewRNG(11), p)
-	pool[0][0] = false
-	if !pop[0][0] {
-		t.Fatal("mutating the pool mutated the source population")
+// TestStochasticRemainderPoolIndexesPopulation: the mating pool names
+// individuals by index (breeding reads them and writes the other arena),
+// so every slot must be a valid index, the fitter individual's among them.
+func TestStochasticRemainderPoolIndexesPopulation(t *testing.T) {
+	pool := selectPool([]float64{0, 1, 0.25}, 30, sim.NewRNG(11))
+	seen := map[int]int{}
+	for _, i := range pool {
+		if i < 0 || i > 2 {
+			t.Fatalf("pool slot %d is not an index into a population of 3: %v", i, pool)
+		}
+		seen[i]++
+	}
+	if len(pool) != 30 || seen[1] < seen[2] || seen[0] != 0 {
+		t.Fatalf("pool %v does not follow fitness [0 1 0.25]", pool)
 	}
 }
 
 // TestFillFromBest drives the degenerate all-zero-fractions selection
 // state directly: the Bernoulli trials on the fractional parts can never
 // fire, the pool is underfilled, and the explicit fallback must fill the
-// remaining slots from best-fitness order (deterministically, cycling,
-// with clones).
+// remaining slots from best-fitness order (deterministically, cycling).
 func TestFillFromBest(t *testing.T) {
-	p := oneMax{bits: 2}
-	pop := [][]bool{{false, false}, {true, true}, {true, false}}
 	fitness := []float64{0, 1, 0.5} // all fractional parts zero: trials cannot fill
-	pool := fillFromBest(nil, pop, fitness, 7, p)
-	if len(pool) != 7 {
-		t.Fatalf("pool size %d, want 7", len(pool))
-	}
+	pool, _ := fillFromBest(nil, []int{7, 7, 7, 7}, fitness, 7)
 	// Best-fitness order is individual 1, then 2, then 0, cycling.
-	wantIdx := []int{1, 2, 0, 1, 2, 0, 1}
-	for k, want := range wantIdx {
-		if got := pool[k]; got[0] != pop[want][0] || got[1] != pop[want][1] {
-			t.Errorf("slot %d = %v, want clone of individual %d (%v)", k, got, want, pop[want])
-		}
-	}
-	// The fill must clone, not alias.
-	pool[0][0] = !pool[0][0]
-	if !pop[1][0] {
-		t.Fatal("fallback fill aliased the source population")
+	if want := []int{1, 2, 0, 1, 2, 0, 1}; !slices.Equal(pool, want) {
+		t.Fatalf("pool = %v, want %v", pool, want)
 	}
 }
 
 // TestFillFromBestTieBreaksByIndex pins the determinism of the fallback:
 // equal fitness fills in index order.
 func TestFillFromBestTieBreaksByIndex(t *testing.T) {
-	p := oneMax{bits: 1}
-	pop := [][]bool{{true}, {false}, {true}}
-	pool := fillFromBest(nil, pop, []float64{1, 1, 1}, 3, p)
-	want := []bool{true, false, true} // index order 0, 1, 2
-	for k := range pool {
-		if pool[k][0] != want[k] {
-			t.Fatalf("slot %d = %v, want index-order fill %v", k, pool[k][0], want)
-		}
+	pool, _ := fillFromBest(nil, nil, []float64{1, 1, 1}, 3)
+	if want := []int{0, 1, 2}; !slices.Equal(pool, want) {
+		t.Fatalf("pool = %v, want index-order fill %v", pool, want)
 	}
 }
 
 // TestFillFromBestNoopWhenFull asserts a full pool passes through
 // untouched.
 func TestFillFromBestNoopWhenFull(t *testing.T) {
-	p := oneMax{bits: 1}
-	pop := [][]bool{{true}}
-	pool := []([]bool){{false}, {false}}
-	out := fillFromBest(pool, pop, []float64{1}, 2, p)
-	if len(out) != 2 || out[0][0] || out[1][0] {
+	out, _ := fillFromBest([]int{0, 0}, nil, []float64{1}, 2)
+	if !slices.Equal(out, []int{0, 0}) {
 		t.Fatal("fillFromBest modified an already-full pool")
 	}
 }

@@ -51,7 +51,9 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 		p := caseStudyProblem(t, engine)
 		c := cfg
 		c.Workers = workers
-		res := Run[schedule.Solution](p, c, sim.NewRNG(42), []schedule.Solution{p.GreedySeed()})
+		var greedy schedule.Solution
+		p.GreedySeed(&greedy)
+		res := Run[schedule.Solution](p, c, sim.NewRNG(42), []schedule.Solution{greedy})
 		return outcome{best: res.Best, cost: res.BestCost, history: res.History, evals: res.CostEvals}
 	}
 

@@ -83,7 +83,9 @@ func bruteProblem(t *testing.T, appNames []string, nodes int, deadline float64) 
 func TestGreedySeedNearBruteForceOptimum(t *testing.T) {
 	p := bruteProblem(t, []string{"fft", "closure", "memsort"}, 3, 1000)
 	optimal := bruteForceBest(p)
-	greedy := p.Cost(p.GreedySeed())
+	var seed Solution
+	p.GreedySeed(&seed)
+	greedy := p.Cost(seed)
 	if greedy < optimal-1e-9 {
 		t.Fatalf("greedy (%v) beat the enumerated optimum (%v): enumeration is broken", greedy, optimal)
 	}
@@ -103,20 +105,22 @@ func TestLocalSearchReachesBruteForceOptimum(t *testing.T) {
 
 	rng := sim.NewRNG(5)
 	best := math.Inf(1)
-	cur := p.GreedySeed()
+	var cur, cand Solution
+	p.GreedySeed(&cur)
 	curCost := p.Cost(cur)
 	for i := 0; i < 4000; i++ {
-		cand := p.Mutate(cur, rng)
+		p.Copy(&cand, cur)
+		p.Mutate(&cand, rng)
 		c := p.Cost(cand)
 		// Accept sideways and downhill moves so plateaus are crossable.
 		if c <= curCost {
-			cur, curCost = cand, c
+			cur, cand, curCost = cand, cur, c
 		}
 		if c < best {
 			best = c
 		}
 		if i%500 == 499 { // occasional restart
-			cur = p.Random(rng)
+			p.Random(&cur, rng)
 			curCost = p.Cost(cur)
 		}
 	}

@@ -3,6 +3,7 @@ package schedule
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Placed records one task's slot in a built schedule: the allocated node
@@ -159,10 +160,11 @@ func (s *Schedule) Place(taskPos int, mask uint64, floor, dur float64) Placed {
 // cost argument (§2.2) makes every scheduling event worth ~1000 builds —
 // so the per-Build garbage of the general entry point matters.
 //
-// Validation is hoisted to construction: NewBuilder checks the resource
-// once, and Build trusts the solution (the genetic operators maintain
-// legitimacy; validate seeds once per Plan with Solution.Validate). A
-// Builder is not safe for concurrent use; use one per goroutine.
+// Validation is hoisted to construction: NewBuilder (or Reset) checks the
+// resource once, and Build trusts the solution (the genetic operators
+// maintain legitimacy; validate seeds once per Plan with
+// Solution.Validate). A Builder is not safe for concurrent use; use one
+// per goroutine.
 type Builder struct {
 	tasks      []Task
 	res        Resource
@@ -174,18 +176,27 @@ type Builder struct {
 // NewBuilder validates the resource once and returns a builder for the
 // problem instance.
 func NewBuilder(tasks []Task, res Resource, predict Predictor) (*Builder, error) {
-	if err := res.Validate(); err != nil {
+	b := new(Builder)
+	if err := b.Reset(tasks, res, predict); err != nil {
 		return nil, err
 	}
-	if predict == nil {
-		return nil, fmt.Errorf("schedule: builder needs a predictor")
+	return b, nil
+}
+
+// Reset validates the resource and re-points b at a new problem instance,
+// keeping its scratch buffers: a builder owned by a scheduler serves
+// every scheduling event without allocating once the buffers have grown.
+func (b *Builder) Reset(tasks []Task, res Resource, predict Predictor) error {
+	if err := res.Validate(); err != nil {
+		return err
 	}
-	return &Builder{
-		tasks:   tasks,
-		res:     res,
-		predict: predict,
-		sched:   Schedule{Items: make([]Placed, 0, len(tasks)), NodeBusy: make([]float64, 0, res.NumNodes)},
-	}, nil
+	if predict == nil {
+		return fmt.Errorf("schedule: builder needs a predictor")
+	}
+	b.tasks, b.res, b.predict = tasks, res, predict
+	b.sched.Items = slices.Grow(b.sched.Items[:0], len(tasks))
+	b.sched.NodeBusy = slices.Grow(b.sched.NodeBusy[:0], res.NumNodes)
+	return nil
 }
 
 // Build times sol at the scheduling instant base. The returned schedule

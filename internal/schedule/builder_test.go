@@ -338,9 +338,9 @@ func TestBuilderMatchesBuild(t *testing.T) {
 	}
 }
 
-// TestBuilderDoesNotAllocate pins the tentpole's zero-alloc contract for
-// the GA cost hot path.
-func TestBuilderDoesNotAllocate(t *testing.T) {
+// TestBuilderBuildAllocs pins the zero-alloc contract for the GA cost hot
+// path.
+func TestBuilderBuildAllocs(t *testing.T) {
 	tasks := make([]Task, 10)
 	for i := range tasks {
 		tasks[i] = Task{ID: i, Deadline: 50}
@@ -378,6 +378,31 @@ func TestCostDoesNotAllocate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Cost allocates %v objects per run, want 0", allocs)
+	}
+}
+
+// TestProblemResetRepointsBuilders re-points one Problem across task sets
+// of different sizes and resources: every cost must equal a fresh
+// Problem's, so no pooled builder keeps an earlier instance.
+func TestProblemResetRepointsBuilders(t *testing.T) {
+	rng := sim.NewRNG(11)
+	reused := NewProblem(nil, NewResource(1), 0, constPredictor(1))
+	for trial := 0; trial < 40; trial++ {
+		n, nodes := rng.IntIn(1, 12), rng.IntIn(1, 16)
+		tasks := makeTasks(n, rng.UniformIn(5, 50))
+		res := NewResource(nodes)
+		for i := range res.Avail {
+			res.Avail[i] = rng.UniformIn(0, 10)
+		}
+		base, pred := rng.UniformIn(0, 5), scalePredictor(rng.UniformIn(1, 40))
+		reused.Reset(tasks, res, base, pred)
+		fresh := NewProblem(tasks, res, base, pred)
+		for k := 0; k < 5; k++ {
+			sol := NewRandomSolution(n, nodes, rng)
+			if got, want := reused.Cost(sol), fresh.Cost(sol); got != want {
+				t.Fatalf("trial %d: cost after Reset %v, fresh problem %v", trial, got, want)
+			}
+		}
 	}
 }
 

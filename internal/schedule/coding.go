@@ -23,14 +23,35 @@ type Solution struct {
 // NewRandomSolution draws a uniform solution: a random task permutation
 // and an independent non-empty random node subset per task.
 func NewRandomSolution(numTasks, numNodes int, rng *sim.RNG) Solution {
-	s := Solution{
-		Order: rng.Perm(numTasks),
-		Maps:  make([]uint64, numTasks),
+	s := Solution{Order: make([]int, numTasks), Maps: make([]uint64, numTasks)}
+	s.randomize(numTasks, numNodes, rng)
+	return s
+}
+
+// randomize makes s a uniform random solution in its own storage, with
+// the draws of rng.Perm followed by one randomMask per task.
+func (s *Solution) randomize(numTasks, numNodes int, rng *sim.RNG) {
+	s.resize(numTasks)
+	order := s.Order
+	for i := range order {
+		order[i] = i
 	}
+	rng.Shuffle(numTasks, func(i, j int) { order[i], order[j] = order[j], order[i] })
 	for i := range s.Maps {
 		s.Maps[i] = randomMask(numNodes, rng)
 	}
-	return s
+}
+
+// resize gives s room for n tasks, reusing its storage; the contents are
+// left for the caller to overwrite.
+func (s *Solution) resize(n int) {
+	if cap(s.Order) < n {
+		s.Order = make([]int, n)
+	}
+	if cap(s.Maps) < n {
+		s.Maps = make([]uint64, n)
+	}
+	s.Order, s.Maps = s.Order[:n], s.Maps[:n]
 }
 
 // randomMask returns a uniformly random non-empty subset of numNodes bits.
@@ -75,15 +96,16 @@ func (s Solution) Validate(numTasks, numNodes int) error {
 	if len(s.Order) != numTasks || len(s.Maps) != numTasks {
 		return fmt.Errorf("schedule: solution sized %d/%d for %d tasks", len(s.Order), len(s.Maps), numTasks)
 	}
-	seen := make([]bool, numTasks)
+	var small [4]uint64
+	seen := newPositionSet(small[:], numTasks)
 	for _, p := range s.Order {
 		if p < 0 || p >= numTasks {
 			return fmt.Errorf("schedule: ordering entry %d out of range", p)
 		}
-		if seen[p] {
+		if seen.has(p) {
 			return fmt.Errorf("schedule: ordering repeats task position %d", p)
 		}
-		seen[p] = true
+		seen.add(p)
 	}
 	full := fullMask(numNodes)
 	for i, m := range s.Maps {
@@ -97,74 +119,76 @@ func (s Solution) Validate(numTasks, numNodes int) error {
 	return nil
 }
 
-// Crossover implements the specialised two-part operator of §2.1. The
-// ordering strings are spliced at a random location and the pairs
-// reordered to produce legitimate permutations (one-point order
+// positionSet is a bitset over task positions [0, n). Crossover and
+// validation run hundreds of times per scheduling event, so the words
+// come from small, an array in the caller's frame, unless n needs more.
+type positionSet []uint64
+
+func newPositionSet(small []uint64, n int) positionSet {
+	words := (n + 63) / 64
+	if words > len(small) {
+		return make(positionSet, words)
+	}
+	clear(small[:words])
+	return small[:words]
+}
+
+func (s positionSet) add(p int)      { s[p>>6] |= uint64(1) << uint(p&63) }
+func (s positionSet) has(p int) bool { return s[p>>6]&(uint64(1)<<uint(p&63)) != 0 }
+
+// Crossover implements the specialised two-part operator of §2.1, writing
+// the two children to c1 and c2 in their own storage (neither may alias a
+// parent). The ordering strings are spliced at a random location and the
+// pairs reordered to produce legitimate permutations (one-point order
 // crossover). The mapping parts are first reordered to be consistent with
 // the new task order and then recombined with a single-point binary
 // crossover over the concatenated bit string, so the cut may fall inside
 // one task's node map.
-func Crossover(a, b Solution, numNodes int, rng *sim.RNG) (Solution, Solution) {
+func Crossover(c1, c2 *Solution, a, b Solution, numNodes int, rng *sim.RNG) {
 	n := len(a.Order)
 	if n != len(b.Order) {
 		panic("schedule: crossover of differently sized solutions")
 	}
+	c1.resize(n)
+	c2.resize(n)
 	if n == 0 {
-		return a.Clone(), b.Clone()
+		return
 	}
 	cut := rng.Intn(n + 1)
-	c1 := spliceOrder(a.Order, b.Order, cut)
-	c2 := spliceOrder(b.Order, a.Order, cut)
+	spliceOrder(c1.Order, a.Order, b.Order, cut)
+	spliceOrder(c2.Order, b.Order, a.Order, cut)
 
 	bitCut := rng.Intn(n*numNodes + 1)
-	m1 := spliceMaps(c1, a.Maps, b.Maps, numNodes, bitCut)
-	m2 := spliceMaps(c2, b.Maps, a.Maps, numNodes, bitCut)
-
-	return Solution{Order: c1, Maps: m1}, Solution{Order: c2, Maps: m2}
+	spliceMaps(c1.Maps, c1.Order, a.Maps, b.Maps, numNodes, bitCut)
+	spliceMaps(c2.Maps, c2.Order, b.Maps, a.Maps, numNodes, bitCut)
 }
 
-// spliceOrder keeps head[:cut] and appends the remaining task positions in
-// tail's relative order, yielding a legitimate permutation. Membership of
-// the kept prefix is tracked in a bitmask for the common ≤64-task case
-// (crossover runs hundreds of times per scheduling event) and falls back
-// to a scratch slice for larger queues.
-func spliceOrder(head, tail []int, cut int) []int {
-	out := make([]int, 0, len(head))
-	if len(head) <= 64 {
-		var used uint64
-		for _, p := range head[:cut] {
-			out = append(out, p)
-			used |= uint64(1) << uint(p)
-		}
-		for _, p := range tail {
-			if used&(uint64(1)<<uint(p)) == 0 {
-				out = append(out, p)
-			}
-		}
-		return out
-	}
-	used := make([]bool, len(head))
+// spliceOrder fills out with head[:cut] followed by the remaining task
+// positions in tail's relative order, yielding a legitimate permutation.
+func spliceOrder(out, head, tail []int, cut int) {
+	var small [4]uint64
+	used := newPositionSet(small[:], len(head))
 	for _, p := range head[:cut] {
-		out = append(out, p)
-		used[p] = true
+		used.add(p)
 	}
+	copy(out, head[:cut])
+	k := cut
 	for _, p := range tail {
-		if !used[p] {
-			out = append(out, p)
+		if !used.has(p) {
+			out[k] = p
+			k++
 		}
 	}
-	return out
 }
 
-// spliceMaps builds the child's task-indexed mapping. Conceptually the two
-// parents' mapping strings are reordered to match the child's task order
-// and concatenated into bit strings; the child takes bits before bitCut
-// from the first parent and bits after it from the second. The rank of a
-// task in the child's order therefore decides which parent supplies its
-// node map, with the boundary task receiving a hybrid mask (repaired to be
-// non-empty).
-func spliceMaps(order []int, first, second []uint64, numNodes int, bitCut int) []uint64 {
-	out := make([]uint64, len(order))
+// spliceMaps fills out with the child's task-indexed mapping.
+// Conceptually the two parents' mapping strings are reordered to match
+// the child's task order and concatenated into bit strings; the child
+// takes bits before bitCut from the first parent and bits after it from
+// the second. The rank of a task in the child's order therefore decides
+// which parent supplies its node map, with the boundary task receiving a
+// hybrid mask (repaired to be non-empty).
+func spliceMaps(out []uint64, order []int, first, second []uint64, numNodes int, bitCut int) {
 	for rank, taskPos := range order {
 		lo := rank * numNodes
 		hi := lo + numNodes
@@ -190,31 +214,28 @@ func spliceMaps(order []int, first, second []uint64, numNodes int, bitCut int) [
 		}
 		out[taskPos] = m
 	}
-	return out
 }
 
-// Mutate implements the two-part mutation of §2.1: a switching operator
-// swaps two positions of the ordering part, and a random bit-flip is
-// applied to the mapping part (repaired to keep allocations non-empty).
-// The receiver is left intact.
-func Mutate(s Solution, numNodes int, rng *sim.RNG) Solution {
-	out := s.Clone()
-	n := len(out.Order)
+// Mutate implements the two-part mutation of §2.1 on s in place: a
+// switching operator swaps two positions of the ordering part, and a
+// random bit-flip is applied to the mapping part (repaired to keep
+// allocations non-empty).
+func Mutate(s *Solution, numNodes int, rng *sim.RNG) {
+	n := len(s.Order)
 	if n == 0 {
-		return out
+		return
 	}
 	// Switching operator on the ordering part.
 	i, j := rng.Intn(n), rng.Intn(n)
-	out.Order[i], out.Order[j] = out.Order[j], out.Order[i]
+	s.Order[i], s.Order[j] = s.Order[j], s.Order[i]
 
 	// Random bit-flip on the mapping part.
 	t := rng.Intn(n)
 	bit := uint64(1) << uint(rng.Intn(numNodes))
-	out.Maps[t] ^= bit
-	if out.Maps[t] == 0 {
-		out.Maps[t] = bit // flipping the last set bit would orphan the task
+	s.Maps[t] ^= bit
+	if s.Maps[t] == 0 {
+		s.Maps[t] = bit // flipping the last set bit would orphan the task
 	}
-	return out
 }
 
 // NodeCount returns the number of nodes allocated to the task at position

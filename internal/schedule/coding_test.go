@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -60,16 +61,18 @@ func TestCloneIsIndependent(t *testing.T) {
 }
 
 // Property: crossover of legitimate parents yields legitimate children and
-// leaves the parents untouched.
+// leaves the parents untouched. The children are written over the
+// previous trial's, of another size, so a stale tail would show.
 func TestCrossoverPreservesLegitimacy(t *testing.T) {
 	rng := sim.NewRNG(4)
+	var c, d Solution
 	prop := func(nTasksRaw, nNodesRaw uint8) bool {
 		nTasks := int(nTasksRaw)%15 + 1
 		nNodes := int(nNodesRaw)%16 + 1
 		a := NewRandomSolution(nTasks, nNodes, rng)
 		b := NewRandomSolution(nTasks, nNodes, rng)
 		aSnap, bSnap := a.Clone(), b.Clone()
-		c, d := Crossover(a, b, nNodes, rng)
+		Crossover(&c, &d, a, b, nNodes, rng)
 		if c.Validate(nTasks, nNodes) != nil || d.Validate(nTasks, nNodes) != nil {
 			return false
 		}
@@ -97,17 +100,26 @@ func solutionsEqual(a, b Solution) bool {
 	return true
 }
 
-// Property: mutation yields a legitimate solution and leaves the input
-// untouched.
+// Property: mutation in place yields a legitimate solution that differs
+// from its input in at most two order entries and one node map.
 func TestMutatePreservesLegitimacy(t *testing.T) {
 	rng := sim.NewRNG(5)
 	prop := func(nTasksRaw, nNodesRaw uint8) bool {
 		nTasks := int(nTasksRaw)%15 + 1
 		nNodes := int(nNodesRaw)%16 + 1
 		a := NewRandomSolution(nTasks, nNodes, rng)
-		snap := a.Clone()
-		m := Mutate(a, nNodes, rng)
-		return m.Validate(nTasks, nNodes) == nil && solutionsEqual(a, snap)
+		m := a.Clone()
+		Mutate(&m, nNodes, rng)
+		orderDiffs, mapDiffs := 0, 0
+		for i := range a.Order {
+			if a.Order[i] != m.Order[i] {
+				orderDiffs++
+			}
+			if a.Maps[i] != m.Maps[i] {
+				mapDiffs++
+			}
+		}
+		return m.Validate(nTasks, nNodes) == nil && orderDiffs <= 2 && mapDiffs <= 1
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
@@ -120,9 +132,9 @@ func TestMutateNeverEmptiesSingleNodeMap(t *testing.T) {
 	rng := sim.NewRNG(6)
 	a := Solution{Order: []int{0}, Maps: []uint64{1}}
 	for i := 0; i < 100; i++ {
-		m := Mutate(a, 1, rng)
-		if m.Maps[0] != 1 {
-			t.Fatalf("mutation produced map %b on a 1-node pool", m.Maps[0])
+		Mutate(&a, 1, rng)
+		if a.Maps[0] != 1 {
+			t.Fatalf("mutation produced map %b on a 1-node pool", a.Maps[0])
 		}
 	}
 }
@@ -133,9 +145,10 @@ func TestCrossoverPreservesTaskMappingAssociation(t *testing.T) {
 	// parents the children must equal the parents regardless of cut
 	// points.
 	rng := sim.NewRNG(7)
+	var c, d Solution
 	for trial := 0; trial < 100; trial++ {
 		a := NewRandomSolution(8, 8, rng)
-		c, d := Crossover(a, a, 8, rng)
+		Crossover(&c, &d, a, a, 8, rng)
 		if !solutionsEqual(c, a) || !solutionsEqual(d, a) {
 			t.Fatalf("crossover of identical parents changed the solution:\na=%v\nc=%v\nd=%v", a, c, d)
 		}
@@ -145,8 +158,9 @@ func TestCrossoverPreservesTaskMappingAssociation(t *testing.T) {
 func TestCrossoverEmptySolutions(t *testing.T) {
 	rng := sim.NewRNG(8)
 	a := Solution{Order: []int{}, Maps: []uint64{}}
-	c, d := Crossover(a, a, 4, rng)
-	if len(c.Order) != 0 || len(d.Order) != 0 {
+	c, d := NewRandomSolution(3, 4, rng), NewRandomSolution(3, 4, rng)
+	Crossover(&c, &d, a, a, 4, rng)
+	if len(c.Order) != 0 || len(d.Order) != 0 || len(c.Maps) != 0 || len(d.Maps) != 0 {
 		t.Fatal("crossover of empty solutions produced tasks")
 	}
 }
@@ -160,18 +174,32 @@ func TestCrossoverMixedSizesPanics(t *testing.T) {
 			t.Fatal("size-mismatched crossover did not panic")
 		}
 	}()
-	Crossover(a, b, 4, rng)
+	var c, d Solution
+	Crossover(&c, &d, a, b, 4, rng)
 }
 
 func TestSpliceOrderKeepsHeadAndRelativeTailOrder(t *testing.T) {
 	head := []int{3, 1, 4, 0, 2}
 	tail := []int{0, 1, 2, 3, 4}
-	got := spliceOrder(head, tail, 2)
+	got := []int{9, 9, 9, 9, 9} // stale scratch
+	spliceOrder(got, head, tail, 2)
 	want := []int{3, 1, 0, 2, 4}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("spliceOrder = %v, want %v", got, want)
-		}
+	if !slices.Equal(got, want) {
+		t.Fatalf("spliceOrder = %v, want %v", got, want)
+	}
+
+	// Past 256 positions the membership set no longer fits its stack
+	// words; the result must not change.
+	const n = 300
+	head, tail = make([]int, n), make([]int, n)
+	for i := range head {
+		head[i], tail[i] = n-1-i, i
+	}
+	got = make([]int, n)
+	spliceOrder(got, head, tail, 270)
+	want = append(append([]int(nil), head[:270]...), tail[:30]...)
+	if !slices.Equal(got, want) {
+		t.Fatalf("spliceOrder over %d positions = %v, want %v", n, got, want)
 	}
 }
 

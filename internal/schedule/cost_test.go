@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -144,17 +145,21 @@ func TestCostSurfaceRewardsBalance(t *testing.T) {
 	rng := sim.NewRNG(12)
 
 	randomBest := 1e18
+	var s Solution
 	for i := 0; i < 200; i++ {
-		if c := p.Cost(p.Random(rng)); c < randomBest {
+		p.Random(&s, rng)
+		if c := p.Cost(s); c < randomBest {
 			randomBest = c
 		}
 	}
-	best := p.GreedySeed()
+	var best, m Solution
+	p.GreedySeed(&best)
 	bestCost := p.Cost(best)
 	for gen := 0; gen < 400; gen++ {
-		m := p.Mutate(best, rng)
+		p.Copy(&m, best)
+		p.Mutate(&m, rng)
 		if c := p.Cost(m); c < bestCost {
-			best, bestCost = m, c
+			best, m, bestCost = m, best, c
 		}
 	}
 	if bestCost > randomBest {
@@ -166,7 +171,8 @@ func TestGreedySeedIsLegitimateAndReasonable(t *testing.T) {
 	tasks := makeTasks(10, 1e9)
 	res := NewResource(4)
 	p := NewProblem(tasks, res, 0, scalePredictor(40))
-	seed := p.GreedySeed()
+	var seed Solution
+	p.GreedySeed(&seed)
 	if err := seed.Validate(10, 4); err != nil {
 		t.Fatalf("greedy seed invalid: %v", err)
 	}
@@ -178,16 +184,26 @@ func TestGreedySeedIsLegitimateAndReasonable(t *testing.T) {
 }
 
 func TestCheapestNodesPicksEarliest(t *testing.T) {
-	busy := []float64{9, 2, 5, 7}
-	mask, start := cheapestNodes(busy, 2, 0)
-	if mask != 0b0110 { // nodes 1 and 2
-		t.Fatalf("mask = %b, want 0110", mask)
+	busy := []float64{9, 2, 5, 7, 2}
+	got := cheapestNodes([]int{3, 3, 3, 3, 3, 3, 3}, busy) // stale scratch
+	want := []int{1, 4, 2, 3, 0}                           // equal availability: lower index first
+	if !slices.Equal(got, want) {
+		t.Fatalf("cheapestNodes = %v, want %v", got, want)
 	}
-	if start != 5 {
-		t.Fatalf("start = %v, want 5 (latest of chosen)", start)
+
+	// GreedySeed gives each task the prefix of that order that ends it
+	// earliest: the two nodes free at 2 start in unison at 2, and a task
+	// arriving at 10 starts at 10 on whichever node.
+	res := NewResource(5)
+	copy(res.Avail, busy)
+	tasks := []Task{{ID: 1}, {ID: 2, Arrival: 10}}
+	p := NewProblem(tasks, res, 0, scalePredictor(8))
+	var seed Solution
+	p.GreedySeed(&seed)
+	if seed.Maps[0] != 0b10010 { // nodes 1 and 4: 2 + 8/2 = 6 beats 5 + 8/3
+		t.Fatalf("first task mapped to %b, want 10010", seed.Maps[0])
 	}
-	_, start = cheapestNodes(busy, 1, 10)
-	if start != 10 {
-		t.Fatalf("floor not applied: start = %v", start)
+	if s := Build(seed, tasks, res, 0, scalePredictor(8)); s.Items[1].Start != 10 {
+		t.Fatalf("floor not applied: second task starts at %v", s.Items[1].Start)
 	}
 }

@@ -1,8 +1,10 @@
 package schedule
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"repro/internal/sim"
@@ -14,8 +16,9 @@ import (
 //
 // Cost is safe for concurrent use (the parallel GA evaluates the
 // population on a worker pool): each call borrows a scratch Builder from
-// an internal pool, so concurrent evaluations never share buffers. Use
-// Problem by pointer only — the pool must not be copied.
+// an internal pool, so concurrent evaluations never share buffers.
+// GreedySeed and Reset are not. Use Problem by pointer only — the pool
+// must not be copied.
 type Problem struct {
 	Tasks         []Task
 	Res           Resource
@@ -24,35 +27,50 @@ type Problem struct {
 	Weights       CostWeights
 	FrontWeighted bool // front-weighted idle time (§2.1); ablation knob
 
-	builders sync.Pool // *Builder scratch, one per concurrent Cost call
+	builders sync.Pool // *costBuilder scratch, one per concurrent Cost call
+	instance uint64    // bumped by Reset; a pooled builder of an older one is re-pointed
+
+	// GreedySeed scratch.
+	busy    []float64
+	byAvail []int
+}
+
+// costBuilder is a pooled Builder and the problem instance it points at.
+type costBuilder struct {
+	Builder
+	instance uint64
 }
 
 // NewProblem returns a Problem with default weights and front-weighted
 // idle time enabled.
 func NewProblem(tasks []Task, res Resource, base float64, predict Predictor) *Problem {
-	return &Problem{
-		Tasks:         tasks,
-		Res:           res,
-		Base:          base,
-		Predict:       predict,
-		Weights:       DefaultWeights(),
-		FrontWeighted: true,
-	}
+	p := &Problem{Weights: DefaultWeights(), FrontWeighted: true}
+	p.Reset(tasks, res, base, predict)
+	return p
 }
 
-// Random returns a uniformly random legitimate solution.
-func (p *Problem) Random(rng *sim.RNG) Solution {
-	return NewRandomSolution(len(p.Tasks), p.Res.NumNodes, rng)
+// Reset re-points p at a new problem instance. Its scratch is kept: a
+// scheduler that plans every arrival resets one Problem instead of
+// building one per event, and the pooled builders follow on their next
+// Cost call.
+func (p *Problem) Reset(tasks []Task, res Resource, base float64, predict Predictor) {
+	p.Tasks, p.Res, p.Base, p.Predict = tasks, res, base, predict
+	p.instance++
+}
+
+// Random makes dst a uniformly random legitimate solution.
+func (p *Problem) Random(dst *Solution, rng *sim.RNG) {
+	dst.randomize(len(p.Tasks), p.Res.NumNodes, rng)
 }
 
 // Crossover applies the two-part crossover of §2.1.
-func (p *Problem) Crossover(a, b Solution, rng *sim.RNG) (Solution, Solution) {
-	return Crossover(a, b, p.Res.NumNodes, rng)
+func (p *Problem) Crossover(c1, c2 *Solution, a, b Solution, rng *sim.RNG) {
+	Crossover(c1, c2, a, b, p.Res.NumNodes, rng)
 }
 
-// Mutate applies the two-part mutation of §2.1.
-func (p *Problem) Mutate(g Solution, rng *sim.RNG) Solution {
-	return Mutate(g, p.Res.NumNodes, rng)
+// Mutate applies the two-part mutation of §2.1 in place.
+func (p *Problem) Mutate(g *Solution, rng *sim.RNG) {
+	Mutate(g, p.Res.NumNodes, rng)
 }
 
 // Cost builds the genome's schedule and evaluates eq. 8. Solution
@@ -60,13 +78,15 @@ func (p *Problem) Mutate(g Solution, rng *sim.RNG) Solution {
 // maintain legitimacy, so only externally supplied solutions (seeds) need
 // a Solution.Validate, once per Plan, not once per cost evaluation.
 func (p *Problem) Cost(g Solution) float64 {
-	b, _ := p.builders.Get().(*Builder)
-	if b == nil {
-		var err error
-		b, err = NewBuilder(p.Tasks, p.Res, p.Predict)
-		if err != nil {
+	b, _ := p.builders.Get().(*costBuilder)
+	if b == nil || b.instance != p.instance {
+		if b == nil {
+			b = new(costBuilder)
+		}
+		if err := b.Reset(p.Tasks, p.Res, p.Predict); err != nil {
 			panic(fmt.Sprintf("schedule: Cost on invalid problem: %v", err))
 		}
+		b.instance = p.instance
 	}
 	s := b.Build(g, p.Base)
 	c := Cost(s, p.Tasks, p.Weights, p.FrontWeighted).Combined
@@ -74,70 +94,61 @@ func (p *Problem) Cost(g Solution) float64 {
 	return c
 }
 
-// Clone deep-copies a genome.
-func (p *Problem) Clone(g Solution) Solution { return g.Clone() }
+// Copy makes dst a deep copy of src in dst's own storage.
+func (p *Problem) Copy(dst *Solution, src Solution) {
+	dst.Order = append(dst.Order[:0], src.Order...)
+	dst.Maps = append(dst.Maps[:0], src.Maps...)
+}
 
-// GreedySeed constructs a reasonable initial solution: tasks in arrival
-// order, each allocated the node count that minimises its own completion
-// time on the currently-best nodes. It gives the GA population a
-// list-scheduling baseline to improve on and is also the shape of
+// GreedySeed writes to dst a reasonable initial solution: tasks in
+// arrival order, each allocated the node count that minimises its own
+// completion time on the currently-best nodes. It gives the GA population
+// a list-scheduling baseline to improve on and is also the shape of
 // solution the previous scheduling round's best maps onto after task
 // arrivals and departures.
-func (p *Problem) GreedySeed() Solution {
-	n := len(p.Tasks)
-	sol := Solution{Order: make([]int, n), Maps: make([]uint64, n)}
-	busy := make([]float64, p.Res.NumNodes)
-	copy(busy, p.Res.Avail)
-	for i := range sol.Order {
-		sol.Order[i] = i
-	}
-	for _, taskPos := range sol.Order {
-		t := p.Tasks[taskPos]
+func (p *Problem) GreedySeed(dst *Solution) {
+	dst.resize(len(p.Tasks))
+	p.busy = append(p.busy[:0], p.Res.Avail...)
+	busy := p.busy
+	for taskPos, t := range p.Tasks {
+		dst.Order[taskPos] = taskPos
+		// The k cheapest nodes for every k are the first k of one order.
+		p.byAvail = cheapestNodes(p.byAvail, busy)
 		bestMask, bestEnd := uint64(0), 0.0
-		for k := 1; k <= p.Res.NumNodes; k++ {
-			mask, start := cheapestNodes(busy, k, maxf(p.Base, t.Arrival))
-			end := start + p.Predict(t.App, k)
+		var mask uint64
+		start := maxf(p.Base, t.Arrival)
+		for i, node := range p.byAvail[:p.Res.NumNodes] {
+			mask |= uint64(1) << uint(node)
+			if busy[node] > start {
+				start = busy[node] // the k nodes start in unison
+			}
+			end := start + p.Predict(t.App, i+1)
 			if bestMask == 0 || end < bestEnd {
 				bestMask, bestEnd = mask, end
 			}
 		}
-		sol.Maps[taskPos] = bestMask
+		dst.Maps[taskPos] = bestMask
 		for m := bestMask; m != 0; m &= m - 1 {
 			busy[bits.TrailingZeros64(m)] = bestEnd
 		}
 	}
-	return sol
 }
 
-// cheapestNodes picks the k nodes with the earliest availability and
-// returns their mask plus the unison start time (the latest availability
-// among them, clamped below by floor).
-func cheapestNodes(busy []float64, k int, floor float64) (uint64, float64) {
-	type na struct {
-		idx   int
-		avail float64
+// cheapestNodes writes to order's storage the node indices sorted by
+// availability, then index: a total order, so the sort algorithm does
+// not matter.
+func cheapestNodes(order []int, busy []float64) []int {
+	order = order[:0]
+	for i := range busy {
+		order = append(order, i)
 	}
-	nodes := make([]na, len(busy))
-	for i, a := range busy {
-		nodes[i] = na{i, a}
-	}
-	// Insertion sort: node counts are small (≤ 64) and this avoids
-	// allocating a closure for sort.Slice in the hot seeding path.
-	for i := 1; i < len(nodes); i++ {
-		for j := i; j > 0 && (nodes[j].avail < nodes[j-1].avail ||
-			(nodes[j].avail == nodes[j-1].avail && nodes[j].idx < nodes[j-1].idx)); j-- {
-			nodes[j], nodes[j-1] = nodes[j-1], nodes[j]
+	slices.SortFunc(order, func(i, j int) int {
+		if c := cmp.Compare(busy[i], busy[j]); c != 0 {
+			return c
 		}
-	}
-	var mask uint64
-	start := floor
-	for i := 0; i < k; i++ {
-		mask |= uint64(1) << uint(nodes[i].idx)
-		if nodes[i].avail > start {
-			start = nodes[i].avail
-		}
-	}
-	return mask, start
+		return i - j
+	})
+	return order
 }
 
 func maxf(a, b float64) float64 {

@@ -37,11 +37,16 @@ type FIFOPolicy struct {
 
 	sched schedule.Schedule // Plan's result, rebuilt in place on every call
 
-	// Allocation search scratch, kept so that the fast search allocates
-	// nothing. The exhaustive search's 2^n table is not kept: see ROADMAP
-	// item 2 for what keeping it does to the live farm.
+	// Allocation search scratch, kept so that neither search allocates
+	// once it has run at the largest node count.
 	durs    []float64 // predicted duration by node count
 	byAvail []int     // nodes ordered by (availability, index)
+	// maxAvail is the exhaustive search's 2^n availability table, grown
+	// lazily to the largest n searched and then retained: 8·2^n bytes per
+	// exhaustive policy, 512 KB on Fig. 7's 16-node resources and so about
+	// 6 MB over the farm's 12 nodes. Allocating it per search instead made
+	// it most of the farm's garbage.
+	maxAvail []float64
 }
 
 // NewFIFOPolicy returns the baseline policy with the paper's literal
@@ -141,7 +146,12 @@ func planMask(mask uint64, phys []int, n int) (uint64, bool) {
 func (f *FIFOPolicy) bestAllocationExhaustive(busy []float64, booked [][]schedule.Window, floor float64, app *pace.AppModel, predict schedule.Predictor) uint64 {
 	n := len(busy)
 	total := uint64(1) << uint(n)
-	maxAvail := make([]float64, total)
+	// Every entry read is written earlier in the loop (rest < m), so the
+	// table is reused without clearing.
+	if uint64(len(f.maxAvail)) < total {
+		f.maxAvail = make([]float64, total)
+	}
+	maxAvail := f.maxAvail
 	// Predicted durations depend only on cardinality; tabulate once.
 	f.durs = slices.Grow(f.durs[:0], n+1)[:n+1]
 	dur := f.durs

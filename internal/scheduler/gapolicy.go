@@ -15,6 +15,11 @@ import (
 // injected as a seed, which is how the algorithm "absorbs system changes
 // such as the addition or deletion of tasks" rather than restarting from
 // scratch.
+//
+// The policy keeps its planning state between calls — the GA's
+// population arenas, the problem with its scratch builders, the seeds and
+// the schedule it returns — so a scheduling event allocates nothing once
+// these have grown to the longest queue seen.
 type GAPolicy struct {
 	Config        ga.Config
 	Weights       schedule.CostWeights
@@ -22,6 +27,12 @@ type GAPolicy struct {
 	rng           *sim.RNG
 
 	carry carryState // previous best, keyed by task ID
+
+	runner  ga.Runner[schedule.Solution]
+	problem schedule.Problem
+	greedy  schedule.Solution
+	seeds   []schedule.Solution
+	builder schedule.Builder // builds Plan's result, which the next Plan overwrites
 
 	// Activity counters are atomic telemetry instruments so a live
 	// registry (and Stats) can read them while another goroutine plans.
@@ -85,56 +96,62 @@ func (g *GAPolicy) RegisterMetrics(reg *telemetry.Registry, resource string) {
 	reg.Gauge(l("ga_workers")).Set(float64(workers))
 }
 
-// Plan implements Policy.
+// Plan implements Policy. The returned schedule is the policy's own and
+// is overwritten by the next Plan.
 func (g *GAPolicy) Plan(tasks []schedule.Task, res schedule.Resource, now float64, predict schedule.Predictor) *schedule.Schedule {
+	if err := g.builder.Reset(tasks, res, predict); err != nil {
+		panic(fmt.Sprintf("scheduler: ga plan on invalid resource: %v", err))
+	}
 	if len(tasks) == 0 {
-		g.carry.order = nil
-		return schedule.Build(schedule.Solution{Order: []int{}, Maps: []uint64{}}, tasks, res, now, predict)
+		g.carry.order = g.carry.order[:0]
+		return g.builder.Build(schedule.Solution{}, now)
 	}
-	p := &schedule.Problem{
-		Tasks:         tasks,
-		Res:           res,
-		Base:          now,
-		Predict:       predict,
-		Weights:       g.Weights,
-		FrontWeighted: g.FrontWeighted,
-	}
+	p := &g.problem
+	p.Reset(tasks, res, now, predict)
+	p.Weights, p.FrontWeighted = g.Weights, g.FrontWeighted
 
 	// Seed the population with a greedy baseline plus the previous best
 	// mapped onto the current task set (carryState): surviving tasks keep
 	// their relative order and node maps, new tasks append in arrival
 	// order over the whole pool.
-	seeds := []schedule.Solution{p.GreedySeed()}
+	p.GreedySeed(&g.greedy)
+	g.seeds = append(g.seeds[:0], g.greedy)
 	if carried, ok := g.carry.seed(tasks, res.NumNodes); ok {
-		seeds = append(seeds, carried)
+		g.seeds = append(g.seeds, carried)
 	}
 	// Validation is hoisted out of the GA's cost loop (Problem.Cost
 	// trusts its input), so externally constructed solutions are checked
 	// here: once per Plan instead of once per cost evaluation.
-	for _, s := range seeds {
+	for _, s := range g.seeds {
 		if err := s.Validate(len(tasks), res.NumNodes); err != nil {
 			panic(fmt.Sprintf("scheduler: ga seed invalid: %v", err))
 		}
 	}
 
-	res2 := ga.Run[schedule.Solution](p, g.Config, g.rng, seeds)
+	out := g.runner.Run(p, g.Config, g.rng, g.seeds)
 	g.plans.Inc()
-	g.generations.Add(uint64(res2.Generations))
-	g.costEvals.Add(uint64(res2.CostEvals))
+	g.generations.Add(uint64(out.Generations))
+	g.costEvals.Add(uint64(out.CostEvals))
 
-	g.carry.remember(tasks, res2.Best)
-	return schedule.Build(res2.Best, tasks, res, now, predict)
+	g.carry.remember(tasks, out.Best)
+	return g.builder.Build(out.Best, now)
 }
 
 // carryState carries the previous best solution across scheduling events
-// keyed by task ID.
+// keyed by task ID. Its maps and the seed it builds are reused: cleared,
+// not remade.
 type carryState struct {
 	order []int
 	maps  map[int]uint64
+
+	// seed scratch
+	posByID map[int]int
+	used    []bool
+	sol     schedule.Solution
 }
 
 func newCarryState() carryState {
-	return carryState{maps: map[int]uint64{}}
+	return carryState{maps: map[int]uint64{}, posByID: map[int]int{}}
 }
 
 func (c *carryState) forget(taskID int) { delete(c.maps, taskID) }
@@ -144,31 +161,32 @@ func (c *carryState) remember(tasks []schedule.Task, best schedule.Solution) {
 	for _, pos := range best.Order {
 		c.order = append(c.order, tasks[pos].ID)
 	}
-	fresh := make(map[int]uint64, len(tasks))
+	clear(c.maps)
 	for pos, t := range tasks {
-		fresh[t.ID] = best.Maps[pos]
+		c.maps[t.ID] = best.Maps[pos]
 	}
-	c.maps = fresh
 }
 
+// seed maps the remembered solution onto tasks. The returned solution is
+// the carry's own and is overwritten by the next seed.
 func (c *carryState) seed(tasks []schedule.Task, numNodes int) (schedule.Solution, bool) {
 	if len(c.order) == 0 {
 		return schedule.Solution{}, false
 	}
-	posByID := make(map[int]int, len(tasks))
+	clear(c.posByID)
 	for pos, t := range tasks {
-		posByID[t.ID] = pos
+		c.posByID[t.ID] = pos
 	}
-	order := make([]int, 0, len(tasks))
-	used := make(map[int]bool, len(tasks))
+	c.used = append(c.used[:0], make([]bool, len(tasks))...)
+	order := c.sol.Order[:0]
 	for _, id := range c.order {
-		if pos, ok := posByID[id]; ok && !used[pos] {
+		if pos, ok := c.posByID[id]; ok && !c.used[pos] {
 			order = append(order, pos)
-			used[pos] = true
+			c.used[pos] = true
 		}
 	}
 	for pos := range tasks {
-		if !used[pos] {
+		if !c.used[pos] {
 			order = append(order, pos)
 		}
 	}
@@ -176,17 +194,17 @@ func (c *carryState) seed(tasks []schedule.Task, numNodes int) (schedule.Solutio
 	if numNodes >= 64 {
 		full = ^uint64(0)
 	}
-	maps := make([]uint64, len(tasks))
-	for pos, t := range tasks {
+	maps := c.sol.Maps[:0]
+	for _, t := range tasks {
 		if m, ok := c.maps[t.ID]; ok && m&full != 0 {
-			maps[pos] = m & full
+			maps = append(maps, m&full)
 		} else {
-			maps[pos] = full
+			maps = append(maps, full)
 		}
 	}
-	sol := schedule.Solution{Order: order, Maps: maps}
-	if sol.Validate(len(tasks), numNodes) != nil {
+	c.sol = schedule.Solution{Order: order, Maps: maps}
+	if c.sol.Validate(len(tasks), numNodes) != nil {
 		return schedule.Solution{}, false
 	}
-	return sol, true
+	return c.sol, true
 }

@@ -131,7 +131,9 @@ func TestGAPolicyImprovesOverGreedyOnContention(t *testing.T) {
 	res := schedule.NewResource(16)
 	p := &schedule.Problem{Tasks: tasks, Res: res, Base: 0, Predict: pred,
 		Weights: g.Weights, FrontWeighted: true}
-	greedyCost := p.Cost(p.GreedySeed())
+	var greedy schedule.Solution
+	p.GreedySeed(&greedy)
+	greedyCost := p.Cost(greedy)
 
 	s := g.Plan(tasks, res, 0, pred)
 	got := schedule.Cost(s, tasks, g.Weights, true).Combined
