@@ -373,8 +373,9 @@ func BenchmarkAblationGABudget(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationFIFOSearch compares the paper's literal 2^n−1
-// allocation enumeration with the homogeneity-aware fast path.
+// BenchmarkAblationFIFOSearch compares the paper's exhaustive allocation
+// search (the best of all 2^n−1 allocations, node set and all) with the
+// homogeneity-aware fast path.
 func BenchmarkAblationFIFOSearch(b *testing.B) {
 	lib := pace.CaseStudyLibrary()
 	names := lib.Names()

@@ -35,7 +35,7 @@ type PolicyKind string
 
 // Local scheduling policies.
 const (
-	PolicyFIFO     PolicyKind = "fifo"      // §4.1 baseline, exhaustive 2^n−1 allocation search
+	PolicyFIFO     PolicyKind = "fifo"      // §4.1 baseline, the best of all 2^n−1 allocations
 	PolicyFIFOFast PolicyKind = "fifo-fast" // equivalence-tested fast allocation search
 	PolicyGA       PolicyKind = "ga"        // §2.1 genetic algorithm
 )

@@ -41,8 +41,10 @@ func TestGAPolicyPlanAllocs(t *testing.T) {
 	}
 }
 
-// TestExhaustiveSearchAllocs: the exhaustive FIFO search keeps its 2^n
-// table, so only its first call at a node count allocates.
+// TestExhaustiveSearchAllocs: the exhaustive FIFO search reuses its
+// scratch, so only its first call at a node count allocates. Unbooked it
+// computes the answer from n candidates and keeps no 2^n table; under a
+// booked window it keeps the table it enumerates with.
 func TestExhaustiveSearchAllocs(t *testing.T) {
 	f := NewFIFOPolicy()
 	pred := enginePredictor(pace.NewEngine(), pace.SGIOrigin2000)
@@ -51,13 +53,20 @@ func TestExhaustiveSearchAllocs(t *testing.T) {
 	for i := range busy {
 		busy[i] = float64(i % 5)
 	}
-	f.bestAllocationExhaustive(busy, nil, 0, app, pred)
-	allocs := testing.AllocsPerRun(20, func() {
-		if f.bestAllocationExhaustive(busy, nil, 0, app, pred) == 0 {
-			t.Fatal("no allocation chosen")
+	booked := make([][]schedule.Window, len(busy))
+	booked[3] = []schedule.Window{{Start: 2, End: 9}}
+	for _, b := range [][][]schedule.Window{nil, booked} {
+		f.bestAllocationExhaustive(busy, b, 0, app, pred)
+		allocs := testing.AllocsPerRun(20, func() {
+			if f.bestAllocationExhaustive(busy, b, 0, app, pred) == 0 {
+				t.Fatal("no allocation chosen")
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("exhaustive search (booked %v) allocates %v objects per call after the first, want 0", b != nil, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("exhaustive search allocates %v objects per call after the first, want 0", allocs)
+		if b == nil && len(f.maxAvail) != 0 {
+			t.Fatalf("unbooked search keeps a %d-entry table, want none", len(f.maxAvail))
+		}
 	}
 }

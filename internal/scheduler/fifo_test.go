@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/pace"
 	"repro/internal/schedule"
-	"repro/internal/sim"
 )
 
 func testLib(t testing.TB) *pace.Library {
@@ -81,34 +80,24 @@ func TestFIFOPicksOptimalNodeCount(t *testing.T) {
 
 func TestFIFOExhaustiveMatchesFastPath(t *testing.T) {
 	// Property (§4.1 search equivalence): on a homogeneous resource the
-	// exhaustive 2^n−1 enumeration and the sorted-prefix search find
-	// allocations with identical completion time and node count.
+	// exhaustive search and the sorted-prefix search find allocations
+	// with identical completion time and node count.
 	lib := testLib(t)
 	names := lib.Names()
 	e := pace.NewEngine()
-	rng := sim.NewRNG(5)
-	prop := func(appIdx uint8, busyRaw [8]uint8, floorRaw uint8) bool {
+	pred := enginePredictor(e, pace.SunUltra5)
+	prop := func(appIdx, nRaw uint8, busyRaw [12]uint8, floorRaw uint8) bool {
 		app, _ := lib.Lookup(names[int(appIdx)%len(names)])
-		busy := make([]float64, 8)
-		for i, b := range busyRaw {
-			busy[i] = float64(b % 50)
+		busy := make([]float64, 1+int(nRaw)%len(busyRaw))
+		for i := range busy {
+			busy[i] = float64(busyRaw[i] % 50)
 		}
 		floor := float64(floorRaw % 60)
-		pred := enginePredictor(e, pace.SunUltra5)
 		em := NewFIFOPolicy().bestAllocationExhaustive(busy, nil, floor, app, pred)
-		fm := NewFastFIFOPolicy().bestAllocationFast(busy, nil, floor, app, pred)
-
-		end := func(mask uint64) float64 {
-			start := floor
-			for m := mask; m != 0; m &= m - 1 {
-				if a := busy[bits.TrailingZeros64(m)]; a > start {
-					start = a
-				}
-			}
-			return start + pred(app, bits.OnesCount64(mask))
-		}
-		_ = rng
-		return end(em) == end(fm) && bits.OnesCount64(em) == bits.OnesCount64(fm)
+		fm := NewFastFIFOPolicy().bestAllocationCandidates(busy, nil, floor, app, pred, false)
+		return maskEnd(busy, nil, floor, em, pred(app, bits.OnesCount64(em))) ==
+			maskEnd(busy, nil, floor, fm, pred(app, bits.OnesCount64(fm))) &&
+			bits.OnesCount64(em) == bits.OnesCount64(fm)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

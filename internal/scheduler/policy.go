@@ -48,9 +48,9 @@ type Appender interface {
 }
 
 // NewPolicy builds the policy a scenario file, core.Options or a daemon's
-// -policy flag names: "fifo" (§4.1 baseline, exhaustive 2^n−1 allocation
-// search), "fifo-fast" (its equivalence-tested fast search) or "ga" (§2.1,
-// configured by cfg and drawing randomness from rng).
+// -policy flag names: "fifo" (§4.1 baseline, the best of all 2^n−1
+// allocations), "fifo-fast" (its equivalence-tested fast search) or "ga"
+// (§2.1, configured by cfg and drawing randomness from rng).
 func NewPolicy(name string, cfg ga.Config, rng *sim.RNG) (Policy, error) {
 	switch name {
 	case "fifo":
