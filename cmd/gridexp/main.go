@@ -155,6 +155,9 @@ func main() {
 		fail(err)
 		fmt.Println(experiment.FormatScalability(pts))
 		doc.Scale = summariseScale(pts)
+		for _, pt := range pts {
+			verdict(fmt.Sprintf("[scale n=%d]", pt.Agents), pt.Audit)
+		}
 	}
 	if *exp4 {
 		plan := experiment.ScaledFaultPlan(float64(params.Requests) * params.Interval)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/csv"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -84,5 +85,43 @@ func TestRemovedPolicyNamesRejected(t *testing.T) {
 		if !strings.Contains(out, "fifo, fifo-fast or ga") {
 			t.Fatalf("policy %q rejected without the accepted list:\n%s", name, out)
 		}
+	}
+}
+
+// TestScaleAuditsEverySize runs `gridexp -scale -audit`: every grid size
+// of the study prints its own clean verdict.
+func TestScaleAuditsEverySize(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scalability study in short mode")
+	}
+	out, err := gridexp("-scale", "-audit", "-workers", "1")
+	if err != nil {
+		t.Fatalf("gridexp: %v\n%s", err, out)
+	}
+	for _, n := range []int{6, 12, 24, 48} {
+		prefix := fmt.Sprintf("[scale n=%d] audit: %d requests: ", n, 50*n)
+		i := strings.Index(out, prefix)
+		if i < 0 {
+			t.Fatalf("no verdict for %d agents:\n%s", n, out)
+		}
+		if line, _, _ := strings.Cut(out[i:], "\n"); !strings.HasSuffix(line, "; 0 violation(s)") {
+			t.Fatalf("%d agents did not audit clean: %s", n, line)
+		}
+	}
+}
+
+// TestScaleRejectsTelemetry: `gridexp -scale -telemetry` fails and says
+// why, instead of writing nothing.
+func TestScaleRejectsTelemetry(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "telemetry.json")
+	out, err := gridexp("-scale", "-telemetry", path)
+	if err == nil {
+		t.Fatalf("-scale -telemetry accepted:\n%s", out)
+	}
+	if !strings.Contains(out, "the scalability study exports no telemetry") {
+		t.Fatalf("-scale -telemetry failed without saying why:\n%s", out)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("telemetry file written: %v", err)
 	}
 }

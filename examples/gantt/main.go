@@ -92,8 +92,8 @@ func gaVersusFIFO() {
 	result := ga.Run[schedule.Solution](p, cfg, sim.NewRNG(7), []schedule.Solution{greedy})
 	bs := schedule.Build(result.Best, tasks, res, 0, pred)
 	bc := schedule.Cost(bs, tasks, p.Weights, true)
-	fmt.Printf("\nGA after %d generations (%d cost evaluations): makespan %.0fs, weighted idle %.0fs, contract penalty %.0fs\n",
-		result.Generations, result.CostEvals, bc.Makespan, bc.Idle, bc.ContractPen)
+	fmt.Printf("\nGA after %d generations (%d cost requests, %d evaluated): makespan %.0fs, weighted idle %.0fs, contract penalty %.0fs\n",
+		result.Generations, result.CostEvals, result.Evaluations, bc.Makespan, bc.Idle, bc.ContractPen)
 	fmt.Println(schedule.Gantt(bs, 72))
 
 	if bc.Combined <= gc.Combined {

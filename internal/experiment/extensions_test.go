@@ -38,6 +38,7 @@ func TestScalabilityStudySmall(t *testing.T) {
 		t.Skip("scalability study in short mode")
 	}
 	p := QuickParams()
+	p.Audit = true
 	pts, err := RunScalabilityStudy([]int{3, 6}, 3, 20, p)
 	if err != nil {
 		t.Fatal(err)
@@ -49,6 +50,9 @@ func TestScalabilityStudySmall(t *testing.T) {
 		if pt.Requests != 20*pt.Agents {
 			t.Fatalf("point %+v: wrong request count", pt)
 		}
+		if pt.Audit == nil || !pt.Audit.OK() || pt.Audit.Counts.Requests != pt.Requests {
+			t.Fatalf("point %+v: not audited clean", pt)
+		}
 		if pt.MeanHops < 0 || pt.MaxHops > pt.Agents {
 			t.Fatalf("implausible hop counts: %+v", pt)
 		}
@@ -59,6 +63,10 @@ func TestScalabilityStudySmall(t *testing.T) {
 	out := FormatScalability(pts)
 	if !strings.Contains(out, "agents") || !strings.Contains(out, "mean hops") {
 		t.Fatalf("format output:\n%s", out)
+	}
+	p.Telemetry = true
+	if _, err := RunScalabilityStudy([]int{3}, 3, 20, p); err == nil {
+		t.Fatal("telemetry requested of the scalability study was silently dropped")
 	}
 }
 

@@ -1,9 +1,11 @@
 package experiment
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
+	"repro/internal/audit"
 	"repro/internal/core"
 	"repro/internal/pace"
 	"repro/internal/workload"
@@ -49,6 +51,7 @@ type ScalePoint struct {
 	Epsilon   float64
 	Upsilon   float64
 	Beta      float64
+	Audit     *audit.Result // set when Params.Audit is on
 }
 
 // RunScalabilityStudy runs the agent-based configuration over synthetic
@@ -56,13 +59,17 @@ type ScalePoint struct {
 // study's ~50 requests per resource arriving within the same ten-minute
 // phase, so the load density per resource stays constant), and the
 // question measured is whether discovery stays local and balancing holds
-// as the system grows — not whether a fixed workload gets easier.
+// as the system grows — not whether a fixed workload gets easier. With
+// Params.Audit every size is audited; the study exports no telemetry, so
+// Params.Telemetry is an error rather than a silent no-op.
 func RunScalabilityStudy(sizes []int, branching int, reqsPerAgent int, p Params) ([]ScalePoint, error) {
+	if p.Telemetry {
+		return nil, errors.New("experiment: the scalability study exports no telemetry")
+	}
 	if reqsPerAgent <= 0 {
 		reqsPerAgent = 50
 	}
-	// The study reports no trace, audit verdict or telemetry export.
-	p.Trace, p.Audit, p.Telemetry = nil, false, false
+	p.Trace = nil // the trace is experiment 3's
 	out := make([]ScalePoint, 0, len(sizes))
 	for _, n := range sizes {
 		specs := SyntheticResources(n, branching)
@@ -81,7 +88,8 @@ func RunScalabilityStudy(sizes []int, branching int, reqsPerAgent int, p Params)
 			return nil, err
 		}
 		pt := ScalePoint{Agents: n, Requests: spec.Count,
-			Epsilon: o.Report.Total.Epsilon, Upsilon: o.Report.Total.Upsilon, Beta: o.Report.Total.Beta}
+			Epsilon: o.Report.Total.Epsilon, Upsilon: o.Report.Total.Upsilon, Beta: o.Report.Total.Beta,
+			Audit: o.Audit}
 		var hops int
 		for _, d := range o.Dispatches {
 			hops += d.Hops

@@ -34,12 +34,18 @@ type Problem[G any] interface {
 	// Mutate mutates g in place.
 	Mutate(g *G, rng *sim.RNG)
 	// Cost evaluates the genome; lower is better. Cost must be pure (no
-	// observable side effects on the problem or genome) and safe for
-	// concurrent use when Config.Workers > 1: the engine evaluates the
-	// population on a worker pool.
+	// observable side effects on the problem or genome, and the same
+	// result for equal genomes within a run) and safe for concurrent use
+	// when Config.Workers > 1: the engine evaluates the population on a
+	// worker pool. Purity also lets the engine skip calls: a child equal
+	// to a parent takes the parent's cost, and an elite the best's.
 	Cost(g G) float64
 	// Copy makes dst an independent deep copy of src.
 	Copy(dst *G, src G)
+	// Equal reports whether a and b are the same genome. It must imply
+	// Cost(a) == Cost(b), bit for bit (a false negative only costs a
+	// Cost call), and be cheap next to Cost.
+	Equal(a, b G) bool
 }
 
 // Config holds the GA hyper-parameters. The paper fixes the population at
@@ -116,7 +122,8 @@ type Result[G any] struct {
 	Best        G
 	BestCost    float64
 	Generations int       // generations actually executed
-	CostEvals   int       // number of Cost invocations
+	CostEvals   int       // cost requests: the population size per generation
+	Evaluations int       // Cost calls actually made; the rest were inherited
 	History     []float64 // best cost after each generation
 }
 
@@ -136,15 +143,22 @@ func Run[G any](p Problem[G], cfg Config, rng *sim.RNG, seeds []G) Result[G] {
 // history scratch. A scheduler that plans on every arrival keeps one
 // Runner, so a run allocates nothing once the arenas have grown to the
 // largest genomes seen. A Runner is not safe for concurrent use.
+//
+// A child's lineage is kept until it is scored: its parents are its
+// slots of the mating pool, whose generation is still intact in the
+// other arena, with their costs.
 type Runner[G any] struct {
-	pop, next []G // population arenas, swapped after each generation
-	best      G
-	costs     []float64
-	fitness   []float64
-	frac      []float64 // fractional expected counts (stochastic remainder)
-	pool      []int     // the mating pool, as indices into pop
-	order     []int     // fillFromBest's fitness order
-	history   []float64
+	pop, next   []G // population arenas, swapped after each generation
+	best        G
+	bestCost    float64   // best's scored cost: NaN if Best is a NaN-scored pop[0]
+	costs, prev []float64 // pop's costs, and those of the generation it was bred from
+	changed     []bool    // child i is not a verbatim copy of its parent pool[i]
+	todo        []int     // indices of pop whose cost is unknown
+	fitness     []float64
+	frac        []float64 // fractional expected counts (stochastic remainder)
+	pool        []int     // the mating pool, as indices into pop
+	order       []int     // fillFromBest's fitness order
+	history     []float64
 }
 
 // Run is ga.Run on the runner's arenas: the same random draws in the same
@@ -155,7 +169,8 @@ func (r *Runner[G]) Run(p Problem[G], cfg Config, rng *sim.RNG, seeds []G) Resul
 	cfg.sanitize()
 	n := cfg.PopulationSize
 	r.pop, r.next = resize(r.pop, n), resize(r.next, n)
-	r.costs, r.fitness = resize(r.costs, n), resize(r.fitness, n)
+	r.costs, r.prev, r.fitness = resize(r.costs, n), resize(r.prev, n), resize(r.fitness, n)
+	r.changed, r.todo = resize(r.changed, n), resize(r.todo, n)
 	r.history = r.history[:0]
 
 	for i := range r.pop {
@@ -169,12 +184,23 @@ func (r *Runner[G]) Run(p Problem[G], cfg Config, rng *sim.RNG, seeds []G) Resul
 	res := Result[G]{BestCost: math.Inf(1)}
 	stale := 0
 	for gen := 0; gen < cfg.MaxGenerations; gen++ {
-		// Evaluate the population. With Workers > 1 the Cost calls run on
-		// a bounded pool, each result written to its own index; the best
-		// is then chosen by a sequential index-order scan, so the outcome
-		// is bit-identical to the sequential engine.
-		evaluate(p, r.pop, r.costs, cfg.Workers)
+		// Score the population: a child that equals a parent inherits its
+		// cost, the rest are evaluated. With Workers > 1 the Cost calls
+		// run on a bounded pool, each result written to its own index; the
+		// best is then chosen by a sequential index-order scan, so the
+		// outcome is bit-identical to the sequential engine.
+		r.todo = r.todo[:0]
+		if gen == 0 {
+			for i := range r.pop {
+				r.todo = append(r.todo, i)
+			}
+		} else {
+			r.costs, r.prev = r.prev, r.costs
+			r.inherit(p, cfg.Elitism)
+		}
+		r.evaluate(p, cfg.Workers)
 		res.CostEvals += n
+		res.Evaluations += len(r.todo)
 		genBest, genBestCost := -1, math.Inf(1)
 		for i, c := range r.costs {
 			if c < genBestCost {
@@ -183,14 +209,16 @@ func (r *Runner[G]) Run(p Problem[G], cfg Config, rng *sim.RNG, seeds []G) Resul
 		}
 		if genBestCost < res.BestCost {
 			p.Copy(&r.best, r.pop[genBest])
-			res.BestCost = genBestCost
+			res.BestCost, r.bestCost = genBestCost, genBestCost
 			stale = 0
 		} else {
 			if gen == 0 {
 				// No finite cost: Best is still a genome of the population
 				// (the lowest index), never the zero genome elitism would
-				// otherwise breed from.
+				// otherwise breed from. Its elites inherit its own cost,
+				// which may be NaN where BestCost is +Inf.
 				p.Copy(&r.best, r.pop[0])
+				r.bestCost = r.costs[0]
 			}
 			stale++
 		}
@@ -214,19 +242,23 @@ func (r *Runner[G]) Run(p Problem[G], cfg Config, rng *sim.RNG, seeds []G) Resul
 		rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
 		for i := 0; i+1 < len(pool); i += 2 {
 			a, b := r.pop[pool[i]], r.pop[pool[i+1]]
-			if rng.Bool(cfg.CrossoverRate) {
+			crossed := rng.Bool(cfg.CrossoverRate)
+			if crossed {
 				p.Crossover(&r.next[i], &r.next[i+1], a, b, rng)
 			} else {
 				p.Copy(&r.next[i], a)
 				p.Copy(&r.next[i+1], b)
 			}
+			r.changed[i], r.changed[i+1] = crossed, crossed
 		}
 		if last := len(pool) - 1; len(pool)%2 == 1 {
 			p.Copy(&r.next[last], r.pop[pool[last]])
+			r.changed[last] = false
 		}
 		for i := range r.next {
 			if rng.Bool(cfg.MutationRate) {
 				p.Mutate(&r.next[i], rng)
+				r.changed[i] = true
 			}
 		}
 
@@ -250,19 +282,46 @@ func resize[T any](s []T, n int) []T {
 	return append(s[:cap(s)], make([]T, n-cap(s))...)
 }
 
-// evaluate fills costs[i] = p.Cost(pop[i]). With workers > 1 the calls
-// are distributed over a bounded pool via an atomic index counter; each
-// worker writes only its claimed indices, so no result depends on
-// scheduling order. Cost must be pure, which the scheduling Problem
-// guarantees (per-goroutine scratch builders over an immutable problem
-// instance), so the cost vector is identical for any worker count.
-func evaluate[G any](p Problem[G], pop []G, costs []float64, workers int) {
-	if workers <= 1 || len(pop) < 2 {
-		for i, g := range pop {
-			costs[i] = p.Cost(g)
+// inherit fills in the cost of every child of the previous generation
+// (now in r.next, its costs in r.prev) that is known without a Cost call,
+// and lists the rest in r.todo. An elite takes the scored cost of Best; a
+// verbatim copy, its parent's; a crossover or mutated child that equals
+// one of its two parents (pool[i] and, in a pair, pool[i^1]), that
+// parent's. Cost is pure, so every inherited cost is the one a call
+// would return.
+func (r *Runner[G]) inherit(p Problem[G], elitism int) {
+	paired := len(r.pool) &^ 1
+	for i, g := range r.pop {
+		a := r.pool[i]
+		switch {
+		case i < elitism:
+			r.costs[i] = r.bestCost
+		case !r.changed[i] || p.Equal(g, r.next[a]):
+			r.costs[i] = r.prev[a]
+		case i < paired && r.pool[i^1] != a && p.Equal(g, r.next[r.pool[i^1]]):
+			r.costs[i] = r.prev[r.pool[i^1]]
+		default:
+			r.todo = append(r.todo, i)
+		}
+	}
+}
+
+// evaluate sets costs[i] = p.Cost(pop[i]) for every i in r.todo. With
+// workers > 1 the calls are distributed over a bounded pool via an atomic
+// index counter; each worker writes only its claimed indices, so no
+// result depends on scheduling order. Cost must be pure, which the
+// scheduling Problem guarantees (per-goroutine scratch builders over an
+// immutable problem instance), so the cost vector is identical for any
+// worker count.
+func (r *Runner[G]) evaluate(p Problem[G], workers int) {
+	todo, pop, costs := r.todo, r.pop, r.costs
+	if workers <= 1 || len(todo) < 2 {
+		for _, i := range todo {
+			costs[i] = p.Cost(pop[i])
 		}
 		return
 	}
+	workers = min(workers, len(todo))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -270,11 +329,11 @@ func evaluate[G any](p Problem[G], pop []G, costs []float64, workers int) {
 		go func() {
 			defer wg.Done()
 			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(pop) {
+				k := int(next.Add(1)) - 1
+				if k >= len(todo) {
 					return
 				}
-				costs[i] = p.Cost(pop[i])
+				costs[todo[k]] = p.Cost(pop[todo[k]])
 			}
 		}()
 	}

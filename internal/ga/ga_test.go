@@ -51,6 +51,8 @@ func (p oneMax) Cost(g []bool) float64 {
 
 func (p oneMax) Copy(dst *[]bool, src []bool) { *dst = append((*dst)[:0], src...) }
 
+func (p oneMax) Equal(a, b []bool) bool { return slices.Equal(a, b) }
+
 // constCost is oneMax with every genome costing c.
 type constCost struct {
 	oneMax

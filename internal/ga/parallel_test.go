@@ -3,6 +3,7 @@ package ga
 import (
 	"math"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/pace"
@@ -75,6 +76,48 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 		if got.evals != ref.evals {
 			t.Errorf("Workers=%d: CostEvals = %d, want %d", workers, got.evals, ref.evals)
 		}
+	}
+}
+
+// countingProblem counts the Cost calls that reach the wrapped problem.
+type countingProblem struct {
+	*schedule.Problem
+	calls *atomic.Int64
+}
+
+func (c countingProblem) Cost(g schedule.Solution) float64 {
+	c.calls.Add(1)
+	return c.Problem.Cost(g)
+}
+
+// TestEvaluationsCountCostCalls: Result.Evaluations is the number of Cost
+// calls the run made, the same at widths 1, 4 and 16, and fewer than the
+// cost requests (CostEvals), because elites, verbatim copies and children
+// equal to a parent inherit a known cost.
+func TestEvaluationsCountCostCalls(t *testing.T) {
+	engine := pace.NewEngine()
+	cfg := DefaultConfig()
+	cfg.MaxGenerations = 20
+	cfg.ConvergenceWindow = 0
+	evals := -1
+	for _, workers := range []int{1, 4, 16} {
+		var calls atomic.Int64
+		p := countingProblem{caseStudyProblem(t, engine), &calls}
+		var greedy schedule.Solution
+		p.GreedySeed(&greedy)
+		c := cfg
+		c.Workers = workers
+		res := Run[schedule.Solution](p, c, sim.NewRNG(42), []schedule.Solution{greedy})
+		if int(calls.Load()) != res.Evaluations {
+			t.Errorf("Workers=%d: %d Cost calls, Evaluations = %d", workers, calls.Load(), res.Evaluations)
+		}
+		if res.Evaluations >= res.CostEvals || res.CostEvals != cfg.MaxGenerations*cfg.PopulationSize {
+			t.Errorf("Workers=%d: Evaluations %d, CostEvals %d", workers, res.Evaluations, res.CostEvals)
+		}
+		if evals >= 0 && res.Evaluations != evals {
+			t.Errorf("Workers=%d: Evaluations = %d, want %d as at width 1", workers, res.Evaluations, evals)
+		}
+		evals = res.Evaluations
 	}
 }
 

@@ -100,6 +100,12 @@ func (p *Problem) Copy(dst *Solution, src Solution) {
 	dst.Maps = append(dst.Maps[:0], src.Maps...)
 }
 
+// Equal reports whether a and b are the same solution, which gives them
+// the same Cost.
+func (p *Problem) Equal(a, b Solution) bool {
+	return slices.Equal(a.Order, b.Order) && slices.Equal(a.Maps, b.Maps)
+}
+
 // GreedySeed writes to dst a reasonable initial solution: tasks in
 // arrival order, each allocated the node count that minimises its own
 // completion time on the currently-best nodes. It gives the GA population

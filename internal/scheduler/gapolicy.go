@@ -39,6 +39,7 @@ type GAPolicy struct {
 	plans       telemetry.Counter
 	generations telemetry.Counter
 	costEvals   telemetry.Counter
+	evaluations telemetry.Counter
 }
 
 // GAPolicyStats is a snapshot of GA activity accumulated across Plan
@@ -46,7 +47,8 @@ type GAPolicy struct {
 type GAPolicyStats struct {
 	Plans       int
 	Generations int
-	CostEvals   int
+	CostEvals   int // cost requests: population size × generations
+	Evaluations int // Cost calls made; the rest were inherited from a parent
 }
 
 // NewGAPolicy returns a GA policy with the given configuration, drawing
@@ -74,6 +76,7 @@ func (g *GAPolicy) Stats() GAPolicyStats {
 		Plans:       int(g.plans.Value()),
 		Generations: int(g.generations.Value()),
 		CostEvals:   int(g.costEvals.Value()),
+		Evaluations: int(g.evaluations.Value()),
 	}
 }
 
@@ -89,6 +92,7 @@ func (g *GAPolicy) RegisterMetrics(reg *telemetry.Registry, resource string) {
 	reg.RegisterCounter(l("ga_plans_total"), &g.plans)
 	reg.RegisterCounter(l("ga_generations_total"), &g.generations)
 	reg.RegisterCounter(l("ga_cost_evals_total"), &g.costEvals)
+	reg.RegisterCounter(l("ga_evaluations_total"), &g.evaluations)
 	workers := g.Config.Workers
 	if workers < 1 {
 		workers = 1
@@ -132,6 +136,7 @@ func (g *GAPolicy) Plan(tasks []schedule.Task, res schedule.Resource, now float6
 	g.plans.Inc()
 	g.generations.Add(uint64(out.Generations))
 	g.costEvals.Add(uint64(out.CostEvals))
+	g.evaluations.Add(uint64(out.Evaluations))
 
 	g.carry.remember(tasks, out.Best)
 	return g.builder.Build(out.Best, now)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/pace"
 	"repro/internal/schedule"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 func TestGAPolicyPlansAllTasks(t *testing.T) {
@@ -45,18 +46,26 @@ func TestGAPolicyEmptyQueue(t *testing.T) {
 
 func TestGAPolicyStatsAccumulate(t *testing.T) {
 	g := newGAForTest(3)
+	reg := telemetry.NewRegistry()
+	g.RegisterMetrics(reg, "r")
 	e := pace.NewEngine()
 	pred := enginePredictor(e, pace.SGIOrigin2000)
 	tasks := []schedule.Task{{ID: 1, App: appOf(t, "fft"), Deadline: 1e9}}
 	_ = g.Plan(tasks, schedule.NewResource(4), 0, pred)
 	s1 := g.Stats()
-	if s1.Plans != 1 || s1.Generations == 0 || s1.CostEvals == 0 {
+	if s1.Plans != 1 || s1.Generations == 0 || s1.CostEvals == 0 ||
+		s1.Evaluations == 0 || s1.Evaluations >= s1.CostEvals {
 		t.Fatalf("stats after one plan: %+v", s1)
 	}
 	_ = g.Plan(tasks, schedule.NewResource(4), 0, pred)
 	s2 := g.Stats()
-	if s2.Plans != 2 || s2.CostEvals <= s1.CostEvals {
+	if s2.Plans != 2 || s2.CostEvals <= s1.CostEvals || s2.Evaluations <= s1.Evaluations {
 		t.Fatalf("stats did not accumulate: %+v -> %+v", s1, s2)
+	}
+	for name, want := range map[string]int{"ga_cost_evals_total": s2.CostEvals, "ga_evaluations_total": s2.Evaluations} {
+		if got := reg.Counter(telemetry.Label(name, "resource", "r")).Value(); got != uint64(want) {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -14,13 +15,17 @@ import (
 	"repro/internal/sim"
 )
 
-// This file keeps the cloning GA of the parent commit — engine, two-part
-// operators, greedy seed and the policy's carry state, each allocating a
-// fresh genome per step — as the reference the recycling engine is held
-// to, bit for bit. Only Problem.Cost is shared.
+// This file keeps a cloning GA — engine, two-part operators, greedy seed
+// and the policy's carry state, each allocating a fresh genome per step,
+// and calling Cost on every genome of every generation — as the
+// reference the recycling engine is held to, bit for bit. Only the cost
+// function is shared.
 
-// refOps is the parent's ga.Problem: every operator returns a new genome.
-type refOps struct{ p *schedule.Problem }
+// refOps is a ga.Problem whose operators return a new genome each.
+type refOps struct {
+	p    *schedule.Problem
+	cost func(schedule.Solution) float64
+}
 
 func (o refOps) random(rng *sim.RNG) schedule.Solution {
 	return refRandomSolution(len(o.p.Tasks), o.p.Res.NumNodes, rng)
@@ -33,8 +38,6 @@ func (o refOps) crossover(a, b schedule.Solution, rng *sim.RNG) (schedule.Soluti
 func (o refOps) mutate(g schedule.Solution, rng *sim.RNG) schedule.Solution {
 	return refMutate(g, o.p.Res.NumNodes, rng)
 }
-
-func (o refOps) cost(g schedule.Solution) float64 { return o.p.Cost(g) }
 
 func refRun(p refOps, cfg ga.Config, rng *sim.RNG, seeds []schedule.Solution) ga.Result[schedule.Solution] {
 	refSanitize(&cfg)
@@ -52,11 +55,20 @@ func refRun(p refOps, cfg ga.Config, rng *sim.RNG, seeds []schedule.Solution) ga
 
 	res := ga.Result[schedule.Solution]{BestCost: math.Inf(1)}
 	costs := make([]float64, cfg.PopulationSize)
+	var parents [][]schedule.Solution // parents[i]: the pool genomes child i was bred from
 	stale := 0
 
 	for gen := 0; gen < cfg.MaxGenerations; gen++ {
 		for i, g := range pop {
 			costs[i] = p.cost(g)
+			// Evaluations counts the children a lineage-reusing engine
+			// must score: every initial genome, and every non-elite child
+			// equal to neither of its parents.
+			if gen == 0 || i >= cfg.Elitism && !slices.ContainsFunc(parents[i], func(q schedule.Solution) bool {
+				return slices.Equal(g.Order, q.Order) && slices.Equal(g.Maps, q.Maps)
+			}) {
+				res.Evaluations++
+			}
 		}
 		res.CostEvals += len(pop)
 		genBest, genBestCost := -1, math.Inf(1)
@@ -70,6 +82,9 @@ func refRun(p refOps, cfg ga.Config, rng *sim.RNG, seeds []schedule.Solution) ga
 			res.BestCost = genBestCost
 			stale = 0
 		} else {
+			if gen == 0 {
+				res.Best = pop[0].Clone() // no finite cost
+			}
 			stale++
 		}
 		res.Generations = gen + 1
@@ -85,6 +100,7 @@ func refRun(p refOps, cfg ga.Config, rng *sim.RNG, seeds []schedule.Solution) ga
 		pool := refStochasticRemainder(pop, fitness, cfg.PopulationSize, rng)
 
 		next := make([]schedule.Solution, 0, cfg.PopulationSize)
+		parents = parents[:0]
 		rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
 		for i := 0; i+1 < len(pool); i += 2 {
 			a, b := pool[i], pool[i+1]
@@ -94,9 +110,11 @@ func refRun(p refOps, cfg ga.Config, rng *sim.RNG, seeds []schedule.Solution) ga
 				a, b = a.Clone(), b.Clone()
 			}
 			next = append(next, a, b)
+			parents = append(parents, pool[i:i+2], pool[i:i+2])
 		}
 		if len(pool)%2 == 1 {
 			next = append(next, pool[len(pool)-1].Clone())
+			parents = append(parents, pool[len(pool)-1:])
 		}
 		for i := range next {
 			if rng.Bool(cfg.MutationRate) {
@@ -359,7 +377,7 @@ func (g *refGAPolicy) plan(tasks []schedule.Task, res schedule.Resource, now flo
 	if carried, ok := g.seed(tasks, res.NumNodes); ok {
 		seeds = append(seeds, carried)
 	}
-	out := refRun(refOps{p}, g.cfg, g.rng, seeds)
+	out := refRun(refOps{p, p.Cost}, g.cfg, g.rng, seeds)
 	g.order = g.order[:0]
 	for _, pos := range out.Best.Order {
 		g.order = append(g.order, tasks[pos].ID)
@@ -452,8 +470,9 @@ func randomConfig(rng *sim.RNG, workers int) ga.Config {
 // engine on 240 seeded scheduling problems at GA widths 1, 2 and 4. One
 // Runner serves every problem of a width, so its arenas are recycled
 // across queue lengths, node counts and population sizes. Best,
-// BestCost, History, Generations, CostEvals and the RNG state afterwards
-// must all be identical.
+// BestCost, History, Generations, CostEvals, Evaluations (which the
+// reference counts by comparing each child with its parents) and the RNG
+// state afterwards must all be identical.
 func TestRunnerMatchesCloningEngine(t *testing.T) {
 	e := pace.NewEngine()
 	for _, workers := range []int{1, 2, 4} {
@@ -476,7 +495,7 @@ func TestRunnerMatchesCloningEngine(t *testing.T) {
 			}
 			seed := gen.Uint64()
 			wantRNG, gotRNG := sim.NewRNG(seed), sim.NewRNG(seed)
-			want := refRun(refOps{p}, cfg, wantRNG, seeds)
+			want := refRun(refOps{p, p.Cost}, cfg, wantRNG, seeds)
 			got := runner.Run(p, cfg, gotRNG, seeds)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("workers %d, trial %d (%d tasks, %d nodes, %+v):\nrunner   %+v\ncloning  %+v",
@@ -484,6 +503,90 @@ func TestRunnerMatchesCloningEngine(t *testing.T) {
 			}
 			if *gotRNG != *wantRNG {
 				t.Fatalf("workers %d, trial %d: RNG state diverged after the run", workers, trial)
+			}
+		}
+	}
+}
+
+// nonFinite is a scheduling problem whose cost is rewritten by cost, so
+// that some or all genomes cost NaN or +Inf.
+type nonFinite struct {
+	*schedule.Problem
+	cost func(schedule.Solution) float64
+}
+
+func (q nonFinite) Cost(g schedule.Solution) float64 { return q.cost(g) }
+
+// genomeHash is a deterministic hash of a solution, to pick the genomes
+// whose cost is not finite.
+func genomeHash(g schedule.Solution) uint64 {
+	h := uint64(14695981039346656037)
+	for _, v := range g.Order {
+		h = (h ^ uint64(v)) * 1099511628211
+	}
+	for _, m := range g.Maps {
+		h = (h ^ m) * 1099511628211
+	}
+	return h
+}
+
+// TestRunnerMatchesCloningEngineNonFinite holds ga.Runner to the cloning
+// engine on problems where a share of the genomes, or all of them, cost
+// NaN or +Inf, at widths 1, 2 and 4. When no cost is finite, Best is the
+// first initial genome and its elites must inherit its own (possibly
+// NaN) cost, not BestCost's +Inf: the fitness scaling, and so every
+// later draw, tells the two apart.
+func TestRunnerMatchesCloningEngineNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	variants := []struct {
+		name string
+		cost func(p *schedule.Problem, g schedule.Solution) float64
+	}{
+		{"NaN on a third", func(p *schedule.Problem, g schedule.Solution) float64 {
+			if genomeHash(g)%3 == 0 {
+				return nan
+			}
+			return p.Cost(g)
+		}},
+		{"+Inf on a third", func(p *schedule.Problem, g schedule.Solution) float64 {
+			if genomeHash(g)%3 == 0 {
+				return inf
+			}
+			return p.Cost(g)
+		}},
+		{"NaN, +Inf or finite", func(p *schedule.Problem, g schedule.Solution) float64 {
+			return []float64{nan, inf, p.Cost(g)}[genomeHash(g)%3]
+		}},
+		{"all NaN", func(*schedule.Problem, schedule.Solution) float64 { return nan }},
+		{"all +Inf", func(*schedule.Problem, schedule.Solution) float64 { return inf }},
+		{"all NaN or +Inf", func(_ *schedule.Problem, g schedule.Solution) float64 {
+			return []float64{nan, inf}[genomeHash(g)%2]
+		}},
+	}
+	e := pace.NewEngine()
+	for _, v := range variants {
+		for _, workers := range []int{1, 2, 4} {
+			var runner ga.Runner[schedule.Solution]
+			gen := sim.NewRNG(uint64(300 + workers))
+			for trial := 0; trial < 60; trial++ {
+				p := randomProblem(t, gen, e, 12)
+				cost := func(g schedule.Solution) float64 { return v.cost(p, g) }
+				cfg := randomConfig(gen, workers)
+				var seeds []schedule.Solution
+				if gen.Bool(0.5) {
+					seeds = append(seeds, refGreedySeed(p))
+				}
+				seed := gen.Uint64()
+				wantRNG, gotRNG := sim.NewRNG(seed), sim.NewRNG(seed)
+				want := refRun(refOps{p, cost}, cfg, wantRNG, seeds)
+				got := runner.Run(nonFinite{p, cost}, cfg, gotRNG, seeds)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s, workers %d, trial %d (%d tasks, %d nodes, %+v):\nrunner   %+v\ncloning  %+v",
+						v.name, workers, trial, len(p.Tasks), p.Res.NumNodes, cfg, got, want)
+				}
+				if *gotRNG != *wantRNG {
+					t.Fatalf("%s, workers %d, trial %d: RNG state diverged after the run", v.name, workers, trial)
+				}
 			}
 		}
 	}
