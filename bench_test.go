@@ -24,6 +24,7 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/ga"
 	"repro/internal/pace"
+	"repro/internal/scenario"
 	"repro/internal/schedule"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
@@ -280,31 +281,7 @@ func BenchmarkAblationIdleWeighting(b *testing.B) {
 	run := func(b *testing.B, disable bool) {
 		var eps float64
 		for i := 0; i < b.N; i++ {
-			p := benchParams()
-			grid, err := core.New(experiment.CaseStudyResources(), core.Options{
-				Policy: core.PolicyGA, GA: p.GA, Seed: p.Seed,
-				DisableFrontWeightedIdle: disable,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			spec := workload.CaseStudySpec(p.Seed, experiment.AgentNames())
-			spec.Count = p.Requests
-			reqs, err := workload.Generate(spec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := grid.SubmitWorkload(reqs); err != nil {
-				b.Fatal(err)
-			}
-			if err := grid.Run(); err != nil {
-				b.Fatal(err)
-			}
-			rep, err := grid.Metrics(float64(p.Requests))
-			if err != nil {
-				b.Fatal(err)
-			}
-			eps = rep.Total.Epsilon
+			eps = fig7Epsilon(b, core.Options{Policy: core.PolicyGA, DisableFrontWeightedIdle: disable})
 		}
 		b.ReportMetric(eps, "eps_s")
 	}
@@ -320,31 +297,7 @@ func BenchmarkAblationAdvertPeriod(b *testing.B) {
 		b.Run(fmt.Sprintf("%.0fs", period), func(b *testing.B) {
 			var eps float64
 			for i := 0; i < b.N; i++ {
-				p := benchParams()
-				grid, err := core.New(experiment.CaseStudyResources(), core.Options{
-					Policy: core.PolicyGA, GA: p.GA, Seed: p.Seed,
-					UseAgents: true, PullPeriod: period,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				spec := workload.CaseStudySpec(p.Seed, experiment.AgentNames())
-				spec.Count = p.Requests
-				reqs, err := workload.Generate(spec)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := grid.SubmitWorkload(reqs); err != nil {
-					b.Fatal(err)
-				}
-				if err := grid.Run(); err != nil {
-					b.Fatal(err)
-				}
-				rep, err := grid.Metrics(float64(p.Requests))
-				if err != nil {
-					b.Fatal(err)
-				}
-				eps = rep.Total.Epsilon
+				eps = fig7Epsilon(b, core.Options{Policy: core.PolicyGA, UseAgents: true, PullPeriod: period})
 			}
 			b.ReportMetric(eps, "eps_s")
 		})
@@ -360,8 +313,10 @@ func BenchmarkAblationGABudget(b *testing.B) {
 			var eps float64
 			for i := 0; i < b.N; i++ {
 				p := benchParams()
+				// A window longer than the budget never fires: the GA
+				// runs all gens generations (no early stop).
 				p.GA.MaxGenerations = gens
-				p.GA.ConvergenceWindow = 0
+				p.GA.ConvergenceWindow = gens + 1
 				out, err := experiment.Run(experiment.Configs[1], p)
 				if err != nil {
 					b.Fatal(err)
@@ -426,7 +381,7 @@ func BenchmarkExtensionPredictionAccuracy(b *testing.B) {
 				pt = pts[0]
 			}
 			b.ReportMetric(pt.Epsilon, "eps_s")
-			b.ReportMetric(pt.MetRate*100, "met_pct")
+			b.ReportMetric(pt.HitRate*100, "met_pct")
 		})
 	}
 }
@@ -437,7 +392,7 @@ func BenchmarkExtensionScalability(b *testing.B) {
 	for _, n := range []int{12, 24} {
 		n := n
 		b.Run(fmt.Sprintf("agents%d", n), func(b *testing.B) {
-			var pt experiment.ScalePoint
+			var pt scenario.Result
 			for i := 0; i < b.N; i++ {
 				p := experiment.DefaultParams()
 				p.Requests = 0 // study derives its own counts
@@ -459,36 +414,48 @@ func BenchmarkAblationPushAdverts(b *testing.B) {
 	run := func(b *testing.B, push bool) {
 		var eps float64
 		for i := 0; i < b.N; i++ {
-			p := benchParams()
-			grid, err := core.New(experiment.CaseStudyResources(), core.Options{
-				Policy: core.PolicyGA, GA: p.GA, Seed: p.Seed,
-				UseAgents: true, PullPeriod: 120, PushAdverts: push,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			spec := workload.CaseStudySpec(p.Seed, experiment.AgentNames())
-			spec.Count = p.Requests
-			reqs, err := workload.Generate(spec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := grid.SubmitWorkload(reqs); err != nil {
-				b.Fatal(err)
-			}
-			if err := grid.Run(); err != nil {
-				b.Fatal(err)
-			}
-			rep, err := grid.Metrics(float64(p.Requests))
-			if err != nil {
-				b.Fatal(err)
-			}
-			eps = rep.Total.Epsilon
+			eps = fig7Epsilon(b, core.Options{Policy: core.PolicyGA, UseAgents: true, PullPeriod: 120, PushAdverts: push})
 		}
 		b.ReportMetric(eps, "eps_s")
 	}
 	b.Run("pull-only", func(b *testing.B) { run(b, false) })
 	b.Run("pull+push", func(b *testing.B) { run(b, true) })
+}
+
+// fig7Epsilon runs benchParams' §4.1 workload over the Fig. 7 grid
+// built with opts — core knobs a scenario spec does not carry — and
+// returns the grid-wide ε over the request phase. It is the one run path
+// left outside scenario.Run: the ablations toggle DisableFrontWeightedIdle,
+// PullPeriod and PushAdverts, which are not spec fields.
+func fig7Epsilon(b *testing.B, opts core.Options) float64 {
+	b.Helper()
+	p := benchParams()
+	opts.GA, opts.Seed = scenario.DefaultGA(), p.Seed
+	grid, err := core.New(scenario.Fig7Resources(), opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	names, err := scenario.Fig7().Topology.AgentNames()
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := workload.CaseStudySpec(p.Seed, names)
+	spec.Count = p.Requests
+	reqs, err := workload.Generate(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := grid.SubmitWorkload(reqs); err != nil {
+		b.Fatal(err)
+	}
+	if err := grid.Run(); err != nil {
+		b.Fatal(err)
+	}
+	rep, err := grid.Metrics(float64(p.Requests))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rep.Total.Epsilon
 }
 
 // --- Micro-benchmark (the per-layer probes live in bench/probes.go) ---

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"repro/internal/experiment"
-	"repro/internal/metrics"
 	"repro/internal/scenario"
 	"repro/internal/telemetry"
 )
@@ -145,7 +144,9 @@ type scaleRow struct {
 	BetaPct   float64 `json:"beta_pct"`
 }
 
-func summariseOutcome(o experiment.Outcome) expSummary {
+// summariseOutcome exports one run; its audit verdict goes in only under
+// -audit (audited), as in the printed report.
+func summariseOutcome(o experiment.Outcome, audited bool) expSummary {
 	s := expSummary{
 		ID:          o.Setup.ID,
 		Label:       o.Setup.Label,
@@ -155,17 +156,16 @@ func summariseOutcome(o experiment.Outcome) expSummary {
 		EpsS:        o.Report.Total.Epsilon,
 		UpsPct:      o.Report.Total.Upsilon,
 		BetaPct:     o.Report.Total.Beta,
-		HitRate:     metrics.HitRate(o.Records),
-		ThroughputS: metrics.Throughput(o.Records, o.Report.Window),
+		HitRate:     o.HitRate,
+		ThroughputS: o.Throughput,
 	}
 	for _, r := range o.Report.PerResource {
 		s.PerResource = append(s.PerResource, resourceRow{
 			Name: r.Name, Tasks: r.Tasks, EpsS: r.Epsilon, UpsPct: r.Upsilon, BetaPct: r.Beta,
 		})
 	}
-	if o.Audit != nil {
-		ok := o.Audit.OK()
-		s.AuditOK = &ok
+	if audited {
+		s.AuditOK = &o.AuditOK
 	}
 	return s
 }
@@ -175,13 +175,13 @@ func summariseAccuracy(pts []experiment.AccuracyPoint) []accuracyRow {
 	for i, p := range pts {
 		out[i] = accuracyRow{
 			Rel: p.Rel, Bias: p.Bias,
-			EpsS: p.Epsilon, UpsPct: p.Upsilon, BetaPct: p.Beta, MetRate: p.MetRate,
+			EpsS: p.Epsilon, UpsPct: p.Upsilon, BetaPct: p.Beta, MetRate: p.HitRate,
 		}
 	}
 	return out
 }
 
-func summariseScale(pts []experiment.ScalePoint) []scaleRow {
+func summariseScale(pts []scenario.Result) []scaleRow {
 	out := make([]scaleRow, len(pts))
 	for i, p := range pts {
 		out[i] = scaleRow{

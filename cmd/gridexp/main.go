@@ -58,7 +58,7 @@ func main() {
 		exp5     = flag.Bool("exp5", false, "run Experiment 5: drift-driven migration off a degraded node, off vs on")
 		exp6     = flag.Bool("exp6", false, "run Experiment 6: the advance-reservation admission study over reserved-traffic shares")
 		exp7     = flag.Bool("exp7", false, "run Experiment 7: dynamic hierarchy under churn and flash crowd, static vs rebalanced tree")
-		auditRun = flag.Bool("audit", false, "run the lifecycle auditor over every experiment and exit non-zero on violations")
+		auditRun = flag.Bool("audit", false, "print every run's audit verdict, clean ones included (every run is audited; a violation always prints and exits non-zero)")
 		csvDir   = flag.String("csv", "", "also export the experiment results as CSV into this directory")
 		traceOut = flag.String("tracefile", "", "write the experiment-3 request lifecycle trace as CSV to this file")
 		requests = flag.Int("requests", 600, "number of task requests (§4.1 uses 600)")
@@ -101,7 +101,7 @@ func main() {
 		fmt.Println(experiment.FormatTable2())
 	}
 	if all || *topology {
-		grid, err := core.New(experiment.CaseStudyResources(), core.Options{})
+		grid, err := core.New(scenario.Fig7Resources(), core.Options{})
 		fail(err)
 		fmt.Println("Agent hierarchy (Fig. 7):")
 		fmt.Println(grid.Hierarchy().Describe())
@@ -111,16 +111,15 @@ func main() {
 	params.Requests = *requests
 	params.Seed = *seed
 	params.Workers = *workers
-	params.Audit = *auditRun
 	params.Telemetry = *telemetryOut != ""
 	params.SamplePeriod = *samplePeriod
 	telemetryExports := map[string]*telemetry.Export{}
 
-	// verdict prints an audit result and arranges a non-zero exit when
-	// any invariant broke, so CI can gate on `gridexp ... -audit`.
+	// verdict prints a run's audit result — a clean one only under
+	// -audit — and arranges a non-zero exit when any invariant broke.
 	auditFailed := false
 	verdict := func(scope string, res *audit.Result) {
-		if res == nil {
+		if res.OK() && !*auditRun {
 			return
 		}
 		fmt.Printf("%s %s\n", scope, res.Summary())
@@ -167,10 +166,10 @@ func main() {
 		r, err := experiment.RunResilience(params, plan)
 		fail(err)
 		fmt.Printf("(completed in %v wall time)\n\n", time.Since(start).Round(time.Millisecond))
-		fmt.Println(experiment.FormatResilience(r))
+		fmt.Println(experiment.FormatResilience(r, *auditRun))
 		doc.Resilience = &resilienceRow{
-			Baseline: summariseOutcome(r.Baseline),
-			Faulted:  summariseOutcome(r.Faulted),
+			Baseline: summariseOutcome(r.Baseline, *auditRun),
+			Faulted:  summariseOutcome(r.Faulted, *auditRun),
 			Events:   len(plan.Events),
 		}
 		verdict("[exp3 baseline]", r.Baseline.Audit)
@@ -184,13 +183,13 @@ func main() {
 		r, err := experiment.RunMigrationStudy(params, plan, experiment.DefaultMigrationPolicy())
 		fail(err)
 		fmt.Printf("(completed in %v wall time)\n\n", time.Since(start).Round(time.Millisecond))
-		fmt.Println(experiment.FormatMigration(r))
+		fmt.Println(experiment.FormatMigration(r, *auditRun))
 		doc.Migration = &migrationRow{
-			Degraded: summariseOutcome(r.Degraded),
-			Migrated: summariseOutcome(r.Migrated),
-			Offers:   r.Stats.Offers,
-			Accepts:  r.Stats.Accepts,
-			Rejects:  r.Stats.Rejects,
+			Degraded: summariseOutcome(r.Degraded, *auditRun),
+			Migrated: summariseOutcome(r.Migrated, *auditRun),
+			Offers:   r.Migrated.MigrateOffers,
+			Accepts:  r.Migrated.MigrateAccepts,
+			Rejects:  r.Migrated.MigrateRejects,
 		}
 		verdict("[exp5 degraded]", r.Degraded.Audit)
 		verdict("[exp5 migrated]", r.Migrated.Audit)
@@ -220,14 +219,14 @@ func main() {
 		r, err := experiment.RunMembershipStudy(params, plan, experiment.DefaultRebalancePolicy())
 		fail(err)
 		fmt.Printf("(completed in %v wall time)\n\n", time.Since(start).Round(time.Millisecond))
-		fmt.Println(experiment.FormatMembership(r))
+		fmt.Println(experiment.FormatMembership(r, *auditRun))
 		doc.Membership = &membershipRow{
-			Static:  summariseOutcome(r.Static),
-			Dynamic: summariseOutcome(r.Dynamic),
-			Joins:   r.Stats.Joins,
-			Leaves:  r.Stats.Leaves,
-			Drained: r.Stats.Drained,
-			Moves:   r.Stats.Moves,
+			Static:  summariseOutcome(r.Static, *auditRun),
+			Dynamic: summariseOutcome(r.Dynamic, *auditRun),
+			Joins:   r.Dynamic.Joins,
+			Leaves:  r.Dynamic.Leaves,
+			Drained: r.Dynamic.Drained,
+			Moves:   r.Dynamic.Moves,
 		}
 		verdict("[exp7 static]", r.Static.Audit)
 		verdict("[exp7 dynamic]", r.Dynamic.Audit)
@@ -274,7 +273,7 @@ func main() {
 	closeTrace()
 	fmt.Printf("(completed in %v wall time)\n\n", time.Since(start).Round(time.Millisecond))
 	for _, o := range outs {
-		doc.Experiments = append(doc.Experiments, summariseOutcome(o))
+		doc.Experiments = append(doc.Experiments, summariseOutcome(o, *auditRun))
 		verdict(fmt.Sprintf("[experiment %d]", o.Setup.ID), o.Audit)
 		if o.Telemetry != nil {
 			telemetryExports[fmt.Sprintf("experiment_%d", o.Setup.ID)] = o.Telemetry

@@ -125,3 +125,34 @@ func TestScaleRejectsTelemetry(t *testing.T) {
 		t.Fatalf("telemetry file written: %v", err)
 	}
 }
+
+// TestAuditVerdictsBothModes: every run is audited, but a clean verdict
+// line prints only under -audit — for experiments 1–3 and Experiment 6
+// alike, which once printed its verdicts whether asked or not.
+func TestAuditVerdictsBothModes(t *testing.T) {
+	args := []string{"-table3", "-exp6", "-requests", "60", "-workers", "1"}
+	quiet, err := gridexp(args...)
+	if err != nil {
+		t.Fatalf("gridexp: %v\n%s", err, quiet)
+	}
+	if strings.Contains(quiet, "audit:") {
+		t.Fatalf("clean verdicts printed without -audit:\n%s", quiet)
+	}
+	loud, err := gridexp(append(args, "-audit")...)
+	if err != nil {
+		t.Fatalf("gridexp -audit: %v\n%s", err, loud)
+	}
+	scopes := []string{"[experiment 1]", "[experiment 2]", "[experiment 3]"}
+	for _, share := range []string{"0", "0.1", "0.2", "0.3"} {
+		scopes = append(scopes, "[exp6 share="+share+"]")
+	}
+	for _, scope := range scopes {
+		i := strings.Index(loud, scope+" audit: 60 requests: ")
+		if i < 0 {
+			t.Fatalf("no verdict for %s under -audit:\n%s", scope, loud)
+		}
+		if line, _, _ := strings.Cut(loud[i:], "\n"); !strings.HasSuffix(line, "; 0 violation(s)") {
+			t.Fatalf("%s did not audit clean: %s", scope, line)
+		}
+	}
+}

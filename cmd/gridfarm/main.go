@@ -15,7 +15,7 @@ import (
 	"os/signal"
 	"syscall"
 
-	"repro/internal/experiment"
+	"repro/internal/scenario"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
@@ -43,7 +43,7 @@ func main() {
 		reg = telemetry.NewRegistry()
 	}
 	farm, err := transport.StartFarm(transport.FarmConfig{
-		Specs:      experiment.CaseStudyResources(),
+		Specs:      scenario.Fig7Resources(),
 		Host:       *host,
 		BasePort:   *base,
 		Policy:     *policy,

@@ -4,29 +4,23 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/audit"
-	"repro/internal/core"
-	"repro/internal/metrics"
+	"repro/internal/scenario"
 )
 
-// AccuracyPoint is one row of the prediction-accuracy study (§5 future
-// work): the experiment-3 configuration run with actual execution times
-// deviating from PACE predictions by up to Rel relative error.
-type AccuracyPoint struct {
-	Rel      float64 // maximum relative prediction scatter
-	Bias     float64 // systematic optimism of the models
-	Epsilon  float64 // grid-wide ε (s)
-	Upsilon  float64 // grid-wide υ (%)
-	Beta     float64 // grid-wide β (%)
-	MetRate  float64 // fraction of tasks completing by their deadline
-	Requests int
-	Audit    *audit.Result // set when Params.Audit is on
-}
-
-// NoiseCase is one (scatter, bias) configuration of the study.
+// NoiseCase is one (scatter, bias) configuration of the prediction-
+// accuracy study (§5 future work): actual execution times deviate from
+// the PACE predictions by up to Rel relative scatter, shifted by Bias
+// (the models' systematic optimism).
 type NoiseCase struct {
 	Rel  float64
 	Bias float64
+}
+
+// AccuracyPoint is one row of the study: the experiment-3 run under one
+// noise case.
+type AccuracyPoint struct {
+	NoiseCase
+	scenario.Result
 }
 
 // DefaultNoiseCases sweeps scatter at zero bias and bias at moderate
@@ -38,6 +32,14 @@ func DefaultNoiseCases() []NoiseCase {
 	}
 }
 
+// accuracySpec is experiment 3 under one noise case.
+func (p Params) accuracySpec(c NoiseCase) scenario.Spec {
+	spec := p.caseStudy(Configs[2])
+	spec.Name = fmt.Sprintf("accuracy-rel%g-bias%g", c.Rel, c.Bias)
+	spec.PredictionError, spec.PredictionBias = c.Rel, c.Bias
+	return spec
+}
+
 // RunAccuracyStudy sweeps the prediction error over the full agent-based
 // configuration. Rel = 0 is the paper's exact test mode; growing error
 // degrades the scheduler's decisions because both the GA cost function
@@ -47,28 +49,15 @@ func RunAccuracyStudy(cases []NoiseCase, p Params) ([]AccuracyPoint, error) {
 	// One recorder must never hold several runs' events (the ReqIDs
 	// collide), and this study sweeps many; its points carry no
 	// telemetry export.
-	p.Trace, p.Telemetry = nil, false
+	opt := p.options()
+	opt.Trace, opt.Telemetry = nil, false
 	out := make([]AccuracyPoint, 0, len(cases))
 	for _, c := range cases {
-		o, _, err := p.run(CaseStudyResources(), core.Options{
-			Policy:          core.PolicyGA,
-			UseAgents:       true,
-			PredictionError: c.Rel,
-			PredictionBias:  c.Bias,
-		}, p.workload(), p.phase())
+		res, err := scenario.Run(p.accuracySpec(c), opt)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, AccuracyPoint{
-			Rel:      c.Rel,
-			Bias:     c.Bias,
-			Epsilon:  o.Report.Total.Epsilon,
-			Upsilon:  o.Report.Total.Upsilon,
-			Beta:     o.Report.Total.Beta,
-			MetRate:  metrics.HitRate(o.Records),
-			Requests: len(o.Records),
-			Audit:    o.Audit,
-		})
+		out = append(out, AccuracyPoint{NoiseCase: c, Result: res})
 	}
 	return out, nil
 }
@@ -80,7 +69,7 @@ func FormatAccuracy(points []AccuracyPoint) string {
 	fmt.Fprintf(&b, "%9s %7s %10s %8s %8s %10s\n", "scatter", "bias", "eps (s)", "ups (%)", "beta (%)", "met rate")
 	for _, pt := range points {
 		fmt.Fprintf(&b, "%8.0f%% %+6.0f%% %10.1f %8.1f %8.1f %9.1f%%\n",
-			pt.Rel*100, pt.Bias*100, pt.Epsilon, pt.Upsilon, pt.Beta, pt.MetRate*100)
+			pt.Rel*100, pt.Bias*100, pt.Epsilon, pt.Upsilon, pt.Beta, pt.HitRate*100)
 	}
 	return b.String()
 }

@@ -5,9 +5,9 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/agent"
 	"repro/internal/audit"
 	"repro/internal/core"
+	"repro/internal/scenario"
 	"repro/internal/trace"
 )
 
@@ -21,7 +21,6 @@ func TestExperimentsPassAudit(t *testing.T) {
 	}
 	p := QuickParams()
 	p.Requests = 120
-	p.Audit = true
 	outs, err := RunAll(p)
 	if err != nil {
 		t.Fatal(err)
@@ -50,9 +49,7 @@ func TestResilienceRunPassesAudit(t *testing.T) {
 	}
 	p := QuickParams()
 	p.Requests = 120
-	p.Audit = true
-	plan := ScaledFaultPlan(float64(p.Requests) * p.Interval)
-	r, err := RunResilience(p, plan)
+	r, err := RunResilience(p, ScaledFaultPlan(phase(p)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,62 +68,58 @@ func TestResilienceRunPassesAudit(t *testing.T) {
 	if c.Completes+c.Fails != p.Requests {
 		t.Fatalf("faulted run not conserved: %+v", c)
 	}
-	if c.Fails != r.Fault.Lost {
-		t.Fatalf("%d fail events but %d tasks lost", c.Fails, r.Fault.Lost)
+	if c.Fails != r.Faulted.Fault.Lost {
+		t.Fatalf("%d fail events but %d tasks lost", c.Fails, r.Faulted.Fault.Lost)
 	}
-	if c.Redispatches != r.Fault.Redispatched {
-		t.Fatalf("%d redispatch events but injector counted %d", c.Redispatches, r.Fault.Redispatched)
+	if c.Redispatches != r.Faulted.Fault.Redispatched {
+		t.Fatalf("%d redispatch events but injector counted %d", c.Redispatches, r.Faulted.Fault.Redispatched)
 	}
-	if !strings.Contains(FormatResilience(r), "audit:") {
+	if !strings.Contains(FormatResilience(r, true), "audit:") {
 		t.Fatal("FormatResilience omits the audit verdict")
+	}
+	if strings.Contains(FormatResilience(r, false), "audit:") {
+		t.Fatal("FormatResilience prints the audit verdict unasked")
 	}
 }
 
-// TestRunnerAuditMatchesReplay pins the shared runner's streaming audit
-// against the replay entry point it replaced here: on the Exp 4/5/7
-// quick configurations, the Observer fed live by the grid must reach the
-// verdict audit.Check reaches over the same run's retained trace.
+// TestRunnerAuditMatchesReplay pins scenario.Run's streaming audit
+// against the replay entry point: on the Exp 4/5/7 quick specs, the
+// Observer fed live by the grid must reach the verdict audit.Check
+// reaches over the same run's retained trace.
 func TestRunnerAuditMatchesReplay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("audited runs in short mode")
 	}
 	p := QuickParams()
 	p.Requests = 120
-	p.Audit = true
-	faults := ScaledFaultPlan(p.phase())
-	degraded := ScaledDegradedPlan(p.phase())
-	churn := DefaultChurnPlan()
-	rebalance := DefaultRebalancePolicy()
+	_, migrated := p.migrationSpecs(ScaledDegradedPlan(phase(p)), DefaultMigrationPolicy())
+	_, dynamic := p.membershipSpecs(DefaultChurnPlan(), DefaultRebalancePolicy())
 	cases := []struct {
-		name      string
-		opts      core.Options
-		minWindow float64
+		name string
+		spec scenario.Spec
 	}{
-		{"exp4", core.Options{FaultPlan: &faults}, p.phase()},
-		{"exp5", core.Options{FaultPlan: &degraded, Migration: DefaultMigrationPolicy()}, p.phase()},
-		{"exp7", core.Options{Churn: &churn, Rebalance: &rebalance}, 0},
+		{"exp4", p.resilienceSpec(ScaledFaultPlan(phase(p)))},
+		{"exp5", migrated},
+		{"exp7", dynamic},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			p := p
-			p.Trace = trace.NewRecorder(8*p.Requests + 64)
-			c.opts.Policy, c.opts.UseAgents = core.PolicyGA, true
-			c.opts.AdvertTTL = 3 * agent.DefaultPullPeriod
-			spec := p.workload()
-			if c.opts.Churn != nil {
-				spec = p.crowdWorkload()
+			rec := trace.NewRecorder(8*c.spec.Arrivals.Count + 64)
+			out, err := scenario.Run(c.spec, scenario.RunOptions{Trace: rec})
+			if err != nil {
+				t.Fatal(err)
 			}
-			out, grid, err := p.run(CaseStudyResources(), c.opts, spec, c.minWindow)
+			resources, err := c.spec.Topology.Build()
 			if err != nil {
 				t.Fatal(err)
 			}
 			replay := audit.Check(audit.Run{
-				Events:     p.Trace.Events(),
+				Events:     rec.Events(),
 				Records:    out.Records,
 				Dispatches: out.Dispatches,
-				Nodes:      grid.NodesByResource(),
+				Nodes:      core.NodeCounts(resources, c.spec.ChurnPlan()),
 				Report:     out.Report,
-				Dropped:    p.Trace.Dropped(),
+				Dropped:    rec.Dropped(),
 			})
 			if !out.Audit.OK() {
 				t.Fatalf("streamed audit: %v", out.Audit.Violations)
@@ -179,7 +172,7 @@ func TestRunAllTracesExperimentThreeOnly(t *testing.T) {
 		Events:     p.Trace.Events(),
 		Records:    exp3.Records,
 		Dispatches: exp3.Dispatches,
-		Nodes:      core.NodeCounts(CaseStudyResources(), nil),
+		Nodes:      core.NodeCounts(scenario.Fig7Resources(), nil),
 		Report:     exp3.Report,
 		Dropped:    p.Trace.Dropped(),
 	})

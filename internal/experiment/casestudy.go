@@ -8,38 +8,10 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/agent"
-	"repro/internal/audit"
 	"repro/internal/core"
-	"repro/internal/ga"
-	"repro/internal/metrics"
-	"repro/internal/pace"
 	"repro/internal/scenario"
-	"repro/internal/scheduler"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
-
-// CaseStudyResources returns the Fig. 7 grid: twelve agents S1..S12, each
-// representing a heterogeneous resource of sixteen homogeneous nodes,
-// ranging from SGI Origin 2000 (most powerful) down to Sun SPARCstation 2.
-// The topology itself lives in internal/scenario (the "fig7" preset), so
-// the scenario engine and the Table 2/3 experiments are guaranteed to
-// run the same grid.
-func CaseStudyResources() []core.ResourceSpec {
-	return scenario.Fig7Resources()
-}
-
-// AgentNames returns S1..S12 in figure order.
-func AgentNames() []string {
-	specs := CaseStudyResources()
-	out := make([]string, len(specs))
-	for i, s := range specs {
-		out[i] = s.Name
-	}
-	return out
-}
 
 // Setup is one row of Table 2: which local algorithm runs and whether the
 // agent-based service discovery layer is active.
@@ -58,14 +30,17 @@ var Configs = []Setup{
 }
 
 // Params holds the workload and GA knobs shared across the experiments.
+// Every study turns them into scenario specs and runs those through
+// scenario.Run, so each run is built, audited and reduced the same way.
 type Params struct {
 	Seed     uint64
 	Requests int     // §4.1 uses 600
 	Interval float64 // §4.1 uses 1 s
-	GA       ga.Config
-	Workers  int             // GA cost-evaluation workers per policy; ≤1 sequential, results identical either way
-	Trace    *trace.Recorder // optional lifecycle recorder; holds one run (RunAll: experiment 3's)
-	Audit    bool            // run the lifecycle auditor over each experiment
+	// GA overrides the case-study GA knobs (scenario.DefaultGA); zero
+	// fields keep the defaults.
+	GA      scenario.GASpec
+	Workers int             // GA cost-evaluation workers per policy; ≤1 sequential, results identical either way
+	Trace   *trace.Recorder // optional lifecycle recorder; holds one run (RunAll: experiment 3's)
 	// Telemetry instruments each experiment on its own fresh registry
 	// (RunAll runs experiments concurrently, so a shared registry would
 	// mix their totals) and attaches the export to Outcome.Telemetry.
@@ -74,11 +49,9 @@ type Params struct {
 	SamplePeriod float64 // series period in virtual seconds; <= 0 → 10 s
 }
 
-// DefaultParams returns the §4.1 case-study parameters. The GA knobs
-// come from scenario.DefaultGA so scenario runs and the Table 2/3
-// experiments stay in lockstep.
+// DefaultParams returns the §4.1 case-study parameters.
 func DefaultParams() Params {
-	return Params{Seed: 2003, Requests: 600, Interval: 1, GA: scenario.DefaultGA()}
+	return Params{Seed: 2003, Requests: 600, Interval: 1}
 }
 
 // QuickParams returns a reduced workload for tests: half the request
@@ -87,119 +60,81 @@ func DefaultParams() Params {
 func QuickParams() Params {
 	p := DefaultParams()
 	p.Requests = 300
-	p.GA.MaxGenerations = 15
-	p.GA.ConvergenceWindow = 5
+	p.GA = scenario.GASpec{MaxGenerations: 15, ConvergenceWindow: 5}
 	return p
 }
 
-// Outcome is one experiment's results.
+// Outcome is one experiment's results: the scenario run of Spec, with
+// the Table 2 row it belongs to.
 type Outcome struct {
-	Setup      Setup
-	Report     metrics.GridReport
-	Dispatches []agent.Dispatch
-	Records    []scheduler.Record
-	EvalStats  pace.EvalStats
-	Requests   int
-	Audit      *audit.Result     // set when Params.Audit is on
-	Telemetry  *telemetry.Export // set when Params.Telemetry is on
+	Setup Setup
+	Spec  scenario.Spec
+	scenario.Result
 }
 
-// workload returns the §4.1 request stream at the params' size.
-func (p Params) workload() workload.Spec {
-	spec := workload.CaseStudySpec(p.Seed, AgentNames())
-	spec.Count = p.Requests
-	spec.Interval = p.Interval
+// gaSpec returns the params' GA overrides as a spec section; nil keeps
+// the defaults.
+func (p Params) gaSpec() *scenario.GASpec {
+	if p.GA == (scenario.GASpec{}) {
+		return nil
+	}
+	g := p.GA
+	return &g
+}
+
+// caseStudy expresses one configuration as a scenario spec: the Fig. 7
+// grid under the §4.1 workload at the params' size. Experiment 3 at
+// DefaultParams is scenario.Fig7() itself; the extension studies start
+// from this spec and switch their feature on.
+func (p Params) caseStudy(s Setup) scenario.Spec {
+	spec := scenario.Fig7()
+	spec.Seed = p.Seed
+	spec.Arrivals.Count, spec.Arrivals.Interval = p.Requests, p.Interval
+	spec.Policy = string(s.Policy)
+	if !s.UseAgents {
+		spec.UseAgents = &s.UseAgents
+	}
+	spec.GA = p.gaSpec()
 	return spec
 }
 
-// phase is the §4.1 request phase length, the measurement-window floor.
-func (p Params) phase() float64 { return float64(p.Requests) * p.Interval }
-
-// run is the one run path of this package: build the grid, submit the
-// generated workload, run it and reduce it to an Outcome. opts carries
-// what distinguishes the study (policy, noise, fault plan, churn, ...);
-// GA, workers, seed, trace, telemetry and audit come from p. The audit
-// streams into an audit.Observer, as scenario.Run's does. minWindow <= 0
-// selects the stream's own span (an open arrival process only knows its
-// last arrival). The grid is returned for the per-study statistics.
-func (p Params) run(resources []core.ResourceSpec, opts core.Options, spec workload.Spec, minWindow float64) (Outcome, *core.Grid, error) {
-	opts.GA, opts.Workers, opts.Seed, opts.Trace = p.GA, p.Workers, p.Seed, p.Trace
-	if p.Telemetry {
-		// A fresh registry per run: RunAll runs experiments concurrently
-		// and their totals must not mix.
-		opts.Telemetry = telemetry.NewRegistry()
-		opts.SamplePeriod = p.SamplePeriod
-	}
-	if p.Audit {
-		opts.Audit = audit.NewObserver(core.NodeCounts(resources, opts.Churn))
-	}
-	grid, err := core.New(resources, opts)
-	if err != nil {
-		return Outcome{}, nil, err
-	}
-	reqs, err := workload.Generate(spec)
-	if err != nil {
-		return Outcome{}, nil, err
-	}
-	if err := grid.SubmitWorkload(reqs); err != nil {
-		return Outcome{}, nil, err
-	}
-	if err := grid.Run(); err != nil {
-		return Outcome{}, nil, err
-	}
-	if minWindow <= 0 {
-		minWindow = workload.Summarise(reqs).Span
-	}
-	recs := grid.Records()
-	report, err := grid.MetricsOver(recs, minWindow)
-	if err != nil {
-		return Outcome{}, nil, err
-	}
-	out := Outcome{
-		Report:     report,
-		Dispatches: grid.Dispatches(),
-		Records:    recs,
-		EvalStats:  grid.Engine().Stats(),
-		Requests:   len(reqs),
-		Telemetry:  grid.TelemetryExport(),
-	}
-	if opts.Audit != nil {
-		res := opts.Audit.Finish(report, 0)
-		out.Audit = &res
-	}
-	return out, grid, nil
+// options returns the host knobs every study's runs share.
+func (p Params) options() scenario.RunOptions {
+	return scenario.RunOptions{Workers: p.Workers, Trace: p.Trace, Telemetry: p.Telemetry, SamplePeriod: p.SamplePeriod}
 }
 
-// offOn runs one case-study configuration twice over the identical
-// workload — the feature under study off, then on — so any delta is the
-// feature's. An external trace recorder goes to the on run only: one
-// recorder must never hold two runs' events (the ReqIDs collide and the
-// audit would see every task executed twice).
-func (p Params) offOn(setup Setup, off, on core.Options, spec workload.Spec, minWindow float64) (Outcome, Outcome, *core.Grid, error) {
-	pOff := p
-	pOff.Trace = nil
-	a, _, err := pOff.run(CaseStudyResources(), off, spec, minWindow)
+// runSpec runs one spec of the given configuration.
+func runSpec(setup Setup, spec scenario.Spec, opt scenario.RunOptions) (Outcome, error) {
+	res, err := scenario.Run(spec, opt)
 	if err != nil {
-		return Outcome{}, Outcome{}, nil, fmt.Errorf("experiment %d (off): %w", setup.ID, err)
+		return Outcome{}, fmt.Errorf("experiment %d: %w", setup.ID, err)
 	}
-	b, grid, err := p.run(CaseStudyResources(), on, spec, minWindow)
+	return Outcome{Setup: setup, Spec: spec, Result: res}, nil
+}
+
+// offOn runs one configuration twice over the identical workload — the
+// feature under study off, then on — so any delta is the feature's. An
+// external trace recorder goes to the on run only: one recorder must
+// never hold two runs' events (the ReqIDs collide and the audit would
+// see every task executed twice).
+func (p Params) offOn(setup Setup, off, on scenario.Spec) (Outcome, Outcome, error) {
+	optOff := p.options()
+	optOff.Trace = nil
+	a, err := runSpec(setup, off, optOff)
 	if err != nil {
-		return Outcome{}, Outcome{}, nil, fmt.Errorf("experiment %d (on): %w", setup.ID, err)
+		return Outcome{}, Outcome{}, fmt.Errorf("off run: %w", err)
 	}
-	a.Setup, b.Setup = setup, setup
-	return a, b, grid, nil
+	b, err := runSpec(setup, on, p.options())
+	if err != nil {
+		return Outcome{}, Outcome{}, fmt.Errorf("on run: %w", err)
+	}
+	return a, b, nil
 }
 
 // Run executes one experiment configuration against the case-study grid
 // and workload.
 func Run(setup Setup, p Params) (Outcome, error) {
-	out, _, err := p.run(CaseStudyResources(),
-		core.Options{Policy: setup.Policy, UseAgents: setup.UseAgents}, p.workload(), p.phase())
-	if err != nil {
-		return Outcome{}, fmt.Errorf("experiment %d: %w", setup.ID, err)
-	}
-	out.Setup = setup
-	return out, nil
+	return runSpec(setup, p.caseStudy(setup), p.options())
 }
 
 // RunAll executes the three Table 2 experiments over the identical

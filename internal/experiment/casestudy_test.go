@@ -9,7 +9,10 @@ import (
 )
 
 func TestCaseStudyResourcesMatchFig7(t *testing.T) {
-	specs := CaseStudyResources()
+	specs, err := DefaultParams().caseStudy(Configs[0]).Topology.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(specs) != 12 {
 		t.Fatalf("%d resources, want 12", len(specs))
 	}
@@ -185,7 +188,10 @@ func TestFormatReportsSmoke(t *testing.T) {
 }
 
 func TestAgentNamesOrder(t *testing.T) {
-	names := AgentNames()
+	names, err := DefaultParams().caseStudy(Configs[0]).Topology.AgentNames()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(names) != 12 || names[0] != "S1" || names[11] != "S12" {
 		t.Fatalf("AgentNames = %v", names)
 	}

@@ -8,10 +8,17 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/scenario"
 )
 
+// TestSyntheticResourcesShape checks the scale study's generated
+// hierarchy and its measurement window.
 func TestSyntheticResourcesShape(t *testing.T) {
-	specs := SyntheticResources(13, 3)
+	p := DefaultParams()
+	specs, err := p.scaleSpec(13, 3, 20).Topology.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(specs) != 13 {
 		t.Fatalf("%d specs", len(specs))
 	}
@@ -26,10 +33,13 @@ func TestSyntheticResourcesShape(t *testing.T) {
 	if _, err := core.New(specs, core.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	// Degenerate arguments are clamped.
-	one := SyntheticResources(0, 0)
-	if len(one) != 1 {
-		t.Fatalf("clamped size = %d", len(one))
+	// The window floor is the fixed request phase: at the sizes gridexp
+	// runs, Count × (phase/Count) is the phase exactly.
+	for _, n := range []int{6, 12, 24, 48} {
+		a := p.scaleSpec(n, 3, 50).Arrivals
+		if a.Count != 50*n || float64(a.Count)*a.Interval != 600 {
+			t.Fatalf("%d agents: %d requests at %g s do not span the 600 s phase", n, a.Count, a.Interval)
+		}
 	}
 }
 
@@ -38,7 +48,6 @@ func TestScalabilityStudySmall(t *testing.T) {
 		t.Skip("scalability study in short mode")
 	}
 	p := QuickParams()
-	p.Audit = true
 	pts, err := RunScalabilityStudy([]int{3, 6}, 3, 20, p)
 	if err != nil {
 		t.Fatal(err)
@@ -70,6 +79,18 @@ func TestScalabilityStudySmall(t *testing.T) {
 	}
 }
 
+// TestScalabilityStudyRejectsDegenerateSizes checks that sizes below one
+// agent and negative branching are errors, not silently clamped.
+func TestScalabilityStudyRejectsDegenerateSizes(t *testing.T) {
+	p := QuickParams()
+	if _, err := RunScalabilityStudy([]int{0}, 3, 20, p); err == nil {
+		t.Fatal("a 0-agent grid was accepted")
+	}
+	if _, err := RunScalabilityStudy([]int{3}, -1, 20, p); err == nil {
+		t.Fatal("negative branching was accepted")
+	}
+}
+
 func TestAccuracyStudyBiasDegrades(t *testing.T) {
 	if testing.Short() {
 		t.Skip("accuracy study in short mode")
@@ -85,14 +106,19 @@ func TestAccuracyStudyBiasDegrades(t *testing.T) {
 	}
 	// Systematically optimistic predictions must hurt deadline compliance
 	// and ε (the §5 accuracy question).
-	if biased.MetRate >= exact.MetRate {
-		t.Errorf("bias did not reduce the met rate: %v -> %v", exact.MetRate, biased.MetRate)
+	if biased.HitRate >= exact.HitRate {
+		t.Errorf("bias did not reduce the met rate: %v -> %v", exact.HitRate, biased.HitRate)
 	}
 	if biased.Epsilon >= exact.Epsilon {
 		t.Errorf("bias did not reduce ε: %v -> %v", exact.Epsilon, biased.Epsilon)
 	}
-	if exact.Requests != p.Requests || biased.Requests != p.Requests {
+	// Every request must still complete under noisy and biased
+	// predictions, and both runs must audit clean.
+	if exact.Completed != p.Requests || biased.Completed != p.Requests {
 		t.Errorf("task accounting wrong: %+v", pts)
+	}
+	if !exact.AuditOK || !biased.AuditOK {
+		t.Errorf("accuracy runs not audited clean: %v %v", exact.AuditOK, biased.AuditOK)
 	}
 	out := FormatAccuracy(pts)
 	if !strings.Contains(out, "met rate") {
@@ -141,8 +167,13 @@ func TestWriteCSV(t *testing.T) {
 func TestPushAdvertsOptionRuns(t *testing.T) {
 	p := QuickParams()
 	p.Requests = 60
-	grid, err := core.New(CaseStudyResources(), core.Options{
-		Policy: core.PolicyGA, GA: p.GA, Seed: p.Seed,
+	spec := p.caseStudy(Configs[2])
+	names, err := spec.Topology.AgentNames()
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, err := core.New(scenario.Fig7Resources(), core.Options{
+		Policy: core.PolicyGA, GA: spec.GAConfig(), Seed: p.Seed,
 		UseAgents: true, PushAdverts: true,
 		PullPeriod: 300, // starve the pulls; pushes must carry the load
 	})
@@ -150,7 +181,7 @@ func TestPushAdvertsOptionRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < p.Requests; i++ {
-		if err := grid.SubmitAt(float64(i), AgentNames()[i%12], "fft", 200); err != nil {
+		if err := grid.SubmitAt(float64(i), names[i%12], "fft", 200); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -158,7 +189,7 @@ func TestPushAdvertsOptionRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	pushes := 0
-	for _, name := range AgentNames() {
+	for _, name := range names {
 		a, _ := grid.Hierarchy().Lookup(name)
 		pushes += a.Stats().PushesSent
 	}

@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/scenario"
 	"repro/internal/scheduler"
-	"repro/internal/workload"
 )
 
 // TestCaseStudyInvariants runs each Table 2 configuration at reduced scale
@@ -21,37 +21,23 @@ func TestCaseStudyInvariants(t *testing.T) {
 	}
 	p := QuickParams()
 	p.Requests = 150
+	nodes := core.NodeCounts(scenario.Fig7Resources(), nil)
 	for _, setup := range Configs {
 		setup := setup
 		t.Run(setup.Label, func(t *testing.T) {
-			grid, err := core.New(CaseStudyResources(), core.Options{
-				Policy: setup.Policy, GA: p.GA, Seed: p.Seed, UseAgents: setup.UseAgents,
-			})
+			out, err := Run(setup, p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			spec := workload.CaseStudySpec(p.Seed, AgentNames())
-			spec.Count = p.Requests
-			reqs, err := workload.Generate(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := grid.SubmitWorkload(reqs); err != nil {
-				t.Fatal(err)
-			}
-			if err := grid.Run(); err != nil {
-				t.Fatal(err)
-			}
-
-			recs := grid.Records()
+			recs := out.Records
 			if len(recs) != p.Requests {
 				t.Fatalf("%d records for %d requests", len(recs), p.Requests)
 			}
-			checkNoDoubleBooking(t, recs, grid.NodesByResource())
+			checkNoDoubleBooking(t, recs, nodes)
 
 			// Dispatch log and records agree resource by resource.
 			dispatched := map[string]int{}
-			for _, d := range grid.Dispatches() {
+			for _, d := range out.Dispatches {
 				dispatched[d.Resource]++
 			}
 			executed := map[string]int{}
@@ -113,28 +99,13 @@ func TestCaseStudyInvariantsUnderNoise(t *testing.T) {
 	}
 	p := QuickParams()
 	p.Requests = 120
-	grid, err := core.New(CaseStudyResources(), core.Options{
-		Policy: core.PolicyGA, GA: p.GA, Seed: p.Seed, UseAgents: true,
-		PredictionError: 0.4, PredictionBias: 0.3,
-	})
+	pts, err := RunAccuracyStudy([]NoiseCase{{Rel: 0.4, Bias: 0.3}}, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := workload.CaseStudySpec(p.Seed, AgentNames())
-	spec.Count = p.Requests
-	reqs, err := workload.Generate(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := grid.SubmitWorkload(reqs); err != nil {
-		t.Fatal(err)
-	}
-	if err := grid.Run(); err != nil {
-		t.Fatal(err)
-	}
-	recs := grid.Records()
+	recs := pts[0].Records
 	if len(recs) != p.Requests {
 		t.Fatalf("%d records for %d requests", len(recs), p.Requests)
 	}
-	checkNoDoubleBooking(t, recs, grid.NodesByResource())
+	checkNoDoubleBooking(t, recs, core.NodeCounts(scenario.Fig7Resources(), nil))
 }

@@ -6,8 +6,7 @@ import (
 
 	"repro/internal/agent"
 	"repro/internal/core"
-	"repro/internal/membership"
-	"repro/internal/workload"
+	"repro/internal/scenario"
 )
 
 // Exp7 is the dynamic-hierarchy configuration: experiment 3 (GA + agent
@@ -26,45 +25,24 @@ var Exp7 = Setup{ID: 7, Policy: core.PolicyGA, UseAgents: true, Label: "GA + age
 // neighbour-local, so the joiners' capacity is nearly invisible from the
 // loaded region of the tree — unless the rebalancer re-homes traffic
 // toward them, which is exactly the effect the experiment measures.
-func DefaultChurnPlan() membership.Plan {
-	return membership.Plan{
-		Joins: []membership.Join{
+func DefaultChurnPlan() scenario.ChurnSpec {
+	return scenario.ChurnSpec{
+		Joins: []scenario.ChurnJoin{
 			{Time: 60, Name: "S13", Hardware: "SGIOrigin2000", Nodes: 16, Parent: "S11"},
 			{Time: 90, Name: "S14", Hardware: "SGIOrigin2000", Nodes: 16, Parent: "S12"},
 		},
-		Leaves: []membership.Leave{
+		Leaves: []scenario.ChurnLeave{
 			{Time: 240, Name: "S9"},
 		},
 	}
-}
-
-// DefaultFlashCrowd returns the Experiment 7 arrival process: a 0.5 /s
-// baseline ramping to 5 /s over a minute and holding for 150 s — ten
-// times the sustained load, concentrated mid-phase, the regime where a
-// lopsided tree hurts most.
-func DefaultFlashCrowd() workload.FlashCrowd {
-	return workload.FlashCrowd{BaseRate: 0.5, PeakRate: 5, RampStart: 120, RampDuration: 60, Hold: 150}
 }
 
 // DefaultRebalancePolicy returns the Experiment 7 rebalancer knobs: the
 // membership defaults with the pressure floor raised to crowd level, so
 // the tree only moves for the flash crowd itself, not for the small
 // imbalances of the warm-up phase.
-func DefaultRebalancePolicy() membership.Policy { return membership.Policy{MinLoad: 30} }
-
-// crowdWorkload is the Experiment 7 request stream: the case-study mix
-// arriving as the flash crowd, under slightly tightened deadlines. The
-// crowd hits one region: every request enters through the S3/S4
-// branches, far from where the powerful joiners attached. A static tree
-// reaches the new capacity only by climbing through the head and
-// descending the far side hop by hop; the dynamic tree re-homes the hot
-// branch next to it.
-func (p Params) crowdWorkload() workload.Spec {
-	spec := p.workload()
-	spec.Arrivals = DefaultFlashCrowd()
-	spec.DeadlineScale = 0.9
-	spec.AgentNames = []string{"S3", "S4", "S7", "S8", "S9", "S10"}
-	return spec
+func DefaultRebalancePolicy() scenario.RebalanceSpec {
+	return scenario.RebalanceSpec{Enabled: true, MinLoad: 30}
 }
 
 // MembershipOutcome pairs the churning run with a static tree (agents
@@ -73,9 +51,36 @@ func (p Params) crowdWorkload() workload.Spec {
 type MembershipOutcome struct {
 	Static  Outcome // churn only: the tree keeps its start-up shape
 	Dynamic Outcome // same workload and churn, rebalancer on
-	Plan    membership.Plan
-	Policy  membership.Policy
-	Stats   membership.Stats // membership activity of the dynamic run
+}
+
+// membershipSpecs is experiment 3 over the Experiment 7 request stream
+// with scripted churn, the rebalancer off and then on. The stream is the
+// case-study mix arriving as a flash crowd — a 0.5 /s baseline ramping
+// to 5 /s over a minute and holding for 150 s, ten times the sustained
+// load — under slightly tightened deadlines. The crowd hits one region:
+// every request enters through the S3/S4 branches, far from where the
+// powerful joiners attached. A static tree reaches the new capacity only
+// by climbing through the head and descending the far side hop by hop;
+// the dynamic tree re-homes the hot branch next to it.
+func (p Params) membershipSpecs(churn scenario.ChurnSpec, rb scenario.RebalanceSpec) (off, on scenario.Spec) {
+	off = p.caseStudy(Exp7)
+	off.Name = "exp7-static"
+	off.Arrivals = scenario.ArrivalSpec{
+		Process: "flashcrowd", Count: p.Requests,
+		BaseRate: 0.5, PeakRate: 5, RampStart: 120, RampDuration: 60, Hold: 150,
+	}
+	off.DeadlineScale = 0.9
+	off.EntryAgents = []string{"S3", "S4", "S7", "S8", "S9", "S10"}
+	off.AdvertTTL = 3 * agent.DefaultPullPeriod
+	static := churn
+	static.Rebalance = nil
+	off.Churn = &static
+	on = off
+	on.Name = "exp7-dynamic"
+	rb.Enabled = true
+	churn.Rebalance = &rb
+	on.Churn = &churn
+	return off, on
 }
 
 // RunMembershipStudy executes Experiment 7: the experiment 3
@@ -84,52 +89,41 @@ type MembershipOutcome struct {
 // then with the load-driven rebalancer on. Everything else — seed,
 // workload, GA knobs, churn schedule — is held identical, so any delta
 // is the rebalancer's.
-func RunMembershipStudy(p Params, plan membership.Plan, pol membership.Policy) (MembershipOutcome, error) {
+func RunMembershipStudy(p Params, churn scenario.ChurnSpec, rb scenario.RebalanceSpec) (MembershipOutcome, error) {
 	// The churning runs are where the membership invariants earn their
 	// keep: no request lost or run twice across a leave-drain, no work
 	// landing on a departed resource, every re-home atomic.
-	off := core.Options{
-		Policy:    Exp7.Policy,
-		UseAgents: true,
-		AdvertTTL: 3 * agent.DefaultPullPeriod,
-		Churn:     &plan,
-	}
-	on := off
-	on.Rebalance = &pol
-	static, dynamic, grid, err := p.offOn(Exp7, off, on, p.crowdWorkload(), 0)
+	off, on := p.membershipSpecs(churn, rb)
+	static, dynamic, err := p.offOn(Exp7, off, on)
 	if err != nil {
 		return MembershipOutcome{}, err
 	}
-	return MembershipOutcome{
-		Static:  static,
-		Dynamic: dynamic,
-		Plan:    plan,
-		Policy:  pol,
-		Stats:   grid.MembershipStats(),
-	}, nil
+	return MembershipOutcome{Static: static, Dynamic: dynamic}, nil
 }
 
 // FormatMembership renders the Experiment 7 report: the churn schedule,
 // the membership bookkeeping, and ε/υ/β plus the deadline-hit rate with
-// the tree static against dynamic.
-func FormatMembership(r MembershipOutcome) string {
+// the tree static against dynamic, followed by the dynamic run's audit
+// verdict when withAudit is set.
+func FormatMembership(r MembershipOutcome, withAudit bool) string {
 	var b strings.Builder
 	b.WriteString("Experiment 7: dynamic hierarchy under churn and flash crowd\n\n")
 	b.WriteString("Churn schedule:\n")
-	for _, j := range r.Plan.Joins {
+	d := r.Dynamic
+	for _, j := range d.Spec.Churn.Joins {
 		fmt.Fprintf(&b, "  t=%-6g join  %s (%s x%d) under %s\n", j.Time, j.Name, j.Hardware, j.Nodes, j.Parent)
 	}
-	for _, l := range r.Plan.Leaves {
+	for _, l := range d.Spec.Churn.Leaves {
 		fmt.Fprintf(&b, "  t=%-6g leave %s (queue drained, subtree re-homed)\n", l.Time, l.Name)
 	}
 	b.WriteString("\n")
 
-	fmt.Fprintf(&b, "Requests submitted:    %d\n", r.Dynamic.Requests)
-	fmt.Fprintf(&b, "Tasks completed:       %d (static) / %d (dynamic)\n", len(r.Static.Records), len(r.Dynamic.Records))
+	fmt.Fprintf(&b, "Requests submitted:    %d\n", d.Requests)
+	fmt.Fprintf(&b, "Tasks completed:       %d (static) / %d (dynamic)\n", len(r.Static.Records), len(d.Records))
 	fmt.Fprintf(&b, "Membership activity:   %d joins, %d leaves, %d tasks drained, %d rehome moves\n",
-		r.Stats.Joins, r.Stats.Leaves, r.Stats.Drained, r.Stats.Moves)
+		d.Joins, d.Leaves, d.Drained, d.Moves)
 	b.WriteString("\n")
 
-	formatTotals(&b, "static", "dynamic", r.Static, r.Dynamic, true)
+	formatTotals(&b, "static", "dynamic", r.Static, d, true, withAudit)
 	return b.String()
 }

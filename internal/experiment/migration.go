@@ -7,6 +7,7 @@ import (
 	"repro/internal/agent"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/scenario"
 )
 
 // Exp5 is the proactive-migration configuration: experiment 3 (GA +
@@ -23,21 +24,21 @@ var Exp5 = Setup{ID: 5, Policy: core.PolicyGA, UseAgents: true, Label: "GA + age
 // the phase. No agent dies and no link drops: the PACE predictions
 // steering dispatch stay optimistic while the resource silently falls
 // behind, which is exactly the blind spot the migration policy covers.
-func ScaledDegradedPlan(phase float64) fault.Plan {
+func ScaledDegradedPlan(phase float64) scenario.FaultSpec {
 	at := func(f float64) float64 { return phase * f }
-	return fault.Plan{
+	return scenario.FaultSpec{
 		Seed: 2003,
-		Events: []fault.Event{
-			{At: at(0.25), Kind: fault.Degrade, Agent: "S2", Factor: 3},
-			{At: at(0.75), Kind: fault.Restore, Agent: "S2"},
+		Events: []scenario.FaultEvent{
+			{At: at(0.25), Kind: string(fault.Degrade), Agent: "S2", Factor: 3},
+			{At: at(0.75), Kind: string(fault.Restore), Agent: "S2"},
 		},
 	}
 }
 
 // DefaultMigrationPolicy returns the Experiment 5 policy: check every
 // advert period, trigger after two consecutive checks at 50% drift.
-func DefaultMigrationPolicy() core.MigrationPolicy {
-	return core.MigrationPolicy{Enabled: true}
+func DefaultMigrationPolicy() scenario.MigrationSpec {
+	return scenario.MigrationSpec{Enabled: true}
 }
 
 // MigrationOutcome pairs the degraded run without migration against the
@@ -45,59 +46,58 @@ func DefaultMigrationPolicy() core.MigrationPolicy {
 type MigrationOutcome struct {
 	Degraded Outcome // degraded node, migration off
 	Migrated Outcome // same workload and faults, migration on
-	Plan     fault.Plan
-	Policy   core.MigrationPolicy
-	Stats    core.MigrationStats // migration activity of the migrated run
+}
+
+// migrationSpecs is experiment 3 under the degraded-node fault plan,
+// with migration off and then on. Everything else — seed, workload, GA
+// knobs, fault schedule — is held identical, so any delta is the
+// policy's.
+func (p Params) migrationSpecs(faults scenario.FaultSpec, pol scenario.MigrationSpec) (off, on scenario.Spec) {
+	off = p.caseStudy(Exp5)
+	off.Name = "exp5-migration-off"
+	off.Faults = &faults
+	off.AdvertTTL = 3 * agent.DefaultPullPeriod
+	on = off
+	on.Name = "exp5-migration-on"
+	pol.Enabled = true
+	on.Migration = &pol
+	return off, on
 }
 
 // RunMigrationStudy executes Experiment 5: the experiment 3
 // configuration over the case-study workload with a degraded-node fault
 // plan, first with migration off (the baseline a fault-blind grid
-// delivers), then with the drift-driven policy on. Everything else —
-// seed, workload, GA knobs, fault schedule — is held identical, so any
-// delta is the policy's.
-func RunMigrationStudy(p Params, plan fault.Plan, pol core.MigrationPolicy) (MigrationOutcome, error) {
-	pol.Enabled = true
-	off := core.Options{
-		Policy:    Exp5.Policy,
-		UseAgents: true,
-		FaultPlan: &plan,
-		AdvertTTL: 3 * agent.DefaultPullPeriod,
-	}
+// delivers), then with the drift-driven policy on.
+func RunMigrationStudy(p Params, faults scenario.FaultSpec, pol scenario.MigrationSpec) (MigrationOutcome, error) {
 	// The migrated run is where the chain invariants earn their keep:
 	// every offer → withdraw → re-dispatch must net to exactly one
 	// execution, never zero and never two.
-	on := off
-	on.Migration = pol
-	degraded, migrated, grid, err := p.offOn(Exp5, off, on, p.workload(), p.phase())
+	off, on := p.migrationSpecs(faults, pol)
+	degraded, migrated, err := p.offOn(Exp5, off, on)
 	if err != nil {
 		return MigrationOutcome{}, err
 	}
-	return MigrationOutcome{
-		Degraded: degraded,
-		Migrated: migrated,
-		Plan:     plan,
-		Policy:   pol,
-		Stats:    grid.MigrationStats(),
-	}, nil
+	return MigrationOutcome{Degraded: degraded, Migrated: migrated}, nil
 }
 
 // FormatMigration renders the Experiment 5 report: the degradation
 // schedule, the migration bookkeeping, and ε/υ/β plus the deadline-hit
-// rate with the policy off against on.
-func FormatMigration(r MigrationOutcome) string {
+// rate with the policy off against on, followed by the migrated run's
+// audit verdict when withAudit is set.
+func FormatMigration(r MigrationOutcome, withAudit bool) string {
 	var b strings.Builder
 	b.WriteString("Experiment 5: proactive migration off a degraded node\n\n")
 	b.WriteString("Degradation schedule:\n")
-	b.WriteString(r.Plan.String())
+	b.WriteString(r.Migrated.Spec.FaultPlan().String())
 	b.WriteString("\n")
 
-	fmt.Fprintf(&b, "Requests submitted:    %d\n", r.Migrated.Requests)
-	fmt.Fprintf(&b, "Tasks completed:       %d (off) / %d (on)\n", len(r.Degraded.Records), len(r.Migrated.Records))
-	fmt.Fprintf(&b, "Drift checks breached: %d of %d\n", r.Stats.Breaches, r.Stats.Checks)
-	fmt.Fprintf(&b, "Tasks offered:         %d (accepted %d, rejected %d)\n", r.Stats.Offers, r.Stats.Accepts, r.Stats.Rejects)
+	m := r.Migrated
+	fmt.Fprintf(&b, "Requests submitted:    %d\n", m.Requests)
+	fmt.Fprintf(&b, "Tasks completed:       %d (off) / %d (on)\n", len(r.Degraded.Records), len(m.Records))
+	fmt.Fprintf(&b, "Drift checks breached: %d of %d\n", m.MigrateBreaches, m.MigrateChecks)
+	fmt.Fprintf(&b, "Tasks offered:         %d (accepted %d, rejected %d)\n", m.MigrateOffers, m.MigrateAccepts, m.MigrateRejects)
 	b.WriteString("\n")
 
-	formatTotals(&b, "mig off", "mig on", r.Degraded, r.Migrated, true)
+	formatTotals(&b, "mig off", "mig on", r.Degraded, r.Migrated, true, withAudit)
 	return b.String()
 }

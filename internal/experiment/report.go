@@ -185,8 +185,8 @@ func FormatDispatchSummary(outs []Outcome) string {
 
 // formatTotals renders the table the A/B studies share: the grid-level
 // ε/υ/β of run on against run off with their deltas, the deadline-hit
-// rates when hitRow is set, and on's audit summary when it was audited.
-func formatTotals(b *strings.Builder, offLabel, onLabel string, off, on Outcome, hitRow bool) {
+// rates when hitRow is set, and on's audit summary when withAudit is.
+func formatTotals(b *strings.Builder, offLabel, onLabel string, off, on Outcome, hitRow, withAudit bool) {
 	fmt.Fprintf(b, "%-24s %10s %10s %10s\n", "grid totals", offLabel, onLabel, "delta")
 	row := func(label, unit string, a, f float64) {
 		fmt.Fprintf(b, "%-24s %10.1f %10.1f %+10.1f  %s\n", label, a, f, f-a, unit)
@@ -195,9 +195,9 @@ func formatTotals(b *strings.Builder, offLabel, onLabel string, off, on Outcome,
 	row("upsilon (utilisation)", "%", off.Report.Total.Upsilon, on.Report.Total.Upsilon)
 	row("beta (balance level)", "%", off.Report.Total.Beta, on.Report.Total.Beta)
 	if hitRow {
-		row("deadline-hit rate", "%", metrics.HitRate(off.Records)*100, metrics.HitRate(on.Records)*100)
+		row("deadline-hit rate", "%", off.HitRate*100, on.HitRate*100)
 	}
-	if on.Audit != nil {
+	if withAudit {
 		b.WriteString("\n")
 		b.WriteString(on.Audit.Summary())
 		b.WriteString("\n")

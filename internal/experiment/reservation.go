@@ -33,29 +33,27 @@ type ReservationPoint struct {
 	Result scenario.Result
 }
 
+// reservationSpec is experiment 3 with the given share of the request
+// stream diverted to advance reservations of the default shape.
+func (p Params) reservationSpec(share float64) scenario.Spec {
+	spec := p.caseStudy(Configs[2])
+	spec.Name = fmt.Sprintf("fig7-reserved-%g", share)
+	shape := DefaultReservationShape()
+	shape.Share = share
+	spec.Reservations = &shape
+	return spec
+}
+
 // RunReservationStudy executes Experiment 6 over the given shares. Each
 // point is a full audited scenario run of the Fig. 7 case study; the
 // share-0 point is the untouched experiment-3 workload and anchors the
 // degradation deltas.
 func RunReservationStudy(p Params, shares []float64) ([]ReservationPoint, error) {
-	base := scenario.Fig7()
-	base.Seed = p.Seed
-	base.Arrivals.Count = p.Requests
-	base.Arrivals.Interval = p.Interval
-	base.GA = &scenario.GASpec{
-		PopulationSize:    p.GA.PopulationSize,
-		MaxGenerations:    p.GA.MaxGenerations,
-		ConvergenceWindow: p.GA.ConvergenceWindow,
-	}
-	opt := scenario.RunOptions{Workers: p.Workers, Telemetry: p.Telemetry, SamplePeriod: p.SamplePeriod}
+	opt := p.options()
+	opt.Trace = nil // the trace is experiment 3's
 	pts := make([]ReservationPoint, 0, len(shares))
 	for _, share := range shares {
-		spec := base
-		spec.Name = fmt.Sprintf("fig7-reserved-%g", share)
-		shape := DefaultReservationShape()
-		shape.Share = share
-		spec.Reservations = &shape
-		res, err := scenario.Run(spec, opt)
+		res, err := scenario.Run(p.reservationSpec(share), opt)
 		if err != nil {
 			return nil, fmt.Errorf("experiment 6 (share %g): %w", share, err)
 		}

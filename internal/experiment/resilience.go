@@ -7,6 +7,7 @@ import (
 	"repro/internal/agent"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/scenario"
 )
 
 // Exp4 is the resilience configuration: experiment 3 (GA + agent
@@ -21,19 +22,19 @@ var Exp4 = Setup{ID: 4, Policy: core.PolicyGA, UseAgents: true, Label: "GA + age
 // leaf-ish Ultra 1) — and the S1-S4 link partitions briefly while S10
 // is still down. Crash windows overlap, so discovery must route around
 // two dead agents at once.
-func ScaledFaultPlan(phase float64) fault.Plan {
+func ScaledFaultPlan(phase float64) scenario.FaultSpec {
 	at := func(f float64) float64 { return phase * f }
-	return fault.Plan{
+	return scenario.FaultSpec{
 		Seed: 2003,
-		Events: []fault.Event{
-			{At: at(0.20), Kind: fault.Crash, Agent: "S2"},
-			{At: at(0.40), Kind: fault.Recover, Agent: "S2"},
-			{At: at(0.30), Kind: fault.Crash, Agent: "S7"},
-			{At: at(0.55), Kind: fault.Recover, Agent: "S7"},
-			{At: at(0.50), Kind: fault.Crash, Agent: "S10"},
-			{At: at(0.75), Kind: fault.Recover, Agent: "S10"},
-			{At: at(0.60), Kind: fault.Cut, A: "S1", B: "S4"},
-			{At: at(0.70), Kind: fault.Heal, A: "S1", B: "S4"},
+		Events: []scenario.FaultEvent{
+			{At: at(0.20), Kind: string(fault.Crash), Agent: "S2"},
+			{At: at(0.40), Kind: string(fault.Recover), Agent: "S2"},
+			{At: at(0.30), Kind: string(fault.Crash), Agent: "S7"},
+			{At: at(0.55), Kind: string(fault.Recover), Agent: "S7"},
+			{At: at(0.50), Kind: string(fault.Crash), Agent: "S10"},
+			{At: at(0.75), Kind: string(fault.Recover), Agent: "S10"},
+			{At: at(0.60), Kind: string(fault.Cut), A: "S1", B: "S4"},
+			{At: at(0.70), Kind: string(fault.Heal), A: "S1", B: "S4"},
 		},
 	}
 }
@@ -43,16 +44,23 @@ func ScaledFaultPlan(phase float64) fault.Plan {
 type ResilienceOutcome struct {
 	Baseline Outcome // experiment 3, no faults
 	Faulted  Outcome // same workload under the fault plan
-	Plan     fault.Plan
-	Fault    fault.Stats
+}
+
+// resilienceSpec is experiment 3 under the fault plan. The faulted grid
+// gets an advertisement TTL of three pull periods so dead resources stop
+// attracting dispatches once their adverts go stale.
+func (p Params) resilienceSpec(faults scenario.FaultSpec) scenario.Spec {
+	spec := p.caseStudy(Exp4)
+	spec.Name = "exp4-faulted"
+	spec.Faults = &faults
+	spec.AdvertTTL = 3 * agent.DefaultPullPeriod
+	return spec
 }
 
 // RunResilience executes Experiment 4: the experiment 3 configuration
 // over the case-study workload, first fault-free (the baseline), then
-// with the fault plan injected. The faulted grid gets an advertisement
-// TTL of three pull periods so dead resources stop attracting
-// dispatches once their adverts go stale.
-func RunResilience(p Params, plan fault.Plan) (ResilienceOutcome, error) {
+// with the fault plan injected.
+func RunResilience(p Params, faults scenario.FaultSpec) (ResilienceOutcome, error) {
 	baseline, err := Run(Configs[2], p)
 	if err != nil {
 		return ResilienceOutcome{}, err
@@ -60,42 +68,33 @@ func RunResilience(p Params, plan fault.Plan) (ResilienceOutcome, error) {
 	// The faulted run is where conservation earns its keep: crashes
 	// re-dispatch pending tasks and lose unrescuable ones, and every one
 	// of those must still net out to one terminal per request.
-	faulted, grid, err := p.run(CaseStudyResources(), core.Options{
-		Policy:    Exp4.Policy,
-		UseAgents: true,
-		FaultPlan: &plan,
-		AdvertTTL: 3 * agent.DefaultPullPeriod,
-	}, p.workload(), p.phase())
+	faulted, err := runSpec(Exp4, p.resilienceSpec(faults), p.options())
 	if err != nil {
-		return ResilienceOutcome{}, fmt.Errorf("experiment 4: %w", err)
+		return ResilienceOutcome{}, err
 	}
-	faulted.Setup = Exp4
-	return ResilienceOutcome{
-		Baseline: baseline,
-		Faulted:  faulted,
-		Plan:     plan,
-		Fault:    grid.FaultStats(),
-	}, nil
+	return ResilienceOutcome{Baseline: baseline, Faulted: faulted}, nil
 }
 
 // FormatResilience renders the Experiment 4 report: the fault schedule,
 // the recovery bookkeeping, and the grid-level ε/υ/β of the faulted run
-// against the fault-free baseline.
-func FormatResilience(r ResilienceOutcome) string {
+// against the fault-free baseline, followed by the faulted run's audit
+// verdict when withAudit is set.
+func FormatResilience(r ResilienceOutcome, withAudit bool) string {
 	var b strings.Builder
 	b.WriteString("Experiment 4: resilience under agent failures\n\n")
 	b.WriteString("Fault schedule:\n")
-	b.WriteString(r.Plan.String())
+	b.WriteString(r.Faulted.Spec.FaultPlan().String())
 	b.WriteString("\n")
 
+	st := r.Faulted.Fault
 	fmt.Fprintf(&b, "Requests submitted:    %d\n", r.Faulted.Requests)
 	fmt.Fprintf(&b, "Tasks completed:       %d\n", len(r.Faulted.Records))
-	fmt.Fprintf(&b, "Agent crashes:         %d (recoveries: %d)\n", r.Fault.Crashes, r.Fault.Recoveries)
-	fmt.Fprintf(&b, "Tasks re-dispatched:   %d\n", r.Fault.Redispatched)
-	fmt.Fprintf(&b, "Arrivals rerouted:     %d\n", r.Fault.Rerouted)
-	fmt.Fprintf(&b, "Tasks lost:            %d\n", r.Fault.Lost)
+	fmt.Fprintf(&b, "Agent crashes:         %d (recoveries: %d)\n", st.Crashes, st.Recoveries)
+	fmt.Fprintf(&b, "Tasks re-dispatched:   %d\n", st.Redispatched)
+	fmt.Fprintf(&b, "Arrivals rerouted:     %d\n", st.Rerouted)
+	fmt.Fprintf(&b, "Tasks lost:            %d\n", st.Lost)
 	b.WriteString("\n")
 
-	formatTotals(&b, "exp 3", "exp 4", r.Baseline, r.Faulted, false)
+	formatTotals(&b, "exp 3", "exp 4", r.Baseline, r.Faulted, false, withAudit)
 	return b.String()
 }

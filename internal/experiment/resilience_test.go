@@ -14,30 +14,31 @@ func TestResilienceZeroLostAndDeterministic(t *testing.T) {
 		t.Skip("resilience experiment is slow")
 	}
 	p := QuickParams()
-	plan := ScaledFaultPlan(float64(p.Requests) * p.Interval)
+	plan := ScaledFaultPlan(phase(p))
 
 	run := func() (ResilienceOutcome, string) {
 		r, err := RunResilience(p, plan)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return r, FormatResilience(r)
+		return r, FormatResilience(r, false)
 	}
 	r, report := run()
+	st := r.Faulted.Fault
 
-	if r.Fault.Crashes != 3 || r.Fault.Recoveries != 3 {
-		t.Fatalf("crashes/recoveries = %d/%d, want 3/3", r.Fault.Crashes, r.Fault.Recoveries)
+	if st.Crashes != 3 || st.Recoveries != 3 {
+		t.Fatalf("crashes/recoveries = %d/%d, want 3/3", st.Crashes, st.Recoveries)
 	}
-	if r.Fault.Lost != 0 {
-		t.Fatalf("lost %d tasks under the default crash schedule", r.Fault.Lost)
+	if st.Lost != 0 {
+		t.Fatalf("lost %d tasks under the default crash schedule", st.Lost)
 	}
 	if got := len(r.Faulted.Records); got != r.Faulted.Requests {
 		t.Fatalf("completed %d of %d requests", got, r.Faulted.Requests)
 	}
-	if r.Fault.Redispatched == 0 {
+	if st.Redispatched == 0 {
 		t.Fatal("crashing S2 mid-phase should strand queued tasks for re-dispatch")
 	}
-	if r.Fault.Rerouted == 0 {
+	if st.Rerouted == 0 {
 		t.Fatal("no arrivals rerouted although crashed agents receive workload requests")
 	}
 

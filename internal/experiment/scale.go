@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/audit"
 	"repro/internal/core"
-	"repro/internal/pace"
-	"repro/internal/workload"
+	"repro/internal/scenario"
 )
 
 // The paper argues the advertisement/discovery design "allows possible
@@ -18,98 +16,55 @@ import (
 // hierarchies of growing size under a proportionally growing workload,
 // measuring discovery locality (hops) and the §3.3 metrics.
 
-// SyntheticResources builds an n-agent hierarchy as a branching-ary tree
-// with hardware models cycling from fastest to slowest, 16 nodes each —
-// the Fig. 7 grid generalised to arbitrary size.
-func SyntheticResources(n, branching int) []core.ResourceSpec {
-	if n < 1 {
-		n = 1
+// scaleSpec is the agent-based configuration over an n-agent generated
+// hierarchy (the Fig. 7 grid generalised: hardware cycling from fastest
+// to slowest, 16 nodes each) under reqsPerAgent requests per agent. The
+// request phase stays the 12-agent case study's reqsPerAgent × Interval
+// × 12 seconds, so the arrival rate — not the phase — scales with the
+// grid.
+func (p Params) scaleSpec(n, branching, reqsPerAgent int) scenario.Spec {
+	phase := float64(reqsPerAgent) * p.Interval * 12
+	count := reqsPerAgent * n
+	return scenario.Spec{
+		Name:     fmt.Sprintf("scale-%d", n),
+		Seed:     p.Seed,
+		Topology: scenario.TopologySpec{Agents: n, Branching: branching},
+		Arrivals: scenario.ArrivalSpec{Process: "fixed", Count: count, Interval: phase / float64(count)},
+		Policy:   string(core.PolicyGA),
+		GA:       p.gaSpec(),
 	}
-	if branching < 1 {
-		branching = 3
-	}
-	hw := pace.HardwareNames()
-	specs := make([]core.ResourceSpec, n)
-	for i := 0; i < n; i++ {
-		specs[i].Name = fmt.Sprintf("A%d", i+1)
-		if i > 0 {
-			specs[i].Parent = fmt.Sprintf("A%d", (i-1)/branching+1)
-		}
-		specs[i].Hardware = hw[i%len(hw)]
-		specs[i].Nodes = 16
-	}
-	return specs
-}
-
-// ScalePoint is one grid size of the scalability study.
-type ScalePoint struct {
-	Agents    int
-	Requests  int
-	MeanHops  float64 // agents traversed per request before dispatch
-	MaxHops   int
-	Fallbacks int
-	Epsilon   float64
-	Upsilon   float64
-	Beta      float64
-	Audit     *audit.Result // set when Params.Audit is on
 }
 
 // RunScalabilityStudy runs the agent-based configuration over synthetic
-// grids of the given sizes. The workload grows with the grid (the case
-// study's ~50 requests per resource arriving within the same ten-minute
-// phase, so the load density per resource stays constant), and the
-// question measured is whether discovery stays local and balancing holds
-// as the system grows — not whether a fixed workload gets easier. With
-// Params.Audit every size is audited; the study exports no telemetry, so
-// Params.Telemetry is an error rather than a silent no-op.
-func RunScalabilityStudy(sizes []int, branching int, reqsPerAgent int, p Params) ([]ScalePoint, error) {
+// grids of the given sizes, one audited scenario run per size. The
+// workload grows with the grid (the case study's ~50 requests per
+// resource arriving within the same ten-minute phase, so the load
+// density per resource stays constant), and the question measured is
+// whether discovery stays local and balancing holds as the system grows
+// — not whether a fixed workload gets easier. The study exports no
+// telemetry, so Params.Telemetry is an error rather than a silent no-op.
+func RunScalabilityStudy(sizes []int, branching int, reqsPerAgent int, p Params) ([]scenario.Result, error) {
 	if p.Telemetry {
 		return nil, errors.New("experiment: the scalability study exports no telemetry")
 	}
 	if reqsPerAgent <= 0 {
 		reqsPerAgent = 50
 	}
-	p.Trace = nil // the trace is experiment 3's
-	out := make([]ScalePoint, 0, len(sizes))
+	opt := p.options()
+	opt.Trace = nil // the trace is experiment 3's
+	out := make([]scenario.Result, 0, len(sizes))
 	for _, n := range sizes {
-		specs := SyntheticResources(n, branching)
-		names := make([]string, len(specs))
-		for i, s := range specs {
-			names[i] = s.Name
-		}
-		// Fixed request phase (reqsPerAgent × Interval seconds per the
-		// 12-agent case study): arrival rate scales with grid size.
-		phase := float64(reqsPerAgent) * p.Interval * 12
-		spec := workload.CaseStudySpec(p.Seed, names)
-		spec.Count = reqsPerAgent * n
-		spec.Interval = phase / float64(spec.Count)
-		o, _, err := p.run(specs, core.Options{Policy: core.PolicyGA, UseAgents: true}, spec, phase)
+		res, err := scenario.Run(p.scaleSpec(n, branching, reqsPerAgent), opt)
 		if err != nil {
 			return nil, err
 		}
-		pt := ScalePoint{Agents: n, Requests: spec.Count,
-			Epsilon: o.Report.Total.Epsilon, Upsilon: o.Report.Total.Upsilon, Beta: o.Report.Total.Beta,
-			Audit: o.Audit}
-		var hops int
-		for _, d := range o.Dispatches {
-			hops += d.Hops
-			if d.Hops > pt.MaxHops {
-				pt.MaxHops = d.Hops
-			}
-			if d.Fallback {
-				pt.Fallbacks++
-			}
-		}
-		if len(o.Dispatches) > 0 {
-			pt.MeanHops = float64(hops) / float64(len(o.Dispatches))
-		}
-		out = append(out, pt)
+		out = append(out, res)
 	}
 	return out, nil
 }
 
 // FormatScalability renders the study as a table.
-func FormatScalability(points []ScalePoint) string {
+func FormatScalability(points []scenario.Result) string {
 	var b strings.Builder
 	b.WriteString("Scalability study (§5): GA + agents on synthetic hierarchies\n\n")
 	fmt.Fprintf(&b, "%7s %9s %10s %9s %10s %9s %8s %9s\n",

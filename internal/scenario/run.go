@@ -5,8 +5,10 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/agent"
 	"repro/internal/audit"
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
@@ -107,8 +109,16 @@ type Result struct {
 	// series, present only when RunOptions.Telemetry was set.
 	Telemetry *telemetry.Export `json:"telemetry,omitempty"`
 
-	Report metrics.GridReport `json:"-"` // full per-resource detail
-	Audit  *audit.Result      `json:"-"`
+	// Run detail for the reports that print more than the numbers above
+	// (Table 3, the dispatch and per-application summaries, the fault
+	// and migration bookkeeping); none of it is part of the result file.
+	Report          metrics.GridReport `json:"-"` // full per-resource detail
+	Audit           *audit.Result      `json:"-"`
+	Records         []scheduler.Record `json:"-"`
+	Dispatches      []agent.Dispatch   `json:"-"`
+	Fault           fault.Stats        `json:"-"`
+	MigrateChecks   int                `json:"-"` // drift checks with a measurable signal
+	MigrateBreaches int                `json:"-"` // checks whose drift exceeded the threshold
 }
 
 // Run executes one scenario with the given seed override (pass
@@ -127,9 +137,12 @@ func runSeeded(spec Spec, seed uint64, opt RunOptions) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	names := make([]string, len(resources))
-	for i, r := range resources {
-		names[i] = r.Name
+	names := spec.EntryAgents
+	if len(names) == 0 {
+		names = make([]string, len(resources))
+		for i, r := range resources {
+			names[i] = r.Name
+		}
 	}
 	policy, err := core.ParsePolicy(spec.Policy)
 	if err != nil {
@@ -151,18 +164,21 @@ func runSeeded(spec Spec, seed uint64, opt RunOptions) (Result, error) {
 	// counts or their records read as "unknown resource".
 	obs := audit.NewObserver(core.NodeCounts(resources, spec.ChurnPlan()))
 	copts := core.Options{
-		Policy:      policy,
-		GA:          spec.GAConfig(),
-		Workers:     opt.Workers,
-		UseAgents:   spec.AgentsEnabled(),
-		Seed:        seed,
-		Trace:       rec,
-		Audit:       obs,
-		FaultPlan:   spec.FaultPlan(),
-		Migration:   spec.MigrationPolicy(),
-		Reservation: spec.ReservationPolicy(),
-		Churn:       spec.ChurnPlan(),
-		Rebalance:   spec.RebalancePolicy(),
+		Policy:          policy,
+		GA:              spec.GAConfig(),
+		Workers:         opt.Workers,
+		UseAgents:       spec.AgentsEnabled(),
+		Seed:            seed,
+		PredictionError: spec.PredictionError,
+		PredictionBias:  spec.PredictionBias,
+		Trace:           rec,
+		Audit:           obs,
+		FaultPlan:       spec.FaultPlan(),
+		AdvertTTL:       spec.AdvertTTL,
+		Migration:       spec.MigrationPolicy(),
+		Reservation:     spec.ReservationPolicy(),
+		Churn:           spec.ChurnPlan(),
+		Rebalance:       spec.RebalancePolicy(),
 	}
 	if opt.Telemetry {
 		// Each run gets a fresh registry: sweep points run concurrently
@@ -217,9 +233,9 @@ func runSeeded(spec Spec, seed uint64, opt RunOptions) (Result, error) {
 
 	span := workload.Summarise(reqs).Span
 	// The measurement window floor is the request phase. Under fixed
-	// intervals the phase is Count×Interval — the §4.1 definition, and
-	// what keeps a Fig. 7 scenario byte-identical to experiment.Run —
-	// while open arrival processes only know the last arrival time.
+	// intervals the phase is Count×Interval — the §4.1 definition, which
+	// Table 3 is measured over — while open arrival processes only know
+	// the last arrival time.
 	minWindow := span
 	if f, ok := proc.(workload.FixedInterval); ok {
 		minWindow = float64(len(reqs)) * f.Interval
@@ -257,8 +273,11 @@ func runSeeded(spec Spec, seed uint64, opt RunOptions) (Result, error) {
 		AuditViolations: len(res.Violations),
 		AuditSummary:    res.Summary(),
 
-		Report: report,
-		Audit:  &res,
+		Report:     report,
+		Audit:      &res,
+		Records:    recs,
+		Dispatches: disp,
+		Fault:      grid.FaultStats(),
 	}
 	out.Telemetry = grid.TelemetryExport()
 	if len(recs) > 0 {
@@ -287,6 +306,7 @@ func runSeeded(spec Spec, seed uint64, opt RunOptions) (Result, error) {
 	}
 	ms := grid.MigrationStats()
 	out.MigrateOffers, out.MigrateAccepts, out.MigrateRejects = ms.Offers, ms.Accepts, ms.Rejects
+	out.MigrateChecks, out.MigrateBreaches = ms.Checks, ms.Breaches
 	mbs := grid.MembershipStats()
 	out.Joins, out.Leaves, out.Drained, out.Moves = mbs.Joins, mbs.Leaves, mbs.Drained, mbs.Moves
 	rs := grid.ReservationStats()

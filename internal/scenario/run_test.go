@@ -207,3 +207,53 @@ func TestFindSaturationSeedStability(t *testing.T) {
 		t.Fatalf("capacity unstable across seeds: %v vs %v", caps[0], caps[1])
 	}
 }
+
+// TestStudyFieldsReachTheRun: each study field changes the run it
+// describes. Without discovery a request runs where it enters, so
+// entry_agents bounds where work executes; advert_ttl changes where
+// discovery dispatches; prediction noise changes when tasks finish.
+func TestStudyFieldsReachTheRun(t *testing.T) {
+	run := func(s Spec) Result {
+		t.Helper()
+		res, err := Run(s, RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.AuditOK {
+			t.Fatalf("audit failed:\n%s", res.AuditSummary)
+		}
+		return res
+	}
+	base := Fig7()
+	base.Arrivals.Count = 120
+	base.GA = &GASpec{PopulationSize: 20, MaxGenerations: 10, ConvergenceWindow: 4}
+
+	local := base
+	off := false
+	local.UseAgents = &off
+	local.EntryAgents = []string{"S3", "S7"}
+	for _, r := range run(local).Records {
+		if r.Resource != "S3" && r.Resource != "S7" {
+			t.Fatalf("task %d ran on %s, outside the entry agents", r.TaskID, r.Resource)
+		}
+	}
+
+	// A TTL below the 10 s pull period expires every advert between
+	// pulls for part of each period.
+	stale := base
+	stale.AdvertTTL = 5
+	if reflect.DeepEqual(run(base).Dispatches, run(stale).Dispatches) {
+		t.Fatal("advert_ttl left every dispatch unchanged")
+	}
+
+	scatter, bias := base, base
+	scatter.PredictionError = 0.3
+	bias.PredictionBias = 0.2
+	exact := run(base).Records
+	for _, noisy := range []Spec{scatter, bias} {
+		if reflect.DeepEqual(exact, run(noisy).Records) {
+			t.Fatalf("prediction noise (error %g, bias %g) left every execution record unchanged",
+				noisy.PredictionError, noisy.PredictionBias)
+		}
+	}
+}

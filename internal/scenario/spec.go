@@ -15,6 +15,7 @@ package scenario
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -41,6 +42,10 @@ type Spec struct {
 	// every drawn deadline (0 = 1 = the paper's requirement domains).
 	AppWeights    map[string]float64 `json:"app_weights,omitempty"`
 	DeadlineScale float64            `json:"deadline_scale,omitempty"`
+	// EntryAgents restricts the agents requests arrive at to this subset
+	// of the topology (empty = every agent, the paper's behaviour): a
+	// crowd that enters through one region of the tree.
+	EntryAgents []string `json:"entry_agents,omitempty"`
 
 	// Policy is the local scheduling algorithm (fifo, fifo-fast, ga;
 	// empty = ga). UseAgents enables agent-based service discovery; nil
@@ -48,6 +53,19 @@ type Spec struct {
 	// scenario usually wants to stress.
 	Policy    string `json:"policy,omitempty"`
 	UseAgents *bool  `json:"use_agents,omitempty"`
+
+	// AdvertTTL expires cached advertisements older than this many
+	// seconds from discovery decisions (0 = never, the paper's
+	// behaviour); fault studies set it so dead resources stop attracting
+	// dispatches. See core.Options.AdvertTTL.
+	AdvertTTL float64 `json:"advert_ttl,omitempty"`
+	// PredictionError and PredictionBias make actual execution times
+	// deviate from the PACE predictions (the §5 accuracy study): up to
+	// PredictionError relative scatter, shifted by PredictionBias (+0.2 =
+	// models 20% optimistic). Zero is the paper's exact test mode. See
+	// core.Options.
+	PredictionError float64 `json:"prediction_error,omitempty"`
+	PredictionBias  float64 `json:"prediction_bias,omitempty"`
 
 	GA           *GASpec          `json:"ga,omitempty"`
 	Faults       *FaultSpec       `json:"faults,omitempty"`
@@ -435,7 +453,8 @@ func (a ArrivalSpec) WithMeanRate(rate float64) (ArrivalSpec, error) {
 }
 
 // Validate checks the spec end to end: topology, arrivals, policy,
-// workload shaping and the fault plan's agent references.
+// workload shaping, prediction noise and the agent references of the
+// entry list and the fault plan.
 func (s Spec) Validate() error {
 	resources, err := s.Topology.Build()
 	if err != nil {
@@ -454,8 +473,24 @@ func (s Spec) Validate() error {
 	if err := proc.Validate(); err != nil {
 		return fmt.Errorf("scenario: %w", err)
 	}
-	if s.DeadlineScale < 0 {
-		return fmt.Errorf("scenario: negative deadline scale %g", s.DeadlineScale)
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"deadline_scale", s.DeadlineScale}, {"advert_ttl", s.AdvertTTL}, {"prediction_error", s.PredictionError}} {
+		if !(f.v >= 0) || math.IsInf(f.v, 1) { // !(v >= 0) also catches NaN
+			return fmt.Errorf("scenario: %s %g must be finite and non-negative", f.name, f.v)
+		}
+	}
+	if !(s.PredictionBias > -1) || math.IsInf(s.PredictionBias, 1) {
+		return fmt.Errorf("scenario: prediction_bias %g must be finite and above -1 (actual times stay positive)", s.PredictionBias)
+	}
+	if len(s.EntryAgents) > 0 {
+		known := agentSet(resources)
+		for _, name := range s.EntryAgents {
+			if !known[name] {
+				return fmt.Errorf("scenario: entry agent %q is not in the topology", name)
+			}
+		}
 	}
 	if s.Migration != nil && s.Migration.Enabled && !s.AgentsEnabled() {
 		return fmt.Errorf("scenario: migration requires use_agents (tasks are re-placed through agent discovery)")
@@ -494,21 +529,28 @@ func (s Spec) Validate() error {
 		if !s.AgentsEnabled() {
 			return fmt.Errorf("scenario: a fault plan requires use_agents (the fault model targets the agent layer)")
 		}
-		known := make(map[string]bool, len(resources))
-		for _, r := range resources {
-			known[r.Name] = true
-		}
-		if err := plan.Validate(known); err != nil {
+		if err := plan.Validate(agentSet(resources)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// agentSet returns the names of the given resources as a set.
+func agentSet(resources []core.ResourceSpec) map[string]bool {
+	known := make(map[string]bool, len(resources))
+	for _, r := range resources {
+		known[r.Name] = true
+	}
+	return known
+}
+
 // Load reads, decodes and validates a scenario file. Unknown JSON fields
 // are errors — a typoed knob silently reverting to a default would
 // invalidate an experiment. A trace_file is resolved relative to the
-// spec file's directory and loaded into Arrivals.Times.
+// spec file's directory and inlined: the returned spec carries the
+// times in Arrivals.Times and no TraceFile, so it re-encodes to a
+// self-contained scenario file.
 func Load(path string) (Spec, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -532,7 +574,7 @@ func Load(path string) (Spec, error) {
 		if err != nil {
 			return Spec{}, err
 		}
-		s.Arrivals.Times = times
+		s.Arrivals.Times, s.Arrivals.TraceFile = times, ""
 	}
 	if s.Name == "" {
 		s.Name = strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))

@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -112,6 +114,50 @@ func TestSpecValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("fault plan naming an unknown agent accepted")
 	}
+
+	// The study knobs: finite, non-negative, entry agents in the tree.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name string
+		edit func(*Spec)
+	}{
+		{"negative advert_ttl", func(s *Spec) { s.AdvertTTL = -1 }},
+		{"infinite advert_ttl", func(s *Spec) { s.AdvertTTL = inf }},
+		{"negative prediction_error", func(s *Spec) { s.PredictionError = -0.1 }},
+		{"NaN prediction_error", func(s *Spec) { s.PredictionError = nan }},
+		{"prediction_bias of -1", func(s *Spec) { s.PredictionBias = -1 }},
+		{"infinite prediction_bias", func(s *Spec) { s.PredictionBias = inf }},
+		{"NaN deadline_scale", func(s *Spec) { s.DeadlineScale = nan }},
+		{"unknown entry agent", func(s *Spec) { s.EntryAgents = []string{"S3", "S13"} }},
+		{"agent count past the maximum", func(s *Spec) {
+			s.Topology = TopologySpec{Agents: maxAgents + 1}
+		}},
+		{"agent count that overflows an allocation", func(s *Spec) {
+			s.Topology = TopologySpec{Agents: 4611686018427387904}
+		}},
+	} {
+		bad := Fig7()
+		c.edit(&bad)
+		if err := bad.Validate(); err == nil {
+			t.Fatalf("%s accepted", c.name)
+		}
+	}
+	ok := Fig7()
+	ok.AdvertTTL, ok.PredictionError, ok.PredictionBias = 30, 0.2, -0.5
+	ok.EntryAgents = []string{"S3", "S12"}
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("valid study knobs rejected: %v", err)
+	}
+
+	// A hostile file is an error, not a panic.
+	path := filepath.Join(t.TempDir(), "hostile.json")
+	body := `{"seed":1,"topology":{"agents":4611686018427387904},"arrivals":{"count":1}}`
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(path); err == nil || !strings.Contains(err.Error(), "exceeds the maximum") {
+		t.Fatalf("hostile agent count: %v", err)
+	}
 }
 
 func TestLoadScenarioFile(t *testing.T) {
@@ -180,6 +226,19 @@ func TestLoadTraceFile(t *testing.T) {
 		if spec.Arrivals.Times[i] != v {
 			t.Fatalf("time %d = %v, want %v", i, spec.Arrivals.Times[i], v)
 		}
+	}
+
+	// The trace is inlined: the loaded spec re-encodes to a file that
+	// loads on its own.
+	data, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(path); err != nil {
+		t.Fatalf("re-encoded spec does not load: %v\n%s", err, data)
 	}
 }
 

@@ -10,13 +10,18 @@ import (
 // PresetFig7 names the paper's twelve-agent grid.
 const PresetFig7 = "fig7"
 
+// maxAgents bounds a generated topology: ten times the largest grid the
+// repository runs (examples/scenarios/mega.json, 10 000 agents). A spec
+// file asking for more is refused before anything is allocated for it.
+const maxAgents = 100_000
+
 // Fig7Resources returns the Fig. 7 grid: twelve agents S1..S12, each a
 // heterogeneous resource of sixteen homogeneous nodes, ranging from SGI
 // Origin 2000 (most powerful) down to Sun SPARCstation 2. The paper
 // draws the hierarchy without naming edges; the tree used here — S1 at
 // the head, S2/S3/S4 below it, and the remaining agents grouped under
 // those — follows the figure's layout and is recorded in DESIGN.md as an
-// assumption. (experiment.CaseStudyResources delegates here.)
+// assumption.
 func Fig7Resources() []core.ResourceSpec {
 	return []core.ResourceSpec{
 		{Name: "S1", Hardware: "SGIOrigin2000", Nodes: 16, Parent: ""},
@@ -51,6 +56,9 @@ func (t TopologySpec) Build() ([]core.ResourceSpec, error) {
 	}
 	if t.Agents < 1 {
 		return nil, fmt.Errorf("scenario: topology needs a preset or a positive agent count (got %d)", t.Agents)
+	}
+	if t.Agents > maxAgents {
+		return nil, fmt.Errorf("scenario: topology of %d agents exceeds the maximum of %d", t.Agents, maxAgents)
 	}
 	branching := t.Branching
 	if branching == 0 {

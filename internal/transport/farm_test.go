@@ -5,14 +5,14 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/experiment"
+	"repro/internal/scenario"
 	"repro/internal/xmlmsg"
 )
 
 func startCaseStudyFarm(t *testing.T, policy string) *Farm {
 	t.Helper()
 	farm, err := StartFarm(FarmConfig{
-		Specs:      experiment.CaseStudyResources(),
+		Specs:      scenario.Fig7Resources(),
 		Policy:     policy,
 		Seed:       7,
 		PullPeriod: 0.05,
