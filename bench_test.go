@@ -40,6 +40,16 @@ func benchParams() experiment.Params {
 	return p
 }
 
+// runStudy runs a study's labelled runs through the one study runner.
+func runStudy(b *testing.B, runs ...experiment.Run) []experiment.Outcome {
+	b.Helper()
+	outs, err := experiment.RunStudy(runs, scenario.RunOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return outs
+}
+
 // BenchmarkTable1PACEPredictions regenerates the Table 1 matrix: all
 // seven application models evaluated over 1..16 processors on the
 // reference platform (uncached, so the evaluation pipeline itself is
@@ -64,16 +74,12 @@ func BenchmarkTable1PACEPredictions(b *testing.B) {
 // identical seed-fixed workload and reports the Table 3 grid-wide rows:
 // ε (eps_s), υ (ups_pct) and β (beta_pct).
 func BenchmarkTable3Experiments(b *testing.B) {
-	for _, cfg := range experiment.Configs {
-		cfg := cfg
+	for _, run := range benchParams().CaseStudyRuns() {
+		cfg := run.Setup
 		b.Run(fmt.Sprintf("exp%d_%s", cfg.ID, cfg.Policy), func(b *testing.B) {
 			var out experiment.Outcome
 			for i := 0; i < b.N; i++ {
-				var err error
-				out, err = experiment.Run(cfg, benchParams())
-				if err != nil {
-					b.Fatal(err)
-				}
+				out = runStudy(b, run)[0]
 			}
 			b.ReportMetric(out.Report.Total.Epsilon, "eps_s")
 			b.ReportMetric(out.Report.Total.Upsilon, "ups_pct")
@@ -88,11 +94,7 @@ func trendBench(b *testing.B, metric func(o experiment.Outcome) float64, unit st
 	b.Helper()
 	var outs []experiment.Outcome
 	for i := 0; i < b.N; i++ {
-		var err error
-		outs, err = experiment.RunAll(benchParams())
-		if err != nil {
-			b.Fatal(err)
-		}
+		outs = runStudy(b, benchParams().CaseStudyRuns()...)
 	}
 	for _, o := range outs {
 		b.ReportMetric(metric(o), fmt.Sprintf("exp%d_%s", o.Setup.ID, unit))
@@ -217,15 +219,11 @@ func BenchmarkAblationAgentDiscovery(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var beta float64
 			for i := 0; i < b.N; i++ {
-				cfg := experiment.Configs[1]
+				run := benchParams().CaseStudyRuns()[1]
 				if agents {
-					cfg = experiment.Configs[2]
+					run = benchParams().CaseStudyRuns()[2]
 				}
-				out, err := experiment.Run(cfg, benchParams())
-				if err != nil {
-					b.Fatal(err)
-				}
-				beta = out.Report.Total.Beta
+				beta = runStudy(b, run)[0].Report.Total.Beta
 			}
 			b.ReportMetric(beta, "beta_pct")
 		})
@@ -317,11 +315,7 @@ func BenchmarkAblationGABudget(b *testing.B) {
 				// runs all gens generations (no early stop).
 				p.GA.MaxGenerations = gens
 				p.GA.ConvergenceWindow = gens + 1
-				out, err := experiment.Run(experiment.Configs[1], p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				eps = out.Report.Total.Epsilon
+				eps = runStudy(b, p.CaseStudyRuns()[1])[0].Report.Total.Epsilon
 			}
 			b.ReportMetric(eps, "eps_s")
 		})
@@ -372,13 +366,9 @@ func BenchmarkExtensionPredictionAccuracy(b *testing.B) {
 	for _, c := range cases {
 		c := c
 		b.Run(fmt.Sprintf("rel%.0f_bias%.0f", c.Rel*100, c.Bias*100), func(b *testing.B) {
-			var pt experiment.AccuracyPoint
+			var pt experiment.Outcome
 			for i := 0; i < b.N; i++ {
-				pts, err := experiment.RunAccuracyStudy([]experiment.NoiseCase{c}, benchParams())
-				if err != nil {
-					b.Fatal(err)
-				}
-				pt = pts[0]
+				pt = runStudy(b, benchParams().AccuracyRuns([]experiment.NoiseCase{c})...)[0]
 			}
 			b.ReportMetric(pt.Epsilon, "eps_s")
 			b.ReportMetric(pt.HitRate*100, "met_pct")
@@ -392,15 +382,11 @@ func BenchmarkExtensionScalability(b *testing.B) {
 	for _, n := range []int{12, 24} {
 		n := n
 		b.Run(fmt.Sprintf("agents%d", n), func(b *testing.B) {
-			var pt scenario.Result
+			var pt experiment.Outcome
 			for i := 0; i < b.N; i++ {
 				p := experiment.DefaultParams()
 				p.Requests = 0 // study derives its own counts
-				pts, err := experiment.RunScalabilityStudy([]int{n}, 3, 25, p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				pt = pts[0]
+				pt = runStudy(b, p.ScaleRuns([]int{n}, 3, 25)...)[0]
 			}
 			b.ReportMetric(pt.MeanHops, "mean_hops")
 			b.ReportMetric(pt.Beta, "beta_pct")

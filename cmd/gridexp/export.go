@@ -112,25 +112,25 @@ type reservationRow struct {
 	AuditOK          bool    `json:"audit_ok"`
 }
 
-func summariseReservation(p experiment.ReservationPoint) reservationRow {
-	r := p.Result
-	beEps := r.BestEffortEpsilon
-	if r.ResvConfirmed == 0 {
-		beEps = r.Epsilon
+func summariseReservation(outs []experiment.Outcome) []reservationRow {
+	rows := make([]reservationRow, len(outs))
+	for i, r := range outs {
+		beEps, _, _ := r.BestEffort()
+		rows[i] = reservationRow{
+			Share:            r.Spec.Reservations.Share,
+			Requested:        r.ResvRequested,
+			Confirmed:        r.ResvConfirmed,
+			Rejected:         r.ResvRejected,
+			Expired:          r.ResvExpired,
+			Parts:            r.ResvParts,
+			GuaranteeHitRate: r.GuaranteeHitRate,
+			EpsS:             r.Epsilon,
+			BestEffortEpsS:   beEps,
+			HitRate:          r.HitRate,
+			AuditOK:          r.AuditOK,
+		}
 	}
-	return reservationRow{
-		Share:            p.Share,
-		Requested:        r.ResvRequested,
-		Confirmed:        r.ResvConfirmed,
-		Rejected:         r.ResvRejected,
-		Expired:          r.ResvExpired,
-		Parts:            r.ResvParts,
-		GuaranteeHitRate: r.GuaranteeHitRate,
-		EpsS:             r.Epsilon,
-		BestEffortEpsS:   beEps,
-		HitRate:          r.HitRate,
-		AuditOK:          r.AuditOK,
-	}
+	return rows
 }
 
 type scaleRow struct {
@@ -170,18 +170,18 @@ func summariseOutcome(o experiment.Outcome, audited bool) expSummary {
 	return s
 }
 
-func summariseAccuracy(pts []experiment.AccuracyPoint) []accuracyRow {
+func summariseAccuracy(pts []experiment.Outcome) []accuracyRow {
 	out := make([]accuracyRow, len(pts))
 	for i, p := range pts {
 		out[i] = accuracyRow{
-			Rel: p.Rel, Bias: p.Bias,
+			Rel: p.Spec.PredictionError, Bias: p.Spec.PredictionBias,
 			EpsS: p.Epsilon, UpsPct: p.Upsilon, BetaPct: p.Beta, MetRate: p.HitRate,
 		}
 	}
 	return out
 }
 
-func summariseScale(pts []scenario.Result) []scaleRow {
+func summariseScale(pts []experiment.Outcome) []scaleRow {
 	out := make([]scaleRow, len(pts))
 	for i, p := range pts {
 		out[i] = scaleRow{

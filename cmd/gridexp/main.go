@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"repro/internal/audit"
@@ -88,7 +89,14 @@ func main() {
 		fail(fmt.Errorf("-sweep and -find-saturation need a -scenario spec"))
 	}
 
-	all := !(*table1 || *table2 || *table3 || *fig8 || *fig9 || *fig10 || *topology || *dispatch || *stats || *accuracy || *scale || *exp4 || *exp5 || *exp6 || *exp7)
+	extension := *accuracy || *scale || *exp4 || *exp5 || *exp6 || *exp7
+	all := !(*table1 || *table2 || *table3 || *fig8 || *fig9 || *fig10 || *topology || *dispatch || *stats || extension)
+	// Table 2's experiments 1–3 run whenever an output needs them;
+	// `gridexp -audit` alone still means "audit the experiments".
+	caseStudy := all || *table3 || *fig8 || *fig9 || *fig10 || *dispatch || *stats || *csvDir != "" || (*auditRun && !extension)
+	if *traceOut != "" && !caseStudy {
+		fail(fmt.Errorf("-tracefile records experiment 3: select a Table 2 output (-table3, -fig8..10, -dispatch, -stats or -csv)"))
+	}
 	doc := exportDoc{Seed: *seed, Requests: *requests}
 
 	if all || *table1 {
@@ -110,202 +118,188 @@ func main() {
 	params := experiment.DefaultParams()
 	params.Requests = *requests
 	params.Seed = *seed
-	params.Workers = *workers
-	params.Telemetry = *telemetryOut != ""
-	params.SamplePeriod = *samplePeriod
-	telemetryExports := map[string]*telemetry.Export{}
-
-	// verdict prints a run's audit result — a clean one only under
-	// -audit — and arranges a non-zero exit when any invariant broke.
-	auditFailed := false
-	verdict := func(scope string, res *audit.Result) {
-		if res.OK() && !*auditRun {
-			return
+	opt := scenario.RunOptions{Workers: *workers, Telemetry: *telemetryOut != "", SamplePeriod: *samplePeriod}
+	phase := float64(params.Requests) * params.Interval
+	summaries := func(o []experiment.Outcome) []expSummary {
+		rows := make([]expSummary, len(o))
+		for i := range o {
+			rows[i] = summariseOutcome(o[i], *auditRun)
 		}
-		fmt.Printf("%s %s\n", scope, res.Summary())
-		if !res.OK() {
-			auditFailed = true
-			limit := len(res.Violations)
-			if limit > 10 {
-				limit = 10
-			}
-			for _, v := range res.Violations[:limit] {
-				fmt.Printf("  VIOLATION %s\n", v)
-			}
-			if len(res.Violations) > limit {
-				fmt.Printf("  ... and %d more\n", len(res.Violations)-limit)
-			}
-		}
+		return rows
 	}
-
+	// Each selected study prints its header, then its report: the
+	// accuracy and scale tables right under the wall-time line, the
+	// others after a blank line. Experiments 1–3 run last.
+	var studies []study
 	if *accuracy {
-		fmt.Printf("Running prediction-accuracy study: %d requests, seed %d\n", params.Requests, params.Seed)
-		pts, err := experiment.RunAccuracyStudy(experiment.DefaultNoiseCases(), params)
-		fail(err)
-		fmt.Println(experiment.FormatAccuracy(pts))
-		doc.Accuracy = summariseAccuracy(pts)
-		for _, pt := range pts {
-			verdict(fmt.Sprintf("[accuracy scatter=%g bias=%g]", pt.Rel, pt.Bias), pt.Audit)
-		}
+		studies = append(studies, study{
+			header: fmt.Sprintf("Running prediction-accuracy study: %d requests, seed %d", params.Requests, params.Seed),
+			runs:   params.AccuracyRuns(experiment.DefaultNoiseCases()),
+			report: experiment.FormatAccuracy,
+			export: func(o []experiment.Outcome) { doc.Accuracy = summariseAccuracy(o) },
+		})
 	}
 	if *scale {
-		fmt.Printf("Running scalability study (seed %d)\n", params.Seed)
-		pts, err := experiment.RunScalabilityStudy([]int{6, 12, 24, 48}, 3, 50, params)
-		fail(err)
-		fmt.Println(experiment.FormatScalability(pts))
-		doc.Scale = summariseScale(pts)
-		for _, pt := range pts {
-			verdict(fmt.Sprintf("[scale n=%d]", pt.Agents), pt.Audit)
-		}
+		studies = append(studies, study{
+			header: fmt.Sprintf("Running scalability study (seed %d)", params.Seed),
+			runs:   params.ScaleRuns([]int{6, 12, 24, 48}, 3, 50),
+			report: experiment.FormatScalability,
+			export: func(o []experiment.Outcome) { doc.Scale = summariseScale(o) },
+		})
 	}
 	if *exp4 {
-		plan := experiment.ScaledFaultPlan(float64(params.Requests) * params.Interval)
-		fmt.Printf("Running experiment 4 (resilience): %d requests, seed %d, %d fault events\n",
-			params.Requests, params.Seed, len(plan.Events))
-		start := time.Now()
-		r, err := experiment.RunResilience(params, plan)
-		fail(err)
-		fmt.Printf("(completed in %v wall time)\n\n", time.Since(start).Round(time.Millisecond))
-		fmt.Println(experiment.FormatResilience(r, *auditRun))
-		doc.Resilience = &resilienceRow{
-			Baseline: summariseOutcome(r.Baseline, *auditRun),
-			Faulted:  summariseOutcome(r.Faulted, *auditRun),
-			Events:   len(plan.Events),
-		}
-		verdict("[exp3 baseline]", r.Baseline.Audit)
-		verdict("[exp4 faulted]", r.Faulted.Audit)
+		plan := experiment.ScaledFaultPlan(phase)
+		studies = append(studies, study{
+			header: fmt.Sprintf("Running experiment 4 (resilience): %d requests, seed %d, %d fault events",
+				params.Requests, params.Seed, len(plan.Events)),
+			runs:   params.ResilienceRuns(plan),
+			report: func(o []experiment.Outcome) string { return "\n" + experiment.FormatResilience(o, *auditRun) },
+			export: func(o []experiment.Outcome) {
+				r := summaries(o)
+				doc.Resilience = &resilienceRow{Baseline: r[0], Faulted: r[1], Events: len(plan.Events)}
+			},
+		})
 	}
 	if *exp5 {
-		plan := experiment.ScaledDegradedPlan(float64(params.Requests) * params.Interval)
-		fmt.Printf("Running experiment 5 (migration): %d requests, seed %d, degraded resource S2\n",
-			params.Requests, params.Seed)
-		start := time.Now()
-		r, err := experiment.RunMigrationStudy(params, plan, experiment.DefaultMigrationPolicy())
-		fail(err)
-		fmt.Printf("(completed in %v wall time)\n\n", time.Since(start).Round(time.Millisecond))
-		fmt.Println(experiment.FormatMigration(r, *auditRun))
-		doc.Migration = &migrationRow{
-			Degraded: summariseOutcome(r.Degraded, *auditRun),
-			Migrated: summariseOutcome(r.Migrated, *auditRun),
-			Offers:   r.Migrated.MigrateOffers,
-			Accepts:  r.Migrated.MigrateAccepts,
-			Rejects:  r.Migrated.MigrateRejects,
-		}
-		verdict("[exp5 degraded]", r.Degraded.Audit)
-		verdict("[exp5 migrated]", r.Migrated.Audit)
+		studies = append(studies, study{
+			header: fmt.Sprintf("Running experiment 5 (migration): %d requests, seed %d, degraded resource S2",
+				params.Requests, params.Seed),
+			runs:   params.MigrationRuns(experiment.ScaledDegradedPlan(phase), experiment.DefaultMigrationPolicy()),
+			report: func(o []experiment.Outcome) string { return "\n" + experiment.FormatMigration(o, *auditRun) },
+			export: func(o []experiment.Outcome) {
+				r, m := summaries(o), o[1]
+				doc.Migration = &migrationRow{Degraded: r[0], Migrated: r[1],
+					Offers: m.MigrateOffers, Accepts: m.MigrateAccepts, Rejects: m.MigrateRejects}
+			},
+		})
 	}
 	if *exp6 {
 		shares := experiment.DefaultReservationShares()
-		fmt.Printf("Running experiment 6 (reservations): %d requests, seed %d, shares %v\n",
-			params.Requests, params.Seed, shares)
-		start := time.Now()
-		pts, err := experiment.RunReservationStudy(params, shares)
-		fail(err)
-		fmt.Printf("(completed in %v wall time)\n\n", time.Since(start).Round(time.Millisecond))
-		fmt.Println(experiment.FormatReservation(pts))
-		for _, p := range pts {
-			doc.Reservation = append(doc.Reservation, summariseReservation(p))
-			verdict(fmt.Sprintf("[exp6 share=%g]", p.Share), p.Result.Audit)
-			if p.Result.Telemetry != nil {
-				telemetryExports[fmt.Sprintf("exp6_share_%g", p.Share)] = p.Result.Telemetry
-			}
-		}
+		studies = append(studies, study{
+			header: fmt.Sprintf("Running experiment 6 (reservations): %d requests, seed %d, shares %v",
+				params.Requests, params.Seed, shares),
+			runs:   params.ReservationRuns(shares),
+			report: func(o []experiment.Outcome) string { return "\n" + experiment.FormatReservation(o) },
+			export: func(o []experiment.Outcome) { doc.Reservation = summariseReservation(o) },
+		})
 	}
 	if *exp7 {
 		plan := experiment.DefaultChurnPlan()
-		fmt.Printf("Running experiment 7 (dynamic hierarchy): %d requests, seed %d, %d joins / %d leaves\n",
-			params.Requests, params.Seed, len(plan.Joins), len(plan.Leaves))
+		studies = append(studies, study{
+			header: fmt.Sprintf("Running experiment 7 (dynamic hierarchy): %d requests, seed %d, %d joins / %d leaves",
+				params.Requests, params.Seed, len(plan.Joins), len(plan.Leaves)),
+			runs:   params.MembershipRuns(plan, experiment.DefaultRebalancePolicy()),
+			report: func(o []experiment.Outcome) string { return "\n" + experiment.FormatMembership(o, *auditRun) },
+			export: func(o []experiment.Outcome) {
+				r, d := summaries(o), o[1]
+				doc.Membership = &membershipRow{Static: r[0], Dynamic: r[1],
+					Joins: d.Joins, Leaves: d.Leaves, Drained: d.Drained, Moves: d.Moves}
+			},
+		})
+	}
+	if caseStudy {
+		studies = append(studies, study{
+			header: fmt.Sprintf("Running experiments 1-3: %d requests at %gs intervals, seed %d",
+				params.Requests, params.Interval, params.Seed),
+			runs:   params.CaseStudyRuns(),
+			traced: true,
+			report: func(o []experiment.Outcome) string {
+				var b strings.Builder
+				add := func(show bool, s string) {
+					if show {
+						b.WriteString("\n" + s)
+					}
+				}
+				add(all || *table3, experiment.FormatTable3(o))
+				add(all || *fig8, experiment.FormatTrends(o, experiment.TrendEpsilon))
+				add(all || *fig9, experiment.FormatTrends(o, experiment.TrendUpsilon))
+				add(all || *fig10, experiment.FormatTrends(o, experiment.TrendBeta))
+				add(all || *dispatch, experiment.FormatDispatchSummary(o))
+				for _, e := range o {
+					add(*stats, fmt.Sprintf("=== experiment %d (%s) ===\n%s", e.Setup.ID, e.Setup.Label, metrics.FormatStats(e.Records)))
+				}
+				return b.String()
+			},
+			export: func(o []experiment.Outcome) {
+				doc.Experiments = summaries(o)
+				if *csvDir != "" {
+					fail(experiment.WriteCSV(*csvDir, o))
+					fmt.Printf("CSV exported to %s (table3, fig8-10, dispatch)\n", *csvDir)
+				}
+			},
+		})
+	}
+
+	// One loop runs, reports, audits and exports every study. A clean
+	// verdict prints only under -audit; a violation always prints and
+	// turns into a non-zero exit.
+	telemetryExports := map[string]*telemetry.Export{}
+	telemetryKey := strings.NewReplacer(" ", "_", "=", "_")
+	auditFailed := false
+	for _, st := range studies {
+		fmt.Println(st.header)
+		o := opt
+		closeTrace := func() {}
+		if st.traced && *traceOut != "" {
+			o.Trace, closeTrace = streamTrace(*traceOut)
+		}
 		start := time.Now()
-		r, err := experiment.RunMembershipStudy(params, plan, experiment.DefaultRebalancePolicy())
+		outs, err := experiment.RunStudy(st.runs, o)
 		fail(err)
-		fmt.Printf("(completed in %v wall time)\n\n", time.Since(start).Round(time.Millisecond))
-		fmt.Println(experiment.FormatMembership(r, *auditRun))
-		doc.Membership = &membershipRow{
-			Static:  summariseOutcome(r.Static, *auditRun),
-			Dynamic: summariseOutcome(r.Dynamic, *auditRun),
-			Joins:   r.Dynamic.Joins,
-			Leaves:  r.Dynamic.Leaves,
-			Drained: r.Dynamic.Drained,
-			Moves:   r.Dynamic.Moves,
+		closeTrace()
+		fmt.Printf("(completed in %v wall time)\n", time.Since(start).Round(time.Millisecond))
+		fmt.Println(st.report(outs))
+		for _, out := range outs {
+			auditFailed = verdict("["+out.Label+"]", out.Audit, *auditRun) || auditFailed
+			if out.Telemetry != nil {
+				telemetryExports[telemetryKey.Replace(out.Label)] = out.Telemetry
+			}
 		}
-		verdict("[exp7 static]", r.Static.Audit)
-		verdict("[exp7 dynamic]", r.Dynamic.Audit)
-		if r.Dynamic.Telemetry != nil {
-			telemetryExports["exp7_dynamic"] = r.Dynamic.Telemetry
-		}
+		st.export(outs)
 	}
+	if *outPath != "" {
+		fail(doc.write(*outPath))
+	}
+	if *telemetryOut != "" {
+		fail(writeTelemetry(*telemetryOut, telemetryExports))
+	}
+	if auditFailed {
+		exit(1)
+	}
+}
 
-	needRuns := all || *table3 || *fig8 || *fig9 || *fig10 || *dispatch || *stats || *csvDir != ""
-	if !needRuns && *auditRun && !(*accuracy || *scale || *exp4 || *exp5 || *exp6 || *exp7) {
-		// `gridexp -audit` alone still means "audit the experiments".
-		needRuns = true
-	}
-	// finish writes the selected exports and turns a failed audit into
-	// the exit status.
-	finish := func() {
-		if *outPath != "" {
-			fail(doc.write(*outPath))
-		}
-		if *telemetryOut != "" {
-			fail(writeTelemetry(*telemetryOut, telemetryExports))
-		}
-		if auditFailed {
-			exit(1)
-		}
-	}
-	if !needRuns {
-		finish()
-		return
-	}
+// study is one flag-selected study: the header announcing it, its
+// labelled runs, the report over their outcomes and what it adds to the
+// -out document. A traced study's last run streams to -tracefile.
+type study struct {
+	header string
+	runs   []experiment.Run
+	traced bool
+	report func([]experiment.Outcome) string
+	export func([]experiment.Outcome)
+}
 
-	fmt.Printf("Running experiments 1-3: %d requests at %gs intervals, seed %d\n",
-		params.Requests, params.Interval, params.Seed)
-	closeTrace := func() {}
-	if *traceOut != "" {
-		// Attached here, after the extension studies: the flag promises
-		// the experiment-3 trace, and RunAll hands the recorder to that
-		// run alone.
-		params.Trace, closeTrace = streamTrace(*traceOut)
+// verdict prints a run's audit result — a clean one only when loud —
+// and reports whether any invariant broke.
+func verdict(scope string, res *audit.Result, loud bool) bool {
+	if res.OK() && !loud {
+		return false
 	}
-	start := time.Now()
-	outs, err := experiment.RunAll(params)
-	fail(err)
-	closeTrace()
-	fmt.Printf("(completed in %v wall time)\n\n", time.Since(start).Round(time.Millisecond))
-	for _, o := range outs {
-		doc.Experiments = append(doc.Experiments, summariseOutcome(o, *auditRun))
-		verdict(fmt.Sprintf("[experiment %d]", o.Setup.ID), o.Audit)
-		if o.Telemetry != nil {
-			telemetryExports[fmt.Sprintf("experiment_%d", o.Setup.ID)] = o.Telemetry
-		}
+	fmt.Printf("%s %s\n", scope, res.Summary())
+	if res.OK() {
+		return false
 	}
-
-	if all || *table3 {
-		fmt.Println(experiment.FormatTable3(outs))
+	limit := len(res.Violations)
+	if limit > 10 {
+		limit = 10
 	}
-	if all || *fig8 {
-		fmt.Println(experiment.FormatTrends(outs, experiment.TrendEpsilon))
+	for _, v := range res.Violations[:limit] {
+		fmt.Printf("  VIOLATION %s\n", v)
 	}
-	if all || *fig9 {
-		fmt.Println(experiment.FormatTrends(outs, experiment.TrendUpsilon))
+	if len(res.Violations) > limit {
+		fmt.Printf("  ... and %d more\n", len(res.Violations)-limit)
 	}
-	if all || *fig10 {
-		fmt.Println(experiment.FormatTrends(outs, experiment.TrendBeta))
-	}
-	if all || *dispatch {
-		fmt.Println(experiment.FormatDispatchSummary(outs))
-	}
-	if *stats {
-		for _, o := range outs {
-			fmt.Printf("=== experiment %d (%s) ===\n", o.Setup.ID, o.Setup.Label)
-			fmt.Println(metrics.FormatStats(o.Records))
-		}
-	}
-	if *csvDir != "" {
-		fail(experiment.WriteCSV(*csvDir, outs))
-		fmt.Printf("CSV exported to %s (table3, fig8-10, dispatch)\n", *csvDir)
-	}
-	finish()
+	return true
 }
 
 // runScenario is the -scenario entry point: one audited run, a sweep

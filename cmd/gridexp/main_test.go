@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"encoding/csv"
+	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
@@ -110,19 +112,107 @@ func TestScaleAuditsEverySize(t *testing.T) {
 	}
 }
 
-// TestScaleRejectsTelemetry: `gridexp -scale -telemetry` fails and says
-// why, instead of writing nothing.
-func TestScaleRejectsTelemetry(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "telemetry.json")
-	out, err := gridexp("-scale", "-telemetry", path)
-	if err == nil {
-		t.Fatalf("-scale -telemetry accepted:\n%s", out)
+// stripWallTime drops the lines that differ between identical runs: the
+// wall-time lines, and the lines naming an output file.
+func stripWallTime(out string) string {
+	var keep []string
+	for _, line := range strings.SplitAfter(out, "\n") {
+		if !strings.Contains(line, "wall time") && !strings.HasPrefix(line, "results written to ") &&
+			!strings.HasPrefix(line, "telemetry written to ") {
+			keep = append(keep, line)
+		}
 	}
-	if !strings.Contains(out, "the scalability study exports no telemetry") {
-		t.Fatalf("-scale -telemetry failed without saying why:\n%s", out)
+	return strings.Join(keep, "")
+}
+
+// TestTelemetryExportsEveryStudyRun: `gridexp -telemetry` writes one
+// export per study run, keyed by the run's label, and instrumenting the
+// runs leaves the printed reports untouched.
+func TestTelemetryExportsEveryStudyRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("extension studies in short mode")
+	}
+	args := []string{"-exp4", "-exp5", "-accuracy", "-scale", "-requests", "60", "-workers", "1"}
+	plain, err := gridexp(args...)
+	if err != nil {
+		t.Fatalf("gridexp: %v\n%s", err, plain)
+	}
+	path := filepath.Join(t.TempDir(), "telemetry.json")
+	instr, err := gridexp(append(args, "-telemetry", path)...)
+	if err != nil {
+		t.Fatalf("gridexp -telemetry: %v\n%s", err, instr)
+	}
+	if a, b := stripWallTime(plain), stripWallTime(instr); a != b {
+		t.Fatalf("reports diverge under -telemetry:\n--- plain ---\n%s--- instrumented ---\n%s", a, b)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var exports map[string]json.RawMessage
+	if err := json.Unmarshal(data, &exports); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"exp3_baseline", "exp4_faulted", "exp5_degraded", "exp5_migrated",
+		"scale_n_6", "scale_n_12", "scale_n_24", "scale_n_48"}
+	for _, c := range []string{"0_bias_0", "0.2_bias_0", "0.5_bias_0", "0.2_bias_0.1", "0.2_bias_0.25", "0.2_bias_0.5"} {
+		want = append(want, "accuracy_scatter_"+c)
+	}
+	for _, key := range want {
+		if _, ok := exports[key]; !ok {
+			t.Errorf("no telemetry export %q", key)
+		}
+	}
+	if len(exports) != len(want) {
+		t.Fatalf("%d telemetry exports for %d runs", len(exports), len(want))
+	}
+}
+
+// TestTracefileNeedsCaseStudy: -tracefile records experiment 3, so a
+// run that selects no Table 2 output rejects it instead of exiting 0
+// with no file.
+func TestTracefileNeedsCaseStudy(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.csv")
+	out, err := gridexp("-exp4", "-requests", "30", "-tracefile", path)
+	if err == nil {
+		t.Fatalf("-tracefile without a Table 2 output accepted:\n%s", out)
+	}
+	if !strings.Contains(out, "-tracefile records experiment 3") {
+		t.Fatalf("-tracefile rejected without saying why:\n%s", out)
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("telemetry file written: %v", err)
+		t.Fatalf("trace file created: %v", err)
+	}
+}
+
+// TestExtensionStudiesMatchGolden pins every extension study's report,
+// audit verdicts and -out document to the goldens in testdata.
+func TestExtensionStudiesMatchGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("extension studies in short mode")
+	}
+	path := filepath.Join(t.TempDir(), "results.json")
+	out, err := gridexp("-exp4", "-exp5", "-exp6", "-exp7", "-accuracy", "-scale",
+		"-requests", "60", "-workers", "1", "-audit", "-out", path)
+	if err != nil {
+		t.Fatalf("gridexp: %v\n%s", err, out)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "extensions.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := stripWallTime(out); got != string(want) {
+		t.Fatalf("stdout differs from testdata/extensions.txt:\n%s", got)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, err = os.ReadFile(filepath.Join("testdata", "extensions.json")); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("-out differs from testdata/extensions.json:\n%s", got)
 	}
 }
 

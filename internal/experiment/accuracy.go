@@ -3,8 +3,6 @@ package experiment
 import (
 	"fmt"
 	"strings"
-
-	"repro/internal/scenario"
 )
 
 // NoiseCase is one (scatter, bias) configuration of the prediction-
@@ -16,13 +14,6 @@ type NoiseCase struct {
 	Bias float64
 }
 
-// AccuracyPoint is one row of the study: the experiment-3 run under one
-// noise case.
-type AccuracyPoint struct {
-	NoiseCase
-	scenario.Result
-}
-
 // DefaultNoiseCases sweeps scatter at zero bias and bias at moderate
 // scatter.
 func DefaultNoiseCases() []NoiseCase {
@@ -32,44 +23,30 @@ func DefaultNoiseCases() []NoiseCase {
 	}
 }
 
-// accuracySpec is experiment 3 under one noise case.
-func (p Params) accuracySpec(c NoiseCase) scenario.Spec {
-	spec := p.caseStudy(Configs[2])
-	spec.Name = fmt.Sprintf("accuracy-rel%g-bias%g", c.Rel, c.Bias)
-	spec.PredictionError, spec.PredictionBias = c.Rel, c.Bias
-	return spec
-}
-
-// RunAccuracyStudy sweeps the prediction error over the full agent-based
-// configuration. Rel = 0 is the paper's exact test mode; growing error
-// degrades the scheduler's decisions because both the GA cost function
-// and the eq. 10 matchmaking reason over predictions that reality no
-// longer honours.
-func RunAccuracyStudy(cases []NoiseCase, p Params) ([]AccuracyPoint, error) {
-	// One recorder must never hold several runs' events (the ReqIDs
-	// collide), and this study sweeps many; its points carry no
-	// telemetry export.
-	opt := p.options()
-	opt.Trace, opt.Telemetry = nil, false
-	out := make([]AccuracyPoint, 0, len(cases))
-	for _, c := range cases {
-		res, err := scenario.Run(p.accuracySpec(c), opt)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, AccuracyPoint{NoiseCase: c, Result: res})
+// AccuracyRuns sweeps the prediction error over the full agent-based
+// configuration: experiment 3 under each noise case. Rel = 0 is the
+// paper's exact test mode; growing error degrades the scheduler's
+// decisions because both the GA cost function and the eq. 10
+// matchmaking reason over predictions that reality no longer honours.
+func (p Params) AccuracyRuns(cases []NoiseCase) []Run {
+	runs := make([]Run, len(cases))
+	for i, c := range cases {
+		spec := p.caseStudy(Configs[2])
+		spec.Name = fmt.Sprintf("accuracy-rel%g-bias%g", c.Rel, c.Bias)
+		spec.PredictionError, spec.PredictionBias = c.Rel, c.Bias
+		runs[i] = Run{Label: fmt.Sprintf("accuracy scatter=%g bias=%g", c.Rel, c.Bias), Setup: Configs[2], Spec: spec}
 	}
-	return out, nil
+	return runs
 }
 
-// FormatAccuracy renders the study as a table.
-func FormatAccuracy(points []AccuracyPoint) string {
+// FormatAccuracy renders AccuracyRuns' outcomes as a table.
+func FormatAccuracy(outs []Outcome) string {
 	var b strings.Builder
 	b.WriteString("Prediction-accuracy study (§5): experiment 3 with noisy execution times\n\n")
 	fmt.Fprintf(&b, "%9s %7s %10s %8s %8s %10s\n", "scatter", "bias", "eps (s)", "ups (%)", "beta (%)", "met rate")
-	for _, pt := range points {
+	for _, pt := range outs {
 		fmt.Fprintf(&b, "%8.0f%% %+6.0f%% %10.1f %8.1f %8.1f %9.1f%%\n",
-			pt.Rel*100, pt.Bias*100, pt.Epsilon, pt.Upsilon, pt.Beta, pt.HitRate*100)
+			pt.Spec.PredictionError*100, pt.Spec.PredictionBias*100, pt.Epsilon, pt.Upsilon, pt.Beta, pt.HitRate*100)
 	}
 	return b.String()
 }

@@ -21,11 +21,7 @@ func TestExperimentsPassAudit(t *testing.T) {
 	}
 	p := QuickParams()
 	p.Requests = 120
-	outs, err := RunAll(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, o := range outs {
+	for _, o := range runStudy(t, p.CaseStudyRuns(), scenario.RunOptions{}) {
 		if o.Audit == nil {
 			t.Fatalf("experiment %d: auditor did not run", o.Setup.ID)
 		}
@@ -49,11 +45,9 @@ func TestResilienceRunPassesAudit(t *testing.T) {
 	}
 	p := QuickParams()
 	p.Requests = 120
-	r, err := RunResilience(p, ScaledFaultPlan(phase(p)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, o := range []Outcome{r.Baseline, r.Faulted} {
+	outs := runStudy(t, p.ResilienceRuns(ScaledFaultPlan(phase(p))), scenario.RunOptions{})
+	faulted := outs[1]
+	for _, o := range outs {
 		if o.Audit == nil {
 			t.Fatalf("experiment %d: auditor did not run", o.Setup.ID)
 		}
@@ -61,23 +55,23 @@ func TestResilienceRunPassesAudit(t *testing.T) {
 			t.Fatalf("experiment %d: %v", o.Setup.ID, o.Audit.Violations)
 		}
 	}
-	c := r.Faulted.Audit.Counts
+	c := faulted.Audit.Counts
 	if c.Arrives != p.Requests {
 		t.Fatalf("faulted run saw %d arrivals for %d requests", c.Arrives, p.Requests)
 	}
 	if c.Completes+c.Fails != p.Requests {
 		t.Fatalf("faulted run not conserved: %+v", c)
 	}
-	if c.Fails != r.Faulted.Fault.Lost {
-		t.Fatalf("%d fail events but %d tasks lost", c.Fails, r.Faulted.Fault.Lost)
+	if c.Fails != faulted.Fault.Lost {
+		t.Fatalf("%d fail events but %d tasks lost", c.Fails, faulted.Fault.Lost)
 	}
-	if c.Redispatches != r.Faulted.Fault.Redispatched {
-		t.Fatalf("%d redispatch events but injector counted %d", c.Redispatches, r.Faulted.Fault.Redispatched)
+	if c.Redispatches != faulted.Fault.Redispatched {
+		t.Fatalf("%d redispatch events but injector counted %d", c.Redispatches, faulted.Fault.Redispatched)
 	}
-	if !strings.Contains(FormatResilience(r, true), "audit:") {
+	if !strings.Contains(FormatResilience(outs, true), "audit:") {
 		t.Fatal("FormatResilience omits the audit verdict")
 	}
-	if strings.Contains(FormatResilience(r, false), "audit:") {
+	if strings.Contains(FormatResilience(outs, false), "audit:") {
 		t.Fatal("FormatResilience prints the audit verdict unasked")
 	}
 }
@@ -92,15 +86,13 @@ func TestRunnerAuditMatchesReplay(t *testing.T) {
 	}
 	p := QuickParams()
 	p.Requests = 120
-	_, migrated := p.migrationSpecs(ScaledDegradedPlan(phase(p)), DefaultMigrationPolicy())
-	_, dynamic := p.membershipSpecs(DefaultChurnPlan(), DefaultRebalancePolicy())
 	cases := []struct {
 		name string
 		spec scenario.Spec
 	}{
-		{"exp4", p.resilienceSpec(ScaledFaultPlan(phase(p)))},
-		{"exp5", migrated},
-		{"exp7", dynamic},
+		{"exp4", p.ResilienceRuns(ScaledFaultPlan(phase(p)))[1].Spec},
+		{"exp5", p.MigrationRuns(ScaledDegradedPlan(phase(p)), DefaultMigrationPolicy())[1].Spec},
+		{"exp7", p.MembershipRuns(DefaultChurnPlan(), DefaultRebalancePolicy())[1].Spec},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -132,8 +124,8 @@ func TestRunnerAuditMatchesReplay(t *testing.T) {
 }
 
 // TestRunAllTracesExperimentThreeOnly is the contract behind `gridexp
-// -tracefile` in experiment mode: a recorder handed to RunAll holds the
-// experiment-3 run and nothing else — one arrive per request, every
+// -tracefile` in experiment mode: a recorder handed to RunStudy with the
+// Table 2 study goes to its last run, experiment 3, and nothing else — one arrive per request, every
 // request ID once — so the streamed CSV is a trace audit.Check can
 // replay against experiment 3's records.
 func TestRunAllTracesExperimentThreeOnly(t *testing.T) {
@@ -141,13 +133,10 @@ func TestRunAllTracesExperimentThreeOnly(t *testing.T) {
 	p.Requests = 60
 	var csvOut strings.Builder
 	sink := trace.NewCSVSink(&csvOut)
-	p.Trace = trace.NewRecorder(8*p.Requests + 64)
-	p.Trace.AddSink(sink)
-	outs, err := RunAll(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Close(p.Trace.Dropped()); err != nil {
+	rec := trace.NewRecorder(8*p.Requests + 64)
+	rec.AddSink(sink)
+	outs := runStudy(t, p.CaseStudyRuns(), scenario.RunOptions{Trace: rec})
+	if err := sink.Close(rec.Dropped()); err != nil {
 		t.Fatal(err)
 	}
 	rows, err := csv.NewReader(strings.NewReader(csvOut.String())).ReadAll()
@@ -169,12 +158,12 @@ func TestRunAllTracesExperimentThreeOnly(t *testing.T) {
 	}
 	exp3 := outs[2]
 	replay := audit.Check(audit.Run{
-		Events:     p.Trace.Events(),
+		Events:     rec.Events(),
 		Records:    exp3.Records,
 		Dispatches: exp3.Dispatches,
 		Nodes:      core.NodeCounts(scenario.Fig7Resources(), nil),
 		Report:     exp3.Report,
-		Dropped:    p.Trace.Dropped(),
+		Dropped:    rec.Dropped(),
 	})
 	if !replay.OK() {
 		t.Fatalf("experiment-3 trace fails the replay audit: %v", replay.Violations)

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/scenario"
-	"repro/internal/trace"
 )
 
 // Setup is one row of Table 2: which local algorithm runs and whether the
@@ -29,24 +28,17 @@ var Configs = []Setup{
 	{ID: 3, Policy: core.PolicyGA, UseAgents: true, Label: "GA + agent discovery"},
 }
 
-// Params holds the workload and GA knobs shared across the experiments.
-// Every study turns them into scenario specs and runs those through
-// scenario.Run, so each run is built, audited and reduced the same way.
+// Params holds the workload and GA knobs shared across the studies.
+// Every study turns them into labelled scenario specs, which RunStudy
+// runs through scenario.Run, so each run is built, audited and reduced
+// the same way.
 type Params struct {
 	Seed     uint64
 	Requests int     // §4.1 uses 600
 	Interval float64 // §4.1 uses 1 s
 	// GA overrides the case-study GA knobs (scenario.DefaultGA); zero
 	// fields keep the defaults.
-	GA      scenario.GASpec
-	Workers int             // GA cost-evaluation workers per policy; ≤1 sequential, results identical either way
-	Trace   *trace.Recorder // optional lifecycle recorder; holds one run (RunAll: experiment 3's)
-	// Telemetry instruments each experiment on its own fresh registry
-	// (RunAll runs experiments concurrently, so a shared registry would
-	// mix their totals) and attaches the export to Outcome.Telemetry.
-	// Observing only: Table 1/Table 3 numbers are identical either way.
-	Telemetry    bool
-	SamplePeriod float64 // series period in virtual seconds; <= 0 → 10 s
+	GA scenario.GASpec
 }
 
 // DefaultParams returns the §4.1 case-study parameters.
@@ -64,11 +56,19 @@ func QuickParams() Params {
 	return p
 }
 
-// Outcome is one experiment's results: the scenario run of Spec, with
-// the Table 2 row it belongs to.
-type Outcome struct {
+// Run is one labelled run of a study: the Table 2 configuration it
+// belongs to and the scenario spec it runs.
+type Run struct {
+	// Label names the run in audit verdicts and telemetry keys, e.g.
+	// "experiment 3" or "exp5 migrated".
+	Label string
 	Setup Setup
 	Spec  scenario.Spec
+}
+
+// Outcome is one run's results.
+type Outcome struct {
+	Run
 	scenario.Result
 }
 
@@ -98,65 +98,43 @@ func (p Params) caseStudy(s Setup) scenario.Spec {
 	return spec
 }
 
-// options returns the host knobs every study's runs share.
-func (p Params) options() scenario.RunOptions {
-	return scenario.RunOptions{Workers: p.Workers, Trace: p.Trace, Telemetry: p.Telemetry, SamplePeriod: p.SamplePeriod}
-}
-
-// runSpec runs one spec of the given configuration.
-func runSpec(setup Setup, spec scenario.Spec, opt scenario.RunOptions) (Outcome, error) {
-	res, err := scenario.Run(spec, opt)
-	if err != nil {
-		return Outcome{}, fmt.Errorf("experiment %d: %w", setup.ID, err)
-	}
-	return Outcome{Setup: setup, Spec: spec, Result: res}, nil
-}
-
-// offOn runs one configuration twice over the identical workload — the
-// feature under study off, then on — so any delta is the feature's. An
-// external trace recorder goes to the on run only: one recorder must
-// never hold two runs' events (the ReqIDs collide and the audit would
-// see every task executed twice).
-func (p Params) offOn(setup Setup, off, on scenario.Spec) (Outcome, Outcome, error) {
-	optOff := p.options()
-	optOff.Trace = nil
-	a, err := runSpec(setup, off, optOff)
-	if err != nil {
-		return Outcome{}, Outcome{}, fmt.Errorf("off run: %w", err)
-	}
-	b, err := runSpec(setup, on, p.options())
-	if err != nil {
-		return Outcome{}, Outcome{}, fmt.Errorf("on run: %w", err)
-	}
-	return a, b, nil
-}
-
-// Run executes one experiment configuration against the case-study grid
-// and workload.
-func Run(setup Setup, p Params) (Outcome, error) {
-	return runSpec(setup, p.caseStudy(setup), p.options())
-}
-
-// RunAll executes the three Table 2 experiments over the identical
-// workload, one goroutine per experiment. Each experiment builds its own
-// grid, engine and seed-derived RNGs from Params alone, so the runs are
-// independent and the outcomes identical to a sequential sweep. A trace
-// recorder goes to experiment 3 only, for offOn's reason: the three runs
-// mint the same ReqIDs.
-func RunAll(p Params) ([]Outcome, error) {
-	out := make([]Outcome, len(Configs))
-	errs := make([]error, len(Configs))
-	var wg sync.WaitGroup
+// CaseStudyRuns is the Table 2 study: experiments 1–3 over the identical
+// workload, experiment 3 last.
+func (p Params) CaseStudyRuns() []Run {
+	runs := make([]Run, len(Configs))
 	for i, s := range Configs {
-		p := p
-		if s.ID != 3 {
-			p.Trace = nil
+		runs[i] = Run{Label: fmt.Sprintf("experiment %d", s.ID), Setup: s, Spec: p.caseStudy(s)}
+	}
+	return runs
+}
+
+// RunStudy runs a study's runs concurrently, one goroutine per run (a
+// study holds a handful), and returns their outcomes in the runs' order. Each run builds its own
+// grid, engine and seed-derived RNGs from its spec alone, so the
+// outcomes are identical to a sequential sweep at any opt.Workers. A
+// trace recorder goes to the last run only: the runs mint the same
+// ReqIDs, and one recorder holding two runs' events would show the audit
+// every task executed twice. With opt.Telemetry every run is instrumented
+// on its own registry, and its export lands on its outcome.
+func RunStudy(runs []Run, opt scenario.RunOptions) ([]Outcome, error) {
+	out := make([]Outcome, len(runs))
+	errs := make([]error, len(runs))
+	var wg sync.WaitGroup
+	for i, r := range runs {
+		o := opt
+		if i != len(runs)-1 {
+			o.Trace = nil
 		}
 		wg.Add(1)
-		go func(i int, s Setup) {
+		go func() {
 			defer wg.Done()
-			out[i], errs[i] = Run(s, p)
-		}(i, s)
+			res, err := scenario.Run(r.Spec, o)
+			if err != nil {
+				errs[i] = fmt.Errorf("%s: %w", r.Label, err)
+				return
+			}
+			out[i] = Outcome{Run: r, Result: res}
+		}()
 	}
 	wg.Wait()
 	if err := errors.Join(errs...); err != nil {

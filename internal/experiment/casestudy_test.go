@@ -1,11 +1,13 @@
 package experiment
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/pace"
+	"repro/internal/scenario"
 )
 
 func TestCaseStudyResourcesMatchFig7(t *testing.T) {
@@ -70,10 +72,7 @@ func TestCaseStudyShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("case study run in short mode")
 	}
-	outs, err := RunAll(QuickParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	outs := runStudy(t, QuickParams().CaseStudyRuns(), scenario.RunOptions{})
 	e1, e2, e3 := outs[0].Report.Total, outs[1].Report.Total, outs[2].Report.Total
 
 	// Fig. 8: ε improves monotonically across experiments.
@@ -122,14 +121,9 @@ func TestCaseStudyShape(t *testing.T) {
 func TestRunDeterministic(t *testing.T) {
 	p := QuickParams()
 	p.Requests = 60
-	a, err := Run(Configs[1], p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(Configs[1], p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	run := p.CaseStudyRuns()[1]
+	outs := runStudy(t, []Run{run, run}, scenario.RunOptions{})
+	a, b := outs[0], outs[1]
 	if a.Report.Total.Epsilon != b.Report.Total.Epsilon ||
 		a.Report.Total.Upsilon != b.Report.Total.Upsilon ||
 		a.Report.Total.Beta != b.Report.Total.Beta {
@@ -159,11 +153,7 @@ func TestFormatTable2(t *testing.T) {
 func TestFormatReportsSmoke(t *testing.T) {
 	p := QuickParams()
 	p.Requests = 40
-	o, err := Run(Configs[0], p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outs := []Outcome{o}
+	outs := runStudy(t, p.CaseStudyRuns()[:1], scenario.RunOptions{})
 	for _, s := range []string{
 		FormatTable3(outs),
 		FormatTrends(outs, TrendEpsilon),
@@ -194,5 +184,24 @@ func TestAgentNamesOrder(t *testing.T) {
 	}
 	if len(names) != 12 || names[0] != "S1" || names[11] != "S12" {
 		t.Fatalf("AgentNames = %v", names)
+	}
+}
+
+// TestRunStudyIdenticalAcrossWorkers: a study's outcomes — every record
+// of every run, in the runs' order — do not depend on the GA's worker
+// count, although the study's runs themselves run concurrently.
+func TestRunStudyIdenticalAcrossWorkers(t *testing.T) {
+	p := QuickParams()
+	p.Requests = 60
+	runs := p.MigrationRuns(ScaledDegradedPlan(phase(p)), DefaultMigrationPolicy())
+	one := runStudy(t, runs, scenario.RunOptions{Workers: 1})
+	four := runStudy(t, runs, scenario.RunOptions{Workers: 4})
+	for i := range runs {
+		if one[i].Label != runs[i].Label || four[i].Label != runs[i].Label {
+			t.Fatalf("outcome %d is %q / %q, want %q", i, one[i].Label, four[i].Label, runs[i].Label)
+		}
+		if !reflect.DeepEqual(one[i].Records, four[i].Records) || !reflect.DeepEqual(one[i].Report, four[i].Report) {
+			t.Fatalf("%s differs between 1 and 4 workers", runs[i].Label)
+		}
 	}
 }

@@ -15,7 +15,7 @@ import (
 // hierarchy and its measurement window.
 func TestSyntheticResourcesShape(t *testing.T) {
 	p := DefaultParams()
-	specs, err := p.scaleSpec(13, 3, 20).Topology.Build()
+	specs, err := p.ScaleRuns([]int{13}, 3, 20)[0].Spec.Topology.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,8 +35,9 @@ func TestSyntheticResourcesShape(t *testing.T) {
 	}
 	// The window floor is the fixed request phase: at the sizes gridexp
 	// runs, Count × (phase/Count) is the phase exactly.
-	for _, n := range []int{6, 12, 24, 48} {
-		a := p.scaleSpec(n, 3, 50).Arrivals
+	for _, r := range p.ScaleRuns([]int{6, 12, 24, 48}, 3, 50) {
+		n := r.Spec.Topology.Agents
+		a := r.Spec.Arrivals
 		if a.Count != 50*n || float64(a.Count)*a.Interval != 600 {
 			t.Fatalf("%d agents: %d requests at %g s do not span the 600 s phase", n, a.Count, a.Interval)
 		}
@@ -48,10 +49,7 @@ func TestScalabilityStudySmall(t *testing.T) {
 		t.Skip("scalability study in short mode")
 	}
 	p := QuickParams()
-	pts, err := RunScalabilityStudy([]int{3, 6}, 3, 20, p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := runStudy(t, p.ScaleRuns([]int{3, 6}, 3, 20), scenario.RunOptions{Telemetry: true})
 	if len(pts) != 2 {
 		t.Fatalf("%d points", len(pts))
 	}
@@ -68,14 +66,14 @@ func TestScalabilityStudySmall(t *testing.T) {
 		if pt.Upsilon <= 0 {
 			t.Fatalf("zero utilisation: %+v", pt)
 		}
+		// Every size exports its own telemetry, counting its own requests.
+		if pt.Telemetry == nil || pt.Telemetry.Snapshot.Counters["grid_requests_total"] != uint64(pt.Requests) {
+			t.Fatalf("%s: telemetry missing or mixed with another size", pt.Label)
+		}
 	}
 	out := FormatScalability(pts)
 	if !strings.Contains(out, "agents") || !strings.Contains(out, "mean hops") {
 		t.Fatalf("format output:\n%s", out)
-	}
-	p.Telemetry = true
-	if _, err := RunScalabilityStudy([]int{3}, 3, 20, p); err == nil {
-		t.Fatal("telemetry requested of the scalability study was silently dropped")
 	}
 }
 
@@ -83,10 +81,10 @@ func TestScalabilityStudySmall(t *testing.T) {
 // agent and negative branching are errors, not silently clamped.
 func TestScalabilityStudyRejectsDegenerateSizes(t *testing.T) {
 	p := QuickParams()
-	if _, err := RunScalabilityStudy([]int{0}, 3, 20, p); err == nil {
+	if _, err := RunStudy(p.ScaleRuns([]int{0}, 3, 20), scenario.RunOptions{}); err == nil {
 		t.Fatal("a 0-agent grid was accepted")
 	}
-	if _, err := RunScalabilityStudy([]int{3}, -1, 20, p); err == nil {
+	if _, err := RunStudy(p.ScaleRuns([]int{3}, -1, 20), scenario.RunOptions{}); err == nil {
 		t.Fatal("negative branching was accepted")
 	}
 }
@@ -96,12 +94,9 @@ func TestAccuracyStudyBiasDegrades(t *testing.T) {
 		t.Skip("accuracy study in short mode")
 	}
 	p := QuickParams()
-	pts, err := RunAccuracyStudy([]NoiseCase{{0, 0}, {0.2, 0.5}}, p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := runStudy(t, p.AccuracyRuns([]NoiseCase{{0, 0}, {0.2, 0.5}}), scenario.RunOptions{})
 	exact, biased := pts[0], pts[1]
-	if exact.Rel != 0 || biased.Bias != 0.5 {
+	if exact.Spec.PredictionError != 0 || biased.Spec.PredictionBias != 0.5 {
 		t.Fatalf("points mislabelled: %+v", pts)
 	}
 	// Systematically optimistic predictions must hurt deadline compliance
@@ -129,12 +124,9 @@ func TestAccuracyStudyBiasDegrades(t *testing.T) {
 func TestWriteCSV(t *testing.T) {
 	p := QuickParams()
 	p.Requests = 30
-	o, err := Run(Configs[0], p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	outs := runStudy(t, p.CaseStudyRuns()[:1], scenario.RunOptions{})
 	dir := t.TempDir()
-	if err := WriteCSV(dir, []Outcome{o}); err != nil {
+	if err := WriteCSV(dir, outs); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"table3.csv", "fig8.csv", "fig9.csv", "fig10.csv", "dispatch.csv"} {

@@ -22,13 +22,9 @@ func TestCaseStudyInvariants(t *testing.T) {
 	p := QuickParams()
 	p.Requests = 150
 	nodes := core.NodeCounts(scenario.Fig7Resources(), nil)
-	for _, setup := range Configs {
-		setup := setup
-		t.Run(setup.Label, func(t *testing.T) {
-			out, err := Run(setup, p)
-			if err != nil {
-				t.Fatal(err)
-			}
+	for _, run := range p.CaseStudyRuns() {
+		t.Run(run.Setup.Label, func(t *testing.T) {
+			out := runStudy(t, []Run{run}, scenario.RunOptions{})[0]
 			recs := out.Records
 			if len(recs) != p.Requests {
 				t.Fatalf("%d records for %d requests", len(recs), p.Requests)
@@ -99,11 +95,7 @@ func TestCaseStudyInvariantsUnderNoise(t *testing.T) {
 	}
 	p := QuickParams()
 	p.Requests = 120
-	pts, err := RunAccuracyStudy([]NoiseCase{{Rel: 0.4, Bias: 0.3}}, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs := pts[0].Records
+	recs := runStudy(t, p.AccuracyRuns([]NoiseCase{{Rel: 0.4, Bias: 0.3}}), scenario.RunOptions{})[0].Records
 	if len(recs) != p.Requests {
 		t.Fatalf("%d records for %d requests", len(recs), p.Requests)
 	}

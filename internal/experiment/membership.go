@@ -45,25 +45,25 @@ func DefaultRebalancePolicy() scenario.RebalanceSpec {
 	return scenario.RebalanceSpec{Enabled: true, MinLoad: 30}
 }
 
-// MembershipOutcome pairs the churning run with a static tree (agents
-// join and leave, but nothing re-homes under load) against the identical
-// run with the rebalancer on.
-type MembershipOutcome struct {
-	Static  Outcome // churn only: the tree keeps its start-up shape
-	Dynamic Outcome // same workload and churn, rebalancer on
-}
-
-// membershipSpecs is experiment 3 over the Experiment 7 request stream
-// with scripted churn, the rebalancer off and then on. The stream is the
-// case-study mix arriving as a flash crowd — a 0.5 /s baseline ramping
-// to 5 /s over a minute and holding for 150 s, ten times the sustained
-// load — under slightly tightened deadlines. The crowd hits one region:
-// every request enters through the S3/S4 branches, far from where the
-// powerful joiners attached. A static tree reaches the new capacity only
-// by climbing through the head and descending the far side hop by hop;
-// the dynamic tree re-homes the hot branch next to it.
-func (p Params) membershipSpecs(churn scenario.ChurnSpec, rb scenario.RebalanceSpec) (off, on scenario.Spec) {
-	off = p.caseStudy(Exp7)
+// MembershipRuns is Experiment 7: the experiment 3 configuration over
+// a flash-crowd workload with scripted churn, first with the tree static
+// (joins and leaves happen, but subtrees never move), then with the
+// load-driven rebalancer on. Everything else — seed, workload, GA knobs,
+// churn schedule — is held identical, so any delta is the rebalancer's.
+//
+// The stream is the case-study mix arriving as a flash crowd — a 0.5 /s
+// baseline ramping to 5 /s over a minute and holding for 150 s, ten
+// times the sustained load — under slightly tightened deadlines. The
+// crowd hits one region: every request enters through the S3/S4
+// branches, far from where the powerful joiners attached. A static tree
+// reaches the new capacity only by climbing through the head and
+// descending the far side hop by hop; the dynamic tree re-homes the hot
+// branch next to it. The churning runs are where the membership
+// invariants earn their keep: no request lost or run twice across a
+// leave-drain, no work landing on a departed resource, every re-home
+// atomic.
+func (p Params) MembershipRuns(churn scenario.ChurnSpec, rb scenario.RebalanceSpec) []Run {
+	off := p.caseStudy(Exp7)
 	off.Name = "exp7-static"
 	off.Arrivals = scenario.ArrivalSpec{
 		Process: "flashcrowd", Count: p.Requests,
@@ -75,41 +75,26 @@ func (p Params) membershipSpecs(churn scenario.ChurnSpec, rb scenario.RebalanceS
 	static := churn
 	static.Rebalance = nil
 	off.Churn = &static
-	on = off
+	on := off
 	on.Name = "exp7-dynamic"
 	rb.Enabled = true
 	churn.Rebalance = &rb
 	on.Churn = &churn
-	return off, on
-}
-
-// RunMembershipStudy executes Experiment 7: the experiment 3
-// configuration over a flash-crowd workload with scripted churn, first
-// with the tree static (joins and leaves happen, but subtrees never move),
-// then with the load-driven rebalancer on. Everything else — seed,
-// workload, GA knobs, churn schedule — is held identical, so any delta
-// is the rebalancer's.
-func RunMembershipStudy(p Params, churn scenario.ChurnSpec, rb scenario.RebalanceSpec) (MembershipOutcome, error) {
-	// The churning runs are where the membership invariants earn their
-	// keep: no request lost or run twice across a leave-drain, no work
-	// landing on a departed resource, every re-home atomic.
-	off, on := p.membershipSpecs(churn, rb)
-	static, dynamic, err := p.offOn(Exp7, off, on)
-	if err != nil {
-		return MembershipOutcome{}, err
+	return []Run{
+		{Label: "exp7 static", Setup: Exp7, Spec: off},
+		{Label: "exp7 dynamic", Setup: Exp7, Spec: on},
 	}
-	return MembershipOutcome{Static: static, Dynamic: dynamic}, nil
 }
 
-// FormatMembership renders the Experiment 7 report: the churn schedule,
-// the membership bookkeeping, and ε/υ/β plus the deadline-hit rate with
-// the tree static against dynamic, followed by the dynamic run's audit
-// verdict when withAudit is set.
-func FormatMembership(r MembershipOutcome, withAudit bool) string {
+// FormatMembership renders the Experiment 7 report over MembershipRuns'
+// outcomes: the churn schedule, the membership bookkeeping, and ε/υ/β
+// plus the deadline-hit rate with the tree static against dynamic,
+// followed by the dynamic run's audit verdict when withAudit is set.
+func FormatMembership(outs []Outcome, withAudit bool) string {
+	static, d := outs[0], outs[1]
 	var b strings.Builder
 	b.WriteString("Experiment 7: dynamic hierarchy under churn and flash crowd\n\n")
 	b.WriteString("Churn schedule:\n")
-	d := r.Dynamic
 	for _, j := range d.Spec.Churn.Joins {
 		fmt.Fprintf(&b, "  t=%-6g join  %s (%s x%d) under %s\n", j.Time, j.Name, j.Hardware, j.Nodes, j.Parent)
 	}
@@ -119,11 +104,11 @@ func FormatMembership(r MembershipOutcome, withAudit bool) string {
 	b.WriteString("\n")
 
 	fmt.Fprintf(&b, "Requests submitted:    %d\n", d.Requests)
-	fmt.Fprintf(&b, "Tasks completed:       %d (static) / %d (dynamic)\n", len(r.Static.Records), len(d.Records))
+	fmt.Fprintf(&b, "Tasks completed:       %d (static) / %d (dynamic)\n", len(static.Records), len(d.Records))
 	fmt.Fprintf(&b, "Membership activity:   %d joins, %d leaves, %d tasks drained, %d rehome moves\n",
 		d.Joins, d.Leaves, d.Drained, d.Moves)
 	b.WriteString("\n")
 
-	formatTotals(&b, "static", "dynamic", r.Static, d, true, withAudit)
+	formatTotals(&b, "static", "dynamic", static, d, true, withAudit)
 	return b.String()
 }

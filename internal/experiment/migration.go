@@ -41,63 +41,47 @@ func DefaultMigrationPolicy() scenario.MigrationSpec {
 	return scenario.MigrationSpec{Enabled: true}
 }
 
-// MigrationOutcome pairs the degraded run without migration against the
-// identical run with the policy on.
-type MigrationOutcome struct {
-	Degraded Outcome // degraded node, migration off
-	Migrated Outcome // same workload and faults, migration on
-}
-
-// migrationSpecs is experiment 3 under the degraded-node fault plan,
-// with migration off and then on. Everything else — seed, workload, GA
+// MigrationRuns is Experiment 5: the experiment 3 configuration over
+// the case-study workload with a degraded-node fault plan, first with
+// migration off (the baseline a fault-blind grid delivers), then with
+// the drift-driven policy on. Everything else — seed, workload, GA
 // knobs, fault schedule — is held identical, so any delta is the
-// policy's.
-func (p Params) migrationSpecs(faults scenario.FaultSpec, pol scenario.MigrationSpec) (off, on scenario.Spec) {
-	off = p.caseStudy(Exp5)
+// policy's. The migrated run is where the chain invariants earn their
+// keep: every offer → withdraw → re-dispatch must net to exactly one
+// execution, never zero and never two.
+func (p Params) MigrationRuns(faults scenario.FaultSpec, pol scenario.MigrationSpec) []Run {
+	off := p.caseStudy(Exp5)
 	off.Name = "exp5-migration-off"
 	off.Faults = &faults
 	off.AdvertTTL = 3 * agent.DefaultPullPeriod
-	on = off
+	on := off
 	on.Name = "exp5-migration-on"
 	pol.Enabled = true
 	on.Migration = &pol
-	return off, on
-}
-
-// RunMigrationStudy executes Experiment 5: the experiment 3
-// configuration over the case-study workload with a degraded-node fault
-// plan, first with migration off (the baseline a fault-blind grid
-// delivers), then with the drift-driven policy on.
-func RunMigrationStudy(p Params, faults scenario.FaultSpec, pol scenario.MigrationSpec) (MigrationOutcome, error) {
-	// The migrated run is where the chain invariants earn their keep:
-	// every offer → withdraw → re-dispatch must net to exactly one
-	// execution, never zero and never two.
-	off, on := p.migrationSpecs(faults, pol)
-	degraded, migrated, err := p.offOn(Exp5, off, on)
-	if err != nil {
-		return MigrationOutcome{}, err
+	return []Run{
+		{Label: "exp5 degraded", Setup: Exp5, Spec: off},
+		{Label: "exp5 migrated", Setup: Exp5, Spec: on},
 	}
-	return MigrationOutcome{Degraded: degraded, Migrated: migrated}, nil
 }
 
-// FormatMigration renders the Experiment 5 report: the degradation
-// schedule, the migration bookkeeping, and ε/υ/β plus the deadline-hit
-// rate with the policy off against on, followed by the migrated run's
-// audit verdict when withAudit is set.
-func FormatMigration(r MigrationOutcome, withAudit bool) string {
+// FormatMigration renders the Experiment 5 report over MigrationRuns'
+// outcomes: the degradation schedule, the migration bookkeeping, and
+// ε/υ/β plus the deadline-hit rate with the policy off against on,
+// followed by the migrated run's audit verdict when withAudit is set.
+func FormatMigration(outs []Outcome, withAudit bool) string {
+	degraded, m := outs[0], outs[1]
 	var b strings.Builder
 	b.WriteString("Experiment 5: proactive migration off a degraded node\n\n")
 	b.WriteString("Degradation schedule:\n")
-	b.WriteString(r.Migrated.Spec.FaultPlan().String())
+	b.WriteString(m.Spec.FaultPlan().String())
 	b.WriteString("\n")
 
-	m := r.Migrated
 	fmt.Fprintf(&b, "Requests submitted:    %d\n", m.Requests)
-	fmt.Fprintf(&b, "Tasks completed:       %d (off) / %d (on)\n", len(r.Degraded.Records), len(m.Records))
+	fmt.Fprintf(&b, "Tasks completed:       %d (off) / %d (on)\n", len(degraded.Records), len(m.Records))
 	fmt.Fprintf(&b, "Drift checks breached: %d of %d\n", m.MigrateBreaches, m.MigrateChecks)
 	fmt.Fprintf(&b, "Tasks offered:         %d (accepted %d, rejected %d)\n", m.MigrateOffers, m.MigrateAccepts, m.MigrateRejects)
 	b.WriteString("\n")
 
-	formatTotals(&b, "mig off", "mig on", r.Degraded, r.Migrated, true, withAudit)
+	formatTotals(&b, "mig off", "mig on", degraded, m, true, withAudit)
 	return b.String()
 }

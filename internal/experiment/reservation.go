@@ -27,73 +27,56 @@ func DefaultReservationShape() scenario.ReservationSpec {
 	return scenario.ReservationSpec{Lead: 300, Duration: 120, Nodes: 2, Parts: 1, MaxSlip: 600}
 }
 
-// ReservationPoint is one admission-study share.
-type ReservationPoint struct {
-	Share  float64
-	Result scenario.Result
-}
-
-// reservationSpec is experiment 3 with the given share of the request
-// stream diverted to advance reservations of the default shape.
-func (p Params) reservationSpec(share float64) scenario.Spec {
-	spec := p.caseStudy(Configs[2])
-	spec.Name = fmt.Sprintf("fig7-reserved-%g", share)
-	shape := DefaultReservationShape()
-	shape.Share = share
-	spec.Reservations = &shape
-	return spec
-}
-
-// RunReservationStudy executes Experiment 6 over the given shares. Each
-// point is a full audited scenario run of the Fig. 7 case study; the
-// share-0 point is the untouched experiment-3 workload and anchors the
-// degradation deltas.
-func RunReservationStudy(p Params, shares []float64) ([]ReservationPoint, error) {
-	opt := p.options()
-	opt.Trace = nil // the trace is experiment 3's
-	pts := make([]ReservationPoint, 0, len(shares))
-	for _, share := range shares {
-		res, err := scenario.Run(p.reservationSpec(share), opt)
-		if err != nil {
-			return nil, fmt.Errorf("experiment 6 (share %g): %w", share, err)
-		}
-		pts = append(pts, ReservationPoint{Share: share, Result: res})
+// ReservationRuns is Experiment 6 over the given shares: experiment 3
+// with each share of the request stream diverted to advance reservations
+// of the default shape. The share-0 run is the untouched experiment-3
+// workload and anchors the degradation deltas.
+func (p Params) ReservationRuns(shares []float64) []Run {
+	runs := make([]Run, len(shares))
+	for i, share := range shares {
+		spec := p.caseStudy(Configs[2])
+		spec.Name = fmt.Sprintf("fig7-reserved-%g", share)
+		shape := DefaultReservationShape()
+		shape.Share = share
+		spec.Reservations = &shape
+		runs[i] = Run{Label: fmt.Sprintf("exp6 share=%g", share), Setup: Configs[2], Spec: spec}
 	}
-	return pts, nil
+	return runs
 }
 
-// FormatReservation renders the Experiment 6 report: per share, the
-// admission bookkeeping, the guarantee the reserved class got, and the
-// best-effort class's ε/υ/β next to the share-0 baseline.
-func FormatReservation(pts []ReservationPoint) string {
+// BestEffort returns the §3.3 ε, υ and β of the run's best-effort
+// class; without a confirmed reservation that class is the whole run.
+func (o Outcome) BestEffort() (eps, ups, beta float64) {
+	if o.ResvConfirmed == 0 {
+		return o.Epsilon, o.Upsilon, o.Beta
+	}
+	return o.BestEffortEpsilon, o.BestEffortUpsilon, o.BestEffortBeta
+}
+
+// FormatReservation renders the Experiment 6 report over
+// ReservationRuns' outcomes: per share, the admission bookkeeping, the
+// guarantee the reserved class got, and the best-effort class's ε/υ/β
+// next to the share-0 baseline.
+func FormatReservation(outs []Outcome) string {
 	var b strings.Builder
 	b.WriteString("Experiment 6: advance-reservation admission study\n\n")
 	fmt.Fprintf(&b, "%8s %6s %6s %6s %6s %10s %9s %9s %9s %10s\n",
 		"share", "resv", "conf", "rej", "exp", "guar-hit", "be-eps/s", "be-ups/%", "be-beta/%", "hit-rate")
-	for _, p := range pts {
-		r := p.Result
-		// The best-effort class of a share-0 run is the whole run.
-		beEps, beUps, beBeta := r.BestEffortEpsilon, r.BestEffortUpsilon, r.BestEffortBeta
-		if r.ResvConfirmed == 0 {
-			beEps, beUps, beBeta = r.Epsilon, r.Upsilon, r.Beta
-		}
+	for _, r := range outs {
+		beEps, beUps, beBeta := r.BestEffort()
 		guar := "-"
 		if r.ResvConfirmed > 0 {
 			guar = fmt.Sprintf("%.1f %%", r.GuaranteeHitRate*100)
 		}
 		fmt.Fprintf(&b, "%7.0f%% %6d %6d %6d %6d %10s %9.1f %9.1f %9.1f %9.1f %%\n",
-			p.Share*100, r.ResvRequested, r.ResvConfirmed, r.ResvRejected, r.ResvExpired,
+			r.Spec.Reservations.Share*100, r.ResvRequested, r.ResvConfirmed, r.ResvRejected, r.ResvExpired,
 			guar, beEps, beUps, beBeta, r.HitRate*100)
 	}
-	if len(pts) > 1 {
-		first, last := pts[0], pts[len(pts)-1]
-		firstEps := first.Result.Epsilon
-		lastEps := last.Result.BestEffortEpsilon
-		if last.Result.ResvConfirmed == 0 {
-			lastEps = last.Result.Epsilon
-		}
+	if len(outs) > 1 {
+		first, last := outs[0], outs[len(outs)-1]
+		lastEps, _, _ := last.BestEffort()
 		fmt.Fprintf(&b, "\nBest-effort ε moves %+.1f s as the reserved share grows %g%% → %g%%.\n",
-			lastEps-firstEps, first.Share*100, last.Share*100)
+			lastEps-first.Epsilon, first.Spec.Reservations.Share*100, last.Spec.Reservations.Share*100)
 	}
 	return b.String()
 }

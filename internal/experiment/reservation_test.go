@@ -3,19 +3,18 @@ package experiment
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/scenario"
 )
 
 func TestReservationStudy(t *testing.T) {
 	p := QuickParams()
 	p.Requests = 100
-	pts, err := RunReservationStudy(p, []float64{0, 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := runStudy(t, p.ReservationRuns([]float64{0, 0.2}), scenario.RunOptions{})
 	if len(pts) != 2 {
 		t.Fatalf("%d points, want 2", len(pts))
 	}
-	base, mixed := pts[0].Result, pts[1].Result
+	base, mixed := pts[0], pts[1]
 	if base.ResvRequested != 0 {
 		t.Fatalf("share-0 point reserved %d requests", base.ResvRequested)
 	}
@@ -26,8 +25,8 @@ func TestReservationStudy(t *testing.T) {
 		t.Fatalf("admission accounting: %+v", mixed)
 	}
 	for _, pt := range pts {
-		if !pt.Result.AuditOK {
-			t.Fatalf("share %g audit failed:\n%s", pt.Share, pt.Result.AuditSummary)
+		if !pt.AuditOK {
+			t.Fatalf("%s audit failed:\n%s", pt.Label, pt.AuditSummary)
 		}
 	}
 	out := FormatReservation(pts)
@@ -44,15 +43,9 @@ func TestReservationStudy(t *testing.T) {
 func TestReservationStudyShareZeroMatchesExp3(t *testing.T) {
 	p := QuickParams()
 	p.Requests = 100
-	pts, err := RunReservationStudy(p, []float64{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	outs, err := Run(Configs[2], p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := pts[0].Result.Report.Total, outs.Report.Total
+	runs := append(p.ReservationRuns([]float64{0}), p.CaseStudyRuns()[2])
+	outs := runStudy(t, runs, scenario.RunOptions{})
+	a, b := outs[0].Report.Total, outs[1].Report.Total
 	if a.Epsilon != b.Epsilon || a.Upsilon != b.Upsilon || a.Beta != b.Beta {
 		t.Fatalf("share-0 totals diverge from experiment 3:\nstudy: %+v\nexp3:  %+v", a, b)
 	}

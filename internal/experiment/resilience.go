@@ -39,62 +39,45 @@ func ScaledFaultPlan(phase float64) scenario.FaultSpec {
 	}
 }
 
-// ResilienceOutcome pairs the fault-free experiment 3 run with the
-// faulted re-run over the identical workload.
-type ResilienceOutcome struct {
-	Baseline Outcome // experiment 3, no faults
-	Faulted  Outcome // same workload under the fault plan
-}
-
-// resilienceSpec is experiment 3 under the fault plan. The faulted grid
-// gets an advertisement TTL of three pull periods so dead resources stop
-// attracting dispatches once their adverts go stale.
-func (p Params) resilienceSpec(faults scenario.FaultSpec) scenario.Spec {
-	spec := p.caseStudy(Exp4)
-	spec.Name = "exp4-faulted"
-	spec.Faults = &faults
-	spec.AdvertTTL = 3 * agent.DefaultPullPeriod
-	return spec
-}
-
-// RunResilience executes Experiment 4: the experiment 3 configuration
-// over the case-study workload, first fault-free (the baseline), then
-// with the fault plan injected.
-func RunResilience(p Params, faults scenario.FaultSpec) (ResilienceOutcome, error) {
-	baseline, err := Run(Configs[2], p)
-	if err != nil {
-		return ResilienceOutcome{}, err
+// ResilienceRuns is Experiment 4: the experiment 3 configuration over
+// the case-study workload, first fault-free (the baseline), then with
+// the fault plan injected. The faulted grid gets an advertisement TTL of
+// three pull periods so dead resources stop attracting dispatches once
+// their adverts go stale. The faulted run is where conservation earns
+// its keep: crashes re-dispatch pending tasks and lose unrescuable ones,
+// and every one of those must still net out to one terminal per request.
+func (p Params) ResilienceRuns(faults scenario.FaultSpec) []Run {
+	faulted := p.caseStudy(Exp4)
+	faulted.Name = "exp4-faulted"
+	faulted.Faults = &faults
+	faulted.AdvertTTL = 3 * agent.DefaultPullPeriod
+	return []Run{
+		{Label: "exp3 baseline", Setup: Configs[2], Spec: p.caseStudy(Configs[2])},
+		{Label: "exp4 faulted", Setup: Exp4, Spec: faulted},
 	}
-	// The faulted run is where conservation earns its keep: crashes
-	// re-dispatch pending tasks and lose unrescuable ones, and every one
-	// of those must still net out to one terminal per request.
-	faulted, err := runSpec(Exp4, p.resilienceSpec(faults), p.options())
-	if err != nil {
-		return ResilienceOutcome{}, err
-	}
-	return ResilienceOutcome{Baseline: baseline, Faulted: faulted}, nil
 }
 
-// FormatResilience renders the Experiment 4 report: the fault schedule,
-// the recovery bookkeeping, and the grid-level ε/υ/β of the faulted run
-// against the fault-free baseline, followed by the faulted run's audit
-// verdict when withAudit is set.
-func FormatResilience(r ResilienceOutcome, withAudit bool) string {
+// FormatResilience renders the Experiment 4 report over ResilienceRuns'
+// outcomes: the fault schedule, the recovery bookkeeping, and the
+// grid-level ε/υ/β of the faulted run against the fault-free baseline,
+// followed by the faulted run's audit verdict when withAudit is set.
+func FormatResilience(outs []Outcome, withAudit bool) string {
+	baseline, faulted := outs[0], outs[1]
 	var b strings.Builder
 	b.WriteString("Experiment 4: resilience under agent failures\n\n")
 	b.WriteString("Fault schedule:\n")
-	b.WriteString(r.Faulted.Spec.FaultPlan().String())
+	b.WriteString(faulted.Spec.FaultPlan().String())
 	b.WriteString("\n")
 
-	st := r.Faulted.Fault
-	fmt.Fprintf(&b, "Requests submitted:    %d\n", r.Faulted.Requests)
-	fmt.Fprintf(&b, "Tasks completed:       %d\n", len(r.Faulted.Records))
+	st := faulted.Fault
+	fmt.Fprintf(&b, "Requests submitted:    %d\n", faulted.Requests)
+	fmt.Fprintf(&b, "Tasks completed:       %d\n", len(faulted.Records))
 	fmt.Fprintf(&b, "Agent crashes:         %d (recoveries: %d)\n", st.Crashes, st.Recoveries)
 	fmt.Fprintf(&b, "Tasks re-dispatched:   %d\n", st.Redispatched)
 	fmt.Fprintf(&b, "Arrivals rerouted:     %d\n", st.Rerouted)
 	fmt.Fprintf(&b, "Tasks lost:            %d\n", st.Lost)
 	b.WriteString("\n")
 
-	formatTotals(&b, "exp 3", "exp 4", r.Baseline, r.Faulted, false, withAudit)
+	formatTotals(&b, "exp 3", "exp 4", baseline, faulted, false, withAudit)
 	return b.String()
 }

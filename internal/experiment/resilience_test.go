@@ -3,6 +3,8 @@ package experiment
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/scenario"
 )
 
 // TestResilienceZeroLostAndDeterministic runs Experiment 4 on the
@@ -16,15 +18,12 @@ func TestResilienceZeroLostAndDeterministic(t *testing.T) {
 	p := QuickParams()
 	plan := ScaledFaultPlan(phase(p))
 
-	run := func() (ResilienceOutcome, string) {
-		r, err := RunResilience(p, plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r, FormatResilience(r, false)
+	run := func() (baseline, faulted Outcome, report string) {
+		outs := runStudy(t, p.ResilienceRuns(plan), scenario.RunOptions{})
+		return outs[0], outs[1], FormatResilience(outs, false)
 	}
-	r, report := run()
-	st := r.Faulted.Fault
+	baseline, faulted, report := run()
+	st := faulted.Fault
 
 	if st.Crashes != 3 || st.Recoveries != 3 {
 		t.Fatalf("crashes/recoveries = %d/%d, want 3/3", st.Crashes, st.Recoveries)
@@ -32,8 +31,8 @@ func TestResilienceZeroLostAndDeterministic(t *testing.T) {
 	if st.Lost != 0 {
 		t.Fatalf("lost %d tasks under the default crash schedule", st.Lost)
 	}
-	if got := len(r.Faulted.Records); got != r.Faulted.Requests {
-		t.Fatalf("completed %d of %d requests", got, r.Faulted.Requests)
+	if got := len(faulted.Records); got != faulted.Requests {
+		t.Fatalf("completed %d of %d requests", got, faulted.Requests)
 	}
 	if st.Redispatched == 0 {
 		t.Fatal("crashing S2 mid-phase should strand queued tasks for re-dispatch")
@@ -45,7 +44,7 @@ func TestResilienceZeroLostAndDeterministic(t *testing.T) {
 	// Degradation is reported, not hidden: the faulted total utilisation
 	// must stay within a sane envelope of the baseline (the crashed
 	// capacity is idle while its agent is down, so some drop is real).
-	base, flt := r.Baseline.Report.Total, r.Faulted.Report.Total
+	base, flt := baseline.Report.Total, faulted.Report.Total
 	if flt.Upsilon > base.Upsilon+10 {
 		t.Fatalf("faulted upsilon %.1f implausibly above baseline %.1f", flt.Upsilon, base.Upsilon)
 	}
@@ -63,7 +62,7 @@ func TestResilienceZeroLostAndDeterministic(t *testing.T) {
 	}
 
 	// Fixed seed, fixed plan: the whole report reproduces bit-for-bit.
-	_, report2 := run()
+	_, _, report2 := run()
 	if report != report2 {
 		t.Fatalf("two identical Experiment 4 runs diverged:\n--- first\n%s\n--- second\n%s", report, report2)
 	}

@@ -13,6 +13,16 @@ import (
 // phase is the §4.1 request phase length the fault schedules scale to.
 func phase(p Params) float64 { return float64(p.Requests) * p.Interval }
 
+// runStudy runs a study through RunStudy, failing the test on error.
+func runStudy(t testing.TB, runs []Run, opt scenario.RunOptions) []Outcome {
+	t.Helper()
+	outs, err := RunStudy(runs, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return outs
+}
+
 // TestScenarioReproducesCaseStudy pins the Table 2 configurations to
 // the scenario engine: each is scenario.Fig7() with its policy and
 // discovery switch, and experiment 3 at DefaultParams is scenario.Fig7()
@@ -44,27 +54,23 @@ func TestScenarioReproducesCaseStudy(t *testing.T) {
 // under the loader's strictness, validates, and equals the original.
 func TestStudySpecsAreScenarioFiles(t *testing.T) {
 	p := DefaultParams()
-	specs := []scenario.Spec{p.resilienceSpec(ScaledFaultPlan(phase(p)))}
-	for _, s := range Configs {
-		specs = append(specs, p.caseStudy(s))
+	var runs []Run
+	// Experiment 4's baseline is experiment 3, which CaseStudyRuns holds.
+	for _, study := range [][]Run{
+		p.ResilienceRuns(ScaledFaultPlan(phase(p)))[1:],
+		p.CaseStudyRuns(),
+		p.MigrationRuns(ScaledDegradedPlan(phase(p)), DefaultMigrationPolicy()),
+		p.ReservationRuns(DefaultReservationShares()),
+		p.MembershipRuns(DefaultChurnPlan(), DefaultRebalancePolicy()),
+		p.AccuracyRuns(DefaultNoiseCases()),
+		p.ScaleRuns([]int{6, 12, 24, 48}, 3, 50),
+		QuickParams().CaseStudyRuns()[1:2],
+	} {
+		runs = append(runs, study...)
 	}
-	off, on := p.migrationSpecs(ScaledDegradedPlan(phase(p)), DefaultMigrationPolicy())
-	specs = append(specs, off, on)
-	for _, share := range DefaultReservationShares() {
-		specs = append(specs, p.reservationSpec(share))
-	}
-	off, on = p.membershipSpecs(DefaultChurnPlan(), DefaultRebalancePolicy())
-	specs = append(specs, off, on)
-	for _, c := range DefaultNoiseCases() {
-		specs = append(specs, p.accuracySpec(c))
-	}
-	for _, n := range []int{6, 12, 24, 48} {
-		specs = append(specs, p.scaleSpec(n, 3, 50))
-	}
-	q := QuickParams()
-	specs = append(specs, q.caseStudy(Configs[1]))
 
-	for i, spec := range specs {
+	for i, r := range runs {
+		spec := r.Spec
 		t.Run(fmt.Sprintf("%d_%s", i, spec.Name), func(t *testing.T) {
 			data, err := json.Marshal(spec)
 			if err != nil {

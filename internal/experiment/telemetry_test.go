@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/pace"
+	"repro/internal/scenario"
 	"repro/internal/telemetry"
 )
 
@@ -12,17 +13,9 @@ import (
 // requires the formatted bytes to match exactly: the registry observes
 // the experiments, it never participates in them.
 func TestTelemetryTablesByteIdentical(t *testing.T) {
-	p := QuickParams()
-	plain, err := RunAll(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Telemetry = true
-	p.SamplePeriod = 10
-	instr, err := RunAll(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	runs := QuickParams().CaseStudyRuns()
+	plain := runStudy(t, runs, scenario.RunOptions{})
+	instr := runStudy(t, runs, scenario.RunOptions{Telemetry: true, SamplePeriod: 10})
 
 	if a, b := FormatTable3(plain), FormatTable3(instr); a != b {
 		t.Fatalf("Table 3 diverged under telemetry:\n--- plain ---\n%s--- instrumented ---\n%s", a, b)
