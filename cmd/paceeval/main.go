@@ -22,8 +22,7 @@ import (
 func main() {
 	var (
 		appName = flag.String("app", "", "application model name")
-		hwName  = flag.String("hw", "SGIOrigin2000", "factor-based hardware model")
-		phwName = flag.String("phw", "", "parametric hardware model (for layered step models)")
+		hwName  = flag.String("hw", "SGIOrigin2000", "hardware model")
 		n       = flag.Int("n", 0, "processor count; 0 sweeps 1..max")
 		max     = flag.Int("max", 16, "sweep upper bound when -n is 0")
 		file    = flag.String("file", "", "PSL source file to load (in addition to built-ins)")
@@ -59,37 +58,22 @@ func main() {
 	if !ok {
 		fail(fmt.Errorf("unknown model %q", *appName))
 	}
-	engine := pace.NewEngine()
-
-	var hwLabel string
-	var predict func(k int) (float64, error)
-	if *phwName != "" {
-		phw, ok := lib.LookupParametricHardware(*phwName)
-		if !ok {
-			fail(fmt.Errorf("unknown parametric hardware %q (declare it in a -file)", *phwName))
-		}
-		hwLabel = phw.Name
-		predict = func(k int) (float64, error) { return engine.PredictOn(m, phw, k) }
-	} else {
-		hw, ok := pace.LookupHardware(*hwName)
-		if !ok {
-			fail(fmt.Errorf("unknown hardware %q", *hwName))
-		}
-		hwLabel = hw.Name
-		predict = func(k int) (float64, error) { return engine.Predict(m, hw, k) }
+	hw, ok := pace.LookupHardware(*hwName)
+	if !ok {
+		fail(fmt.Errorf("unknown hardware %q", *hwName))
 	}
-
+	engine := pace.NewEngine()
 	if *n > 0 {
-		v, err := predict(*n)
+		v, err := engine.Predict(m, hw, *n)
 		fail(err)
-		fmt.Printf("%s on %d x %s: %.4f s\n", m.Name, *n, hwLabel, v)
+		fmt.Printf("%s on %d x %s: %.4f s\n", m.Name, *n, hw.Name, v)
 		return
 	}
-	fmt.Printf("%s on %s:\n", m.Name, hwLabel)
+	fmt.Printf("%s on %s:\n", m.Name, hw.Name)
 	fmt.Printf("%6s %12s %12s\n", "procs", "time (s)", "efficiency")
 	var t1 float64
 	for k := 1; k <= *max; k++ {
-		v, err := predict(k)
+		v, err := engine.Predict(m, hw, k)
 		fail(err)
 		if k == 1 {
 			t1 = v

@@ -10,6 +10,11 @@ type Expr interface {
 	// String renders the expression as PSL source.
 	String() string
 	eval(env *Env) (Value, error)
+	// nesting is how many levels the String form nests: parentheses,
+	// brackets, call argument lists and unary operators, each a level of
+	// recursion for the parser that reads it back. The parser records it
+	// on every composite node as it builds the node.
+	nesting() int
 }
 
 // Value is a PSL runtime value: a number or an array of values.
@@ -48,6 +53,7 @@ type NumberLit struct {
 }
 
 func (n *NumberLit) String() string { return trimFloat(n.Val) }
+func (*NumberLit) nesting() int     { return 0 }
 
 // Ident references a parameter or let-binding.
 type Ident struct {
@@ -57,13 +63,17 @@ type Ident struct {
 }
 
 func (id *Ident) String() string { return id.Name }
+func (*Ident) nesting() int      { return 0 }
 
 // ArrayLit is an array literal such as [50, 40, 30].
 type ArrayLit struct {
 	Elems []Expr
 	Line  int
 	Col   int
+	nest  int // see Expr.nesting
 }
+
+func (a *ArrayLit) nesting() int { return a.nest }
 
 func (a *ArrayLit) String() string {
 	parts := make([]string, len(a.Elems))
@@ -79,9 +89,16 @@ type IndexExpr struct {
 	Index Expr
 	Line  int
 	Col   int
+	nest  int // see Expr.nesting
 }
 
+func (ix *IndexExpr) nesting() int { return ix.nest }
+
 func (ix *IndexExpr) String() string {
+	if _, ok := ix.Base.(*UnaryExpr); ok {
+		// -x[i] would read back as -(x[i]).
+		return fmt.Sprintf("(%s)[%s]", ix.Base, ix.Index)
+	}
 	return fmt.Sprintf("%s[%s]", ix.Base, ix.Index)
 }
 
@@ -91,7 +108,10 @@ type UnaryExpr struct {
 	X    Expr
 	Line int
 	Col  int
+	nest int // see Expr.nesting
 }
+
+func (u *UnaryExpr) nesting() int { return u.nest }
 
 func (u *UnaryExpr) String() string { return u.Op + u.X.String() }
 
@@ -101,7 +121,10 @@ type BinaryExpr struct {
 	L, R Expr
 	Line int
 	Col  int
+	nest int // see Expr.nesting
 }
+
+func (b *BinaryExpr) nesting() int { return b.nest }
 
 func (b *BinaryExpr) String() string {
 	return fmt.Sprintf("(%s %s %s)", b.L, b.Op, b.R)
@@ -113,7 +136,10 @@ type CallExpr struct {
 	Args []Expr
 	Line int
 	Col  int
+	nest int // see Expr.nesting
 }
+
+func (c *CallExpr) nesting() int { return c.nest }
 
 func (c *CallExpr) String() string {
 	parts := make([]string, len(c.Args))
@@ -121,6 +147,15 @@ func (c *CallExpr) String() string {
 		parts[i] = a.String()
 	}
 	return fmt.Sprintf("%s(%s)", c.Fn, strings.Join(parts, ", "))
+}
+
+// deepest is the largest nesting among es.
+func deepest(es []Expr) int {
+	d := 0
+	for _, e := range es {
+		d = max(d, e.nesting())
+	}
+	return d
 }
 
 // ParamDecl declares a model parameter, optionally with a default value.
@@ -144,11 +179,10 @@ type AppModel struct {
 	Name       string
 	Params     []ParamDecl
 	Lets       []LetDecl
-	Time       Expr       // plain seconds expression; optional when Steps exist
-	Steps      []StepDecl // layered computation/communication components
-	DeadlineLo float64    // Table 1 requirement domain lower bound (seconds)
-	DeadlineHi float64    // Table 1 requirement domain upper bound (seconds)
-	Source     string     // original PSL text
+	Time       Expr    // predicted seconds on the reference platform
+	DeadlineLo float64 // Table 1 requirement domain lower bound (seconds)
+	DeadlineHi float64 // Table 1 requirement domain upper bound (seconds)
+	Source     string  // original PSL text
 
 	// slot is the model's position in the library it was added to: a small
 	// dense index the evaluation engine uses to find the model's table row
@@ -177,16 +211,6 @@ func (m *AppModel) String() string {
 	}
 	for _, l := range m.Lets {
 		fmt.Fprintf(&b, "  let %s = %s;\n", l.Name, l.Expr)
-	}
-	for _, st := range m.Steps {
-		fmt.Fprintf(&b, "  step %s {", st.Name)
-		for i, f := range st.order {
-			if i == 0 {
-				b.WriteString(" ")
-			}
-			fmt.Fprintf(&b, "%s = %s; ", f, st.Fields[f])
-		}
-		b.WriteString("}\n")
 	}
 	if m.Time != nil {
 		fmt.Fprintf(&b, "  time = %s;\n", m.Time)

@@ -188,10 +188,6 @@ func NewEngineWithoutCache() *Engine {
 	return e
 }
 
-// parametricPrefix namespaces parametric hardware columns away from static
-// factor models in the prediction table.
-const parametricPrefix = "parametric:"
-
 // Predict returns t_x(ρ, σ): the predicted execution time in seconds of
 // app on nprocs homogeneous nodes of hardware hw. Processor counts above
 // the model's natural range are handled by the model itself (the Table 1
@@ -264,8 +260,8 @@ func (c *Column) MustPredict(app *AppModel, nprocs int) float64 {
 	return v
 }
 
-// predict serves a static-hardware prediction from column col of the
-// table (negative: hw has none yet), or evaluates the model.
+// predict serves a prediction from column col of the table (negative: hw
+// has none yet), or evaluates the model.
 func (e *Engine) predict(app *AppModel, hw Hardware, col, nprocs int) (float64, error) {
 	if app == nil {
 		return 0, fmt.Errorf("pace: nil application model")
@@ -279,48 +275,21 @@ func (e *Engine) predict(app *AppModel, hw Hardware, col, nprocs int) (float64, 
 			return v, nil
 		}
 	}
-	return e.miss(app, hw.Name, nprocs, func() (float64, error) {
-		ref, err := app.Eval(map[string]float64{"n": float64(nprocs)})
-		if err != nil {
-			return 0, err
-		}
-		return ref * hw.Factor, nil
-	})
-}
-
-// PredictOn returns t_x for a layered application model on nprocs nodes
-// of a parametric resource model (EvalOn through the engine's
-// demand-driven cache).
-func (e *Engine) PredictOn(app *AppModel, hw *ParametricHardware, nprocs int) (float64, error) {
-	if app == nil {
-		return 0, fmt.Errorf("pace: nil application model")
-	}
-	if hw == nil {
-		return 0, fmt.Errorf("pace: nil hardware model")
-	}
-	if nprocs < 1 {
-		return 0, fmt.Errorf("pace: prediction requires at least one processor, got %d", nprocs)
-	}
-	key := parametricPrefix + hw.Name
-	if e.cacheEnabled {
-		t := e.table.Load()
-		if col, ok := t.hws[key]; ok {
-			if v, ok := t.lookup(app, col, nprocs); ok {
-				e.hits[nprocs%hitShards].v.Add(1)
-				return v, nil
-			}
-		}
-	}
-	return e.miss(app, key, nprocs, func() (float64, error) {
-		return app.EvalOn(map[string]float64{"n": float64(nprocs)}, hw)
-	})
+	return e.miss(app, hw, nprocs)
 }
 
 // miss is the slow path: it re-checks the table under the mutex (another
 // worker may have just published the key), evaluates the model while
 // holding the lock so each unique key is evaluated exactly once, and
 // republishes an extended immutable table.
-func (e *Engine) miss(app *AppModel, hw string, nprocs int, eval func() (float64, error)) (float64, error) {
+func (e *Engine) miss(app *AppModel, hw Hardware, nprocs int) (float64, error) {
+	eval := func() (float64, error) {
+		ref, err := app.Eval(map[string]float64{"n": float64(nprocs)})
+		if err != nil {
+			return 0, err
+		}
+		return ref * hw.Factor, nil
+	}
 	if !e.cacheEnabled {
 		// Uncached engines count evaluations only, as before.
 		v, err := eval()
@@ -333,7 +302,7 @@ func (e *Engine) miss(app *AppModel, hw string, nprocs int, eval func() (float64
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	t := e.table.Load()
-	if col, ok := t.hws[hw]; ok {
+	if col, ok := t.hws[hw.Name]; ok {
 		if v, ok := t.lookup(app, col, nprocs); ok {
 			e.hits[nprocs%hitShards].v.Add(1)
 			return v, nil
@@ -345,7 +314,7 @@ func (e *Engine) miss(app *AppModel, hw string, nprocs int, eval func() (float64
 		return 0, err
 	}
 	e.evals.Add(1)
-	e.table.Store(t.extend(app, hw, nprocs, v))
+	e.table.Store(t.extend(app, hw.Name, nprocs, v))
 	return v, nil
 }
 

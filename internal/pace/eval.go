@@ -309,13 +309,9 @@ func (c *CallExpr) eval(env *Env) (Value, error) {
 // bindings and returns the predicted execution time on the reference
 // platform in seconds. Parameters without bindings use their declared
 // defaults; a missing binding for a defaultless parameter is an error.
-// Layered models (with steps) have no reference platform: use EvalOn.
 func (m *AppModel) Eval(bindings map[string]float64) (float64, error) {
 	if m.Time == nil {
-		return 0, fmt.Errorf("pace: model %q is a layered model; evaluate it against a parametric hardware model with EvalOn", m.Name)
-	}
-	if m.HasSteps() {
-		return 0, fmt.Errorf("pace: model %q declares steps; evaluate it against a parametric hardware model with EvalOn", m.Name)
+		return 0, fmt.Errorf("pace: model %q has no time expression", m.Name)
 	}
 	env, err := m.bindEnv(bindings)
 	if err != nil {
@@ -335,6 +331,39 @@ func (m *AppModel) Eval(bindings map[string]float64) (float64, error) {
 		return 0, fmt.Errorf("pace: model %q: negative predicted time %g", m.Name, v.Num)
 	}
 	return v.Num, nil
+}
+
+// bindEnv binds params (given or defaulted) and then evaluates lets in
+// declaration order.
+func (m *AppModel) bindEnv(bindings map[string]float64) (*Env, error) {
+	env := NewEnv(nil)
+	for _, p := range m.Params {
+		if v, ok := bindings[p.Name]; ok {
+			env.Bind(p.Name, NumValue(v))
+			continue
+		}
+		if p.Default == nil {
+			return nil, fmt.Errorf("pace: model %q: missing required parameter %q", m.Name, p.Name)
+		}
+		v, err := p.Default.eval(env)
+		if err != nil {
+			return nil, fmt.Errorf("pace: model %q: default for %q: %w", m.Name, p.Name, err)
+		}
+		env.Bind(p.Name, v)
+	}
+	for name := range bindings {
+		if !m.hasParam(name) {
+			return nil, fmt.Errorf("pace: model %q: unknown parameter %q", m.Name, name)
+		}
+	}
+	for _, l := range m.Lets {
+		v, err := l.Expr.eval(env)
+		if err != nil {
+			return nil, fmt.Errorf("pace: model %q: let %s: %w", m.Name, l.Name, err)
+		}
+		env.Bind(l.Name, v)
+	}
+	return env, nil
 }
 
 func (m *AppModel) hasParam(name string) bool {

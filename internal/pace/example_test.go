@@ -45,29 +45,3 @@ func ExampleParseModel() {
 	// n= 8 -> 10 s
 	// n=32 -> 4 s
 }
-
-// Layered models price compute and communication against per-platform
-// hardware rates instead of a single speed factor.
-func ExampleAppModel_EvalOn() {
-	lib := pace.NewLibrary()
-	err := lib.AddSource(`
-	  hardware box { flops = 1e9; netlat = 1e-4; netbw = 1e8; }
-	  application mm {
-	    param n;
-	    step compute { flops = 8e9 / n; }
-	    step gather  { messages = n; bytes = 4e6; }
-	  }`)
-	if err != nil {
-		panic(err)
-	}
-	mm, _ := lib.Lookup("mm")
-	box, _ := lib.LookupParametricHardware("box")
-	for _, n := range []float64{1, 4, 16} {
-		t, _ := mm.EvalOn(map[string]float64{"n": n}, box)
-		fmt.Printf("n=%2.0f -> %.3f s\n", n, t)
-	}
-	// Output:
-	// n= 1 -> 8.040 s
-	// n= 4 -> 2.040 s
-	// n=16 -> 0.542 s
-}

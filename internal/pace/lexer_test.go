@@ -109,7 +109,7 @@ func TestLexErrorHasPosition(t *testing.T) {
 }
 
 func TestLexKeywordsVsIdents(t *testing.T) {
-	toks, err := LexAll("application param let time deadline apples lettuce")
+	toks, err := LexAll("application param let time deadline apples lettuce hardware step")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestLexKeywordsVsIdents(t *testing.T) {
 			t.Fatalf("%q lexed as %v, want keyword", toks[i].Text, toks[i].Kind)
 		}
 	}
-	for i := 5; i < 7; i++ {
+	for i := 5; i < 9; i++ {
 		if toks[i].Kind != TokIdent {
 			t.Fatalf("%q lexed as %v, want identifier", toks[i].Text, toks[i].Kind)
 		}

@@ -1,156 +1,110 @@
 package pace
 
-import "fmt"
+import (
+	"math"
+	"slices"
+)
 
 // Parser builds an AppModel from PSL source using recursive descent with
 // standard operator precedence:
 //
 //	||  <  &&  <  comparisons  <  + -  <  * / %  <  unary  <  indexing
+//
+// It pulls tokens from the lexer one at a time, so input it rejects early
+// (see maxNesting) is never tokenised in full.
 type Parser struct {
-	toks []Token
-	pos  int
+	lex   *Lexer
+	tok   Token // the lookahead, once ahead is set
+	ahead bool
+	err   error // the lexical error parsing stopped at, if any
+	depth int   // nesting levels the parser is inside; see maxNesting
+}
+
+// maxNesting bounds how deeply an expression may nest, counting both the
+// parser's own recursion (parentheses, brackets, call arguments, unary
+// operators) and the levels the parsed expression takes when String
+// prints it (every binary operation is parenthesised there). Deeper input
+// is a positioned error rather than an exhausted goroutine stack, and
+// every accepted model reads back from its String form.
+const maxNesting = 1000
+
+// enter descends one nesting level at token t.
+func (p *Parser) enter(t Token) error {
+	p.depth++
+	if p.depth > maxNesting {
+		return errTooDeep(t)
+	}
+	return nil
+}
+
+func errTooDeep(t Token) error {
+	return errAt(t.Line, t.Col, "expression nests deeper than %d levels", maxNesting)
 }
 
 // ParseModel parses a single "application <name> { ... }" definition.
 func ParseModel(src string) (*AppModel, error) {
-	toks, err := LexAll(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &Parser{toks: toks}
+	p := &Parser{lex: NewLexer(src)}
 	m, err := p.parseApplication()
-	if err != nil {
-		return nil, err
+	if err == nil {
+		if t := p.peek(); t.Kind != TokEOF {
+			err = errAt(t.Line, t.Col, "unexpected %s after application body", t)
+		}
 	}
-	if t := p.peek(); t.Kind != TokEOF {
-		return nil, errAt(t.Line, t.Col, "unexpected %s after application body", t)
+	if err = p.failure(err); err != nil {
+		return nil, err
 	}
 	m.Source = src
 	return m, nil
 }
 
-// SourceFile is the result of parsing one PSL file: application models
-// plus parametric hardware models.
-type SourceFile struct {
-	Models   []*AppModel
-	Hardware []*ParametricHardware
-}
-
-// ParseSource parses a whole PSL file of application and hardware
-// definitions.
-func ParseSource(src string) (*SourceFile, error) {
-	toks, err := LexAll(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &Parser{toks: toks}
-	out := &SourceFile{}
-	for p.peek().Kind != TokEOF {
-		t := p.peek()
-		switch {
-		case t.Kind == TokKeyword && t.Text == "application":
-			m, err := p.parseApplication()
-			if err != nil {
-				return nil, err
-			}
-			m.Source = src
-			out.Models = append(out.Models, m)
-		case t.Kind == TokKeyword && t.Text == "hardware":
-			h, err := p.parseHardware()
-			if err != nil {
-				return nil, err
-			}
-			out.Hardware = append(out.Hardware, h)
-		default:
-			return nil, errAt(t.Line, t.Col, "expected \"application\" or \"hardware\", found %s", t)
-		}
-	}
-	if len(out.Models) == 0 && len(out.Hardware) == 0 {
-		return nil, errAt(1, 1, "no definitions found")
-	}
-	return out, nil
-}
-
 // ParseModels parses a sequence of application definitions from one source
 // file, as used by model libraries.
 func ParseModels(src string) ([]*AppModel, error) {
-	sf, err := ParseSource(src)
-	if err != nil {
+	p := &Parser{lex: NewLexer(src)}
+	var models []*AppModel
+	for p.peek().Kind != TokEOF {
+		m, err := p.parseApplication()
+		if err = p.failure(err); err != nil {
+			return nil, err
+		}
+		m.Source = src
+		models = append(models, m)
+	}
+	if err := p.failure(nil); err != nil {
 		return nil, err
 	}
-	if len(sf.Hardware) > 0 {
-		return nil, fmt.Errorf("psl: source declares hardware models; use ParseSource")
-	}
-	if len(sf.Models) == 0 {
+	if len(models) == 0 {
 		return nil, errAt(1, 1, "no application definitions found")
 	}
-	return sf.Models, nil
+	return models, nil
 }
 
-// parseHardware parses "hardware <name> { <rate> = <expr>; ... }" with
-// constant rate expressions.
-func (p *Parser) parseHardware() (*ParametricHardware, error) {
-	if _, err := p.expectKeyword("hardware"); err != nil {
-		return nil, err
+// failure is the error a parse ends with: the lexical error it stopped
+// at, if any, since the parser saw that point as the end of input, and
+// otherwise err.
+func (p *Parser) failure(err error) error {
+	if p.err != nil {
+		return p.err
 	}
-	name, err := p.expectIdent()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expectPunct("{"); err != nil {
-		return nil, err
-	}
-	h := &ParametricHardware{Name: name.Text, Rates: map[string]float64{}}
-	env := NewEnv(nil)
-	for !p.atPunct("}") {
-		id, err := p.expectIdent()
-		if err != nil {
-			return nil, err
-		}
-		if !knownRates[id.Text] {
-			return nil, errAt(id.Line, id.Col, "unknown hardware rate %q (known: flops, membw, netlat, netbw)", id.Text)
-		}
-		if _, dup := h.Rates[id.Text]; dup {
-			return nil, errAt(id.Line, id.Col, "duplicate rate %q", id.Text)
-		}
-		if _, err := p.expectPunct("="); err != nil {
-			return nil, err
-		}
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		v, err := e.eval(env)
-		if err != nil {
-			return nil, err
-		}
-		if v.IsArray() {
-			return nil, errAt(id.Line, id.Col, "rate %q must be a number", id.Text)
-		}
-		if _, err := p.expectPunct(";"); err != nil {
-			return nil, err
-		}
-		h.Rates[id.Text] = v.Num
-	}
-	p.next() // consume "}"
-	if err := h.Validate(); err != nil {
-		return nil, err
-	}
-	return h, nil
+	return err
 }
 
 func (p *Parser) peek() Token {
-	if p.pos >= len(p.toks) {
-		return Token{Kind: TokEOF}
+	if !p.ahead {
+		t, err := p.lex.Next()
+		if err != nil {
+			p.err = err
+			t = Token{Kind: TokEOF}
+		}
+		p.tok, p.ahead = t, true
 	}
-	return p.toks[p.pos]
+	return p.tok
 }
 
+// next consumes the lookahead; the end of input is never consumed.
 func (p *Parser) next() Token {
 	t := p.peek()
-	if p.pos < len(p.toks) {
-		p.pos++
-	}
+	p.ahead = t.Kind == TokEOF
 	return t
 }
 
@@ -201,6 +155,7 @@ func (p *Parser) parseApplication() (*AppModel, error) {
 	}
 	m := &AppModel{Name: name.Text}
 	seen := map[string]bool{}
+	hasDeadline := false
 	for !p.atPunct("}") {
 		t := p.peek()
 		if t.Kind == TokEOF {
@@ -222,13 +177,11 @@ func (p *Parser) parseApplication() (*AppModel, error) {
 			seen[id.Text] = true
 			var def Expr
 			if p.atPunct("=") {
-				p.next()
-				def, err = p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
+				def, err = p.parseAssignment()
+			} else {
+				_, err = p.expectPunct(";")
 			}
-			if _, err := p.expectPunct(";"); err != nil {
+			if err != nil {
 				return nil, err
 			}
 			m.Params = append(m.Params, ParamDecl{Name: id.Text, Default: def})
@@ -243,14 +196,8 @@ func (p *Parser) parseApplication() (*AppModel, error) {
 				return nil, errAt(id.Line, id.Col, "duplicate declaration of %q", id.Text)
 			}
 			seen[id.Text] = true
-			if _, err := p.expectPunct("="); err != nil {
-				return nil, err
-			}
-			e, err := p.parseExpr()
+			e, err := p.parseAssignment()
 			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expectPunct(";"); err != nil {
 				return nil, err
 			}
 			m.Lets = append(m.Lets, LetDecl{Name: id.Text, Expr: e})
@@ -260,20 +207,16 @@ func (p *Parser) parseApplication() (*AppModel, error) {
 			if m.Time != nil {
 				return nil, errAt(t.Line, t.Col, "duplicate time definition")
 			}
-			if _, err := p.expectPunct("="); err != nil {
+			if m.Time, err = p.parseAssignment(); err != nil {
 				return nil, err
 			}
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expectPunct(";"); err != nil {
-				return nil, err
-			}
-			m.Time = e
 
 		case "deadline":
 			p.next()
+			if hasDeadline {
+				return nil, errAt(t.Line, t.Col, "duplicate deadline definition")
+			}
+			hasDeadline = true
 			if _, err := p.expectPunct("="); err != nil {
 				return nil, err
 			}
@@ -286,70 +229,28 @@ func (p *Parser) parseApplication() (*AppModel, error) {
 			}
 			m.DeadlineLo, m.DeadlineHi = lo, hi
 
-		case "step":
-			p.next()
-			st, err := p.parseStep()
-			if err != nil {
-				return nil, err
-			}
-			for _, prev := range m.Steps {
-				if prev.Name == st.Name {
-					return nil, errAt(t.Line, t.Col, "duplicate step %q", st.Name)
-				}
-			}
-			m.Steps = append(m.Steps, st)
-
 		default:
 			return nil, errAt(t.Line, t.Col, "unexpected keyword %q in application body", t.Text)
 		}
 	}
 	p.next() // consume "}"
-	if m.Time == nil && len(m.Steps) == 0 {
-		return nil, fmt.Errorf("psl: application %q has no time definition and no steps", m.Name)
+	if m.Time == nil {
+		return nil, errAt(name.Line, name.Col, "application %q has no time definition", m.Name)
 	}
 	return m, nil
 }
 
-// parseStep parses "<name> { <field> = <expr>; ... }" (the step keyword is
-// already consumed).
-func (p *Parser) parseStep() (StepDecl, error) {
-	name, err := p.expectIdent()
+// parseAssignment parses "= <expr>;".
+func (p *Parser) parseAssignment() (Expr, error) {
+	if _, err := p.expectPunct("="); err != nil {
+		return nil, err
+	}
+	e, err := p.parseExpr()
 	if err != nil {
-		return StepDecl{}, err
+		return nil, err
 	}
-	if _, err := p.expectPunct("{"); err != nil {
-		return StepDecl{}, err
-	}
-	st := StepDecl{Name: name.Text, Fields: map[string]Expr{}}
-	for !p.atPunct("}") {
-		id, err := p.expectIdent()
-		if err != nil {
-			return StepDecl{}, err
-		}
-		if !knownFields[id.Text] {
-			return StepDecl{}, errAt(id.Line, id.Col, "unknown step field %q (known: flops, mem, bytes, messages, seconds)", id.Text)
-		}
-		if _, dup := st.Fields[id.Text]; dup {
-			return StepDecl{}, errAt(id.Line, id.Col, "duplicate field %q in step %q", id.Text, st.Name)
-		}
-		if _, err := p.expectPunct("="); err != nil {
-			return StepDecl{}, err
-		}
-		e, err := p.parseExpr()
-		if err != nil {
-			return StepDecl{}, err
-		}
-		if _, err := p.expectPunct(";"); err != nil {
-			return StepDecl{}, err
-		}
-		st.Fields[id.Text] = e
-		st.order = append(st.order, id.Text)
-	}
-	p.next() // consume "}"
-	if len(st.Fields) == 0 {
-		return StepDecl{}, fmt.Errorf("psl: step %q declares no cost fields", st.Name)
-	}
-	return st, nil
+	_, err = p.expectPunct(";")
+	return e, err
 }
 
 // parseDeadlineDomain parses "[lo, hi]" with constant numeric bounds.
@@ -384,93 +285,57 @@ func (p *Parser) parseDeadlineDomain() (lo, hi float64, err error) {
 	if loV.IsArray() || hiV.IsArray() {
 		return 0, 0, errAt(open.Line, open.Col, "deadline bounds must be numbers")
 	}
+	if math.IsNaN(loV.Num) || math.IsNaN(hiV.Num) || math.IsInf(loV.Num, 0) || math.IsInf(hiV.Num, 0) {
+		return 0, 0, errAt(open.Line, open.Col, "deadline bounds must be finite: [%g, %g]", loV.Num, hiV.Num)
+	}
 	if hiV.Num < loV.Num {
 		return 0, 0, errAt(open.Line, open.Col, "deadline domain is empty: [%g, %g]", loV.Num, hiV.Num)
 	}
 	return loV.Num, hiV.Num, nil
 }
 
-func (p *Parser) parseExpr() (Expr, error) { return p.parseOr() }
-
-func (p *Parser) parseOr() (Expr, error) {
-	l, err := p.parseAnd()
-	if err != nil {
+func (p *Parser) parseExpr() (Expr, error) {
+	start := p.peek()
+	if err := p.enter(start); err != nil {
 		return nil, err
 	}
-	for p.atOp("||") {
-		op := p.next()
-		r, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinaryExpr{Op: "||", L: l, R: r, Line: op.Line, Col: op.Col}
+	defer func() { p.depth-- }()
+	e, err := p.parseBinary(0)
+	// A whole expression reads back from String at one level plus its
+	// nesting; a nested one's parentheses may be the very ones String
+	// prints, so only the whole is measured.
+	if err == nil && p.depth == 1 && 1+e.nesting() > maxNesting {
+		return nil, errTooDeep(start)
 	}
-	return l, nil
+	return e, err
 }
 
-func (p *Parser) parseAnd() (Expr, error) {
-	l, err := p.parseCmp()
+// binaryLevels lists the binary operators by precedence, loosest first.
+// Every level is left-associative except the comparisons, which do not
+// chain.
+var binaryLevels = [][]string{{"||"}, {"&&"}, {"==", "!=", "<", "<=", ">", ">="}, {"+", "-"}, {"*", "/", "%"}}
+
+const cmpLevel = 2
+
+// parseBinary parses the operators of binaryLevels[level] and tighter.
+func (p *Parser) parseBinary(level int) (Expr, error) {
+	if level == len(binaryLevels) {
+		return p.parseUnary()
+	}
+	l, err := p.parseBinary(level + 1)
 	if err != nil {
 		return nil, err
 	}
-	for p.atOp("&&") {
+	for t := p.peek(); t.Kind == TokOp && slices.Contains(binaryLevels[level], t.Text); t = p.peek() {
 		op := p.next()
-		r, err := p.parseCmp()
+		r, err := p.parseBinary(level + 1)
 		if err != nil {
 			return nil, err
 		}
-		l = &BinaryExpr{Op: "&&", L: l, R: r, Line: op.Line, Col: op.Col}
-	}
-	return l, nil
-}
-
-var cmpOps = map[string]bool{"==": true, "!=": true, "<": true, "<=": true, ">": true, ">=": true}
-
-func (p *Parser) parseCmp() (Expr, error) {
-	l, err := p.parseAdd()
-	if err != nil {
-		return nil, err
-	}
-	t := p.peek()
-	if t.Kind == TokOp && cmpOps[t.Text] {
-		op := p.next()
-		r, err := p.parseAdd()
-		if err != nil {
-			return nil, err
+		l = &BinaryExpr{Op: op.Text, L: l, R: r, Line: op.Line, Col: op.Col, nest: 1 + max(l.nesting(), r.nesting())}
+		if level == cmpLevel {
+			break
 		}
-		l = &BinaryExpr{Op: op.Text, L: l, R: r, Line: op.Line, Col: op.Col}
-	}
-	return l, nil
-}
-
-func (p *Parser) parseAdd() (Expr, error) {
-	l, err := p.parseMul()
-	if err != nil {
-		return nil, err
-	}
-	for p.atOp("+") || p.atOp("-") {
-		op := p.next()
-		r, err := p.parseMul()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinaryExpr{Op: op.Text, L: l, R: r, Line: op.Line, Col: op.Col}
-	}
-	return l, nil
-}
-
-func (p *Parser) parseMul() (Expr, error) {
-	l, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for p.atOp("*") || p.atOp("/") || p.atOp("%") {
-		op := p.next()
-		r, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinaryExpr{Op: op.Text, L: l, R: r, Line: op.Line, Col: op.Col}
 	}
 	return l, nil
 }
@@ -478,11 +343,15 @@ func (p *Parser) parseMul() (Expr, error) {
 func (p *Parser) parseUnary() (Expr, error) {
 	if p.atOp("-") || p.atOp("!") {
 		op := p.next()
+		if err := p.enter(op); err != nil {
+			return nil, err
+		}
+		defer func() { p.depth-- }()
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
-		return &UnaryExpr{Op: op.Text, X: x, Line: op.Line, Col: op.Col}, nil
+		return &UnaryExpr{Op: op.Text, X: x, Line: op.Line, Col: op.Col, nest: 1 + x.nesting()}, nil
 	}
 	return p.parsePostfix()
 }
@@ -501,7 +370,11 @@ func (p *Parser) parsePostfix() (Expr, error) {
 		if _, err := p.expectPunct("]"); err != nil {
 			return nil, err
 		}
-		e = &IndexExpr{Base: e, Index: idx, Line: open.Line, Col: open.Col}
+		base := e.nesting()
+		if _, ok := e.(*UnaryExpr); ok {
+			base++ // printed in parentheses
+		}
+		e = &IndexExpr{Base: e, Index: idx, Line: open.Line, Col: open.Col, nest: max(base, 1+idx.nesting())}
 	}
 	return e, nil
 }
@@ -515,28 +388,14 @@ func (p *Parser) parsePrimary() (Expr, error) {
 	case t.Kind == TokIdent:
 		if p.atPunct("(") {
 			p.next()
-			var args []Expr
-			if !p.atPunct(")") {
-				for {
-					a, err := p.parseExpr()
-					if err != nil {
-						return nil, err
-					}
-					args = append(args, a)
-					if p.atPunct(",") {
-						p.next()
-						continue
-					}
-					break
-				}
-			}
-			if _, err := p.expectPunct(")"); err != nil {
+			args, err := p.parseList(")")
+			if err != nil {
 				return nil, err
 			}
 			if _, ok := builtins[t.Text]; !ok {
 				return nil, errAt(t.Line, t.Col, "unknown function %q", t.Text)
 			}
-			return &CallExpr{Fn: t.Text, Args: args, Line: t.Line, Col: t.Col}, nil
+			return &CallExpr{Fn: t.Text, Args: args, Line: t.Line, Col: t.Col, nest: 1 + deepest(args)}, nil
 		}
 		return &Ident{Name: t.Text, Line: t.Line, Col: t.Col}, nil
 
@@ -551,25 +410,32 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		return e, nil
 
 	case t.Kind == TokPunct && t.Text == "[":
-		var elems []Expr
-		if !p.atPunct("]") {
-			for {
-				e, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				elems = append(elems, e)
-				if p.atPunct(",") {
-					p.next()
-					continue
-				}
-				break
-			}
-		}
-		if _, err := p.expectPunct("]"); err != nil {
+		elems, err := p.parseList("]")
+		if err != nil {
 			return nil, err
 		}
-		return &ArrayLit{Elems: elems, Line: t.Line, Col: t.Col}, nil
+		return &ArrayLit{Elems: elems, Line: t.Line, Col: t.Col, nest: 1 + deepest(elems)}, nil
 	}
 	return nil, errAt(t.Line, t.Col, "expected expression, found %s", t)
+}
+
+// parseList parses comma-separated expressions up to and including the
+// closing punctuation.
+func (p *Parser) parseList(closing string) ([]Expr, error) {
+	var es []Expr
+	if !p.atPunct(closing) {
+		for {
+			e, err := p.parseExpr()
+			if err != nil {
+				return nil, err
+			}
+			es = append(es, e)
+			if !p.atPunct(",") {
+				break
+			}
+			p.next()
+		}
+	}
+	_, err := p.expectPunct(closing)
+	return es, err
 }

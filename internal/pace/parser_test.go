@@ -1,6 +1,8 @@
 package pace
 
 import (
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -147,6 +149,9 @@ func TestParseModelsMultiple(t *testing.T) {
 	if len(models) != 2 || models[0].Name != "one" || models[1].Name != "two" {
 		t.Fatalf("parsed %v", models)
 	}
+	if _, err := ParseModels("application one { time = 1; } $"); err == nil || !strings.Contains(err.Error(), "psl:1:31: unexpected character") {
+		t.Fatalf("trailing lexical error: %v", err)
+	}
 }
 
 func TestParseErrors(t *testing.T) {
@@ -171,6 +176,10 @@ func TestParseErrors(t *testing.T) {
 		{"application x { deadline = [[1], 2]; time = 1; }", "deadline bounds must be numbers"},
 		{"application x { time = 1", "expected \";\""},
 		{"application x { param n; ", "unterminated"},
+		{"application x { time = 1 @ 2; }", "unexpected character \"@\""},
+		{"application a { param n; deadline = [1, 5]; deadline = [7, 9]; time = n; }", "duplicate deadline"},
+		{"application x { deadline = [sqrt(-1), 1]; time = 1; }", "deadline bounds must be finite"},
+		{"application x { deadline = [0, exp(1000)]; time = 1; }", "deadline bounds must be finite"},
 	}
 	for _, c := range cases {
 		_, err := ParseModel(c.src)
@@ -213,5 +222,95 @@ func TestModelStringRoundTrip(t *testing.T) {
 	}
 	if m2.DeadlineLo != 2 || m2.DeadlineHi != 36 {
 		t.Fatalf("round-trip lost deadline: [%v, %v]", m2.DeadlineLo, m2.DeadlineHi)
+	}
+}
+
+// The layered form's hardware declarations are not PSL: a source that
+// declares one fails at the keyword's position.
+func TestParseHardwareErrors(t *testing.T) {
+	for _, src := range []string{
+		"hardware h { flops = 1e9; }",
+		"application a { time = 1; }\nhardware h { flops = 1e9; netbw = 1e8; }",
+	} {
+		_, err := ParseModels(src)
+		if err == nil || !positioned.MatchString(err.Error()) || !strings.Contains(err.Error(), `found "hardware"`) {
+			t.Errorf("ParseModels(%q) err = %v, want a positioned error at \"hardware\"", src, err)
+		}
+	}
+}
+
+// Nor are the layered form's steps: "step" is an ordinary identifier.
+func TestParseStepErrors(t *testing.T) {
+	_, err := ParseModel("application a { param n; step s { flops = 1; } time = n; }")
+	if err == nil || !strings.Contains(err.Error(), `psl:1:26: expected statement keyword, found "step"`) {
+		t.Fatalf("step block: err = %v", err)
+	}
+	m := mustParse(t, "application a { param n; let step = 2; let hardware = 3; time = n * step + hardware; }")
+	if got := evalModel(t, m, 4); got != 11 {
+		t.Fatalf("step/hardware as names: %v, want 11", got)
+	}
+}
+
+func TestParseModelsRejectsHardware(t *testing.T) {
+	if _, err := ParseModels("hardware h { flops = 1; }"); err == nil {
+		t.Fatal("ParseModels accepted hardware declarations")
+	}
+}
+
+var positioned = regexp.MustCompile(`^psl:\d+:\d+: `)
+
+// nested builds "time = E;" where E nests depth levels of one kind.
+func nested(kind string, depth int) string {
+	var b strings.Builder
+	b.WriteString("application deep { param n; time = ")
+	switch kind {
+	case "paren":
+		b.WriteString(strings.Repeat("(", depth) + "n" + strings.Repeat(")", depth))
+	case "bracket":
+		b.WriteString(strings.Repeat("[", depth) + "n" + strings.Repeat("]", depth))
+	case "unary":
+		b.WriteString(strings.Repeat("- ", depth) + "n")
+	case "chain": // a flat sum, which String prints one parenthesis per +
+		b.WriteString("n" + strings.Repeat(" + n", depth))
+	}
+	b.WriteString("; }")
+	return b.String()
+}
+
+// TestParseDeepNesting: the outer expression is the first level, so
+// maxNesting-1 more still parse, evaluate and read back from String; one
+// more, or 10⁶ more, is a positioned error and not a stack overflow.
+func TestParseDeepNesting(t *testing.T) {
+	want := map[string]string{
+		"paren":   "3",
+		"bracket": strings.Repeat("[", maxNesting-1) + "3" + strings.Repeat("]", maxNesting-1),
+		"unary":   "-3",
+		"chain":   strconv.Itoa(3 * maxNesting),
+	}
+	for _, kind := range []string{"paren", "bracket", "unary", "chain"} {
+		m, err := ParseModel(nested(kind, maxNesting-1))
+		if err != nil {
+			t.Fatalf("%s at the cap: %v", kind, err)
+		}
+		env, err := m.bindEnv(map[string]float64{"n": 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, err := m.Time.eval(env); err != nil || v.String() != want[kind] {
+			t.Fatalf("%s at the cap evaluates to %v, %v; want %v", kind, v, err, want[kind])
+		}
+		if m2, err := ParseModel(m.String()); err != nil || m2.String() != m.String() {
+			t.Fatalf("%s at the cap does not read back from String: %v", kind, err)
+		}
+		depths := []int{maxNesting, 1_000_000}
+		if kind == "chain" {
+			depths = depths[:1] // a chain does not recurse in the parser
+		}
+		for _, depth := range depths {
+			_, err := ParseModel(nested(kind, depth))
+			if err == nil || !positioned.MatchString(err.Error()) || !strings.Contains(err.Error(), "nests deeper than") {
+				t.Fatalf("%s nested %d deep: err = %v, want a positioned nesting error", kind, depth, err)
+			}
+		}
 	}
 }

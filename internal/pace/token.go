@@ -70,8 +70,6 @@ var keywords = map[string]bool{
 	"let":         true,
 	"time":        true,
 	"deadline":    true,
-	"hardware":    true,
-	"step":        true,
 }
 
 // Error is a PSL front-end error carrying a source position.

@@ -35,7 +35,7 @@ func TestHoldAdmission(t *testing.T) {
 	}{
 		{"duplicate id", bk.Hold(1, "u@g", 1, 400, 410, 0, 30)},
 		{"empty mask", bk.Hold(10, "u@g", 0, 400, 410, 0, 30)},
-		{"node out of range", bk.Hold(11, "u@g", 1 << 4, 400, 410, 0, 30)},
+		{"node out of range", bk.Hold(11, "u@g", 1<<4, 400, 410, 0, 30)},
 		{"backwards window", bk.Hold(12, "u@g", 1, 410, 400, 0, 30)},
 		{"past start", bk.Hold(13, "u@g", 1, 5, 10, 20, 30)},
 		{"no ttl", bk.Hold(14, "u@g", 1, 400, 410, 0, 0)},

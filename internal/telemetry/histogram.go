@@ -215,7 +215,7 @@ func (s HistogramSnapshot) Merge(o HistogramSnapshot) HistogramSnapshot {
 
 // floatBits/floatFrom convert float64 gauge and histogram state to the
 // uint64 domain of the atomics.
-func floatBits(v float64) uint64  { return math.Float64bits(v) }
+func floatBits(v float64) uint64 { return math.Float64bits(v) }
 func floatFrom(b uint64) float64 { return math.Float64frombits(b) }
 
 // casAdd accumulates v into a float64-bits atomic.
