@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -196,44 +197,41 @@ func summariseScale(pts []experiment.Outcome) []scaleRow {
 // write renders the document as indented JSON at path (or CSV when the
 // document is a sweep and the path ends in .csv).
 func (d exportDoc) write(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
 	if d.Sweep != nil && strings.HasSuffix(path, ".csv") {
-		err = d.Sweep.WriteCSV(f)
-	} else {
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", " ")
-		err = enc.Encode(d)
+		return writeFile(path, "results", d.Sweep.WriteCSV)
 	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Printf("results written to %s\n", path)
-	return nil
+	return writeFile(path, "results", indentedJSON(d))
 }
 
 // writeTelemetry renders the collected telemetry exports — one per
-// instrumented run, keyed by experiment or sweep point — as indented
-// JSON at path (the -telemetry flag).
+// instrumented run, keyed by its label — as indented JSON at path (the
+// -telemetry flag).
 func writeTelemetry(path string, exports map[string]*telemetry.Export) error {
+	return writeFile(path, "telemetry", indentedJSON(exports))
+}
+
+// writeFile creates path, fills it, and reports what was written there.
+func writeFile(path, what string, fill func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", " ")
-	err = enc.Encode(exports)
+	err = fill(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
 		return err
 	}
-	fmt.Printf("telemetry written to %s\n", path)
+	fmt.Printf("%s written to %s\n", what, path)
 	return nil
+}
+
+// indentedJSON returns a fill that encodes v as indented JSON.
+func indentedJSON(v any) func(io.Writer) error {
+	return func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", " ")
+		return enc.Encode(v)
+	}
 }

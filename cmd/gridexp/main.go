@@ -42,53 +42,154 @@ import (
 	"repro/internal/trace"
 )
 
+var (
+	table1   = flag.Bool("table1", false, "print the Table 1 prediction matrix")
+	table2   = flag.Bool("table2", false, "print the Table 2 experiment design")
+	table3   = flag.Bool("table3", false, "run the experiments and print Table 3")
+	fig8     = flag.Bool("fig8", false, "print the Fig. 8 advance-time trends")
+	fig9     = flag.Bool("fig9", false, "print the Fig. 9 utilisation trends")
+	fig10    = flag.Bool("fig10", false, "print the Fig. 10 load-balance trends")
+	topology = flag.Bool("topology", false, "print the Fig. 7 agent hierarchy")
+	dispatch = flag.Bool("dispatch", false, "print the per-resource dispatch counts")
+	stats    = flag.Bool("stats", false, "print per-application statistics and the lateness distribution per experiment")
+	accuracy = flag.Bool("accuracy", false, "run the §5 prediction-accuracy study")
+	scale    = flag.Bool("scale", false, "run the §5 scalability study on synthetic hierarchies")
+	exp4     = flag.Bool("exp4", false, "run Experiment 4: the resilience study under agent crashes")
+	exp5     = flag.Bool("exp5", false, "run Experiment 5: drift-driven migration off a degraded node, off vs on")
+	exp6     = flag.Bool("exp6", false, "run Experiment 6: the advance-reservation admission study over reserved-traffic shares")
+	exp7     = flag.Bool("exp7", false, "run Experiment 7: dynamic hierarchy under churn and flash crowd, static vs rebalanced tree")
+	auditRun = flag.Bool("audit", false, "print every run's audit verdict, clean ones included (every run is audited; a violation always prints and exits non-zero)")
+	csvDir   = flag.String("csv", "", "also export the experiment results as CSV into this directory")
+	traceOut = flag.String("tracefile", "", "write the experiment-3 request lifecycle trace as CSV to this file")
+	requests = flag.Int("requests", 600, "number of task requests (§4.1 uses 600)")
+	seed     = flag.Uint64("seed", 2003, "workload and GA seed")
+	workers  = flag.Int("workers", runtime.NumCPU(), "GA cost-evaluation workers per scheduler (results are identical for any value)")
+
+	scenarioPath = flag.String("scenario", "", "run the scenario described by this JSON spec (see examples/scenarios/)")
+	sweepArg     = flag.String("sweep", "", "with -scenario: sweep one axis, e.g. rate=0.5,1,2 or agents=12,24,48")
+	findSat      = flag.Bool("find-saturation", false, "with -scenario: binary-search the arrival rate where ε crosses zero")
+	outPath      = flag.String("out", "", "export the selected results as JSON to this file (a -sweep also accepts a .csv path)")
+
+	telemetryOut = flag.String("telemetry", "", "instrument the runs and write the telemetry exports (registry snapshot + virtual-time series) as JSON to this file; results are byte-identical with or without it")
+	samplePeriod = flag.Float64("sample-period", 10, "telemetry series sampling period in virtual seconds")
+
+	cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (go tool pprof)")
+	memProfile = flag.String("memprofile", "", "write the allocation profile of the whole run to this file when it ends")
+)
+
 func main() {
-	var (
-		table1   = flag.Bool("table1", false, "print the Table 1 prediction matrix")
-		table2   = flag.Bool("table2", false, "print the Table 2 experiment design")
-		table3   = flag.Bool("table3", false, "run the experiments and print Table 3")
-		fig8     = flag.Bool("fig8", false, "print the Fig. 8 advance-time trends")
-		fig9     = flag.Bool("fig9", false, "print the Fig. 9 utilisation trends")
-		fig10    = flag.Bool("fig10", false, "print the Fig. 10 load-balance trends")
-		topology = flag.Bool("topology", false, "print the Fig. 7 agent hierarchy")
-		dispatch = flag.Bool("dispatch", false, "print the per-resource dispatch counts")
-		stats    = flag.Bool("stats", false, "print per-application statistics and the lateness distribution per experiment")
-		accuracy = flag.Bool("accuracy", false, "run the §5 prediction-accuracy study")
-		scale    = flag.Bool("scale", false, "run the §5 scalability study on synthetic hierarchies")
-		exp4     = flag.Bool("exp4", false, "run Experiment 4: the resilience study under agent crashes")
-		exp5     = flag.Bool("exp5", false, "run Experiment 5: drift-driven migration off a degraded node, off vs on")
-		exp6     = flag.Bool("exp6", false, "run Experiment 6: the advance-reservation admission study over reserved-traffic shares")
-		exp7     = flag.Bool("exp7", false, "run Experiment 7: dynamic hierarchy under churn and flash crowd, static vs rebalanced tree")
-		auditRun = flag.Bool("audit", false, "print every run's audit verdict, clean ones included (every run is audited; a violation always prints and exits non-zero)")
-		csvDir   = flag.String("csv", "", "also export the experiment results as CSV into this directory")
-		traceOut = flag.String("tracefile", "", "write the experiment-3 request lifecycle trace as CSV to this file")
-		requests = flag.Int("requests", 600, "number of task requests (§4.1 uses 600)")
-		seed     = flag.Uint64("seed", 2003, "workload and GA seed")
-		workers  = flag.Int("workers", runtime.NumCPU(), "GA cost-evaluation workers per scheduler (results are identical for any value)")
-
-		scenarioPath = flag.String("scenario", "", "run the scenario described by this JSON spec (see examples/scenarios/)")
-		sweepArg     = flag.String("sweep", "", "with -scenario: sweep one axis, e.g. rate=0.5,1,2 or agents=12,24,48")
-		findSat      = flag.Bool("find-saturation", false, "with -scenario: binary-search the arrival rate where ε crosses zero")
-		outPath      = flag.String("out", "", "export the selected results as JSON to this file (a -sweep also accepts a .csv path)")
-
-		telemetryOut = flag.String("telemetry", "", "instrument the runs and write the telemetry exports (registry snapshot + virtual-time series) as JSON to this file; results are byte-identical with or without it")
-		samplePeriod = flag.Float64("sample-period", 10, "telemetry series sampling period in virtual seconds")
-
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (go tool pprof)")
-		memProfile = flag.String("memprofile", "", "write the allocation profile of the whole run to this file when it ends")
-	)
 	flag.Parse()
 	fail(startProfiles(*cpuProfile, *memProfile))
 	defer stopProfiles()
 
+	opt := scenario.RunOptions{Workers: *workers, Telemetry: *telemetryOut != "", SamplePeriod: *samplePeriod}
+	doc := exportDoc{Seed: *seed, Requests: *requests}
+	var studies []study
 	if *scenarioPath != "" {
-		runScenario(*scenarioPath, *sweepArg, *findSat, *outPath, *workers, *telemetryOut, *samplePeriod, *traceOut)
-		return
+		studies = scenarioStudies(&doc, opt)
+	} else {
+		studies = experimentStudies(&doc)
 	}
+
+	// One loop runs, reports, audits and exports every study. A clean
+	// verdict prints only under -audit; a violation always prints and
+	// turns into a non-zero exit.
+	telemetryExports := map[string]*telemetry.Export{}
+	telemetryKey := strings.NewReplacer(" ", "_", "=", "_")
+	auditFailed := false
+	for _, st := range studies {
+		fmt.Println(st.header)
+		o := opt
+		closeTrace := func() {}
+		if st.traced && *traceOut != "" {
+			o.Trace, closeTrace = streamTrace(*traceOut)
+		}
+		start := time.Now()
+		outs, err := experiment.RunStudy(st.runs, o)
+		fail(err)
+		closeTrace()
+		fmt.Printf("(completed in %v wall time)\n", time.Since(start).Round(time.Millisecond))
+		fmt.Println(st.report(outs))
+		for _, out := range outs {
+			auditFailed = verdict("["+out.Label+"]", out.Audit, *auditRun) || auditFailed
+			if out.Telemetry != nil {
+				telemetryExports[telemetryKey.Replace(out.Label)] = out.Telemetry
+			}
+		}
+		st.export(outs)
+	}
+	if *outPath != "" {
+		fail(doc.write(*outPath))
+	}
+	if *telemetryOut != "" {
+		fail(writeTelemetry(*telemetryOut, telemetryExports))
+	}
+	if auditFailed {
+		exit(1)
+	}
+}
+
+// scenarioStudies loads the -scenario spec and returns its study: one
+// traced run labelled "scenario", or one run per -sweep point labelled
+// by its axis value. A -find-saturation search is adaptive rather than a
+// fixed list of runs, so it runs here and leaves no study.
+func scenarioStudies(doc *exportDoc, opt scenario.RunOptions) []study {
+	spec, err := scenario.Load(*scenarioPath)
+	fail(err)
+	*doc = exportDoc{Seed: spec.Seed, Requests: spec.Arrivals.Count}
+	switch {
+	case *csvDir != "":
+		fail(fmt.Errorf("-csv exports experiments 1-3, not a scenario: use -out"))
+	case *findSat && *sweepArg != "":
+		fail(fmt.Errorf("-sweep and -find-saturation are two studies: pick one"))
+	case *traceOut != "" && (*sweepArg != "" || *findSat):
+		fail(fmt.Errorf("-tracefile records a single scenario run, not a sweep or saturation search"))
+	case *findSat && *telemetryOut != "":
+		fail(fmt.Errorf("-telemetry exports study runs, not the probes of a saturation search"))
+	case *findSat:
+		fmt.Printf("Searching for the saturation rate of %s\n", spec.Name)
+		res, err := scenario.FindSaturation(spec, opt, 0)
+		fail(err)
+		fmt.Println(scenario.FormatSaturation(res))
+		doc.Saturation = &res
+		return nil
+	case *sweepArg == "":
+		return []study{{
+			header: "Running scenario " + spec.Name,
+			runs:   []experiment.Run{{Label: "scenario", Spec: spec}},
+			traced: true,
+			report: func(o []experiment.Outcome) string { return scenario.FormatResult(o[0].Result) },
+			export: func(o []experiment.Outcome) { doc.Scenario = &o[0].Result },
+		}}
+	}
+	axis, values, err := scenario.ParseAxis(*sweepArg)
+	fail(err)
+	specs, err := scenario.SweepSpecs(spec, axis, values)
+	fail(err)
+	runs := make([]experiment.Run, len(specs))
+	for i, s := range specs {
+		runs[i] = experiment.Run{Label: fmt.Sprintf("%s=%g", axis, values[i]), Spec: s}
+	}
+	rep := &scenario.SweepReport{Scenario: spec.Name, Axis: axis}
+	return []study{{
+		header: fmt.Sprintf("Sweeping %s over %s (%d points)", spec.Name, axis, len(values)),
+		runs:   runs,
+		report: func(o []experiment.Outcome) string {
+			for i, out := range o {
+				rep.Points = append(rep.Points, scenario.SweepPoint{Axis: axis, Value: values[i], Result: out.Result})
+			}
+			return "\n" + scenario.FormatSweep(*rep)
+		},
+		export: func([]experiment.Outcome) { doc.Sweep = rep },
+	}}
+}
+
+// experimentStudies prints the tables that need no run (Table 1, Table 2,
+// the hierarchy) and returns the studies the experiment flags select.
+func experimentStudies(doc *exportDoc) []study {
 	if *sweepArg != "" || *findSat {
 		fail(fmt.Errorf("-sweep and -find-saturation need a -scenario spec"))
 	}
-
 	extension := *accuracy || *scale || *exp4 || *exp5 || *exp6 || *exp7
 	all := !(*table1 || *table2 || *table3 || *fig8 || *fig9 || *fig10 || *topology || *dispatch || *stats || extension)
 	// Table 2's experiments 1–3 run whenever an output needs them;
@@ -97,7 +198,6 @@ func main() {
 	if *traceOut != "" && !caseStudy {
 		fail(fmt.Errorf("-tracefile records experiment 3: select a Table 2 output (-table3, -fig8..10, -dispatch, -stats or -csv)"))
 	}
-	doc := exportDoc{Seed: *seed, Requests: *requests}
 
 	if all || *table1 {
 		engine := pace.NewEngine()
@@ -118,7 +218,6 @@ func main() {
 	params := experiment.DefaultParams()
 	params.Requests = *requests
 	params.Seed = *seed
-	opt := scenario.RunOptions{Workers: *workers, Telemetry: *telemetryOut != "", SamplePeriod: *samplePeriod}
 	phase := float64(params.Requests) * params.Interval
 	summaries := func(o []experiment.Outcome) []expSummary {
 		rows := make([]expSummary, len(o))
@@ -229,43 +328,7 @@ func main() {
 			},
 		})
 	}
-
-	// One loop runs, reports, audits and exports every study. A clean
-	// verdict prints only under -audit; a violation always prints and
-	// turns into a non-zero exit.
-	telemetryExports := map[string]*telemetry.Export{}
-	telemetryKey := strings.NewReplacer(" ", "_", "=", "_")
-	auditFailed := false
-	for _, st := range studies {
-		fmt.Println(st.header)
-		o := opt
-		closeTrace := func() {}
-		if st.traced && *traceOut != "" {
-			o.Trace, closeTrace = streamTrace(*traceOut)
-		}
-		start := time.Now()
-		outs, err := experiment.RunStudy(st.runs, o)
-		fail(err)
-		closeTrace()
-		fmt.Printf("(completed in %v wall time)\n", time.Since(start).Round(time.Millisecond))
-		fmt.Println(st.report(outs))
-		for _, out := range outs {
-			auditFailed = verdict("["+out.Label+"]", out.Audit, *auditRun) || auditFailed
-			if out.Telemetry != nil {
-				telemetryExports[telemetryKey.Replace(out.Label)] = out.Telemetry
-			}
-		}
-		st.export(outs)
-	}
-	if *outPath != "" {
-		fail(doc.write(*outPath))
-	}
-	if *telemetryOut != "" {
-		fail(writeTelemetry(*telemetryOut, telemetryExports))
-	}
-	if auditFailed {
-		exit(1)
-	}
+	return studies
 }
 
 // study is one flag-selected study: the header announcing it, its
@@ -300,74 +363,6 @@ func verdict(scope string, res *audit.Result, loud bool) bool {
 		fmt.Printf("  ... and %d more\n", len(res.Violations)-limit)
 	}
 	return true
-}
-
-// runScenario is the -scenario entry point: one audited run, a sweep
-// over one axis, or a saturation search, with optional JSON/CSV export.
-// Every scenario run is audited; any violation exits non-zero.
-func runScenario(path, sweepArg string, findSat bool, outPath string, workers int, telemetryOut string, samplePeriod float64, traceOut string) {
-	spec, err := scenario.Load(path)
-	fail(err)
-	opt := scenario.RunOptions{Workers: workers, Telemetry: telemetryOut != "", SamplePeriod: samplePeriod}
-	closeTrace := func() {}
-	if traceOut != "" {
-		if sweepArg != "" || findSat {
-			fail(fmt.Errorf("-tracefile records a single scenario run, not a sweep or saturation search"))
-		}
-		opt.Trace, closeTrace = streamTrace(traceOut)
-	}
-	doc := exportDoc{Seed: spec.Seed, Requests: spec.Arrivals.Count}
-	telemetryExports := map[string]*telemetry.Export{}
-	failed := false
-	switch {
-	case sweepArg != "":
-		axis, values, err := scenario.ParseAxis(sweepArg)
-		fail(err)
-		fmt.Printf("Sweeping %s over %s (%d points)\n", spec.Name, axis, len(values))
-		start := time.Now()
-		pts, err := scenario.Sweep(spec, axis, values, opt)
-		fail(err)
-		fmt.Printf("(completed in %v wall time)\n\n", time.Since(start).Round(time.Millisecond))
-		rep := scenario.SweepReport{Scenario: spec.Name, Axis: axis, Points: pts}
-		fmt.Println(scenario.FormatSweep(rep))
-		doc.Sweep = &rep
-		for _, p := range pts {
-			if !p.Result.AuditOK {
-				failed = true
-				fmt.Printf("AUDIT FAILED at %s=%g: %s\n", axis, p.Value, p.Result.AuditSummary)
-			}
-			if p.Result.Telemetry != nil {
-				telemetryExports[fmt.Sprintf("%s=%g", axis, p.Value)] = p.Result.Telemetry
-			}
-		}
-	case findSat:
-		fmt.Printf("Searching for the saturation rate of %s\n", spec.Name)
-		res, err := scenario.FindSaturation(spec, opt, 0)
-		fail(err)
-		fmt.Println(scenario.FormatSaturation(res))
-		doc.Saturation = &res
-	default:
-		res, err := scenario.Run(spec, opt)
-		fail(err)
-		fmt.Println(scenario.FormatResult(res))
-		doc.Scenario = &res
-		if res.Telemetry != nil {
-			telemetryExports["scenario"] = res.Telemetry
-		}
-		if !res.AuditOK {
-			failed = true
-		}
-	}
-	closeTrace()
-	if outPath != "" {
-		fail(doc.write(outPath))
-	}
-	if telemetryOut != "" {
-		fail(writeTelemetry(telemetryOut, telemetryExports))
-	}
-	if failed {
-		exit(1)
-	}
 }
 
 // streamTrace returns a recorder that streams one run's lifecycle trace

@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -173,16 +174,7 @@ func TestTelemetryExportsEveryStudyRun(t *testing.T) {
 // with no file.
 func TestTracefileNeedsCaseStudy(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.csv")
-	out, err := gridexp("-exp4", "-requests", "30", "-tracefile", path)
-	if err == nil {
-		t.Fatalf("-tracefile without a Table 2 output accepted:\n%s", out)
-	}
-	if !strings.Contains(out, "-tracefile records experiment 3") {
-		t.Fatalf("-tracefile rejected without saying why:\n%s", out)
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("trace file created: %v", err)
-	}
+	rejected(t, path, "-tracefile records experiment 3", "-exp4", "-requests", "30", "-tracefile", path)
 }
 
 // TestExtensionStudiesMatchGolden pins every extension study's report,
@@ -218,31 +210,119 @@ func TestExtensionStudiesMatchGolden(t *testing.T) {
 
 // TestAuditVerdictsBothModes: every run is audited, but a clean verdict
 // line prints only under -audit — for experiments 1–3 and Experiment 6
-// alike, which once printed its verdicts whether asked or not.
+// alike, which once printed its verdicts whether asked or not, and for a
+// scenario run and each sweep point, which once printed none. In scenario
+// mode the run's own report always carries its audit line, so there the
+// quiet run is checked for the labelled verdicts alone.
 func TestAuditVerdictsBothModes(t *testing.T) {
-	args := []string{"-table3", "-exp6", "-requests", "60", "-workers", "1"}
-	quiet, err := gridexp(args...)
-	if err != nil {
-		t.Fatalf("gridexp: %v\n%s", err, quiet)
-	}
-	if strings.Contains(quiet, "audit:") {
-		t.Fatalf("clean verdicts printed without -audit:\n%s", quiet)
-	}
-	loud, err := gridexp(append(args, "-audit")...)
-	if err != nil {
-		t.Fatalf("gridexp -audit: %v\n%s", err, loud)
-	}
-	scopes := []string{"[experiment 1]", "[experiment 2]", "[experiment 3]"}
+	exp6 := []string{"[experiment 1]", "[experiment 2]", "[experiment 3]"}
 	for _, share := range []string{"0", "0.1", "0.2", "0.3"} {
-		scopes = append(scopes, "[exp6 share="+share+"]")
+		exp6 = append(exp6, "[exp6 share="+share+"]")
 	}
-	for _, scope := range scopes {
-		i := strings.Index(loud, scope+" audit: 60 requests: ")
-		if i < 0 {
-			t.Fatalf("no verdict for %s under -audit:\n%s", scope, loud)
+	for _, mode := range []struct {
+		args          []string
+		scopes        []string
+		requests      int
+		quietNoMarker string
+	}{
+		{[]string{"-table3", "-exp6", "-requests", "60"}, exp6, 60, "audit:"},
+		{[]string{"-scenario", smokeSpec}, []string{"[scenario]"}, 150, "] audit:"},
+		{[]string{"-scenario", smokeSpec, "-sweep", "rate=1,2"}, []string{"[rate=1]", "[rate=2]"}, 150, "] audit:"},
+	} {
+		args := append(mode.args, "-workers", "1")
+		quiet, err := gridexp(args...)
+		if err != nil {
+			t.Fatalf("gridexp %v: %v\n%s", args, err, quiet)
 		}
-		if line, _, _ := strings.Cut(loud[i:], "\n"); !strings.HasSuffix(line, "; 0 violation(s)") {
-			t.Fatalf("%s did not audit clean: %s", scope, line)
+		if strings.Contains(quiet, mode.quietNoMarker) {
+			t.Fatalf("clean verdicts printed without -audit:\n%s", quiet)
+		}
+		if strings.Contains(quiet, "audit: audit:") {
+			t.Fatalf("audit summary prefixed twice:\n%s", quiet)
+		}
+		loud, err := gridexp(append(args, "-audit")...)
+		if err != nil {
+			t.Fatalf("gridexp %v -audit: %v\n%s", args, err, loud)
+		}
+		for _, scope := range mode.scopes {
+			i := strings.Index(loud, fmt.Sprintf("%s audit: %d requests: ", scope, mode.requests))
+			if i < 0 {
+				t.Fatalf("no verdict for %s under -audit:\n%s", scope, loud)
+			}
+			if line, _, _ := strings.Cut(loud[i:], "\n"); !strings.HasSuffix(line, "; 0 violation(s)") {
+				t.Fatalf("%s did not audit clean: %s", scope, line)
+			}
 		}
 	}
+}
+
+const smokeSpec = "../../examples/scenarios/smoke.json"
+
+// maskWallClock zeroes the host seconds, the one field of a sweep export
+// that differs between identical runs: the JSON field, and the CSV
+// column before audit_ok.
+func maskWallClock(export string) string {
+	export = regexp.MustCompile(`("wall_clock_s": )[0-9.eE+-]+`).ReplaceAllString(export, "${1}0")
+	return regexp.MustCompile(`(?m)[0-9.eE+-]+(,(?:true|false))$`).ReplaceAllString(export, "0$1")
+}
+
+// TestSweepExportsMatchGolden pins a two-point rate sweep's -out
+// document, as JSON and as CSV, to the goldens in testdata (wall-clock
+// seconds zeroed).
+func TestSweepExportsMatchGolden(t *testing.T) {
+	for _, name := range []string{"sweep.json", "sweep.csv"} {
+		path := filepath.Join(t.TempDir(), name)
+		out, err := gridexp("-scenario", smokeSpec, "-sweep", "rate=1,2", "-workers", "1", "-out", path)
+		if err != nil {
+			t.Fatalf("gridexp: %v\n%s", err, out)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if masked := maskWallClock(string(got)); masked != string(want) {
+			t.Fatalf("-out differs from testdata/%s:\n%s", name, masked)
+		}
+	}
+}
+
+// rejected runs gridexp on args and checks that it fails, says why and
+// leaves no file at path.
+func rejected(t *testing.T, path, why string, args ...string) {
+	t.Helper()
+	out, err := gridexp(args...)
+	if err == nil {
+		t.Fatalf("gridexp %v accepted:\n%s", args, out)
+	}
+	if !strings.Contains(out, why) {
+		t.Fatalf("gridexp %v rejected without saying why:\n%s", args, out)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("%s created: %v", path, err)
+	}
+}
+
+// TestFindSaturationRejectsTelemetry: the saturation search runs probes,
+// not study runs, so -telemetry would write an empty export.
+func TestFindSaturationRejectsTelemetry(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.json")
+	rejected(t, path, "-telemetry exports study runs", "-scenario", smokeSpec, "-find-saturation", "-telemetry", path)
+}
+
+// TestScenarioRejectsCSV: -csv exports experiments 1–3, which scenario
+// mode does not run.
+func TestScenarioRejectsCSV(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "csv")
+	rejected(t, dir, "-csv exports experiments 1-3", "-scenario", smokeSpec, "-csv", dir)
+}
+
+// TestSweepRejectsFindSaturation: a sweep and a saturation search are two
+// studies; asking for both runs neither.
+func TestSweepRejectsFindSaturation(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "out.json")
+	rejected(t, path, "pick one", "-scenario", smokeSpec, "-sweep", "rate=1,2", "-find-saturation", "-out", path)
 }

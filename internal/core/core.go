@@ -22,7 +22,6 @@ import (
 	"repro/internal/membership"
 	"repro/internal/metrics"
 	"repro/internal/pace"
-	"repro/internal/schedule"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -68,9 +67,8 @@ type ResourceSpec struct {
 type Options struct {
 	Policy     PolicyKind // defaults to PolicyGA
 	GA         ga.Config  // zero value -> ga.DefaultConfig()
-	Weights    schedule.CostWeights
-	UseAgents  bool    // enable agent-based service discovery (experiment 3)
-	PullPeriod float64 // advertisement pull period; defaults to 10 s (§4.1)
+	UseAgents  bool       // enable agent-based service discovery (experiment 3)
+	PullPeriod float64    // advertisement pull period; defaults to 10 s (§4.1)
 	// PushAdverts enables event-triggered advertisement pushes (§3.1):
 	// after accepting work, an agent whose freetime drifted past the
 	// push threshold advertises to its neighbours immediately instead of
@@ -85,8 +83,6 @@ type Options struct {
 	Workers int
 
 	DisableFrontWeightedIdle bool // idle-weighting ablation
-	DisableEvalCache         bool // §2.2 cache ablation
-	Library                  *pace.Library
 
 	// PredictionError enables the §5 prediction-accuracy study: actual
 	// execution times deviate from predictions by up to this relative
@@ -119,10 +115,6 @@ type Options struct {
 	// attracting dispatches. 0 (the default) never expires them — the
 	// paper's fault-free behaviour.
 	AdvertTTL float64
-	// FailureThreshold overrides the per-peer consecutive-failure count
-	// that trips an agent's circuit breaker; 0 keeps
-	// agent.DefaultFailureThreshold.
-	FailureThreshold int
 
 	// Migration configures proactive task migration: drift-driven
 	// rescheduling of queued work off resources whose observed
@@ -174,14 +166,8 @@ func (o *Options) setDefaults() {
 	if o.Workers > 0 {
 		o.GA.Workers = o.Workers
 	}
-	if o.Weights == (schedule.CostWeights{}) {
-		o.Weights = schedule.DefaultWeights()
-	}
 	if o.PullPeriod <= 0 {
 		o.PullPeriod = agent.DefaultPullPeriod
-	}
-	if o.Library == nil {
-		o.Library = pace.CaseStudyLibrary()
 	}
 }
 
@@ -232,17 +218,10 @@ func New(specs []ResourceSpec, opts Options) (*Grid, error) {
 	}
 	opts.setDefaults()
 
-	var engine *pace.Engine
-	if opts.DisableEvalCache {
-		engine = pace.NewEngineWithoutCache()
-	} else {
-		engine = pace.NewEngine()
-	}
-
 	g := &Grid{
 		opts:   opts,
-		engine: engine,
-		lib:    opts.Library,
+		engine: pace.NewEngine(),
+		lib:    pace.CaseStudyLibrary(),
 		locals: map[string]*scheduler.Local{},
 		simr:   sim.NewSimulator(),
 	}
@@ -278,9 +257,6 @@ func New(specs []ResourceSpec, opts Options) (*Grid, error) {
 
 	for _, a := range ordered {
 		a.AdvertTTL = opts.AdvertTTL
-		if opts.FailureThreshold > 0 {
-			a.FailureThreshold = opts.FailureThreshold
-		}
 	}
 	if opts.FaultPlan != nil {
 		if !opts.UseAgents {
@@ -320,7 +296,7 @@ func New(specs []ResourceSpec, opts Options) (*Grid, error) {
 		g.migrator = newMigrator(g, opts.Migration)
 	}
 	if reg := opts.Telemetry; reg != nil {
-		engine.RegisterMetrics(reg)
+		g.engine.RegisterMetrics(reg)
 		reg.Gauge("grid_resources").Set(float64(len(specs)))
 		g.mRequests = reg.Counter("grid_requests_total")
 		g.mErrors = reg.Counter("grid_request_errors_total")
@@ -385,7 +361,6 @@ func (g *Grid) buildResource(spec ResourceSpec, master *sim.RNG) (*agent.Agent, 
 		return nil, err
 	}
 	if p, ok := pol.(*scheduler.GAPolicy); ok {
-		p.Weights = g.opts.Weights
 		p.FrontWeighted = !g.opts.DisableFrontWeightedIdle
 	}
 	cfg := scheduler.Config{

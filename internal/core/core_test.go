@@ -261,13 +261,6 @@ func TestGridDeterminism(t *testing.T) {
 	}
 }
 
-func TestGridEvalCacheAblation(t *testing.T) {
-	g := smallGrid(t, Options{DisableEvalCache: true})
-	if g.Engine().CacheEnabled() {
-		t.Fatal("cache ablation option ignored")
-	}
-}
-
 func TestGridTraceRecordsLifecycle(t *testing.T) {
 	rec := trace.NewRecorder(1000)
 	g := smallGrid(t, Options{Policy: PolicyGA, UseAgents: true, Seed: 3, Trace: rec})

@@ -61,9 +61,6 @@ func newMemberState(g *Grid, master *sim.RNG) (*memberState, error) {
 				return nil, err
 			}
 			a.AdvertTTL = g.opts.AdvertTTL
-			if g.opts.FailureThreshold > 0 {
-				a.FailureThreshold = g.opts.FailureThreshold
-			}
 			if g.injector != nil {
 				a.SetGate(g.injector.Registry())
 			}

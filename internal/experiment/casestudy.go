@@ -6,6 +6,7 @@ package experiment
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 
 	"repro/internal/core"
@@ -108,9 +109,10 @@ func (p Params) CaseStudyRuns() []Run {
 	return runs
 }
 
-// RunStudy runs a study's runs concurrently, one goroutine per run (a
-// study holds a handful), and returns their outcomes in the runs' order. Each run builds its own
-// grid, engine and seed-derived RNGs from its spec alone, so the
+// RunStudy runs a study's runs concurrently, at most GOMAXPROCS at a
+// time (a long sweep must not hold every point's grid in memory at
+// once), and returns their outcomes in the runs' order. Each run builds
+// its own grid, engine and seed-derived RNGs from its spec alone, so the
 // outcomes are identical to a sequential sweep at any opt.Workers. A
 // trace recorder goes to the last run only: the runs mint the same
 // ReqIDs, and one recorder holding two runs' events would show the audit
@@ -119,6 +121,7 @@ func (p Params) CaseStudyRuns() []Run {
 func RunStudy(runs []Run, opt scenario.RunOptions) ([]Outcome, error) {
 	out := make([]Outcome, len(runs))
 	errs := make([]error, len(runs))
+	slots := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
 	for i, r := range runs {
 		o := opt
@@ -126,8 +129,9 @@ func RunStudy(runs []Run, opt scenario.RunOptions) ([]Outcome, error) {
 			o.Trace = nil
 		}
 		wg.Add(1)
+		slots <- struct{}{}
 		go func() {
-			defer wg.Done()
+			defer func() { <-slots; wg.Done() }()
 			res, err := scenario.Run(r.Spec, o)
 			if err != nil {
 				errs[i] = fmt.Errorf("%s: %w", r.Label, err)

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/workload"
 )
 
 // FuzzLoadSpec feeds arbitrary bytes to Load as a scenario file. Load
@@ -67,6 +69,33 @@ func FuzzLoadSpec(f *testing.F) {
 		}
 		if !bytes.Equal(first, second) {
 			t.Fatalf("spec changed across a load:\nfirst  %s\nsecond %s", first, second)
+		}
+	})
+}
+
+// FuzzLoadTraceCSV feeds arbitrary bytes to LoadTraceCSV as a trace
+// file. It must never panic, and any times it returns must be a trace
+// that workload.TraceReplay accepts: finite, non-negative and in order.
+// Seeded with the replay example's trace.
+func FuzzLoadTraceCSV(f *testing.F) {
+	trace, err := os.ReadFile("../../examples/scenarios/replay-trace.csv")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(trace)
+	f.Add([]byte("time_s\n0.5\nNaN\n"))
+	f.Add([]byte("1,a\ninf,b\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "trace.csv")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		times, err := LoadTraceCSV(path)
+		if err != nil {
+			return
+		}
+		if err := (workload.TraceReplay{At: times}).Validate(); err != nil {
+			t.Fatalf("LoadTraceCSV returned times the replay rejects: %v\n%v", err, times)
 		}
 	})
 }

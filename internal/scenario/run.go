@@ -121,13 +121,12 @@ type Result struct {
 	MigrateBreaches int                `json:"-"` // checks whose drift exceeded the threshold
 }
 
-// Run executes one scenario with the given seed override (pass
-// spec.Seed for a standalone run; sweeps pass split-derived seeds). The
-// lifecycle auditor runs on every scenario run — generated topologies
-// and open arrival processes are exactly where a conservation or
-// exclusivity bug would hide, so no scenario result is reported without
-// its audit verdict.
-func runSeeded(spec Spec, seed uint64, opt RunOptions) (Result, error) {
+// Run executes one scenario under its own seed (a sweep point carries
+// its split-derived seed in Spec.Seed). The lifecycle auditor runs on
+// every scenario run — generated topologies and open arrival processes
+// are exactly where a conservation or exclusivity bug would hide, so no
+// scenario result is reported without its audit verdict.
+func Run(spec Spec, opt RunOptions) (Result, error) {
 	if err := spec.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -168,7 +167,7 @@ func runSeeded(spec Spec, seed uint64, opt RunOptions) (Result, error) {
 		GA:              spec.GAConfig(),
 		Workers:         opt.Workers,
 		UseAgents:       spec.AgentsEnabled(),
-		Seed:            seed,
+		Seed:            spec.Seed,
 		PredictionError: spec.PredictionError,
 		PredictionBias:  spec.PredictionBias,
 		Trace:           rec,
@@ -196,7 +195,7 @@ func runSeeded(spec Spec, seed uint64, opt RunOptions) (Result, error) {
 		return Result{}, err
 	}
 	reqs, err := workload.Generate(workload.Spec{
-		Seed:          seed,
+		Seed:          spec.Seed,
 		Count:         spec.Arrivals.Count,
 		AgentNames:    names,
 		Library:       grid.Library(),
@@ -213,7 +212,7 @@ func runSeeded(spec Spec, seed uint64, opt RunOptions) (Result, error) {
 		// submits them, and raising the share only removes requests from
 		// that stream, never perturbs it.
 		shape := rs.reservationDefaults()
-		pick := sim.NewRNG(seed ^ reservationPickSalt)
+		pick := sim.NewRNG(spec.Seed ^ reservationPickSalt)
 		for _, r := range reqs {
 			if pick.Bool(rs.Share) {
 				err = grid.SubmitReservationAt(r.At, r.AgentName, r.AppName, shape.Lead, shape.Duration, shape.Nodes, shape.Parts)
@@ -253,7 +252,7 @@ func runSeeded(spec Spec, seed uint64, opt RunOptions) (Result, error) {
 
 	out := Result{
 		Name:      spec.Name,
-		Seed:      seed,
+		Seed:      spec.Seed,
 		Agents:    len(resources),
 		Requests:  len(reqs),
 		Completed: len(recs),
@@ -335,11 +334,6 @@ func runSeeded(spec Spec, seed uint64, opt RunOptions) (Result, error) {
 	return out, nil
 }
 
-// Run executes the scenario under its own seed.
-func Run(spec Spec, opt RunOptions) (Result, error) {
-	return runSeeded(spec, spec.Seed, opt)
-}
-
 // FormatResult renders one scenario run for the terminal.
 func FormatResult(r Result) string {
 	var b strings.Builder
@@ -364,6 +358,6 @@ func FormatResult(r Result) string {
 		fmt.Fprintf(&b, "  best-effort class: eps %+.1f s   ups %.1f %%   beta %.1f %%\n",
 			r.BestEffortEpsilon, r.BestEffortUpsilon, r.BestEffortBeta)
 	}
-	fmt.Fprintf(&b, "  audit: %s\n", r.AuditSummary)
+	fmt.Fprintf(&b, "  %s\n", r.AuditSummary)
 	return b.String()
 }

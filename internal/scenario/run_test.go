@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -71,83 +70,6 @@ func TestRunWorkerDeterminism(t *testing.T) {
 	}
 	if !reflect.DeepEqual(stripHost(seq), stripHost(par)) {
 		t.Fatalf("scenario results differ across worker widths:\n1: %+v\n4: %+v", stripHost(seq), stripHost(par))
-	}
-}
-
-func TestSweepDeterminism(t *testing.T) {
-	spec := smallSpec()
-	spec.Arrivals.Count = 80
-	values := []float64{1, 2, 4}
-	a, err := Sweep(spec, AxisRate, values, RunOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Sweep(spec, AxisRate, values, RunOptions{Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != len(values) || len(b) != len(values) {
-		t.Fatalf("sweep lengths %d %d, want %d", len(a), len(b), len(values))
-	}
-	for i := range a {
-		if !reflect.DeepEqual(stripHost(a[i].Result), stripHost(b[i].Result)) {
-			t.Fatalf("sweep point %d differs across worker widths", i)
-		}
-	}
-	// Per-point seeds are split off the master up front, so two points
-	// never share a stream.
-	if a[0].Result.Seed == a[1].Result.Seed {
-		t.Fatalf("sweep points share seed %d", a[0].Result.Seed)
-	}
-}
-
-func TestSweepSeedAxisUsesValueAsSeed(t *testing.T) {
-	spec := smallSpec()
-	spec.Arrivals.Count = 40
-	pts, err := Sweep(spec, AxisSeed, []float64{7, 11}, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pts[0].Result.Seed != 7 || pts[1].Result.Seed != 11 {
-		t.Fatalf("seed axis seeds %d %d, want 7 11", pts[0].Result.Seed, pts[1].Result.Seed)
-	}
-}
-
-func TestSweepAgentsAxisRejectsPreset(t *testing.T) {
-	if _, err := Sweep(Fig7(), AxisAgents, []float64{8, 16}, RunOptions{}); err == nil {
-		t.Fatal("agents axis over a preset topology accepted")
-	}
-}
-
-func TestSweepReportFormats(t *testing.T) {
-	spec := smallSpec()
-	spec.Arrivals.Count = 40
-	pts, err := Sweep(spec, AxisRate, []float64{1, 3}, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := SweepReport{Scenario: spec.Name, Axis: AxisRate, Points: pts}
-
-	var jsonBuf, csvBuf strings.Builder
-	if err := rep.WriteJSON(&jsonBuf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(jsonBuf.String(), `"eps_s"`) || !strings.Contains(jsonBuf.String(), `"audit_ok"`) {
-		t.Fatalf("JSON missing expected fields:\n%s", jsonBuf.String())
-	}
-	if err := rep.WriteCSV(&csvBuf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(csvBuf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("CSV has %d lines, want header + 2 points:\n%s", len(lines), csvBuf.String())
-	}
-	if !strings.HasPrefix(lines[0], "axis,value,agents") {
-		t.Fatalf("CSV header: %s", lines[0])
-	}
-	table := FormatSweep(rep)
-	if !strings.Contains(table, "Sweep of small over rate") {
-		t.Fatalf("table header missing:\n%s", table)
 	}
 }
 

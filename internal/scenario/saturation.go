@@ -56,7 +56,7 @@ func FindSaturation(spec Spec, opt RunOptions, tol float64) (SaturationResult, e
 		if err != nil {
 			return 0, err
 		}
-		res, err := runSeeded(pt, spec.Seed, opt)
+		res, err := Run(pt, opt)
 		if err != nil {
 			return 0, err
 		}

@@ -587,7 +587,8 @@ func Load(path string) (Spec, error) {
 
 // LoadTraceCSV reads arrival times from a CSV/plain-text file: one time
 // per line (the first field of each line), '#' comments and a
-// non-numeric header line skipped.
+// non-numeric header line skipped. The times must form a replayable
+// trace: finite, non-negative and non-decreasing.
 func LoadTraceCSV(path string) ([]float64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -612,8 +613,8 @@ func LoadTraceCSV(path string) ([]float64, error) {
 		}
 		out = append(out, v)
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("scenario: %s holds no arrival times", path)
+	if err := (workload.TraceReplay{At: out}).Validate(); err != nil {
+		return nil, fmt.Errorf("scenario: %s: %w", path, err)
 	}
 	return out, nil
 }

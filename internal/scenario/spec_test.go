@@ -242,6 +242,26 @@ func TestLoadTraceFile(t *testing.T) {
 	}
 }
 
+// TestLoadTraceFileRejectsNonFinite: a NaN or infinite arrival in a
+// trace file is a load error. Both once reached the simulator, where
+// NaN panicked in PACE and +Inf ran out the event budget.
+func TestLoadTraceFileRejectsNonFinite(t *testing.T) {
+	for _, line := range []string{"NaN", "inf", "+Inf", "-inf"} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "arrivals.csv"), []byte("time_s\n0.5\n"+line+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, "replay.json")
+		body := `{"topology": {"preset": "fig7"}, "arrivals": {"process": "trace", "count": 10, "trace_file": "arrivals.csv"}}`
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(path); err == nil {
+			t.Errorf("trace arrival %q accepted", line)
+		}
+	}
+}
+
 func TestArrivalRateScaling(t *testing.T) {
 	cases := []ArrivalSpec{
 		{Process: "fixed", Count: 10, Interval: 2},

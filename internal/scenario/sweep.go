@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -91,45 +90,30 @@ func apply(spec Spec, axis string, value float64) (Spec, error) {
 	return out, nil
 }
 
-// Sweep runs the scenario once per axis value. Every point gets its own
-// RNG stream split off the scenario seed up front — before any point
-// runs — so results are a pure function of (spec, axis, values): the
-// same no matter how wide the GA worker pool is or in what order the
-// points would execute. The seed axis is the exception: there the value
-// *is* the seed, by definition.
-func Sweep(spec Spec, axis string, values []float64, opt RunOptions) ([]SweepPoint, error) {
+// SweepSpecs returns the scenario once per axis value, ready to run.
+// Every point gets its own RNG stream split off the scenario seed up
+// front and written into its Seed, so results are a pure function of
+// (spec, axis, values): the same no matter how wide the GA worker pool
+// is or in what order the points execute. The seed axis is the
+// exception: there the value *is* the seed, by definition.
+func SweepSpecs(spec Spec, axis string, values []float64) ([]Spec, error) {
 	if len(values) == 0 {
 		return nil, fmt.Errorf("scenario: empty sweep")
 	}
 	master := sim.NewRNG(spec.Seed)
-	seeds := make([]uint64, len(values))
-	for i := range seeds {
-		seeds[i] = master.Split().Uint64()
-	}
-	out := make([]SweepPoint, len(values))
+	out := make([]Spec, len(values))
 	for i, v := range values {
+		seed := master.Split().Uint64()
 		pt, err := apply(spec, axis, v)
 		if err != nil {
 			return nil, err
 		}
-		seed := seeds[i]
-		if axis == AxisSeed {
-			seed = pt.Seed
+		if axis != AxisSeed {
+			pt.Seed = seed
 		}
-		res, err := runSeeded(pt, seed, opt)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: sweep %s=%g: %w", axis, v, err)
-		}
-		out[i] = SweepPoint{Axis: axis, Value: v, Result: res}
+		out[i] = pt
 	}
 	return out, nil
-}
-
-// WriteJSON renders a sweep report as indented JSON.
-func (r SweepReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(r)
 }
 
 // WriteCSV renders the sweep as one row per point.

@@ -1,0 +1,116 @@
+package scenario_test
+
+import (
+	"encoding/json"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/experiment"
+	"repro/internal/scenario"
+)
+
+// sweep builds the points of a sweep and runs them as one study, as
+// gridexp -sweep does.
+func sweep(t *testing.T, spec scenario.Spec, axis string, values []float64, opt scenario.RunOptions) []experiment.Outcome {
+	t.Helper()
+	specs, err := scenario.SweepSpecs(spec, axis, values)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := make([]experiment.Run, len(specs))
+	for i, s := range specs {
+		runs[i] = experiment.Run{Label: axis, Spec: s}
+	}
+	outs, err := experiment.RunStudy(runs, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return outs
+}
+
+func TestSweepDeterminism(t *testing.T) {
+	spec := scenario.SmallSpec()
+	spec.Arrivals.Count = 80
+	values := []float64{1, 2, 4}
+	a := sweep(t, spec, scenario.AxisRate, values, scenario.RunOptions{Workers: 1})
+	b := sweep(t, spec, scenario.AxisRate, values, scenario.RunOptions{Workers: 3})
+	if len(a) != len(values) || len(b) != len(values) {
+		t.Fatalf("sweep lengths %d %d, want %d", len(a), len(b), len(values))
+	}
+	for i := range a {
+		if !reflect.DeepEqual(scenario.StripHost(a[i].Result), scenario.StripHost(b[i].Result)) {
+			t.Fatalf("sweep point %d differs across worker widths", i)
+		}
+	}
+	// Per-point seeds are split off the master up front, so two points
+	// never share a stream.
+	if a[0].Result.Seed == a[1].Result.Seed {
+		t.Fatalf("sweep points share seed %d", a[0].Result.Seed)
+	}
+}
+
+func TestSweepSeedAxisUsesValueAsSeed(t *testing.T) {
+	spec := scenario.SmallSpec()
+	spec.Arrivals.Count = 40
+	pts := sweep(t, spec, scenario.AxisSeed, []float64{7, 11}, scenario.RunOptions{})
+	if pts[0].Result.Seed != 7 || pts[1].Result.Seed != 11 {
+		t.Fatalf("seed axis seeds %d %d, want 7 11", pts[0].Result.Seed, pts[1].Result.Seed)
+	}
+}
+
+func TestSweepAgentsAxisRejectsPreset(t *testing.T) {
+	if _, err := scenario.SweepSpecs(scenario.Fig7(), scenario.AxisAgents, []float64{8, 16}); err == nil {
+		t.Fatal("agents axis over a preset topology accepted")
+	}
+}
+
+func TestSweepReportFormats(t *testing.T) {
+	spec := scenario.SmallSpec()
+	spec.Arrivals.Count = 40
+	values := []float64{1, 3}
+	rep := scenario.SweepReport{Scenario: spec.Name, Axis: scenario.AxisRate}
+	for i, o := range sweep(t, spec, scenario.AxisRate, values, scenario.RunOptions{}) {
+		rep.Points = append(rep.Points, scenario.SweepPoint{Axis: scenario.AxisRate, Value: values[i], Result: o.Result})
+	}
+
+	blob, err := json.MarshalIndent(rep, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(blob), `"eps_s"`) || !strings.Contains(string(blob), `"audit_ok"`) {
+		t.Fatalf("JSON missing expected fields:\n%s", blob)
+	}
+	var csvBuf strings.Builder
+	if err := rep.WriteCSV(&csvBuf); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(csvBuf.String()), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("CSV has %d lines, want header + 2 points:\n%s", len(lines), csvBuf.String())
+	}
+	if !strings.HasPrefix(lines[0], "axis,value,agents") {
+		t.Fatalf("CSV header: %s", lines[0])
+	}
+	table := scenario.FormatSweep(rep)
+	if !strings.Contains(table, "Sweep of small over rate") {
+		t.Fatalf("table header missing:\n%s", table)
+	}
+}
+
+// TestSweepTelemetryPerPoint checks that concurrent sweep points keep
+// isolated registries: each point's totals match its own workload.
+func TestSweepTelemetryPerPoint(t *testing.T) {
+	spec := scenario.SmallSpec()
+	spec.Arrivals.Count = 60
+	pts := sweep(t, spec, scenario.AxisRate, []float64{1, 3}, scenario.RunOptions{Telemetry: true, SamplePeriod: 20})
+	for i, pt := range pts {
+		exp := pt.Result.Telemetry
+		if exp == nil {
+			t.Fatalf("point %d has no telemetry", i)
+		}
+		if got := exp.Snapshot.Counters["grid_requests_total"]; got != uint64(pt.Result.Requests) {
+			t.Fatalf("point %d: grid_requests_total = %d, want %d", i, got, pt.Result.Requests)
+		}
+	}
+}

@@ -57,23 +57,3 @@ func TestRunTelemetry(t *testing.T) {
 		t.Fatal("telemetry lost in JSON round-trip")
 	}
 }
-
-// TestSweepTelemetryPerPoint checks that concurrent sweep points keep
-// isolated registries: each point's totals match its own workload.
-func TestSweepTelemetryPerPoint(t *testing.T) {
-	spec := smallSpec()
-	spec.Arrivals.Count = 60
-	pts, err := Sweep(spec, AxisRate, []float64{1, 3}, RunOptions{Telemetry: true, SamplePeriod: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, pt := range pts {
-		exp := pt.Result.Telemetry
-		if exp == nil {
-			t.Fatalf("point %d has no telemetry", i)
-		}
-		if got := exp.Snapshot.Counters["grid_requests_total"]; got != uint64(pt.Result.Requests) {
-			t.Fatalf("point %d: grid_requests_total = %d, want %d", i, got, pt.Result.Requests)
-		}
-	}
-}

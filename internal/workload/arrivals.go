@@ -237,8 +237,8 @@ func (tr TraceReplay) Validate() error {
 	}
 	prev := math.Inf(-1)
 	for i, t := range tr.At {
-		if t < 0 {
-			return fmt.Errorf("workload: trace arrival %d at negative time %g", i, t)
+		if t < 0 || math.IsNaN(t) || math.IsInf(t, 0) {
+			return fmt.Errorf("workload: trace arrival %d at %g, want a finite non-negative time", i, t)
 		}
 		if t < prev {
 			return fmt.Errorf("workload: trace arrival %d at %g before predecessor %g", i, t, prev)

@@ -179,6 +179,13 @@ func TestTraceReplay(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("descending trace validated")
 	}
+	// A non-finite arrival once reached the simulator: NaN as a request
+	// with no processors, +Inf as a run that exhausted its event budget.
+	for _, at := range [][]float64{{0, math.NaN()}, {math.NaN(), 1}, {0, math.Inf(1)}, {math.Inf(-1), 0}, {-1}} {
+		if err := (TraceReplay{At: at}).Validate(); err == nil {
+			t.Errorf("trace %v validated", at)
+		}
+	}
 }
 
 func TestArrivalValidation(t *testing.T) {
