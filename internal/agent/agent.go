@@ -94,6 +94,9 @@ type Gate interface {
 	// ExchangeErr reports whether an exchange from one agent to another
 	// can proceed at virtual time now.
 	ExchangeErr(from, to string, now float64) error
+	// AgentDown reports whether the named agent is crashed: it neither
+	// pulls nor publishes in Hierarchy.PullAll.
+	AgentDown(name string) bool
 }
 
 // AdvertSink is implemented by peers that accept pushed advertisements
@@ -171,6 +174,11 @@ type Agent struct {
 
 	lastPushedFreetime float64
 	pushedOnce         bool
+
+	// advert is the agent's base advertisement as of the current
+	// Hierarchy.PullAll tick, valid while advertLive.
+	advert     scheduler.ServiceInfo
+	advertLive bool
 }
 
 // peerHealth tracks one neighbour's exchange history for the circuit
@@ -213,6 +221,9 @@ func New(local *scheduler.Local, engine *pace.Engine) (*Agent, error) {
 
 // SetGate installs the exchange gate consulted before every peer call.
 func (a *Agent) SetGate(g Gate) { a.gate = g }
+
+// down reports whether the agent's gate holds it crashed.
+func (a *Agent) down() bool { return a.gate != nil && a.gate.AgentDown(a.name) }
 
 // gateErr asks the gate (when present) whether an exchange with the
 // named peer can proceed.
@@ -439,36 +450,25 @@ func (a *Agent) neighbours() []Peer {
 // their previous advertisement (subject to AdvertTTL at read time); each
 // failed attempt feeds the peer's circuit breaker, and each success
 // doubles as the probe that closes a tripped breaker.
-func (a *Agent) Pull(now float64) {
-	a.PullBatched(now, func(string) (scheduler.ServiceInfo, bool) { return scheduler.ServiceInfo{}, false })
-}
+func (a *Agent) Pull(now float64) { a.pullBatched(now, false) }
 
-// PullBatched is the cache-refresh loop behind Pull: it takes each
-// neighbour's base advertisement from a tick-wide snapshot instead of
-// recomputing ServiceInfo per puller. Within one pull tick a
-// scheduler's state does not change, so every puller of the same
-// publisher would compute an identical base advertisement; batching
-// coalesces those O(degree) computations into one per publisher. The
-// publisher's fault counters are still read live, at exchange time,
-// because Pull annotates them per exchange and a lossy-gate failure
-// earlier in the same tick must be visible to later pullers. Peers
-// missing from the snapshot (or that are not in-process agents) fall
-// back to PullService — which is all of them under Pull's empty snapshot.
-func (a *Agent) PullBatched(now float64, base func(name string) (scheduler.ServiceInfo, bool)) {
+// pullBatched is the cache-refresh loop behind Pull and PullAll. Batched,
+// it takes each live in-process neighbour's base advertisement from the
+// tick-wide snapshot PullAll took instead of recomputing ServiceInfo per
+// puller (every in-process neighbour of a tree member is a member too).
+// The publisher's fault counters are still read live, at exchange time,
+// because a lossy-gate failure earlier in the same tick must be visible
+// to later pullers. Other peers — all of them under Pull — answer
+// PullService.
+func (a *Agent) pullBatched(now float64, batched bool) {
 	for _, n := range a.neighbours() {
 		name := n.PeerName()
 		var info scheduler.ServiceInfo
 		err := a.gateErr(name, now)
 		if err == nil {
-			snapped := false
-			if peer, ok := n.(*Agent); ok {
-				if si, ok := base(name); ok {
-					info, snapped = si, true
-					info.FailedPulls = int(peer.stats.failedPulls.Value())
-					info.Redispatches = int(peer.stats.redispatches.Value())
-				}
-			}
-			if !snapped {
+			if peer, ok := n.(*Agent); ok && batched && peer.advertLive {
+				info = peer.annotate(peer.advert)
+			} else {
 				info, err = n.PullService()
 			}
 		}
@@ -558,10 +558,14 @@ func (a *Agent) PeerName() string { return a.name }
 // scheduler's service information, annotated with the agent's fault
 // counters so peers can observe a resource's failure history.
 func (a *Agent) PullService() (scheduler.ServiceInfo, error) {
-	si := a.local.ServiceInfo()
+	return a.annotate(a.local.ServiceInfo()), nil
+}
+
+// annotate stamps the agent's live fault counters on an advertisement.
+func (a *Agent) annotate(si scheduler.ServiceInfo) scheduler.ServiceInfo {
 	si.FailedPulls = int(a.stats.failedPulls.Value())
 	si.Redispatches = int(a.stats.redispatches.Value())
-	return si, nil
+	return si
 }
 
 // Handle implements Peer.

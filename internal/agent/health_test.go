@@ -18,6 +18,8 @@ func (g *testGate) ExchangeErr(from, to string, now float64) error {
 	return nil
 }
 
+func (g *testGate) AgentDown(name string) bool { return g.down[name] }
+
 // trio builds a head (slow local resource) with two lower neighbours,
 // one fast and one middling, all sharing a gate.
 func trio(t *testing.T, g Gate) (head, fast, alt *Agent) {

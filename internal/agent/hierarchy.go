@@ -17,6 +17,7 @@ type Hierarchy struct {
 	mu     sync.RWMutex
 	head   *Agent
 	byName map[string]*Agent
+	sorted []*Agent // byName in name order; nil until built or after Attach/Detach
 }
 
 // AlreadyLinkedError rejects wiring an upper neighbour onto a child that
@@ -162,6 +163,7 @@ func (h *Hierarchy) Attach(parent string, child *Agent) error {
 		return err
 	}
 	h.byName[child.name] = child
+	h.sorted = nil
 	return nil
 }
 
@@ -200,6 +202,7 @@ func (h *Hierarchy) Detach(name string) (*Agent, error) {
 		}
 	}
 	delete(h.byName, name)
+	h.sorted = nil
 	return parent, nil
 }
 
@@ -313,19 +316,26 @@ func (h *Hierarchy) Lookup(name string) (*Agent, bool) {
 
 // Agents returns every agent sorted by name.
 func (h *Hierarchy) Agents() []*Agent {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	out := make([]*Agent, 0, len(h.byName))
-	for _, a := range h.byName {
-		out = append(out, a)
+	return append([]*Agent(nil), h.inOrder()...)
+}
+
+// inOrder returns the shared name-ordered agent slice, sorting it only
+// after a membership change, so a static tree sorts its names once.
+func (h *Hierarchy) inOrder() []*Agent {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.sorted == nil {
+		for _, a := range h.byName {
+			h.sorted = append(h.sorted, a)
+		}
+		sort.Slice(h.sorted, func(i, j int) bool { return lessAgentName(h.sorted[i].name, h.sorted[j].name) })
 	}
-	sort.Slice(out, func(i, j int) bool { return lessAgentName(out[i].name, out[j].name) })
-	return out
+	return h.sorted
 }
 
 // Names returns the agent names sorted naturally (S2 before S10).
 func (h *Hierarchy) Names() []string {
-	agents := h.Agents()
+	agents := h.inOrder()
 	out := make([]string, len(agents))
 	for i, a := range agents {
 		out[i] = a.name
@@ -333,10 +343,30 @@ func (h *Hierarchy) Names() []string {
 	return out
 }
 
-// PullAll refreshes every agent's service-information set, in name order.
+// PullAll runs one advertisement pull tick across the whole tree: every
+// live agent refreshes its service-information set, in name order. An
+// agent its gate reports down neither pulls nor is pulled.
 func (h *Hierarchy) PullAll(now float64) {
-	for _, a := range h.Agents() {
-		a.Pull(now)
+	agents := h.inOrder()
+	// Phase 1: every live publisher computes its base advertisement once.
+	// Scheduler state does not change within a pull tick, so each puller
+	// of the same publisher would compute an identical advertisement —
+	// the batch coalesces those O(degree) computations into one per
+	// publisher.
+	for _, a := range agents {
+		if a.advertLive = !a.down(); a.advertLive {
+			a.advert = a.local.ServiceInfo()
+		}
+	}
+	// Phase 2: the exchanges themselves, strictly sequential in name
+	// order — lossy-gate draws and the live fault counters stamped on each
+	// advert are order-sensitive. The gate fails a crashed agent's
+	// exchanges with its peers, but skipping its own loop keeps it from
+	// racking up failures against live peers.
+	for _, a := range agents {
+		if a.advertLive {
+			a.pullBatched(now, true)
+		}
 	}
 }
 

@@ -21,6 +21,8 @@ func (g *countingGate) ExchangeErr(from, to string, now float64) error {
 	return nil
 }
 
+func (g *countingGate) AgentDown(string) bool { return false }
+
 // ternary builds n four-node agents A0…A(n-1) behind one counting gate,
 // agent i under agent (i-1)/3.
 func ternary(t *testing.T, n int) ([]*Agent, *countingGate) {

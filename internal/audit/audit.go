@@ -48,7 +48,7 @@ type Run struct {
 
 // Violation is one broken invariant.
 type Violation struct {
-	Check  string // "conservation", "exclusivity", "timing", "placement", "metrics", "identity", "trace", "reservation", "membership"
+	Check  string // "conservation", "exclusivity", "timing", "placement", "metrics", "identity", "trace", "reservation", "membership", "crash"
 	ReqID  uint64 // the request involved, when the violation is request-scoped
 	Detail string
 }

@@ -6,7 +6,7 @@ import (
 	"repro/internal/trace"
 )
 
-// Membership invariants (g), layered on (a)–(e):
+// Membership invariants (g) and the crash invariant (h), layered on (a)–(e):
 //
 //	(g1) no post-departure work — once a resource's leave event is
 //	     observed, no dispatch, redispatch, migrate-redispatch or start
@@ -21,6 +21,9 @@ import (
 //	(g3) lifecycle sanity — an agent leaves only while present (joined
 //	     at run start or via a join event) and at most once between
 //	     joins.
+//	(h)  no placement on a crashed agent — no dispatch, redispatch,
+//	     migrate-redispatch or reserve-confirm lands on an agent between
+//	     its peerdown and peerup (check "crash").
 //
 // Membership events are grid-scoped, not request-scoped: they join on
 // the agent name carried in Event.Agent/Resource. The no-loss and
@@ -122,6 +125,16 @@ func (o *Observer) checkDeparted(ev trace.Event) {
 	}
 	if t, gone := o.leftAt[ev.Resource]; gone && ev.Time > t {
 		o.add("membership", ev.ReqID, fmt.Sprintf("%s on %s at t=%g, after the resource left at t=%g", ev.Kind, ev.Resource, ev.Time, t))
+	}
+}
+
+// checkCrashed raises (h) for a placement — dispatch, redispatch,
+// migrate-redispatch or reserve-confirm — landing on an agent between
+// its peerdown and peerup. Starts stay legal: tasks already executing
+// survive their agent's crash.
+func (o *Observer) checkCrashed(ev trace.Event) {
+	if t, down := o.down[ev.Resource]; down {
+		o.add("crash", ev.ReqID, fmt.Sprintf("%s on %s at t=%g, while the agent was down since t=%g", ev.Kind, ev.Resource, ev.Time, t))
 	}
 }
 

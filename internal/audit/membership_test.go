@@ -1,6 +1,7 @@
 package audit
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -155,4 +156,52 @@ func TestMembershipDetectsLifecycleViolations(t *testing.T) {
 			t.Fatalf("static resource leave flagged: %v", res.Violations)
 		}
 	})
+}
+
+// (h) no placement on a crashed agent, on forged streams: a dispatch,
+// migrate-redispatch or reserve-confirm between an agent's peerdown and
+// peerup is flagged; a start there is not (running tasks survive an
+// agent crash), and neither is a placement after the peerup.
+func TestCrashDetectsPlacementOnDownAgent(t *testing.T) {
+	down := func(at float64, name string) trace.Event {
+		return trace.Event{Time: at, Kind: trace.KindPeerDown, Agent: name}
+	}
+	up := func(at float64, name string) trace.Event {
+		return trace.Event{Time: at, Kind: trace.KindPeerUp, Agent: name}
+	}
+	// insert puts evs before position i of run's stream.
+	insert := func(run Run, i int, evs ...trace.Event) Run {
+		run.Events = slices.Insert(run.Events, i, evs...)
+		return run
+	}
+	cases := []struct {
+		name  string
+		run   Run
+		flags []string // the crash violations' details, in order
+	}{
+		{"dispatch while down", insert(cleanRun(t), 2, down(0.5, "S2")),
+			[]string{"dispatch on S2 at t=1, while the agent was down since t=0.5"}},
+		{"dispatch after peerup", insert(cleanRun(t), 2, down(0.5, "S2"), up(0.8, "S2")), nil},
+		{"start while down", insert(cleanRun(t), 4, down(1.5, "S2")), nil},
+		{"migrate-redispatch while down", insert(migratedRun(t), 5, down(2.5, "S1")),
+			[]string{"migrate-redispatch on S1 at t=3, while the agent was down since t=2.5"}},
+		{"reserve-confirm while down", insert(reservedRun(t), 0, down(0, "S1")),
+			[]string{
+				"reserve-confirm on S1 at t=0, while the agent was down since t=0",
+				"dispatch on S1 at t=0, while the agent was down since t=0",
+			}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var got []string
+			for _, v := range Check(c.run).Violations {
+				if v.Check == "crash" {
+					got = append(got, v.Detail)
+				}
+			}
+			if strings.Join(got, "\n") != strings.Join(c.flags, "\n") {
+				t.Fatalf("crash violations:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(c.flags, "\n"))
+			}
+		})
+	}
 }

@@ -79,6 +79,9 @@ type Observer struct {
 	leftAt  map[string]float64
 	present map[string]bool
 	rehomes []*rehomeChain
+
+	// down holds each currently crashed agent's peerdown time (h).
+	down map[string]float64
 }
 
 type interval struct {
@@ -147,6 +150,7 @@ func NewObserver(nodes map[string]int) *Observer {
 		ivs:      map[string][][]interval{},
 		busy:     map[string][]float64{},
 		present:  map[string]bool{},
+		down:     map[string]float64{},
 		minStart: math.Inf(1),
 		maxEnd:   math.Inf(-1),
 	}
@@ -197,13 +201,26 @@ func (o *Observer) Record(ev trace.Event) { o.Observe(ev) }
 func (o *Observer) Observe(ev trace.Event) {
 	o.anyEvents = true
 	switch ev.Kind {
-	case trace.KindReserveHold, trace.KindReserveConfirm, trace.KindReserveRelease, trace.KindReserveExpire:
+	case trace.KindPeerDown:
+		o.down[ev.Agent] = ev.Time
+		return
+	case trace.KindPeerUp:
+		delete(o.down, ev.Agent)
+		return
+	case trace.KindReserveConfirm:
+		o.checkCrashed(ev)
+		o.observeReserve(ev)
+		return
+	case trace.KindReserveHold, trace.KindReserveRelease, trace.KindReserveExpire:
 		o.observeReserve(ev)
 		return
 	case trace.KindJoin, trace.KindLeave, trace.KindRehomePropose, trace.KindRehomeDetach, trace.KindRehomeAttach:
 		o.observeMembership(ev)
 		return
-	case trace.KindDispatch, trace.KindRedispatch, trace.KindMigrateRedispatch, trace.KindStart:
+	case trace.KindDispatch, trace.KindRedispatch, trace.KindMigrateRedispatch:
+		o.checkCrashed(ev)
+		o.checkDeparted(ev)
+	case trace.KindStart:
 		o.checkDeparted(ev)
 	}
 	if !ev.Kind.TaskBearing() {

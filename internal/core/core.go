@@ -193,10 +193,10 @@ type Grid struct {
 	// with work due instead of all 10k. Entries are lazily deleted.
 	due dueHeap
 
-	// pullStale tells Run's advert pull that the tree changed under it
-	// (memberState sets it on every join, leave and re-home) and the
-	// cached publisher set must be rebuilt before the next exchange.
-	pullStale bool
+	// budget is the RunAll event bound, summed where the events are
+	// queued: tick adds its own firings, Run the requests and the fault
+	// and churn plans' events.
+	budget int
 
 	lastRequestAt float64
 	requests      int
@@ -483,36 +483,7 @@ func (g *Grid) SubmitAt(at float64, agentName, appName string, deadlineRel float
 		g.advanceAll(now)
 		g.mRequests.Inc()
 		deadline := now + deadlineRel
-		arriveDetail := ""
-		arrival := agentName
-		arrivalDown := false
-		if g.injector != nil {
-			// A crashed agent cannot receive arrivals; the portal
-			// retries the nearest live ancestor instead.
-			target, ok := g.injector.RerouteArrival(agentName)
-			switch {
-			case !ok:
-				arrivalDown = true
-			case target != agentName:
-				arrival = target
-				arriveDetail = "rerouted to " + target + " (agent down)"
-			}
-		}
-		if g.members != nil && !arrivalDown && !g.members.reg.Active(arrival) {
-			// A departed agent cannot receive arrivals either — but it
-			// left gracefully, so its last parent (transitively, the
-			// closest still-active ancestor) stands in as the portal.
-			target, ok := g.members.reg.Route(arrival)
-			if !ok {
-				arrivalDown = true
-			} else {
-				arrival = target
-				if arriveDetail != "" {
-					arriveDetail += "; "
-				}
-				arriveDetail += "rerouted to " + target + " (agent left)"
-			}
-		}
+		arrival, arriveDetail, live := g.route(agentName)
 		// The arrive event is recorded unconditionally — the request did
 		// enter the grid — so that every arrival terminates in exactly
 		// one complete or fail (the conservation invariant internal/audit
@@ -525,7 +496,7 @@ func (g *Grid) SubmitAt(at float64, agentName, appName string, deadlineRel float
 			g.mErrors.Inc()
 			g.traceEvent(trace.Event{Time: now, Kind: trace.KindFail, ReqID: reqID, Agent: agentName, App: appName, Detail: detail})
 		}
-		if arrivalDown {
+		if !live {
 			err := fmt.Errorf("request at %g: no live agent for arrival at %s", now, agentName)
 			failRequest(err, err.Error())
 			return
@@ -565,6 +536,37 @@ func (g *Grid) SubmitAt(at float64, agentName, appName string, deadlineRel float
 		})
 	})
 	return nil
+}
+
+// route is the one answer to "which live agent receives a request
+// addressed to name": a departed agent's closest still-active ancestor
+// first (it left gracefully, so its last parent stands in as the portal),
+// then, if that agent is crashed, its nearest live ancestor (the portal
+// retries up the hierarchy). detail describes each reroute; ok is false
+// when no live agent can take the request.
+func (g *Grid) route(name string) (arrival, detail string, ok bool) {
+	arrival = name
+	if g.members != nil {
+		if arrival, ok = g.members.reg.Route(name); !ok {
+			return "", "", false
+		}
+		if arrival != name {
+			detail = "rerouted to " + arrival + " (agent left)"
+		}
+	}
+	if g.injector != nil {
+		crashed := arrival
+		if arrival, ok = g.injector.RerouteArrival(crashed); !ok {
+			return "", "", false
+		}
+		if arrival != crashed {
+			if detail != "" {
+				detail += "; "
+			}
+			detail += "rerouted to " + arrival + " (agent down)"
+		}
+	}
+	return arrival, detail, true
 }
 
 // traceEvent fans one lifecycle event to the streaming audit and the
@@ -721,61 +723,7 @@ func (g *Grid) Run() error {
 	}
 	g.ran = true
 	if g.opts.UseAgents {
-		// The publisher set — names in pull order, their index, the
-		// per-tick advert and liveness arrays — is kept until memberState
-		// marks it stale (a join, leave or re-home): a static grid sorts
-		// its names once, a churning one only when the tree moved.
-		var (
-			names []string
-			idx   map[string]int
-			base  []scheduler.ServiceInfo
-			live  []bool
-		)
-		g.pullStale = true
-		lookup := func(name string) (scheduler.ServiceInfo, bool) {
-			i, ok := idx[name]
-			if !ok || !live[i] {
-				return scheduler.ServiceInfo{}, false
-			}
-			return base[i], true
-		}
-		pull := func(now float64) {
-			if g.pullStale {
-				g.pullStale = false
-				names = g.hier.Names()
-				idx = make(map[string]int, len(names))
-				for i, n := range names {
-					idx[n] = i
-				}
-				base = make([]scheduler.ServiceInfo, len(names))
-				live = make([]bool, len(names))
-			}
-			// Phase 1: every live publisher computes its base
-			// advertisement once. Scheduler state does not change within
-			// a pull tick, so each puller of the same publisher would
-			// compute an identical advertisement — the batch coalesces
-			// those O(degree) computations into one per publisher.
-			for i, name := range names {
-				live[i] = g.injector == nil || !g.injector.Registry().AgentDown(name)
-				if live[i] {
-					base[i] = g.locals[name].ServiceInfo()
-				}
-			}
-			// Phase 2: the exchanges themselves, strictly sequential in
-			// name order — lossy-gate draws and the live fault counters
-			// stamped on each advert are order-sensitive. A crashed agent
-			// neither pulls nor is pulled; the gate fails its peers'
-			// exchanges, but skipping the crashed agent's own loop keeps it
-			// from racking up failures against live peers.
-			for _, name := range names {
-				if g.injector != nil && g.injector.Registry().AgentDown(name) {
-					continue
-				}
-				a, _ := g.hier.Lookup(name)
-				a.PullBatched(now, lookup)
-			}
-		}
-		pull(0)
+		g.hier.PullAll(0)
 		// Pulls continue through the churn tail (none without a churn
 		// plan) so late joiners start advertising even when every request
 		// has already arrived.
@@ -783,10 +731,11 @@ func (g *Grid) Run() error {
 		if t := g.opts.Churn.LastEventTime(); t > last {
 			last = t
 		}
-		g.tick(g.opts.PullPeriod, last, pull)
+		g.tick(g.opts.PullPeriod, last, g.hier.PullAll)
 	}
 	if g.injector != nil {
 		g.injector.Schedule(g.simr)
+		g.budget += 4*len(g.opts.FaultPlan.Events) + 16
 	}
 	if g.migrator != nil {
 		// Scheduled after the pull Every and the fault events so a
@@ -802,6 +751,7 @@ func (g *Grid) Run() error {
 		// post-pull, post-fault grid. With membership off this branch
 		// queues nothing: the event stream is byte-identical.
 		g.members.schedule()
+		g.budget += 4*g.opts.Churn.Events() + 16
 	}
 	if g.resv != nil {
 		// The expiry sweep retires holds whose TTL lapsed unconfirmed.
@@ -817,7 +767,11 @@ func (g *Grid) Run() error {
 		g.sampler.Sample(0)
 		g.tick(g.sampler.Period(), g.lastRequestAt, g.sampler.Sample)
 	}
-	g.simr.RunAll(g.eventBudget())
+	// A mega-grid run legitimately exceeds 10M events; a run that exceeds
+	// its own summed budget has a runaway event loop, and RunAll fails
+	// loudly rather than truncating the simulation silently. The floor
+	// keeps the bound from ever tightening for small workloads.
+	g.simr.RunAll(max(g.budget+g.requests+1024, 10_000_000))
 	for _, name := range g.allNames() {
 		g.locals[name].Drain()
 	}
@@ -836,59 +790,13 @@ func (g *Grid) Run() error {
 }
 
 // tick schedules fn every period of virtual time, the last firing being
-// the first at or past last.
+// the first at or past last, and adds those firings to the event budget.
 func (g *Grid) tick(period, last float64, fn func(now float64)) {
+	g.budget += int(last/period) + 2
 	g.simr.Every(period, func(now float64) bool {
 		fn(now)
 		return now < last
 	})
-}
-
-// eventBudget derives the RunAll bound from the run's actual shape —
-// one event per submitted request plus the periodic pull, migration and
-// sampling ticks and the fault plan's scheduled events, with slack —
-// instead of relying on the simulator's fixed default. A mega-grid run
-// legitimately exceeds 10M events; a run that exceeds its own derived
-// budget has a runaway event loop, and RunAll fails loudly rather than
-// truncating the simulation silently. The default stays as a floor so
-// the bound never tightens for existing workloads.
-func (g *Grid) eventBudget() int {
-	ticks := func(period float64) int {
-		if period <= 0 {
-			return 0
-		}
-		return int(g.lastRequestAt/period) + 2
-	}
-	budget := g.requests + 1024
-	if g.opts.UseAgents {
-		budget += ticks(g.opts.PullPeriod)
-	}
-	if g.migrator != nil {
-		budget += ticks(g.migrator.pol.CheckPeriod)
-	}
-	if g.resv != nil {
-		budget += ticks(g.resv.pol.SweepPeriod)
-	}
-	if g.sampler != nil {
-		budget += ticks(g.sampler.Period())
-	}
-	if g.opts.FaultPlan != nil {
-		budget += 4*len(g.opts.FaultPlan.Events) + 16
-	}
-	if g.members != nil {
-		budget += 4*g.opts.Churn.Events() + 16
-		if g.members.reb != nil {
-			horizon := g.lastRequestAt
-			if t := g.opts.Churn.LastEventTime(); t > horizon {
-				horizon = t
-			}
-			budget += int(horizon/g.members.reb.Policy().CheckPeriod) + 2
-		}
-	}
-	if budget < 10_000_000 {
-		budget = 10_000_000
-	}
-	return budget
 }
 
 // SimEvents reports how many simulator events the run executed — the

@@ -114,7 +114,6 @@ func (ms *memberState) join(j membership.Join, now float64) {
 		return
 	}
 	delete(ms.pending, j.Name)
-	ms.g.pullStale = true
 	ms.cJoins.Inc()
 	ms.g.traceEvent(trace.Event{
 		Time: now, Kind: trace.KindJoin, Agent: j.Name, Resource: j.Name,
@@ -132,7 +131,6 @@ func (ms *memberState) leave(name string, now float64) {
 		ms.g.errs = append(ms.g.errs, fmt.Errorf("core: leave at %g: %w", now, err))
 		return
 	}
-	ms.g.pullStale = true
 	ms.cLeaves.Inc()
 	detail := "parent=" + res.Parent.Name()
 	if len(res.Rehomed) > 0 {
@@ -145,11 +143,13 @@ func (ms *memberState) leave(name string, now float64) {
 	ms.drain(res, now)
 }
 
-// drain re-places the leaver's not-yet-started tasks through its former
-// parent's discovery, one offer→withdraw→redispatch chain per task — the
-// same protocol (and the same audited invariant: never lost, never run
-// twice) as drift migration, in the same single simulator event, so no
-// virtual time passes while a task is on two schedulers. Unlike drift
+// drain re-places the leaver's not-yet-started tasks through the
+// discovery of the agent Grid.route names for the leaver (its former
+// parent, or that parent's nearest live ancestor when it is down), one
+// offer→withdraw→redispatch chain per task — the same protocol (and the
+// same audited invariant: never lost, never run twice) as drift
+// migration, in the same single simulator event, so no virtual time
+// passes while a task is on two schedulers. Unlike drift
 // migration the drain uses full discovery including the best-effort
 // fallback: the origin is leaving, so "stay put" is not an option, and a
 // late placement beats a lost task. Already-started tasks run to
@@ -163,6 +163,12 @@ func (ms *memberState) drain(res membership.LeaveResult, now float64) {
 	if len(snapshot) == 0 {
 		return
 	}
+	arrival, _, live := ms.g.route(origin)
+	if !live {
+		ms.g.errs = append(ms.g.errs, fmt.Errorf("core: drain off leaving %s: no live agent", origin))
+		return
+	}
+	portal, _ := ms.g.hier.Lookup(arrival)
 	// Discovery must not hand a task back to the leaver (stale caches
 	// elsewhere could still advertise it) nor route into a crashed agent.
 	visited := []string{origin}
@@ -192,7 +198,7 @@ func (ms *memberState) drain(res membership.LeaveResult, now float64) {
 			Deadline: rec.Deadline,
 			Visited:  append([]string(nil), visited...),
 		}
-		d, err := res.Parent.HandleRequest(req, now)
+		d, err := portal.HandleRequest(req, now)
 		if err != nil {
 			// No reachable resource supports the environment at all: the
 			// task stays on the leaver and runs there. Surface it — a
@@ -212,7 +218,7 @@ func (ms *memberState) drain(res membership.LeaveResult, now float64) {
 		})
 		ms.g.traceEvent(trace.Event{
 			Time: now, Kind: trace.KindMigrateRedispatch, ReqID: rec.ReqID,
-			Agent: res.Parent.Name(), Resource: d.Resource, TaskID: d.TaskID, App: app,
+			Agent: arrival, Resource: d.Resource, TaskID: d.TaskID, App: app,
 			Detail: fmt.Sprintf("from=%s oldtask=%d leave-drain", origin, rec.TaskID),
 		})
 	}
@@ -270,7 +276,6 @@ func (ms *memberState) rebalance(now float64) {
 		return
 	}
 	ms.reb.Moved(now)
-	ms.g.pullStale = true
 	ms.cMoves.Inc()
 	ms.g.traceEvent(trace.Event{
 		Time: now, Kind: trace.KindRehomeDetach, Agent: mv.Subtree,

@@ -181,17 +181,7 @@ func (r *reservist) submit(now float64, agentName, appName string, app *pace.App
 	// Every part arrives — and, whatever happens next, terminates in
 	// exactly one dispatch-then-complete or one fail (the conservation
 	// invariant internal/audit checks).
-	arrival := agentName
-	arrivalDown := false
-	if g.injector != nil {
-		target, ok := g.injector.RerouteArrival(agentName)
-		switch {
-		case !ok:
-			arrivalDown = true
-		case target != agentName:
-			arrival = target
-		}
-	}
+	arrival, _, live := g.route(agentName)
 	for i, id := range reqIDs {
 		g.traceEvent(trace.Event{
 			Time: now, Kind: trace.KindArrive, ReqID: id, Agent: agentName, App: appName,
@@ -205,7 +195,7 @@ func (r *reservist) submit(now float64, agentName, appName string, app *pace.App
 			g.traceEvent(trace.Event{Time: now, Kind: trace.KindFail, ReqID: id, Agent: agentName, App: appName, Detail: reason})
 		}
 	}
-	if arrivalDown {
+	if !live {
 		failAll(fmt.Sprintf("no live agent for reservation arrival at %s", agentName))
 		return
 	}
