@@ -16,9 +16,14 @@
 //	gridexp -scenario s.json -sweep rate=0.5,1,2 -out sweep.json
 //	gridexp -scenario s.json -find-saturation                   # capacity search
 //
-// Any mode accepts -out results.json to export the selected studies as
-// machine-readable JSON instead of scraping the printed tables, and
-// -cpuprofile / -memprofile to say where the run's time and memory went:
+// Any mode accepts -out results.json to export every study run as
+// machine-readable JSON instead of scraping the printed tables: one
+// {"runs": [{"label", "spec", "result"}, ...]} list in study order, whose
+// every spec is a scenario file that `gridexp -scenario` re-runs to the
+// same result. Scenario mode reads only its own flags and rejects the
+// experiment ones (-seed, -requests, -table3, -exp4, ...); the spec sets
+// the run. Any mode also accepts -cpuprofile / -memprofile to say where
+// the run's time and memory went:
 //
 //	gridexp -scenario examples/scenarios/mega-smoke.json -workers 1 -cpuprofile cpu.prof
 //	go tool pprof -top cpu.prof
@@ -59,7 +64,6 @@ var (
 	exp6     = flag.Bool("exp6", false, "run Experiment 6: the advance-reservation admission study over reserved-traffic shares")
 	exp7     = flag.Bool("exp7", false, "run Experiment 7: dynamic hierarchy under churn and flash crowd, static vs rebalanced tree")
 	auditRun = flag.Bool("audit", false, "print every run's audit verdict, clean ones included (every run is audited; a violation always prints and exits non-zero)")
-	csvDir   = flag.String("csv", "", "also export the experiment results as CSV into this directory")
 	traceOut = flag.String("tracefile", "", "write the experiment-3 request lifecycle trace as CSV to this file")
 	requests = flag.Int("requests", 600, "number of task requests (§4.1 uses 600)")
 	seed     = flag.Uint64("seed", 2003, "workload and GA seed")
@@ -68,7 +72,7 @@ var (
 	scenarioPath = flag.String("scenario", "", "run the scenario described by this JSON spec (see examples/scenarios/)")
 	sweepArg     = flag.String("sweep", "", "with -scenario: sweep one axis, e.g. rate=0.5,1,2 or agents=12,24,48")
 	findSat      = flag.Bool("find-saturation", false, "with -scenario: binary-search the arrival rate where ε crosses zero")
-	outPath      = flag.String("out", "", "export the selected results as JSON to this file (a -sweep also accepts a .csv path)")
+	outPath      = flag.String("out", "", "export every study run (label, spec, result) as JSON to this file")
 
 	telemetryOut = flag.String("telemetry", "", "instrument the runs and write the telemetry exports (registry snapshot + virtual-time series) as JSON to this file; results are byte-identical with or without it")
 	samplePeriod = flag.Float64("sample-period", 10, "telemetry series sampling period in virtual seconds")
@@ -79,16 +83,17 @@ var (
 
 func main() {
 	flag.Parse()
+	rejectUnread()
 	fail(startProfiles(*cpuProfile, *memProfile))
 	defer stopProfiles()
 
 	opt := scenario.RunOptions{Workers: *workers, Telemetry: *telemetryOut != "", SamplePeriod: *samplePeriod}
-	doc := exportDoc{Seed: *seed, Requests: *requests}
+	doc := exportDoc{Runs: []experiment.Outcome{}}
 	var studies []study
 	if *scenarioPath != "" {
-		studies = scenarioStudies(&doc, opt)
+		studies, doc.Saturation = scenarioStudies(opt)
 	} else {
-		studies = experimentStudies(&doc)
+		studies = experimentStudies()
 	}
 
 	// One loop runs, reports, audits and exports every study. A clean
@@ -116,30 +121,53 @@ func main() {
 				telemetryExports[telemetryKey.Replace(out.Label)] = out.Telemetry
 			}
 		}
-		st.export(outs)
+		if *outPath != "" { // an outcome holds its run's records: keep it only to export it
+			doc.Runs = append(doc.Runs, outs...)
+		}
 	}
 	if *outPath != "" {
-		fail(doc.write(*outPath))
+		fail(writeFile(*outPath, "results", indentedJSON(doc)))
 	}
 	if *telemetryOut != "" {
-		fail(writeTelemetry(*telemetryOut, telemetryExports))
+		fail(writeFile(*telemetryOut, "telemetry", indentedJSON(telemetryExports)))
 	}
 	if auditFailed {
 		exit(1)
 	}
 }
 
+// scenarioFlags are the flags scenario mode reads; the spec sets
+// everything else.
+var scenarioFlags = map[string]bool{
+	"scenario": true, "sweep": true, "find-saturation": true, "out": true,
+	"telemetry": true, "sample-period": true, "tracefile": true, "workers": true,
+	"audit": true, "cpuprofile": true, "memprofile": true,
+}
+
+// rejectUnread fails on any explicitly set flag the selected mode does
+// not read, instead of running something other than what was asked.
+func rejectUnread() {
+	flag.Visit(func(f *flag.Flag) {
+		switch {
+		case *scenarioPath != "" && !scenarioFlags[f.Name]:
+			fail(fmt.Errorf("-%s is an experiment flag: a -scenario run takes its settings from the spec", f.Name))
+		case *scenarioPath == "" && (f.Name == "sweep" || f.Name == "find-saturation"):
+			fail(fmt.Errorf("-sweep and -find-saturation need a -scenario spec"))
+		case f.Name == "sample-period" && *telemetryOut == "":
+			fail(fmt.Errorf("-sample-period sets the period of the -telemetry series: add -telemetry"))
+		}
+	})
+}
+
 // scenarioStudies loads the -scenario spec and returns its study: one
 // traced run labelled "scenario", or one run per -sweep point labelled
 // by its axis value. A -find-saturation search is adaptive rather than a
-// fixed list of runs, so it runs here and leaves no study.
-func scenarioStudies(doc *exportDoc, opt scenario.RunOptions) []study {
+// fixed list of runs, so it runs here, leaves no study and returns its
+// result.
+func scenarioStudies(opt scenario.RunOptions) ([]study, *scenario.SaturationResult) {
 	spec, err := scenario.Load(*scenarioPath)
 	fail(err)
-	*doc = exportDoc{Seed: spec.Seed, Requests: spec.Arrivals.Count}
 	switch {
-	case *csvDir != "":
-		fail(fmt.Errorf("-csv exports experiments 1-3, not a scenario: use -out"))
 	case *findSat && *sweepArg != "":
 		fail(fmt.Errorf("-sweep and -find-saturation are two studies: pick one"))
 	case *traceOut != "" && (*sweepArg != "" || *findSat):
@@ -151,16 +179,14 @@ func scenarioStudies(doc *exportDoc, opt scenario.RunOptions) []study {
 		res, err := scenario.FindSaturation(spec, opt, 0)
 		fail(err)
 		fmt.Println(scenario.FormatSaturation(res))
-		doc.Saturation = &res
-		return nil
+		return nil, &res
 	case *sweepArg == "":
 		return []study{{
 			header: "Running scenario " + spec.Name,
 			runs:   []experiment.Run{{Label: "scenario", Spec: spec}},
 			traced: true,
 			report: func(o []experiment.Outcome) string { return scenario.FormatResult(o[0].Result) },
-			export: func(o []experiment.Outcome) { doc.Scenario = &o[0].Result },
-		}}
+		}}, nil
 	}
 	axis, values, err := scenario.ParseAxis(*sweepArg)
 	fail(err)
@@ -170,33 +196,23 @@ func scenarioStudies(doc *exportDoc, opt scenario.RunOptions) []study {
 	for i, s := range specs {
 		runs[i] = experiment.Run{Label: fmt.Sprintf("%s=%g", axis, values[i]), Spec: s}
 	}
-	rep := &scenario.SweepReport{Scenario: spec.Name, Axis: axis}
 	return []study{{
 		header: fmt.Sprintf("Sweeping %s over %s (%d points)", spec.Name, axis, len(values)),
 		runs:   runs,
-		report: func(o []experiment.Outcome) string {
-			for i, out := range o {
-				rep.Points = append(rep.Points, scenario.SweepPoint{Axis: axis, Value: values[i], Result: out.Result})
-			}
-			return "\n" + scenario.FormatSweep(*rep)
-		},
-		export: func([]experiment.Outcome) { doc.Sweep = rep },
-	}}
+		report: func(o []experiment.Outcome) string { return "\n" + experiment.FormatSweep(o, axis, values) },
+	}}, nil
 }
 
 // experimentStudies prints the tables that need no run (Table 1, Table 2,
 // the hierarchy) and returns the studies the experiment flags select.
-func experimentStudies(doc *exportDoc) []study {
-	if *sweepArg != "" || *findSat {
-		fail(fmt.Errorf("-sweep and -find-saturation need a -scenario spec"))
-	}
+func experimentStudies() []study {
 	extension := *accuracy || *scale || *exp4 || *exp5 || *exp6 || *exp7
 	all := !(*table1 || *table2 || *table3 || *fig8 || *fig9 || *fig10 || *topology || *dispatch || *stats || extension)
 	// Table 2's experiments 1–3 run whenever an output needs them;
 	// `gridexp -audit` alone still means "audit the experiments".
-	caseStudy := all || *table3 || *fig8 || *fig9 || *fig10 || *dispatch || *stats || *csvDir != "" || (*auditRun && !extension)
+	caseStudy := all || *table3 || *fig8 || *fig9 || *fig10 || *dispatch || *stats || (*auditRun && !extension)
 	if *traceOut != "" && !caseStudy {
-		fail(fmt.Errorf("-tracefile records experiment 3: select a Table 2 output (-table3, -fig8..10, -dispatch, -stats or -csv)"))
+		fail(fmt.Errorf("-tracefile records experiment 3: select a Table 2 output (-table3, -fig8..10, -dispatch or -stats)"))
 	}
 
 	if all || *table1 {
@@ -219,13 +235,6 @@ func experimentStudies(doc *exportDoc) []study {
 	params.Requests = *requests
 	params.Seed = *seed
 	phase := float64(params.Requests) * params.Interval
-	summaries := func(o []experiment.Outcome) []expSummary {
-		rows := make([]expSummary, len(o))
-		for i := range o {
-			rows[i] = summariseOutcome(o[i], *auditRun)
-		}
-		return rows
-	}
 	// Each selected study prints its header, then its report: the
 	// accuracy and scale tables right under the wall-time line, the
 	// others after a blank line. Experiments 1–3 run last.
@@ -235,7 +244,6 @@ func experimentStudies(doc *exportDoc) []study {
 			header: fmt.Sprintf("Running prediction-accuracy study: %d requests, seed %d", params.Requests, params.Seed),
 			runs:   params.AccuracyRuns(experiment.DefaultNoiseCases()),
 			report: experiment.FormatAccuracy,
-			export: func(o []experiment.Outcome) { doc.Accuracy = summariseAccuracy(o) },
 		})
 	}
 	if *scale {
@@ -243,7 +251,6 @@ func experimentStudies(doc *exportDoc) []study {
 			header: fmt.Sprintf("Running scalability study (seed %d)", params.Seed),
 			runs:   params.ScaleRuns([]int{6, 12, 24, 48}, 3, 50),
 			report: experiment.FormatScalability,
-			export: func(o []experiment.Outcome) { doc.Scale = summariseScale(o) },
 		})
 	}
 	if *exp4 {
@@ -253,10 +260,6 @@ func experimentStudies(doc *exportDoc) []study {
 				params.Requests, params.Seed, len(plan.Events)),
 			runs:   params.ResilienceRuns(plan),
 			report: func(o []experiment.Outcome) string { return "\n" + experiment.FormatResilience(o, *auditRun) },
-			export: func(o []experiment.Outcome) {
-				r := summaries(o)
-				doc.Resilience = &resilienceRow{Baseline: r[0], Faulted: r[1], Events: len(plan.Events)}
-			},
 		})
 	}
 	if *exp5 {
@@ -265,11 +268,6 @@ func experimentStudies(doc *exportDoc) []study {
 				params.Requests, params.Seed),
 			runs:   params.MigrationRuns(experiment.ScaledDegradedPlan(phase), experiment.DefaultMigrationPolicy()),
 			report: func(o []experiment.Outcome) string { return "\n" + experiment.FormatMigration(o, *auditRun) },
-			export: func(o []experiment.Outcome) {
-				r, m := summaries(o), o[1]
-				doc.Migration = &migrationRow{Degraded: r[0], Migrated: r[1],
-					Offers: m.MigrateOffers, Accepts: m.MigrateAccepts, Rejects: m.MigrateRejects}
-			},
 		})
 	}
 	if *exp6 {
@@ -279,7 +277,6 @@ func experimentStudies(doc *exportDoc) []study {
 				params.Requests, params.Seed, shares),
 			runs:   params.ReservationRuns(shares),
 			report: func(o []experiment.Outcome) string { return "\n" + experiment.FormatReservation(o) },
-			export: func(o []experiment.Outcome) { doc.Reservation = summariseReservation(o) },
 		})
 	}
 	if *exp7 {
@@ -289,11 +286,6 @@ func experimentStudies(doc *exportDoc) []study {
 				params.Requests, params.Seed, len(plan.Joins), len(plan.Leaves)),
 			runs:   params.MembershipRuns(plan, experiment.DefaultRebalancePolicy()),
 			report: func(o []experiment.Outcome) string { return "\n" + experiment.FormatMembership(o, *auditRun) },
-			export: func(o []experiment.Outcome) {
-				r, d := summaries(o), o[1]
-				doc.Membership = &membershipRow{Static: r[0], Dynamic: r[1],
-					Joins: d.Joins, Leaves: d.Leaves, Drained: d.Drained, Moves: d.Moves}
-			},
 		})
 	}
 	if caseStudy {
@@ -319,27 +311,19 @@ func experimentStudies(doc *exportDoc) []study {
 				}
 				return b.String()
 			},
-			export: func(o []experiment.Outcome) {
-				doc.Experiments = summaries(o)
-				if *csvDir != "" {
-					fail(experiment.WriteCSV(*csvDir, o))
-					fmt.Printf("CSV exported to %s (table3, fig8-10, dispatch)\n", *csvDir)
-				}
-			},
 		})
 	}
 	return studies
 }
 
 // study is one flag-selected study: the header announcing it, its
-// labelled runs, the report over their outcomes and what it adds to the
-// -out document. A traced study's last run streams to -tracefile.
+// labelled runs and the report over their outcomes. A traced study's
+// last run streams to -tracefile.
 type study struct {
 	header string
 	runs   []experiment.Run
 	traced bool
 	report func([]experiment.Outcome) string
-	export func([]experiment.Outcome)
 }
 
 // verdict prints a run's audit result — a clean one only when loud —

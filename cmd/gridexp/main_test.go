@@ -178,7 +178,8 @@ func TestTracefileNeedsCaseStudy(t *testing.T) {
 }
 
 // TestExtensionStudiesMatchGolden pins every extension study's report,
-// audit verdicts and -out document to the goldens in testdata.
+// audit verdicts and -out document to the goldens in testdata
+// (wall-clock seconds zeroed).
 func TestExtensionStudiesMatchGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("extension studies in short mode")
@@ -203,8 +204,8 @@ func TestExtensionStudiesMatchGolden(t *testing.T) {
 	if want, err = os.ReadFile(filepath.Join("testdata", "extensions.json")); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("-out differs from testdata/extensions.json:\n%s", got)
+	if masked := maskWallClock(string(got)); masked != string(want) {
+		t.Fatalf("-out differs from testdata/extensions.json:\n%s", masked)
 	}
 }
 
@@ -258,34 +259,100 @@ func TestAuditVerdictsBothModes(t *testing.T) {
 
 const smokeSpec = "../../examples/scenarios/smoke.json"
 
-// maskWallClock zeroes the host seconds, the one field of a sweep export
-// that differs between identical runs: the JSON field, and the CSV
-// column before audit_ok.
+// maskWallClock zeroes the host seconds, the one field of an -out
+// document that differs between identical runs.
 func maskWallClock(export string) string {
-	export = regexp.MustCompile(`("wall_clock_s": )[0-9.eE+-]+`).ReplaceAllString(export, "${1}0")
-	return regexp.MustCompile(`(?m)[0-9.eE+-]+(,(?:true|false))$`).ReplaceAllString(export, "0$1")
+	return regexp.MustCompile(`("wall_clock_s": )[0-9.eE+-]+`).ReplaceAllString(export, "${1}0")
 }
 
 // TestSweepExportsMatchGolden pins a two-point rate sweep's -out
-// document, as JSON and as CSV, to the goldens in testdata (wall-clock
-// seconds zeroed).
+// document to the golden in testdata (wall-clock seconds zeroed).
 func TestSweepExportsMatchGolden(t *testing.T) {
-	for _, name := range []string{"sweep.json", "sweep.csv"} {
-		path := filepath.Join(t.TempDir(), name)
-		out, err := gridexp("-scenario", smokeSpec, "-sweep", "rate=1,2", "-workers", "1", "-out", path)
-		if err != nil {
-			t.Fatalf("gridexp: %v\n%s", err, out)
+	path := filepath.Join(t.TempDir(), "sweep.json")
+	out, err := gridexp("-scenario", smokeSpec, "-sweep", "rate=1,2", "-workers", "1", "-out", path)
+	if err != nil {
+		t.Fatalf("gridexp: %v\n%s", err, out)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "sweep.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if masked := maskWallClock(string(got)); masked != string(want) {
+		t.Fatalf("-out differs from testdata/sweep.json:\n%s", masked)
+	}
+}
+
+// exportedRun is one entry of an -out document's runs list, its spec
+// and result kept as raw JSON.
+type exportedRun struct {
+	Label  string          `json:"label"`
+	Spec   json.RawMessage `json:"spec"`
+	Result json.RawMessage `json:"result"`
+}
+
+// exportedRuns runs gridexp with -out and returns the document's runs by
+// label.
+func exportedRuns(t *testing.T, args ...string) map[string]exportedRun {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "results.json")
+	if out, err := gridexp(append(args, "-workers", "1", "-out", path)...); err != nil {
+		t.Fatalf("gridexp %v: %v\n%s", args, err, out)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct{ Runs []exportedRun }
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	runs := map[string]exportedRun{}
+	for _, r := range doc.Runs {
+		runs[r.Label] = r
+	}
+	return runs
+}
+
+// TestExportedRunsReproduce: every exported spec is a scenario file that
+// re-runs to its run's result — a Table 3 run, an Experiment 6 share and
+// a sweep point, each fed back through `gridexp -scenario`.
+func TestExportedRunsReproduce(t *testing.T) {
+	exp := exportedRuns(t, "-table3", "-exp6", "-requests", "60")
+	sweep := exportedRuns(t, "-scenario", smokeSpec, "-sweep", "rate=1,2")
+	for _, run := range []exportedRun{exp["experiment 1"], exp["exp6 share=0.2"], sweep["rate=2"]} {
+		if run.Spec == nil {
+			t.Fatalf("run missing from the export: %+v", run)
 		}
-		got, err := os.ReadFile(path)
+		specPath := filepath.Join(t.TempDir(), "spec.json")
+		if err := os.WriteFile(specPath, run.Spec, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		again := exportedRuns(t, "-scenario", specPath)["scenario"]
+		if want, got := maskWallClock(string(run.Result)), maskWallClock(string(again.Result)); got != want {
+			t.Fatalf("%s does not reproduce from its spec:\nexported %s\nre-run   %s", run.Label, want, got)
+		}
+	}
+}
+
+// TestOutCarriesNoTelemetry: the telemetry export goes to -telemetry
+// alone, not into the -out results as well.
+func TestOutCarriesNoTelemetry(t *testing.T) {
+	dir := t.TempDir()
+	results, tel := filepath.Join(dir, "r.json"), filepath.Join(dir, "t.json")
+	if out, err := gridexp("-scenario", smokeSpec, "-workers", "1", "-telemetry", tel, "-out", results); err != nil {
+		t.Fatalf("gridexp: %v\n%s", err, out)
+	}
+	for path, want := range map[string]bool{results: false, tel: true} {
+		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := os.ReadFile(filepath.Join("testdata", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if masked := maskWallClock(string(got)); masked != string(want) {
-			t.Fatalf("-out differs from testdata/%s:\n%s", name, masked)
+		if got := bytes.Contains(data, []byte(`"series"`)); got != want {
+			t.Fatalf("%s: contains \"series\" = %v, want %v", filepath.Base(path), got, want)
 		}
 	}
 }
@@ -313,11 +380,28 @@ func TestFindSaturationRejectsTelemetry(t *testing.T) {
 	rejected(t, path, "-telemetry exports study runs", "-scenario", smokeSpec, "-find-saturation", "-telemetry", path)
 }
 
-// TestScenarioRejectsCSV: -csv exports experiments 1–3, which scenario
-// mode does not run.
-func TestScenarioRejectsCSV(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "csv")
-	rejected(t, dir, "-csv exports experiments 1-3", "-scenario", smokeSpec, "-csv", dir)
+// TestUnreadFlagsRejected: a flag the selected mode does not read fails
+// the run instead of being dropped — experiment flags in scenario mode,
+// scenario flags in experiment mode, and -sample-period without the
+// -telemetry series it sets.
+func TestUnreadFlagsRejected(t *testing.T) {
+	for _, c := range []struct {
+		why  string
+		args []string
+	}{
+		{"-seed is an experiment flag", []string{"-scenario", smokeSpec, "-seed", "5"}},
+		{"-requests is an experiment flag", []string{"-scenario", smokeSpec, "-requests", "10"}},
+		{"-table1 is an experiment flag", []string{"-scenario", smokeSpec, "-table1"}},
+		{"-exp4 is an experiment flag", []string{"-scenario", smokeSpec, "-exp4"}},
+		{"-table3 is an experiment flag", []string{"-scenario", smokeSpec, "-sweep", "rate=1,2", "-table3"}},
+		{"need a -scenario spec", []string{"-table2", "-sweep", "rate=1,2"}},
+		{"need a -scenario spec", []string{"-table2", "-find-saturation"}},
+		{"-sample-period sets the period of the -telemetry series", []string{"-scenario", smokeSpec, "-sample-period", "5"}},
+		{"-sample-period sets the period of the -telemetry series", []string{"-table2", "-sample-period", "5"}},
+	} {
+		path := filepath.Join(t.TempDir(), "out.json")
+		rejected(t, path, c.why, append(c.args, "-out", path)...)
+	}
 }
 
 // TestSweepRejectsFindSaturation: a sweep and a saturation search are two

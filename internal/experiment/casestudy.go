@@ -62,15 +62,17 @@ func QuickParams() Params {
 type Run struct {
 	// Label names the run in audit verdicts and telemetry keys, e.g.
 	// "experiment 3" or "exp5 migrated".
-	Label string
-	Setup Setup
-	Spec  scenario.Spec
+	Label string        `json:"label"`
+	Setup Setup         `json:"-"`
+	Spec  scenario.Spec `json:"spec"`
 }
 
-// Outcome is one run's results.
+// Outcome is one run's results. It marshals as {label, spec, result}:
+// the spec is a complete scenario file, so `gridexp -scenario` on it
+// reproduces the result.
 type Outcome struct {
 	Run
-	scenario.Result
+	scenario.Result `json:"result"`
 }
 
 // gaSpec returns the params' GA overrides as a spec section; nil keeps

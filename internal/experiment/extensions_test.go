@@ -1,9 +1,6 @@
 package experiment
 
 import (
-	"encoding/csv"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -118,41 +115,6 @@ func TestAccuracyStudyBiasDegrades(t *testing.T) {
 	out := FormatAccuracy(pts)
 	if !strings.Contains(out, "met rate") {
 		t.Fatalf("format output:\n%s", out)
-	}
-}
-
-func TestWriteCSV(t *testing.T) {
-	p := QuickParams()
-	p.Requests = 30
-	outs := runStudy(t, p.CaseStudyRuns()[:1], scenario.RunOptions{})
-	dir := t.TempDir()
-	if err := WriteCSV(dir, outs); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"table3.csv", "fig8.csv", "fig9.csv", "fig10.csv", "dispatch.csv"} {
-		f, err := os.Open(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		rows, err := csv.NewReader(f).ReadAll()
-		f.Close()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		// Header + 12 resources (+ Total except dispatch.csv).
-		want := 14
-		if name == "dispatch.csv" {
-			want = 13
-		}
-		if len(rows) != want {
-			t.Fatalf("%s has %d rows, want %d", name, len(rows), want)
-		}
-		if rows[0][0] != "resource" {
-			t.Fatalf("%s header: %v", name, rows[0])
-		}
-	}
-	if err := WriteCSV(dir, nil); err == nil {
-		t.Fatal("empty export accepted")
 	}
 }
 

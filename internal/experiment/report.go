@@ -203,3 +203,27 @@ func formatTotals(b *strings.Builder, offLabel, onLabel string, off, on Outcome,
 		b.WriteString("\n")
 	}
 }
+
+// FormatSweep renders a sweep study as a table: one row per point,
+// outs[i] being the run at the axis value values[i].
+func FormatSweep(outs []Outcome, axis string, values []float64) string {
+	if len(outs) == 0 {
+		return ""
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "Sweep of %s over %s\n\n", outs[0].Name, axis)
+	fmt.Fprintf(&b, "%12s %7s %9s %9s %8s %8s %8s %9s %9s %9s %10s %8s %6s\n",
+		axis, "agents", "requests", "eps (s)", "ups (%)", "beta (%)", "hit (%)",
+		"p50 (s)", "p95 (s)", "p99 (s)", "thru (/s)", "wall (s)", "audit")
+	for i, res := range outs {
+		verdict := "ok"
+		if !res.AuditOK {
+			verdict = fmt.Sprintf("%d!", res.AuditViolations)
+		}
+		fmt.Fprintf(&b, "%12g %7d %9d %9.1f %8.1f %8.1f %8.1f %9.1f %9.1f %9.1f %10.2f %8.1f %6s\n",
+			values[i], res.Agents, res.Requests, res.Epsilon, res.Upsilon, res.Beta,
+			res.HitRate*100, res.SlackP50, res.SlackP95, res.SlackP99,
+			res.Throughput, res.WallClock, verdict)
+	}
+	return b.String()
+}

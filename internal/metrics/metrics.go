@@ -25,13 +25,13 @@ func (w Window) Length() float64 { return w.End - w.Start }
 
 // Report holds the §3.3 statistics for one scope (a resource or the grid).
 type Report struct {
-	Name      string
-	Tasks     int       // M: tasks completed in this scope
-	Epsilon   float64   // ε seconds; negative when most deadlines fail (eq. 11)
-	Upsilon   float64   // υ percent in [0, 100] (eq. 13)
-	Deviation float64   // d: mean square deviation of node utilisation (eq. 14), in percent points
-	Beta      float64   // β percent (eq. 15)
-	NodeUtil  []float64 // υ_i percent per node (eq. 12)
+	Name      string    `json:"name"`
+	Tasks     int       `json:"tasks"`    // M: tasks completed in this scope
+	Epsilon   float64   `json:"eps_s"`    // ε seconds; negative when most deadlines fail (eq. 11)
+	Upsilon   float64   `json:"ups_pct"`  // υ percent in [0, 100] (eq. 13)
+	Deviation float64   `json:"-"`        // d: mean square deviation of node utilisation (eq. 14), in percent points
+	Beta      float64   `json:"beta_pct"` // β percent (eq. 15)
+	NodeUtil  []float64 `json:"-"`        // υ_i percent per node (eq. 12)
 }
 
 // GridReport aggregates per-resource reports plus the overall grid row of

@@ -44,9 +44,9 @@ type RunOptions struct {
 	SamplePeriod float64
 }
 
-// Result is one scenario run, reduced to the numbers a sweep compares:
-// the §3.3 grid metrics, deadline behaviour, throughput and the audit
-// verdict. The full per-resource report stays available for detail.
+// Result is one scenario run, reduced to the numbers a study compares:
+// the §3.3 grid and per-resource metrics, deadline behaviour, throughput
+// and the audit verdict.
 type Result struct {
 	Name      string  `json:"name,omitempty"`
 	Seed      uint64  `json:"seed"`
@@ -105,9 +105,14 @@ type Result struct {
 	AuditViolations int    `json:"audit_violations"`
 	AuditSummary    string `json:"audit_summary"`
 
+	// PerResource is the §3.3 row of every resource (Report.PerResource):
+	// the data behind the Table 3 columns and the Figs. 8–10 series.
+	PerResource []metrics.Report `json:"per_resource"`
+
 	// Telemetry is the final registry snapshot plus the virtual-time
-	// series, present only when RunOptions.Telemetry was set.
-	Telemetry *telemetry.Export `json:"telemetry,omitempty"`
+	// series, present only when RunOptions.Telemetry was set. It has its
+	// own export (gridexp -telemetry), so it is not part of the result.
+	Telemetry *telemetry.Export `json:"-"`
 
 	// Run detail for the reports that print more than the numbers above
 	// (Table 3, the dispatch and per-application summaries, the fault
@@ -271,6 +276,8 @@ func Run(spec Spec, opt RunOptions) (Result, error) {
 		AuditOK:         res.OK(),
 		AuditViolations: len(res.Violations),
 		AuditSummary:    res.Summary(),
+
+		PerResource: report.PerResource,
 
 		Report:     report,
 		Audit:      &res,

@@ -1,9 +1,7 @@
 package scenario
 
 import (
-	"encoding/csv"
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
 
@@ -19,20 +17,6 @@ const (
 	AxisDeadlineScale = "deadline_scale" // deadline-tightness multiplier
 	AxisSeed          = "seed"           // replication axis
 )
-
-// SweepPoint is one run of a sweep.
-type SweepPoint struct {
-	Axis   string  `json:"axis"`
-	Value  float64 `json:"value"`
-	Result Result  `json:"result"`
-}
-
-// SweepReport is the machine-readable product of a sweep.
-type SweepReport struct {
-	Scenario string       `json:"scenario"`
-	Axis     string       `json:"axis"`
-	Points   []SweepPoint `json:"points"`
-}
 
 // ParseAxis parses a CLI sweep argument of the form "axis=v1,v2,...".
 func ParseAxis(arg string) (axis string, values []float64, err error) {
@@ -114,56 +98,4 @@ func SweepSpecs(spec Spec, axis string, values []float64) ([]Spec, error) {
 		out[i] = pt
 	}
 	return out, nil
-}
-
-// WriteCSV renders the sweep as one row per point.
-func (r SweepReport) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	header := []string{
-		"axis", "value", "agents", "requests", "completed", "span_s",
-		"eps_s", "ups_pct", "beta_pct", "hit_rate",
-		"slack_p50_s", "slack_p95_s", "slack_p99_s", "throughput_s",
-		"mean_hops", "max_hops", "fallbacks", "wall_clock_s", "audit_ok",
-	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	for _, p := range r.Points {
-		res := p.Result
-		row := []string{
-			p.Axis, f(p.Value),
-			strconv.Itoa(res.Agents), strconv.Itoa(res.Requests), strconv.Itoa(res.Completed), f(res.Span),
-			f(res.Epsilon), f(res.Upsilon), f(res.Beta), f(res.HitRate),
-			f(res.SlackP50), f(res.SlackP95), f(res.SlackP99), f(res.Throughput),
-			f(res.MeanHops), strconv.Itoa(res.MaxHops), strconv.Itoa(res.Fallbacks),
-			f(res.WallClock), strconv.FormatBool(res.AuditOK),
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// FormatSweep renders a sweep as a human-readable table.
-func FormatSweep(r SweepReport) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Sweep of %s over %s\n\n", r.Scenario, r.Axis)
-	fmt.Fprintf(&b, "%12s %7s %9s %9s %8s %8s %8s %9s %9s %9s %10s %8s %6s\n",
-		r.Axis, "agents", "requests", "eps (s)", "ups (%)", "beta (%)", "hit (%)",
-		"p50 (s)", "p95 (s)", "p99 (s)", "thru (/s)", "wall (s)", "audit")
-	for _, p := range r.Points {
-		res := p.Result
-		verdict := "ok"
-		if !res.AuditOK {
-			verdict = fmt.Sprintf("%d!", res.AuditViolations)
-		}
-		fmt.Fprintf(&b, "%12g %7d %9d %9.1f %8.1f %8.1f %8.1f %9.1f %9.1f %9.1f %10.2f %8.1f %6s\n",
-			p.Value, res.Agents, res.Requests, res.Epsilon, res.Upsilon, res.Beta,
-			res.HitRate*100, res.SlackP50, res.SlackP95, res.SlackP99,
-			res.Throughput, res.WallClock, verdict)
-	}
-	return b.String()
 }

@@ -65,36 +65,29 @@ func TestSweepAgentsAxisRejectsPreset(t *testing.T) {
 	}
 }
 
+// TestSweepReportFormats: a sweep's outcomes marshal as the -out runs
+// list (label, spec, result) and render as the sweep table.
 func TestSweepReportFormats(t *testing.T) {
 	spec := scenario.SmallSpec()
 	spec.Arrivals.Count = 40
 	values := []float64{1, 3}
-	rep := scenario.SweepReport{Scenario: spec.Name, Axis: scenario.AxisRate}
-	for i, o := range sweep(t, spec, scenario.AxisRate, values, scenario.RunOptions{}) {
-		rep.Points = append(rep.Points, scenario.SweepPoint{Axis: scenario.AxisRate, Value: values[i], Result: o.Result})
-	}
+	outs := sweep(t, spec, scenario.AxisRate, values, scenario.RunOptions{})
 
-	blob, err := json.MarshalIndent(rep, "", " ")
+	blob, err := json.MarshalIndent(outs, "", " ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(blob), `"eps_s"`) || !strings.Contains(string(blob), `"audit_ok"`) {
-		t.Fatalf("JSON missing expected fields:\n%s", blob)
+	for _, field := range []string{`"label"`, `"spec"`, `"result"`, `"eps_s"`, `"audit_ok"`, `"per_resource"`} {
+		if !strings.Contains(string(blob), field) {
+			t.Fatalf("JSON missing %s:\n%s", field, blob)
+		}
 	}
-	var csvBuf strings.Builder
-	if err := rep.WriteCSV(&csvBuf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(csvBuf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("CSV has %d lines, want header + 2 points:\n%s", len(lines), csvBuf.String())
-	}
-	if !strings.HasPrefix(lines[0], "axis,value,agents") {
-		t.Fatalf("CSV header: %s", lines[0])
-	}
-	table := scenario.FormatSweep(rep)
+	table := experiment.FormatSweep(outs, scenario.AxisRate, values)
 	if !strings.Contains(table, "Sweep of small over rate") {
 		t.Fatalf("table header missing:\n%s", table)
+	}
+	if lines := strings.Split(strings.TrimSpace(table), "\n"); len(lines) != 5 {
+		t.Fatalf("table has %d lines, want title, blank, header + 2 points:\n%s", len(lines), table)
 	}
 }
 

@@ -3,7 +3,10 @@ package scenario
 import (
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
+
+	"repro/internal/telemetry"
 )
 
 // TestRunTelemetry proves the observing-only contract at the scenario
@@ -44,16 +47,23 @@ func TestRunTelemetry(t *testing.T) {
 		t.Fatal("uninstrumented run exported telemetry")
 	}
 
-	// The export must survive the JSON path gridexp uses.
-	blob, err := json.Marshal(instr)
+	// The export must survive the JSON path gridexp -telemetry uses, and
+	// stays out of the result, which -out writes.
+	blob, err := json.Marshal(instr.Telemetry)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back Result
+	var back telemetry.Export
 	if err := json.Unmarshal(blob, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Telemetry == nil || back.Telemetry.Snapshot.Counters["grid_requests_total"] != 120 {
+	if back.Snapshot.Counters["grid_requests_total"] != 120 {
 		t.Fatal("telemetry lost in JSON round-trip")
+	}
+	if blob, err = json.Marshal(instr); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(blob), `"series"`) {
+		t.Fatal("result JSON carries the telemetry export")
 	}
 }
