@@ -124,12 +124,28 @@ type Peer interface {
 	SubmitDirect(req Request, now float64) (Dispatch, error)
 }
 
-// cachedService is one entry of the agent's service-information set: a
-// neighbour's advertisement plus its pull timestamp.
-type cachedService struct {
-	info      scheduler.ServiceInfo
-	agentName string
-	pulledAt  float64
+// peerSlot is all the agent's state for one neighbour: the peer, its
+// entry in the service-information set — the advertisement, its pull (or
+// push) time and the PACE column of the advertised hardware — and its
+// circuit breaker. Slots live in Agent.slots in discovery order, so a
+// discovery step reads them in place and hashes no name.
+type peerSlot struct {
+	peer Peer
+	name string // peer.PeerName(), read once at link time
+
+	cached   bool // info holds an advertisement
+	info     scheduler.ServiceInfo
+	pulledAt float64
+	col      *pace.Column // info.HWType's column; nil for unknown hardware
+
+	consecFails int
+	tripped     bool
+
+	// unlinked marks a slot dropped from Agent.slots. A networked node
+	// releases its lock for each exchange, so an exchange can return after
+	// its peer was unlinked; the slot is then no longer the agent's and
+	// the outcome is dropped with it.
+	unlinked bool
 }
 
 // Agent is one node of the hierarchy. Each agent fronts exactly one local
@@ -143,8 +159,14 @@ type Agent struct {
 	local  *scheduler.Local
 	engine *pace.Engine
 
-	upper  Peer
-	lowers []Peer
+	// upper is the upper neighbour, nil at the head. slots holds every
+	// neighbour's state in discovery order: the upper first, then the
+	// lowers in link order — ties in discovery go to the first. A slot is
+	// made at link time and dropped at unlink; the slice is only ever
+	// appended to in place, and rebuilt on any other change, so a loop
+	// over it survives a membership change mid-exchange.
+	upper Peer
+	slots []*peerSlot
 
 	// PullPeriod is the advertisement refresh interval; the case study
 	// uses ten seconds (§4.1).
@@ -167,10 +189,13 @@ type Agent struct {
 	// advertisements never expire (the paper's behaviour).
 	AdvertTTL float64
 
-	cache  map[string]cachedService
-	stats  statCounters
-	gate   Gate
-	health map[string]*peerHealth
+	// pushed holds advertisements pushed by senders that are not linked
+	// (yet), in arrival order; a peer linked under such a name adopts its
+	// advertisement.
+	pushed []*peerSlot
+
+	stats statCounters
+	gate  Gate
 
 	lastPushedFreetime float64
 	pushedOnce         bool
@@ -179,13 +204,6 @@ type Agent struct {
 	// Hierarchy.PullAll tick, valid while advertLive.
 	advert     scheduler.ServiceInfo
 	advertLive bool
-}
-
-// peerHealth tracks one neighbour's exchange history for the circuit
-// breaker.
-type peerHealth struct {
-	consecFails int
-	tripped     bool
 }
 
 // DefaultPushThreshold is the freetime delta that triggers a push.
@@ -214,8 +232,6 @@ func New(local *scheduler.Local, engine *pace.Engine) (*Agent, error) {
 		PullPeriod:       DefaultPullPeriod,
 		PushThreshold:    DefaultPushThreshold,
 		FailureThreshold: DefaultFailureThreshold,
-		cache:            map[string]cachedService{},
-		health:           map[string]*peerHealth{},
 	}, nil
 }
 
@@ -234,29 +250,99 @@ func (a *Agent) gateErr(to string, now float64) error {
 	return a.gate.ExchangeErr(a.name, to, now)
 }
 
-func (a *Agent) healthOf(name string) *peerHealth {
-	h, ok := a.health[name]
-	if !ok {
-		h = &peerHealth{}
-		a.health[name] = h
+// slotOf returns the slot of the first neighbour with the given name, or
+// nil when no such peer is linked.
+func (a *Agent) slotOf(name string) *peerSlot {
+	for _, s := range a.slots {
+		if s.name == name {
+			return s
+		}
 	}
-	return h
+	return nil
 }
 
-// RecordPeerFailure counts one failed exchange with the named peer,
-// tripping its circuit at FailureThreshold consecutive failures. It
-// reports whether this failure newly tripped the breaker. Every exchange
-// the agent performs is counted through recordExchange; the method is
-// exported for drivers that learn of a dead peer some other way.
-func (a *Agent) RecordPeerFailure(name string) bool {
-	h := a.healthOf(name)
-	h.consecFails++
+// upperSlot returns the upper neighbour's slot, nil at the head.
+func (a *Agent) upperSlot() *peerSlot {
+	if a.upper == nil {
+		return nil
+	}
+	return a.slots[0]
+}
+
+// lowerSlots returns the lower neighbours' slots, in link order.
+func (a *Agent) lowerSlots() []*peerSlot {
+	if a.upper == nil {
+		return a.slots
+	}
+	return a.slots[1:]
+}
+
+// link gives p a slot — first as the upper neighbour, last as a lower
+// one — adopting the advertisement p pushed before it was linked, if any.
+func (a *Agent) link(p Peer, upper bool) {
+	s := &peerSlot{peer: p, name: p.PeerName()}
+	for i, q := range a.pushed {
+		if q.name == s.name {
+			s.cached, s.info, s.pulledAt, s.col = true, q.info, q.pulledAt, q.col
+			a.pushed = slices.Delete(a.pushed, i, i+1)
+			break
+		}
+	}
+	if upper {
+		a.upper = p
+		a.slots = append([]*peerSlot{s}, a.slots...)
+		return
+	}
+	a.slots = append(a.slots, s)
+}
+
+// unlink drops slot i with its advertisement and breaker. The slice is
+// rebuilt, not shifted, so a loop over the old one stays consistent.
+func (a *Agent) unlink(i int) {
+	s := a.slots[i]
+	a.reset(s)
+	s.unlinked = true
+	if i == 0 && a.upper != nil {
+		a.upper = nil
+	}
+	a.slots = slices.Concat(a.slots[:i], a.slots[i+1:])
+}
+
+// reset empties a slot: no advertisement, a closed breaker.
+func (a *Agent) reset(s *peerSlot) {
+	if s.tripped {
+		a.stats.breakersOpen.Add(-1)
+	}
+	*s = peerSlot{peer: s.peer, name: s.name}
+}
+
+// store records info as s's advertisement at now, resolving the PACE
+// column of the advertised hardware only when it changes; unknown
+// hardware leaves no column, and discovery skips the advertisement.
+func (a *Agent) store(s *peerSlot, info scheduler.ServiceInfo, now float64) {
+	if !s.cached || info.HWType != s.info.HWType {
+		s.col = nil
+		if hw, ok := pace.LookupHardware(info.HWType); ok {
+			s.col, _ = a.engine.Column(hw)
+		}
+	}
+	s.cached, s.info, s.pulledAt = true, info, now
+}
+
+// peerFailed counts one failed exchange with s, tripping its circuit at
+// FailureThreshold consecutive failures. It reports whether this failure
+// newly tripped the breaker.
+func (a *Agent) peerFailed(s *peerSlot) bool {
+	if s.unlinked {
+		return false
+	}
+	s.consecFails++
 	threshold := a.FailureThreshold
 	if threshold <= 0 {
 		threshold = DefaultFailureThreshold
 	}
-	if !h.tripped && h.consecFails >= threshold {
-		h.tripped = true
+	if !s.tripped && s.consecFails >= threshold {
+		s.tripped = true
 		a.stats.breakerTrips.Inc()
 		a.stats.breakersOpen.Add(1)
 		return true
@@ -264,24 +350,37 @@ func (a *Agent) RecordPeerFailure(name string) bool {
 	return false
 }
 
-// RecordPeerSuccess resets the named peer's failure streak, closing a
-// tripped circuit. It reports whether a tripped breaker was reset.
-func (a *Agent) RecordPeerSuccess(name string) bool {
-	h := a.healthOf(name)
-	was := h.tripped
-	h.consecFails = 0
-	h.tripped = false
+// peerSucceeded resets s's failure streak, closing a tripped circuit. It
+// reports whether a tripped breaker was reset.
+func (a *Agent) peerSucceeded(s *peerSlot) bool {
+	if s.unlinked {
+		return false
+	}
+	was := s.tripped
+	s.consecFails = 0
+	s.tripped = false
 	if was {
 		a.stats.breakersOpen.Add(-1)
 	}
 	return was
 }
 
+// RecordPeerFailure counts one failed exchange with the named neighbour,
+// tripping its circuit at FailureThreshold consecutive failures. It
+// reports whether this failure newly tripped the breaker. Every exchange
+// the agent performs is counted through recordExchange; the method is
+// exported for drivers that learn of a dead peer some other way. A name
+// that is not linked has no breaker, and nothing is recorded.
+func (a *Agent) RecordPeerFailure(name string) bool {
+	s := a.slotOf(name)
+	return s != nil && a.peerFailed(s)
+}
+
 // PeerTripped reports whether the named peer's circuit is open: the
 // peer is skipped by discovery and fallback until a probe succeeds.
 func (a *Agent) PeerTripped(name string) bool {
-	h, ok := a.health[name]
-	return ok && h.tripped
+	s := a.slotOf(name)
+	return s != nil && s.tripped
 }
 
 // peerAnswered asks a failed exchange's error who answered. A peer over a
@@ -298,17 +397,17 @@ func peerAnswered(err error) (answered, known bool) {
 	return false, false
 }
 
-// recordExchange feeds the named peer's circuit breaker with the outcome
-// of one exchange: nil or a refusal the peer itself sent closes the
-// circuit, anything else counts against it.
-func (a *Agent) recordExchange(name string, err error) {
+// recordExchange feeds s's circuit breaker with the outcome of one
+// exchange: nil or a refusal the peer itself sent closes the circuit,
+// anything else counts against it.
+func (a *Agent) recordExchange(s *peerSlot, err error) {
 	if err != nil {
 		if answered, _ := peerAnswered(err); !answered {
-			a.RecordPeerFailure(name)
+			a.peerFailed(s)
 			return
 		}
 	}
-	a.RecordPeerSuccess(name)
+	a.peerSucceeded(s)
 }
 
 // CountRedispatch records that this agent re-placed a task rescued from
@@ -327,8 +426,11 @@ func (a *Agent) Upper() Peer { return a.upper }
 
 // Lowers returns the lower neighbours.
 func (a *Agent) Lowers() []Peer {
-	out := make([]Peer, len(a.lowers))
-	copy(out, a.lowers)
+	lowers := a.lowerSlots()
+	out := make([]Peer, len(lowers))
+	for i, s := range lowers {
+		out[i] = s.peer
+	}
 	return out
 }
 
@@ -382,7 +484,7 @@ func (a *Agent) SetUpper(p Peer) error {
 	if a.upper != nil {
 		return &AlreadyLinkedError{Child: a.name, Upper: a.upper.PeerName()}
 	}
-	a.upper = p
+	a.link(p, true)
 	return nil
 }
 
@@ -391,9 +493,8 @@ func (a *Agent) SetUpper(p Peer) error {
 // gracefully deregisters from a live farm.
 func (a *Agent) ClearUpper() {
 	if a.upper != nil {
-		a.Forget(a.upper.PeerName())
+		a.unlink(0)
 	}
-	a.upper = nil
 }
 
 // AddLower wires a remote lower neighbour.
@@ -401,7 +502,7 @@ func (a *Agent) AddLower(p Peer) error {
 	if p == nil {
 		return fmt.Errorf("agent: nil lower peer")
 	}
-	a.lowers = append(a.lowers, p)
+	a.link(p, false)
 	return nil
 }
 
@@ -409,10 +510,10 @@ func (a *Agent) AddLower(p Peer) error {
 // state, reporting whether it was present. It is the remote counterpart
 // of Unlink, driven by a lower agent's graceful deregistration.
 func (a *Agent) RemoveLower(name string) bool {
-	for i, p := range a.lowers {
-		if p.PeerName() == name {
-			a.lowers = append(a.lowers[:i], a.lowers[i+1:]...)
-			a.Forget(name)
+	off := len(a.slots) - len(a.lowerSlots())
+	for i, s := range a.lowerSlots() {
+		if s.name == name {
+			a.unlink(off + i)
 			return true
 		}
 	}
@@ -423,25 +524,14 @@ func (a *Agent) RemoveLower(name string) bool {
 // state: the cached advertisement — immediate expiry, so a gracefully
 // departing neighbour vanishes from the service table at the leave
 // event instead of ageing out through AdvertTTL — and the
-// circuit-breaker history.
+// circuit-breaker history. A linked peer keeps its (now empty) slot.
 func (a *Agent) Forget(name string) {
-	delete(a.cache, name)
-	if h, ok := a.health[name]; ok {
-		if h.tripped {
-			a.stats.breakersOpen.Add(-1)
+	for _, s := range a.slots {
+		if s.name == name {
+			a.reset(s)
 		}
-		delete(a.health, name)
 	}
-}
-
-// neighbours returns upper plus lowers.
-func (a *Agent) neighbours() []Peer {
-	out := make([]Peer, 0, len(a.lowers)+1)
-	if a.upper != nil {
-		out = append(out, a.upper)
-	}
-	out = append(out, a.lowers...)
-	return out
+	a.pushed = slices.DeleteFunc(a.pushed, func(s *peerSlot) bool { return s.name == name })
 }
 
 // Pull refreshes the agent's service-information set from its upper and
@@ -461,35 +551,47 @@ func (a *Agent) Pull(now float64) { a.pullBatched(now, false) }
 // to later pullers. Other peers — all of them under Pull — answer
 // PullService.
 func (a *Agent) pullBatched(now float64, batched bool) {
-	for _, n := range a.neighbours() {
-		name := n.PeerName()
+	for _, s := range a.slots {
+		if s.unlinked {
+			continue
+		}
 		var info scheduler.ServiceInfo
-		err := a.gateErr(name, now)
+		err := a.gateErr(s.name, now)
 		if err == nil {
-			if peer, ok := n.(*Agent); ok && batched && peer.advertLive {
+			if peer, ok := s.peer.(*Agent); ok && batched && peer.advertLive {
 				info = peer.annotate(peer.advert)
 			} else {
-				info, err = n.PullService()
+				info, err = s.peer.PullService()
 			}
 		}
-		a.recordExchange(name, err)
+		a.recordExchange(s, err)
 		if err != nil {
 			a.stats.failedPulls.Inc()
 			continue
 		}
-		a.cache[name] = cachedService{
-			info:      info,
-			agentName: name,
-			pulledAt:  now,
-		}
+		a.store(s, info, now)
 	}
 	a.stats.pulls.Inc()
 }
 
 // PushAdvertisement implements AdvertSink: record a neighbour's pushed
-// service information.
+// service information. A sender that is not linked is kept aside and
+// adopted when a peer of that name is linked.
 func (a *Agent) PushAdvertisement(from string, info scheduler.ServiceInfo, now float64) error {
-	a.cache[from] = cachedService{info: info, agentName: from, pulledAt: now}
+	s := a.slotOf(from)
+	if s == nil {
+		for _, q := range a.pushed {
+			if q.name == from {
+				s = q
+				break
+			}
+		}
+	}
+	if s == nil {
+		s = &peerSlot{name: from}
+		a.pushed = append(a.pushed, s)
+	}
+	a.store(s, info, now)
 	a.stats.pushesReceived.Inc()
 	return nil
 }
@@ -533,16 +635,16 @@ func (a *Agent) MaybePush(now float64) int {
 		return 0
 	}
 	sent := 0
-	for _, n := range a.neighbours() {
-		sink, ok := n.(AdvertSink)
-		if !ok {
+	for _, s := range a.slots {
+		sink, ok := s.peer.(AdvertSink)
+		if !ok || s.unlinked {
 			continue
 		}
-		err := a.gateErr(n.PeerName(), now)
+		err := a.gateErr(s.name, now)
 		if err == nil {
 			err = sink.PushAdvertisement(a.name, si, now)
 		}
-		a.recordExchange(n.PeerName(), err)
+		a.recordExchange(s, err)
 		if err == nil {
 			sent++
 		}
@@ -584,52 +686,51 @@ func (a *Agent) SubmitDirect(req Request, now float64) (Dispatch, error) {
 	return Dispatch{Resource: a.name, TaskID: id, ReqID: req.ReqID, Hops: len(req.Visited), Fallback: true}, nil
 }
 
-// CachedServiceNames lists the neighbours currently in the service set.
+// CachedServiceNames lists the advertisers in the service set: linked
+// neighbours in discovery order (the upper first, then the lowers in link
+// order), then senders that pushed without being linked, in arrival order.
 func (a *Agent) CachedServiceNames() []string {
-	out := make([]string, 0, len(a.cache))
-	for n := range a.cache {
-		out = append(out, n)
+	out := make([]string, 0, len(a.slots)+len(a.pushed))
+	for _, s := range a.slots {
+		if s.cached {
+			out = append(out, s.name)
+		}
+	}
+	for _, s := range a.pushed {
+		out = append(out, s.name)
 	}
 	return out
 }
 
-// estimateRemote evaluates eq. 10 against a cached advertisement: the
-// expected completion of app on the advertised resource, using the cached
-// freetime ω (clamped to now — advertisements age between pulls) plus the
-// best predicted execution time over the advertised node counts.
-func (a *Agent) estimateRemote(cs cachedService, app *pace.AppModel, now float64) (float64, error) {
-	hw, ok := pace.LookupHardware(cs.info.HWType)
-	if !ok {
-		return 0, fmt.Errorf("agent: %s advertises unknown hardware %q", cs.agentName, cs.info.HWType)
+// estimateRemote evaluates eq. 10 against a slot's cached advertisement:
+// the expected completion of app on the advertised resource, using the
+// cached freetime ω (clamped to now — advertisements age between pulls)
+// plus the best predicted execution time over the advertised node counts,
+// read from the advertised hardware's column. It is false for unknown
+// hardware or a model that fails to evaluate.
+func (a *Agent) estimateRemote(s *peerSlot, app *pace.AppModel, now float64) (float64, bool) {
+	if s.col == nil {
+		return 0, false
 	}
-	best := math.Inf(1)
-	for k := 1; k <= cs.info.NProc; k++ {
-		d, err := a.engine.Predict(app, hw, k)
-		if err != nil {
-			return 0, err
-		}
-		if d < best {
-			best = d
-		}
+	best, err := s.col.Best(app, s.info.NProc)
+	if err != nil {
+		return 0, false
 	}
-	ft := cs.info.Freetime
+	ft := s.info.Freetime
 	if now > ft {
 		ft = now
 	}
-	return ft + best, nil
+	return ft + best, true
 }
 
-// fresh reports whether a cached advertisement is still within the
-// agent's staleness budget. With AdvertTTL unset every advertisement is
-// trusted forever, the paper's (fault-free) behaviour.
-func (a *Agent) fresh(cs cachedService, now float64) bool {
-	return a.AdvertTTL <= 0 || now-cs.pulledAt <= a.AdvertTTL
-}
-
-// supportsEnv checks a cached advertisement against the request's
-// execution environment (the straightforward part of matchmaking, §3.2).
-func supportsEnv(cs cachedService, env string) bool {
-	return slices.Contains(cs.info.Environments, env)
+// candidate reports whether s's advertisement may be estimated for a
+// request in env at now: cached, supporting env, and within the agent's
+// staleness budget (with AdvertTTL unset every advertisement is trusted
+// forever, the paper's fault-free behaviour). Tripped peers are not
+// candidates.
+func (a *Agent) candidate(s *peerSlot, env string, now float64) bool {
+	return s.cached && !s.tripped && slices.Contains(s.info.Environments, env) &&
+		(a.AdvertTTL <= 0 || now-s.pulledAt <= a.AdvertTTL)
 }
 
 // DecisionKind classifies the outcome of one discovery step at an agent.
@@ -662,6 +763,8 @@ type Decision struct {
 	Eta     float64 // η estimate behind the decision, when available
 	Visited []string
 	Err     error // set for DecideFail
+
+	slot *peerSlot // Peer's slot
 }
 
 // Decide runs the §3.1 discovery logic for a request arriving at this
@@ -692,9 +795,9 @@ func (a *Agent) Decide(req Request, now float64) Decision {
 	}
 
 	// 2. Evaluate neighbours' advertised services.
-	if target, eta, ok := a.bestNeighbour(req, now); ok {
+	if target, eta := a.bestNeighbour(req, now); target != nil {
 		a.stats.forwarded.Inc()
-		d.Kind, d.Peer, d.Eta = DecideForward, target, eta
+		d.Kind, d.Peer, d.slot, d.Eta = DecideForward, target.peer, target, eta
 		return d
 	}
 
@@ -702,9 +805,9 @@ func (a *Agent) Decide(req Request, now float64) Decision {
 	// unless its circuit is tripped, in which case this agent behaves
 	// like the head and falls back rather than escalating into a known
 	// failure.
-	if a.upper != nil && !req.visited(a.upper.PeerName()) && !a.PeerTripped(a.upper.PeerName()) {
+	if up := a.upperSlot(); up != nil && !req.visited(up.name) && !up.tripped {
 		a.stats.escalated.Inc()
-		d.Kind, d.Peer = DecideEscalate, a.upper
+		d.Kind, d.Peer, d.slot = DecideEscalate, up.peer, up
 		return d
 	}
 
@@ -719,23 +822,23 @@ func (a *Agent) Decide(req Request, now float64) Decision {
 		d.Kind, d.Eta = DecideFallbackLocal, eta
 		return d
 	}
-	d.Kind, d.Peer, d.Eta = DecideFallbackRemote, peer, eta
+	d.Kind, d.Peer, d.slot, d.Eta = DecideFallbackRemote, peer.peer, peer, eta
 	return d
 }
 
-// callPeer sends the request to the peer — for discovery, or with direct
+// callPeer sends the request to s's peer — for discovery, or with direct
 // set straight onto its scheduler's queue — feeding the peer's circuit
 // breaker: a gate block counts exactly like a transport failure, a success
 // (or a refusal the peer itself sent) closes a tripped breaker.
-func (a *Agent) callPeer(p Peer, req Request, now float64, direct bool) (d Dispatch, err error) {
-	if err = a.gateErr(p.PeerName(), now); err == nil {
+func (a *Agent) callPeer(s *peerSlot, req Request, now float64, direct bool) (d Dispatch, err error) {
+	if err = a.gateErr(s.name, now); err == nil {
 		if direct {
-			d, err = p.SubmitDirect(req, now)
+			d, err = s.peer.SubmitDirect(req, now)
 		} else {
-			d, err = p.Handle(req, now)
+			d, err = s.peer.Handle(req, now)
 		}
 	}
-	a.recordExchange(p.PeerName(), err)
+	a.recordExchange(s, err)
 	return d, err
 }
 
@@ -758,7 +861,7 @@ func (a *Agent) HandleRequest(req Request, now float64) (Dispatch, error) {
 	case DecideLocal:
 		return a.AcceptLocal(req, now, dec.Eta, false)
 	case DecideForward:
-		d, err := a.callPeer(dec.Peer, req, now, false)
+		d, err := a.callPeer(dec.slot, req, now, false)
 		if err == nil {
 			d.Hops = len(req.Visited) // approximate travel count
 			return d, nil
@@ -766,32 +869,31 @@ func (a *Agent) HandleRequest(req Request, now float64) (Dispatch, error) {
 		// The neighbour failed outright (e.g. all nodes down or
 		// unreachable): continue with escalation or fallback as if no
 		// neighbour had matched, never retrying the failed peer.
-		failed := map[string]bool{dec.Peer.PeerName(): true}
-		if a.upper != nil && !req.visited(a.upper.PeerName()) && !failed[a.upper.PeerName()] &&
-			!a.PeerTripped(a.upper.PeerName()) {
+		failed := map[string]bool{dec.slot.name: true}
+		if up := a.upperSlot(); up != nil && !req.visited(up.name) && !failed[up.name] && !up.tripped {
 			a.stats.escalated.Inc()
-			if d, err := a.callPeer(a.upper, req, now, false); err == nil {
+			if d, err := a.callPeer(up, req, now, false); err == nil {
 				return d, nil
 			}
-			failed[a.upper.PeerName()] = true
+			failed[up.name] = true
 		}
 		a.stats.fallbacks.Inc()
 		return a.dispatchFallback(req, now, failed)
 	case DecideEscalate:
-		d, err := a.callPeer(dec.Peer, req, now, false)
+		d, err := a.callPeer(dec.slot, req, now, false)
 		if err == nil {
 			return d, nil
 		}
 		// Upper agent unreachable: behave like the head and fall back.
 		a.stats.fallbacks.Inc()
-		return a.dispatchFallback(req, now, map[string]bool{dec.Peer.PeerName(): true})
+		return a.dispatchFallback(req, now, map[string]bool{dec.slot.name: true})
 	case DecideFallbackLocal:
 		return a.AcceptLocal(req, now, dec.Eta, true)
 	case DecideFallbackRemote:
-		d, err := a.callPeer(dec.Peer, req, now, true)
+		d, err := a.callPeer(dec.slot, req, now, true)
 		if err != nil {
 			// Best-effort target gone too: retry excluding it.
-			return a.dispatchFallback(req, now, map[string]bool{dec.Peer.PeerName(): true})
+			return a.dispatchFallback(req, now, map[string]bool{dec.slot.name: true})
 		}
 		d.Eta = dec.Eta
 		d.Fallback = true
@@ -831,7 +933,7 @@ func (a *Agent) HandleMigration(req Request, now float64) (Dispatch, error) {
 			return a.AcceptLocal(req, now, eta, false)
 		}
 	}
-	if target, _, ok := a.bestNeighbour(req, now); ok {
+	if target, _ := a.bestNeighbour(req, now); target != nil {
 		d, err := a.callPeer(target, req, now, false)
 		if err == nil {
 			a.stats.received.Inc()
@@ -863,37 +965,34 @@ func (a *Agent) AcceptLocal(req Request, now, eta float64, fallback bool) (Dispa
 	return Dispatch{Resource: a.name, TaskID: id, ReqID: req.ReqID, Eta: eta, Hops: hops, Fallback: fallback}, nil
 }
 
-// bestNeighbour returns the unvisited neighbour whose advertised service
-// yields the lowest η within the deadline. Peers with a tripped circuit
-// or an expired advertisement are not candidates.
-func (a *Agent) bestNeighbour(req Request, now float64) (Peer, float64, bool) {
-	var best Peer
+// bestNeighbour returns the slot of the unvisited neighbour whose
+// advertised service yields the lowest η within the deadline, nil when
+// none does. Peers with a tripped circuit or an expired advertisement are
+// not candidates.
+func (a *Agent) bestNeighbour(req Request, now float64) (*peerSlot, float64) {
+	var best *peerSlot
 	bestEta := math.Inf(1)
-	for _, n := range a.neighbours() {
-		if req.visited(n.PeerName()) || a.PeerTripped(n.PeerName()) {
+	for _, s := range a.slots {
+		if !a.candidate(s, req.Env, now) || req.visited(s.name) {
 			continue
 		}
-		cs, ok := a.cache[n.PeerName()]
-		if !ok || !supportsEnv(cs, req.Env) || !a.fresh(cs, now) {
-			continue
-		}
-		eta, err := a.estimateRemote(cs, req.App, now)
-		if err != nil || eta > req.Deadline {
+		eta, ok := a.estimateRemote(s, req.App, now)
+		if !ok || eta > req.Deadline {
 			continue
 		}
 		if eta < bestEta {
-			best, bestEta = n, eta
+			best, bestEta = s, eta
 		}
 	}
-	return best, bestEta, best != nil
+	return best, bestEta
 }
 
 // fallbackTarget picks the minimum-η candidate among the local resource
 // and every cached advertisement, ignoring deadlines. Peers in exclude
 // (known to be failing) are skipped.
-func (a *Agent) fallbackTarget(req Request, now float64, exclude map[string]bool) (peer Peer, eta float64, local bool, err error) {
+func (a *Agent) fallbackTarget(req Request, now float64, exclude map[string]bool) (peer *peerSlot, eta float64, local bool, err error) {
 	bestEta := math.Inf(1)
-	var bestPeer Peer
+	var bestPeer *peerSlot
 	isLocal := false
 
 	if a.local.SupportsEnvironment(req.Env) {
@@ -901,20 +1000,16 @@ func (a *Agent) fallbackTarget(req Request, now float64, exclude map[string]bool
 			bestEta, isLocal = e, true
 		}
 	}
-	for _, n := range a.neighbours() {
-		if exclude[n.PeerName()] || a.PeerTripped(n.PeerName()) {
+	for _, s := range a.slots {
+		if !a.candidate(s, req.Env, now) || exclude[s.name] {
 			continue
 		}
-		cs, ok := a.cache[n.PeerName()]
-		if !ok || !supportsEnv(cs, req.Env) || !a.fresh(cs, now) {
-			continue
-		}
-		e, err := a.estimateRemote(cs, req.App, now)
-		if err != nil {
+		e, ok := a.estimateRemote(s, req.App, now)
+		if !ok {
 			continue
 		}
 		if e < bestEta {
-			bestEta, bestPeer, isLocal = e, n, false
+			bestEta, bestPeer, isLocal = e, s, false
 		}
 	}
 	if !isLocal && bestPeer == nil {
@@ -941,7 +1036,7 @@ func (a *Agent) dispatchFallback(req Request, now float64, exclude map[string]bo
 			if exclude == nil {
 				exclude = map[string]bool{}
 			}
-			exclude[peer.PeerName()] = true
+			exclude[peer.name] = true
 			continue
 		}
 		d.Eta = eta

@@ -199,10 +199,9 @@ func TestStaleAdvertisementsAreClampedToNow(t *testing.T) {
 	_, child := pair(t, e)
 	// Advertisements pulled at t=0 claim freetime 0; by t=500 the
 	// neighbour estimate must be at least now + best exec time.
-	cs := child.cache["fast"]
-	eta, err := child.estimateRemote(cs, appOf(t, "sweep3d"), 500)
-	if err != nil {
-		t.Fatal(err)
+	eta, ok := child.estimateRemote(child.slotOf("fast"), appOf(t, "sweep3d"), 500)
+	if !ok {
+		t.Fatal("no estimate for fast")
 	}
 	if eta < 504 {
 		t.Fatalf("stale advertisement not clamped: η = %v", eta)

@@ -82,7 +82,7 @@ func TestRoutedReserveAsksTheErrorWhoAnswered(t *testing.T) {
 			} else if !errors.Is(err, c.wantErr) {
 				t.Fatalf("err = %v, want %v returned to the caller", err, c.wantErr)
 			}
-			if got := origin.healthOf("bad").consecFails; got != c.wantFails {
+			if got := origin.slotOf("bad").consecFails; got != c.wantFails {
 				t.Fatalf("bad's failure streak = %d, want %d", got, c.wantFails)
 			}
 		})

@@ -81,8 +81,8 @@ func Link(parent, child *Agent) error {
 		}
 		p = next
 	}
-	child.upper = parent
-	parent.lowers = append(parent.lowers, child)
+	child.link(parent, true)
+	parent.link(child, false)
 	return nil
 }
 
@@ -98,12 +98,11 @@ func Unlink(parent, child *Agent) error {
 	if up, ok := child.upper.(*Agent); !ok || up != parent {
 		return &NotLinkedError{Child: child.name, Parent: parent.name}
 	}
-	for i, p := range parent.lowers {
-		if p == Peer(child) {
-			parent.lowers = append(parent.lowers[:i], parent.lowers[i+1:]...)
-			child.upper = nil
-			parent.Forget(child.name)
-			child.Forget(parent.name)
+	off := len(parent.slots) - len(parent.lowerSlots())
+	for i, s := range parent.lowerSlots() {
+		if s.peer == Peer(child) {
+			parent.unlink(off + i)
+			child.unlink(0)
 			return nil
 		}
 	}
@@ -274,8 +273,8 @@ func (h *Hierarchy) validateLocked() error {
 		if h.byName[a.name] != a {
 			return fmt.Errorf("agent: %s reachable from head %s but not registered in the hierarchy", a.name, h.head.name)
 		}
-		for _, l := range a.lowers {
-			la, ok := l.(*Agent)
+		for _, l := range a.lowerSlots() {
+			la, ok := l.peer.(*Agent)
 			if !ok {
 				continue
 			}

@@ -25,16 +25,16 @@ func TestPullAllSkipsDownAgents(t *testing.T) {
 		ag.SetGate(gate)
 	}
 	h.PullAll(0)
-	if st := a.Stats(); st.Pulls != 0 || st.FailedPulls != 0 || len(a.cache) != 0 {
+	if st := a.Stats(); st.Pulls != 0 || st.FailedPulls != 0 || len(a.CachedServiceNames()) != 0 {
 		t.Fatalf("down agent pulled: %+v, cache %v", st, cachedNames(a))
 	}
 	for _, ag := range []*Agent{head, a1, a2} {
-		if _, ok := ag.cache["a"]; ok || ag.Stats().FailedPulls != 1 {
+		if ag.slotOf("a").cached || ag.Stats().FailedPulls != 1 {
 			t.Fatalf("%s pulled down a: cache %v, %d failed pulls", ag.name, cachedNames(ag), ag.Stats().FailedPulls)
 		}
 	}
 	want, _ := b.PullService()
-	if got := head.cache["b"].info; !reflect.DeepEqual(got, want) {
+	if got := head.slotOf("b").info; !reflect.DeepEqual(got, want) {
 		t.Fatalf("batched advert of b = %+v, PullService = %+v", got, want)
 	}
 
@@ -43,7 +43,7 @@ func TestPullAllSkipsDownAgents(t *testing.T) {
 	if got := cachedNames(a); a.Stats().Pulls != 1 || !reflect.DeepEqual(got, []string{"a1", "a2", "head"}) {
 		t.Fatalf("recovered a: %d pulls, cache %v", a.Stats().Pulls, got)
 	}
-	if _, ok := head.cache["a"]; !ok {
+	if !head.slotOf("a").cached {
 		t.Fatal("head did not pull recovered a")
 	}
 }
@@ -59,14 +59,14 @@ func TestPullAllFollowsAttachAndDetach(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.PullAll(10)
-	if _, ok := b.cache["c"]; !ok || c.Stats().Pulls != 1 {
+	if s := b.slotOf("c"); s == nil || !s.cached || c.Stats().Pulls != 1 {
 		t.Fatalf("after attach: b caches %v, c pulled %d times", cachedNames(b), c.Stats().Pulls)
 	}
 	if _, err := h.Detach("c"); err != nil {
 		t.Fatal(err)
 	}
 	h.PullAll(20)
-	if _, ok := b.cache["c"]; ok || c.Stats().Pulls != 1 {
+	if b.slotOf("c") != nil || c.Stats().Pulls != 1 {
 		t.Fatalf("after detach: b caches %v, c pulled %d times", cachedNames(b), c.Stats().Pulls)
 	}
 }

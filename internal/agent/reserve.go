@@ -135,30 +135,30 @@ func (a *Agent) HandleReserve(op ReserveOp, now float64) (ReserveReply, error) {
 	if op.Resource == a.name || op.Resource == "" {
 		return a.applyReserve(op, now)
 	}
-	for _, n := range a.neighbours() {
-		rp, ok := n.(ReservePeer)
-		if !ok || op.visited(n.PeerName()) || a.PeerTripped(n.PeerName()) {
+	for _, s := range a.slots {
+		rp, ok := s.peer.(ReservePeer)
+		if !ok || s.unlinked || s.tripped || op.visited(s.name) {
 			continue
 		}
-		if err := a.gateErr(n.PeerName(), now); err != nil {
-			a.RecordPeerFailure(n.PeerName())
+		if err := a.gateErr(s.name, now); err != nil {
+			a.peerFailed(s)
 			continue
 		}
 		r, err := rp.HandleReserve(op, now)
 		if err == nil {
-			a.RecordPeerSuccess(n.PeerName())
+			a.peerSucceeded(s)
 			return r, nil
 		}
 		if IsNotRoutable(err) {
 			// The peer answered — the target just isn't in that direction.
-			a.RecordPeerSuccess(n.PeerName())
+			a.peerSucceeded(s)
 			continue
 		}
 		if answered, known := peerAnswered(err); known {
 			// Over a wire: nothing coming back is one more direction that
 			// does not lead to the target, like a gate block; an answer is
 			// the refusal below, sent by a live peer.
-			a.recordExchange(n.PeerName(), err)
+			a.recordExchange(s, err)
 			if !answered {
 				continue
 			}
@@ -184,17 +184,17 @@ func (a *Agent) floodQuote(op ReserveOp, now float64) ReserveReply {
 	if q, err := a.local.QuoteReservation(op.Nodes, op.Earliest, op.Duration, now); err == nil {
 		reply.Quotes = append(reply.Quotes, q)
 	}
-	for _, n := range a.neighbours() {
-		rp, ok := n.(ReservePeer)
-		if !ok || op.visited(n.PeerName()) || a.PeerTripped(n.PeerName()) {
+	for _, s := range a.slots {
+		rp, ok := s.peer.(ReservePeer)
+		if !ok || s.unlinked || s.tripped || op.visited(s.name) {
 			continue
 		}
-		if err := a.gateErr(n.PeerName(), now); err != nil {
-			a.RecordPeerFailure(n.PeerName())
+		if err := a.gateErr(s.name, now); err != nil {
+			a.peerFailed(s)
 			continue
 		}
 		r, err := rp.HandleReserve(op, now)
-		a.recordExchange(n.PeerName(), err)
+		a.recordExchange(s, err)
 		if err != nil {
 			continue
 		}

@@ -13,6 +13,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/agent"
@@ -192,6 +193,9 @@ type Grid struct {
 	// given virtual time, so a clock advance touches only the schedulers
 	// with work due instead of all 10k. Entries are lazily deleted.
 	due dueHeap
+	// dueNames is advanceAll's list of due scheduler names, reused so an
+	// advance allocates nothing once it has grown.
+	dueNames []string
 
 	// budget is the RunAll event bound, summed where the events are
 	// queued: tick adds its own firings, Run the requests and the fault
@@ -623,24 +627,21 @@ func (g *Grid) pushDue(at float64, name string) {
 // every replan and promotion), so no promotion can be missed. Stale
 // entries — the plan changed after the push — are harmless: AdvanceTo on
 // a scheduler with nothing due is a constant-time clock bump. Names are
-// sorted before advancing, so promotions happen in the same resource
-// order the full sweep used and the lifecycle stream is byte-identical.
+// sorted and deduplicated before advancing, so promotions happen in the
+// same resource order the full sweep used and the lifecycle stream is
+// byte-identical.
 func (g *Grid) advanceAll(now float64) {
 	for {
-		var names []string
-		seen := map[string]bool{}
+		names := g.dueNames[:0]
 		for len(g.due) > 0 && g.due[0].at <= now {
-			e := g.due.pop()
-			if !seen[e.name] {
-				seen[e.name] = true
-				names = append(names, e.name)
-			}
+			names = append(names, g.due.pop().name)
 		}
+		g.dueNames = names
 		if len(names) == 0 {
 			break
 		}
-		sort.Strings(names)
-		for _, n := range names {
+		slices.Sort(names)
+		for _, n := range slices.Compact(names) {
 			g.locals[n].AdvanceTo(now)
 		}
 	}

@@ -39,6 +39,14 @@ type paddedCounter struct {
 	_ [56]byte // pad to a cache line so shards do not false-share
 }
 
+// cell is one entry of a value row: the prediction for k processors and
+// eq. 10's running minimum over 1..k, kept next to the values it is
+// derived from so that min_k t(app, hw, k) is a table read.
+type cell struct {
+	v   float64 // t(app, hw, k); NaN marks an absent entry
+	min float64 // min over j = 1..k of t(app, hw, j); NaN unless every j <= k is present
+}
+
 // predTable is the engine's immutable prediction table: a dense
 // [app][hw][nprocs] matrix. Readers access it through an atomic pointer
 // without taking any lock; a miss builds an extended copy under the engine
@@ -50,7 +58,7 @@ type predTable struct {
 	hws   map[string]int // hardware column key -> column
 	names []string       // row -> application model name
 	slots []int32        // AppModel.slot -> 1 + row of the first model seen with that slot; 0 = none
-	vals  [][][]float64  // [app][hw][nprocs-1]; NaN marks an absent entry
+	vals  [][][]cell     // [app][hw][nprocs-1]
 	count int            // populated entries
 }
 
@@ -68,22 +76,19 @@ func (t *predTable) row(app *AppModel) (int, bool) {
 	return ai, ok
 }
 
-// lookup returns the memoised prediction for app on column col and nprocs
-// processors, if any.
-func (t *predTable) lookup(app *AppModel, col, nprocs int) (float64, bool) {
+// at returns the entry for app on column col and nprocs processors, if
+// the table has a slot for it; the prediction is memoised unless its v is
+// NaN. It is the one read of the table, so a hit is one call.
+func (t *predTable) at(app *AppModel, col, nprocs int) (cell, bool) {
 	ai, ok := t.row(app)
 	if !ok || col >= len(t.vals[ai]) {
-		return 0, false
+		return cell{}, false
 	}
 	row := t.vals[ai][col]
 	if nprocs-1 >= len(row) {
-		return 0, false
+		return cell{}, false
 	}
-	v := row[nprocs-1]
-	if math.IsNaN(v) {
-		return 0, false
-	}
-	return v, true
+	return row[nprocs-1], true
 }
 
 // grow returns a copy of t that has a column for hw and, when app is not
@@ -117,9 +122,9 @@ func (t *predTable) grow(app *AppModel, hw string) (nt *predTable, ai, hi int) {
 		hi = len(nt.hws)
 		nt.hws[hw] = hi
 	}
-	nt.vals = make([][][]float64, len(nt.names))
+	nt.vals = make([][][]cell, len(nt.names))
 	for a := range nt.vals {
-		nt.vals[a] = make([][]float64, len(nt.hws))
+		nt.vals[a] = make([][]cell, len(nt.hws))
 		if a < len(t.vals) {
 			copy(nt.vals[a], t.vals[a])
 		}
@@ -129,21 +134,34 @@ func (t *predTable) grow(app *AppModel, hw string) (nt *predTable, ai, hi int) {
 
 // extend returns a copy of t with (app, hw, nprocs) -> v added. Only the
 // touched value row is cloned, so republishing after a miss is cheap
-// relative to the model evaluation it accompanies.
+// relative to the model evaluation it accompanies. The new entry may
+// complete a prefix of the row; its running minima are filled in from
+// nprocs on, in the k-ascending, first-strict-minimum order of eq. 10's
+// scan, so a memoised minimum is bit for bit the scan's.
 func (t *predTable) extend(app *AppModel, hw string, nprocs int, v float64) *predTable {
 	nt, ai, hi := t.grow(app, hw)
 	row := nt.vals[ai][hi]
 	if nprocs-1 >= len(row) {
-		grown := make([]float64, nprocs)
+		grown := make([]cell, nprocs)
 		for i := range grown {
-			grown[i] = math.NaN()
+			grown[i] = cell{v: math.NaN(), min: math.NaN()}
 		}
 		copy(grown, row)
 		row = grown
 	} else {
 		row = slices.Clone(row)
 	}
-	row[nprocs-1] = v
+	row[nprocs-1].v = v
+	best := math.Inf(1)
+	if nprocs > 1 {
+		best = row[nprocs-2].min
+	}
+	for k := nprocs - 1; k < len(row) && !math.IsNaN(best) && !math.IsNaN(row[k].v); k++ {
+		if row[k].v < best {
+			best = row[k].v
+		}
+		row[k].min = best
+	}
 	nt.vals[ai][hi] = row
 	nt.count++
 	return nt
@@ -250,6 +268,33 @@ func (c *Column) Predict(app *AppModel, nprocs int) (float64, error) {
 	return c.e.predict(app, c.hw, c.col, nprocs)
 }
 
+// Best returns eq. 10's fastest time for app on the column's hardware
+// with up to n nodes: min over k = 1..n of t(app, hw, k), scanning k
+// upward and keeping the first strict minimum, so it is bit for bit the
+// minimum of a k-loop of Predict. On a cached engine it is read from the
+// table wherever every k <= n has been predicted; such a hit is not a
+// prediction and moves no counter. Otherwise — and always on an engine
+// without a cache — it is that k-loop, counted like any Predict, and an
+// error is returned, never memoised. n < 1 gives +Inf.
+func (c *Column) Best(app *AppModel, n int) (float64, error) {
+	if c.e.cacheEnabled && app != nil && n >= 1 {
+		if m, ok := c.e.table.Load().at(app, c.col, n); ok && !math.IsNaN(m.min) {
+			return m.min, nil
+		}
+	}
+	best := math.Inf(1)
+	for k := 1; k <= n; k++ {
+		d, err := c.Predict(app, k)
+		if err != nil {
+			return 0, err
+		}
+		if d < best {
+			best = d
+		}
+	}
+	return best, nil
+}
+
 // MustPredict is Predict for callers that have already validated their
 // inputs; it panics on error.
 func (c *Column) MustPredict(app *AppModel, nprocs int) float64 {
@@ -270,9 +315,9 @@ func (e *Engine) predict(app *AppModel, hw Hardware, col, nprocs int) (float64, 
 		return 0, fmt.Errorf("pace: prediction requires at least one processor, got %d", nprocs)
 	}
 	if e.cacheEnabled && col >= 0 {
-		if v, ok := e.table.Load().lookup(app, col, nprocs); ok {
+		if c, ok := e.table.Load().at(app, col, nprocs); ok && !math.IsNaN(c.v) {
 			e.hits[nprocs%hitShards].v.Add(1)
-			return v, nil
+			return c.v, nil
 		}
 	}
 	return e.miss(app, hw, nprocs)
@@ -303,9 +348,9 @@ func (e *Engine) miss(app *AppModel, hw Hardware, nprocs int) (float64, error) {
 	defer e.mu.Unlock()
 	t := e.table.Load()
 	if col, ok := t.hws[hw.Name]; ok {
-		if v, ok := t.lookup(app, col, nprocs); ok {
+		if c, ok := t.at(app, col, nprocs); ok && !math.IsNaN(c.v) {
 			e.hits[nprocs%hitShards].v.Add(1)
-			return v, nil
+			return c.v, nil
 		}
 	}
 	e.misses.Add(1)

@@ -744,22 +744,16 @@ func (l *Local) Freetime() float64 {
 //
 //	η_r = ω + min over node subsets of t_x(ρ, σ_r),
 //
-// which for a homogeneous resource means evaluating the PACE engine once
-// per node count (§3.2).
+// which for a homogeneous resource is the engine's fastest time over the
+// node counts up to the nodes up (§3.2), memoised in its table.
 func (l *Local) EstimateCompletion(app *pace.AppModel) (float64, error) {
 	up := l.monitor.NumUp()
 	if up == 0 {
 		return 0, fmt.Errorf("scheduler: %q: no processing nodes available", l.cfg.Name)
 	}
-	best := math.Inf(1)
-	for k := 1; k <= up; k++ {
-		d, err := l.col.Predict(app, k)
-		if err != nil {
-			return 0, err
-		}
-		if d < best {
-			best = d
-		}
+	best, err := l.col.Best(app, up)
+	if err != nil {
+		return 0, err
 	}
 	return l.Freetime() + best, nil
 }
