@@ -52,26 +52,24 @@ func (o *Observer) observeMembership(ev trace.Event) {
 	case trace.KindJoin:
 		o.counts.Joins++
 		// A join (or re-join) lifts the post-departure bar (g1).
-		if o.leftAt != nil {
-			delete(o.leftAt, name)
-		}
-		o.present[name] = true
+		r := &o.res[o.intern(name)]
+		r.left = false
+		r.present = true
 	case trace.KindLeave:
 		o.counts.Leaves++
 		// (g3) leaving requires being there. Resources in the static
 		// node map are present from the start; anything else must have
 		// joined first.
-		if _, static := o.nodes[name]; !static && !o.present[name] {
+		r := &o.res[o.intern(name)]
+		if !r.static && !r.present {
 			o.add("membership", ev.ReqID, fmt.Sprintf("%s left at t=%g without ever joining", name, ev.Time))
 		}
-		if o.leftAt == nil {
-			o.leftAt = map[string]float64{}
+		if r.left {
+			o.add("membership", ev.ReqID, fmt.Sprintf("%s left at t=%g but had already left at t=%g", name, ev.Time, r.leftAt))
 		}
-		if t, gone := o.leftAt[name]; gone {
-			o.add("membership", ev.ReqID, fmt.Sprintf("%s left at t=%g but had already left at t=%g", name, ev.Time, t))
-		}
-		o.leftAt[name] = ev.Time
-		delete(o.present, name)
+		r.left, r.leftAt = true, ev.Time
+		r.present = false
+		o.anyLeft = true
 	case trace.KindRehomePropose:
 		o.counts.RehomeProposes++
 		o.rehomes = append(o.rehomes, &rehomeChain{agent: name, time: ev.Time})
@@ -120,11 +118,13 @@ func (o *Observer) closeRehome(done *rehomeChain) {
 // checkDeparted raises (g1) for a placement or start event landing on a
 // resource strictly after its leave.
 func (o *Observer) checkDeparted(ev trace.Event) {
-	if o.leftAt == nil || ev.Resource == "" {
+	if !o.anyLeft || ev.Resource == "" {
 		return
 	}
-	if t, gone := o.leftAt[ev.Resource]; gone && ev.Time > t {
-		o.add("membership", ev.ReqID, fmt.Sprintf("%s on %s at t=%g, after the resource left at t=%g", ev.Kind, ev.Resource, ev.Time, t))
+	if i, ok := o.lookup(ev.Resource); ok {
+		if r := &o.res[i]; r.left && ev.Time > r.leftAt {
+			o.add("membership", ev.ReqID, fmt.Sprintf("%s on %s at t=%g, after the resource left at t=%g", ev.Kind, ev.Resource, ev.Time, r.leftAt))
+		}
 	}
 }
 
@@ -133,8 +133,13 @@ func (o *Observer) checkDeparted(ev trace.Event) {
 // its peerdown and peerup. Starts stay legal: tasks already executing
 // survive their agent's crash.
 func (o *Observer) checkCrashed(ev trace.Event) {
-	if t, down := o.down[ev.Resource]; down {
-		o.add("crash", ev.ReqID, fmt.Sprintf("%s on %s at t=%g, while the agent was down since t=%g", ev.Kind, ev.Resource, ev.Time, t))
+	if o.nDown == 0 {
+		return
+	}
+	if i, ok := o.lookup(ev.Resource); ok {
+		if r := &o.res[i]; r.down {
+			o.add("crash", ev.ReqID, fmt.Sprintf("%s on %s at t=%g, while the agent was down since t=%g", ev.Kind, ev.Resource, ev.Time, r.downAt))
+		}
 	}
 }
 

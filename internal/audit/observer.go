@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/agent"
 	"repro/internal/metrics"
@@ -16,24 +18,34 @@ import (
 // execution records and dispatch-log entries as the run produces them and
 // proves the same invariants (a)–(e) holding only O(in-flight) state. A
 // request's per-lifecycle state is retired the moment its terminal event
-// (complete or fail) is observed, and the exclusivity interval sets are
-// pruned as the virtual clock's safe horizon advances, so a 1M-request
-// run audits in memory bounded by the in-flight window, not the run
-// length.
+// (complete or fail) is observed, and each node's exclusivity intervals
+// are pruned as the virtual clock's safe horizon advances, so a
+// 1M-request run audits in memory bounded by the in-flight window, not
+// the run length.
 //
 // Feeding contract (the grid satisfies it naturally): a request's
 // execution record is observed before its start/complete events (the
 // executor emits the record at promotion, then the events), and a
 // dispatch-log entry before its dispatch event. Advance(now) promises
-// every record observed from here on starts strictly after now — the
-// grid calls it after each clock advance, when no planned start at or
-// before now remains unpromoted.
+// every record observed from here on starts at or after now — the grid
+// calls it after each clock advance, when no planned start at or before
+// now remains unpromoted.
+//
+// State layout. Resources are indexed once, in NewObserver: one
+// name → index lookup per record or event reaches a resource struct
+// holding its node count, membership and crash state, and its per-node
+// states (busy sum and interval list). A name that is not in the node
+// table is given an index the first time it is seen (a forged stream or
+// an agent without a resource), and a record on it is still an unknown
+// resource. Per-request states are pointer-free values in a slab with a
+// free list, reached through a map from request ID to slab index, so the
+// collector never scans them; the rare second arrival, dispatch-log entry
+// or dispatch event of one request, and record-agreement violations, go
+// to side storage that only malformed streams reach.
 //
 // Observer is not safe for concurrent use; the grid serialises all
 // observation on the simulation loop.
 type Observer struct {
-	nodes map[string]int
-
 	// retire controls early retirement. Live runs retire a request at
 	// its terminal event; the Check replay keeps state to the end so a
 	// malformed trace (events after a terminal) is judged with full
@@ -44,23 +56,38 @@ type Observer struct {
 	stream    []Violation // violations in observation order
 	anyEvents bool
 
-	inflight map[uint64]*reqState
-	order    []uint64 // insertion order of live states (finish fallback)
+	// Resources: res[:nStatic] are the node table's; later entries are
+	// names first seen at run time. spills holds the node interval lists
+	// longer than one (see nodeState).
+	resIdx   map[string]int32
+	res      []resource
+	nStatic  int32
+	spills   [][]interval
+	lastName string // one-entry cache in front of resIdx
+	lastRes  int32
+
+	// horizon is the latest Advance watermark; an interval that ended at
+	// or before it can no longer overlap a record still to come.
+	horizon float64
+
+	// In-flight request states: inflight maps a request ID to its slot
+	// in states; free lists released slots. lastID/lastSlot cache the
+	// most recent lookup, since a request's stages arrive in runs (arrive,
+	// log entry, dispatch; record, start, complete).
+	inflight map[uint64]int32
+	states   [][]reqState // chunks of stateChunk slots
+	nStates  int32        // slots ever handed out
+	free     []int32
+	lastID   uint64
+	lastSlot int32
+	extra    map[uint64]*reqExtra
 
 	retired    bitset
 	retiredBig map[uint64]bool // ids too large for the bitset
 
-	// exclusivity intervals per resource per node, pruned on Advance.
-	// ivCount tracks the stored-interval population and ivFloor its size
-	// after the last sweep, so pruning can be amortized (see Advance).
-	ivs     map[string][][]interval
-	ivCount int
-	ivFloor int
-	horizon float64
-
-	// streaming §3.3 recomputation: unclipped per-node busy sums plus
-	// the record span, checked against the report window at Finish.
-	busy     map[string][]float64
+	// streaming §3.3 recomputation: unclipped per-node busy sums (in
+	// nodes) plus the record span, checked against the report window at
+	// Finish.
 	advance  float64
 	tasks    int
 	minStart float64
@@ -74,14 +101,47 @@ type Observer struct {
 	resv      map[string]map[uint64]*resvBooking
 	resvOrder []*resvBooking
 
-	// dynamic-membership state (see membership.go): departure times per
-	// resource, runtime joiners seen, and open re-homing chains.
-	leftAt  map[string]float64
-	present map[string]bool
+	// dynamic-membership and crash state beyond the per-resource flags
+	// (see membership.go): whether any leave or crash is in force, so
+	// the common path skips the lookup, and the open re-homing chains.
+	anyLeft bool
+	nDown   int
 	rehomes []*rehomeChain
+}
 
-	// down holds each currently crashed agent's peerdown time (h).
-	down map[string]float64
+// resource is one named resource's audit state.
+type resource struct {
+	name   string
+	n      int  // node count from the table (0 for names seen at run time)
+	static bool // in the node table given to NewObserver
+	// nodes holds per-node state, allocated at the resource's first
+	// record; nodes past maxNodes have none.
+	nodes []nodeState
+
+	present bool // joined at run time and not left since
+	left    bool
+	leftAt  float64
+	down    bool
+	downAt  float64
+}
+
+// maxNodes is the width of a record's node mask: nodes past it can never
+// be allocated, so they get no state (their busy sum stays zero).
+const maxNodes = 64
+
+// nodeState is one physical node's exclusivity intervals, sorted by
+// (start, end), and its unclipped busy sum. After pruning, a node of a
+// real run holds at most its running task, so one interval lives inline;
+// a longer list lives in Observer.spills[spill-1]. The struct holds no
+// pointers, so the collector skips a resource's node states.
+type nodeState struct {
+	n     int32 // intervals held: in one when n == 1, in the spill when n > 1
+	spill int32 // 1 + index into Observer.spills; 0 before the node first spills
+	// unordered marks a list that has held a NaN time: the order is no
+	// longer total, so insertion always takes the binary search.
+	unordered bool
+	busy      float64
+	one       interval
 }
 
 type interval struct {
@@ -90,88 +150,185 @@ type interval struct {
 	taskID     int
 }
 
+// dispatchKey is a (resource index, task ID) placement.
 type dispatchKey struct {
-	resource string
-	taskID   int
+	res    int32
+	taskID int
 }
 
 // reqState is one in-flight request's lifecycle state — everything the
 // per-request checks of the batch auditor derive from the full event
-// list, folded incrementally.
+// list, folded incrementally. It holds no pointers: kinds are bytes,
+// resources are indices, and the first arrival, dispatch-log entry and
+// dispatch event are stored inline (later ones in reqExtra).
 type reqState struct {
-	eventCount int
-	arrives    int
-	dispatches int
-	redisp     int
-	starts     int
-	completes  int
-	fails      int
-	migOffers  int
-	migWith    int
-	migRedisp  int
+	eventCount int32
+	arrives    int32
+	dispatches int32
+	redisp     int32
+	starts     int32
+	completes  int32
+	fails      int32
+	migOffers  int32
+	migWith    int32
+	migRedisp  int32
+	recCount   int32
+
+	// migration-chain scan state (checkMigrationChain, folded).
+	pendingWithdraw int32
 
 	firstKind   trace.Kind
 	prevKind    trace.Kind
-	prevTime    float64
-	arriveTimes []float64
+	finalKind   trace.Kind
+	migrateSeen bool
+	hasFinal    bool
+	hasResv     bool
+	hasExtra    bool
 
-	recCount int
-	rec      scheduler.Record // first observed record
+	prevTime float64
+	arrive0  float64 // first arrival time
 
-	// migration-chain scan state (checkMigrationChain, folded).
-	migrateSeen     bool
-	placed          string
-	pendingWithdraw int
+	// first observed record, as far as the checks read it.
+	rec struct {
+		start, end, arrival float64
+		res                 int32
+		taskID              int
+	}
 
-	// final placement decision (dispatch / redispatch / migrate-redispatch).
-	hasFinal      bool
-	finalKind     trace.Kind
-	finalResource string
-	finalTaskID   int
+	// final placement decision (dispatch / redispatch / migrate-redispatch),
+	// which is also the latest placement the migration checks read.
+	finalRes    int32
+	finalTaskID int
 
 	// dispatch-log entries logged for this request, and the dispatch
-	// events seen to match them against at finalisation.
-	logged       []agent.Dispatch
-	dispatchSeen []dispatchKey
-	agreement    []Violation // record-agreement violations, valid only if recCount stays 1
+	// events seen to match them against at finalisation: the first of
+	// each inline.
+	nLogged int32
+	nSeen   int32
+	logged0 dispatchKey
+	seen0   dispatchKey
 
 	// confirmed-reservation window bound to this request (audit (f2)).
-	hasResv            bool
 	resvStart, resvEnd float64
 }
 
+// reqExtra is a request's state beyond reqState's inline slots.
+type reqExtra struct {
+	arrives   []float64     // arrival times after the first
+	logged    []dispatchKey // dispatch-log entries after the first
+	seen      []dispatchKey // dispatch events after the first
+	agreement []Violation   // record-agreement violations, valid only if recCount stays 1
+}
+
+// noExtra stands in for the side storage of a request that has none.
+var noExtra reqExtra
+
 // NewObserver returns a streaming auditor for a grid with the given node
-// counts per resource.
+// counts per resource. The table is read once, here.
 func NewObserver(nodes map[string]int) *Observer {
-	return &Observer{
-		nodes:    nodes,
+	o := &Observer{
 		retire:   true,
-		inflight: map[uint64]*reqState{},
-		ivs:      map[string][][]interval{},
-		busy:     map[string][]float64{},
-		present:  map[string]bool{},
-		down:     map[string]float64{},
+		resIdx:   make(map[string]int32, len(nodes)),
+		res:      make([]resource, 0, len(nodes)),
+		nStatic:  int32(len(nodes)),
+		lastRes:  -1,
+		horizon:  math.Inf(-1),
+		inflight: map[uint64]int32{},
 		minStart: math.Inf(1),
 		maxEnd:   math.Inf(-1),
 	}
+	for name, n := range nodes {
+		o.resIdx[name] = int32(len(o.res))
+		o.res = append(o.res, resource{name: name, n: n, static: true})
+	}
+	return o
 }
 
 func (o *Observer) add(check string, reqID uint64, detail string) {
 	o.stream = append(o.stream, Violation{Check: check, ReqID: reqID, Detail: detail})
 }
 
+// lookup returns the index of a resource name, if it has one.
+func (o *Observer) lookup(name string) (int32, bool) {
+	if o.lastRes >= 0 && name == o.lastName {
+		return o.lastRes, true
+	}
+	r, ok := o.resIdx[name]
+	if ok {
+		o.lastName, o.lastRes = name, r
+	}
+	return r, ok
+}
+
+// intern returns the index of a resource name, giving a name outside the
+// node table one the first time it is seen.
+func (o *Observer) intern(name string) int32 {
+	if r, ok := o.lookup(name); ok {
+		return r
+	}
+	r := int32(len(o.res))
+	o.res = append(o.res, resource{name: name})
+	o.resIdx[name] = r
+	return r
+}
+
 // state returns (creating if needed) the in-flight state for a request.
 func (o *Observer) state(id uint64) *reqState {
-	s := o.inflight[id]
-	if s == nil {
-		s = &reqState{}
-		o.inflight[id] = s
-		o.order = append(o.order, id)
-		if len(o.inflight) > o.peakStates {
-			o.peakStates = len(o.inflight)
+	if id != o.lastID {
+		i, ok := o.inflight[id]
+		if !ok {
+			if n := len(o.free); n > 0 {
+				i = o.free[n-1]
+				o.free = o.free[:n-1]
+			} else {
+				i = o.nStates
+				o.nStates++
+				if int(i)/stateChunk == len(o.states) {
+					o.states = append(o.states, make([]reqState, stateChunk))
+				}
+			}
+			*o.stateAt(i) = reqState{}
+			o.inflight[id] = i
+			if len(o.inflight) > o.peakStates {
+				o.peakStates = len(o.inflight)
+			}
 		}
+		o.lastID, o.lastSlot = id, i
 	}
-	return s
+	return o.stateAt(o.lastSlot)
+}
+
+// stateChunk is the slab's growth step: chunks are added, never copied,
+// so the slab's footprint is its peak in-flight count.
+const stateChunk = 512
+
+func (o *Observer) stateAt(i int32) *reqState {
+	return &o.states[i/stateChunk][i%stateChunk]
+}
+
+// extraOf returns (creating if needed) a request's side storage.
+func (o *Observer) extraOf(id uint64, s *reqState) *reqExtra {
+	if !s.hasExtra {
+		if o.extra == nil {
+			o.extra = map[uint64]*reqExtra{}
+		}
+		o.extra[id] = &reqExtra{}
+		s.hasExtra = true
+	}
+	return o.extra[id]
+}
+
+// release drops a request's state once it has been finalised.
+func (o *Observer) release(id uint64) {
+	i := o.inflight[id]
+	if o.stateAt(i).hasExtra {
+		delete(o.extra, id)
+	}
+	delete(o.inflight, id)
+	o.free = append(o.free, i)
+	if o.lastID == id {
+		o.lastID = 0
+	}
 }
 
 func (o *Observer) isRetired(id uint64) bool {
@@ -202,10 +359,17 @@ func (o *Observer) Observe(ev trace.Event) {
 	o.anyEvents = true
 	switch ev.Kind {
 	case trace.KindPeerDown:
-		o.down[ev.Agent] = ev.Time
+		r := &o.res[o.intern(ev.Agent)]
+		if !r.down {
+			o.nDown++
+		}
+		r.down, r.downAt = true, ev.Time
 		return
 	case trace.KindPeerUp:
-		delete(o.down, ev.Agent)
+		if i, ok := o.lookup(ev.Agent); ok && o.res[i].down {
+			o.res[i].down = false
+			o.nDown--
+		}
 		return
 	case trace.KindReserveConfirm:
 		o.checkCrashed(ev)
@@ -252,43 +416,54 @@ func (o *Observer) Observe(ev trace.Event) {
 
 	switch ev.Kind {
 	case trace.KindArrive:
+		if s.arrives == 0 {
+			s.arrive0 = ev.Time
+		} else {
+			x := o.extraOf(ev.ReqID, s)
+			x.arrives = append(x.arrives, ev.Time)
+		}
 		s.arrives++
-		s.arriveTimes = append(s.arriveTimes, ev.Time)
 	case trace.KindDispatch:
 		s.dispatches++
-		s.placed = ev.Resource
-		s.setFinal(ev)
-		s.dispatchSeen = append(s.dispatchSeen, dispatchKey{ev.Resource, ev.TaskID})
+		key := o.place(s, ev)
+		if s.nSeen == 0 {
+			s.seen0 = key
+		} else {
+			x := o.extraOf(ev.ReqID, s)
+			x.seen = append(x.seen, key)
+		}
+		s.nSeen++
 	case trace.KindRedispatch:
 		s.redisp++
-		s.placed = ev.Resource
-		s.setFinal(ev)
+		o.place(s, ev)
 	case trace.KindStart:
 		s.starts++
 		if s.migrateSeen {
 			if s.pendingWithdraw > 0 {
 				o.add("conservation", ev.ReqID, "task started while withdrawn from every queue")
 			}
-			if s.placed != "" && ev.Resource != s.placed {
-				o.add("placement", ev.ReqID, fmt.Sprintf("task started on %s but was last placed on %s", ev.Resource, s.placed))
+			if placed := o.placedName(s); placed != "" && ev.Resource != placed {
+				o.add("placement", ev.ReqID, fmt.Sprintf("task started on %s but was last placed on %s", ev.Resource, placed))
 			}
 		}
 		if s.recCount == 1 {
-			rec := s.rec
-			if ev.Time != rec.Start || ev.Resource != rec.Resource || ev.TaskID != rec.TaskID {
-				s.agreement = append(s.agreement, Violation{Check: "timing", ReqID: ev.ReqID,
+			rec := &s.rec
+			if name := o.res[rec.res].name; ev.Time != rec.start || ev.Resource != name || ev.TaskID != rec.taskID {
+				x := o.extraOf(ev.ReqID, s)
+				x.agreement = append(x.agreement, Violation{Check: "timing", ReqID: ev.ReqID,
 					Detail: fmt.Sprintf("start event (t=%g, %s task %d) disagrees with record (t=%g, %s task %d)",
-						ev.Time, ev.Resource, ev.TaskID, rec.Start, rec.Resource, rec.TaskID)})
+						ev.Time, ev.Resource, ev.TaskID, rec.start, name, rec.taskID)})
 			}
 		}
 	case trace.KindComplete:
 		s.completes++
 		if s.recCount == 1 {
-			rec := s.rec
-			if ev.Time != rec.End || ev.Resource != rec.Resource {
-				s.agreement = append(s.agreement, Violation{Check: "timing", ReqID: ev.ReqID,
+			rec := &s.rec
+			if name := o.res[rec.res].name; ev.Time != rec.end || ev.Resource != name {
+				x := o.extraOf(ev.ReqID, s)
+				x.agreement = append(x.agreement, Violation{Check: "timing", ReqID: ev.ReqID,
 					Detail: fmt.Sprintf("complete event (t=%g, %s) disagrees with record (t=%g, %s)",
-						ev.Time, ev.Resource, rec.End, rec.Resource)})
+						ev.Time, ev.Resource, rec.end, name)})
 			}
 		}
 	case trace.KindFail:
@@ -296,8 +471,8 @@ func (o *Observer) Observe(ev trace.Event) {
 	case trace.KindMigrateOffer:
 		s.migOffers++
 		s.migrateSeen = true
-		if s.placed != "" && ev.Resource != s.placed {
-			o.add("conservation", ev.ReqID, fmt.Sprintf("migrate-offer from %s but the task was placed on %s", ev.Resource, s.placed))
+		if placed := o.placedName(s); placed != "" && ev.Resource != placed {
+			o.add("conservation", ev.ReqID, fmt.Sprintf("migrate-offer from %s but the task was placed on %s", ev.Resource, placed))
 		}
 	case trace.KindMigrateWithdraw:
 		s.migWith++
@@ -308,8 +483,8 @@ func (o *Observer) Observe(ev trace.Event) {
 		if s.pendingWithdraw > 0 {
 			o.add("conservation", ev.ReqID, "second migrate-withdraw before the previous chain re-dispatched")
 		}
-		if s.placed != "" && ev.Resource != s.placed {
-			o.add("conservation", ev.ReqID, fmt.Sprintf("migrate-withdraw from %s but the task was placed on %s", ev.Resource, s.placed))
+		if placed := o.placedName(s); placed != "" && ev.Resource != placed {
+			o.add("conservation", ev.ReqID, fmt.Sprintf("migrate-withdraw from %s but the task was placed on %s", ev.Resource, placed))
 		}
 		s.pendingWithdraw++
 	case trace.KindMigrateRedispatch:
@@ -320,22 +495,32 @@ func (o *Observer) Observe(ev trace.Event) {
 		} else {
 			s.pendingWithdraw--
 		}
-		s.placed = ev.Resource
-		s.setFinal(ev)
+		o.place(s, ev)
 	}
 
 	if o.retire && (ev.Kind == trace.KindComplete || ev.Kind == trace.KindFail) {
 		o.finalize(ev.ReqID, s)
-		delete(o.inflight, ev.ReqID)
+		o.release(ev.ReqID)
 		o.markRetired(ev.ReqID)
 	}
 }
 
-func (s *reqState) setFinal(ev trace.Event) {
+// place records a placement event as the request's latest placement and
+// final decision, and returns it as a dispatch key.
+func (o *Observer) place(s *reqState, ev trace.Event) dispatchKey {
+	r := o.intern(ev.Resource)
 	s.hasFinal = true
 	s.finalKind = ev.Kind
-	s.finalResource = ev.Resource
-	s.finalTaskID = ev.TaskID
+	s.finalRes, s.finalTaskID = r, ev.TaskID
+	return dispatchKey{r, ev.TaskID}
+}
+
+// placedName is the resource of the request's latest placement, or "".
+func (o *Observer) placedName(s *reqState) string {
+	if !s.hasFinal {
+		return ""
+	}
+	return o.res[s.finalRes].name
 }
 
 func (o *Observer) countEvent(k trace.Kind) {
@@ -374,29 +559,31 @@ func (o *Observer) ObserveRecord(rec scheduler.Record) {
 	}
 
 	// (b) exclusivity, and (e) accumulation, for known resources.
-	n, known := o.nodes[rec.Resource]
+	ri := o.intern(rec.Resource)
+	r := &o.res[ri]
 	switch {
-	case !known:
+	case !r.static:
 		o.add("exclusivity", rec.ReqID, fmt.Sprintf("record on unknown resource %q", rec.Resource))
 	case rec.Mask == 0:
 		o.add("exclusivity", rec.ReqID, fmt.Sprintf("record task %d on %s allocates no nodes", rec.TaskID, rec.Resource))
 	default:
-		nodes := o.ivs[rec.Resource]
-		if nodes == nil {
-			nodes = make([][]interval, n)
-			o.ivs[rec.Resource] = nodes
-		}
 		for m := rec.Mask; m != 0; m &= m - 1 {
 			i := bits.TrailingZeros64(m)
-			if i >= n {
-				o.add("exclusivity", rec.ReqID, fmt.Sprintf("record task %d uses node %d of %d on %s", rec.TaskID, i, n, rec.Resource))
+			if i >= r.n {
+				o.add("exclusivity", rec.ReqID, fmt.Sprintf("record task %d uses node %d of %d on %s", rec.TaskID, i, r.n, rec.Resource))
 				continue
 			}
-			nodes[i] = o.insertInterval(nodes[i], interval{rec.Start, rec.End, rec.ReqID, rec.TaskID}, rec.Resource, i)
-			o.ivCount++
+			if r.nodes == nil {
+				r.nodes = make([]nodeState, min(r.n, maxNodes))
+			}
+			ns := &r.nodes[i]
+			o.insertInterval(ns, interval{rec.Start, rec.End, rec.ReqID, rec.TaskID}, rec.Resource, i)
+			if rec.End > rec.Start {
+				ns.busy += rec.End - rec.Start
+			}
 		}
 	}
-	if known {
+	if r.static {
 		o.tasks++
 		o.advance += rec.Deadline - rec.End
 		if rec.Start < o.minStart {
@@ -404,18 +591,6 @@ func (o *Observer) ObserveRecord(rec scheduler.Record) {
 		}
 		if rec.End > o.maxEnd {
 			o.maxEnd = rec.End
-		}
-		busy := o.busy[rec.Resource]
-		if busy == nil {
-			busy = make([]float64, n)
-			o.busy[rec.Resource] = busy
-		}
-		if rec.End > rec.Start {
-			for m := rec.Mask; m != 0; m &= m - 1 {
-				if i := bits.TrailingZeros64(m); i < len(busy) {
-					busy[i] += rec.End - rec.Start
-				}
-			}
 		}
 	}
 
@@ -430,7 +605,8 @@ func (o *Observer) ObserveRecord(rec scheduler.Record) {
 	s := o.state(rec.ReqID)
 	s.recCount++
 	if s.recCount == 1 {
-		s.rec = rec
+		s.rec.start, s.rec.end, s.rec.arrival = rec.Start, rec.End, rec.Arrival
+		s.rec.res, s.rec.taskID = ri, rec.TaskID
 	}
 }
 
@@ -438,29 +614,101 @@ func (o *Observer) ObserveRecord(rec scheduler.Record) {
 // list, flagging overlap with its neighbours. Blame follows the batch
 // auditor's convention: the interval sorting later is reported against
 // the one before it.
-func (o *Observer) insertInterval(ivs []interval, iv interval, resource string, node int) []interval {
-	pos := sort.Search(len(ivs), func(i int) bool {
-		if ivs[i].start != iv.start {
-			return ivs[i].start > iv.start
+//
+// The node first drops the prefix of its list that ended at or before the
+// horizon: no record still to come starts before the horizon, so those
+// intervals can overlap nothing. Real runs fill each node in start order,
+// so the list then holds the node's running task at most, and the new
+// interval sorts last and is appended; out-of-order (forged) input takes
+// the binary search.
+func (o *Observer) insertInterval(ns *nodeState, iv interval, resource string, node int) {
+	if iv.start != iv.start || iv.end != iv.end {
+		ns.unordered = true
+	}
+	if ns.n <= 1 && !ns.unordered {
+		if ns.n == 1 && ns.one.end <= o.horizon {
+			ns.n = 0
 		}
-		return ivs[i].end > iv.end
-	})
+		if ns.n == 0 {
+			ns.one, ns.n = iv, 1
+			return
+		}
+		if !sortsAfter(ns.one, iv) {
+			if iv.start < ns.one.end {
+				o.overlap(iv, ns.one, resource, node)
+			}
+			o.setList(ns, append(o.spillOf(ns), ns.one, iv))
+			return
+		}
+	}
+
+	ivs := o.spillOf(ns)
+	switch {
+	case ns.n == 1:
+		ivs = append(ivs, ns.one)
+	case ns.n > 1:
+		ivs = ivs[:ns.n]
+	}
+	j := 0
+	for j < len(ivs) && ivs[j].end <= o.horizon {
+		j++
+	}
+	if j > 0 {
+		ivs = append(ivs[:0], ivs[j:]...)
+	}
+	pos := len(ivs)
+	if ns.unordered || pos > 0 && sortsAfter(ivs[pos-1], iv) {
+		pos = sort.Search(len(ivs), func(i int) bool { return sortsAfter(ivs[i], iv) })
+	}
 	if pos > 0 && iv.start < ivs[pos-1].end {
-		prev := ivs[pos-1]
-		o.add("exclusivity", iv.reqID, fmt.Sprintf(
-			"task %d [%g, %g) overlaps task %d (req %d) [%g, %g) on %s node %d",
-			iv.taskID, iv.start, iv.end, prev.taskID, prev.reqID, prev.start, prev.end, resource, node))
+		o.overlap(iv, ivs[pos-1], resource, node)
 	}
 	if pos < len(ivs) && ivs[pos].start < iv.end {
-		next := ivs[pos]
-		o.add("exclusivity", next.reqID, fmt.Sprintf(
-			"task %d [%g, %g) overlaps task %d (req %d) [%g, %g) on %s node %d",
-			next.taskID, next.start, next.end, iv.taskID, iv.reqID, iv.start, iv.end, resource, node))
+		o.overlap(ivs[pos], iv, resource, node)
 	}
 	ivs = append(ivs, interval{})
 	copy(ivs[pos+1:], ivs[pos:])
 	ivs[pos] = iv
-	return ivs
+	o.setList(ns, ivs)
+}
+
+// spillOf returns the node's spill buffer, emptied.
+func (o *Observer) spillOf(ns *nodeState) []interval {
+	if ns.spill == 0 {
+		return nil
+	}
+	return o.spills[ns.spill-1][:0]
+}
+
+// setList stores a node's non-empty list: a single interval inline, more
+// in the spill buffer, which keeps its capacity either way.
+func (o *Observer) setList(ns *nodeState, ivs []interval) {
+	ns.n = int32(len(ivs))
+	if len(ivs) == 1 {
+		ns.one = ivs[0]
+	}
+	if ns.spill == 0 {
+		o.spills = append(o.spills, nil)
+		ns.spill = int32(len(o.spills))
+	}
+	o.spills[ns.spill-1] = ivs
+}
+
+// overlap reports that later, which sorts after earlier on the node,
+// overlaps it.
+func (o *Observer) overlap(later, earlier interval, resource string, node int) {
+	o.add("exclusivity", later.reqID, fmt.Sprintf(
+		"task %d [%g, %g) overlaps task %d (req %d) [%g, %g) on %s node %d",
+		later.taskID, later.start, later.end, earlier.taskID, earlier.reqID, earlier.start, earlier.end, resource, node))
+}
+
+// sortsAfter reports whether a sorts strictly after b in (start, end)
+// order.
+func sortsAfter(a, b interval) bool {
+	if a.start != b.start {
+		return a.start > b.start
+	}
+	return a.end > b.end
 }
 
 // ObserveDispatch folds one dispatch-log entry; it is matched against the
@@ -476,56 +724,41 @@ func (o *Observer) ObserveDispatch(d agent.Dispatch) {
 		o.add("placement", d.ReqID, fmt.Sprintf("dispatch log entry (%s task %d) after the request terminated", d.Resource, d.TaskID))
 		return
 	}
-	o.state(d.ReqID).logged = append(o.state(d.ReqID).logged, d)
+	key := dispatchKey{o.intern(d.Resource), d.TaskID}
+	s := o.state(d.ReqID)
+	if s.nLogged == 0 {
+		s.logged0 = key
+	} else {
+		x := o.extraOf(d.ReqID, s)
+		x.logged = append(x.logged, key)
+	}
+	s.nLogged++
 }
 
 // Advance records the grid's post-advance safe horizon — the caller
-// promises every record observed from here on starts at or after now —
-// and prunes exclusivity intervals that can no longer overlap anything.
-// The sweep walks every node list, so it is amortized: it runs only once
-// the interval population has doubled since the last sweep (with a small
-// floor). Advance is called on every grid event; without the gate the
-// audit would cost O(resources) per event, exactly the scaling wall the
-// due-heap advance removed from the grid itself.
+// promises every record observed from here on starts at or after now.
+// Intervals that ended by then are dropped node by node, when the node
+// next gets an interval (insertInterval), so Advance itself is O(1):
+// the grid calls it on every event.
 func (o *Observer) Advance(now float64) {
 	if now > o.horizon {
 		o.horizon = now
 	}
-	if o.ivCount < 2*o.ivFloor+64 {
-		return
-	}
-	o.sweep()
-}
-
-// sweep drops every interval that ended at or before the horizon.
-func (o *Observer) sweep() {
-	for _, nodes := range o.ivs {
-		for i, ivs := range nodes {
-			// Real runs fill each node sequentially, so retired
-			// intervals form a prefix; stop at the first survivor.
-			j := 0
-			for j < len(ivs) && ivs[j].end <= o.horizon {
-				j++
-			}
-			if j == 0 {
-				continue
-			}
-			o.ivCount -= j
-			nodes[i] = append(ivs[:0], ivs[j:]...)
-		}
-	}
-	o.ivFloor = o.ivCount
 }
 
 // finalize runs the end-of-lifecycle checks the batch auditor performs in
 // checkRequest, over the folded state.
 func (o *Observer) finalize(id uint64, s *reqState) {
+	x := &noExtra
+	if s.hasExtra {
+		x = o.extra[id]
+	}
 	if s.eventCount == 0 {
 		if s.recCount > 0 {
 			o.add("conservation", id, "execution record without any lifecycle events")
 		}
 		if o.anyEvents {
-			for range s.logged {
+			for range s.nLogged {
 				o.add("placement", id, "dispatch log entry has no lifecycle events")
 			}
 		}
@@ -560,41 +793,58 @@ func (o *Observer) finalize(id uint64, s *reqState) {
 		o.add("timing", id, fmt.Sprintf("first recorded event is %s, not the arrival", s.firstKind))
 	}
 
+	rec := &s.rec
 	if s.recCount == 1 && s.hasResv {
 		// (f2) a confirmed reservation executes within its booked window.
-		if s.rec.Start < s.resvStart || s.rec.Start >= s.resvEnd {
+		if rec.start < s.resvStart || rec.start >= s.resvEnd {
 			o.add("reservation", id, fmt.Sprintf("reserved task %d on %s started at t=%g, outside its booked window [%g,%g)",
-				s.rec.TaskID, s.rec.Resource, s.rec.Start, s.resvStart, s.resvEnd))
+				rec.taskID, o.res[rec.res].name, rec.start, s.resvStart, s.resvEnd))
 		}
 	}
 
 	if s.recCount == 1 {
 		// (c) the record must agree with its lifecycle events.
-		for _, at := range s.arriveTimes {
-			if at > s.rec.Arrival {
-				o.add("timing", id, fmt.Sprintf("record arrival t=%g precedes the grid arrival t=%g", s.rec.Arrival, at))
-			}
+		if s.arrives > 0 {
+			o.checkArrival(id, s.arrive0, rec.arrival)
 		}
-		o.stream = append(o.stream, s.agreement...)
+		for _, at := range x.arrives {
+			o.checkArrival(id, at, rec.arrival)
+		}
+		o.stream = append(o.stream, x.agreement...)
 		// (d) the final placement decision must name the executing resource.
-		if s.hasFinal && (s.finalResource != s.rec.Resource || s.finalTaskID != s.rec.TaskID) {
+		if s.hasFinal && (s.finalRes != rec.res || s.finalTaskID != rec.taskID) {
 			o.add("placement", id, fmt.Sprintf("final %s targeted %s task %d but the execution record is %s task %d",
-				s.finalKind, s.finalResource, s.finalTaskID, s.rec.Resource, s.rec.TaskID))
+				s.finalKind, o.res[s.finalRes].name, s.finalTaskID, o.res[rec.res].name, rec.taskID))
 		}
 	}
 
 	// (d) each logged dispatch must match a dispatch event.
-	for _, d := range s.logged {
+	for i := range s.nLogged {
+		d := s.logged0
+		if i > 0 {
+			d = x.logged[i-1]
+		}
 		matched := false
-		for _, k := range s.dispatchSeen {
-			if k.resource == d.Resource && k.taskID == d.TaskID {
+		for j := range s.nSeen {
+			k := s.seen0
+			if j > 0 {
+				k = x.seen[j-1]
+			}
+			if k == d {
 				matched = true
 				break
 			}
 		}
 		if !matched {
-			o.add("placement", id, fmt.Sprintf("dispatch log names %s task %d but no dispatch event agrees", d.Resource, d.TaskID))
+			o.add("placement", id, fmt.Sprintf("dispatch log names %s task %d but no dispatch event agrees", o.res[d.res].name, d.taskID))
 		}
+	}
+}
+
+// checkArrival holds a record's arrival to a grid arrival of its request.
+func (o *Observer) checkArrival(id uint64, at, recArrival float64) {
+	if at > recArrival {
+		o.add("timing", id, fmt.Sprintf("record arrival t=%g precedes the grid arrival t=%g", recArrival, at))
 	}
 }
 
@@ -618,15 +868,13 @@ func (o *Observer) Finish(report metrics.GridReport, dropped uint64) Result {
 
 	// Finalise survivors in request order for a deterministic report.
 	live := make([]uint64, 0, len(o.inflight))
-	for _, id := range o.order {
-		if _, ok := o.inflight[id]; ok {
-			live = append(live, id)
-		}
+	for id := range o.inflight {
+		live = append(live, id)
 	}
-	sort.Slice(live, func(i, j int) bool { return live[i] < live[j] })
+	slices.Sort(live)
 	for _, id := range live {
-		o.finalize(id, o.inflight[id])
-		delete(o.inflight, id)
+		o.finalize(id, o.stateAt(o.inflight[id]))
+		o.release(id)
 	}
 
 	o.finishReserve()
@@ -655,18 +903,14 @@ func (o *Observer) checkMetrics(report metrics.GridReport) {
 		o.add("metrics", 0, fmt.Sprintf("window [%g, %g] does not enclose the records (span [%g, %g]); the streaming audit cannot clip busy time after the fact", w.Start, w.End, o.minStart, o.maxEnd))
 		return
 	}
+	static := slices.Clone(o.res[:o.nStatic])
+	slices.SortFunc(static, func(a, b resource) int { return strings.Compare(a.name, b.name) })
 	var util []float64
-	names := make([]string, 0, len(o.nodes))
-	for name := range o.nodes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		busy := o.busy[name]
-		for i := 0; i < o.nodes[name]; i++ {
+	for _, r := range static {
+		for i := 0; i < r.n; i++ {
 			var b float64
-			if i < len(busy) {
-				b = busy[i]
+			if i < len(r.nodes) {
+				b = r.nodes[i].busy
 			}
 			util = append(util, b/t*100)
 		}

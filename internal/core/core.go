@@ -513,9 +513,13 @@ func (g *Grid) SubmitAt(at float64, agentName, appName string, deadlineRel float
 				return
 			}
 			g.recordDispatch(d)
-			detail := fmt.Sprintf("hops=%d", d.Hops)
-			if d.Fallback {
-				detail += " fallback"
+			// Only a trace reads a dispatch's Detail; the audit does not.
+			var detail string
+			if g.opts.Trace != nil {
+				detail = fmt.Sprintf("hops=%d", d.Hops)
+				if d.Fallback {
+					detail += " fallback"
+				}
 			}
 			g.traceEvent(trace.Event{
 				Time: now, Kind: trace.KindDispatch, ReqID: reqID, Agent: agentName,
@@ -927,9 +931,13 @@ func (g *Grid) emitRecord(rec scheduler.Record) {
 		Time: rec.Start, Kind: trace.KindStart,
 		ReqID: rec.ReqID, Resource: rec.Resource, TaskID: rec.TaskID, App: app,
 	})
+	var detail string
+	if g.opts.Trace != nil {
+		detail = fmt.Sprintf("deadline_met=%v", rec.End <= rec.Deadline)
+	}
 	g.traceEvent(trace.Event{
 		Time: rec.End, Kind: trace.KindComplete,
 		ReqID: rec.ReqID, Resource: rec.Resource, TaskID: rec.TaskID, App: app,
-		Detail: fmt.Sprintf("deadline_met=%v", rec.End <= rec.Deadline),
+		Detail: detail,
 	})
 }

@@ -145,7 +145,7 @@ func TestRunAllTracesExperimentThreeOnly(t *testing.T) {
 	}
 	arrived := map[string]bool{}
 	for _, row := range rows[1:] {
-		if row[2] != string(trace.KindArrive) {
+		if row[2] != trace.KindArrive.String() {
 			continue
 		}
 		if arrived[row[3]] {

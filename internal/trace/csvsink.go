@@ -93,7 +93,7 @@ func (s *CSVSink) writeRow(ev Event) {
 	s.err = s.w.Write([]string{
 		strconv.FormatUint(ev.Seq, 10),
 		strconv.FormatFloat(ev.Time, 'f', 3, 64),
-		string(ev.Kind),
+		ev.Kind.String(),
 		req,
 		ev.Agent,
 		ev.Resource,

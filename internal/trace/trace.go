@@ -9,30 +9,34 @@ package trace
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 )
 
-// Kind classifies a lifecycle event.
-type Kind string
+// Kind classifies a lifecycle event. It is a small integer so that the
+// streaming audit can switch on it and fold it into per-request state
+// without strings; String and MarshalText give the kind's name, which is
+// what every trace file, summary and violation message prints.
+type Kind uint8
 
-// Lifecycle events.
+// Lifecycle events. The zero Kind is no kind: its name is empty.
 const (
-	KindArrive   Kind = "arrive"   // request entered the grid at an agent
-	KindDispatch Kind = "dispatch" // discovery placed the task on a resource
-	KindStart    Kind = "start"    // the task began execution
-	KindComplete Kind = "complete" // the task completed
-	KindFail     Kind = "fail"     // the request could not be placed
+	KindArrive   Kind = iota + 1 // request entered the grid at an agent
+	KindDispatch                 // discovery placed the task on a resource
+	KindStart                    // the task began execution
+	KindComplete                 // the task completed
+	KindFail                     // the request could not be placed
 
 	// Fault-run lifecycle events (internal/fault): an agent leaving or
 	// rejoining the grid, and a queued task moved off a crashed resource.
-	KindPeerDown   Kind = "peerdown"   // an agent crashed / became unreachable
-	KindPeerUp     Kind = "peerup"     // a crashed agent recovered
-	KindRedispatch Kind = "redispatch" // a pending task was re-placed elsewhere
+	KindPeerDown   // an agent crashed / became unreachable
+	KindPeerUp     // a crashed agent recovered
+	KindRedispatch // a pending task was re-placed elsewhere
 
 	// Degradation events (internal/fault): a resource slowing down
 	// without leaving the grid, and its later restoration.
-	KindDegrade Kind = "degrade" // a resource started running slower than predicted
-	KindRestore Kind = "restore" // a degraded resource returned to predicted speed
+	KindDegrade // a resource started running slower than predicted
+	KindRestore // a degraded resource returned to predicted speed
 
 	// Migration events (internal/core migration policy): a drift-breached
 	// scheduler offering an unstarted task back to the grid, the task's
@@ -40,9 +44,9 @@ const (
 	// and the re-dispatch completing the chain. Every migrate-redispatch
 	// is preceded by a migrate-withdraw for the same request, and the
 	// audit holds each chain to exactly one final execution.
-	KindMigrateOffer      Kind = "migrate-offer"      // origin offered an unstarted task for re-placement
-	KindMigrateWithdraw   Kind = "migrate-withdraw"   // the offered task left the origin queue
-	KindMigrateRedispatch Kind = "migrate-redispatch" // the offered task was re-placed elsewhere
+	KindMigrateOffer      // origin offered an unstarted task for re-placement
+	KindMigrateWithdraw   // the offered task left the origin queue
+	KindMigrateRedispatch // the offered task was re-placed elsewhere
 
 	// Reservation events (internal/reserve two-phase commit): a node×time
 	// window held on a resource, its settlement into a guaranteed-start
@@ -50,10 +54,10 @@ const (
 	// events, not request lifecycle stages — a release or expiry can
 	// happen before any request is bound to the booking — so they are not
 	// TaskBearing; the audit joins them on the resv= key in Detail.
-	KindReserveHold    Kind = "reserve-hold"    // a window was held (phase one)
-	KindReserveConfirm Kind = "reserve-confirm" // a held window became a guaranteed-start task
-	KindReserveRelease Kind = "reserve-release" // a held or confirmed window was cancelled
-	KindReserveExpire  Kind = "reserve-expire"  // a hold outlived its TTL unconfirmed
+	KindReserveHold    // a window was held (phase one)
+	KindReserveConfirm // a held window became a guaranteed-start task
+	KindReserveRelease // a held or confirmed window was cancelled
+	KindReserveExpire  // a hold outlived its TTL unconfirmed
 
 	// Dynamic-hierarchy events (internal/membership): agents joining and
 	// leaving the tree on the virtual clock, and the rebalancer's
@@ -64,23 +68,61 @@ const (
 	// no-loss/no-double-run proof. The audit additionally holds every
 	// rehome-detach to a same-instant rehome-attach and rejects any
 	// dispatch to (or start on) a resource after its leave event.
-	KindJoin          Kind = "join"           // an agent attached to the live tree
-	KindLeave         Kind = "leave"          // an agent gracefully left the tree
-	KindRehomePropose Kind = "rehome-propose" // the rebalancer proposed moving a subtree
-	KindRehomeDetach  Kind = "rehome-detach"  // the moved subtree left its old parent
-	KindRehomeAttach  Kind = "rehome-attach"  // the moved subtree attached under its new parent
+	KindJoin          // an agent attached to the live tree
+	KindLeave         // an agent gracefully left the tree
+	KindRehomePropose // the rebalancer proposed moving a subtree
+	KindRehomeDetach  // the moved subtree left its old parent
+	KindRehomeAttach  // the moved subtree attached under its new parent
+
+	kindCount // one past the last kind
 )
+
+// kindNames is the name table behind String.
+var kindNames = [kindCount]string{
+	KindArrive:            "arrive",
+	KindDispatch:          "dispatch",
+	KindStart:             "start",
+	KindComplete:          "complete",
+	KindFail:              "fail",
+	KindPeerDown:          "peerdown",
+	KindPeerUp:            "peerup",
+	KindRedispatch:        "redispatch",
+	KindDegrade:           "degrade",
+	KindRestore:           "restore",
+	KindMigrateOffer:      "migrate-offer",
+	KindMigrateWithdraw:   "migrate-withdraw",
+	KindMigrateRedispatch: "migrate-redispatch",
+	KindReserveHold:       "reserve-hold",
+	KindReserveConfirm:    "reserve-confirm",
+	KindReserveRelease:    "reserve-release",
+	KindReserveExpire:     "reserve-expire",
+	KindJoin:              "join",
+	KindLeave:             "leave",
+	KindRehomePropose:     "rehome-propose",
+	KindRehomeDetach:      "rehome-detach",
+	KindRehomeAttach:      "rehome-attach",
+}
+
+// String returns the kind's name ("arrive", "migrate-offer", ...); the
+// zero Kind's name is empty.
+func (k Kind) String() string {
+	if k < kindCount {
+		return kindNames[k]
+	}
+	return "Kind(" + strconv.Itoa(int(k)) + ")"
+}
+
+// MarshalText encodes the kind as its name.
+func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// taskBearing has bit k set for every kind that describes one request's
+// lifecycle.
+const taskBearing = 1<<KindArrive | 1<<KindDispatch | 1<<KindStart | 1<<KindComplete | 1<<KindFail |
+	1<<KindRedispatch | 1<<KindMigrateOffer | 1<<KindMigrateWithdraw | 1<<KindMigrateRedispatch
 
 // TaskBearing reports whether events of this kind describe the lifecycle
 // of one request (as opposed to grid-level events such as peerdown).
-func (k Kind) TaskBearing() bool {
-	switch k {
-	case KindArrive, KindDispatch, KindStart, KindComplete, KindFail, KindRedispatch,
-		KindMigrateOffer, KindMigrateWithdraw, KindMigrateRedispatch:
-		return true
-	}
-	return false
-}
+func (k Kind) TaskBearing() bool { return uint32(taskBearing)>>k&1 != 0 }
 
 // Event is one lifecycle observation.
 type Event struct {
@@ -290,14 +332,14 @@ func (r *Recorder) CountByKind() map[Kind]int {
 // Summary aggregates per-kind counts into a stable one-line description.
 func (r *Recorder) Summary() string {
 	counts := r.CountByKind()
-	kinds := make([]string, 0, len(counts))
+	kinds := make([]Kind, 0, len(counts))
 	for k := range counts {
-		kinds = append(kinds, string(k))
+		kinds = append(kinds, k)
 	}
-	sort.Strings(kinds)
+	sort.Slice(kinds, func(i, j int) bool { return kinds[i].String() < kinds[j].String() })
 	s := fmt.Sprintf("%d events", r.Len())
 	for _, k := range kinds {
-		s += fmt.Sprintf(", %s=%d", k, counts[Kind(k)])
+		s += fmt.Sprintf(", %s=%d", k, counts[k])
 	}
 	if d := r.Dropped(); d > 0 {
 		s += fmt.Sprintf(", %d dropped", d)
