@@ -50,7 +50,8 @@ func (ra ReserveAction) String() string {
 // hierarchy — the reservation analogue of Request. Ops addressed to a
 // named Resource are routed through the agent graph like discovery
 // traffic; a quote op with no target floods the reachable hierarchy and
-// aggregates every resource's offer.
+// aggregates every resource's offer (or, with Best set, the Best
+// earliest ones).
 type ReserveOp struct {
 	Action   ReserveAction
 	ResvID   uint64 // grid-wide reservation identity (the booking ID on every part)
@@ -72,8 +73,28 @@ type ReserveOp struct {
 	ReqID uint64
 	App   *pace.AppModel
 
+	// Best, when positive, bounds a flood quote's reply to the Best
+	// earliest quotes by (start, resource): each agent keeps only those
+	// of its own quote and its neighbours' replies, so a flood moves
+	// O(Best) quotes per hop instead of its whole subtree. Zero returns
+	// every quote. Best is not carried on the wire: a remote neighbour
+	// replies in full, and the agent that asked trims the reply.
+	Best int
+
+	// Visited is the path from the op's origin to the agent handling
+	// it. Each hop appends its own name in place, so HandleReserve may
+	// write past len(Visited) into the slice's spare capacity, and
+	// sibling subtrees reuse the same slot. That is safe because a peer
+	// call returns only when the peer is done with the op: in-process
+	// calls are synchronous and a remote peer encodes the op before it
+	// returns. A caller keeps nothing past len(Visited).
 	Visited []string
 }
+
+// pathCap is the capacity of the path stack an origin allocates: deep
+// enough for any path in the grids this repo builds, and append grows
+// it past that.
+const pathCap = 16
 
 // visited reports whether the op has already passed through the
 // named agent.
@@ -117,17 +138,18 @@ func IsNotRoutable(err error) bool {
 // flood quote aggregates the local quote with every reachable
 // neighbour's; the origin's reply is deduplicated by resource and sorted
 // by (start, resource) — price-ordered for the shopper, earliest
-// guaranteed start first.
+// guaranteed start first. HandleReserve appends its name to op.Visited
+// in place (see ReserveOp.Visited).
 func (a *Agent) HandleReserve(op ReserveOp, now float64) (ReserveReply, error) {
 	origin := len(op.Visited) == 0
-	visited := make([]string, 0, len(op.Visited)+1)
-	visited = append(visited, op.Visited...)
-	visited = append(visited, a.name)
-	op.Visited = visited
+	if origin && cap(op.Visited) == 0 {
+		op.Visited = make([]string, 0, pathCap)
+	}
+	op.Visited = append(op.Visited, a.name)
 
 	if op.Action == ReserveQuoteOp && op.Resource == "" {
 		reply := a.floodQuote(op, now)
-		if origin {
+		if origin && op.Best <= 0 {
 			reply.Quotes = sortQuotes(reply.Quotes)
 		}
 		return reply, nil
@@ -176,13 +198,19 @@ func (a *Agent) HandleReserve(op ReserveOp, now float64) (ReserveReply, error) {
 
 // floodQuote gathers this resource's quote and every reachable
 // neighbour's, the reservation analogue of discovery's advertisement
-// walk, in walk order: an interior agent only concatenates its subtree.
-// Resources that cannot satisfy the request (too few nodes up) simply
-// contribute no quote.
+// walk. With Best unset an interior agent only concatenates its subtree,
+// in walk order; with Best set it keeps the Best earliest, sorted and
+// deduplicated as the origin would (the hierarchy is a tree, so a flood
+// quotes each resource once, and the Best earliest of the union are the
+// Best earliest of each reply's Best earliest). Resources that cannot
+// satisfy the request (too few nodes up) simply contribute no quote.
 func (a *Agent) floodQuote(op ReserveOp, now float64) ReserveReply {
 	var reply ReserveReply
+	if op.Best > 0 {
+		reply.Quotes = make([]scheduler.ReserveQuote, 0, op.Best)
+	}
 	if q, err := a.local.QuoteReservation(op.Nodes, op.Earliest, op.Duration, now); err == nil {
-		reply.Quotes = append(reply.Quotes, q)
+		reply.Quotes = keepQuote(reply.Quotes, q, op.Best)
 	}
 	for _, s := range a.slots {
 		rp, ok := s.peer.(ReservePeer)
@@ -198,9 +226,48 @@ func (a *Agent) floodQuote(op ReserveOp, now float64) ReserveReply {
 		if err != nil {
 			continue
 		}
-		reply.Quotes = append(reply.Quotes, r.Quotes...)
+		for _, q := range r.Quotes {
+			reply.Quotes = keepQuote(reply.Quotes, q, op.Best)
+		}
 	}
 	return reply
+}
+
+// keepQuote adds q to quotes. With best ≤ 0 it appends. Otherwise quotes
+// holds at most best quotes sorted by (start, resource), and q takes its
+// place among them unless its resource is already there (the first quote
+// of a resource wins, as in sortQuotes) or best earlier ones are.
+func keepQuote(quotes []scheduler.ReserveQuote, q scheduler.ReserveQuote, best int) []scheduler.ReserveQuote {
+	if best <= 0 {
+		return append(quotes, q)
+	}
+	at := len(quotes)
+	for i := len(quotes) - 1; i >= 0; i-- {
+		if quotes[i].Resource == q.Resource {
+			return quotes
+		}
+		if quoteLess(q, quotes[i]) {
+			at = i
+		}
+	}
+	if at >= best {
+		return quotes
+	}
+	if len(quotes) < best {
+		quotes = append(quotes, scheduler.ReserveQuote{})
+	}
+	copy(quotes[at+1:], quotes[at:])
+	quotes[at] = q
+	return quotes
+}
+
+// quoteLess is the order a flood's origin sorts quotes in: earliest
+// start first, ties broken by resource name.
+func quoteLess(x, y scheduler.ReserveQuote) bool {
+	if x.Start != y.Start {
+		return x.Start < y.Start
+	}
+	return x.Resource < y.Resource
 }
 
 // sortQuotes is what a flood's origin does to the quotes it gathered:
@@ -215,12 +282,7 @@ func sortQuotes(quotes []scheduler.ReserveQuote) []scheduler.ReserveQuote {
 			uniq = append(uniq, q)
 		}
 	}
-	sort.Slice(uniq, func(i, j int) bool {
-		if uniq[i].Start != uniq[j].Start {
-			return uniq[i].Start < uniq[j].Start
-		}
-		return uniq[i].Resource < uniq[j].Resource
-	})
+	sort.Slice(uniq, func(i, j int) bool { return quoteLess(uniq[i], uniq[j]) })
 	return uniq
 }
 
@@ -301,7 +363,11 @@ func (a *Agent) ShopReservation(spec ReservationSpec, now float64) (HeldReservat
 	if parts < 1 {
 		parts = 1
 	}
-	quote := ReserveOp{Action: ReserveQuoteOp, Nodes: spec.Nodes, Earliest: spec.Earliest, Duration: spec.Duration}
+	// Every op below starts from this agent, so they share one path
+	// stack, and a flood returns only the parts earliest quotes.
+	path := make([]string, 0, pathCap)
+	quote := ReserveOp{Action: ReserveQuoteOp, Nodes: spec.Nodes, Earliest: spec.Earliest, Duration: spec.Duration,
+		Best: parts, Visited: path}
 	rep, err := a.HandleReserve(quote, now)
 	if err != nil {
 		return HeldReservation{}, err
@@ -355,6 +421,7 @@ func (a *Agent) ShopReservation(spec ReservationSpec, now float64) (HeldReservat
 			Start:    T,
 			End:      T + spec.Duration,
 			TTL:      spec.TTL,
+			Visited:  path,
 		}, now)
 		if err != nil {
 			// All-or-nothing: a part that cannot be held voids the others.

@@ -2,6 +2,7 @@ package agent
 
 import (
 	"math/bits"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -163,5 +164,97 @@ func TestShopTooFewResourcesForParts(t *testing.T) {
 	}, 0)
 	if err == nil {
 		t.Fatal("4-part co-allocation on a 3-resource grid succeeded")
+	}
+}
+
+// pathRecorder is a neighbour that notes the path each reserve op
+// arrived with (its own name first) before handling it.
+type pathRecorder struct {
+	*Agent
+	seen *[][]string
+}
+
+func (p pathRecorder) HandleReserve(op ReserveOp, now float64) (ReserveReply, error) {
+	*p.seen = append(*p.seen, append([]string{p.name}, op.Visited...))
+	return p.Agent.HandleReserve(op, now)
+}
+
+// TestReservePathStack pins the contract of the in-place path: a routed
+// hold that reaches its target only after a sibling subtree dead-ended
+// arrives with the path it took and no name from that subtree, and the
+// caller's op.Visited[:len] is never changed, from an origin or from a
+// caller that handed in a path of its own.
+//
+//	H ─┬─ X ── X1
+//	   └─ Y ── T ── G
+func TestReservePathStack(t *testing.T) {
+	e := pace.NewEngine()
+	mk := func(name string) *Agent { return newAgent(t, name, pace.SGIOrigin2000, 4, e) }
+	h, x, x1, y, tt, g := mk("H"), mk("X"), mk("X1"), mk("Y"), mk("T"), mk("G")
+	for _, edge := range [][2]*Agent{{h, x}, {h, y}, {y, tt}} {
+		if err := Link(edge[0], edge[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var seen [][]string
+	for _, edge := range [][2]*Agent{{x, x1}, {tt, g}} {
+		if err := edge[1].SetUpper(edge[0]); err != nil {
+			t.Fatal(err)
+		}
+		if err := edge[0].AddLower(pathRecorder{edge[1], &seen}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hold := func(id uint64, visited []string) {
+		t.Helper()
+		seen = nil
+		if _, err := h.HandleReserve(ReserveOp{
+			Action: ReserveHoldOp, ResvID: id, Holder: "u@g", Resource: "G",
+			Mask: 0b0011, Start: 100 * float64(id), End: 100*float64(id) + 50, TTL: 30, Visited: visited,
+		}, 0); err != nil {
+			t.Fatalf("hold %d: %v", id, err)
+		}
+		if b, ok := g.Local().Book().Get(id); !ok || b.State != reserve.Held {
+			t.Fatalf("hold %d did not reach G: %+v ok=%v", id, b, ok)
+		}
+	}
+	want := func(paths ...[]string) {
+		t.Helper()
+		if !reflect.DeepEqual(seen, paths) {
+			t.Fatalf("paths seen %q, want %q", seen, paths)
+		}
+	}
+
+	hold(1, nil)
+	want([]string{"X1", "H", "X"}, []string{"G", "H", "Y", "T"})
+
+	// A caller's own path: the stack grows from its end, and the prefix
+	// the caller can see stays as it was.
+	buf := []string{"portal", "stale", "stale", "stale", "stale"}
+	hold(2, buf[:1])
+	want([]string{"X1", "portal", "H", "X"}, []string{"G", "portal", "H", "Y", "T"})
+	if buf[0] != "portal" {
+		t.Fatalf("caller's path became %q", buf[:1])
+	}
+
+	for _, best := range []int{0, 1} {
+		seen = nil
+		rep, err := h.HandleReserve(ReserveOp{
+			Action: ReserveQuoteOp, Nodes: 2, Earliest: 300, Duration: 10, Best: best, Visited: buf[:1],
+		}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantQuotes := 6
+		if best > 0 {
+			wantQuotes = best
+		}
+		if len(rep.Quotes) != wantQuotes {
+			t.Fatalf("Best=%d flood: %d quotes, want %d", best, len(rep.Quotes), wantQuotes)
+		}
+		want([]string{"X1", "portal", "H", "X"}, []string{"G", "portal", "H", "Y", "T"})
+		if buf[0] != "portal" {
+			t.Fatalf("Best=%d flood changed the caller's path to %q", best, buf[:1])
+		}
 	}
 }

@@ -20,9 +20,11 @@
 package reserve
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/schedule"
@@ -88,10 +90,16 @@ func (b Booking) Active(now float64) bool {
 // Book is one resource's reservation book. It is not safe for
 // concurrent use; callers serialise access exactly as they do for the
 // local scheduler that shares its node pool.
+//
+// Bookings are never removed: a released or expired one stays for Get.
+// Every scan walks list, in insertion order, so iteration is
+// deterministic and costs no lookup; byID only answers Get, Confirm and
+// Release.
 type Book struct {
 	numNodes int
-	bookings map[uint64]*Booking
-	order    []uint64 // insertion order, for deterministic iteration
+	list     []Booking
+	byID     map[uint64]int // booking ID → index in list
+	cands    []float64      // FindWindow's candidate starts, reused
 }
 
 // NewBook returns an empty book over numNodes nodes.
@@ -99,7 +107,16 @@ func NewBook(numNodes int) *Book {
 	if numNodes < 1 || numNodes > schedule.MaxNodes {
 		panic(fmt.Sprintf("reserve: node count %d outside [1, %d]", numNodes, schedule.MaxNodes))
 	}
-	return &Book{numNodes: numNodes, bookings: map[uint64]*Booking{}}
+	return &Book{numNodes: numNodes, byID: map[uint64]int{}}
+}
+
+// booking returns the booking with the given ID, or nil.
+func (bk *Book) booking(id uint64) *Booking {
+	i, ok := bk.byID[id]
+	if !ok {
+		return nil
+	}
+	return &bk.list[i]
 }
 
 // NumNodes returns the size of the node pool the book covers.
@@ -110,7 +127,7 @@ func (bk *Book) NumNodes() int { return bk.numNodes }
 // against already-committed best-effort work is the scheduler's job
 // (it quotes the window via FindWindow before holding).
 func (bk *Book) Hold(id uint64, holder string, mask uint64, start, end, now, ttl float64) error {
-	if _, dup := bk.bookings[id]; dup {
+	if _, dup := bk.byID[id]; dup {
 		return fmt.Errorf("reserve: booking %d already exists", id)
 	}
 	if mask == 0 {
@@ -128,8 +145,8 @@ func (bk *Book) Hold(id uint64, holder string, mask uint64, start, end, now, ttl
 	if ttl <= 0 {
 		return fmt.Errorf("reserve: booking %d needs a positive hold TTL", id)
 	}
-	for _, oid := range bk.order {
-		o := bk.bookings[oid]
+	for i := range bk.list {
+		o := &bk.list[i]
 		if !o.Active(now) || o.Mask&mask == 0 {
 			continue
 		}
@@ -138,18 +155,18 @@ func (bk *Book) Hold(id uint64, holder string, mask uint64, start, end, now, ttl
 				id, start, end, o.ID, o.Start, o.End)
 		}
 	}
-	bk.bookings[id] = &Booking{
+	bk.byID[id] = len(bk.list)
+	bk.list = append(bk.list, Booking{
 		ID: id, Holder: holder, Mask: mask,
 		Start: start, End: end, State: Held, ExpiresAt: now + ttl,
-	}
-	bk.order = append(bk.order, id)
+	})
 	return nil
 }
 
 // Confirm moves a live hold to the confirmed state.
 func (bk *Book) Confirm(id uint64, now float64) error {
-	b, ok := bk.bookings[id]
-	if !ok {
+	b := bk.booking(id)
+	if b == nil {
 		return fmt.Errorf("reserve: confirm of unknown booking %d", id)
 	}
 	if b.State != Held {
@@ -166,8 +183,8 @@ func (bk *Book) Confirm(id uint64, now float64) error {
 // Release cancels a held or confirmed booking; its window stops
 // blocking immediately.
 func (bk *Book) Release(id uint64, now float64) error {
-	b, ok := bk.bookings[id]
-	if !ok {
+	b := bk.booking(id)
+	if b == nil {
 		return fmt.Errorf("reserve: release of unknown booking %d", id)
 	}
 	switch b.State {
@@ -191,26 +208,27 @@ func (bk *Book) Release(id uint64, now float64) error {
 // the transition observable.
 func (bk *Book) ExpireDue(now float64) []Booking {
 	var due []Booking
-	for _, id := range bk.order {
-		b := bk.bookings[id]
+	for i := range bk.list {
+		b := &bk.list[i]
 		if b.State == Held && now >= b.ExpiresAt {
 			b.State = Expired
 			due = append(due, *b)
 		}
 	}
-	sort.Slice(due, func(i, j int) bool {
-		if due[i].ExpiresAt != due[j].ExpiresAt {
-			return due[i].ExpiresAt < due[j].ExpiresAt
+	// IDs are unique, so (expiry, ID) orders every pair.
+	slices.SortFunc(due, func(x, y Booking) int {
+		if c := cmp.Compare(x.ExpiresAt, y.ExpiresAt); c != 0 {
+			return c
 		}
-		return due[i].ID < due[j].ID
+		return cmp.Compare(x.ID, y.ID)
 	})
 	return due
 }
 
 // Get returns a copy of the booking, if it exists.
 func (bk *Book) Get(id uint64) (Booking, bool) {
-	b, ok := bk.bookings[id]
-	if !ok {
+	b := bk.booking(id)
+	if b == nil {
 		return Booking{}, false
 	}
 	return *b, true
@@ -219,8 +237,8 @@ func (bk *Book) Get(id uint64) (Booking, bool) {
 // Active returns the number of bookings blocking windows at time now.
 func (bk *Book) Active(now float64) int {
 	n := 0
-	for _, b := range bk.bookings {
-		if b.Active(now) {
+	for i := range bk.list {
+		if bk.list[i].Active(now) {
 			n++
 		}
 	}
@@ -234,8 +252,8 @@ func (bk *Book) Active(now float64) int {
 // without this package).
 func (bk *Book) Windows(now float64) [][]schedule.Window {
 	var out [][]schedule.Window
-	for _, id := range bk.order {
-		b := bk.bookings[id]
+	for i := range bk.list {
+		b := &bk.list[i]
 		if !b.Active(now) || b.End <= now {
 			continue
 		}
@@ -249,7 +267,9 @@ func (bk *Book) Windows(now float64) [][]schedule.Window {
 		}
 	}
 	for _, ws := range out {
-		sort.Slice(ws, func(i, j int) bool { return ws[i].Start < ws[j].Start })
+		if len(ws) > 1 {
+			sort.Slice(ws, func(i, j int) bool { return ws[i].Start < ws[j].Start })
+		}
 	}
 	return out
 }
@@ -259,8 +279,8 @@ func (bk *Book) Windows(now float64) [][]schedule.Window {
 // resource's advertised freetime.
 func (bk *Book) Horizon(now float64) float64 {
 	h := now
-	for _, b := range bk.bookings {
-		if b.Active(now) && b.End > h {
+	for i := range bk.list {
+		if b := &bk.list[i]; b.Active(now) && b.End > h {
 			h = b.End
 		}
 	}
@@ -282,30 +302,29 @@ func (bk *Book) FindWindow(k int, earliest, dur float64, avail []float64, now fl
 	// and each active window's end. The minimal feasible start for any
 	// node set is one of these (between candidates the eligible-node set
 	// only shrinks going backwards in time).
-	cands := []float64{earliest}
+	cands := append(bk.cands[:0], earliest)
 	for _, a := range avail {
 		if a > earliest && !math.IsInf(a, 1) {
 			cands = append(cands, a)
 		}
 	}
-	for _, id := range bk.order {
-		b := bk.bookings[id]
-		if b.Active(now) && b.End > earliest {
+	for i := range bk.list {
+		if b := &bk.list[i]; b.Active(now) && b.End > earliest {
 			cands = append(cands, b.End)
 		}
 	}
-	sort.Float64s(cands)
+	slices.Sort(cands)
+	bk.cands = cands
 	for _, t := range cands {
+		blocked := bk.blockedNodes(t, t+dur, now)
 		var m uint64
 		n := 0
 		for i := 0; i < bk.numNodes && n < k; i++ {
-			if avail[i] > t {
+			bit := uint64(1) << uint(i)
+			if avail[i] > t || blocked&bit != 0 {
 				continue
 			}
-			if bk.nodeBlocked(i, t, t+dur, now) {
-				continue
-			}
-			m |= uint64(1) << uint(i)
+			m |= bit
 			n++
 		}
 		if n == k {
@@ -315,18 +334,18 @@ func (bk *Book) FindWindow(k int, earliest, dur float64, avail []float64, now fl
 	return 0, 0, false
 }
 
-// nodeBlocked reports whether any active booking overlaps [start, end)
-// on node i.
-func (bk *Book) nodeBlocked(i int, start, end, now float64) bool {
-	bit := uint64(1) << uint(i)
-	for _, id := range bk.order {
-		b := bk.bookings[id]
-		if b.Mask&bit == 0 || !b.Active(now) {
+// blockedNodes returns the nodes on which an active booking overlaps
+// [start, end).
+func (bk *Book) blockedNodes(start, end, now float64) uint64 {
+	var blocked uint64
+	for i := range bk.list {
+		b := &bk.list[i]
+		if b.Mask&^blocked == 0 || !b.Active(now) {
 			continue
 		}
 		if (schedule.Window{Start: b.Start, End: b.End}).Overlaps(start, end) {
-			return true
+			blocked |= b.Mask
 		}
 	}
-	return false
+	return blocked
 }

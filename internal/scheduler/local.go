@@ -45,14 +45,21 @@ type Executor interface {
 	Launch(rec Record)
 }
 
-// TestExecutor implements test mode: it records launches and does nothing
-// else.
+// TestExecutor implements test mode and records every launch, for the
+// tests that read them. It keeps each record for its own lifetime.
 type TestExecutor struct {
 	Launched []Record
 }
 
 // Launch implements Executor.
 func (e *TestExecutor) Launch(rec Record) { e.Launched = append(e.Launched, rec) }
+
+// discardExecutor is the default Executor: test mode that keeps nothing,
+// since the scheduler already holds every record it needs.
+type discardExecutor struct{}
+
+// Launch implements Executor.
+func (discardExecutor) Launch(Record) {}
 
 // Config configures a Local scheduler.
 type Config struct {
@@ -62,7 +69,7 @@ type Config struct {
 	Policy       Policy        // GA or FIFO
 	Engine       *pace.Engine  // PACE evaluation engine (shared or private)
 	Environments []string      // supported execution environments; defaults to {"test"}
-	Executor     Executor      // defaults to a TestExecutor
+	Executor     Executor      // defaults to test mode keeping nothing
 
 	// ActualDuration, when set, supplies the task's real execution time
 	// given the prediction — the §5 prediction-accuracy study. The
@@ -167,7 +174,7 @@ func NewLocal(cfg Config) (*Local, error) {
 		cfg.Environments = []string{"test"}
 	}
 	if cfg.Executor == nil {
-		cfg.Executor = &TestExecutor{}
+		cfg.Executor = discardExecutor{}
 	}
 	col, err := cfg.Engine.Column(cfg.HW)
 	if err != nil {

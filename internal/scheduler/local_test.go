@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"math/bits"
+	"reflect"
 	"testing"
 
 	"repro/internal/ga"
@@ -360,6 +361,31 @@ func TestLocalExecutorSeesLaunches(t *testing.T) {
 	l.Drain()
 	if len(exec.Launched) != 1 {
 		t.Fatalf("executor saw %d launches, want 1", len(exec.Launched))
+	}
+}
+
+// TestLocalDefaultExecutorKeepsNothing is the guard on the default
+// executor: a Local built without one (every farm node, every daemon
+// without -exec, an unaudited grid) must not keep a launch record per
+// task for the life of the process. The scheduler's own records are the
+// only copy.
+func TestLocalDefaultExecutorKeepsNothing(t *testing.T) {
+	const tasks = 500
+	l := newTestLocal(t, "S1", NewFIFOPolicy(), 4)
+	for i := 0; i < tasks; i++ {
+		if _, err := l.Submit(appOf(t, "fft"), 1e9, float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Drain()
+	if n := len(l.Records()); n != tasks {
+		t.Fatalf("%d records after %d tasks", n, tasks)
+	}
+	if te, ok := l.cfg.Executor.(*TestExecutor); ok {
+		t.Fatalf("the default executor kept %d launch records", len(te.Launched))
+	}
+	if typ := reflect.TypeOf(l.cfg.Executor); typ.Size() != 0 {
+		t.Fatalf("the default executor %v has %d bytes of state to keep records in", typ, typ.Size())
 	}
 }
 
