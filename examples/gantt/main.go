@@ -82,7 +82,7 @@ func gaVersusFIFO() {
 	var greedy schedule.Solution
 	p.GreedySeed(&greedy)
 	gs := schedule.Build(greedy, tasks, res, 0, pred)
-	gc := schedule.Cost(gs, tasks, p.Weights, true)
+	gc := p.Breakdown(greedy)
 	fmt.Printf("\narrival-order greedy: makespan %.0fs, weighted idle %.0fs, contract penalty %.0fs\n",
 		gc.Makespan, gc.Idle, gc.ContractPen)
 	fmt.Println(schedule.Gantt(gs, 72))
@@ -91,7 +91,7 @@ func gaVersusFIFO() {
 	cfg.MaxGenerations = 120
 	result := ga.Run[schedule.Solution](p, cfg, sim.NewRNG(7), []schedule.Solution{greedy})
 	bs := schedule.Build(result.Best, tasks, res, 0, pred)
-	bc := schedule.Cost(bs, tasks, p.Weights, true)
+	bc := p.Breakdown(result.Best)
 	fmt.Printf("\nGA after %d generations (%d cost requests, %d evaluated): makespan %.0fs, weighted idle %.0fs, contract penalty %.0fs\n",
 		result.Generations, result.CostEvals, result.Evaluations, bc.Makespan, bc.Idle, bc.ContractPen)
 	fmt.Println(schedule.Gantt(bs, 72))

@@ -315,12 +315,15 @@ func (h *Hierarchy) Lookup(name string) (*Agent, bool) {
 
 // Agents returns every agent sorted by name.
 func (h *Hierarchy) Agents() []*Agent {
-	return append([]*Agent(nil), h.inOrder()...)
+	return append([]*Agent(nil), h.InOrder()...)
 }
 
-// inOrder returns the shared name-ordered agent slice, sorting it only
-// after a membership change, so a static tree sorts its names once.
-func (h *Hierarchy) inOrder() []*Agent {
+// InOrder returns every agent sorted by name in the hierarchy's shared
+// slice, sorted only after a membership change, so a static tree sorts
+// its names once and a walk over it allocates nothing. The caller must
+// not modify it; an Attach or Detach during the walk leaves it intact
+// and makes the next call build a new one.
+func (h *Hierarchy) InOrder() []*Agent {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.sorted == nil {
@@ -334,7 +337,7 @@ func (h *Hierarchy) inOrder() []*Agent {
 
 // Names returns the agent names sorted naturally (S2 before S10).
 func (h *Hierarchy) Names() []string {
-	agents := h.inOrder()
+	agents := h.InOrder()
 	out := make([]string, len(agents))
 	for i, a := range agents {
 		out[i] = a.name
@@ -346,7 +349,7 @@ func (h *Hierarchy) Names() []string {
 // live agent refreshes its service-information set, in name order. An
 // agent its gate reports down neither pulls nor is pulled.
 func (h *Hierarchy) PullAll(now float64) {
-	agents := h.inOrder()
+	agents := h.InOrder()
 	// Phase 1: every live publisher computes its base advertisement once.
 	// Scheduler state does not change within a pull tick, so each puller
 	// of the same publisher would compute an identical advertisement —

@@ -3,6 +3,7 @@ package agent
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -148,6 +149,37 @@ func TestAttachDetachRuntime(t *testing.T) {
 	up, _ := h.Lookup("a1")
 	if up.Upper() == nil || up.Upper().PeerName() != "head" {
 		t.Fatal("orphaned child not re-homed under the former grandparent")
+	}
+}
+
+// TestInOrderSharedUntilMembershipChanges: per-tick walks read one
+// shared name-ordered slice, which a membership change replaces without
+// touching the one a walk may still hold.
+func TestInOrderSharedUntilMembershipChanges(t *testing.T) {
+	h, _, _, _, _, _ := tree(t)
+	first := h.InOrder()
+	if again := h.InOrder(); &again[0] != &first[0] {
+		t.Fatal("InOrder rebuilt its slice on a static tree")
+	}
+	names := func(agents []*Agent) []string {
+		var out []string
+		for _, a := range agents {
+			out = append(out, a.Name())
+		}
+		return out
+	}
+	before := names(first)
+	if got := h.Names(); !slices.Equal(got, before) {
+		t.Fatalf("Names %v, InOrder %v", got, before)
+	}
+	if err := h.Attach("a", newAgent(t, "n", pace.SGIOrigin2000, 4, pace.NewEngine())); err != nil {
+		t.Fatal(err)
+	}
+	if got := names(first); !slices.Equal(got, before) {
+		t.Fatalf("an Attach rewrote a held walk: %v, was %v", got, before)
+	}
+	if got, want := names(h.InOrder()), h.Names(); !slices.Equal(got, want) || len(got) != len(before)+1 {
+		t.Fatalf("InOrder after Attach %v, want %v", got, want)
 	}
 }
 

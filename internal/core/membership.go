@@ -250,11 +250,8 @@ func (ms *memberState) rebalance(now float64) {
 	// previous check, per attached agent, taken once so the rebalancer's
 	// repeated lookups all see the same instant.
 	loads := map[string]int{}
-	for _, name := range ms.g.hier.Names() {
-		a, ok := ms.g.hier.Lookup(name)
-		if !ok {
-			continue
-		}
+	for _, a := range ms.g.hier.InOrder() {
+		name := a.Name()
 		accepts := uint64(a.Stats().LocalAccept)
 		delta := int(accepts - ms.lastAccept[name])
 		ms.lastAccept[name] = accepts

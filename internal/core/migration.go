@@ -131,8 +131,8 @@ func newMigrator(g *Grid, pol MigrationPolicy) *migrator {
 // deterministic order advanceAll uses.
 func (m *migrator) check(now float64) {
 	m.g.advanceAll(now) // commit every start the clock passed; Planned() is then strictly future work
-	for _, name := range m.g.hier.Names() {
-		m.checkResource(name, now)
+	for _, a := range m.g.hier.InOrder() {
+		m.checkResource(a.Name(), now)
 	}
 }
 

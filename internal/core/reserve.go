@@ -272,7 +272,8 @@ func (r *reservist) submit(now float64, agentName, appName string, app *pace.App
 // clients driving a Local directly).
 func (r *reservist) sweep(now float64) {
 	g := r.g
-	for _, name := range g.hier.Names() {
+	for _, a := range g.hier.InOrder() {
+		name := a.Name()
 		for _, b := range g.locals[name].ExpireReservations(now) {
 			r.stats.Expired++
 			r.cExpired.Inc()

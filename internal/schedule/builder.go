@@ -88,7 +88,10 @@ func BuildSequential(sol Solution, tasks []Task, res Resource, base float64, pre
 
 // oneShot is the single-use Builder behind Build and BuildSequential,
 // whose callers hand over a solution nobody has checked: both it and the
-// resource are validated here, on every call.
+// resource are validated here, on every call. It has no duration table
+// and keeps no gap record: it predicts each placement's duration as it
+// places, asking only what its one solution uses, and allocates for
+// nothing else.
 func oneShot(sol Solution, tasks []Task, res Resource, predict Predictor, sequential bool) *Builder {
 	if err := sol.Validate(len(tasks), res.NumNodes); err != nil {
 		panic(fmt.Sprintf("schedule: Build on invalid solution: %v", err))
@@ -130,6 +133,12 @@ func (s *Schedule) Reset(res Resource, base float64) {
 // order, the start of the task ahead of it. It is the one placement step
 // behind Builder.Build and the FIFO policy.
 func (s *Schedule) Place(taskPos int, mask uint64, floor, dur float64) Placed {
+	return s.place(taskPos, mask, floor, dur, nil)
+}
+
+// place is Place that, given a gap record, also records in it the idle
+// gap the task closes on each of its nodes.
+func (s *Schedule) place(taskPos int, mask uint64, floor, dur float64, gaps *gapRecord) Placed {
 	start := floor
 	for m := mask; m != 0; m &= m - 1 {
 		if b := s.NodeBusy[bits.TrailingZeros64(m)]; b > start {
@@ -142,8 +151,17 @@ func (s *Schedule) Place(taskPos int, mask uint64, floor, dur float64) Placed {
 		start = AdjustStart(s.Booked, mask, start, dur)
 	}
 	end := start + dur
-	for m := mask; m != 0; m &= m - 1 {
-		s.NodeBusy[bits.TrailingZeros64(m)] = end
+	if gaps == nil {
+		for m := mask; m != 0; m &= m - 1 {
+			s.NodeBusy[bits.TrailingZeros64(m)] = end
+		}
+	} else {
+		for m := mask; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros64(m)
+			gaps.close(i, s.NodeBusy[i], start)
+			s.NodeBusy[i] = end
+		}
+		gaps.used |= mask
 	}
 	if end > s.Makespan {
 		s.Makespan = end
@@ -153,50 +171,130 @@ func (s *Schedule) Place(taskPos int, mask uint64, floor, dur float64) Placed {
 	return p
 }
 
+// gapRecord holds, for each node of a schedule being built, its idle gaps
+// in placement order: node i's are gaps[i*stride:][:n[i]]. A node holds at
+// most one gap per task, so with stride the task count the flat record
+// never grows during a build.
+type gapRecord struct {
+	gaps   []Window
+	n      []int
+	stride int
+	base   float64 // the scheduling instant
+	used   uint64  // nodes that hold a task
+}
+
+// reset empties the record for a build of tasks on nodes at base, growing
+// its storage only past the largest instance it has served.
+func (g *gapRecord) reset(tasks, nodes int, base float64) {
+	g.stride, g.base, g.used = tasks, base, 0
+	g.gaps = slices.Grow(g.gaps[:0], tasks*nodes)[:tasks*nodes]
+	g.n = slices.Grow(g.n[:0], nodes)[:nodes]
+	clear(g.n)
+}
+
+// close records on node i, whose last task ends at busy, the gap up to a
+// task starting at start. Before a node's first task the gap runs from
+// the scheduling instant instead, so time a node is still busy with
+// committed work counts as idle, and a node free before the instant
+// idles only from it.
+func (g *gapRecord) close(i int, busy, start float64) {
+	from := busy
+	if g.used&(1<<uint(i)) == 0 {
+		from = g.base
+	}
+	if start > from {
+		g.gaps[i*g.stride+g.n[i]] = Window{Start: from, End: start}
+		g.n[i]++
+	}
+}
+
+// last returns where node i's final gap, up to the makespan, begins: the
+// end of its last task, or the scheduling instant if it holds none.
+func (g *gapRecord) last(i int, nodeBusy []float64) float64 {
+	if g.used&(1<<uint(i)) == 0 {
+		return g.base
+	}
+	return nodeBusy[i]
+}
+
 // Builder repeatedly times solutions against one fixed problem instance
 // (tasks, resource, predictor) without per-call allocation: the schedule,
-// its placement list and the per-node busy vector are scratch buffers
-// reused across calls. This is the GA's cost hot path — the paper's own
-// cost argument (§2.2) makes every scheduling event worth ~1000 builds —
-// so the per-Build garbage of the general entry point matters.
+// its placement list, the per-node busy vector and the gap record are
+// scratch buffers reused across calls. This is the GA's cost hot path —
+// the paper's own cost argument (§2.2) makes every scheduling event worth
+// ~1000 builds — so the per-Build garbage of the general entry point
+// matters.
 //
-// Validation is hoisted to construction: NewBuilder (or Reset) checks the
-// resource once, and Build trusts the solution (the genetic operators
-// maintain legitimacy; validate seeds once per Plan with
-// Solution.Validate). A Builder is not safe for concurrent use; use one
-// per goroutine.
+// The (task, k) durations are fixed for one instance, so a Builder reads
+// them from a dense table filled once per instance instead of asking the
+// predictor on every placement, and while it places tasks it records
+// each node's idle gaps, from which Problem evaluates eq. 8 without
+// rescanning the placement list once per node.
+//
+// Validation is hoisted to construction: NewBuilder checks the resource
+// once, and Build trusts the solution (the genetic operators maintain
+// legitimacy; validate seeds once per Plan with Solution.Validate). A
+// Builder is not safe for concurrent use; use one per goroutine.
 type Builder struct {
 	tasks      []Task
 	res        Resource
-	predict    Predictor
 	sequential bool // strict queue order, see BuildSequential
 	sched      Schedule
+
+	// durs[pos*res.NumNodes+k-1] is tasks[pos]'s predicted duration on k
+	// nodes. It is read-only and may be shared (a Problem's builders share
+	// the Problem's). The one-shot builder has none and sets predict.
+	durs    []float64
+	predict Predictor
+
+	gaps gapRecord // of the last Build; the one-shot builder keeps none
 }
 
-// NewBuilder validates the resource once and returns a builder for the
-// problem instance.
+// NewBuilder validates the resource once, fills the instance's duration
+// table and returns a builder for it.
 func NewBuilder(tasks []Task, res Resource, predict Predictor) (*Builder, error) {
-	b := new(Builder)
-	if err := b.Reset(tasks, res, predict); err != nil {
+	if err := res.Validate(); err != nil {
 		return nil, err
 	}
+	if predict == nil {
+		return nil, fmt.Errorf("schedule: builder needs a predictor")
+	}
+	b := new(Builder)
+	b.point(tasks, res, fillDurations(nil, tasks, res.NumNodes, predict))
 	return b, nil
 }
 
-// Reset validates the resource and re-points b at a new problem instance,
-// keeping its scratch buffers: a builder owned by a scheduler serves
-// every scheduling event without allocating once the buffers have grown.
-func (b *Builder) Reset(tasks []Task, res Resource, predict Predictor) error {
-	if err := res.Validate(); err != nil {
-		return err
-	}
-	if predict == nil {
-		return fmt.Errorf("schedule: builder needs a predictor")
-	}
-	b.tasks, b.res, b.predict = tasks, res, predict
+// point re-points b at a problem instance whose resource is valid and
+// whose duration table is durs, keeping b's scratch buffers: a builder
+// owned by a scheduler serves every scheduling event without allocating
+// once the buffers have grown.
+func (b *Builder) point(tasks []Task, res Resource, durs []float64) {
+	b.tasks, b.res, b.durs = tasks, res, durs
 	b.sched.Items = slices.Grow(b.sched.Items[:0], len(tasks))
 	b.sched.NodeBusy = slices.Grow(b.sched.NodeBusy[:0], res.NumNodes)
-	return nil
+}
+
+// fillDurations writes to durs the duration table of tasks on 1..numNodes
+// nodes, task-major and k ascending: the order in which GreedySeed reads
+// it, so filling it asks the predictor exactly what GreedySeed would.
+func fillDurations(durs []float64, tasks []Task, numNodes int, predict Predictor) []float64 {
+	durs = durs[:0]
+	for _, t := range tasks {
+		for k := 1; k <= numNodes; k++ {
+			durs = append(durs, predictDuration(predict, &t, k))
+		}
+	}
+	return durs
+}
+
+// predictDuration asks predict for t's duration on k nodes. A negative
+// prediction is a broken model, not a schedule.
+func predictDuration(predict Predictor, t *Task, k int) float64 {
+	dur := predict(t.App, k)
+	if dur < 0 {
+		panic(fmt.Sprintf("schedule: negative predicted duration %g for %s", dur, *t))
+	}
+	return dur
 }
 
 // Build times sol at the scheduling instant base. The returned schedule
@@ -205,12 +303,19 @@ func (b *Builder) Reset(tasks []Task, res Resource, predict Predictor) error {
 // if it is to be retained. sol must be legitimate for the builder's
 // problem instance; Build does not re-validate it. This is the one
 // placement loop: Reset, then one Place per task in the solution's order,
+// recording the idle gaps it closes (except in the one-shot builder) and
 // allocating nothing beyond growing Items.
 func (b *Builder) Build(sol Solution, base float64) *Schedule {
 	b.sched.Reset(b.res, base)
+	var gaps *gapRecord
+	if b.predict == nil {
+		gaps = &b.gaps
+		gaps.reset(len(b.tasks), b.res.NumNodes, base)
+	}
+	n := b.res.NumNodes
 	prevStart := base
 	for _, taskPos := range sol.Order {
-		t := b.tasks[taskPos]
+		t := &b.tasks[taskPos]
 		mask := sol.Maps[taskPos]
 		floor := base
 		if t.Arrival > floor {
@@ -219,11 +324,14 @@ func (b *Builder) Build(sol Solution, base float64) *Schedule {
 		if b.sequential && prevStart > floor {
 			floor = prevStart
 		}
-		dur := b.predict(t.App, bits.OnesCount64(mask))
-		if dur < 0 {
-			panic(fmt.Sprintf("schedule: negative predicted duration %g for %s", dur, t))
+		k := bits.OnesCount64(mask)
+		var dur float64
+		if b.predict != nil {
+			dur = predictDuration(b.predict, t, k)
+		} else {
+			dur = b.durs[taskPos*n+k-1]
 		}
-		prevStart = b.sched.Place(taskPos, mask, floor, dur).Start
+		prevStart = b.sched.place(taskPos, mask, floor, dur, gaps).Start
 	}
 	return &b.sched
 }

@@ -363,21 +363,24 @@ func TestBuilderBuildAllocs(t *testing.T) {
 	}
 }
 
-// TestCostDoesNotAllocate pins the allocation-free cost evaluation.
+// TestCostDoesNotAllocate pins the allocation-free cost evaluation: a
+// warmed Problem's Cost and Breakdown reuse its duration table and its
+// free-listed builder.
 func TestCostDoesNotAllocate(t *testing.T) {
 	tasks := make([]Task, 10)
 	for i := range tasks {
 		tasks[i] = Task{ID: i, Deadline: 20}
 	}
-	res := NewResource(8)
-	s := Build(NewRandomSolution(len(tasks), 8, sim.NewRNG(2)), tasks, res, 0, constPredictor(3))
+	p := NewProblem(tasks, NewResource(8), 0, constPredictor(3))
+	sol := NewRandomSolution(len(tasks), 8, sim.NewRNG(2))
+	p.Cost(sol) // fill the table, grow a builder
 	allocs := testing.AllocsPerRun(100, func() {
-		if Cost(s, tasks, DefaultWeights(), true).Combined < 0 {
+		if p.Cost(sol) < 0 || p.Breakdown(sol).Combined < 0 {
 			t.Fatal("negative cost")
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("Cost allocates %v objects per run, want 0", allocs)
+		t.Fatalf("Problem.Cost allocates %v objects per run, want 0", allocs)
 	}
 }
 
@@ -403,6 +406,26 @@ func TestProblemResetRepointsBuilders(t *testing.T) {
 				t.Fatalf("trial %d: cost after Reset %v, fresh problem %v", trial, got, want)
 			}
 		}
+	}
+}
+
+// TestNegativePredictionPanics: a negative duration is a broken model,
+// caught where it is predicted, per placement or at the table fill.
+func TestNegativePredictionPanics(t *testing.T) {
+	tasks := makeTasks(2, 1e9)
+	sol := Solution{Order: []int{0, 1}, Maps: []uint64{1, 1}}
+	for name, call := range map[string]func(){
+		"one-shot build": func() { Build(sol, tasks, NewResource(1), 0, constPredictor(-1)) },
+		"table fill":     func() { NewProblem(tasks, NewResource(1), 0, constPredictor(-1)).Cost(sol) },
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "negative predicted duration") {
+					t.Errorf("%s: recovered %q, want the negative-duration panic", name, msg)
+				}
+			}()
+			call()
+		}()
 	}
 }
 

@@ -3,6 +3,7 @@ package schedule
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 
 	"repro/internal/sim"
@@ -42,16 +43,13 @@ func (s *Solution) randomize(numTasks, numNodes int, rng *sim.RNG) {
 	}
 }
 
-// resize gives s room for n tasks, reusing its storage; the contents are
-// left for the caller to overwrite.
+// resize gives s room for n tasks, reusing its storage and growing it as
+// append does, so a queue that lengthens one task at a time does not
+// reallocate every genome at every length; the contents are left for the
+// caller to overwrite.
 func (s *Solution) resize(n int) {
-	if cap(s.Order) < n {
-		s.Order = make([]int, n)
-	}
-	if cap(s.Maps) < n {
-		s.Maps = make([]uint64, n)
-	}
-	s.Order, s.Maps = s.Order[:n], s.Maps[:n]
+	s.Order = slices.Grow(s.Order[:0], n)[:n]
+	s.Maps = slices.Grow(s.Maps[:0], n)[:n]
 }
 
 // randomMask returns a uniformly random non-empty subset of numNodes bits.

@@ -30,7 +30,8 @@ type CostBreakdown struct {
 	Combined    float64 // f_c of eq. 8
 }
 
-// Cost evaluates the combined cost function (eq. 8) for a built schedule:
+// breakdown evaluates the combined cost function (eq. 8) for the schedule
+// of b's last Build:
 //
 //	f_c = (W_m·ω + W_i·φ + W_c·θ) / (W_m + W_i + W_c)
 //
@@ -42,47 +43,36 @@ type CostBreakdown struct {
 // (at the makespan). θ is the contract penalty: the total amount by which
 // task completions overrun their deadlines. φ is averaged over nodes so
 // all three terms share seconds as their unit.
-func Cost(s *Schedule, tasks []Task, w CostWeights, frontWeighted bool) CostBreakdown {
+//
+// Each node's gaps come from the record Build kept as it placed tasks,
+// so one evaluation costs O(tasks + gaps + nodes). They are visited
+// node-major, in placement order, each closed by the gap from the node's
+// last task to the makespan: the order in which a scan of the placement
+// list once per node meets them, so the sums are the same bit for bit.
+func (b *Builder) breakdown(w CostWeights, frontWeighted bool) CostBreakdown {
+	s := &b.sched
 	var out CostBreakdown
 	out.Makespan = s.Makespan - s.Base
 	if out.Makespan < 0 {
 		out.Makespan = 0
 	}
 
-	// Walk each node's busy intervals directly off the placement list
-	// instead of materialising per-node interval slices: this is the GA's
-	// cost hot path, called once per fitness evaluation, and the O(nodes ×
-	// items) scan is allocation-free. The traversal order (node-major,
-	// items in placement order) matches the interval-list formulation
-	// exactly, so the floating-point accumulation is bit-identical.
 	n := len(s.NodeBusy)
 	horizon := s.Makespan - s.Base
+	g := &b.gaps
 	var idleW, idleRaw float64
 	for i := 0; i < n; i++ {
-		// Items are appended in execution order; on a single node their
-		// intervals are non-overlapping and start-sorted because each
-		// placement pushes the node's availability forward.
-		bit := uint64(1) << uint(i)
 		var booked []Window
-		if s.Booked != nil && i < len(s.Booked) {
+		if s.Booked != nil {
 			booked = s.Booked[i]
 		}
-		cursor := s.Base
-		for _, it := range s.Items {
-			if it.Mask&bit == 0 {
-				continue
-			}
-			if it.Start > cursor {
-				r, w := gapCost(cursor, it.Start, booked, s.Base, horizon, frontWeighted)
-				idleRaw += r
-				idleW += w
-			}
-			if it.End > cursor {
-				cursor = it.End
-			}
+		for _, gap := range g.gaps[i*g.stride : i*g.stride+g.n[i]] {
+			r, w := gapCost(gap.Start, gap.End, booked, s.Base, horizon, frontWeighted)
+			idleRaw += r
+			idleW += w
 		}
-		if s.Makespan > cursor {
-			r, w := gapCost(cursor, s.Makespan, booked, s.Base, horizon, frontWeighted)
+		if last := g.last(i, s.NodeBusy); s.Makespan > last {
+			r, w := gapCost(last, s.Makespan, booked, s.Base, horizon, frontWeighted)
 			idleRaw += r
 			idleW += w
 		}
@@ -93,7 +83,7 @@ func Cost(s *Schedule, tasks []Task, w CostWeights, frontWeighted bool) CostBrea
 	}
 
 	for _, it := range s.Items {
-		if d := tasks[it.TaskPos].Deadline; it.End > d {
+		if d := b.tasks[it.TaskPos].Deadline; it.End > d {
 			out.ContractPen += it.End - d
 		}
 	}

@@ -7,12 +7,18 @@ import (
 	"repro/internal/sim"
 )
 
+// costOf evaluates eq. 8 for sol through a Problem whose predictor
+// charges dur seconds whatever the node count.
+func costOf(sol Solution, tasks []Task, res Resource, dur float64, w CostWeights, frontWeighted bool) CostBreakdown {
+	p := NewProblem(tasks, res, 0, constPredictor(dur))
+	p.Weights, p.FrontWeighted = w, frontWeighted
+	return p.Breakdown(sol)
+}
+
 func TestCostMakespanTerm(t *testing.T) {
 	tasks := makeTasks(1, 1e9)
-	res := NewResource(1)
 	sol := Solution{Order: []int{0}, Maps: []uint64{1}}
-	s := Build(sol, tasks, res, 0, constPredictor(40))
-	c := Cost(s, tasks, CostWeights{Makespan: 1}, true)
+	c := costOf(sol, tasks, NewResource(1), 40, CostWeights{Makespan: 1}, true)
 	if c.Makespan != 40 {
 		t.Fatalf("makespan term = %v, want 40", c.Makespan)
 	}
@@ -23,11 +29,9 @@ func TestCostMakespanTerm(t *testing.T) {
 
 func TestCostContractPenalty(t *testing.T) {
 	tasks := []Task{{ID: 0, Deadline: 5}, {ID: 1, Deadline: 25}}
-	res := NewResource(1)
 	sol := Solution{Order: []int{0, 1}, Maps: []uint64{1, 1}}
-	s := Build(sol, tasks, res, 0, constPredictor(10))
 	// Task 0 ends at 10 (5 late); task 1 ends at 20 (on time).
-	c := Cost(s, tasks, DefaultWeights(), true)
+	c := costOf(sol, tasks, NewResource(1), 10, DefaultWeights(), true)
 	if c.ContractPen != 5 {
 		t.Fatalf("contract penalty = %v, want 5", c.ContractPen)
 	}
@@ -37,10 +41,8 @@ func TestCostIdleTimeMeasured(t *testing.T) {
 	// Two nodes, one task on node 0 for 10s: node 1 idles the whole
 	// horizon, node 0 none. Unweighted idle averaged per node = 5.
 	tasks := makeTasks(1, 1e9)
-	res := NewResource(2)
 	sol := Solution{Order: []int{0}, Maps: []uint64{0b01}}
-	s := Build(sol, tasks, res, 0, constPredictor(10))
-	c := Cost(s, tasks, DefaultWeights(), false)
+	c := costOf(sol, tasks, NewResource(2), 10, DefaultWeights(), false)
 	if c.IdleRaw != 5 {
 		t.Fatalf("raw idle = %v, want 5", c.IdleRaw)
 	}
@@ -50,26 +52,20 @@ func TestCostIdleTimeMeasured(t *testing.T) {
 }
 
 func TestCostFrontWeighting(t *testing.T) {
-	// Horizon [0,20] on 2 nodes. Node 0 busy the whole horizon. Node 1
-	// either idles [0,10] then works (early gap) or works then idles
-	// [10,20] (late gap). Equal raw idle; the front-weighted idle must be
-	// strictly larger for the early gap (§2.1: idle at the front of the
-	// schedule is wasted first and least likely to be recovered).
-	mk := func(start float64) *Schedule {
-		return &Schedule{
-			Items: []Placed{
-				{TaskPos: 0, Mask: 0b01, Start: 0, End: 20},
-				{TaskPos: 1, Mask: 0b10, Start: start, End: start + 10},
-			},
-			NodeBusy: []float64{20, start + 10},
-			Makespan: 20,
-			Base:     0,
-		}
+	// Horizon [0,20] on 2 nodes. Node 0 runs two tasks back to back, busy
+	// the whole horizon. Node 1's one task either arrives at 10, so the
+	// node idles [0,10] then works (early gap), or runs at once and the
+	// node idles [10,20] (late gap). Equal raw idle; the front-weighted
+	// idle must be strictly larger for the early gap (§2.1: idle at the
+	// front of the schedule is wasted first and least likely to be
+	// recovered).
+	sol := Solution{Order: []int{0, 1, 2}, Maps: []uint64{0b01, 0b01, 0b10}}
+	cost := func(arrival float64, frontWeighted bool) CostBreakdown {
+		tasks := makeTasks(3, 1e9)
+		tasks[2].Arrival = arrival
+		return costOf(sol, tasks, NewResource(2), 10, CostWeights{Idle: 1}, frontWeighted)
 	}
-	tasks := makeTasks(2, 1e9)
-	w := CostWeights{Idle: 1}
-	early := Cost(mk(10), tasks, w, true) // gap [0,10] before the task
-	late := Cost(mk(0), tasks, w, true)   // gap [10,20] after the task
+	early, late := cost(10, true), cost(0, true)
 	if early.IdleRaw != late.IdleRaw {
 		t.Fatalf("raw idle differs: %v vs %v", early.IdleRaw, late.IdleRaw)
 	}
@@ -77,21 +73,15 @@ func TestCostFrontWeighting(t *testing.T) {
 		t.Fatalf("front-weighted idle: early gap %v not penalised above late gap %v", early.Idle, late.Idle)
 	}
 	// Unweighted mode treats them identically.
-	earlyU := Cost(mk(10), tasks, w, false)
-	lateU := Cost(mk(0), tasks, w, false)
-	if earlyU.Idle != lateU.Idle {
+	if earlyU, lateU := cost(10, false), cost(0, false); earlyU.Idle != lateU.Idle {
 		t.Fatalf("unweighted idle differs: %v vs %v", earlyU.Idle, lateU.Idle)
 	}
 }
 
 func TestCostWeightsCombine(t *testing.T) {
-	s := &Schedule{
-		Items:    []Placed{{TaskPos: 0, Mask: 1, Start: 0, End: 10}},
-		NodeBusy: []float64{10},
-		Makespan: 10,
-	}
 	tasks := []Task{{ID: 0, Deadline: 4}} // 6 late
-	c := Cost(s, tasks, CostWeights{Makespan: 1, Idle: 1, Deadline: 2}, true)
+	sol := Solution{Order: []int{0}, Maps: []uint64{1}}
+	c := costOf(sol, tasks, NewResource(1), 10, CostWeights{Makespan: 1, Idle: 1, Deadline: 2}, true)
 	want := (1*10.0 + 1*0.0 + 2*6.0) / 4.0
 	if c.Combined != want {
 		t.Fatalf("combined = %v, want %v", c.Combined, want)
@@ -99,17 +89,15 @@ func TestCostWeightsCombine(t *testing.T) {
 }
 
 func TestCostZeroWeightsDoNotDivideByZero(t *testing.T) {
-	s := &Schedule{Items: nil, NodeBusy: []float64{0}, Makespan: 0}
-	c := Cost(s, nil, CostWeights{}, true)
+	c := costOf(Solution{Order: []int{}, Maps: []uint64{}}, nil, NewResource(1), 1, CostWeights{}, true)
 	if c.Combined != 0 {
 		t.Fatalf("combined = %v for empty schedule with zero weights", c.Combined)
 	}
 }
 
 func TestCostEmptySchedule(t *testing.T) {
-	res := NewResource(4)
-	s := Build(Solution{Order: []int{}, Maps: []uint64{}}, nil, res, 100, constPredictor(1))
-	c := Cost(s, nil, DefaultWeights(), true)
+	p := NewProblem(nil, NewResource(4), 100, constPredictor(1))
+	c := p.Breakdown(Solution{Order: []int{}, Maps: []uint64{}})
 	if c.Combined != 0 || c.Makespan != 0 || c.Idle != 0 {
 		t.Fatalf("empty schedule cost = %+v, want zeros", c)
 	}

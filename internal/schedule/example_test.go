@@ -35,13 +35,15 @@ func ExampleBuild() {
 
 // The combined cost of eq. 8 weighs makespan, front-weighted idle time
 // and deadline overruns.
-func ExampleCost() {
+func ExampleProblem_Breakdown() {
 	tasks := []schedule.Task{{ID: 1, Deadline: 6}}
 	sol := schedule.Solution{Order: []int{0}, Maps: []uint64{0b01}}
 	tenSeconds := func(*pace.AppModel, int) float64 { return 10 }
-	s := schedule.Build(sol, tasks, schedule.NewResource(2), 0, tenSeconds)
+	p := schedule.NewProblem(tasks, schedule.NewResource(2), 0, tenSeconds)
+	p.Weights = schedule.CostWeights{Makespan: 1, Idle: 1, Deadline: 1}
+	p.FrontWeighted = false
 
-	c := schedule.Cost(s, tasks, schedule.CostWeights{Makespan: 1, Idle: 1, Deadline: 1}, false)
+	c := p.Breakdown(sol)
 	fmt.Printf("makespan %g, idle %g, contract penalty %g, combined %g\n",
 		c.Makespan, c.Idle, c.ContractPen, c.Combined)
 	// Output:

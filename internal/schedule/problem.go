@@ -14,11 +14,17 @@ import (
 // are two-part Solutions, the cost is eq. 8 evaluated on the built
 // schedule. It implements ga.Problem[Solution].
 //
-// Cost is safe for concurrent use (the parallel GA evaluates the
-// population on a worker pool): each call borrows a scratch Builder from
-// an internal pool, so concurrent evaluations never share buffers.
-// GreedySeed and Reset are not. Use Problem by pointer only — the pool
-// must not be copied.
+// The (task, k) durations are fixed for one instance, so the first of
+// GreedySeed, Cost, Breakdown and Build after Reset fills a [task][k−1]
+// table of them, asking the predictor once per cell; everything after
+// reads it by index.
+//
+// Cost and Breakdown are safe for concurrent use (the parallel GA
+// evaluates the population on a worker pool): each call borrows a
+// scratch Builder from the problem's free list, so concurrent
+// evaluations never share buffers, and the table is read-only once
+// filled. GreedySeed, Build and Reset are not. Use Problem by pointer
+// only — its lock and builders must not be copied.
 type Problem struct {
 	Tasks         []Task
 	Res           Resource
@@ -27,15 +33,24 @@ type Problem struct {
 	Weights       CostWeights
 	FrontWeighted bool // front-weighted idle time (§2.1); ablation knob
 
-	builders sync.Pool // *costBuilder scratch, one per concurrent Cost call
-	instance uint64    // bumped by Reset; a pooled builder of an older one is re-pointed
+	fill     sync.Once // fills durs for the current instance; Reset re-arms it
+	durs     []float64 // the duration table, see Builder
+	instance uint64    // bumped by Reset; a builder of an older one is re-pointed
+
+	// Cost builders not in use. A free list that the problem owns keeps
+	// them, with their grown buffers, across garbage collections, which
+	// empty a sync.Pool: a scheduler plans far less often than the
+	// collector runs.
+	mu     sync.Mutex
+	free   []*costBuilder
+	result *costBuilder // Build's
 
 	// GreedySeed scratch.
 	busy    []float64
 	byAvail []int
 }
 
-// costBuilder is a pooled Builder and the problem instance it points at.
+// costBuilder is a Builder and the problem instance it points at.
 type costBuilder struct {
 	Builder
 	instance uint64
@@ -51,11 +66,33 @@ func NewProblem(tasks []Task, res Resource, base float64, predict Predictor) *Pr
 
 // Reset re-points p at a new problem instance. Its scratch is kept: a
 // scheduler that plans every arrival resets one Problem instead of
-// building one per event, and the pooled builders follow on their next
-// Cost call.
+// building one per event, and its builders follow when next used.
 func (p *Problem) Reset(tasks []Task, res Resource, base float64, predict Predictor) {
 	p.Tasks, p.Res, p.Base, p.Predict = tasks, res, base, predict
 	p.instance++
+	p.fill = sync.Once{}
+}
+
+// table returns the instance's duration table, filling it on first use.
+func (p *Problem) table() []float64 {
+	p.fill.Do(func() { p.durs = fillDurations(p.durs, p.Tasks, p.Res.NumNodes, p.Predict) })
+	return p.durs
+}
+
+// current returns b, or a new builder when b is nil, pointed at p's
+// current instance.
+func (p *Problem) current(b *costBuilder) *costBuilder {
+	if b == nil {
+		b = new(costBuilder)
+	} else if b.instance == p.instance {
+		return b
+	}
+	if err := p.Res.Validate(); err != nil {
+		panic(fmt.Sprintf("schedule: Cost on invalid problem: %v", err))
+	}
+	b.point(p.Tasks, p.Res, p.table())
+	b.instance = p.instance
+	return b
 }
 
 // Random makes dst a uniformly random legitimate solution.
@@ -73,25 +110,40 @@ func (p *Problem) Mutate(g *Solution, rng *sim.RNG) {
 	Mutate(g, p.Res.NumNodes, rng)
 }
 
-// Cost builds the genome's schedule and evaluates eq. 8. Solution
-// validation is hoisted out of this inner loop: the genetic operators
-// maintain legitimacy, so only externally supplied solutions (seeds) need
-// a Solution.Validate, once per Plan, not once per cost evaluation.
+// Cost builds the genome's schedule and returns its eq. 8 cost.
+// Solution validation is hoisted out of this inner loop: the genetic
+// operators maintain legitimacy, so only externally supplied solutions
+// (seeds) need a Solution.Validate, once per Plan, not once per cost
+// evaluation.
 func (p *Problem) Cost(g Solution) float64 {
-	b, _ := p.builders.Get().(*costBuilder)
-	if b == nil || b.instance != p.instance {
-		if b == nil {
-			b = new(costBuilder)
-		}
-		if err := b.Reset(p.Tasks, p.Res, p.Predict); err != nil {
-			panic(fmt.Sprintf("schedule: Cost on invalid problem: %v", err))
-		}
-		b.instance = p.instance
+	return p.Breakdown(g).Combined
+}
+
+// Breakdown builds the genome's schedule and evaluates eq. 8, returning
+// every term behind the combined cost. g must be legitimate.
+func (p *Problem) Breakdown(g Solution) CostBreakdown {
+	p.mu.Lock()
+	var b *costBuilder
+	if n := len(p.free); n > 0 {
+		b = p.free[n-1]
+		p.free = p.free[:n-1]
 	}
-	s := b.Build(g, p.Base)
-	c := Cost(s, p.Tasks, p.Weights, p.FrontWeighted).Combined
-	p.builders.Put(b)
+	p.mu.Unlock()
+	b = p.current(b)
+	b.Build(g, p.Base)
+	c := b.breakdown(p.Weights, p.FrontWeighted)
+	p.mu.Lock()
+	p.free = append(p.free, b)
+	p.mu.Unlock()
 	return c
+}
+
+// Build times the legitimate solution g with the instance's duration
+// table. The schedule is the problem's own: it is valid until the next
+// Build or Reset.
+func (p *Problem) Build(g Solution) *Schedule {
+	p.result = p.current(p.result)
+	return p.result.Build(g, p.Base)
 }
 
 // Copy makes dst a deep copy of src in dst's own storage.
@@ -116,6 +168,8 @@ func (p *Problem) GreedySeed(dst *Solution) {
 	dst.resize(len(p.Tasks))
 	p.busy = append(p.busy[:0], p.Res.Avail...)
 	busy := p.busy
+	n := p.Res.NumNodes
+	durs := p.table()
 	for taskPos, t := range p.Tasks {
 		dst.Order[taskPos] = taskPos
 		// The k cheapest nodes for every k are the first k of one order.
@@ -123,12 +177,12 @@ func (p *Problem) GreedySeed(dst *Solution) {
 		bestMask, bestEnd := uint64(0), 0.0
 		var mask uint64
 		start := maxf(p.Base, t.Arrival)
-		for i, node := range p.byAvail[:p.Res.NumNodes] {
+		for i, node := range p.byAvail[:n] {
 			mask |= uint64(1) << uint(node)
 			if busy[node] > start {
 				start = busy[node] // the k nodes start in unison
 			}
-			end := start + p.Predict(t.App, i+1)
+			end := start + durs[taskPos*n+i]
 			if bestMask == 0 || end < bestEnd {
 				bestMask, bestEnd = mask, end
 			}

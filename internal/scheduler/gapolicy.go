@@ -29,10 +29,9 @@ type GAPolicy struct {
 	carry carryState // previous best, keyed by task ID
 
 	runner  ga.Runner[schedule.Solution]
-	problem schedule.Problem
+	problem schedule.Problem // also builds Plan's result, which the next Plan overwrites
 	greedy  schedule.Solution
 	seeds   []schedule.Solution
-	builder schedule.Builder // builds Plan's result, which the next Plan overwrites
 
 	// Activity counters are atomic telemetry instruments so a live
 	// registry (and Stats) can read them while another goroutine plans.
@@ -103,15 +102,15 @@ func (g *GAPolicy) RegisterMetrics(reg *telemetry.Registry, resource string) {
 // Plan implements Policy. The returned schedule is the policy's own and
 // is overwritten by the next Plan.
 func (g *GAPolicy) Plan(tasks []schedule.Task, res schedule.Resource, now float64, predict schedule.Predictor) *schedule.Schedule {
-	if err := g.builder.Reset(tasks, res, predict); err != nil {
+	if err := res.Validate(); err != nil {
 		panic(fmt.Sprintf("scheduler: ga plan on invalid resource: %v", err))
-	}
-	if len(tasks) == 0 {
-		g.carry.order = g.carry.order[:0]
-		return g.builder.Build(schedule.Solution{}, now)
 	}
 	p := &g.problem
 	p.Reset(tasks, res, now, predict)
+	if len(tasks) == 0 {
+		g.carry.order = g.carry.order[:0]
+		return p.Build(schedule.Solution{})
+	}
 	p.Weights, p.FrontWeighted = g.Weights, g.FrontWeighted
 
 	// Seed the population with a greedy baseline plus the previous best
@@ -139,7 +138,7 @@ func (g *GAPolicy) Plan(tasks []schedule.Task, res schedule.Resource, now float6
 	g.evaluations.Add(uint64(out.Evaluations))
 
 	g.carry.remember(tasks, out.Best)
-	return g.builder.Build(out.Best, now)
+	return p.Build(out.Best)
 }
 
 // carryState carries the previous best solution across scheduling events

@@ -145,7 +145,12 @@ func TestGAPolicyImprovesOverGreedyOnContention(t *testing.T) {
 	greedyCost := p.Cost(greedy)
 
 	s := g.Plan(tasks, res, 0, pred)
-	got := schedule.Cost(s, tasks, g.Weights, true).Combined
+	plan := schedule.Solution{Maps: make([]uint64, len(tasks))}
+	for _, it := range s.Items {
+		plan.Order = append(plan.Order, it.TaskPos)
+		plan.Maps[it.TaskPos] = it.Mask
+	}
+	got := p.Cost(plan)
 	if got > greedyCost+1e-9 {
 		t.Fatalf("GA cost %v worse than greedy seed %v", got, greedyCost)
 	}
