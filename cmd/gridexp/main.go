@@ -25,7 +25,7 @@
 // the run. Any mode also accepts -cpuprofile / -memprofile to say where
 // the run's time and memory went:
 //
-//	gridexp -scenario examples/scenarios/mega-smoke.json -workers 1 -cpuprofile cpu.prof
+//	gridexp -scenario examples/scenarios/mega-smoke.json -cpuprofile cpu.prof
 //	go tool pprof -top cpu.prof
 package main
 
@@ -33,7 +33,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -67,7 +66,6 @@ var (
 	traceOut = flag.String("tracefile", "", "write the experiment-3 request lifecycle trace as CSV to this file")
 	requests = flag.Int("requests", 600, "number of task requests (§4.1 uses 600)")
 	seed     = flag.Uint64("seed", 2003, "workload and GA seed")
-	workers  = flag.Int("workers", runtime.NumCPU(), "GA cost-evaluation workers per scheduler (results are identical for any value)")
 
 	scenarioPath = flag.String("scenario", "", "run the scenario described by this JSON spec (see examples/scenarios/)")
 	sweepArg     = flag.String("sweep", "", "with -scenario: sweep one axis, e.g. rate=0.5,1,2 or agents=12,24,48")
@@ -87,7 +85,7 @@ func main() {
 	fail(startProfiles(*cpuProfile, *memProfile))
 	defer stopProfiles()
 
-	opt := scenario.RunOptions{Workers: *workers, Telemetry: *telemetryOut != "", SamplePeriod: *samplePeriod}
+	opt := scenario.RunOptions{Telemetry: *telemetryOut != "", SamplePeriod: *samplePeriod}
 	doc := exportDoc{Runs: []experiment.Outcome{}}
 	var studies []study
 	if *scenarioPath != "" {
@@ -140,7 +138,7 @@ func main() {
 // everything else.
 var scenarioFlags = map[string]bool{
 	"scenario": true, "sweep": true, "find-saturation": true, "out": true,
-	"telemetry": true, "sample-period": true, "tracefile": true, "workers": true,
+	"telemetry": true, "sample-period": true, "tracefile": true,
 	"audit": true, "cpuprofile": true, "memprofile": true,
 }
 

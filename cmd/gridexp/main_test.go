@@ -97,7 +97,7 @@ func TestScaleAuditsEverySize(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scalability study in short mode")
 	}
-	out, err := gridexp("-scale", "-audit", "-workers", "1")
+	out, err := gridexp("-scale", "-audit")
 	if err != nil {
 		t.Fatalf("gridexp: %v\n%s", err, out)
 	}
@@ -133,7 +133,7 @@ func TestTelemetryExportsEveryStudyRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("extension studies in short mode")
 	}
-	args := []string{"-exp4", "-exp5", "-accuracy", "-scale", "-requests", "60", "-workers", "1"}
+	args := []string{"-exp4", "-exp5", "-accuracy", "-scale", "-requests", "60"}
 	plain, err := gridexp(args...)
 	if err != nil {
 		t.Fatalf("gridexp: %v\n%s", err, plain)
@@ -186,7 +186,7 @@ func TestExtensionStudiesMatchGolden(t *testing.T) {
 	}
 	path := filepath.Join(t.TempDir(), "results.json")
 	out, err := gridexp("-exp4", "-exp5", "-exp6", "-exp7", "-accuracy", "-scale",
-		"-requests", "60", "-workers", "1", "-audit", "-out", path)
+		"-requests", "60", "-audit", "-out", path)
 	if err != nil {
 		t.Fatalf("gridexp: %v\n%s", err, out)
 	}
@@ -230,7 +230,7 @@ func TestAuditVerdictsBothModes(t *testing.T) {
 		{[]string{"-scenario", smokeSpec}, []string{"[scenario]"}, 150, "] audit:"},
 		{[]string{"-scenario", smokeSpec, "-sweep", "rate=1,2"}, []string{"[rate=1]", "[rate=2]"}, 150, "] audit:"},
 	} {
-		args := append(mode.args, "-workers", "1")
+		args := mode.args
 		quiet, err := gridexp(args...)
 		if err != nil {
 			t.Fatalf("gridexp %v: %v\n%s", args, err, quiet)
@@ -269,7 +269,7 @@ func maskWallClock(export string) string {
 // document to the golden in testdata (wall-clock seconds zeroed).
 func TestSweepExportsMatchGolden(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.json")
-	out, err := gridexp("-scenario", smokeSpec, "-sweep", "rate=1,2", "-workers", "1", "-out", path)
+	out, err := gridexp("-scenario", smokeSpec, "-sweep", "rate=1,2", "-out", path)
 	if err != nil {
 		t.Fatalf("gridexp: %v\n%s", err, out)
 	}
@@ -299,7 +299,7 @@ type exportedRun struct {
 func exportedRuns(t *testing.T, args ...string) map[string]exportedRun {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "results.json")
-	if out, err := gridexp(append(args, "-workers", "1", "-out", path)...); err != nil {
+	if out, err := gridexp(append(args, "-out", path)...); err != nil {
 		t.Fatalf("gridexp %v: %v\n%s", args, err, out)
 	}
 	data, err := os.ReadFile(path)
@@ -343,7 +343,7 @@ func TestExportedRunsReproduce(t *testing.T) {
 func TestOutCarriesNoTelemetry(t *testing.T) {
 	dir := t.TempDir()
 	results, tel := filepath.Join(dir, "r.json"), filepath.Join(dir, "t.json")
-	if out, err := gridexp("-scenario", smokeSpec, "-workers", "1", "-telemetry", tel, "-out", results); err != nil {
+	if out, err := gridexp("-scenario", smokeSpec, "-telemetry", tel, "-out", results); err != nil {
 		t.Fatalf("gridexp: %v\n%s", err, out)
 	}
 	for path, want := range map[string]bool{results: false, tel: true} {
@@ -402,6 +402,14 @@ func TestUnreadFlagsRejected(t *testing.T) {
 		path := filepath.Join(t.TempDir(), "out.json")
 		rejected(t, path, c.why, append(c.args, "-out", path)...)
 	}
+}
+
+// TestWorkersFlagRemoved: the GA evaluates its population on the run's
+// own goroutine, so there is no -workers width to set, in either mode.
+func TestWorkersFlagRemoved(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "out.json")
+	rejected(t, path, "flag provided but not defined: -workers", "-table1", "-workers", "1", "-out", path)
+	rejected(t, path, "flag provided but not defined: -workers", "-scenario", smokeSpec, "-workers", "1", "-out", path)
 }
 
 // TestSweepRejectsFindSaturation: a sweep and a saturation search are two

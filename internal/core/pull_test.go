@@ -47,7 +47,7 @@ func TestOnePullPathMatchesBothFormerPaths(t *testing.T) {
 	}{
 		{"static", Options{Policy: PolicyGA, UseAgents: true, Seed: 7}, "bcbb585b11f1aa6d", 36},
 		{"fault plan", Options{Policy: PolicyGA, UseAgents: true, Seed: 7, FaultPlan: faults, AdvertTTL: 30}, "d790f0119440ae69", 40},
-		{"churn + rebalance", churnOpts(7, 1), "7b4ba434a09e5770", 47},
+		{"churn + rebalance", churnOpts(7), "7b4ba434a09e5770", 47},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

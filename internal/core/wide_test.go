@@ -35,9 +35,9 @@ func wideGrid(t testing.TB, opts Options) *Grid {
 	return g
 }
 
-// runAtWidth drives a wide GA grid with a streamed trace and the
-// streaming audit attached and returns the run's lifecycle CSV.
-func runAtWidth(t *testing.T, workers int) (string, *audit.Observer) {
+// runWide drives a wide GA grid with a streamed trace and the streaming
+// audit attached and returns the run's lifecycle CSV.
+func runWide(t *testing.T) (string, *audit.Observer) {
 	t.Helper()
 	var csv strings.Builder
 	sink := trace.NewCSVSink(&csv)
@@ -51,7 +51,6 @@ func runAtWidth(t *testing.T, workers int) (string, *audit.Observer) {
 		GA:        cfg,
 		UseAgents: true,
 		Seed:      77,
-		Workers:   workers,
 		Trace:     rec,
 	})
 	obs := audit.NewObserver(g.NodesByResource())
@@ -76,21 +75,19 @@ func runAtWidth(t *testing.T, workers int) (string, *audit.Observer) {
 	return csv.String(), obs
 }
 
-// TestGAWorkerWidthDeterminism pins the one thing Options.Workers
-// varies: the GA's cost-evaluation width. The lifecycle stream is
-// byte-identical at widths 1 and 4 and the streaming audit drains to
-// zero in-flight state either way. Under -race (CI) it is also the
-// data-race probe for the evaluation pool inside a full grid run.
+// TestGAWorkerWidthDeterminism: the same wide GA grid run twice streams
+// a byte-identical lifecycle, and the streaming audit drains to zero
+// in-flight state both times.
 func TestGAWorkerWidthDeterminism(t *testing.T) {
-	seq, seqObs := runAtWidth(t, 1)
-	par, parObs := runAtWidth(t, 4)
-	if seq != par {
-		t.Fatalf("lifecycle stream differs between worker widths 1 and 4:\nseq:\n%s\npar:\n%s", seq, par)
+	first, firstObs := runWide(t)
+	second, secondObs := runWide(t)
+	if first != second {
+		t.Fatalf("lifecycle stream differs between two runs:\nfirst:\n%s\nsecond:\n%s", first, second)
 	}
-	if n := strings.Count(seq, ",arrive,"); n != 120 {
+	if n := strings.Count(first, ",arrive,"); n != 120 {
 		t.Fatalf("lifecycle CSV holds %d arrive rows, want 120", n)
 	}
-	for _, obs := range []*audit.Observer{seqObs, parObs} {
+	for _, obs := range []*audit.Observer{firstObs, secondObs} {
 		if got := obs.InFlight(); got != 0 {
 			t.Fatalf("streaming audit retained %d request states after the run drained", got)
 		}

@@ -115,7 +115,7 @@ func (p Params) CaseStudyRuns() []Run {
 // time (a long sweep must not hold every point's grid in memory at
 // once), and returns their outcomes in the runs' order. Each run builds
 // its own grid, engine and seed-derived RNGs from its spec alone, so the
-// outcomes are identical to a sequential sweep at any opt.Workers. A
+// outcomes are identical to a sequential sweep's. A
 // trace recorder goes to the last run only: the runs mint the same
 // ReqIDs, and one recorder holding two runs' events would show the audit
 // every task executed twice. With opt.Telemetry every run is instrumented

@@ -10,8 +10,6 @@ package ga
 import (
 	"math"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/sim"
 )
@@ -35,10 +33,9 @@ type Problem[G any] interface {
 	Mutate(g *G, rng *sim.RNG)
 	// Cost evaluates the genome; lower is better. Cost must be pure (no
 	// observable side effects on the problem or genome, and the same
-	// result for equal genomes within a run) and safe for concurrent use
-	// when Config.Workers > 1: the engine evaluates the population on a
-	// worker pool. Purity also lets the engine skip calls: a child equal
-	// to a parent takes the parent's cost, and an elite the best's.
+	// result for equal genomes within a run), which lets the engine skip
+	// calls: a child equal to a parent takes the parent's cost, and an
+	// elite the best's.
 	Cost(g G) float64
 	// Copy makes dst an independent deep copy of src.
 	Copy(dst *G, src G)
@@ -58,15 +55,6 @@ type Config struct {
 	MutationRate      float64 // probability an offspring is mutated
 	Elitism           int     // number of best genomes copied unchanged
 	ConvergenceWindow int     // stop early after this many generations without improvement; 0 disables
-
-	// Workers bounds the goroutines evaluating Cost over the population
-	// each generation; values ≤ 1 evaluate sequentially. The run is
-	// bit-identical for any worker count: costs are written by population
-	// index, the per-generation best is chosen by an index-order scan
-	// after the pool joins, and the RNG is only touched in the
-	// single-threaded select/recombine phase. Requires a concurrency-safe
-	// Problem.Cost (see Problem).
-	Workers int
 }
 
 // DefaultConfig returns the configuration used by the case study.
@@ -108,12 +96,6 @@ func (c *Config) sanitize() {
 	}
 	if c.ConvergenceWindow < 0 {
 		c.ConvergenceWindow = 0
-	}
-	if c.Workers < 1 {
-		c.Workers = 1
-	}
-	if c.Workers > c.PopulationSize {
-		c.Workers = c.PopulationSize
 	}
 }
 
@@ -185,10 +167,7 @@ func (r *Runner[G]) Run(p Problem[G], cfg Config, rng *sim.RNG, seeds []G) Resul
 	stale := 0
 	for gen := 0; gen < cfg.MaxGenerations; gen++ {
 		// Score the population: a child that equals a parent inherits its
-		// cost, the rest are evaluated. With Workers > 1 the Cost calls
-		// run on a bounded pool, each result written to its own index; the
-		// best is then chosen by a sequential index-order scan, so the
-		// outcome is bit-identical to the sequential engine.
+		// cost, the rest are evaluated.
 		r.todo = r.todo[:0]
 		if gen == 0 {
 			for i := range r.pop {
@@ -198,7 +177,9 @@ func (r *Runner[G]) Run(p Problem[G], cfg Config, rng *sim.RNG, seeds []G) Resul
 			r.costs, r.prev = r.prev, r.costs
 			r.inherit(p, cfg.Elitism)
 		}
-		r.evaluate(p, cfg.Workers)
+		for _, i := range r.todo {
+			r.costs[i] = p.Cost(r.pop[i])
+		}
 		res.CostEvals += n
 		res.Evaluations += len(r.todo)
 		genBest, genBestCost := -1, math.Inf(1)
@@ -304,40 +285,6 @@ func (r *Runner[G]) inherit(p Problem[G], elitism int) {
 			r.todo = append(r.todo, i)
 		}
 	}
-}
-
-// evaluate sets costs[i] = p.Cost(pop[i]) for every i in r.todo. With
-// workers > 1 the calls are distributed over a bounded pool via an atomic
-// index counter; each worker writes only its claimed indices, so no
-// result depends on scheduling order. Cost must be pure, which the
-// scheduling Problem guarantees (per-goroutine scratch builders over an
-// immutable problem instance), so the cost vector is identical for any
-// worker count.
-func (r *Runner[G]) evaluate(p Problem[G], workers int) {
-	todo, pop, costs := r.todo, r.pop, r.costs
-	if workers <= 1 || len(todo) < 2 {
-		for _, i := range todo {
-			costs[i] = p.Cost(pop[i])
-		}
-		return
-	}
-	workers = min(workers, len(todo))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				k := int(next.Add(1)) - 1
-				if k >= len(todo) {
-					return
-				}
-				costs[todo[k]] = p.Cost(pop[todo[k]])
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // scaleFitness writes to fitness the paper's dynamic scaling (eq. 9) of

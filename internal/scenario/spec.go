@@ -130,7 +130,6 @@ type GASpec struct {
 	PopulationSize    int `json:"population_size,omitempty"`
 	MaxGenerations    int `json:"max_generations,omitempty"`
 	ConvergenceWindow int `json:"convergence_window,omitempty"`
-	Workers           int `json:"workers,omitempty"`
 }
 
 // FaultSpec is the JSON shape of a fault.Plan.
@@ -335,9 +334,6 @@ func (s Spec) GAConfig() ga.Config {
 		}
 		if s.GA.ConvergenceWindow > 0 {
 			cfg.ConvergenceWindow = s.GA.ConvergenceWindow
-		}
-		if s.GA.Workers > 0 {
-			cfg.Workers = s.GA.Workers
 		}
 	}
 	return cfg

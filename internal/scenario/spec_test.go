@@ -199,6 +199,19 @@ func TestLoadScenarioFile(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsGAWorkers: the GA has no evaluation width to set, so a
+// spec that still asks for one is refused, not run at another setting.
+func TestLoadRejectsGAWorkers(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "workers.json")
+	body := `{"topology": {"preset": "fig7"}, "arrivals": {"count": 10, "interval": 1}, "policy": "ga", "ga": {"workers": 4}}`
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(path); err == nil || !strings.Contains(err.Error(), `unknown field "workers"`) {
+		t.Fatalf("ga.workers: err = %v, want an unknown-field error", err)
+	}
+}
+
 func TestLoadTraceFile(t *testing.T) {
 	dir := t.TempDir()
 	trace := filepath.Join(dir, "arrivals.csv")

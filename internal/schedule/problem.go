@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sync"
 
 	"repro/internal/sim"
 )
@@ -17,14 +16,9 @@ import (
 // The (task, k) durations are fixed for one instance, so the first of
 // GreedySeed, Cost, Breakdown and Build after Reset fills a [task][k−1]
 // table of them, asking the predictor once per cell; everything after
-// reads it by index.
-//
-// Cost and Breakdown are safe for concurrent use (the parallel GA
-// evaluates the population on a worker pool): each call borrows a
-// scratch Builder from the problem's free list, so concurrent
-// evaluations never share buffers, and the table is read-only once
-// filled. GreedySeed, Build and Reset are not. Use Problem by pointer
-// only — its lock and builders must not be copied.
+// reads it by index. Cost and Breakdown reuse one scratch Builder, and
+// Build another, so a Problem is not safe for concurrent use. Use it by
+// pointer only: a copy would share its builders.
 type Problem struct {
 	Tasks         []Task
 	Res           Resource
@@ -33,17 +27,11 @@ type Problem struct {
 	Weights       CostWeights
 	FrontWeighted bool // front-weighted idle time (§2.1); ablation knob
 
-	fill     sync.Once // fills durs for the current instance; Reset re-arms it
+	filled   bool      // durs holds the current instance's table; Reset clears it
 	durs     []float64 // the duration table, see Builder
 	instance uint64    // bumped by Reset; a builder of an older one is re-pointed
 
-	// Cost builders not in use. A free list that the problem owns keeps
-	// them, with their grown buffers, across garbage collections, which
-	// empty a sync.Pool: a scheduler plans far less often than the
-	// collector runs.
-	mu     sync.Mutex
-	free   []*costBuilder
-	result *costBuilder // Build's
+	cost, result *costBuilder // Cost's and Build's
 
 	// GreedySeed scratch.
 	busy    []float64
@@ -70,12 +58,15 @@ func NewProblem(tasks []Task, res Resource, base float64, predict Predictor) *Pr
 func (p *Problem) Reset(tasks []Task, res Resource, base float64, predict Predictor) {
 	p.Tasks, p.Res, p.Base, p.Predict = tasks, res, base, predict
 	p.instance++
-	p.fill = sync.Once{}
+	p.filled = false
 }
 
 // table returns the instance's duration table, filling it on first use.
 func (p *Problem) table() []float64 {
-	p.fill.Do(func() { p.durs = fillDurations(p.durs, p.Tasks, p.Res.NumNodes, p.Predict) })
+	if !p.filled {
+		p.durs = fillDurations(p.durs, p.Tasks, p.Res.NumNodes, p.Predict)
+		p.filled = true
+	}
 	return p.durs
 }
 
@@ -125,20 +116,9 @@ func (p *Problem) Cost(g Solution) float64 {
 // Breakdown builds the genome's schedule and evaluates eq. 8, returning
 // every term behind the combined cost. g must be legitimate.
 func (p *Problem) Breakdown(g Solution) CostBreakdown {
-	p.mu.Lock()
-	var b *costBuilder
-	if n := len(p.free); n > 0 {
-		b = p.free[n-1]
-		p.free = p.free[:n-1]
-	}
-	p.mu.Unlock()
-	b = p.current(b, true)
-	b.Build(g, p.Base)
-	c := b.breakdown(p.Weights, p.FrontWeighted)
-	p.mu.Lock()
-	p.free = append(p.free, b)
-	p.mu.Unlock()
-	return c
+	p.cost = p.current(p.cost, true)
+	p.cost.Build(g, p.Base)
+	return p.cost.breakdown(p.Weights, p.FrontWeighted)
 }
 
 // Build times the legitimate solution g with the instance's duration

@@ -80,9 +80,7 @@ func (g *GAPolicy) Stats() GAPolicyStats {
 }
 
 // RegisterMetrics attaches the policy's counters to a telemetry
-// registry under ga_*{resource=...} names, plus a gauge reporting the
-// configured evaluation worker pool (the utilisation knob of PR 2's
-// parallel cost evaluation).
+// registry under ga_*{resource=...} names.
 func (g *GAPolicy) RegisterMetrics(reg *telemetry.Registry, resource string) {
 	if reg == nil {
 		return
@@ -92,11 +90,6 @@ func (g *GAPolicy) RegisterMetrics(reg *telemetry.Registry, resource string) {
 	reg.RegisterCounter(l("ga_generations_total"), &g.generations)
 	reg.RegisterCounter(l("ga_cost_evals_total"), &g.costEvals)
 	reg.RegisterCounter(l("ga_evaluations_total"), &g.evaluations)
-	workers := g.Config.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	reg.Gauge(l("ga_workers")).Set(float64(workers))
 }
 
 // Plan implements Policy. The returned schedule is the policy's own and

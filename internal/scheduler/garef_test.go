@@ -453,7 +453,7 @@ func randomProblem(t testing.TB, rng *sim.RNG, e *pace.Engine, maxTasks int) *sc
 
 // randomConfig draws GA hyper-parameters across their whole range,
 // degenerate ends included.
-func randomConfig(rng *sim.RNG, workers int) ga.Config {
+func randomConfig(rng *sim.RNG) ga.Config {
 	rate := func() float64 { return []float64{0, 1, rng.Float64()}[rng.Intn(3)] }
 	return ga.Config{
 		PopulationSize:    rng.IntIn(1, 24),
@@ -462,29 +462,28 @@ func randomConfig(rng *sim.RNG, workers int) ga.Config {
 		MutationRate:      rate(),
 		Elitism:           rng.IntIn(-1, 4),
 		ConvergenceWindow: rng.IntIn(0, 5),
-		Workers:           workers,
 	}
 }
 
 // TestRunnerMatchesCloningEngine holds ga.Runner to the parent's cloning
-// engine on 240 seeded scheduling problems at GA widths 1, 2 and 4. One
-// Runner serves every problem of a width, so its arenas are recycled
-// across queue lengths, node counts and population sizes. Best,
+// engine on 240 seeded scheduling problems from each of three instance
+// streams. One Runner serves every problem of a stream, so its arenas are
+// recycled across queue lengths, node counts and population sizes. Best,
 // BestCost, History, Generations, CostEvals, Evaluations (which the
 // reference counts by comparing each child with its parents) and the RNG
 // state afterwards must all be identical.
 func TestRunnerMatchesCloningEngine(t *testing.T) {
 	e := pace.NewEngine()
-	for _, workers := range []int{1, 2, 4} {
+	for _, stream := range []uint64{101, 102, 104} {
 		var runner ga.Runner[schedule.Solution]
-		gen := sim.NewRNG(uint64(100 + workers))
+		gen := sim.NewRNG(stream)
 		for trial := 0; trial < 240; trial++ {
 			maxTasks := 12
 			if trial%20 == 19 {
 				maxTasks = 80 // past one 64-bit word of task positions
 			}
 			p := randomProblem(t, gen, e, maxTasks)
-			cfg := randomConfig(gen, workers)
+			cfg := randomConfig(gen)
 			var seeds []schedule.Solution
 			for k := gen.Intn(4); k > 0; k-- {
 				if gen.Bool(0.5) {
@@ -498,11 +497,11 @@ func TestRunnerMatchesCloningEngine(t *testing.T) {
 			want := refRun(refOps{p, p.Cost}, cfg, wantRNG, seeds)
 			got := runner.Run(p, cfg, gotRNG, seeds)
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("workers %d, trial %d (%d tasks, %d nodes, %+v):\nrunner   %+v\ncloning  %+v",
-					workers, trial, len(p.Tasks), p.Res.NumNodes, cfg, got, want)
+				t.Fatalf("stream %d, trial %d (%d tasks, %d nodes, %+v):\nrunner   %+v\ncloning  %+v",
+					stream, trial, len(p.Tasks), p.Res.NumNodes, cfg, got, want)
 			}
 			if *gotRNG != *wantRNG {
-				t.Fatalf("workers %d, trial %d: RNG state diverged after the run", workers, trial)
+				t.Fatalf("stream %d, trial %d: RNG state diverged after the run", stream, trial)
 			}
 		}
 	}
@@ -532,7 +531,8 @@ func genomeHash(g schedule.Solution) uint64 {
 
 // TestRunnerMatchesCloningEngineNonFinite holds ga.Runner to the cloning
 // engine on problems where a share of the genomes, or all of them, cost
-// NaN or +Inf, at widths 1, 2 and 4. When no cost is finite, Best is the
+// NaN or +Inf, 60 of each variant from each of three instance streams.
+// When no cost is finite, Best is the
 // first initial genome and its elites must inherit its own (possibly
 // NaN) cost, not BestCost's +Inf: the fitness scaling, and so every
 // later draw, tells the two apart.
@@ -565,13 +565,13 @@ func TestRunnerMatchesCloningEngineNonFinite(t *testing.T) {
 	}
 	e := pace.NewEngine()
 	for _, v := range variants {
-		for _, workers := range []int{1, 2, 4} {
+		for _, stream := range []uint64{301, 302, 304} {
 			var runner ga.Runner[schedule.Solution]
-			gen := sim.NewRNG(uint64(300 + workers))
+			gen := sim.NewRNG(stream)
 			for trial := 0; trial < 60; trial++ {
 				p := randomProblem(t, gen, e, 12)
 				cost := func(g schedule.Solution) float64 { return v.cost(p, g) }
-				cfg := randomConfig(gen, workers)
+				cfg := randomConfig(gen)
 				var seeds []schedule.Solution
 				if gen.Bool(0.5) {
 					seeds = append(seeds, refGreedySeed(p))
@@ -581,11 +581,11 @@ func TestRunnerMatchesCloningEngineNonFinite(t *testing.T) {
 				want := refRun(refOps{p, cost}, cfg, wantRNG, seeds)
 				got := runner.Run(nonFinite{p, cost}, cfg, gotRNG, seeds)
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s, workers %d, trial %d (%d tasks, %d nodes, %+v):\nrunner   %+v\ncloning  %+v",
-						v.name, workers, trial, len(p.Tasks), p.Res.NumNodes, cfg, got, want)
+					t.Fatalf("%s, stream %d, trial %d (%d tasks, %d nodes, %+v):\nrunner   %+v\ncloning  %+v",
+						v.name, stream, trial, len(p.Tasks), p.Res.NumNodes, cfg, got, want)
 				}
 				if *gotRNG != *wantRNG {
-					t.Fatalf("%s, workers %d, trial %d: RNG state diverged after the run", v.name, workers, trial)
+					t.Fatalf("%s, stream %d, trial %d: RNG state diverged after the run", v.name, stream, trial)
 				}
 			}
 		}
@@ -623,50 +623,47 @@ func TestGAPolicyMatchesReferenceAcrossQueueLengths(t *testing.T) {
 	e := pace.NewEngine()
 	names := pace.CaseStudyLibrary().Names()
 	cfg := ga.Config{PopulationSize: 16, MaxGenerations: 10, CrossoverRate: 0.8, MutationRate: 0.3, Elitism: 2, ConvergenceWindow: 4}
-	for _, workers := range []int{1, 4} {
-		cfg.Workers = workers
-		got := NewGAPolicy(cfg, sim.NewRNG(77))
-		want := &refGAPolicy{cfg: cfg, rng: sim.NewRNG(77)}
-		rng := sim.NewRNG(5)
-		pred := enginePredictor(e, pace.SunUltra10)
-		res := schedule.NewResource(16)
-		var queue []schedule.Task
-		nextID, now := 1, 0.0
-		step := func(label string) {
-			now += rng.UniformIn(0, 3)
-			for i := range res.Avail {
-				res.Avail[i] = max(res.Avail[i], now) + rng.UniformIn(0, 2)
-			}
-			g := got.Plan(queue, res, now, pred)
-			w := want.plan(queue, res, now, pred)
-			if !reflect.DeepEqual(g.Items, w.Items) || !reflect.DeepEqual(g.NodeBusy, w.NodeBusy) ||
-				g.Makespan != w.Makespan || g.Base != w.Base {
-				t.Fatalf("workers %d, %s, queue %d: plan diverged\nrecycled  %+v\nreference %+v", workers, label, len(queue), g.Items, w.Items)
-			}
-			if *got.rng != *want.rng {
-				t.Fatalf("workers %d, %s, queue %d: RNG state diverged", workers, label, len(queue))
-			}
+	got := NewGAPolicy(cfg, sim.NewRNG(77))
+	want := &refGAPolicy{cfg: cfg, rng: sim.NewRNG(77)}
+	rng := sim.NewRNG(5)
+	pred := enginePredictor(e, pace.SunUltra10)
+	res := schedule.NewResource(16)
+	var queue []schedule.Task
+	nextID, now := 1, 0.0
+	step := func(label string) {
+		now += rng.UniformIn(0, 3)
+		for i := range res.Avail {
+			res.Avail[i] = max(res.Avail[i], now) + rng.UniformIn(0, 2)
 		}
-		for len(queue) < 40 {
-			queue = append(queue, schedule.Task{
-				ID: nextID, App: appOf(t, names[rng.Intn(len(names))]),
-				Arrival: now, Deadline: now + rng.UniformIn(50, 500),
-			})
-			nextID++
-			step(fmt.Sprintf("arrival of task %d", nextID-1))
+		g := got.Plan(queue, res, now, pred)
+		w := want.plan(queue, res, now, pred)
+		if !reflect.DeepEqual(g.Items, w.Items) || !reflect.DeepEqual(g.NodeBusy, w.NodeBusy) ||
+			g.Makespan != w.Makespan || g.Base != w.Base {
+			t.Fatalf("%s, queue %d: plan diverged\nrecycled  %+v\nreference %+v", label, len(queue), g.Items, w.Items)
 		}
-		for len(queue) > 0 {
-			i := 0 // the head started
-			if rng.Bool(0.3) {
-				i = rng.Intn(len(queue)) // a deletion
-			}
-			got.Forget(queue[i].ID)
-			want.forget(queue[i].ID)
-			queue = append(queue[:i], queue[i+1:]...)
-			step(fmt.Sprintf("departure at %d", i))
+		if *got.rng != *want.rng {
+			t.Fatalf("%s, queue %d: RNG state diverged", label, len(queue))
 		}
-		if got.Stats().Plans != 79 {
-			t.Fatalf("workers %d: %d GA plans, want 79", workers, got.Stats().Plans)
+	}
+	for len(queue) < 40 {
+		queue = append(queue, schedule.Task{
+			ID: nextID, App: appOf(t, names[rng.Intn(len(names))]),
+			Arrival: now, Deadline: now + rng.UniformIn(50, 500),
+		})
+		nextID++
+		step(fmt.Sprintf("arrival of task %d", nextID-1))
+	}
+	for len(queue) > 0 {
+		i := 0 // the head started
+		if rng.Bool(0.3) {
+			i = rng.Intn(len(queue)) // a deletion
 		}
+		got.Forget(queue[i].ID)
+		want.forget(queue[i].ID)
+		queue = append(queue[:i], queue[i+1:]...)
+		step(fmt.Sprintf("departure at %d", i))
+	}
+	if got.Stats().Plans != 79 {
+		t.Fatalf("%d GA plans, want 79", got.Stats().Plans)
 	}
 }

@@ -1,6 +1,7 @@
 package xmlmsg
 
 import (
+	"bytes"
 	"encoding/xml"
 	"fmt"
 	"reflect"
@@ -93,26 +94,36 @@ func Marshal(v interface{}) ([]byte, error) {
 	return append(out, '\n'), nil
 }
 
-// envelope peeks at the agentgrid type attribute.
-type envelope struct {
-	XMLName xml.Name `xml:"agentgrid"`
-	Type    string   `xml:"type,attr"`
-}
-
 // Decode parses an agentgrid document and returns the typed message, a
 // pointer to the wire type its kind names (*ServiceInfo for "service",
-// and so on through the table).
+// and so on through the table). The document is parsed once: the root's
+// type attribute picks the entry, and the root decodes into the entry's
+// constructor, whose XMLName rejects a root other than <agentgrid>.
 func Decode(data []byte) (interface{}, Kind, error) {
-	var env envelope
-	if err := xml.Unmarshal(data, &env); err != nil {
-		return nil, "", fmt.Errorf("xmlmsg: decode envelope: %w", err)
+	d := xml.NewDecoder(bytes.NewReader(data))
+	var root xml.StartElement
+	for {
+		tok, err := d.Token()
+		if err != nil {
+			return nil, "", fmt.Errorf("xmlmsg: decode root: %w", err)
+		}
+		if start, ok := tok.(xml.StartElement); ok {
+			root = start
+			break
+		}
 	}
-	e := find(func(e *entry) bool { return e.kind == Kind(env.Type) })
+	var typ string
+	for _, a := range root.Attr { // the last type attribute wins, as in a decoded struct
+		if a.Name.Local == "type" {
+			typ = a.Value
+		}
+	}
+	e := find(func(e *entry) bool { return e.kind == Kind(typ) })
 	if e == nil {
-		return nil, "", fmt.Errorf("xmlmsg: unknown agentgrid type %q", env.Type)
+		return nil, "", fmt.Errorf("xmlmsg: unknown agentgrid type %q", typ)
 	}
 	m := e.new()
-	if err := xml.Unmarshal(data, m); err != nil {
+	if err := d.DecodeElement(m, &root); err != nil {
 		return nil, "", fmt.Errorf("xmlmsg: decode %s: %w", e.kind, err)
 	}
 	return m, e.kind, nil
