@@ -133,7 +133,13 @@ type peerSlot struct {
 	peer Peer
 	name string // peer.PeerName(), read once at link time
 
-	cached   bool // info holds an advertisement
+	cached bool // info holds an advertisement
+	// stamped marks info as filled in full from peer, an in-process
+	// *Agent, by a batched pull. A publisher's identity (name, hardware,
+	// node count, environments) is fixed for its lifetime, so a later
+	// batched pull refreshes only what moves. Any other store — a push, a
+	// PullService answer — clears it, as do reset and link.
+	stamped  bool
 	info     scheduler.ServiceInfo
 	pulledAt float64
 	col      *pace.Column // info.HWType's column; nil for unknown hardware
@@ -200,9 +206,9 @@ type Agent struct {
 	lastPushedFreetime float64
 	pushedOnce         bool
 
-	// advert is the agent's base advertisement as of the current
+	// advert is the agent's advertised freetime as of the current
 	// Hierarchy.PullAll tick, valid while advertLive.
-	advert     scheduler.ServiceInfo
+	advert     float64
 	advertLive bool
 }
 
@@ -326,7 +332,7 @@ func (a *Agent) store(s *peerSlot, info scheduler.ServiceInfo, now float64) {
 			s.col, _ = a.engine.Column(hw)
 		}
 	}
-	s.cached, s.info, s.pulledAt = true, info, now
+	s.cached, s.stamped, s.info, s.pulledAt = true, false, info, now
 }
 
 // peerFailed counts one failed exchange with s, tripping its circuit at
@@ -543,26 +549,24 @@ func (a *Agent) Forget(name string) {
 func (a *Agent) Pull(now float64) { a.pullBatched(now, false) }
 
 // pullBatched is the cache-refresh loop behind Pull and PullAll. Batched,
-// it takes each live in-process neighbour's base advertisement from the
-// tick-wide snapshot PullAll took instead of recomputing ServiceInfo per
-// puller (every in-process neighbour of a tree member is a member too).
-// The publisher's fault counters are still read live, at exchange time,
-// because a lossy-gate failure earlier in the same tick must be visible
-// to later pullers. Other peers — all of them under Pull — answer
-// PullService.
+// each live in-process neighbour (every in-process neighbour of a tree
+// member is a member too) is read through refresh, from the freetime
+// PullAll snapshot this tick. Other peers — all of them under Pull —
+// answer PullService.
 func (a *Agent) pullBatched(now float64, batched bool) {
 	for _, s := range a.slots {
 		if s.unlinked {
 			continue
 		}
-		var info scheduler.ServiceInfo
 		err := a.gateErr(s.name, now)
+		if peer, ok := s.peer.(*Agent); ok && batched && peer.advertLive && err == nil {
+			a.recordExchange(s, nil)
+			a.refresh(s, peer, now)
+			continue
+		}
+		var info scheduler.ServiceInfo
 		if err == nil {
-			if peer, ok := s.peer.(*Agent); ok && batched && peer.advertLive {
-				info = peer.annotate(peer.advert)
-			} else {
-				info, err = s.peer.PullService()
-			}
+			info, err = s.peer.PullService()
 		}
 		a.recordExchange(s, err)
 		if err != nil {
@@ -572,6 +576,20 @@ func (a *Agent) pullBatched(now float64, batched bool) {
 		a.store(s, info, now)
 	}
 	a.stats.pulls.Inc()
+}
+
+// refresh records the advertisement of s's in-process peer at now. A
+// stamped slot is refreshed in place — the snapshot freetime and the
+// publisher's fault counters, read live because a lossy-gate failure
+// earlier in the same tick must be visible to later pullers; any other
+// slot is filled in full and stamped.
+func (a *Agent) refresh(s *peerSlot, peer *Agent, now float64) {
+	if !s.stamped {
+		a.store(s, peer.local.ServiceInfo(), now)
+		s.stamped = true
+	}
+	s.info.Freetime, s.pulledAt = peer.advert, now
+	peer.annotate(&s.info)
 }
 
 // PushAdvertisement implements AdvertSink: record a neighbour's pushed
@@ -660,14 +678,15 @@ func (a *Agent) PeerName() string { return a.name }
 // scheduler's service information, annotated with the agent's fault
 // counters so peers can observe a resource's failure history.
 func (a *Agent) PullService() (scheduler.ServiceInfo, error) {
-	return a.annotate(a.local.ServiceInfo()), nil
+	si := a.local.ServiceInfo()
+	a.annotate(&si)
+	return si, nil
 }
 
 // annotate stamps the agent's live fault counters on an advertisement.
-func (a *Agent) annotate(si scheduler.ServiceInfo) scheduler.ServiceInfo {
+func (a *Agent) annotate(si *scheduler.ServiceInfo) {
 	si.FailedPulls = int(a.stats.failedPulls.Value())
 	si.Redispatches = int(a.stats.redispatches.Value())
-	return si
 }
 
 // Handle implements Peer.

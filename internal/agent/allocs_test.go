@@ -36,3 +36,30 @@ func TestFloodQuoteAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestPullAllSteadyStateAllocs: once a first tick has filled every slot,
+// a PullAll tick over an in-process hierarchy with no gate allocates
+// nothing — each slot is refreshed in place from its publisher's freetime
+// snapshot, with no advertisement rebuilt.
+func TestPullAllSteadyStateAllocs(t *testing.T) {
+	agents, _ := ternary(t, 120)
+	for _, a := range agents {
+		a.SetGate(nil)
+	}
+	h, err := NewHierarchy(agents)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := 0.0
+	tick := func() {
+		h.PullAll(now)
+		now += DefaultPullPeriod
+	}
+	tick()
+	if got := testing.AllocsPerRun(20, tick); got != 0 {
+		t.Fatalf("steady-state PullAll tick: %v allocations, want 0", got)
+	}
+	if s := agents[0].slots[0]; !s.cached || s.pulledAt != now-DefaultPullPeriod {
+		t.Fatalf("root's first lower not refreshed by the last tick: cached %t, pulled at %v", s.cached, s.pulledAt)
+	}
+}

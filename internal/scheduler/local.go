@@ -170,6 +170,11 @@ func NewLocal(cfg Config) (*Local, error) {
 	if cfg.Engine == nil {
 		return nil, fmt.Errorf("scheduler: %q: no PACE evaluation engine", cfg.Name)
 	}
+	// A Local's identity — name, hardware, node count, environments — is
+	// fixed for its lifetime, which lets a peer refresh a cached
+	// advertisement in place; so the environments are the scheduler's own
+	// copy, not the caller's slice.
+	cfg.Environments = slices.Clone(cfg.Environments)
 	if len(cfg.Environments) == 0 {
 		cfg.Environments = []string{"test"}
 	}
@@ -246,8 +251,8 @@ func (l *Local) Hardware() pace.Hardware { return l.cfg.HW }
 // NumNodes returns the configured node count.
 func (l *Local) NumNodes() int { return l.cfg.NumNodes }
 
-// Environments returns the supported execution environments.
-func (l *Local) Environments() []string { return l.cfg.Environments }
+// Environments returns a copy of the supported execution environments.
+func (l *Local) Environments() []string { return slices.Clone(l.cfg.Environments) }
 
 // Monitor exposes the resource monitor (for failure injection).
 func (l *Local) Monitor() *Monitor { return l.monitor }
@@ -786,13 +791,11 @@ type ServiceInfo struct {
 
 // ServiceInfo returns the current advertisement.
 func (l *Local) ServiceInfo() ServiceInfo {
-	envs := make([]string, len(l.cfg.Environments))
-	copy(envs, l.cfg.Environments)
 	return ServiceInfo{
 		Name:         l.cfg.Name,
 		HWType:       l.cfg.HW.Name,
 		NProc:        l.cfg.NumNodes,
-		Environments: envs,
+		Environments: slices.Clone(l.cfg.Environments),
 		Freetime:     l.Freetime(),
 	}
 }

@@ -66,6 +66,34 @@ func TestLocalDefaults(t *testing.T) {
 	}
 }
 
+// TestLocalIdentityIsOwnCopy: a Local's environments are fixed at
+// NewLocal. Mutating the caller's slice afterwards, or the one
+// Environments returns, changes neither the advertisement nor
+// matchmaking — peers refresh a cached advertisement in place on that
+// promise.
+func TestLocalIdentityIsOwnCopy(t *testing.T) {
+	envs := []string{"mpi", "test"}
+	l, err := NewLocal(Config{
+		Name:         "S1",
+		HW:           pace.SGIOrigin2000,
+		NumNodes:     4,
+		Policy:       NewFIFOPolicy(),
+		Engine:       pace.NewEngine(),
+		Environments: envs,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	envs[0], envs[1] = "pvm", "bogus"
+	l.Environments()[0] = "bogus"
+	if got := l.ServiceInfo().Environments; !reflect.DeepEqual(got, []string{"mpi", "test"}) {
+		t.Fatalf("advertised environments = %v after the caller's slice changed, want [mpi test]", got)
+	}
+	if !l.SupportsEnvironment("mpi") || !l.SupportsEnvironment("test") || l.SupportsEnvironment("pvm") || l.SupportsEnvironment("bogus") {
+		t.Fatal("matchmaking follows the caller's slice")
+	}
+}
+
 func TestLocalLifecycleFIFO(t *testing.T) {
 	l := newTestLocal(t, "S1", NewFIFOPolicy(), 16)
 	app := appOf(t, "fft") // 10s on 16 nodes, 25s on 1
