@@ -19,6 +19,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/agent"
 	"repro/internal/pace"
 	"repro/internal/sim"
 	"repro/internal/transport"
@@ -160,7 +161,7 @@ func submitReservation(client *transport.Client, to, app, email, spec string) {
 	earliest := now + startRel
 
 	quote := xmlmsg.Reserve{
-		Type: "reserve", Action: xmlmsg.ReserveActionQuote,
+		Type: "reserve", Action: agent.ReserveQuoteOp.String(),
 		Nodes: nodes, Earliest: xmlmsg.FormatSeconds(earliest), Duration: xmlmsg.FormatSeconds(duration),
 	}
 	reply, kind, err := client.Call(to, quote)
@@ -184,7 +185,7 @@ func submitReservation(client *transport.Client, to, app, email, spec string) {
 	best := ack.Quotes[0]
 	resvID := uint64(time.Now().UnixNano())
 	hold := xmlmsg.Reserve{
-		Type: "reserve", Action: xmlmsg.ReserveActionHold,
+		Type: "reserve", Action: agent.ReserveHoldOp.String(),
 		ResvID: resvID, Resource: best.Resource, Holder: email,
 		Mask: best.Mask, Start: best.Start, End: best.End,
 		TTL: xmlmsg.FormatSeconds(120),
@@ -193,14 +194,14 @@ func submitReservation(client *transport.Client, to, app, email, spec string) {
 	fail(err)
 
 	confirm := xmlmsg.Reserve{
-		Type: "reserve", Action: xmlmsg.ReserveActionConfirm,
+		Type: "reserve", Action: agent.ReserveConfirmOp.String(),
 		ResvID: resvID, Resource: best.Resource, ReqID: uint64(time.Now().UnixNano()), Model: app,
 	}
 	creply, _, err := client.Call(to, confirm)
 	if err != nil {
 		// Never leave the window blocked behind a failed confirm.
 		release := xmlmsg.Reserve{
-			Type: "reserve", Action: xmlmsg.ReserveActionRelease,
+			Type: "reserve", Action: agent.ReserveReleaseOp.String(),
 			ResvID: resvID, Resource: best.Resource,
 		}
 		if _, _, rerr := client.Call(to, release); rerr != nil {

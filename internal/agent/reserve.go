@@ -31,19 +31,24 @@ const (
 	ReserveReleaseOp
 )
 
-// String implements fmt.Stringer.
+// reserveActionNames names each ReserveAction, indexed by its value.
+// The names are the reserve message's action attribute on the wire.
+var reserveActionNames = [...]string{"quote", "hold", "confirm", "release"}
+
+// String implements fmt.Stringer; it is the action's wire name.
 func (ra ReserveAction) String() string {
-	switch ra {
-	case ReserveQuoteOp:
-		return "quote"
-	case ReserveHoldOp:
-		return "hold"
-	case ReserveConfirmOp:
-		return "confirm"
-	case ReserveReleaseOp:
-		return "release"
+	if ra >= 0 && int(ra) < len(reserveActionNames) {
+		return reserveActionNames[ra]
 	}
 	return fmt.Sprintf("action(%d)", int(ra))
+}
+
+// ParseReserveAction returns the action whose String is name.
+func ParseReserveAction(name string) (ReserveAction, error) {
+	if i := slices.Index(reserveActionNames[:], name); i >= 0 {
+		return ReserveAction(i), nil
+	}
+	return 0, fmt.Errorf("agent: unknown reserve action %q", name)
 }
 
 // ReserveOp is a reservation protocol message travelling through the

@@ -26,6 +26,21 @@ func resvTrio(t *testing.T, engine *pace.Engine) (head, mid, leaf *Agent) {
 	return head, mid, leaf
 }
 
+// TestReserveActionNames checks that every action parses back from its
+// wire name and that a name outside the table is refused.
+func TestReserveActionNames(t *testing.T) {
+	for _, ra := range []ReserveAction{ReserveQuoteOp, ReserveHoldOp, ReserveConfirmOp, ReserveReleaseOp} {
+		if got, err := ParseReserveAction(ra.String()); err != nil || got != ra {
+			t.Errorf("ParseReserveAction(%q) = %v, %v; want %v", ra.String(), got, err, int(ra))
+		}
+	}
+	for _, name := range []string{"", "Quote", "bogus", ReserveAction(4).String(), ReserveAction(-1).String()} {
+		if _, err := ParseReserveAction(name); err == nil {
+			t.Errorf("ParseReserveAction(%q) accepted", name)
+		}
+	}
+}
+
 func TestFloodQuoteCoversHierarchy(t *testing.T) {
 	e := pace.NewEngine()
 	head, _, _ := resvTrio(t, e)

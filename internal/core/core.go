@@ -450,30 +450,13 @@ func (g *Grid) NodesByResource() map[string]int {
 // discovery; without it the receiving agent's local scheduler takes the
 // task unconditionally (experiments 1 and 2).
 func (g *Grid) SubmitAt(at float64, agentName, appName string, deadlineRel float64) error {
-	if g.ran {
-		return fmt.Errorf("core: grid already ran")
-	}
-	app, ok := g.lib.Lookup(appName)
-	if !ok {
-		return fmt.Errorf("core: unknown application %q", appName)
-	}
-	if _, ok := g.locals[agentName]; !ok {
-		return fmt.Errorf("core: unknown agent %q", agentName)
-	}
 	if deadlineRel < 0 {
 		return fmt.Errorf("core: negative relative deadline %g", deadlineRel)
 	}
-	if at > g.lastRequestAt {
-		g.lastRequestAt = at
+	app, reqID, err := g.admit(at, agentName, appName, 1)
+	if err != nil {
+		return err
 	}
-	g.requests++
-	// The grid-wide request ID is minted here, at arrival, in submission
-	// order: it is the identity every lifecycle event, dispatch and
-	// execution record of this request carries, no matter how many
-	// resources the request crosses (scheduler-local task IDs restart at
-	// 1 on every resource and cannot serve as a join key).
-	g.nextReqID++
-	reqID := g.nextReqID
 	g.simr.At(at, func(now float64) {
 		g.advanceAll(now)
 		g.mRequests.Inc()
@@ -535,6 +518,32 @@ func (g *Grid) SubmitAt(at float64, agentName, appName string, deadlineRel float
 		})
 	})
 	return nil
+}
+
+// admit is the admission both submits share, called after each has
+// checked its own arguments so that a rejected submit changes no state.
+// It counts parts requests arriving at time at and mints their grid-wide
+// request IDs in submission order, returning the first: the identity
+// every lifecycle event, dispatch and execution record of a request
+// carries (scheduler-local task IDs restart at 1 on every resource).
+func (g *Grid) admit(at float64, agentName, appName string, parts int) (*pace.AppModel, uint64, error) {
+	if g.ran {
+		return nil, 0, fmt.Errorf("core: grid already ran")
+	}
+	app, ok := g.lib.Lookup(appName)
+	if !ok {
+		return nil, 0, fmt.Errorf("core: unknown application %q", appName)
+	}
+	if _, ok := g.locals[agentName]; !ok {
+		return nil, 0, fmt.Errorf("core: unknown agent %q", agentName)
+	}
+	if at > g.lastRequestAt {
+		g.lastRequestAt = at
+	}
+	g.requests += parts
+	first := g.nextReqID + 1
+	g.nextReqID += uint64(parts)
+	return app, first, nil
 }
 
 // route is the one answer to "which live agent receives a request

@@ -197,6 +197,44 @@ func TestGridSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestRejectedSubmitChangesNothing checks that a rejected SubmitAt or
+// SubmitReservationAt counts no request and mints no request ID: the
+// next accepted request is still request 1.
+func TestRejectedSubmitChangesNothing(t *testing.T) {
+	rec := trace.NewRecorder(64)
+	g := smallGrid(t, Options{UseAgents: true, Seed: 1, Trace: rec})
+	rejected := map[string]error{
+		"submit, negative deadline":        g.SubmitAt(900, "fast", "fft", -1),
+		"submit, unknown app":              g.SubmitAt(900, "fast", "no-such-app", 10),
+		"reservation, zero duration":       g.SubmitReservationAt(900, "fast", "fft", 100, 0, 2, 3),
+		"reservation, unknown agent":       g.SubmitReservationAt(900, "ghost", "fft", 100, 50, 2, 3),
+		"reservation, negative start":      g.SubmitReservationAt(900, "fast", "fft", -1, 50, 2, 3),
+		"reservation, zero nodes per part": g.SubmitReservationAt(900, "fast", "fft", 100, 50, 0, 3),
+	}
+	for name, err := range rejected {
+		if err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	if g.Requests() != 0 || g.lastRequestAt != 0 {
+		t.Fatalf("rejected submits left Requests() = %d, last request at %g", g.Requests(), g.lastRequestAt)
+	}
+	if err := g.SubmitAt(0, "fast", "fft", 1000); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if g.Requests() != 1 {
+		t.Fatalf("Requests() = %d after one accepted submit, want 1", g.Requests())
+	}
+	for _, ev := range rec.Events() {
+		if ev.Kind == trace.KindArrive && ev.ReqID != 1 {
+			t.Fatalf("the accepted request arrived as request %d, want 1: a rejected submit minted an ID", ev.ReqID)
+		}
+	}
+}
+
 func TestGridRunOnlyOnce(t *testing.T) {
 	g := smallGrid(t, Options{})
 	if err := g.Run(); err != nil {

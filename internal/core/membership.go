@@ -146,10 +146,8 @@ func (ms *memberState) leave(name string, now float64) {
 // drain re-places the leaver's not-yet-started tasks through the
 // discovery of the agent Grid.route names for the leaver (its former
 // parent, or that parent's nearest live ancestor when it is down), one
-// offer→withdraw→redispatch chain per task — the same protocol (and the
-// same audited invariant: never lost, never run twice) as drift
-// migration, in the same single simulator event, so no virtual time
-// passes while a task is on two schedulers. Unlike drift
+// Grid.relocate chain per task — drift migration's chain, with the same
+// audited invariant: never lost, never run twice. Unlike drift
 // migration the drain uses full discovery including the best-effort
 // fallback: the origin is leaving, so "stay put" is not an option, and a
 // late placement beats a lost task. Already-started tasks run to
@@ -169,58 +167,25 @@ func (ms *memberState) drain(res membership.LeaveResult, now float64) {
 		return
 	}
 	portal, _ := ms.g.hier.Lookup(arrival)
-	// Discovery must not hand a task back to the leaver (stale caches
-	// elsewhere could still advertise it) nor route into a crashed agent.
-	visited := []string{origin}
-	if ms.g.injector != nil {
-		visited = append(visited, ms.g.injector.Registry().Down()...)
-	}
 	drained := 0
 	for _, rec := range snapshot {
-		// Deleting an earlier task replans the queue and can promote a
-		// later one; re-verify this task is still waiting.
 		if !stillPlanned(l, rec.TaskID) {
 			continue
 		}
-		app := ""
-		if rec.App != nil {
-			app = rec.App.Name
-		}
-		ms.g.traceEvent(trace.Event{
-			Time: now, Kind: trace.KindMigrateOffer, ReqID: rec.ReqID,
-			Agent: origin, Resource: origin, TaskID: rec.TaskID, App: app,
-			Detail: "leave-drain",
-		})
-		req := agent.Request{
-			ReqID:    rec.ReqID,
-			App:      rec.App,
-			Env:      "test",
-			Deadline: rec.Deadline,
-			Visited:  append([]string(nil), visited...),
-		}
-		d, err := portal.HandleRequest(req, now)
+		moved, err := ms.g.relocate("drain", origin, rec, now, "leave-drain", "leave-drain",
+			func(req agent.Request) (agent.Dispatch, string, error) {
+				d, err := portal.HandleRequest(req, now)
+				return d, arrival, err
+			})
 		if err != nil {
 			// No reachable resource supports the environment at all: the
 			// task stays on the leaver and runs there. Surface it — a
 			// drain that strands work is worth failing a run over.
 			ms.g.errs = append(ms.g.errs, fmt.Errorf("core: drain of req %d off leaving %s: %w", rec.ReqID, origin, err))
-			continue
 		}
-		if err := l.Delete(rec.TaskID, now); err != nil {
-			ms.g.errs = append(ms.g.errs, fmt.Errorf("core: drain of req %d: withdraw from %s failed: %w", rec.ReqID, origin, err))
-			continue
+		if moved {
+			drained++
 		}
-		drained++
-		ms.g.traceEvent(trace.Event{
-			Time: now, Kind: trace.KindMigrateWithdraw, ReqID: rec.ReqID,
-			Resource: origin, TaskID: rec.TaskID, App: app,
-			Detail: "target=" + d.Resource + " leave-drain",
-		})
-		ms.g.traceEvent(trace.Event{
-			Time: now, Kind: trace.KindMigrateRedispatch, ReqID: rec.ReqID,
-			Agent: arrival, Resource: d.Resource, TaskID: d.TaskID, App: app,
-			Detail: fmt.Sprintf("from=%s oldtask=%d leave-drain", origin, rec.TaskID),
-		})
 	}
 	ms.reg.CountDrained(drained)
 	ms.cDrained.Add(uint64(drained))

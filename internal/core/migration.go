@@ -7,7 +7,6 @@ import (
 	"repro/internal/agent"
 	"repro/internal/scheduler"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // Migration-policy defaults; see MigrationPolicy.
@@ -40,25 +39,26 @@ const (
 //
 // The zero value (Enabled false, the default) schedules nothing, draws
 // no randomness and records no events: runs are byte-identical to a
-// build without the policy.
+// build without the policy. Its JSON form is a scenario file's
+// migration section.
 type MigrationPolicy struct {
-	Enabled bool
+	Enabled bool `json:"enabled"`
 	// CheckPeriod is the drift-check cadence in simulated seconds;
 	// <= 0 selects DefaultMigrationCheckPeriod.
-	CheckPeriod float64
+	CheckPeriod float64 `json:"check_period,omitempty"`
 	// DriftThreshold is the relative drift that counts as breached;
 	// <= 0 selects DefaultMigrationDriftThreshold.
-	DriftThreshold float64
+	DriftThreshold float64 `json:"drift_threshold,omitempty"`
 	// Window is the consecutive breached checks before an offer round;
 	// <= 0 selects DefaultMigrationWindow.
-	Window int
+	Window int `json:"window,omitempty"`
 	// Cooldown is the minimum time between offer rounds on one
 	// resource, so a still-degraded node is not drained on every check;
 	// <= 0 selects 2×CheckPeriod.
-	Cooldown float64
+	Cooldown float64 `json:"cooldown,omitempty"`
 	// MaxPerRound caps the tasks offered per round per resource;
 	// 0 offers every unstarted task.
-	MaxPerRound int
+	MaxPerRound int `json:"max_per_round,omitempty"`
 }
 
 // withDefaults resolves the zero fields.
@@ -166,13 +166,9 @@ func (m *migrator) checkResource(name string, now float64) {
 	}
 	st.lastOffer = now
 	st.streak = 0
-	m.offerRound(name, l, now, drift)
-}
-
-// offerRound offers the resource's unstarted tasks to the hierarchy,
-// earliest planned start first (the task that would otherwise block the
-// degraded queue longest moves first).
-func (m *migrator) offerRound(origin string, l *scheduler.Local, now, drift float64) {
+	// An offer round: the unstarted tasks go to the hierarchy earliest
+	// planned start first (the task that would otherwise block the
+	// degraded queue longest moves first).
 	snapshot := l.Planned()
 	if len(snapshot) == 0 {
 		return
@@ -180,88 +176,44 @@ func (m *migrator) offerRound(origin string, l *scheduler.Local, now, drift floa
 	if m.pol.MaxPerRound > 0 && len(snapshot) > m.pol.MaxPerRound {
 		snapshot = snapshot[:m.pol.MaxPerRound]
 	}
-	targets := m.targets(origin, now)
+	targets := m.targets(name, now)
 	if len(targets) == 0 {
 		return
 	}
-	// Discovery at the target must avoid the drifting origin (its PACE
-	// predictions still look attractive — that blindness is the whole
-	// problem) and every currently-down agent.
-	visited := []string{origin}
-	if m.g.injector != nil {
-		visited = append(visited, m.g.injector.Registry().Down()...)
-	}
 	for _, rec := range snapshot {
-		// Deleting an earlier task replans the queue, which can pull a
-		// later task's start back to now and promote it on the next
-		// Delete's internal clock advance — so re-verify this task is
-		// still waiting before offering it anywhere.
-		if !stillPlanned(l, rec.TaskID) {
-			continue
+		if stillPlanned(l, rec.TaskID) {
+			m.offerTask(name, rec, targets, now, drift)
 		}
-		m.offerTask(origin, l, rec, targets, visited, now, drift)
 	}
 }
 
-// offerTask runs the offer → withdraw → re-dispatch protocol for one
-// task. The target dispatch and the origin withdrawal happen inside one
-// simulator event — no virtual time passes between them — so the
-// transient instant where both schedulers know the task is unobservable
-// and the audit sees an atomic chain.
-func (m *migrator) offerTask(origin string, l *scheduler.Local, rec scheduler.Record, targets []*agent.Agent, visited []string, now, drift float64) {
-	app := ""
-	if rec.App != nil {
-		app = rec.App.Name
-	}
+// offerTask offers one task to the targets in turn through
+// Grid.relocate. Discovery at a target avoids the drifting origin (its
+// PACE predictions still look attractive — that blindness is the whole
+// problem), and only a deadline-meeting placement is accepted: a
+// rejected offer leaves the task where it is.
+func (m *migrator) offerTask(origin string, rec scheduler.Record, targets []*agent.Agent, now, drift float64) {
 	m.stats.Offers++
 	m.cOffers.Inc()
-	m.g.traceEvent(trace.Event{
-		Time: now, Kind: trace.KindMigrateOffer, ReqID: rec.ReqID,
-		Agent: origin, Resource: origin, TaskID: rec.TaskID, App: app,
-		Detail: fmt.Sprintf("drift=%.2f", drift),
-	})
-	req := agent.Request{
-		ReqID:    rec.ReqID,
-		App:      rec.App,
-		Env:      "test",
-		Deadline: rec.Deadline,
-		Visited:  append([]string(nil), visited...),
-	}
-	var d agent.Dispatch
-	var acceptor *agent.Agent
-	for _, t := range targets {
-		dd, err := t.HandleMigration(req, now)
-		if err == nil {
-			d, acceptor = dd, t
-			break
-		}
-	}
-	if acceptor == nil {
+	moved, err := m.g.relocate("migration", origin, rec, now, fmt.Sprintf("drift=%.2f", drift), "",
+		func(req agent.Request) (agent.Dispatch, string, error) {
+			for _, t := range targets {
+				if d, err := t.HandleMigration(req, now); err == nil {
+					return d, t.Name(), nil
+				}
+			}
+			return agent.Dispatch{}, "", agent.ErrNoMigrationTarget
+		})
+	if err != nil {
 		m.stats.Rejects++
 		m.cRejects.Inc()
-		return // the task stays queued on the origin
-	}
-	if err := l.Delete(rec.TaskID, now); err != nil {
-		// Unreachable by construction (the task was re-verified as
-		// planned an instant ago and the target never touches the
-		// origin), but a migration must never duplicate work: surface
-		// the double booking instead of hiding it.
-		m.g.errs = append(m.g.errs, fmt.Errorf("core: migration of req %d: withdraw from %s failed: %w", rec.ReqID, origin, err))
 		return
 	}
-	m.stats.Accepts++
-	m.cAccepts.Inc()
-	m.hLatency.Observe(now - rec.Arrival)
-	m.g.traceEvent(trace.Event{
-		Time: now, Kind: trace.KindMigrateWithdraw, ReqID: rec.ReqID,
-		Resource: origin, TaskID: rec.TaskID, App: app,
-		Detail: "target=" + d.Resource,
-	})
-	m.g.traceEvent(trace.Event{
-		Time: now, Kind: trace.KindMigrateRedispatch, ReqID: rec.ReqID,
-		Agent: acceptor.Name(), Resource: d.Resource, TaskID: d.TaskID, App: app,
-		Detail: fmt.Sprintf("from=%s oldtask=%d", origin, rec.TaskID),
-	})
+	if moved {
+		m.stats.Accepts++
+		m.cAccepts.Inc()
+		m.hLatency.Observe(now - rec.Arrival)
+	}
 }
 
 // targets returns the agents a drifting origin offers to: its upper
@@ -293,15 +245,4 @@ func (m *migrator) targets(origin string, now float64) []*agent.Agent {
 		}
 	}
 	return out
-}
-
-// stillPlanned reports whether the task is still in the scheduler's
-// unstarted plan.
-func stillPlanned(l *scheduler.Local, taskID int) bool {
-	for _, r := range l.Planned() {
-		if r.TaskID == taskID {
-			return true
-		}
-	}
-	return false
 }

@@ -120,18 +120,8 @@ func newReservist(g *Grid, pol ReservationPolicy) *reservist {
 // Each confirmed part runs as its own task with its own grid-wide
 // request ID, minted here in submission order like SubmitAt's.
 func (g *Grid) SubmitReservationAt(at float64, agentName, appName string, startRel, duration float64, nodes, parts int) error {
-	if g.ran {
-		return fmt.Errorf("core: grid already ran")
-	}
 	if !g.opts.UseAgents {
 		return fmt.Errorf("core: reservations require agent-based discovery (UseAgents)")
-	}
-	app, ok := g.lib.Lookup(appName)
-	if !ok {
-		return fmt.Errorf("core: unknown application %q", appName)
-	}
-	if _, ok := g.locals[agentName]; !ok {
-		return fmt.Errorf("core: unknown agent %q", agentName)
 	}
 	if duration <= 0 {
 		return fmt.Errorf("core: non-positive reservation duration %g", duration)
@@ -145,18 +135,17 @@ func (g *Grid) SubmitReservationAt(at float64, agentName, appName string, startR
 	if parts < 1 {
 		parts = 1
 	}
-	if at > g.lastRequestAt {
-		g.lastRequestAt = at
+	app, first, err := g.admit(at, agentName, appName, parts)
+	if err != nil {
+		return err
 	}
-	g.requests += parts
 	// One request ID per co-allocation part: each part becomes a distinct
 	// task on a distinct resource with its own lifecycle, so each needs
 	// its own join key. The first part's ID doubles as the grid-wide
 	// reservation ID — unique by construction.
 	reqIDs := make([]uint64, parts)
 	for i := range reqIDs {
-		g.nextReqID++
-		reqIDs[i] = g.nextReqID
+		reqIDs[i] = first + uint64(i)
 	}
 	if g.resv == nil {
 		g.resv = newReservist(g, g.opts.Reservation)

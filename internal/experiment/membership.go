@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/agent"
 	"repro/internal/core"
+	"repro/internal/membership"
 	"repro/internal/scenario"
 )
 
@@ -26,15 +27,15 @@ var Exp7 = Setup{ID: 7, Policy: core.PolicyGA, UseAgents: true, Label: "GA + age
 // loaded region of the tree — unless the rebalancer re-homes traffic
 // toward them, which is exactly the effect the experiment measures.
 func DefaultChurnPlan() scenario.ChurnSpec {
-	return scenario.ChurnSpec{
-		Joins: []scenario.ChurnJoin{
+	return scenario.ChurnSpec{Plan: membership.Plan{
+		Joins: []membership.Join{
 			{Time: 60, Name: "S13", Hardware: "SGIOrigin2000", Nodes: 16, Parent: "S11"},
 			{Time: 90, Name: "S14", Hardware: "SGIOrigin2000", Nodes: 16, Parent: "S12"},
 		},
-		Leaves: []scenario.ChurnLeave{
+		Leaves: []membership.Leave{
 			{Time: 240, Name: "S9"},
 		},
-	}
+	}}
 }
 
 // DefaultRebalancePolicy returns the Experiment 7 rebalancer knobs: the
@@ -42,7 +43,7 @@ func DefaultChurnPlan() scenario.ChurnSpec {
 // the tree only moves for the flash crowd itself, not for the small
 // imbalances of the warm-up phase.
 func DefaultRebalancePolicy() scenario.RebalanceSpec {
-	return scenario.RebalanceSpec{Enabled: true, MinLoad: 30}
+	return scenario.RebalanceSpec{Enabled: true, Policy: membership.Policy{MinLoad: 30}}
 }
 
 // MembershipRuns is Experiment 7: the experiment 3 configuration over

@@ -7,7 +7,6 @@ import (
 	"repro/internal/agent"
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/scenario"
 )
 
 // Exp5 is the proactive-migration configuration: experiment 3 (GA +
@@ -24,21 +23,21 @@ var Exp5 = Setup{ID: 5, Policy: core.PolicyGA, UseAgents: true, Label: "GA + age
 // the phase. No agent dies and no link drops: the PACE predictions
 // steering dispatch stay optimistic while the resource silently falls
 // behind, which is exactly the blind spot the migration policy covers.
-func ScaledDegradedPlan(phase float64) scenario.FaultSpec {
+func ScaledDegradedPlan(phase float64) fault.Plan {
 	at := func(f float64) float64 { return phase * f }
-	return scenario.FaultSpec{
+	return fault.Plan{
 		Seed: 2003,
-		Events: []scenario.FaultEvent{
-			{At: at(0.25), Kind: string(fault.Degrade), Agent: "S2", Factor: 3},
-			{At: at(0.75), Kind: string(fault.Restore), Agent: "S2"},
+		Events: []fault.Event{
+			{At: at(0.25), Kind: fault.Degrade, Agent: "S2", Factor: 3},
+			{At: at(0.75), Kind: fault.Restore, Agent: "S2"},
 		},
 	}
 }
 
 // DefaultMigrationPolicy returns the Experiment 5 policy: check every
 // advert period, trigger after two consecutive checks at 50% drift.
-func DefaultMigrationPolicy() scenario.MigrationSpec {
-	return scenario.MigrationSpec{Enabled: true}
+func DefaultMigrationPolicy() core.MigrationPolicy {
+	return core.MigrationPolicy{Enabled: true}
 }
 
 // MigrationRuns is Experiment 5: the experiment 3 configuration over
@@ -49,7 +48,7 @@ func DefaultMigrationPolicy() scenario.MigrationSpec {
 // policy's. The migrated run is where the chain invariants earn their
 // keep: every offer → withdraw → re-dispatch must net to exactly one
 // execution, never zero and never two.
-func (p Params) MigrationRuns(faults scenario.FaultSpec, pol scenario.MigrationSpec) []Run {
+func (p Params) MigrationRuns(faults fault.Plan, pol core.MigrationPolicy) []Run {
 	off := p.caseStudy(Exp5)
 	off.Name = "exp5-migration-off"
 	off.Faults = &faults

@@ -7,7 +7,6 @@ import (
 	"repro/internal/agent"
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/scenario"
 )
 
 // Exp4 is the resilience configuration: experiment 3 (GA + agent
@@ -22,19 +21,19 @@ var Exp4 = Setup{ID: 4, Policy: core.PolicyGA, UseAgents: true, Label: "GA + age
 // leaf-ish Ultra 1) — and the S1-S4 link partitions briefly while S10
 // is still down. Crash windows overlap, so discovery must route around
 // two dead agents at once.
-func ScaledFaultPlan(phase float64) scenario.FaultSpec {
+func ScaledFaultPlan(phase float64) fault.Plan {
 	at := func(f float64) float64 { return phase * f }
-	return scenario.FaultSpec{
+	return fault.Plan{
 		Seed: 2003,
-		Events: []scenario.FaultEvent{
-			{At: at(0.20), Kind: string(fault.Crash), Agent: "S2"},
-			{At: at(0.40), Kind: string(fault.Recover), Agent: "S2"},
-			{At: at(0.30), Kind: string(fault.Crash), Agent: "S7"},
-			{At: at(0.55), Kind: string(fault.Recover), Agent: "S7"},
-			{At: at(0.50), Kind: string(fault.Crash), Agent: "S10"},
-			{At: at(0.75), Kind: string(fault.Recover), Agent: "S10"},
-			{At: at(0.60), Kind: string(fault.Cut), A: "S1", B: "S4"},
-			{At: at(0.70), Kind: string(fault.Heal), A: "S1", B: "S4"},
+		Events: []fault.Event{
+			{At: at(0.20), Kind: fault.Crash, Agent: "S2"},
+			{At: at(0.40), Kind: fault.Recover, Agent: "S2"},
+			{At: at(0.30), Kind: fault.Crash, Agent: "S7"},
+			{At: at(0.55), Kind: fault.Recover, Agent: "S7"},
+			{At: at(0.50), Kind: fault.Crash, Agent: "S10"},
+			{At: at(0.75), Kind: fault.Recover, Agent: "S10"},
+			{At: at(0.60), Kind: fault.Cut, A: "S1", B: "S4"},
+			{At: at(0.70), Kind: fault.Heal, A: "S1", B: "S4"},
 		},
 	}
 }
@@ -46,7 +45,7 @@ func ScaledFaultPlan(phase float64) scenario.FaultSpec {
 // their adverts go stale. The faulted run is where conservation earns
 // its keep: crashes re-dispatch pending tasks and lose unrescuable ones,
 // and every one of those must still net out to one terminal per request.
-func (p Params) ResilienceRuns(faults scenario.FaultSpec) []Run {
+func (p Params) ResilienceRuns(faults fault.Plan) []Run {
 	faulted := p.caseStudy(Exp4)
 	faulted.Name = "exp4-faulted"
 	faulted.Faults = &faults

@@ -56,12 +56,13 @@ const (
 
 // Event is one scheduled state change of a fault plan.
 type Event struct {
-	At     float64 // virtual time the fault takes effect
-	Kind   Kind
-	Agent  string  // Crash/Recover/Degrade/Restore target
-	A, B   string  // Cut/Heal/Lossy link endpoints
-	Rate   float64 // Lossy loss probability in [0, 1]
-	Factor float64 // Degrade execution-time multiplier, > 0 (3 = tasks run 3x slower)
+	At     float64 `json:"at"` // virtual time the fault takes effect
+	Kind   Kind    `json:"kind"`
+	Agent  string  `json:"agent,omitempty"` // Crash/Recover/Degrade/Restore target
+	A      string  `json:"a,omitempty"`     // Cut/Heal/Lossy link endpoints
+	B      string  `json:"b,omitempty"`
+	Rate   float64 `json:"rate,omitempty"`   // Lossy loss probability in [0, 1]
+	Factor float64 `json:"factor,omitempty"` // Degrade execution-time multiplier, > 0 (3 = tasks run 3x slower)
 }
 
 func (e Event) String() string {
@@ -78,10 +79,11 @@ func (e Event) String() string {
 }
 
 // Plan is a deterministic fault scenario: a set of events plus the seed
-// for lossy-link decisions.
+// for lossy-link decisions. Its JSON form is a scenario file's faults
+// section.
 type Plan struct {
-	Events []Event
-	Seed   uint64 // lossy-link RNG seed (0 is a valid seed)
+	Seed   uint64  `json:"seed,omitempty"` // lossy-link RNG seed (0 is a valid seed)
+	Events []Event `json:"events"`
 }
 
 // Sorted returns the events ordered by time (stable for equal times, so

@@ -27,27 +27,28 @@ import (
 // has already left by then, under Parent's closest still-active
 // ancestor).
 type Join struct {
-	Time         float64
-	Name         string
-	Hardware     string
-	Nodes        int
-	Parent       string
-	Environments []string // defaults to the grid-wide {"test"}
+	Time         float64  `json:"time"`
+	Name         string   `json:"name"`
+	Hardware     string   `json:"hardware"`
+	Nodes        int      `json:"nodes"`
+	Parent       string   `json:"parent"`
+	Environments []string `json:"environments,omitempty"` // defaults to the grid-wide {"test"}
 }
 
 // Leave schedules one agent's graceful departure at Time: its subtree is
 // re-homed under its parent, its queued tasks are drained back into the
 // grid, and its advertisements expire immediately everywhere.
 type Leave struct {
-	Time float64
-	Name string
+	Time float64 `json:"time"`
+	Name string  `json:"name"`
 }
 
 // Plan is a scripted churn sequence, the dynamic-membership counterpart
-// of a fault.Plan. A nil plan disables scripted churn.
+// of a fault.Plan. A nil plan disables scripted churn. Its JSON form is
+// the joins and leaves of a scenario file's churn section.
 type Plan struct {
-	Joins  []Join
-	Leaves []Leave
+	Joins  []Join  `json:"joins,omitempty"`
+	Leaves []Leave `json:"leaves,omitempty"`
 }
 
 // Validate checks the plan against the static topology: head is the tree

@@ -37,12 +37,12 @@ const (
 // consecutive checks, the heaviest child subtree is re-homed under that
 // lighter parent via an audited propose→detach→attach chain.
 type Policy struct {
-	CheckPeriod float64 // <= 0 selects DefaultCheckPeriod
-	Imbalance   float64 // <= 0 selects DefaultImbalance
-	Window      int     // <= 0 selects DefaultWindow
-	Cooldown    float64 // <= 0 selects DefaultCooldown
-	MaxFanIn    int     // <= 0 selects DefaultMaxFanIn
-	MinLoad     int     // <= 0 selects DefaultMinLoad
+	CheckPeriod float64 `json:"check_period,omitempty"` // <= 0 selects DefaultCheckPeriod
+	Imbalance   float64 `json:"imbalance,omitempty"`    // <= 0 selects DefaultImbalance
+	Window      int     `json:"window,omitempty"`       // <= 0 selects DefaultWindow
+	Cooldown    float64 `json:"cooldown,omitempty"`     // <= 0 selects DefaultCooldown
+	MaxFanIn    int     `json:"max_fan_in,omitempty"`   // <= 0 selects DefaultMaxFanIn
+	MinLoad     int     `json:"min_load,omitempty"`     // <= 0 selects DefaultMinLoad
 }
 
 // WithDefaults resolves the zero fields.

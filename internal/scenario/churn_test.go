@@ -3,6 +3,8 @@ package scenario
 import (
 	"encoding/json"
 	"testing"
+
+	"repro/internal/membership"
 )
 
 // churnFig7 is the Fig. 7 case study with a scripted join, a scripted
@@ -11,9 +13,11 @@ func churnFig7() Spec {
 	s := Fig7()
 	s.Arrivals.Count = 80
 	s.Churn = &ChurnSpec{
-		Joins:     []ChurnJoin{{Time: 20, Name: "S13", Hardware: "SGIOrigin2000", Nodes: 16, Parent: "S5"}},
-		Leaves:    []ChurnLeave{{Time: 60, Name: "S9"}},
-		Rebalance: &RebalanceSpec{Enabled: true, MinLoad: 1, Window: 1, Cooldown: 10},
+		Plan: membership.Plan{
+			Joins:  []membership.Join{{Time: 20, Name: "S13", Hardware: "SGIOrigin2000", Nodes: 16, Parent: "S5"}},
+			Leaves: []membership.Leave{{Time: 60, Name: "S9"}},
+		},
+		Rebalance: &RebalanceSpec{Enabled: true, Policy: membership.Policy{MinLoad: 1, Window: 1, Cooldown: 10}},
 	}
 	return s
 }

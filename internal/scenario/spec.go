@@ -67,11 +67,11 @@ type Spec struct {
 	PredictionError float64 `json:"prediction_error,omitempty"`
 	PredictionBias  float64 `json:"prediction_bias,omitempty"`
 
-	GA           *GASpec          `json:"ga,omitempty"`
-	Faults       *FaultSpec       `json:"faults,omitempty"`
-	Migration    *MigrationSpec   `json:"migration,omitempty"`
-	Reservations *ReservationSpec `json:"reservations,omitempty"`
-	Churn        *ChurnSpec       `json:"churn,omitempty"`
+	GA           *GASpec               `json:"ga,omitempty"`
+	Faults       *fault.Plan           `json:"faults,omitempty"`
+	Migration    *core.MigrationPolicy `json:"migration,omitempty"`
+	Reservations *ReservationSpec      `json:"reservations,omitempty"`
+	Churn        *ChurnSpec            `json:"churn,omitempty"`
 }
 
 // TopologySpec describes the grid. Either a named preset or a generated
@@ -132,36 +132,6 @@ type GASpec struct {
 	ConvergenceWindow int `json:"convergence_window,omitempty"`
 }
 
-// FaultSpec is the JSON shape of a fault.Plan.
-type FaultSpec struct {
-	Seed   uint64       `json:"seed,omitempty"`
-	Events []FaultEvent `json:"events"`
-}
-
-// FaultEvent is the JSON shape of one fault.Event.
-type FaultEvent struct {
-	At     float64 `json:"at"`
-	Kind   string  `json:"kind"`
-	Agent  string  `json:"agent,omitempty"`
-	A      string  `json:"a,omitempty"`
-	B      string  `json:"b,omitempty"`
-	Rate   float64 `json:"rate,omitempty"`
-	Factor float64 `json:"factor,omitempty"` // degrade: execution-time multiplier
-}
-
-// MigrationSpec is the JSON shape of core.MigrationPolicy: drift-driven
-// rescheduling of queued work off resources whose observed performance
-// has fallen behind their PACE predictions. Zero fields keep the core
-// defaults.
-type MigrationSpec struct {
-	Enabled        bool    `json:"enabled"`
-	CheckPeriod    float64 `json:"check_period,omitempty"`
-	DriftThreshold float64 `json:"drift_threshold,omitempty"`
-	Window         int     `json:"window,omitempty"`
-	Cooldown       float64 `json:"cooldown,omitempty"`
-	MaxPerRound    int     `json:"max_per_round,omitempty"`
-}
-
 // ReservationSpec mixes advance reservations into the workload: each
 // generated request is diverted, with probability Share, from the
 // best-effort submit path to core.SubmitReservationAt — it asks for a
@@ -192,76 +162,36 @@ type ReservationSpec struct {
 // process — a flash crowd over a churning tree is the stress case the
 // static paper topology cannot express.
 type ChurnSpec struct {
-	Joins     []ChurnJoin    `json:"joins,omitempty"`
-	Leaves    []ChurnLeave   `json:"leaves,omitempty"`
+	membership.Plan
 	Rebalance *RebalanceSpec `json:"rebalance,omitempty"`
 }
 
-// ChurnJoin is the JSON shape of one membership.Join.
-type ChurnJoin struct {
-	Time         float64  `json:"time"`
-	Name         string   `json:"name"`
-	Hardware     string   `json:"hardware"`
-	Nodes        int      `json:"nodes"`
-	Parent       string   `json:"parent"`
-	Environments []string `json:"environments,omitempty"`
-}
-
-// ChurnLeave is the JSON shape of one membership.Leave.
-type ChurnLeave struct {
-	Time float64 `json:"time"`
-	Name string  `json:"name"`
-}
-
-// RebalanceSpec is the JSON shape of membership.Policy; zero fields keep
-// the membership defaults.
+// RebalanceSpec switches the membership.Policy it carries on; zero
+// fields keep the membership defaults.
 type RebalanceSpec struct {
-	Enabled     bool    `json:"enabled"`
-	CheckPeriod float64 `json:"check_period,omitempty"`
-	Imbalance   float64 `json:"imbalance,omitempty"`
-	Window      int     `json:"window,omitempty"`
-	Cooldown    float64 `json:"cooldown,omitempty"`
-	MaxFanIn    int     `json:"max_fan_in,omitempty"`
-	MinLoad     int     `json:"min_load,omitempty"`
+	Enabled bool `json:"enabled"`
+	membership.Policy
 }
 
-// ChurnPlan converts the spec's scripted joins and leaves; nil when the
+// ChurnPlan returns the spec's scripted joins and leaves; nil when the
 // spec has none (so a rebalance-only churn section still builds a grid
 // without a plan).
 func (s Spec) ChurnPlan() *membership.Plan {
-	c := s.Churn
-	if c == nil || len(c.Joins)+len(c.Leaves) == 0 {
+	if s.Churn == nil || len(s.Churn.Joins)+len(s.Churn.Leaves) == 0 {
 		return nil
 	}
-	plan := &membership.Plan{
-		Joins:  make([]membership.Join, len(c.Joins)),
-		Leaves: make([]membership.Leave, len(c.Leaves)),
-	}
-	for i, j := range c.Joins {
-		plan.Joins[i] = membership.Join{
-			Time: j.Time, Name: j.Name, Hardware: j.Hardware, Nodes: j.Nodes,
-			Parent: j.Parent, Environments: j.Environments,
-		}
-	}
-	for i, l := range c.Leaves {
-		plan.Leaves[i] = membership.Leave{Time: l.Time, Name: l.Name}
-	}
-	return plan
+	plan := s.Churn.Plan
+	return &plan
 }
 
-// RebalancePolicy converts the spec's rebalance section; nil (disabled)
+// RebalancePolicy returns the spec's rebalance policy; nil (disabled)
 // when absent or not enabled.
 func (s Spec) RebalancePolicy() *membership.Policy {
-	c := s.Churn
-	if c == nil || c.Rebalance == nil || !c.Rebalance.Enabled {
+	if s.Churn == nil || s.Churn.Rebalance == nil || !s.Churn.Rebalance.Enabled {
 		return nil
 	}
-	rb := c.Rebalance
-	return &membership.Policy{
-		CheckPeriod: rb.CheckPeriod, Imbalance: rb.Imbalance,
-		Window: rb.Window, Cooldown: rb.Cooldown, MaxFanIn: rb.MaxFanIn,
-		MinLoad: rb.MinLoad,
-	}
+	pol := s.Churn.Rebalance.Policy
+	return &pol
 }
 
 // reservationDefaults resolves the zero shape fields.
@@ -339,35 +269,22 @@ func (s Spec) GAConfig() ga.Config {
 	return cfg
 }
 
-// FaultPlan converts the spec's fault section; nil when absent.
+// FaultPlan returns the spec's fault plan; nil when absent.
 func (s Spec) FaultPlan() *fault.Plan {
 	if s.Faults == nil {
 		return nil
 	}
-	plan := &fault.Plan{Seed: s.Faults.Seed, Events: make([]fault.Event, len(s.Faults.Events))}
-	for i, ev := range s.Faults.Events {
-		plan.Events[i] = fault.Event{
-			At: ev.At, Kind: fault.Kind(ev.Kind), Agent: ev.Agent, A: ev.A, B: ev.B, Rate: ev.Rate,
-			Factor: ev.Factor,
-		}
-	}
-	return plan
+	plan := *s.Faults
+	return &plan
 }
 
-// MigrationPolicy converts the spec's migration section; the zero
+// MigrationPolicy returns the spec's migration policy; the zero
 // (disabled) policy when absent.
 func (s Spec) MigrationPolicy() core.MigrationPolicy {
 	if s.Migration == nil {
 		return core.MigrationPolicy{}
 	}
-	return core.MigrationPolicy{
-		Enabled:        s.Migration.Enabled,
-		CheckPeriod:    s.Migration.CheckPeriod,
-		DriftThreshold: s.Migration.DriftThreshold,
-		Window:         s.Migration.Window,
-		Cooldown:       s.Migration.Cooldown,
-		MaxPerRound:    s.Migration.MaxPerRound,
-	}
+	return *s.Migration
 }
 
 // BuildProcess builds the workload.ArrivalProcess the spec describes.
@@ -507,25 +424,23 @@ func (s Spec) Validate() error {
 		if !s.AgentsEnabled() {
 			return fmt.Errorf("scenario: churn requires use_agents (membership is an agent-layer notion)")
 		}
-		if plan := s.ChurnPlan(); plan != nil {
-			head := ""
-			base := make([]string, len(resources))
-			for i, r := range resources {
-				base[i] = r.Name
-				if r.Parent == "" {
-					head = r.Name
-				}
-			}
-			if err := plan.Validate(head, base); err != nil {
-				return err
+		head := ""
+		base := make([]string, len(resources))
+		for i, r := range resources {
+			base[i] = r.Name
+			if r.Parent == "" {
+				head = r.Name
 			}
 		}
+		if err := c.Validate(head, base); err != nil {
+			return err
+		}
 	}
-	if plan := s.FaultPlan(); plan != nil {
+	if s.Faults != nil {
 		if !s.AgentsEnabled() {
 			return fmt.Errorf("scenario: a fault plan requires use_agents (the fault model targets the agent layer)")
 		}
-		if err := plan.Validate(agentSet(resources)); err != nil {
+		if err := s.Faults.Validate(agentSet(resources)); err != nil {
 			return err
 		}
 	}

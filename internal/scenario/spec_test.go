@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/workload"
 )
 
@@ -101,7 +102,7 @@ func TestSpecValidate(t *testing.T) {
 	// Fault plans demand agents and known names.
 	off := false
 	bad = good
-	bad.Faults = &FaultSpec{Events: []FaultEvent{{At: 10, Kind: "crash", Agent: "S2"}}}
+	bad.Faults = &fault.Plan{Events: []fault.Event{{At: 10, Kind: fault.Crash, Agent: "S2"}}}
 	bad.UseAgents = &off
 	if err := bad.Validate(); err == nil {
 		t.Fatal("fault plan without agents accepted")

@@ -43,9 +43,11 @@ type padded struct {
 // to use, all methods are lock-free, and every method no-ops on a nil
 // receiver: code instruments itself unconditionally and the caller
 // decides at setup time whether a real counter is behind the pointer.
+// A Counter is not padded, since the counters one owner embeds are
+// written by one goroutine or under one lock; a call site that many
+// goroutines hit at once uses ShardedCounter.
 type Counter struct {
 	v atomic.Uint64
-	_ [56]byte // keep independently-owned counters off shared cache lines
 }
 
 // Inc adds one.

@@ -8,48 +8,14 @@ import (
 	"repro/internal/xmlmsg"
 )
 
-// reserveActionWire maps agent reservation actions onto the wire.
-func reserveActionWire(a agent.ReserveAction) (string, error) {
-	switch a {
-	case agent.ReserveQuoteOp:
-		return xmlmsg.ReserveActionQuote, nil
-	case agent.ReserveHoldOp:
-		return xmlmsg.ReserveActionHold, nil
-	case agent.ReserveConfirmOp:
-		return xmlmsg.ReserveActionConfirm, nil
-	case agent.ReserveReleaseOp:
-		return xmlmsg.ReserveActionRelease, nil
-	}
-	return "", fmt.Errorf("transport: unknown reserve action %d", int(a))
-}
-
-// reserveActionFromWire inverts reserveActionWire.
-func reserveActionFromWire(s string) (agent.ReserveAction, error) {
-	switch s {
-	case xmlmsg.ReserveActionQuote:
-		return agent.ReserveQuoteOp, nil
-	case xmlmsg.ReserveActionHold:
-		return agent.ReserveHoldOp, nil
-	case xmlmsg.ReserveActionConfirm:
-		return agent.ReserveConfirmOp, nil
-	case xmlmsg.ReserveActionRelease:
-		return agent.ReserveReleaseOp, nil
-	}
-	return 0, fmt.Errorf("transport: unknown reserve action %q", s)
-}
-
 // HandleReserve implements agent.ReservePeer: carry the op to the remote
 // neighbour as a reserve message. Routing misses keep their identity
 // across the wire because agent.IsNotRoutable matches the error text,
 // which survives the ErrorReply round trip.
 func (p *RemotePeer) HandleReserve(op agent.ReserveOp, now float64) (agent.ReserveReply, error) {
-	action, err := reserveActionWire(op.Action)
-	if err != nil {
-		return agent.ReserveReply{}, err
-	}
 	wire := xmlmsg.Reserve{
 		Type:     "reserve",
-		Action:   action,
+		Action:   op.Action.String(),
 		ResvID:   op.ResvID,
 		Resource: op.Resource,
 		Visited:  op.Visited,
@@ -77,7 +43,7 @@ func (p *RemotePeer) HandleReserve(op agent.ReserveOp, now float64) (agent.Reser
 	}
 	ack, ok := reply.(*xmlmsg.ReserveAck)
 	if !ok {
-		return agent.ReserveReply{}, fmt.Errorf("transport: %s replied %T to a reserve %s", p.Name, reply, action)
+		return agent.ReserveReply{}, fmt.Errorf("transport: %s replied %T to a reserve %s", p.Name, reply, op.Action)
 	}
 	out := agent.ReserveReply{TaskID: ack.TaskID}
 	for _, q := range ack.Quotes {
@@ -103,7 +69,7 @@ func (p *RemotePeer) HandleReserve(op agent.ReserveOp, now float64) (agent.Reser
 // reserveOpFromWire parses a reserve message into an agent op; the app
 // model for a confirm resolves against the node's library.
 func (n *Node) reserveOpFromWire(m *xmlmsg.Reserve) (agent.ReserveOp, error) {
-	action, err := reserveActionFromWire(m.Action)
+	action, err := agent.ParseReserveAction(m.Action)
 	if err != nil {
 		return agent.ReserveOp{}, err
 	}

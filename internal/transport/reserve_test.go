@@ -26,7 +26,7 @@ func TestReservationOverTCP(t *testing.T) {
 
 	// Flood quote: both resources answer through the wire.
 	quote := xmlmsg.Reserve{
-		Type: "reserve", Action: xmlmsg.ReserveActionQuote,
+		Type: "reserve", Action: agent.ReserveQuoteOp.String(),
 		Nodes: 2, Earliest: xmlmsg.FormatSeconds(1e5), Duration: xmlmsg.FormatSeconds(50),
 	}
 	reply, kind, err := Call(head.Addr(), quote)
@@ -53,7 +53,7 @@ func TestReservationOverTCP(t *testing.T) {
 
 	// Hold routed head -> child, then confirm, then release.
 	hold := xmlmsg.Reserve{
-		Type: "reserve", Action: xmlmsg.ReserveActionHold,
+		Type: "reserve", Action: agent.ReserveHoldOp.String(),
 		ResvID: 5, Resource: "rchild", Holder: "u@g",
 		Mask:  xmlmsg.FormatMask(0b11),
 		Start: xmlmsg.FormatSeconds(1e5), End: xmlmsg.FormatSeconds(1e5 + 50),
@@ -82,7 +82,7 @@ func TestReservationOverTCP(t *testing.T) {
 	}
 
 	confirm := xmlmsg.Reserve{
-		Type: "reserve", Action: xmlmsg.ReserveActionConfirm,
+		Type: "reserve", Action: agent.ReserveConfirmOp.String(),
 		ResvID: 5, Resource: "rchild", ReqID: 55, Model: "fft",
 	}
 	creply, _, err := Call(head.Addr(), confirm)
@@ -94,7 +94,7 @@ func TestReservationOverTCP(t *testing.T) {
 	}
 
 	release := xmlmsg.Reserve{
-		Type: "reserve", Action: xmlmsg.ReserveActionRelease,
+		Type: "reserve", Action: agent.ReserveReleaseOp.String(),
 		ResvID: 5, Resource: "rchild",
 	}
 	if _, _, err := Call(head.Addr(), release); err != nil {
@@ -107,7 +107,7 @@ func TestReservationOverTCP(t *testing.T) {
 	// A ghost target is a routing miss with its identity preserved
 	// through the ErrorReply round trip, and the origin's context on it.
 	ghost := xmlmsg.Reserve{
-		Type: "reserve", Action: xmlmsg.ReserveActionRelease,
+		Type: "reserve", Action: agent.ReserveReleaseOp.String(),
 		ResvID: 5, Resource: "ghost",
 	}
 	_, _, err = Call(head.Addr(), ghost)
@@ -123,6 +123,18 @@ func TestReservationOverTCP(t *testing.T) {
 	}, 0)
 	if !agent.IsNotRoutable(err) || strings.Contains(err.Error(), "no path") {
 		t.Fatalf("interior dead end = %v, want the bare routing miss", err)
+	}
+
+	// An action without a name is refused by the receiving node, whether
+	// a client sends it or a peer carries an out-of-range op.
+	bogus := release
+	bogus.Action = "bogus"
+	if _, _, err := Call(head.Addr(), bogus); err == nil || !strings.Contains(err.Error(), `unknown reserve action "bogus"`) {
+		t.Fatalf("bogus action error = %v, want an unknown reserve action", err)
+	}
+	_, err = interior.HandleReserve(agent.ReserveOp{Action: agent.ReserveAction(9), ResvID: 5, Resource: "rchild"}, 0)
+	if err == nil || !strings.Contains(err.Error(), `unknown reserve action "action(9)"`) {
+		t.Fatalf("out-of-range action error = %v, want an unknown reserve action", err)
 	}
 
 	// A refusal from the target (double release) propagates as the

@@ -6,16 +6,6 @@ import (
 	"strconv"
 )
 
-// Reservation wire actions, mirroring agent.ReserveAction: Reserve
-// carries one phase of the advance reservation protocol through the
-// hierarchy and ReserveAck answers it.
-const (
-	ReserveActionQuote   = "quote"
-	ReserveActionHold    = "hold"
-	ReserveActionConfirm = "confirm"
-	ReserveActionRelease = "release"
-)
-
 // FormatSeconds renders a virtual time or duration as a decimal-seconds
 // string that round-trips the float64 exactly. Reservation windows are
 // contractual — a booking confirmed over the wire must match the held

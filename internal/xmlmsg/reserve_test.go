@@ -8,7 +8,7 @@ import (
 func sampleReserve() Reserve {
 	return Reserve{
 		Type:     "reserve",
-		Action:   ReserveActionHold,
+		Action:   "hold",
 		ResvID:   42,
 		ReqID:    7,
 		Resource: "S3",
@@ -83,7 +83,7 @@ func TestReserveBinaryMatchesXML(t *testing.T) {
 func TestReserveXMLBytesPinned(t *testing.T) {
 	data, err := Marshal(Reserve{
 		Type:     "reserve",
-		Action:   ReserveActionQuote,
+		Action:   "quote",
 		Nodes:    2,
 		Earliest: FormatSeconds(100),
 		Duration: FormatSeconds(60),
