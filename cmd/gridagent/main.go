@@ -115,7 +115,7 @@ func main() {
 
 	var upperName, upperAddr string
 	if *upper != "" {
-		p, err := parsePeer(*upper, lib)
+		p, err := parsePeer(*upper)
 		fail(err)
 		upperName, upperAddr = p.Name, p.Addr
 		if !*join {
@@ -125,7 +125,7 @@ func main() {
 		fail(fmt.Errorf("-join needs an -upper to register with"))
 	}
 	for _, spec := range splitList(*lowers) {
-		p, err := parsePeer(spec, lib)
+		p, err := parsePeer(spec)
 		fail(err)
 		fail(node.AddLower(p))
 	}
@@ -183,12 +183,12 @@ func (m *multiFlag) Set(v string) error {
 	return nil
 }
 
-func parsePeer(spec string, lib *pace.Library) (*transport.RemotePeer, error) {
+func parsePeer(spec string) (*transport.RemotePeer, error) {
 	name, addr, ok := strings.Cut(spec, "=")
 	if !ok || name == "" || addr == "" {
 		return nil, fmt.Errorf("bad peer spec %q, want name=host:port", spec)
 	}
-	return &transport.RemotePeer{Name: name, Addr: addr, Lib: lib}, nil
+	return &transport.RemotePeer{Name: name, Addr: addr}, nil
 }
 
 func splitList(s string) []string {

@@ -48,6 +48,7 @@ func main() {
 	flag.Parse()
 
 	client := transport.NewPooledClient(transport.PoolConfig{Binary: *wireBinary})
+	peer := &transport.RemotePeer{Name: *to, Addr: *to, Client: client}
 
 	lib := pace.CaseStudyLibrary()
 	if *listApps {
@@ -57,16 +58,10 @@ func main() {
 		return
 	}
 	if *query {
-		reply, kind, err := client.Call(*to, xmlmsg.NewServiceQuery())
-		fail(err)
-		if kind != xmlmsg.KindService {
-			fail(fmt.Errorf("unexpected reply kind %q", kind))
-		}
-		si := reply.(*xmlmsg.ServiceInfo)
-		ft, err := si.FreetimeSeconds()
+		si, err := peer.PullService()
 		fail(err)
 		fmt.Printf("%s: %s x%d, environments %v, free at virtual t=%.0fs\n",
-			*to, si.Local.HWType, si.Local.NProc, si.Local.Environments, ft)
+			*to, si.HWType, si.NProc, si.Environments, si.Freetime)
 		return
 	}
 	if *results {
@@ -93,11 +88,12 @@ func main() {
 		}
 		return
 	}
-	if _, ok := lib.Lookup(*app); !ok {
+	model, ok := lib.Lookup(*app)
+	if !ok {
 		fail(fmt.Errorf("unknown application %q (try -list-apps)", *app))
 	}
 	if *reserve != "" {
-		submitReservation(client, *to, *app, *email, *reserve)
+		submitReservation(peer, model, *email, *reserve)
 		return
 	}
 	if *count > 1 {
@@ -146,7 +142,7 @@ func main() {
 // shape, print every offer, hold the earliest one and confirm it into a
 // guaranteed-start task. A confirm failure releases the hold so nothing
 // stays booked.
-func submitReservation(client *transport.Client, to, app, email, spec string) {
+func submitReservation(peer *transport.RemotePeer, app *pace.AppModel, email, spec string) {
 	var startRel, duration float64
 	var nodes int
 	if _, err := fmt.Sscanf(spec, "%g,%g,%d", &startRel, &duration, &nodes); err != nil {
@@ -158,67 +154,42 @@ func submitReservation(client *transport.Client, to, app, email, spec string) {
 	// The daemon measures virtual time as seconds since its start; the
 	// portal anchors the window the same way submissions anchor deadlines.
 	now := time.Since(transport.MidnightOrigin()).Seconds()
-	earliest := now + startRel
-
-	quote := xmlmsg.Reserve{
-		Type: "reserve", Action: agent.ReserveQuoteOp.String(),
-		Nodes: nodes, Earliest: xmlmsg.FormatSeconds(earliest), Duration: xmlmsg.FormatSeconds(duration),
-	}
-	reply, kind, err := client.Call(to, quote)
+	quoted, err := peer.HandleReserve(agent.ReserveOp{
+		Action: agent.ReserveQuoteOp, Nodes: nodes, Earliest: now + startRel, Duration: duration,
+	}, now)
 	fail(err)
-	if kind != xmlmsg.KindReserveAck {
-		fail(fmt.Errorf("unexpected reply kind %q to a reserve quote", kind))
-	}
-	ack := reply.(*xmlmsg.ReserveAck)
-	if len(ack.Quotes) == 0 {
+	if len(quoted.Quotes) == 0 {
 		fail(fmt.Errorf("no resource quoted %d nodes for %gs starting +%gs", nodes, duration, startRel))
 	}
 	fmt.Printf("quotes for %d nodes, %gs window, earliest +%gs:\n", nodes, duration, startRel)
-	for _, q := range ack.Quotes {
-		s, err := xmlmsg.ParseSeconds(q.Start)
-		fail(err)
-		fmt.Printf("  %-8s mask %-4s start +%.0fs\n", q.Resource, q.Mask, s-now)
+	for _, q := range quoted.Quotes {
+		fmt.Printf("  %-8s mask %-4x start +%.0fs\n", q.Resource, q.Mask, q.Start-now)
 	}
 
 	// The daemons answer quotes sorted by start, then resource: the first
 	// offer is the earliest window the grid can guarantee.
-	best := ack.Quotes[0]
+	best := quoted.Quotes[0]
 	resvID := uint64(time.Now().UnixNano())
-	hold := xmlmsg.Reserve{
-		Type: "reserve", Action: agent.ReserveHoldOp.String(),
-		ResvID: resvID, Resource: best.Resource, Holder: email,
-		Mask: best.Mask, Start: best.Start, End: best.End,
-		TTL: xmlmsg.FormatSeconds(120),
-	}
-	_, _, err = client.Call(to, hold)
+	_, err = peer.HandleReserve(agent.ReserveOp{
+		Action: agent.ReserveHoldOp, ResvID: resvID, Resource: best.Resource, Holder: email,
+		Mask: best.Mask, Start: best.Start, End: best.End, TTL: 120,
+	}, now)
 	fail(err)
 
-	confirm := xmlmsg.Reserve{
-		Type: "reserve", Action: agent.ReserveConfirmOp.String(),
-		ResvID: resvID, Resource: best.Resource, ReqID: uint64(time.Now().UnixNano()), Model: app,
-	}
-	creply, _, err := client.Call(to, confirm)
+	confirmed, err := peer.HandleReserve(agent.ReserveOp{
+		Action: agent.ReserveConfirmOp, ResvID: resvID, Resource: best.Resource,
+		ReqID: uint64(time.Now().UnixNano()), App: app,
+	}, now)
 	if err != nil {
 		// Never leave the window blocked behind a failed confirm.
-		release := xmlmsg.Reserve{
-			Type: "reserve", Action: agent.ReserveReleaseOp.String(),
-			ResvID: resvID, Resource: best.Resource,
-		}
-		if _, _, rerr := client.Call(to, release); rerr != nil {
+		release := agent.ReserveOp{Action: agent.ReserveReleaseOp, ResvID: resvID, Resource: best.Resource}
+		if _, rerr := peer.HandleReserve(release, now); rerr != nil {
 			fmt.Fprintf(os.Stderr, "gridsubmit: release after failed confirm: %v\n", rerr)
 		}
 		fail(fmt.Errorf("confirm on %s: %v (hold released)", best.Resource, err))
 	}
-	cack, ok := creply.(*xmlmsg.ReserveAck)
-	if !ok {
-		fail(fmt.Errorf("unexpected reply %T to a reserve confirm", creply))
-	}
-	start, err := xmlmsg.ParseSeconds(best.Start)
-	fail(err)
-	end, err := xmlmsg.ParseSeconds(best.End)
-	fail(err)
 	fmt.Printf("confirmed resv %d on %s: %s task %d guaranteed [%.0f,%.0f) (starts in %.0fs)\n",
-		resvID, best.Resource, app, cack.TaskID, start, end, start-now)
+		resvID, best.Resource, app.Name, confirmed.TaskID, best.Start, best.End, best.Start-now)
 }
 
 // submitBatch replays a §4.1-style workload against a live daemon:

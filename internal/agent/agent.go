@@ -133,13 +133,7 @@ type peerSlot struct {
 	peer Peer
 	name string // peer.PeerName(), read once at link time
 
-	cached bool // info holds an advertisement
-	// stamped marks info as filled in full from peer, an in-process
-	// *Agent, by a batched pull. A publisher's identity (name, hardware,
-	// node count, environments) is fixed for its lifetime, so a later
-	// batched pull refreshes only what moves. Any other store — a push, a
-	// PullService answer — clears it, as do reset and link.
-	stamped  bool
+	cached   bool // info holds an advertisement
 	info     scheduler.ServiceInfo
 	pulledAt float64
 	col      *pace.Column // info.HWType's column; nil for unknown hardware
@@ -332,7 +326,7 @@ func (a *Agent) store(s *peerSlot, info scheduler.ServiceInfo, now float64) {
 			s.col, _ = a.engine.Column(hw)
 		}
 	}
-	s.cached, s.stamped, s.info, s.pulledAt = true, false, info, now
+	s.cached, s.info, s.pulledAt = true, info, now
 }
 
 // peerFailed counts one failed exchange with s, tripping its circuit at
@@ -578,18 +572,17 @@ func (a *Agent) pullBatched(now float64, batched bool) {
 	a.stats.pulls.Inc()
 }
 
-// refresh records the advertisement of s's in-process peer at now. A
-// stamped slot is refreshed in place — the snapshot freetime and the
-// publisher's fault counters, read live because a lossy-gate failure
-// earlier in the same tick must be visible to later pullers; any other
-// slot is filled in full and stamped.
+// refresh records the advertisement of s's in-process peer at now. Only
+// an empty slot is filled in full: a Local's name, hardware, node count
+// and environments are fixed for its lifetime, and agent names are never
+// reused, so a cached advertisement under peer's name — pulled, pushed
+// or adopted — differs from a fresh one only in the freetime, which is
+// the snapshot PullAll took this tick.
 func (a *Agent) refresh(s *peerSlot, peer *Agent, now float64) {
-	if !s.stamped {
+	if !s.cached {
 		a.store(s, peer.local.ServiceInfo(), now)
-		s.stamped = true
 	}
 	s.info.Freetime, s.pulledAt = peer.advert, now
-	peer.annotate(&s.info)
 }
 
 // PushAdvertisement implements AdvertSink: record a neighbour's pushed
@@ -675,18 +668,9 @@ func (a *Agent) MaybePush(now float64) int {
 func (a *Agent) PeerName() string { return a.name }
 
 // PullService implements Peer: the agent's advertisement is its local
-// scheduler's service information, annotated with the agent's fault
-// counters so peers can observe a resource's failure history.
+// scheduler's service information (Fig. 5).
 func (a *Agent) PullService() (scheduler.ServiceInfo, error) {
-	si := a.local.ServiceInfo()
-	a.annotate(&si)
-	return si, nil
-}
-
-// annotate stamps the agent's live fault counters on an advertisement.
-func (a *Agent) annotate(si *scheduler.ServiceInfo) {
-	si.FailedPulls = int(a.stats.failedPulls.Value())
-	si.Redispatches = int(a.stats.redispatches.Value())
+	return a.local.ServiceInfo(), nil
 }
 
 // Handle implements Peer.

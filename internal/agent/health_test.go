@@ -157,19 +157,3 @@ func TestStaleAdvertisementExpires(t *testing.T) {
 		t.Fatalf("refreshed decision = %+v, want forward to fast", d)
 	}
 }
-
-func TestPublisherExposesFaultCounters(t *testing.T) {
-	gate := &testGate{down: map[string]bool{"fast": true}}
-	head, _, _ := trio(t, gate) // trio pulls once with fast already down
-	head.CountRedispatch()
-	si, err := head.PullService()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if si.FailedPulls != head.Stats().FailedPulls || si.FailedPulls == 0 {
-		t.Fatalf("ServiceInfo.FailedPulls = %d, stats = %d", si.FailedPulls, head.Stats().FailedPulls)
-	}
-	if si.Redispatches != 1 {
-		t.Fatalf("ServiceInfo.Redispatches = %d, want 1", si.Redispatches)
-	}
-}

@@ -351,22 +351,20 @@ func (h *Hierarchy) Names() []string {
 func (h *Hierarchy) PullAll(now float64) {
 	agents := h.InOrder()
 	// Phase 1: every live publisher computes its freetime once — the only
-	// part of its scheduler's advertisement that can move between ticks
-	// (its fault counters are read live, per exchange). Scheduler
-	// state does not change within a pull tick, so each puller of the same
-	// publisher would read an identical freetime; the batch coalesces those
-	// O(degree) computations into one per publisher.
+	// part of its scheduler's advertisement that can move between ticks.
+	// Scheduler state does not change within a pull tick, so each puller
+	// of the same publisher would read an identical freetime; the batch
+	// coalesces those O(degree) computations into one per publisher.
 	for _, a := range agents {
 		if a.advertLive = !a.down(); a.advertLive {
 			a.advert = a.local.Freetime()
 		}
 	}
 	// Phase 2: the exchanges themselves, strictly sequential in name
-	// order — lossy-gate draws and the live fault counters stamped on each
-	// advert are order-sensitive. A slot a batched pull filled from the
-	// same publisher before is refreshed in place (see refresh). The gate
-	// fails a crashed agent's exchanges with its peers, but skipping its
-	// own loop keeps it from racking up failures against live peers.
+	// order, because lossy-gate draws are order-sensitive. A cached slot
+	// is refreshed in place (see refresh). The gate fails a crashed
+	// agent's exchanges with its peers, but skipping its own loop keeps
+	// it from racking up failures against live peers.
 	for _, a := range agents {
 		if a.advertLive {
 			a.pullBatched(now, true)

@@ -174,7 +174,7 @@ func sameColumn(a, b *pace.Column) bool {
 // snapshot per publisher, slots refreshed in place — to the plain
 // per-exchange Pull it stands for. Twin grids are driven in step through
 // 24 ticks of a lossy gate, a crash window, work landing between ticks,
-// pushes, re-dispatches, a joiner adopting a pushed advert and a leaver;
+// pushes, a joiner adopting a pushed advert and a leaver;
 // one twin ticks with PullAll, the other with every live agent's Pull in
 // name order, and after every tick the twins must agree slot by slot.
 func TestPullAllMatchesPerExchangePull(t *testing.T) {
@@ -186,8 +186,8 @@ func TestPullAllMatchesPerExchangePull(t *testing.T) {
 		var joined []string
 		for tick := 0; tick < 24; tick++ {
 			now := 10 * float64(tick)
-			// Between ticks: work lands, a few agents push, one re-places
-			// a rescued task — the same on both twins.
+			// Between ticks: work lands and a few agents push — the same
+			// on both twins.
 			for k := 0; k < 3; k++ {
 				name := fmt.Sprintf("A%d", drive.Intn(30))
 				app := appOf(t, apps[drive.Intn(len(apps))])
@@ -198,13 +198,11 @@ func TestPullAllMatchesPerExchangePull(t *testing.T) {
 				}
 			}
 			pusher := fmt.Sprintf("A%d", drive.Intn(30))
-			redispatcher := fmt.Sprintf("A%d", drive.Intn(30))
 			crashed := fmt.Sprintf("A%d", 1+drive.Intn(29))
 			for _, w := range twins {
 				if tick >= 2 {
 					w.agent(t, pusher).MaybePush(now)
 				}
-				w.agent(t, redispatcher).CountRedispatch()
 				switch tick {
 				case 5:
 					w.gate.down[crashed] = true

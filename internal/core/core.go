@@ -182,8 +182,9 @@ type Grid struct {
 
 	// due indexes which schedulers have a planned start at or before a
 	// given virtual time, so a clock advance touches only the schedulers
-	// with work due instead of all 10k. Entries are lazily deleted.
-	due dueHeap
+	// with work due instead of all 10k. Entries are lazily deleted, and
+	// ties need no secondary order: advanceAll sorts the due names.
+	due sim.Heap[dueEntry]
 	// dueNames is advanceAll's list of due scheduler names, reused so an
 	// advance allocates nothing once it has grown.
 	dueNames []string
@@ -219,6 +220,7 @@ func New(specs []ResourceSpec, opts Options) (*Grid, error) {
 		lib:    pace.CaseStudyLibrary(),
 		locals: map[string]*scheduler.Local{},
 		simr:   sim.NewSimulator(),
+		due:    sim.NewHeap(func(a, b *dueEntry) bool { return a.at < b.at }),
 	}
 
 	master := sim.NewRNG(opts.Seed)
@@ -372,7 +374,7 @@ func (g *Grid) buildResource(spec ResourceSpec, master *sim.RNG) (*agent.Agent, 
 	opts := g.opts
 	if opts.PredictionError != 0 || opts.PredictionBias != 0 {
 		noise := pace.NoiseModel{Rel: opts.PredictionError, Bias: opts.PredictionBias, Seed: opts.Seed}
-		resKey := fnv64(spec.Name)
+		resKey := sim.FNV1a(spec.Name)
 		cfg.ActualDuration = func(_ *pace.AppModel, _ int, predicted float64, taskID int) float64 {
 			return noise.Apply(predicted, resKey^uint64(taskID))
 		}
@@ -617,7 +619,7 @@ func (g *Grid) SubmitWorkload(reqs []workload.Request) error {
 // pushDue records that the named scheduler may have a planned start at
 // time at. Installed as every scheduler's plan hook.
 func (g *Grid) pushDue(at float64, name string) {
-	g.due.push(dueEntry{at: at, name: name})
+	g.due.Push(dueEntry{at: at, name: name})
 }
 
 // advanceAll moves every scheduler with work due past the grid clock,
@@ -637,8 +639,8 @@ func (g *Grid) pushDue(at float64, name string) {
 func (g *Grid) advanceAll(now float64) {
 	for {
 		names := g.dueNames[:0]
-		for len(g.due) > 0 && g.due[0].at <= now {
-			names = append(names, g.due.pop().name)
+		for g.due.Len() > 0 && g.due.Min().at <= now {
+			names = append(names, g.due.Pop().name)
 		}
 		g.dueNames = names
 		if len(names) == 0 {
@@ -670,52 +672,6 @@ func (g *Grid) afterAdvance(now float64) {
 type dueEntry struct {
 	at   float64
 	name string
-}
-
-// dueHeap is a binary min-heap of dueEntry on at, hand-rolled over a
-// value slice like sim.eventQueue. Ties need no secondary order: the
-// advance loop collects every due name and sorts before advancing.
-type dueHeap []dueEntry
-
-func (q *dueHeap) push(e dueEntry) {
-	*q = append(*q, e)
-	h := *q
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h[i].at >= h[parent].at {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-}
-
-func (q *dueHeap) pop() dueEntry {
-	h := *q
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = dueEntry{}
-	h = h[:n]
-	*q = h
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && h[l].at < h[smallest].at {
-			smallest = l
-		}
-		if r < n && h[r].at < h[smallest].at {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		h[i], h[smallest] = h[smallest], h[i]
-		i = smallest
-	}
-	return top
 }
 
 // Run executes all scheduled requests in virtual time — with periodic
@@ -896,16 +852,6 @@ func (g *Grid) FaultStats() fault.Stats {
 		return fault.Stats{}
 	}
 	return g.injector.Stats()
-}
-
-// fnv64 hashes a string (FNV-1a), used to derive per-resource noise keys.
-func fnv64(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }
 
 // tracingExecutor forwards execution records into the grid's lifecycle

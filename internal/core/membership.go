@@ -169,7 +169,7 @@ func (ms *memberState) drain(res membership.LeaveResult, now float64) {
 	portal, _ := ms.g.hier.Lookup(arrival)
 	drained := 0
 	for _, rec := range snapshot {
-		if !stillPlanned(l, rec.TaskID) {
+		if !l.IsPlanned(rec.TaskID) {
 			continue
 		}
 		moved, err := ms.g.relocate("drain", origin, rec, now, "leave-drain", "leave-drain",

@@ -181,7 +181,7 @@ func (m *migrator) checkResource(name string, now float64) {
 		return
 	}
 	for _, rec := range snapshot {
-		if stillPlanned(l, rec.TaskID) {
+		if l.IsPlanned(rec.TaskID) {
 			m.offerTask(name, rec, targets, now, drift)
 		}
 	}

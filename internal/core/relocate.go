@@ -19,8 +19,10 @@ import (
 // time passes while both schedulers know the task and the audit sees an
 // atomic chain. It reports whether the task moved; a placement error is
 // returned and leaves the task on origin. A failed withdrawal cannot
-// happen (callers re-verify the task an instant before), but a move must
-// never duplicate work, so it joins the run's errors, named after op.
+// happen — withdrawing an earlier task replans the queue and can promote
+// a later one, so callers re-verify each task with Local.IsPlanned an
+// instant before — but a move must never duplicate work, so it joins the
+// run's errors, named after op.
 func (g *Grid) relocate(op, origin string, rec scheduler.Record, now float64, offer, note string,
 	place func(agent.Request) (d agent.Dispatch, by string, err error)) (bool, error) {
 	app := ""
@@ -58,18 +60,4 @@ func (g *Grid) relocate(op, origin string, rec scheduler.Record, now float64, of
 		Detail: fmt.Sprintf("from=%s oldtask=%d%s", origin, rec.TaskID, note),
 	})
 	return true, nil
-}
-
-// stillPlanned reports whether the task is still in the scheduler's
-// unstarted plan. Withdrawing an earlier task replans the queue, which
-// can pull a later task's start back to now and promote it on the next
-// withdrawal's internal clock advance, so a relocation loop re-verifies
-// each task before offering it.
-func stillPlanned(l *scheduler.Local, taskID int) bool {
-	for _, r := range l.Planned() {
-		if r.TaskID == taskID {
-			return true
-		}
-	}
-	return false
 }

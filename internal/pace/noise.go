@@ -1,5 +1,7 @@
 package pace
 
+import "repro/internal/sim"
+
 // The paper's test mode assumes PACE predictions are exact (§3.2) and
 // names "the impact of the accuracy of the PACE predictive data on grid
 // load balancing and scheduling" as future work (§5). NoiseModel
@@ -44,11 +46,7 @@ func (m NoiseModel) Factor(taskKey uint64) float64 {
 		return bias
 	}
 	// SplitMix64 over (seed, key): deterministic, well mixed.
-	z := m.Seed ^ (taskKey * 0x9e3779b97f4a7c15)
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
+	z := sim.SplitMix64(m.Seed ^ (taskKey * 0x9e3779b97f4a7c15))
 	u := float64(z>>11) / (1 << 53) // uniform [0, 1)
 	return bias * (1 - rel + 2*rel*u)
 }

@@ -716,6 +716,18 @@ func (l *Local) Planned() []Record {
 	return out
 }
 
+// IsPlanned reports whether the task is in the current schedule of
+// unstarted work. It answers from the plan, not the queue: with no node
+// up the plan is empty while tasks still wait.
+func (l *Local) IsPlanned(taskID int) bool {
+	for i := range l.plan.Items {
+		if l.taskOf(i).ID == taskID {
+			return true
+		}
+	}
+	return false
+}
+
 // Freetime returns ω: "the earliest (approximate) time that corresponding
 // processors become available for more tasks" (§3.2) — the maximum of the
 // current clock, the committed per-node busy horizon, and the makespan of
@@ -780,13 +792,6 @@ type ServiceInfo struct {
 	NProc        int
 	Environments []string
 	Freetime     float64
-
-	// FailedPulls and Redispatches are the publishing agent's fault
-	// counters, filled in by the agent layer so peers (and the Experiment
-	// 4 harness) can observe a resource's failure history alongside its
-	// advertisement. The scheduler itself always reports zero.
-	FailedPulls  int
-	Redispatches int
 }
 
 // ServiceInfo returns the current advertisement.

@@ -490,10 +490,12 @@ func TestLocalPlanned(t *testing.T) {
 	if planned[0].Start < 10 { // behind the first task's 10s run
 		t.Fatalf("planned start %v, want >= 10", planned[0].Start)
 	}
-	_ = id1
+	if l.IsPlanned(id1) || !l.IsPlanned(id2) || l.IsPlanned(9999) {
+		t.Fatalf("IsPlanned(started, queued, phantom) = %t, %t, %t", l.IsPlanned(id1), l.IsPlanned(id2), l.IsPlanned(9999))
+	}
 	l.Drain()
-	if got := l.Planned(); len(got) != 0 {
-		t.Fatalf("%d planned tasks after drain", len(got))
+	if got := l.Planned(); len(got) != 0 || l.IsPlanned(id2) {
+		t.Fatalf("%d planned tasks after drain, IsPlanned %t", len(got), l.IsPlanned(id2))
 	}
 	if len(l.Records()) != 2 {
 		t.Fatalf("%d records", len(l.Records()))

@@ -14,60 +14,13 @@ type Event struct {
 	Run func(now float64)
 }
 
-// eventQueue is a binary min-heap of Event values ordered by (At, seq).
-// It is hand-rolled rather than container/heap so Push/Pop move values in
-// a flat slice instead of boxing each event behind an interface — at 10⁷+
-// events the per-event pointer allocation and the interface conversions
-// dominate the dispatch hot path.
-type eventQueue []Event
-
-func (q eventQueue) less(i, j int) bool {
-	if q[i].At != q[j].At {
-		return q[i].At < q[j].At
+// eventLess orders the queue by (At, seq): a total order, so equal
+// times run in scheduling order.
+func eventLess(a, b *Event) bool {
+	if a.At != b.At {
+		return a.At < b.At
 	}
-	return q[i].seq < q[j].seq
-}
-
-func (q *eventQueue) push(e Event) {
-	*q = append(*q, e)
-	h := *q
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-}
-
-func (q *eventQueue) pop() Event {
-	h := *q
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = Event{} // release the Run closure for GC
-	h = h[:n]
-	*q = h
-	// Sift the moved element down.
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && h.less(l, smallest) {
-			smallest = l
-		}
-		if r < n && h.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		h[i], h[smallest] = h[smallest], h[i]
-		i = smallest
-	}
-	return top
+	return a.seq < b.seq
 }
 
 // Simulator couples a virtual clock with an event queue. It is the driver
@@ -79,13 +32,13 @@ func (q *eventQueue) pop() Event {
 // but under test mode their interleaving is fixed by the event order).
 type Simulator struct {
 	clock    Clock
-	queue    eventQueue
+	queue    Heap[Event]
 	seq      uint64
 	executed uint64
 }
 
 // NewSimulator returns an empty simulator at virtual time 0.
-func NewSimulator() *Simulator { return &Simulator{} }
+func NewSimulator() *Simulator { return &Simulator{queue: NewHeap(eventLess)} }
 
 // Now returns the current virtual time in seconds.
 func (s *Simulator) Now() float64 { return s.clock.Now() }
@@ -97,7 +50,7 @@ func (s *Simulator) At(t float64, fn func(now float64)) {
 		panic(fmt.Sprintf("sim: event scheduled in the past: at=%v now=%v", t, s.clock.Now()))
 	}
 	s.seq++
-	s.queue.push(Event{At: t, seq: s.seq, Run: fn})
+	s.queue.Push(Event{At: t, seq: s.seq, Run: fn})
 }
 
 // After schedules fn to run d seconds from now.
@@ -123,7 +76,7 @@ func (s *Simulator) Every(d float64, fn func(now float64) bool) {
 }
 
 // Pending reports the number of queued events.
-func (s *Simulator) Pending() int { return len(s.queue) }
+func (s *Simulator) Pending() int { return s.queue.Len() }
 
 // Executed reports the number of events run so far — the numerator of a
 // simulated-events-per-second throughput figure.
@@ -132,10 +85,10 @@ func (s *Simulator) Executed() uint64 { return s.executed }
 // Step runs the earliest pending event, advancing the clock to its time.
 // It reports whether an event was run.
 func (s *Simulator) Step() bool {
-	if len(s.queue) == 0 {
+	if s.queue.Len() == 0 {
 		return false
 	}
-	e := s.queue.pop()
+	e := s.queue.Pop()
 	s.clock.Advance(e.At)
 	s.executed++
 	e.Run(e.At)
@@ -145,7 +98,7 @@ func (s *Simulator) Step() bool {
 // RunUntil executes events with At <= t in order, then advances the clock
 // to exactly t.
 func (s *Simulator) RunUntil(t float64) {
-	for len(s.queue) > 0 && s.queue[0].At <= t {
+	for s.queue.Len() > 0 && s.queue.Min().At <= t {
 		s.Step()
 	}
 	s.clock.Advance(t)
@@ -171,8 +124,8 @@ func (s *Simulator) RunAll(maxEvents int) {
 // NextEventAt returns the time of the earliest pending event, or +Inf when
 // the queue is empty.
 func (s *Simulator) NextEventAt() float64 {
-	if len(s.queue) == 0 {
+	if s.queue.Len() == 0 {
 		return math.Inf(1)
 	}
-	return s.queue[0].At
+	return s.queue.Min().At
 }

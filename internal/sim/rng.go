@@ -24,15 +24,31 @@ type RNG struct {
 // NewRNG returns a generator seeded deterministically from seed.
 func NewRNG(seed uint64) *RNG {
 	r := &RNG{}
-	sm := seed
 	for i := range r.s {
-		sm += 0x9e3779b97f4a7c15
-		z := sm
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		r.s[i] = z ^ (z >> 31)
+		r.s[i] = SplitMix64(seed)
+		seed += 0x9e3779b97f4a7c15
 	}
 	return r
+}
+
+// SplitMix64 is one step of the SplitMix64 generator from state x: it
+// adds the golden-ratio increment and returns the mixed result, a
+// well-spread 64-bit hash of x.
+func SplitMix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
+// FNV1a hashes a string with 64-bit FNV-1a.
+func FNV1a(s string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
 }
 
 // Split derives an independent generator from the current stream. The

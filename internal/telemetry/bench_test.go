@@ -22,16 +22,6 @@ func BenchmarkCounterLive(b *testing.B) {
 	}
 }
 
-func BenchmarkShardedCounterParallel(b *testing.B) {
-	c := NewRegistry().ShardedCounter("bench")
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			c.Inc()
-		}
-	})
-}
-
 func BenchmarkHistogramNil(b *testing.B) {
 	var h *Histogram
 	b.ReportAllocs()

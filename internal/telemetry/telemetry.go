@@ -29,23 +29,14 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 )
-
-// padded is an atomic counter padded to a cache line so adjacent shards
-// do not false-share — the paddedCounter pattern from internal/pace.
-type padded struct {
-	v atomic.Uint64
-	_ [56]byte
-}
 
 // Counter is a monotonically increasing counter. The zero value is ready
 // to use, all methods are lock-free, and every method no-ops on a nil
 // receiver: code instruments itself unconditionally and the caller
 // decides at setup time whether a real counter is behind the pointer.
-// A Counter is not padded, since the counters one owner embeds are
-// written by one goroutine or under one lock; a call site that many
-// goroutines hit at once uses ShardedCounter.
+// A Counter is not padded: no measurement has shown one contended
+// enough to pay for a cache line of its own.
 type Counter struct {
 	v atomic.Uint64
 }
@@ -72,56 +63,6 @@ func (c *Counter) Value() uint64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// counterShards stripes ShardedCounter; must be a power of two.
-const counterShards = 16
-
-// ShardedCounter is a Counter striped over cache-line-padded shards, for
-// call sites hit concurrently by many goroutines (transport exchanges,
-// parallel workers). Add picks a shard from the caller's stack address,
-// which differs across goroutines, so concurrent writers land on
-// different cache lines; Value sums the shards.
-type ShardedCounter struct {
-	shards [counterShards]padded
-}
-
-// shardHint derives a cheap per-goroutine shard index from the address
-// of a stack local: goroutines have distinct stacks, so concurrent
-// callers spread over the shards without any shared state.
-func shardHint() uint64 {
-	var x byte
-	return uint64(uintptr(unsafe.Pointer(&x)) >> 8)
-}
-
-// Inc adds one.
-func (c *ShardedCounter) Inc() { c.Add(1) }
-
-// Add adds n.
-func (c *ShardedCounter) Add(n uint64) {
-	if c == nil {
-		return
-	}
-	c.shards[shardHint()&(counterShards-1)].v.Add(n)
-}
-
-// Value sums the shards; 0 on a nil counter.
-func (c *ShardedCounter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	var total uint64
-	for i := range c.shards {
-		total += c.shards[i].v.Load()
-	}
-	return total
-}
-
-// CounterValue is any counter exposable through a registry: both Counter
-// and ShardedCounter satisfy it, so instrumented code can own its
-// counters (agent stats, engine stats) and attach them by name.
-type CounterValue interface {
-	Value() uint64
 }
 
 // Gauge is a lock-free float64 gauge. The zero value is ready to use and
@@ -176,7 +117,7 @@ type Collector func(set func(name string, value float64))
 // their instruments once at setup and keep the pointers.
 type Registry struct {
 	mu         sync.RWMutex
-	counters   map[string]CounterValue
+	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	hists      map[string]*Histogram
 	collectors []Collector
@@ -185,7 +126,7 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: map[string]CounterValue{},
+		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
 	}
@@ -199,7 +140,7 @@ func (r *Registry) Counter(name string) *Counter {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if c, ok := r.counters[name].(*Counter); ok {
+	if c, ok := r.counters[name]; ok {
 		return c
 	}
 	c := &Counter{}
@@ -207,26 +148,10 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// ShardedCounter returns the named sharded counter, creating it on first
-// use; nil on a nil registry.
-func (r *Registry) ShardedCounter(name string) *ShardedCounter {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok := r.counters[name].(*ShardedCounter); ok {
-		return c
-	}
-	c := &ShardedCounter{}
-	r.counters[name] = c
-	return c
-}
-
 // RegisterCounter attaches an existing counter under the given name —
 // how code that owns its counters (agent stats) exposes them without
 // double counting. No-op on a nil registry or nil counter.
-func (r *Registry) RegisterCounter(name string, c CounterValue) {
+func (r *Registry) RegisterCounter(name string, c *Counter) {
 	if r == nil || c == nil {
 		return
 	}
@@ -307,7 +232,7 @@ func (r *Registry) Snapshot() Snapshot {
 		return snap
 	}
 	r.mu.RLock()
-	counters := make(map[string]CounterValue, len(r.counters))
+	counters := make(map[string]*Counter, len(r.counters))
 	for k, v := range r.counters {
 		counters[k] = v
 	}

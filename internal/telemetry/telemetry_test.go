@@ -20,7 +20,6 @@ func TestNilInstrumentsNoop(t *testing.T) {
 	var r *Registry
 	r.Counter("a").Inc()
 	r.Counter("a").Add(3)
-	r.ShardedCounter("b").Inc()
 	r.Gauge("c").Set(2)
 	r.Gauge("c").Add(-1)
 	r.Histogram("d").Observe(0.5)
@@ -101,12 +100,11 @@ func TestSnapshotAndCollector(t *testing.T) {
 }
 
 func TestConcurrentInstruments(t *testing.T) {
-	// Counters, sharded counters, gauges and histograms must tally
+	// Counters, gauges and histograms must tally
 	// exactly under concurrent writers (and pass -race).
 	var (
-		c  Counter
-		sc ShardedCounter
-		g  Gauge
+		c Counter
+		g Gauge
 	)
 	h := NewHistogram()
 	const workers, per = 8, 2000
@@ -117,7 +115,6 @@ func TestConcurrentInstruments(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				c.Inc()
-				sc.Inc()
 				g.Add(1)
 				h.Observe(0.001)
 			}
@@ -127,9 +124,6 @@ func TestConcurrentInstruments(t *testing.T) {
 	const want = workers * per
 	if c.Value() != want {
 		t.Fatalf("Counter = %d, want %d", c.Value(), want)
-	}
-	if sc.Value() != want {
-		t.Fatalf("ShardedCounter = %d, want %d", sc.Value(), want)
 	}
 	if g.Value() != want {
 		t.Fatalf("Gauge = %g, want %d", g.Value(), want)

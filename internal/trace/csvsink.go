@@ -4,6 +4,8 @@ import (
 	"encoding/csv"
 	"io"
 	"strconv"
+
+	"repro/internal/sim"
 )
 
 // CSVSink streams events to CSV in virtual-time order without retaining
@@ -19,7 +21,7 @@ import (
 // resource.
 type CSVSink struct {
 	w      *csv.Writer
-	heap   csvHeap
+	heap   sim.Heap[Event]
 	mark   float64
 	marked bool
 	err    error
@@ -29,7 +31,7 @@ type CSVSink struct {
 // NewCSVSink writes the CSV header and returns the sink. Attach it with
 // Recorder.AddSink; call Close once the run has drained.
 func NewCSVSink(w io.Writer) *CSVSink {
-	s := &CSVSink{w: csv.NewWriter(w)}
+	s := &CSVSink{w: csv.NewWriter(w), heap: sim.NewHeap(eventLess)}
 	s.err = s.w.Write([]string{"seq", "time", "kind", "request", "agent", "resource", "task", "app", "detail"})
 	return s
 }
@@ -38,9 +40,9 @@ func NewCSVSink(w io.Writer) *CSVSink {
 // (completions recorded early, then overtaken by a clock advance) never
 // happen: Advance's contract is that all later records have Time >= mark.
 func (s *CSVSink) Record(ev Event) {
-	s.heap.push(ev)
-	if len(s.heap) > s.peak {
-		s.peak = len(s.heap)
+	s.heap.Push(ev)
+	if s.heap.Len() > s.peak {
+		s.peak = s.heap.Len()
 	}
 }
 
@@ -51,8 +53,8 @@ func (s *CSVSink) Advance(now float64) {
 		return
 	}
 	s.mark, s.marked = now, true
-	for len(s.heap) > 0 && s.heap[0].Time < now {
-		s.writeRow(s.heap.pop())
+	for s.heap.Len() > 0 && s.heap.Min().Time < now {
+		s.writeRow(s.heap.Pop())
 	}
 }
 
@@ -62,8 +64,8 @@ func (s *CSVSink) Advance(now float64) {
 // events must not pass for a complete one. It returns the first error
 // encountered over the sink's lifetime.
 func (s *CSVSink) Close(dropped uint64) error {
-	for len(s.heap) > 0 {
-		s.writeRow(s.heap.pop())
+	for s.heap.Len() > 0 {
+		s.writeRow(s.heap.Pop())
 	}
 	if dropped > 0 {
 		trailer := []string{"dropped", strconv.FormatUint(dropped, 10), "", "", "", "", "", "", ""}
@@ -103,54 +105,11 @@ func (s *CSVSink) writeRow(ev Event) {
 	})
 }
 
-// csvHeap is a min-heap of events on (Time, Seq): rows read
+// eventLess orders the reorder buffer by (Time, Seq): rows read
 // chronologically, with record order breaking ties.
-type csvHeap []Event
-
-func (h csvHeap) less(i, j int) bool {
-	if h[i].Time != h[j].Time {
-		return h[i].Time < h[j].Time
+func eventLess(a, b *Event) bool {
+	if a.Time != b.Time {
+		return a.Time < b.Time
 	}
-	return h[i].Seq < h[j].Seq
-}
-
-func (h *csvHeap) push(ev Event) {
-	*h = append(*h, ev)
-	q := *h
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
-		}
-		q[i], q[parent] = q[parent], q[i]
-		i = parent
-	}
-}
-
-func (h *csvHeap) pop() Event {
-	q := *h
-	top := q[0]
-	n := len(q) - 1
-	q[0] = q[n]
-	q[n] = Event{}
-	q = q[:n]
-	*h = q
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && q.less(l, smallest) {
-			smallest = l
-		}
-		if r < n && q.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		q[i], q[smallest] = q[smallest], q[i]
-		i = smallest
-	}
-	return top
+	return a.Seq < b.Seq
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/xmlmsg"
 )
@@ -83,9 +84,7 @@ type Client struct {
 
 // ClientMetrics is the set of instruments a Client updates per Call:
 // exchange count and end-to-end latency (including retries and
-// backoff), retry attempts, and exchanges that failed outright. The
-// exchange counter is sharded because node pull/tick/serve goroutines
-// call concurrently.
+// backoff), retry attempts, and exchanges that failed outright.
 //
 // Failures counts transport-level failures only (dial/write/read
 // exhausted, windows, busy peers). An application-level ErrorReply means
@@ -93,12 +92,12 @@ type Client struct {
 // PeerErrors instead; lumping the two together made a healthy wire with
 // an unhappy application look like a broken wire.
 type ClientMetrics struct {
-	Exchanges  *telemetry.ShardedCounter // Calls made
-	Retries    *telemetry.Counter        // extra attempts after the first
-	Failures   *telemetry.Counter        // Calls lost to transport failures
-	PeerErrors *telemetry.Counter        // Calls answered with an ErrorReply
-	Busy       *telemetry.Counter        // busy (admission-shed) replies seen
-	Latency    *telemetry.Histogram      // wall-clock seconds per Call
+	Exchanges  *telemetry.Counter   // Calls made
+	Retries    *telemetry.Counter   // extra attempts after the first
+	Failures   *telemetry.Counter   // Calls lost to transport failures
+	PeerErrors *telemetry.Counter   // Calls answered with an ErrorReply
+	Busy       *telemetry.Counter   // busy (admission-shed) replies seen
+	Latency    *telemetry.Histogram // wall-clock seconds per Call
 }
 
 // NewClientMetrics builds client instruments on reg; kv are optional
@@ -110,7 +109,7 @@ func NewClientMetrics(reg *telemetry.Registry, kv ...string) ClientMetrics {
 	}
 	l := func(name string) string { return telemetry.Label(name, kv...) }
 	return ClientMetrics{
-		Exchanges:  reg.ShardedCounter(l("transport_exchanges_total")),
+		Exchanges:  reg.Counter(l("transport_exchanges_total")),
 		Retries:    reg.Counter(l("transport_retries_total")),
 		Failures:   reg.Counter(l("transport_failures_total")),
 		PeerErrors: reg.Counter(l("transport_peer_errors_total")),
@@ -158,7 +157,7 @@ func (c *Client) Backoff(addr string, attempt int) time.Duration {
 	if d > max {
 		d = max
 	}
-	jitter := splitmix64(c.JitterSeed ^ hashAddr(addr) ^ uint64(attempt))
+	jitter := sim.SplitMix64(c.JitterSeed ^ sim.FNV1a(addr) ^ uint64(attempt))
 	return d + time.Duration(jitter%uint64(d/2+1))
 }
 
@@ -236,23 +235,4 @@ func (c *Client) once(addr string, msg interface{}) (interface{}, xmlmsg.Kind, *
 		exchTO = ExchangeTimeout
 	}
 	return c.Pool.Exchange(addr, msg, dialTO, exchTO)
-}
-
-// splitmix64 is the standard 64-bit mixing function, here driving
-// backoff jitter.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// hashAddr hashes a peer address (FNV-1a) into the jitter stream.
-func hashAddr(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }

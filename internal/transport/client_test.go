@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/sim"
 	"repro/internal/xmlmsg"
 )
 
@@ -177,7 +178,7 @@ func TestBackoffWithoutJitterSourceIsByteIdentical(t *testing.T) {
 			}
 			// The formula, inlined: any drift here means deployed retry
 			// schedules changed.
-			jitter := splitmix64(c.JitterSeed ^ hashAddr(addr) ^ uint64(attempt))
+			jitter := sim.SplitMix64(c.JitterSeed ^ sim.FNV1a(addr) ^ uint64(attempt))
 			want := d + time.Duration(jitter%uint64(d/2+1))
 			if got := c.Backoff(addr, attempt); got != want {
 				t.Fatalf("Backoff(%q, %d) = %v, want the hash schedule %v", addr, attempt, got, want)

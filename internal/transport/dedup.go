@@ -2,9 +2,10 @@ package transport
 
 import "sync"
 
-// DefaultDedupWindow is how many completed exchanges a server remembers
-// for duplicate suppression (see ServerConfig.DedupWindow).
-const DefaultDedupWindow = 1024
+// dedupWindow is how many completed exchanges a server remembers for
+// duplicate suppression: a retried delivery within it returns the
+// original reply instead of re-executing a non-idempotent dispatch.
+const dedupWindow = 1024
 
 // dedupCache suppresses re-execution of retried requests. A client that
 // times out in the "read" stage retries, but the server may have

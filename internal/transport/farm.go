@@ -50,7 +50,7 @@ type FarmConfig struct {
 	Pool PoolConfig
 
 	// Server is applied to every node's listener: admission gate,
-	// binary-codec permission and dedup window.
+	// binary-codec permission.
 	Server ServerConfig
 }
 
@@ -151,12 +151,12 @@ func StartFarm(cfg FarmConfig) (*Farm, error) {
 			_ = f.Close()
 			return nil, fmt.Errorf("transport: resource %q: unknown parent %q", spec.Name, spec.Parent)
 		}
-		up := &RemotePeer{Name: spec.Parent, Addr: parent.Addr(), Lib: cfg.Library, Client: clientFor(spec.Name)}
+		up := &RemotePeer{Name: spec.Parent, Addr: parent.Addr(), Client: clientFor(spec.Name)}
 		if err := child.SetUpper(up); err != nil {
 			_ = f.Close()
 			return nil, err
 		}
-		down := &RemotePeer{Name: spec.Name, Addr: child.Addr(), Lib: cfg.Library, Client: clientFor(spec.Parent)}
+		down := &RemotePeer{Name: spec.Name, Addr: child.Addr(), Client: clientFor(spec.Parent)}
 		if err := parent.AddLower(down); err != nil {
 			_ = f.Close()
 			return nil, err

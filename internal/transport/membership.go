@@ -35,7 +35,7 @@ func (n *Node) JoinUpper(upperName, addr string) error {
 	if ack.Upper != "" {
 		name = ack.Upper
 	}
-	return n.SetUpper(&RemotePeer{Name: name, Addr: addr, Lib: n.lib})
+	return n.SetUpper(&RemotePeer{Name: name, Addr: addr})
 }
 
 // LeaveUpper deregisters from the current upper and severs the link on
@@ -77,7 +77,6 @@ func (n *Node) handleMembership(m *xmlmsg.Membership) (interface{}, error) {
 		peer := &RemotePeer{
 			Name: m.Agent,
 			Addr: fmt.Sprintf("%s:%d", m.Address, m.Port),
-			Lib:  n.lib,
 		}
 		n.mu.Lock()
 		// A re-join (daemon restart) replaces the stale link; RemoveLower

@@ -21,7 +21,6 @@ import (
 type RemotePeer struct {
 	Name string
 	Addr string
-	Lib  *pace.Library
 
 	// Client, when set, overrides the default exchange client — per-peer
 	// timeouts and retry policy for links of different quality. Nil uses
@@ -286,8 +285,8 @@ const DefaultTickPeriod = 250 * time.Millisecond
 // then only occur when messages arrive). Call before Start.
 func (n *Node) SetTickPeriod(d time.Duration) { n.tick = d }
 
-// SetServerConfig sets the node server's admission gate, codec policy
-// and dedup window. Call before Start.
+// SetServerConfig sets the node server's admission gate and codec
+// policy. Call before Start.
 func (n *Node) SetServerConfig(cfg ServerConfig) { n.srvCfg = cfg }
 
 // Start listens on addr and begins the periodic advertisement pull loop

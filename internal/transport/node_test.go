@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -82,12 +83,11 @@ func TestTwoNodeHierarchyOverTCP(t *testing.T) {
 	head := startNode(t, "fast", pace.SGIOrigin2000, 16)
 	child := startNode(t, "slow", pace.SunSPARCstation2, 16)
 
-	lib := pace.CaseStudyLibrary()
 	// Wire the hierarchy through remote peers.
-	if err := child.SetUpper(&RemotePeer{Name: "fast", Addr: head.Addr(), Lib: lib}); err != nil {
+	if err := child.SetUpper(&RemotePeer{Name: "fast", Addr: head.Addr()}); err != nil {
 		t.Fatal(err)
 	}
-	if err := head.AddLower(&RemotePeer{Name: "slow", Addr: child.Addr(), Lib: lib}); err != nil {
+	if err := head.AddLower(&RemotePeer{Name: "slow", Addr: child.Addr()}); err != nil {
 		t.Fatal(err)
 	}
 	// Wait for at least one advertisement pull on both sides.
@@ -128,7 +128,7 @@ func TestNodeDirectSubmission(t *testing.T) {
 
 func TestRemotePeerPullService(t *testing.T) {
 	n := startNode(t, "solo", pace.SunUltra5, 16)
-	p := &RemotePeer{Name: "solo", Addr: n.Addr(), Lib: pace.CaseStudyLibrary()}
+	p := &RemotePeer{Name: "solo", Addr: n.Addr()}
 	si, err := p.PullService()
 	if err != nil {
 		t.Fatal(err)
@@ -138,6 +138,37 @@ func TestRemotePeerPullService(t *testing.T) {
 	}
 	if p.PeerName() != "solo" {
 		t.Fatal("peer name wrong")
+	}
+}
+
+// TestServiceRoundTripsTheWire checks that an agent's advertisement is
+// what Fig. 5 carries: rendered for the wire and parsed back it is the
+// advertisement the agent published, whatever the agent has counted.
+func TestServiceRoundTripsTheWire(t *testing.T) {
+	engine := pace.NewEngine()
+	local, err := scheduler.NewLocal(scheduler.Config{
+		Name: "S3", HW: pace.SunUltra10, NumNodes: 16, Environments: []string{"test", "mpi"},
+		Policy: scheduler.NewFIFOPolicy(), Engine: engine,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := agent.New(local, engine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.CountRedispatch()
+	for _, ft := range []float64{0, 1, 86399, 123456} {
+		local.AdvanceTo(ft)
+		si, _ := a.PullService()
+		if si.Freetime != ft {
+			t.Fatalf("advertised freetime %v at %v", si.Freetime, ft)
+		}
+		wire := serviceToWire("S3", xmlmsg.Endpoint{Address: "10.0.0.3", Port: 7003}, si)
+		got, err := serviceFromWire("S3", &wire)
+		if err != nil || !reflect.DeepEqual(got, si) {
+			t.Fatalf("%+v crossed the wire as %+v, %v", si, got, err)
+		}
 	}
 }
 
@@ -199,11 +230,10 @@ func TestNodePushOnAccept(t *testing.T) {
 	head := startNode(t, "fast", pace.SGIOrigin2000, 16)
 	child := startNode(t, "slow", pace.SunSPARCstation2, 16)
 	head.SetPushEnabled(true)
-	lib := pace.CaseStudyLibrary()
-	if err := child.SetUpper(&RemotePeer{Name: "fast", Addr: head.Addr(), Lib: lib}); err != nil {
+	if err := child.SetUpper(&RemotePeer{Name: "fast", Addr: head.Addr()}); err != nil {
 		t.Fatal(err)
 	}
-	if err := head.AddLower(&RemotePeer{Name: "slow", Addr: child.Addr(), Lib: lib}); err != nil {
+	if err := head.AddLower(&RemotePeer{Name: "slow", Addr: child.Addr()}); err != nil {
 		t.Fatal(err)
 	}
 	// Accept work at the head; its freetime jumps past the threshold and

@@ -13,6 +13,20 @@ import (
 // across the wire because agent.IsNotRoutable matches the error text,
 // which survives the ErrorReply round trip.
 func (p *RemotePeer) HandleReserve(op agent.ReserveOp, now float64) (agent.ReserveReply, error) {
+	reply, _, err := p.client().Call(p.Addr, reserveOpToWire(op))
+	if err != nil {
+		return agent.ReserveReply{}, err
+	}
+	ack, ok := reply.(*xmlmsg.ReserveAck)
+	if !ok {
+		return agent.ReserveReply{}, fmt.Errorf("transport: %s replied %T to a reserve %s", p.Name, reply, op.Action)
+	}
+	return reserveReplyFromWire(ack)
+}
+
+// reserveOpToWire renders an op as a reserve message carrying the fields
+// its action reads; reserveOpFromWire inverts it.
+func reserveOpToWire(op agent.ReserveOp) xmlmsg.Reserve {
 	wire := xmlmsg.Reserve{
 		Type:     "reserve",
 		Action:   op.Action.String(),
@@ -37,33 +51,7 @@ func (p *RemotePeer) HandleReserve(op agent.ReserveOp, now float64) (agent.Reser
 			wire.Model = op.App.Name
 		}
 	}
-	reply, _, err := p.client().Call(p.Addr, wire)
-	if err != nil {
-		return agent.ReserveReply{}, err
-	}
-	ack, ok := reply.(*xmlmsg.ReserveAck)
-	if !ok {
-		return agent.ReserveReply{}, fmt.Errorf("transport: %s replied %T to a reserve %s", p.Name, reply, op.Action)
-	}
-	out := agent.ReserveReply{TaskID: ack.TaskID}
-	for _, q := range ack.Quotes {
-		mask, err := xmlmsg.ParseMask(q.Mask)
-		if err != nil {
-			return agent.ReserveReply{}, err
-		}
-		start, err := xmlmsg.ParseSeconds(q.Start)
-		if err != nil {
-			return agent.ReserveReply{}, err
-		}
-		end, err := xmlmsg.ParseSeconds(q.End)
-		if err != nil {
-			return agent.ReserveReply{}, err
-		}
-		out.Quotes = append(out.Quotes, scheduler.ReserveQuote{
-			Resource: q.Resource, Mask: mask, Start: start, End: end,
-		})
-	}
-	return out, nil
+	return wire
 }
 
 // reserveOpFromWire parses a reserve message into an agent op; the app
@@ -114,7 +102,7 @@ func (n *Node) reserveOpFromWire(m *xmlmsg.Reserve) (agent.ReserveOp, error) {
 	return op, nil
 }
 
-// reserveAckToWire renders a reply.
+// reserveAckToWire renders a reply; reserveReplyFromWire inverts it.
 func reserveAckToWire(r agent.ReserveReply) xmlmsg.ReserveAck {
 	var quotes []xmlmsg.QuoteEntry
 	for _, q := range r.Quotes {
@@ -126,6 +114,29 @@ func reserveAckToWire(r agent.ReserveReply) xmlmsg.ReserveAck {
 		})
 	}
 	return xmlmsg.NewReserveAck(r.TaskID, quotes)
+}
+
+// reserveReplyFromWire parses a reserve acknowledgement into a reply.
+func reserveReplyFromWire(ack *xmlmsg.ReserveAck) (agent.ReserveReply, error) {
+	out := agent.ReserveReply{TaskID: ack.TaskID}
+	for _, q := range ack.Quotes {
+		mask, err := xmlmsg.ParseMask(q.Mask)
+		if err != nil {
+			return agent.ReserveReply{}, err
+		}
+		start, err := xmlmsg.ParseSeconds(q.Start)
+		if err != nil {
+			return agent.ReserveReply{}, err
+		}
+		end, err := xmlmsg.ParseSeconds(q.End)
+		if err != nil {
+			return agent.ReserveReply{}, err
+		}
+		out.Quotes = append(out.Quotes, scheduler.ReserveQuote{
+			Resource: q.Resource, Mask: mask, Start: start, End: end,
+		})
+	}
+	return out, nil
 }
 
 // reserveDispatch runs the agent's own HandleReserve — flood, routing,

@@ -16,11 +16,10 @@ import (
 func TestReservationOverTCP(t *testing.T) {
 	head := startNode(t, "rhead", pace.SGIOrigin2000, 8)
 	child := startNode(t, "rchild", pace.SGIOrigin2000, 8)
-	lib := pace.CaseStudyLibrary()
-	if err := child.SetUpper(&RemotePeer{Name: "rhead", Addr: head.Addr(), Lib: lib}); err != nil {
+	if err := child.SetUpper(&RemotePeer{Name: "rhead", Addr: head.Addr()}); err != nil {
 		t.Fatal(err)
 	}
-	if err := head.AddLower(&RemotePeer{Name: "rchild", Addr: child.Addr(), Lib: lib}); err != nil {
+	if err := head.AddLower(&RemotePeer{Name: "rchild", Addr: child.Addr()}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -117,7 +116,7 @@ func TestReservationOverTCP(t *testing.T) {
 
 	// An interior node's dead end crosses the wire as the bare sentinel:
 	// no origin context, yet still a routing miss to the node that asked.
-	interior := &RemotePeer{Name: "rchild", Addr: child.Addr(), Lib: lib}
+	interior := &RemotePeer{Name: "rchild", Addr: child.Addr()}
 	_, err = interior.HandleReserve(agent.ReserveOp{
 		Action: agent.ReserveReleaseOp, ResvID: 5, Resource: "ghost", Visited: []string{"rhead"},
 	}, 0)

@@ -51,11 +51,10 @@ func startSeamNode(t *testing.T, name string, hw pace.Hardware, tick time.Durati
 // linkNodes wires child under parent over the wire, both directions.
 func linkNodes(t *testing.T, parent, child *Node) {
 	t.Helper()
-	lib := pace.CaseStudyLibrary()
-	if err := child.SetUpper(&RemotePeer{Name: parent.Agent().Name(), Addr: parent.Addr(), Lib: lib}); err != nil {
+	if err := child.SetUpper(&RemotePeer{Name: parent.Agent().Name(), Addr: parent.Addr()}); err != nil {
 		t.Fatal(err)
 	}
-	if err := parent.AddLower(&RemotePeer{Name: child.Agent().Name(), Addr: child.Addr(), Lib: lib}); err != nil {
+	if err := parent.AddLower(&RemotePeer{Name: child.Agent().Name(), Addr: child.Addr()}); err != nil {
 		t.Fatal(err)
 	}
 }

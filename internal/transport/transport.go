@@ -44,13 +44,6 @@ type ServerConfig struct {
 	// multiplexed connections. Off, every exchange stays XML regardless
 	// of what clients offer.
 	AllowBinary bool
-
-	// DedupWindow sizes the duplicate-suppression cache: how many
-	// completed requests the server remembers by ReqID so a retried
-	// delivery returns the original reply instead of re-executing a
-	// non-idempotent dispatch. Zero means DefaultDedupWindow; negative
-	// disables deduplication.
-	DedupWindow int
 }
 
 // Server accepts framed agentgrid exchanges on a TCP listener.
@@ -84,14 +77,7 @@ func ServeWith(addr string, h Handler, cfg ServerConfig) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
-	s := &Server{ln: ln, handler: h, cfg: cfg, conns: map[net.Conn]struct{}{}}
-	if cfg.DedupWindow >= 0 {
-		w := cfg.DedupWindow
-		if w == 0 {
-			w = DefaultDedupWindow
-		}
-		s.dedup = newDedupCache(w)
-	}
+	s := &Server{ln: ln, handler: h, cfg: cfg, conns: map[net.Conn]struct{}{}, dedup: newDedupCache(dedupWindow)}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -266,7 +252,7 @@ func (s *Server) dispatch(msg interface{}, kind xmlmsg.Kind) interface{} {
 			defer s.inflight.Add(-1)
 		}
 		req, isReq := msg.(*xmlmsg.Request)
-		if s.dedup != nil && isReq && req.ReqID != 0 {
+		if isReq && req.ReqID != 0 {
 			mode := req.Mode
 			if mode == "" {
 				mode = xmlmsg.ModeDiscover // empty and explicit discover are one operation
