@@ -101,9 +101,9 @@ func main() {
 		return
 	}
 
-	// Daemons measure virtual time as seconds since their start; a
-	// portal cannot know that origin, so it sends a generous absolute
-	// deadline: now-equivalent plus the requested relative deadline.
+	// Daemons and farms measure virtual time in seconds since local
+	// midnight (transport.MidnightOrigin), so the absolute deadline is the
+	// portal's reading of that clock plus the requested relative deadline.
 	// For the dry run the epoch itself is used, matching Fig. 6.
 	deadlineSec := *deadline
 	if !*dryRun {
@@ -151,8 +151,8 @@ func submitReservation(peer *transport.RemotePeer, app *pace.AppModel, email, sp
 	if startRel < 0 || duration <= 0 || nodes < 1 {
 		fail(fmt.Errorf("bad -reserve %q: start must be >= 0, duration and nodes positive", spec))
 	}
-	// The daemon measures virtual time as seconds since its start; the
-	// portal anchors the window the same way submissions anchor deadlines.
+	// The daemon measures virtual time from local midnight; the portal
+	// anchors the window the same way submissions anchor deadlines.
 	now := time.Since(transport.MidnightOrigin()).Seconds()
 	quoted, err := peer.HandleReserve(agent.ReserveOp{
 		Action: agent.ReserveQuoteOp, Nodes: nodes, Earliest: now + startRel, Duration: duration,

@@ -4,6 +4,7 @@ import (
 	"os"
 	"os/exec"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -53,7 +54,9 @@ func matchLines(t *testing.T, out string, patterns ...string) {
 
 // TestQueryAndReserveAgainstFarm drives the portal's service query and
 // its quote, hold and confirm exchange against a live Fig. 7 farm, and
-// checks the format of every line it prints.
+// checks the format of every line it prints. The farm and the portal share
+// one clock origin, so the confirmed window starts 30 s after the idle
+// node's advertised freetime, give or take the seconds between the calls.
 func TestQueryAndReserveAgainstFarm(t *testing.T) {
 	farm, err := transport.StartFarm(transport.FarmConfig{Specs: scenario.Fig7Resources(), Policy: "fifo", Seed: 7})
 	if err != nil {
@@ -67,6 +70,7 @@ func TestQueryAndReserveAgainstFarm(t *testing.T) {
 		t.Fatalf("-query: %v\n%s", err, out)
 	}
 	matchLines(t, out, regexp.QuoteMeta(addr)+`: SunSPARCstation2 x16, environments \[test\], free at virtual t=\d+s`)
+	free := leadingNumber(t, out, `free at virtual t=(\d+)s`)
 
 	out, err = gridsubmit(t, "-to", addr, "-reserve", "30,60,2")
 	if err != nil {
@@ -83,4 +87,23 @@ func TestQueryAndReserveAgainstFarm(t *testing.T) {
 		t.Fatalf("no quote printed:\n%s", out)
 	}
 	matchLines(t, out, patterns...)
+	const slack = 10
+	if start := leadingNumber(t, out, `guaranteed \[(\d+),`); start < free+30-1 || start > free+30+slack {
+		t.Errorf("window starts at t=%g, want within [%g, %g]: 30 s after the queried freetime %g",
+			start, free+30-1, free+30+slack, free)
+	}
+}
+
+// leadingNumber returns the number that pattern's one group captures in out.
+func leadingNumber(t *testing.T, out, pattern string) float64 {
+	t.Helper()
+	m := regexp.MustCompile(pattern).FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("no %q in:\n%s", pattern, out)
+	}
+	v, err := strconv.ParseFloat(m[1], 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }

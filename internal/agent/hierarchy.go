@@ -4,17 +4,14 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Hierarchy is a tree of agents rooted at the head (the only agent with no
 // upper neighbour, like S1 in Fig. 7). The tree is mutable at runtime —
-// Attach, Detach and Rehome change membership on the virtual clock — so
-// every structural access goes through a reader/writer lock: mutations are
-// exclusive, and readers (Lookup, Names, Describe, ...) see the tree only
-// between mutations.
+// Attach, Detach and Rehome change membership on the virtual clock. A
+// Hierarchy belongs to the goroutine that runs its grid: it takes no lock,
+// and nothing may read it while that goroutine mutates it.
 type Hierarchy struct {
-	mu     sync.RWMutex
 	head   *Agent
 	byName map[string]*Agent
 	sorted []*Agent // byName in name order; nil until built or after Attach/Detach
@@ -137,7 +134,7 @@ func NewHierarchy(agents []*Agent) (*Hierarchy, error) {
 		return nil, fmt.Errorf("agent: hierarchy needs exactly one head, found %d (%s)", len(heads), strings.Join(names, ", "))
 	}
 	h := &Hierarchy{head: heads[0], byName: byName}
-	if err := h.validateLocked(); err != nil {
+	if err := h.Validate(); err != nil {
 		return nil, err
 	}
 	return h, nil
@@ -149,8 +146,6 @@ func (h *Hierarchy) Attach(parent string, child *Agent) error {
 	if child == nil {
 		return fmt.Errorf("agent: attach: nil agent")
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	p, ok := h.byName[parent]
 	if !ok {
 		return fmt.Errorf("agent: attach: unknown parent %q", parent)
@@ -172,8 +167,6 @@ func (h *Hierarchy) Attach(parent string, child *Agent) error {
 // is deterministic — which keeps the tree connected; detaching the head
 // is an error because it would orphan everything below it.
 func (h *Hierarchy) Detach(name string) (*Agent, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	a, ok := h.byName[name]
 	if !ok {
 		return nil, fmt.Errorf("agent: detach: unknown agent %q", name)
@@ -211,8 +204,6 @@ func (h *Hierarchy) Detach(name string) (*Agent, error) {
 // agent under its own descendant (Link's cycle walk catches it), or
 // re-homing under the current parent.
 func (h *Hierarchy) Rehome(name, newParent string) (*Agent, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	a, ok := h.byName[name]
 	if !ok {
 		return nil, fmt.Errorf("agent: rehome: unknown agent %q", name)
@@ -251,12 +242,6 @@ func (h *Hierarchy) Rehome(name, newParent string) (*Agent, error) {
 // the audited guarantee — tree acyclic and connected at every virtual
 // instant — rests on an actual walk, not on construction-time checks.
 func (h *Hierarchy) Validate() error {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.validateLocked()
-}
-
-func (h *Hierarchy) validateLocked() error {
 	if h.head == nil {
 		return fmt.Errorf("agent: hierarchy has no head")
 	}
@@ -300,15 +285,11 @@ func (h *Hierarchy) validateLocked() error {
 
 // Head returns the hierarchy's root agent.
 func (h *Hierarchy) Head() *Agent {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
 	return h.head
 }
 
 // Lookup returns the named agent.
 func (h *Hierarchy) Lookup(name string) (*Agent, bool) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
 	a, ok := h.byName[name]
 	return a, ok
 }
@@ -324,8 +305,6 @@ func (h *Hierarchy) Agents() []*Agent {
 // not modify it; an Attach or Detach during the walk leaves it intact
 // and makes the next call build a new one.
 func (h *Hierarchy) InOrder() []*Agent {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if h.sorted == nil {
 		for _, a := range h.byName {
 			h.sorted = append(h.sorted, a)
@@ -374,8 +353,6 @@ func (h *Hierarchy) PullAll(now float64) {
 
 // Describe renders the tree as indented text (the Fig. 7 topology).
 func (h *Hierarchy) Describe() string {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
 	var b strings.Builder
 	var walk func(a *Agent, depth int)
 	walk = func(a *Agent, depth int) {

@@ -2,9 +2,7 @@ package agent
 
 import (
 	"errors"
-	"fmt"
 	"slices"
-	"sync"
 	"testing"
 
 	"repro/internal/pace"
@@ -231,47 +229,5 @@ func TestRehomeRejectsBreakingMoves(t *testing.T) {
 	a, _ := h.Lookup("a")
 	if a.Upper().PeerName() != "head" {
 		t.Fatal("rejected rehome did not restore the old edge")
-	}
-}
-
-// TestHierarchyConcurrentReaders hammers the read API while the tree
-// mutates — run under -race this proves the lock discipline.
-func TestHierarchyConcurrentReaders(t *testing.T) {
-	h, _, _, _, _, _ := tree(t)
-	e := pace.NewEngine()
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				_ = h.Names()
-				_ = h.Describe()
-				_, _ = h.Lookup("a1")
-				_ = h.Head()
-			}
-		}()
-	}
-	for i := 0; i < 50; i++ {
-		n := newAgent(t, fmt.Sprintf("x%d", i), pace.SunUltra1, 4, e)
-		if err := h.Attach("b", n); err != nil {
-			t.Error(err)
-			break
-		}
-		if _, err := h.Detach(n.Name()); err != nil {
-			t.Error(err)
-			break
-		}
-	}
-	close(stop)
-	wg.Wait()
-	if err := h.Validate(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -11,6 +11,9 @@ import (
 // TestStatsConcurrentScrape drives requests through a two-agent
 // hierarchy on one goroutine while others scrape Stats() and a
 // telemetry registry — the monitoring pattern of the networked node.
+// The registry also carries the shared PACE engine's collector, so the
+// scrape reads the engine's Stats and CacheLen while the driver predicts:
+// those two are the only engine reads allowed off the owning goroutine.
 // Before the counters moved onto atomics this was a data race (plain
 // ints mutated by the driver, read by value from the scraper); under
 // `go test -race` this test pins the fix.
@@ -21,6 +24,7 @@ func TestStatsConcurrentScrape(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	head.RegisterMetrics(reg)
 	child.RegisterMetrics(reg)
+	engine.RegisterMetrics(reg)
 
 	app := appOf(t, "sweep3d")
 	const requests = 200
@@ -79,5 +83,8 @@ func TestStatsConcurrentScrape(t *testing.T) {
 	snap := reg.Snapshot()
 	if got := snap.Counters[`agent_requests_received_total{resource="fast"}`]; got != requests {
 		t.Fatalf("registry sees %d received, want %d", got, requests)
+	}
+	if got, want := snap.Gauges["pace_cache_len"], float64(engine.CacheLen()); got != want || want == 0 {
+		t.Fatalf("registry sees pace_cache_len %v, want the engine's %v (> 0)", got, want)
 	}
 }

@@ -279,11 +279,7 @@ func New(specs []ResourceSpec, opts Options) (*Grid, error) {
 		// the same plan always stretches the same tasks regardless of how
 		// clock advances interleave with fault events.
 		for _, name := range inj.Plan().Degraded() {
-			plan, local := inj.Plan(), g.locals[name]
-			agentName := name
-			local.SetSlowdown(func(start float64) float64 {
-				return plan.SlowdownAt(agentName, start)
-			})
+			g.locals[name].SetSlowdown(inj.Plan().Slowdown(name))
 		}
 	}
 	if opts.Migration.Enabled {

@@ -43,12 +43,12 @@ func TestDegradeWindowsAndSlowdownAt(t *testing.T) {
 		{20, 1}, {29.99, 1}, // Restore boundary: To is exclusive
 		{30, 3}, {1e9, 3}, // open-ended
 	} {
-		if got := plan.SlowdownAt("S1", tc.at); got != tc.want {
-			t.Errorf("SlowdownAt(S1, %g) = %g, want %g", tc.at, got, tc.want)
+		if got := plan.Slowdown("S1")(tc.at); got != tc.want {
+			t.Errorf("Slowdown(S1)(%g) = %g, want %g", tc.at, got, tc.want)
 		}
 	}
-	if got := plan.SlowdownAt("S3", 15); got != 1 {
-		t.Errorf("SlowdownAt(S3, 15) = %g, want 1 (never degraded)", got)
+	if got := plan.Slowdown("S3")(15); got != 1 {
+		t.Errorf("Slowdown(S3)(15) = %g, want 1 (never degraded)", got)
 	}
 	if got := plan.Degraded(); !reflect.DeepEqual(got, []string{"S1", "S2"}) {
 		t.Errorf("Degraded() = %v", got)
@@ -59,11 +59,11 @@ func TestDegradeWindowsAndSlowdownAt(t *testing.T) {
 		{At: 10, Kind: fault.Degrade, Agent: "S1", Factor: 2},
 		{At: 15, Kind: fault.Degrade, Agent: "S1", Factor: 4},
 	}}
-	if got := redo.SlowdownAt("S1", 12); got != 2 {
-		t.Errorf("SlowdownAt before supersede = %g, want 2", got)
+	if got := redo.Slowdown("S1")(12); got != 2 {
+		t.Errorf("Slowdown before supersede = %g, want 2", got)
 	}
-	if got := redo.SlowdownAt("S1", 18); got != 4 {
-		t.Errorf("SlowdownAt after supersede = %g, want 4", got)
+	if got := redo.Slowdown("S1")(18); got != 4 {
+		t.Errorf("Slowdown after supersede = %g, want 4", got)
 	}
 }
 

@@ -139,16 +139,13 @@ func (p Plan) String() string {
 	return b.String()
 }
 
-// DegradeWindow is one interval during which tasks starting on a
+// DegradeWindow is the interval [From, To) in which tasks starting on a
 // resource run slower than predicted. To stays +Inf when the plan never
 // restores the resource.
 type DegradeWindow struct {
 	From, To float64
 	Factor   float64
 }
-
-// Covers reports whether a task starting at t falls in the window.
-func (w DegradeWindow) Covers(t float64) bool { return t >= w.From && t < w.To }
 
 // DegradeWindows derives the named agent's degradation intervals from
 // the plan, in time order. The windows are a static function of the plan
@@ -180,15 +177,19 @@ func (p Plan) DegradeWindows(agent string) []DegradeWindow {
 	return out
 }
 
-// SlowdownAt returns the execution-time multiplier in effect for a task
-// starting at time t on the named agent (1 when undegraded).
-func (p Plan) SlowdownAt(agent string, t float64) float64 {
-	for _, w := range p.DegradeWindows(agent) {
-		if w.Covers(t) {
-			return w.Factor
+// Slowdown returns the named agent's slowdown hook: the execution-time
+// multiplier in effect for a task starting at time t (1 when undegraded).
+// The windows are derived once, here, not on every task launch.
+func (p Plan) Slowdown(agent string) func(t float64) float64 {
+	windows := p.DegradeWindows(agent)
+	return func(t float64) float64 {
+		for _, w := range windows {
+			if t >= w.From && t < w.To {
+				return w.Factor
+			}
 		}
+		return 1
 	}
-	return 1
 }
 
 // Degraded returns the distinct agents the plan ever degrades, sorted.

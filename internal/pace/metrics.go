@@ -3,9 +3,9 @@ package pace
 import "repro/internal/telemetry"
 
 // RegisterMetrics exposes the engine's evaluation statistics on a
-// telemetry registry as a snapshot-time collector. The Predict fast
-// path (lock-free table read + atomic hit counter) is not touched at
-// all: the collector pulls Stats() and CacheLen() only when the
+// telemetry registry as a snapshot-time collector. Predict is not
+// touched at all: the collector calls Stats() and CacheLen(), the two
+// engine reads that are safe from another goroutine, only when the
 // registry is scraped, so an instrumented engine costs exactly as much
 // as an uninstrumented one between scrapes.
 //

@@ -2,15 +2,14 @@
 // arrival, discovery dispatch, execution start and completion — the
 // observability layer a production deployment of the paper's system would
 // need. Events live in a bounded ring so long experiments cannot exhaust
-// memory; the recorder is safe for concurrent use (the networked daemons
-// handle requests from multiple connections).
+// memory. A Recorder belongs to the goroutine that runs its grid: it takes
+// no lock, and a run that records hands it to no other goroutine.
 package trace
 
 import (
 	"fmt"
 	"sort"
 	"strconv"
-	"sync"
 )
 
 // Kind classifies a lifecycle event. It is a small integer so that the
@@ -185,12 +184,10 @@ type Advancer interface {
 // DefaultCapacity bounds the ring when none is given.
 const DefaultCapacity = 65536
 
-// Recorder is a bounded, thread-safe event ring.
+// Recorder is a bounded event ring, owned by one goroutine.
 type Recorder struct {
-	mu      sync.Mutex
 	events  []Event
-	next    int // ring write position once full
-	full    bool
+	next    int // oldest event, and the ring's write position, once full; 0 until then
 	cap     int
 	seq     uint64
 	dropped uint64
@@ -210,8 +207,6 @@ func NewRecorder(capacity int) *Recorder {
 // AddSink attaches a sink; every subsequent Record feeds it (with Seq
 // assigned) before the ring is touched.
 func (r *Recorder) AddSink(s Sink) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.sinks = append(r.sinks, s)
 }
 
@@ -221,31 +216,23 @@ func (r *Recorder) AddSink(s Sink) {
 // CSVSink and holding it would defeat bounded memory. Events() is empty
 // and Dropped() zero in this mode: nothing retained, nothing evicted.
 func (r *Recorder) SetRetention(on bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.retain = on
 }
 
 // Retaining reports whether the ring currently retains events (see
 // SetRetention).
 func (r *Recorder) Retaining() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.retain
 }
 
 // Capacity returns the ring capacity.
 func (r *Recorder) Capacity() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.cap
 }
 
 // Advance forwards a virtual-time watermark to every attached sink that
 // buffers on time order (see Advancer).
 func (r *Recorder) Advance(now float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	for _, s := range r.sinks {
 		if a, ok := s.(Advancer); ok {
 			a.Advance(now)
@@ -255,8 +242,6 @@ func (r *Recorder) Advance(now float64) {
 
 // Record appends an event, evicting the oldest when the ring is full.
 func (r *Recorder) Record(ev Event) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.seq++
 	ev.Seq = r.seq
 	for _, s := range r.sinks {
@@ -265,11 +250,8 @@ func (r *Recorder) Record(ev Event) {
 	if !r.retain {
 		return
 	}
-	if !r.full {
+	if len(r.events) < r.cap {
 		r.events = append(r.events, ev)
-		if len(r.events) == r.cap {
-			r.full = true
-		}
 		return
 	}
 	r.dropped++
@@ -279,30 +261,19 @@ func (r *Recorder) Record(ev Event) {
 
 // Len returns the number of retained events.
 func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return len(r.events)
 }
 
 // Dropped returns how many events were evicted from the ring.
 func (r *Recorder) Dropped() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.dropped
 }
 
 // Events returns the retained events in record order.
 func (r *Recorder) Events() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	out := make([]Event, 0, len(r.events))
-	if r.full {
-		out = append(out, r.events[r.next:]...)
-		out = append(out, r.events[:r.next]...)
-	} else {
-		out = append(out, r.events...)
-	}
-	return out
+	out = append(out, r.events[r.next:]...)
+	return append(out, r.events[:r.next]...)
 }
 
 // TaskHistory returns the lifecycle events of one request, in record

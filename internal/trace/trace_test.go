@@ -5,7 +5,6 @@ import (
 	"encoding/csv"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -193,35 +192,6 @@ func TestCSVSinkFlushesAtWatermark(t *testing.T) {
 	want := []string{"1.000 arrive 1", "5.000 arrive 2", "7.000 complete 2", "9.000 complete 1"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("streamed rows %v, want %v", got, want)
-	}
-}
-
-func TestRecorderConcurrent(t *testing.T) {
-	r := NewRecorder(1000)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				r.Record(Event{Time: float64(i), Kind: KindStart, TaskID: g*1000 + i})
-			}
-		}(g)
-	}
-	wg.Wait()
-	if r.Len() != 1000 {
-		t.Fatalf("len = %d", r.Len())
-	}
-	if r.Dropped() != 3000 {
-		t.Fatalf("dropped = %d", r.Dropped())
-	}
-	// Sequence numbers must be unique.
-	seen := map[uint64]bool{}
-	for _, ev := range r.Events() {
-		if seen[ev.Seq] {
-			t.Fatalf("duplicate seq %d", ev.Seq)
-		}
-		seen[ev.Seq] = true
 	}
 }
 

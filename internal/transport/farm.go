@@ -55,8 +55,10 @@ type FarmConfig struct {
 }
 
 // StartFarm brings up one TCP node per resource spec, wires the hierarchy
-// through remote peers, and returns the running farm. Close shuts all
-// nodes down.
+// through remote peers, and returns the running farm. Every node's clock
+// starts at MidnightOrigin, as gridagent's and gridsubmit's do, so an
+// absolute deadline or reservation window means the same instant on every
+// node and at the portal. Close shuts all nodes down.
 func StartFarm(cfg FarmConfig) (*Farm, error) {
 	if len(cfg.Specs) == 0 {
 		return nil, fmt.Errorf("transport: farm needs resources")
@@ -73,6 +75,7 @@ func StartFarm(cfg FarmConfig) (*Farm, error) {
 
 	f := &Farm{nodes: map[string]*Node{}, lib: cfg.Library, reg: cfg.Telemetry}
 	master := sim.NewRNG(cfg.Seed)
+	origin := MidnightOrigin()
 	// Start every node first (ephemeral ports must be known before
 	// neighbours can be wired).
 	for i, spec := range cfg.Specs {
@@ -111,6 +114,7 @@ func StartFarm(cfg FarmConfig) (*Farm, error) {
 			_ = f.Close()
 			return nil, err
 		}
+		node.SetClockOrigin(origin)
 		node.SetPushEnabled(cfg.Push)
 		node.SetTelemetry(cfg.Telemetry)
 		node.SetServerConfig(cfg.Server)

@@ -62,8 +62,10 @@ func TestFarmFullCaseStudyGridOverTCP(t *testing.T) {
 	// A tight request at the same leaf must migrate to a faster platform
 	// through the hierarchy: sweep3d needs >= 24s on S12's SPARCstation2
 	// (factor 6) and >= 5.6s even on an Ultra10, so a 5-second deadline
-	// admits only the SGI platforms (minimum 4s).
-	reply, _, err = Call(s12, xmlmsg.NewWireRequest(102, "sweep3d", "test", 5, "u@g", xmlmsg.ModeDiscover, nil))
+	// admits only the SGI platforms (minimum 4s). Deadlines are absolute on
+	// the farm's shared clock, so the tight one is 5 s past its reading.
+	node, _ := farm.Node("S12")
+	reply, _, err = Call(s12, xmlmsg.NewWireRequest(102, "sweep3d", "test", node.Now()+5, "u@g", xmlmsg.ModeDiscover, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

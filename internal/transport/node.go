@@ -94,8 +94,7 @@ func (p *RemotePeer) PushAdvertisement(from string, info scheduler.ServiceInfo, 
 }
 
 func (p *RemotePeer) send(req agent.Request, mode string) (agent.Dispatch, error) {
-	wire := xmlmsg.NewWireRequest(req.ReqID, req.App.Name, req.Env, req.Deadline, req.Email, mode, req.Visited)
-	reply, _, err := p.client().Call(p.Addr, wire)
+	reply, _, err := p.client().Call(p.Addr, requestToWire(req, mode))
 	if err != nil {
 		return agent.Dispatch{}, err
 	}
@@ -103,9 +102,54 @@ func (p *RemotePeer) send(req agent.Request, mode string) (agent.Dispatch, error
 	if !ok {
 		return agent.Dispatch{}, fmt.Errorf("transport: %s replied %T to a request", p.Name, reply)
 	}
-	eta, err := ack.EtaSeconds()
+	d, err := dispatchFromWire(ack)
 	if err != nil {
 		return agent.Dispatch{}, fmt.Errorf("transport: %s acked request %d: %w", p.Name, req.ReqID, err)
+	}
+	return d, nil
+}
+
+// requestToWire renders a request as a wire request in the given
+// discovery mode; Node.requestFromWire inverts it.
+func requestToWire(req agent.Request, mode string) xmlmsg.Request {
+	return xmlmsg.NewWireRequest(req.ReqID, req.App.Name, req.Env, req.Deadline, req.Email, mode, req.Visited)
+}
+
+// requestFromWire parses a wire request into an agent request; the app
+// model resolves against the node's library.
+func (n *Node) requestFromWire(m *xmlmsg.Request) (agent.Request, error) {
+	if err := m.Validate(); err != nil {
+		return agent.Request{}, err
+	}
+	app, ok := n.lib.Lookup(m.Application.Name)
+	if !ok {
+		return agent.Request{}, fmt.Errorf("unknown application model %q", m.Application.Name)
+	}
+	deadline, err := m.DeadlineSeconds()
+	if err != nil {
+		return agent.Request{}, err
+	}
+	return agent.Request{
+		ReqID:    m.ReqID,
+		App:      app,
+		Env:      m.Requirement.Environment,
+		Deadline: deadline,
+		Email:    m.Email,
+		Visited:  m.Visited,
+	}, nil
+}
+
+// dispatchToWire renders a dispatch as its acknowledgement;
+// dispatchFromWire inverts it.
+func dispatchToWire(d agent.Dispatch) xmlmsg.DispatchAck {
+	return xmlmsg.NewDispatchAck(d.Resource, d.TaskID, d.ReqID, d.Eta, d.Hops, d.Fallback)
+}
+
+// dispatchFromWire parses a dispatch acknowledgement into a dispatch.
+func dispatchFromWire(ack *xmlmsg.DispatchAck) (agent.Dispatch, error) {
+	eta, err := ack.EtaSeconds()
+	if err != nil {
+		return agent.Dispatch{}, err
 	}
 	return agent.Dispatch{
 		Resource: ack.Resource,
@@ -184,8 +228,8 @@ type Node struct {
 // NewNode creates a node for the agent; Start brings up the server. The
 // virtual clock origin defaults to the node's start instant; a deployment
 // of several daemons plus a portal should share an origin via
-// SetClockOrigin (cmd/gridagent and cmd/gridsubmit use local midnight) so
-// absolute deadlines mean the same thing everywhere.
+// SetClockOrigin (cmd/gridagent, StartFarm and cmd/gridsubmit use local
+// midnight) so absolute deadlines mean the same thing everywhere.
 func NewNode(a *agent.Agent, lib *pace.Library) (*Node, error) {
 	if a == nil || lib == nil {
 		return nil, fmt.Errorf("transport: node needs an agent and a library")
@@ -389,30 +433,15 @@ func (n *Node) handle(msg interface{}, kind xmlmsg.Kind) (interface{}, error) {
 		return n.advertisement(n.agent.Name())
 
 	case *xmlmsg.Request:
-		if err := m.Validate(); err != nil {
-			return nil, err
-		}
-		app, ok := n.lib.Lookup(m.Application.Name)
-		if !ok {
-			return nil, fmt.Errorf("unknown application model %q", m.Application.Name)
-		}
-		deadline, err := m.DeadlineSeconds()
+		req, err := n.requestFromWire(m)
 		if err != nil {
 			return nil, err
-		}
-		req := agent.Request{
-			ReqID:    m.ReqID,
-			App:      app,
-			Env:      m.Requirement.Environment,
-			Deadline: deadline,
-			Email:    m.Email,
-			Visited:  m.Visited,
 		}
 		d, err := n.dispatch(req, m.Mode)
 		if err != nil {
 			return nil, err
 		}
-		return xmlmsg.NewDispatchAck(d.Resource, d.TaskID, d.ReqID, d.Eta, d.Hops, d.Fallback), nil
+		return dispatchToWire(d), nil
 
 	case *xmlmsg.Membership:
 		return n.handleMembership(m)

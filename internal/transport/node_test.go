@@ -172,6 +172,39 @@ func TestServiceRoundTripsTheWire(t *testing.T) {
 	}
 }
 
+// TestRequestRoundTripsTheWire checks the request and dispatch-ack pair:
+// rendered for the wire and parsed back, a request and the dispatch that
+// answers it are what the agent sent. Times are integral, because the wire
+// carries timestamps at one-second resolution.
+func TestRequestRoundTripsTheWire(t *testing.T) {
+	lib := pace.CaseStudyLibrary()
+	app, _ := lib.Lookup("sweep3d")
+	n := &Node{lib: lib}
+	for _, req := range []agent.Request{
+		{ReqID: 7, App: app, Env: "test", Deadline: 0, Email: "u@g"},
+		{ReqID: 1 << 40, App: app, Env: "mpi", Deadline: 86399, Email: "u@g", Visited: []string{"S12", "S4"}},
+	} {
+		wire := requestToWire(req, xmlmsg.ModeDirect)
+		if wire.Mode != xmlmsg.ModeDirect {
+			t.Fatalf("mode %q crossed the wire as %q", xmlmsg.ModeDirect, wire.Mode)
+		}
+		got, err := n.requestFromWire(&wire)
+		if err != nil || !reflect.DeepEqual(got, req) {
+			t.Fatalf("%+v crossed the wire as %+v, %v", req, got, err)
+		}
+	}
+	for _, d := range []agent.Dispatch{
+		{Resource: "S1", TaskID: 3, ReqID: 7, Eta: 120},
+		{Resource: "S12", TaskID: 41, ReqID: 1 << 40, Eta: 77648, Hops: 2, Fallback: true},
+	} {
+		wire := dispatchToWire(d)
+		got, err := dispatchFromWire(&wire)
+		if err != nil || got != d {
+			t.Fatalf("%+v crossed the wire as %+v, %v", d, got, err)
+		}
+	}
+}
+
 func TestRemotePeerUnreachable(t *testing.T) {
 	p := &RemotePeer{Name: "ghost", Addr: "127.0.0.1:1"}
 	if _, err := p.PullService(); err == nil {
