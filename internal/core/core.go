@@ -724,22 +724,20 @@ func (g *Grid) Run() error {
 		g.sampler.Sample(0)
 		g.tick(g.sampler.Period(), g.lastRequestAt, g.sampler.Sample)
 	}
+	// Nearly every request is dispatched once: size the log for that.
+	g.dispatches = slices.Grow(g.dispatches, g.requests)
 	// A mega-grid run legitimately exceeds 10M events; a run that exceeds
 	// its own summed budget has a runaway event loop, and RunAll fails
 	// loudly rather than truncating the simulation silently. The floor
 	// keeps the bound from ever tightening for small workloads.
 	g.simr.RunAll(max(g.budget+g.requests+1024, 10_000_000))
-	for _, name := range g.allNames() {
-		g.locals[name].Drain()
-	}
+	g.eachLocal(func(l *scheduler.Local) { l.Drain() })
 	if g.sampler != nil {
 		// One final point after the drain, at the completion time of the
 		// last record, so the series ends with the finished grid.
 		var end float64
-		for _, r := range g.Records() {
-			if r.End > end {
-				end = r.End
-			}
+		for _, l := range g.locals {
+			end = max(end, l.BusyUntil())
 		}
 		g.sampler.Sample(end)
 	}
@@ -760,36 +758,43 @@ func (g *Grid) tick(period, last float64, fn func(now float64)) {
 // numerator of the events-per-second throughput figure.
 func (g *Grid) SimEvents() uint64 { return g.simr.Executed() }
 
-// allNames lists every scheduler in the grid's canonical natural order.
-// Without dynamic membership that is exactly the hierarchy's name list;
-// with it, departed agents are gone from the tree but their records and
-// still-running tasks are not, so the walk covers all locals.
-func (g *Grid) allNames() []string {
+// eachLocal calls fn on every scheduler in the grid's canonical natural
+// order. Without dynamic membership that is the hierarchy's own order,
+// walked without allocating; with it, departed agents are gone from the
+// tree but their records and still-running tasks are not, so the walk
+// covers all locals.
+func (g *Grid) eachLocal(fn func(*scheduler.Local)) {
 	if g.members == nil {
-		return g.hier.Names()
+		for _, a := range g.hier.InOrder() {
+			fn(g.locals[a.Name()])
+		}
+		return
 	}
 	names := make([]string, 0, len(g.locals))
 	for n := range g.locals {
 		names = append(names, n)
 	}
 	sort.Slice(names, func(i, j int) bool { return agent.LessAgentName(names[i], names[j]) })
-	return names
+	for _, n := range names {
+		fn(g.locals[n])
+	}
 }
 
-// Records returns every execution record across the grid.
+// Records returns every execution record across the grid, scheduler by
+// scheduler, into one slice sized for them all.
 func (g *Grid) Records() []scheduler.Record {
-	var out []scheduler.Record
-	for _, name := range g.allNames() {
-		out = append(out, g.locals[name].Records()...)
+	n := 0
+	for _, l := range g.locals {
+		n += l.NumRecords()
 	}
+	out := make([]scheduler.Record, 0, n)
+	g.eachLocal(func(l *scheduler.Local) { out = l.AppendRecords(out) })
 	return out
 }
 
 // Dispatches returns where each request landed, in submission order.
 func (g *Grid) Dispatches() []agent.Dispatch {
-	out := make([]agent.Dispatch, len(g.dispatches))
-	copy(out, g.dispatches)
-	return out
+	return slices.Clone(g.dispatches)
 }
 
 // Metrics computes the §3.3 report over all records. minWindow sets the

@@ -9,7 +9,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"repro/internal/scheduler"
 )
@@ -61,48 +61,47 @@ func Compute(recs []scheduler.Record, nodesByResource map[string]int, w Window) 
 		return GridReport{}, fmt.Errorf("metrics: empty window [%g, %g]", w.Start, w.End)
 	}
 	names := make([]string, 0, len(nodesByResource))
+	folds := make(map[string]*fold, len(nodesByResource))
+	nodes := 0
 	for name, n := range nodesByResource {
 		if n <= 0 {
 			return GridReport{}, fmt.Errorf("metrics: resource %q has %d nodes", name, n)
 		}
 		names = append(names, name)
+		folds[name] = &fold{busy: make([]float64, n)}
+		nodes += n
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 
-	busy := map[string][]float64{} // per-resource per-node busy seconds in window
-	for name, n := range nodesByResource {
-		busy[name] = make([]float64, n)
-	}
-	perTasks := map[string][]scheduler.Record{}
 	for _, r := range recs {
-		nodes, ok := busy[r.Resource]
+		f, ok := folds[r.Resource]
 		if !ok {
 			return GridReport{}, fmt.Errorf("metrics: record for unknown resource %q", r.Resource)
 		}
-		perTasks[r.Resource] = append(perTasks[r.Resource], r)
-		span := overlap(r.Start, r.End, w)
+		f.tasks++
+		f.advance += r.Deadline - r.End
+		span := math.Min(r.End, w.End) - math.Max(r.Start, w.Start)
 		if span <= 0 {
 			continue
 		}
 		for m := r.Mask; m != 0; m &= m - 1 {
 			i := bits.TrailingZeros64(m)
-			if i >= len(nodes) {
-				return GridReport{}, fmt.Errorf("metrics: record on %q uses node %d of %d", r.Resource, i, len(nodes))
+			if i >= len(f.busy) {
+				return GridReport{}, fmt.Errorf("metrics: record on %q uses node %d of %d", r.Resource, i, len(f.busy))
 			}
-			nodes[i] += span
+			f.busy[i] += span
 		}
 	}
 
-	out := GridReport{Window: w}
-	var allUtil []float64
-	var totalTasks int
-	var totalAdvance float64
-	for _, name := range names {
-		rep := summarise(name, perTasks[name], busy[name], w)
-		out.PerResource = append(out.PerResource, rep)
-		allUtil = append(allUtil, rep.NodeUtil...)
-		totalTasks += rep.Tasks
-		totalAdvance += sumAdvance(perTasks[name])
+	out := GridReport{Window: w, PerResource: make([]Report, len(names))}
+	allUtil := make([]float64, 0, nodes)
+	totalTasks, totalAdvance := 0, 0.0
+	for i, name := range names {
+		f := folds[name]
+		out.PerResource[i] = summarise(name, f, w)
+		allUtil = append(allUtil, out.PerResource[i].NodeUtil...)
+		totalTasks += f.tasks
+		totalAdvance += f.advance
 	}
 	out.Total = Report{Name: "Total", Tasks: totalTasks, NodeUtil: allUtil}
 	if totalTasks > 0 {
@@ -110,6 +109,14 @@ func Compute(recs []scheduler.Record, nodesByResource map[string]int, w Window) 
 	}
 	out.Total.Upsilon, out.Total.Deviation, out.Total.Beta = balance(allUtil)
 	return out, nil
+}
+
+// fold is one resource's records summed in record order: the task count,
+// eq. 11's Σ(δ − end) and each node's busy seconds inside the window.
+type fold struct {
+	tasks   int
+	advance float64
+	busy    []float64
 }
 
 // WindowOver returns the measurement window [0, latest completion] over
@@ -128,30 +135,16 @@ func WindowOver(recs []scheduler.Record, atLeast float64) Window {
 	return Window{Start: 0, End: end}
 }
 
-func overlap(a, b float64, w Window) float64 {
-	lo, hi := math.Max(a, w.Start), math.Min(b, w.End)
-	if hi <= lo {
-		return 0
-	}
-	return hi - lo
-}
-
-func sumAdvance(recs []scheduler.Record) float64 {
-	var s float64
-	for _, r := range recs {
-		s += r.Deadline - r.End
-	}
-	return s
-}
-
-func summarise(name string, recs []scheduler.Record, nodeBusy []float64, w Window) Report {
-	rep := Report{Name: name, Tasks: len(recs), NodeUtil: make([]float64, len(nodeBusy))}
+// summarise turns a resource's fold into its report; the busy seconds
+// become the node utilisations in place.
+func summarise(name string, f *fold, w Window) Report {
+	rep := Report{Name: name, Tasks: f.tasks, NodeUtil: f.busy}
 	t := w.Length()
-	for i, b := range nodeBusy {
+	for i, b := range f.busy {
 		rep.NodeUtil[i] = b / t * 100
 	}
-	if len(recs) > 0 {
-		rep.Epsilon = sumAdvance(recs) / float64(len(recs))
+	if f.tasks > 0 {
+		rep.Epsilon = f.advance / float64(f.tasks)
 	}
 	rep.Upsilon, rep.Deviation, rep.Beta = balance(rep.NodeUtil)
 	return rep

@@ -315,7 +315,14 @@ func Run(spec Spec, opt RunOptions) (Result, error) {
 	out.ResvRequested, out.ResvConfirmed, out.ResvRejected = rs.Requested, rs.Confirmed, rs.Rejected
 	out.ResvExpired, out.ResvParts = rs.Expired, rs.Parts
 	if reserved := grid.ReservedRequests(); len(reserved) > 0 {
-		var resvRecs, beRecs []scheduler.Record
+		n := 0
+		for _, r := range recs {
+			if reserved[r.ReqID] {
+				n++
+			}
+		}
+		resvRecs := make([]scheduler.Record, 0, n)
+		beRecs := make([]scheduler.Record, 0, len(recs)-n)
 		for _, r := range recs {
 			if reserved[r.ReqID] {
 				resvRecs = append(resvRecs, r)

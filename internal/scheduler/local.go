@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/pace"
@@ -116,6 +115,7 @@ type Local struct {
 
 	committed []Record
 	nodeBusy  []float64 // physical per-node busy-until from committed tasks
+	busyMax   float64   // the largest nodeBusy entry, kept by commit
 	avail     []float64 // scratch: Resource.Avail of the plan being built, or a quote's node floors
 	upNodes   []int     // scratch behind planPhys
 
@@ -481,13 +481,7 @@ func (l *Local) AdvanceTo(now float64) {
 func (l *Local) Drain() float64 {
 	l.promoteReserved(math.Inf(1))
 	l.promote(math.Inf(1))
-	end := l.now
-	for _, b := range l.nodeBusy {
-		if b > end {
-			end = b
-		}
-	}
-	return end
+	return max(l.now, l.busyMax)
 }
 
 // promote moves the planned tasks whose start is at or before until into
@@ -617,6 +611,13 @@ func (l *Local) launch(t schedule.Task, it schedule.Placed, wins [][]schedule.Wi
 		// would be placed differently by a replan now.
 		l.exact = false
 	}
+	l.commit(rec)
+	l.cfg.Policy.Forget(t.ID)
+}
+
+// commit records rec as started and books its nodes until it ends. It is
+// the only writer of nodeBusy, so busyMax stays the maximum of it.
+func (l *Local) commit(rec Record) {
 	l.committed = append(l.committed, rec)
 	l.cfg.Executor.Launch(rec)
 	for m := rec.Mask; m != 0; m &= m - 1 {
@@ -625,7 +626,9 @@ func (l *Local) launch(t schedule.Task, it schedule.Placed, wins [][]schedule.Wi
 			l.nodeBusy[phys] = rec.End
 		}
 	}
-	l.cfg.Policy.Forget(t.ID)
+	if rec.End > l.busyMax {
+		l.busyMax = rec.End
+	}
 }
 
 // taskOf returns the waiting task that item i of the plan places. A plan
@@ -683,12 +686,24 @@ func (l *Local) DriftBetween(t0, t1 float64) (obs, pred float64, n int) {
 
 // Records returns the committed (started or finished) tasks in start
 // order.
-func (l *Local) Records() []Record {
-	out := make([]Record, len(l.committed))
-	copy(out, l.committed)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Start < out[j].Start })
-	return out
+func (l *Local) Records() []Record { return l.AppendRecords(nil) }
+
+// NumRecords returns how many tasks are committed: the length of Records.
+func (l *Local) NumRecords() int { return len(l.committed) }
+
+// BusyUntil returns the latest end of a committed task, 0 before any.
+func (l *Local) BusyUntil() float64 { return l.busyMax }
+
+// AppendRecords appends Records to dst, so a caller that sizes dst first
+// gathers many schedulers' records without a copy in between.
+func (l *Local) AppendRecords(dst []Record) []Record {
+	n := len(dst)
+	dst = append(dst, l.committed...)
+	slices.SortStableFunc(dst[n:], byStart)
+	return dst
 }
+
+func byStart(a, b Record) int { return cmp.Compare(a.Start, b.Start) }
 
 // Planned returns the current schedule for tasks that have not begun
 // execution, as records carrying the planned start/completion times, in
@@ -712,7 +727,7 @@ func (l *Local) Planned() []Record {
 			Resource: l.cfg.Name,
 		})
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Start < out[j].Start })
+	slices.SortStableFunc(out, byStart)
 	return out
 }
 
@@ -752,10 +767,8 @@ func (l *Local) Freetime() float64 {
 			ft = h
 		}
 	}
-	for _, b := range l.nodeBusy {
-		if b > ft {
-			ft = b
-		}
+	if l.busyMax > ft {
+		ft = l.busyMax
 	}
 	if len(l.plan.Items) > 0 && l.plan.Makespan > ft {
 		ft = l.plan.Makespan

@@ -3,7 +3,6 @@ package scheduler
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"sort"
 
 	"repro/internal/pace"
@@ -213,14 +212,7 @@ func (l *Local) promoteReserved(now float64) {
 			Resource:  l.cfg.Name,
 			Predicted: r.end - r.start,
 		}
-		l.committed = append(l.committed, rec)
-		l.cfg.Executor.Launch(rec)
-		for m := rec.Mask; m != 0; m &= m - 1 {
-			phys := bits.TrailingZeros64(m)
-			if rec.End > l.nodeBusy[phys] {
-				l.nodeBusy[phys] = rec.End
-			}
-		}
+		l.commit(rec)
 	}
 	l.reserved = l.reserved[n:]
 	l.metrics.TasksStarted.Add(uint64(n))

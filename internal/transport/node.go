@@ -118,16 +118,13 @@ func requestToWire(req agent.Request, mode string) xmlmsg.Request {
 // requestFromWire parses a wire request into an agent request; the app
 // model resolves against the node's library.
 func (n *Node) requestFromWire(m *xmlmsg.Request) (agent.Request, error) {
-	if err := m.Validate(); err != nil {
+	deadline, err := m.Validate()
+	if err != nil {
 		return agent.Request{}, err
 	}
 	app, ok := n.lib.Lookup(m.Application.Name)
 	if !ok {
 		return agent.Request{}, fmt.Errorf("unknown application model %q", m.Application.Name)
-	}
-	deadline, err := m.DeadlineSeconds()
-	if err != nil {
-		return agent.Request{}, err
 	}
 	return agent.Request{
 		ReqID:    m.ReqID,

@@ -152,26 +152,19 @@ func NewRequest(appName, binaryFile, modelName, env string, deadlineSec float64,
 	}
 }
 
-// DeadlineSeconds decodes the deadline timestamp to virtual seconds.
-func (r Request) DeadlineSeconds() (float64, error) {
-	return ParseVirtual(r.Requirement.Deadline)
-}
-
-// Validate checks the fields every consumer relies on.
-func (r Request) Validate() error {
+// Validate checks the fields every consumer relies on and returns the
+// deadline in virtual seconds, so a consumer parses it only here.
+func (r Request) Validate() (float64, error) {
 	if r.Type != "request" {
-		return fmt.Errorf("xmlmsg: request has type %q", r.Type)
+		return 0, fmt.Errorf("xmlmsg: request has type %q", r.Type)
 	}
 	if r.Application.Name == "" {
-		return fmt.Errorf("xmlmsg: request has no application name")
+		return 0, fmt.Errorf("xmlmsg: request has no application name")
 	}
 	if r.Requirement.Environment == "" {
-		return fmt.Errorf("xmlmsg: request has no execution environment")
+		return 0, fmt.Errorf("xmlmsg: request has no execution environment")
 	}
-	if _, err := r.DeadlineSeconds(); err != nil {
-		return err
-	}
-	return nil
+	return ParseVirtual(r.Requirement.Deadline)
 }
 
 // Result reports a task's execution outcome back to the user from the

@@ -78,7 +78,7 @@ func TestServiceInfoRoundTrip(t *testing.T) {
 
 func TestRequestRoundTrip(t *testing.T) {
 	r := NewRequest("sweep3d", "/bin/sweep3d", "/models/sweep3d", "test", 127, "junwei@dcs.warwick.ac.uk")
-	if err := r.Validate(); err != nil {
+	if _, err := r.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	data, err := Marshal(r)
@@ -102,7 +102,7 @@ func TestRequestRoundTrip(t *testing.T) {
 		t.Fatalf("kind = %v", kind)
 	}
 	got := back.(*Request)
-	dl, err := got.DeadlineSeconds()
+	dl, err := got.Validate()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestRequestValidate(t *testing.T) {
 		func(r Request) Request { r.Requirement.Deadline = "junk"; return r },
 	}
 	for i, mut := range cases {
-		if err := mut(good).Validate(); err == nil {
+		if _, err := mut(good).Validate(); err == nil {
 			t.Errorf("bad request %d validated", i)
 		}
 	}

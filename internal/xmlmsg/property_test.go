@@ -57,7 +57,7 @@ func TestRequestRoundTripProperty(t *testing.T) {
 		if got.Application.Name != app || got.Requirement.Environment != env {
 			return false
 		}
-		dl, err := got.DeadlineSeconds()
+		dl, err := ParseVirtual(got.Requirement.Deadline)
 		if err != nil || math.Abs(dl-deadline) > 0.5 { // 1-second timestamp resolution
 			return false
 		}
