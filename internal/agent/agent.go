@@ -869,9 +869,9 @@ func (a *Agent) HandleRequest(req Request, now float64) (Dispatch, error) {
 			d.Hops = len(req.Visited) // approximate travel count
 			return d, nil
 		}
-		// The neighbour failed outright (e.g. all nodes down or
-		// unreachable): continue with escalation or fallback as if no
-		// neighbour had matched, never retrying the failed peer.
+		// The neighbour failed outright (e.g. crashed or unreachable):
+		// continue with escalation or fallback as if no neighbour had
+		// matched, never retrying the failed peer.
 		failed := map[string]bool{dec.slot.name: true}
 		if up := a.upperSlot(); up != nil && !req.visited(up.name) && !failed[up.name] && !up.tripped {
 			a.stats.escalated.Inc()

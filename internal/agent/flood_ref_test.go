@@ -90,7 +90,7 @@ func (p wireLikePeer) HandleReserve(op ReserveOp, now float64) (ReserveReply, er
 // floodWorld builds one seeded random grid for the flood oracle: a
 // random tree of 1–200 agents of mixed sizes, some edges wire-like,
 // random holds in the books, committed best-effort work under random
-// node floors, down nodes, gated agents and tripped breakers.
+// node floors, gated agents and tripped breakers.
 func floodWorld(t *testing.T, seed int64) []*Agent {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -128,11 +128,6 @@ func floodWorld(t *testing.T, seed int64) []*Agent {
 			// expire while the floods run.
 			_ = l.HoldReservation(rng.Uint64(), "pre", mask, start, start+float64(10+rng.Intn(200)), 0,
 				[]float64{5, 40, 1e9}[rng.Intn(3)])
-		}
-		if rng.Intn(8) == 0 {
-			if err := l.Monitor().SetNodeDown(rng.Intn(l.NumNodes()), true, 0); err != nil {
-				t.Fatal(err)
-			}
 		}
 	}
 	gate := &testGate{down: map[string]bool{}}

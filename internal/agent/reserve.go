@@ -208,7 +208,8 @@ func (a *Agent) HandleReserve(op ReserveOp, now float64) (ReserveReply, error) {
 // deduplicated as the origin would (the hierarchy is a tree, so a flood
 // quotes each resource once, and the Best earliest of the union are the
 // Best earliest of each reply's Best earliest). Resources that cannot
-// satisfy the request (too few nodes up) simply contribute no quote.
+// satisfy the request (fewer nodes than asked for, or no window) simply
+// contribute no quote.
 func (a *Agent) floodQuote(op ReserveOp, now float64) ReserveReply {
 	var reply ReserveReply
 	if op.Best > 0 {

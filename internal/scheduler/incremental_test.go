@@ -25,72 +25,6 @@ var fifoVariants = []struct {
 // oracle the incremental path is held to.
 type planOnly struct{ Policy }
 
-// TestFIFONodeSetChangeUnderQueuedTasks: fixed allocations used to be kept
-// in the node numbering of the plan that made them, so a node going down
-// under a queue sent the next Plan indexing out of range. Now they name
-// physical nodes, and the ones that touch a lost node are chosen again.
-func TestFIFONodeSetChangeUnderQueuedTasks(t *testing.T) {
-	const downAt, upAt = 1, 40
-	for _, v := range fifoVariants {
-		t.Run(v.name, func(t *testing.T) {
-			l := newTestLocal(t, "S1", v.mk(), 4)
-			app := appOf(t, "sweep3d")
-			submitted := 0
-			submit := func(now float64) {
-				t.Helper()
-				if _, err := l.Submit(app, 1e9, now); err != nil {
-					t.Fatal(err)
-				}
-				submitted++
-			}
-			for i := 0; i < 6; i++ {
-				submit(0)
-			}
-			if err := l.Monitor().SetNodeDown(0, true, downAt); err != nil {
-				t.Fatal(err)
-			}
-			submit(downAt) // panicked: index out of range [3] with length 3
-			for _, r := range l.Planned() {
-				if r.Mask&1 != 0 {
-					t.Fatalf("task %d still planned on the lost node: mask %b", r.TaskID, r.Mask)
-				}
-			}
-			submit(20)
-			l.AdvanceTo(upAt)
-			if err := l.Monitor().SetNodeDown(0, false, upAt); err != nil {
-				t.Fatal(err)
-			}
-			// Nothing waiting was planned on node 0 and nothing planned
-			// moves, so only work from here on can use it again.
-			before := l.Planned()
-			submit(upAt)
-			if after := l.Planned(); !reflect.DeepEqual(after[:len(before)], before) {
-				t.Fatalf("a node coming back moved planned tasks:\n%v\n%v", before, after)
-			}
-			submit(upAt + 1)
-			l.Drain()
-
-			recs := l.Records()
-			if len(recs) != submitted {
-				t.Fatalf("%d records for %d tasks", len(recs), submitted)
-			}
-			back := false
-			for _, r := range recs {
-				if r.Mask&1 == 0 {
-					continue
-				}
-				if r.Start >= downAt && r.Start < upAt {
-					t.Fatalf("task %d started on node 0 at %v, while it was down", r.TaskID, r.Start)
-				}
-				back = back || r.Start >= upAt
-			}
-			if !back {
-				t.Fatal("the returned node was never used again")
-			}
-		})
-	}
-}
-
 // queued returns a 16-node fast-FIFO Local with depth sweep3d tasks
 // waiting behind a running one, the engine warm, and a count of the
 // predictor calls its planning makes.
@@ -171,9 +105,9 @@ func TestPromotionCostIndependentOfQueueDepth(t *testing.T) {
 
 // TestIncrementalPlanningEqualsFullReplan is the safety net under the
 // append path: two Locals are fed the same random history — submits,
-// clock advances, deletes, nodes failing and returning, reservation
-// holds, confirms, releases and expiries, real durations that miss their
-// predictions, slowdown windows — one planning incrementally, the other
+// clock advances, deletes, reservation holds, confirms, releases and
+// expiries, real durations that miss their predictions, slowdown
+// windows — one planning incrementally, the other
 // (planOnly) replanning the whole queue every time. Whatever can be seen
 // of them must agree exactly after every step.
 func TestIncrementalPlanningEqualsFullReplan(t *testing.T) {
@@ -237,7 +171,7 @@ func TestIncrementalPlanningEqualsFullReplan(t *testing.T) {
 						}
 						return a
 					}
-					switch r := rng.Intn(20); {
+					switch r := rng.Intn(18); {
 					case r < 9:
 						app, deadline := apps[rng.Intn(len(apps))], now+rng.UniformIn(10, 400)
 						both("submit", func(l *Local) any {
@@ -252,10 +186,7 @@ func TestIncrementalPlanningEqualsFullReplan(t *testing.T) {
 							id := p[rng.Intn(len(p))].TaskID
 							both("delete", func(l *Local) any { return fmt.Sprint(l.Delete(id, now)) })
 						}
-					case r < 16:
-						node, down := rng.Intn(nodes), rng.Bool(0.5)
-						both("node", func(l *Local) any { return l.Monitor().SetNodeDown(node, down, now) })
-					case r < 17:
+					case r < 15:
 						k, earliest, dur := rng.IntIn(1, nodes), now+rng.UniformIn(0, 100), rng.UniformIn(5, 60)
 						id, ttl := uint64(seq*steps+step+1), rng.UniformIn(5, 80)
 						held := both("hold", func(l *Local) any {
@@ -271,7 +202,7 @@ func TestIncrementalPlanningEqualsFullReplan(t *testing.T) {
 						if _, ok := held.(ReserveQuote); ok {
 							holds = append(holds, id)
 						}
-					case r < 19:
+					case r < 17:
 						if len(holds) > 0 {
 							i := rng.Intn(len(holds))
 							id := holds[i]

@@ -13,8 +13,8 @@ import (
 	"repro/internal/schedule"
 )
 
-// Record is the completed placement of one task: which physical nodes ran
-// it, when it started and completed, and the contract it had to meet. The
+// Record is the completed placement of one task: which nodes ran it,
+// when it started and completed, and the contract it had to meet. The
 // metrics of §3.3 are computed over these records.
 type Record struct {
 	TaskID int // scheduler-local ID; restarts at 1 on every resource
@@ -25,7 +25,7 @@ type Record struct {
 	App      *pace.AppModel
 	Arrival  float64
 	Deadline float64
-	Mask     uint64 // physical node mask on the owning resource
+	Mask     uint64 // node mask on the owning resource
 	Start    float64
 	End      float64
 	Resource string
@@ -80,8 +80,9 @@ type Config struct {
 
 // Local is a performance-driven local grid scheduler (Fig. 3): one input
 // (requests), two outputs (results, service information) and the task
-// management, GA scheduling, resource monitoring, task execution and PACE
-// evaluation modules in between.
+// management, GA scheduling, task execution and PACE evaluation modules in
+// between. Every node stays up: node-level availability is not modelled
+// (DESIGN.md, "Deviations").
 //
 // Local is driven in virtual time by its caller: AdvanceTo promotes
 // planned tasks into execution as the clock passes their start times, and
@@ -91,17 +92,14 @@ type Local struct {
 	cfg     Config
 	col     *pace.Column       // cfg.HW's column of the engine's prediction table
 	predict schedule.Predictor // l.duration, bound once
-	monitor *Monitor
 	metrics Metrics
 
 	pending []schedule.Task // the GA's optimisation set T, arrival order
-	// plan is the live plan: one item per pending task (none while no node
-	// is up), in buffers the scheduler owns and reuses. NodeBusy is the
-	// per-node availability projected past every planned task — what the
-	// next arrival is allocated against.
-	plan     schedule.Schedule
-	planPhys []int  // plan-space node -> physical node; nil while every node is up
-	planDown uint64 // the monitor's down-node mask the plan was built under
+	// plan is the live plan: one item per pending task, in buffers the
+	// scheduler owns and reuses. NodeBusy is the per-node availability
+	// projected past every planned task — what the next arrival is
+	// allocated against.
+	plan schedule.Schedule
 	// appender is the policy's append step, if it has one. Such a policy
 	// plans in queue order, so promotion pops plan and queue together
 	// from the front and a submit can extend the plan instead of
@@ -114,10 +112,9 @@ type Local struct {
 	exact bool
 
 	committed []Record
-	nodeBusy  []float64 // physical per-node busy-until from committed tasks
+	nodeBusy  []float64 // per-node busy-until from committed tasks
 	busyMax   float64   // the largest nodeBusy entry, kept by commit
 	avail     []float64 // scratch: Resource.Avail of the plan being built, or a quote's node floors
-	upNodes   []int     // scratch behind planPhys
 
 	// book is the resource's advance-reservation book, created on first
 	// use; reserved holds the confirmed reservations waiting for their
@@ -188,7 +185,6 @@ func NewLocal(cfg Config) (*Local, error) {
 	l := &Local{
 		cfg:       cfg,
 		col:       col,
-		monitor:   NewMonitor(cfg.NumNodes),
 		nodeBusy:  make([]float64, cfg.NumNodes),
 		nextStart: math.Inf(1),
 	}
@@ -254,9 +250,6 @@ func (l *Local) NumNodes() int { return l.cfg.NumNodes }
 // Environments returns a copy of the supported execution environments.
 func (l *Local) Environments() []string { return slices.Clone(l.cfg.Environments) }
 
-// Monitor exposes the resource monitor (for failure injection).
-func (l *Local) Monitor() *Monitor { return l.monitor }
-
 // Engine returns the PACE evaluation engine this scheduler queries.
 func (l *Local) Engine() *pace.Engine { return l.cfg.Engine }
 
@@ -314,9 +307,6 @@ func (l *Local) SubmitRequest(app *pace.AppModel, deadline, now float64, reqID u
 	if app == nil {
 		return 0, fmt.Errorf("scheduler: %q: nil application model", l.cfg.Name)
 	}
-	if l.monitor.NumUp() == 0 {
-		return 0, fmt.Errorf("scheduler: %q: no processing nodes available", l.cfg.Name)
-	}
 	l.AdvanceTo(now)
 	l.nextID++
 	id := l.nextID
@@ -347,8 +337,8 @@ func (l *Local) Delete(taskID int, now float64) error {
 	return fmt.Errorf("scheduler: %q: task %d is not waiting", l.cfg.Name, taskID)
 }
 
-// windows returns the active reservation windows in physical node space,
-// nil when nothing is booked.
+// windows returns the active reservation windows, nil when nothing is
+// booked.
 func (l *Local) windows() [][]schedule.Window {
 	if l.book == nil {
 		return nil
@@ -356,34 +346,12 @@ func (l *Local) windows() [][]schedule.Window {
 	return l.book.Windows(l.now)
 }
 
-// resource describes the nodes available now, each free once its
-// committed work ends, to a planning step — in scratch the next call
-// overwrites — and records them as the node set of the plan about to be
-// built. wins are the windows to plan around.
+// resource describes the nodes to a planning step, each free once its
+// committed work ends, in scratch the next call overwrites. wins are the
+// windows to plan around: booked windows are immovable constraints.
 func (l *Local) resource(wins [][]schedule.Window) schedule.Resource {
-	l.planDown, l.planPhys, l.avail = l.monitor.down, nil, l.avail[:0]
-	if l.planDown == 0 {
-		l.avail = append(l.avail, l.nodeBusy...)
-	} else {
-		l.upNodes = l.monitor.appendUp(l.upNodes[:0])
-		l.planPhys = l.upNodes
-		for _, phys := range l.upNodes {
-			l.avail = append(l.avail, l.nodeBusy[phys])
-		}
-	}
-	res := schedule.Resource{NumNodes: len(l.avail), Avail: l.avail, Phys: l.planPhys}
-	if wins != nil {
-		// Booked windows are immovable constraints: map the active
-		// physical-node windows into the plan's node space.
-		res.Booked = wins
-		if l.planPhys != nil {
-			res.Booked = make([][]schedule.Window, len(l.planPhys))
-			for c, phys := range l.planPhys {
-				res.Booked[c] = wins[phys]
-			}
-		}
-	}
-	return res
+	l.avail = append(l.avail[:0], l.nodeBusy...)
+	return schedule.Resource{NumNodes: len(l.avail), Avail: l.avail, Booked: wins}
 }
 
 // planStart and planDone bracket one planning step, a replan or an append
@@ -404,17 +372,11 @@ func (l *Local) planDone(t0 time.Time) {
 }
 
 // replan runs the scheduling policy over the whole pending queue against
-// the currently available nodes, around the reservation windows wins.
+// the nodes' committed availability, around the reservation windows wins.
 func (l *Local) replan(wins [][]schedule.Window) {
 	defer l.refreshNextStart()
-	res := l.resource(wins)
-	l.exact = false
-	if res.NumNodes == 0 {
-		l.plan.Items = l.plan.Items[:0]
-		return
-	}
 	defer l.planDone(l.planStart())
-	p := l.cfg.Policy.Plan(l.pending, res, l.now, l.predict)
+	p := l.cfg.Policy.Plan(l.pending, l.resource(wins), l.now, l.predict)
 	// The policy may hand out scratch of its own: keep a copy.
 	l.plan.Items = append(l.plan.Items[:0], p.Items...)
 	l.plan.NodeBusy = append(l.plan.NodeBusy[:0], p.NodeBusy...)
@@ -429,9 +391,8 @@ func (l *Local) replan(wins [][]schedule.Window) {
 // length, and it is taken only while the live plan is provably what that
 // replan would rebuild for the tasks ahead of t, so the two agree bit
 // for bit: the policy never moves a planned task (it has an append step),
-// the plan was built around no window and every promotion since landed
-// exactly on its planned slot (exact), and the same nodes are up. A
-// replan at a later instant then recomputes the same numbers: committed
+// and the plan was built around no window and every promotion since
+// landed exactly on its planned slot (exact). A replan at a later instant then recomputes the same numbers: committed
 // availability is what the plan projected past the promoted tasks, and
 // every waiting task starts after now, arrival and scheduling instant
 // behind it. With nothing waiting there is no plan to be wrong: the
@@ -443,11 +404,11 @@ func (l *Local) appendToPlan(t schedule.Task) bool {
 	if len(l.pending) == 1 {
 		l.plan.Reset(l.resource(nil), l.now)
 		l.exact = true
-	} else if !l.exact || l.monitor.down != l.planDown {
+	} else if !l.exact {
 		return false
 	}
 	defer l.planDone(l.planStart())
-	l.appender.Append(&l.plan, t, l.planPhys, l.now, l.predict)
+	l.appender.Append(&l.plan, t, l.now, l.predict)
 	// t starts no earlier than anything planned before it.
 	if at := l.plan.Items[len(l.plan.Items)-1].Start; at < l.nextStart {
 		l.setNextStart(at)
@@ -495,8 +456,7 @@ func (l *Local) promote(until float64) {
 	if len(items) == 0 {
 		return
 	}
-	// Active reservation windows, in physical node space: a best-effort
-	// start pushed late by real execution times must slide past them, not
+	// Active reservation windows: a best-effort start pushed late by real execution times must slide past them, not
 	// into them (the plan avoided the windows with predicted durations;
 	// reality can overrun the gap in front of one).
 	wins := l.windows()
@@ -551,12 +511,11 @@ func (l *Local) promote(until float64) {
 
 // launch commits the waiting task t to execution on its planned slot it.
 func (l *Local) launch(t schedule.Task, it schedule.Placed, wins [][]schedule.Window) {
-	mask := physMask(it.Mask, l.planPhys)
 	// When actual execution times diverge from predictions, a node may
 	// still be busy past the planned start; the task then begins late
 	// (in reality the earlier task has not released the node yet).
 	start := it.Start
-	for m := mask; m != 0; m &= m - 1 {
+	for m := it.Mask; m != 0; m &= m - 1 {
 		if b := l.nodeBusy[bits.TrailingZeros64(m)]; b > start {
 			start = b
 		}
@@ -580,7 +539,7 @@ func (l *Local) launch(t schedule.Task, it schedule.Placed, wins [][]schedule.Wi
 		// different slowdown regime, which changes the duration, which
 		// can hit another window. The start only ever moves forward.
 		for {
-			adj := schedule.AdjustStart(wins, mask, start, dur)
+			adj := schedule.AdjustStart(wins, it.Mask, start, dur)
 			if adj == start {
 				break
 			}
@@ -599,7 +558,7 @@ func (l *Local) launch(t schedule.Task, it schedule.Placed, wins [][]schedule.Wi
 		App:       t.App,
 		Arrival:   t.Arrival,
 		Deadline:  t.Deadline,
-		Mask:      mask,
+		Mask:      it.Mask,
 		Start:     start,
 		End:       start + dur,
 		Resource:  l.cfg.Name,
@@ -621,9 +580,9 @@ func (l *Local) commit(rec Record) {
 	l.committed = append(l.committed, rec)
 	l.cfg.Executor.Launch(rec)
 	for m := rec.Mask; m != 0; m &= m - 1 {
-		phys := bits.TrailingZeros64(m)
-		if rec.End > l.nodeBusy[phys] {
-			l.nodeBusy[phys] = rec.End
+		node := bits.TrailingZeros64(m)
+		if rec.End > l.nodeBusy[node] {
+			l.nodeBusy[node] = rec.End
 		}
 	}
 	if rec.End > l.busyMax {
@@ -721,7 +680,7 @@ func (l *Local) Planned() []Record {
 			App:      t.App,
 			Arrival:  t.Arrival,
 			Deadline: t.Deadline,
-			Mask:     physMask(it.Mask, l.planPhys),
+			Mask:     it.Mask,
 			Start:    it.Start,
 			End:      it.End,
 			Resource: l.cfg.Name,
@@ -732,8 +691,7 @@ func (l *Local) Planned() []Record {
 }
 
 // IsPlanned reports whether the task is in the current schedule of
-// unstarted work. It answers from the plan, not the queue: with no node
-// up the plan is empty while tasks still wait.
+// unstarted work.
 func (l *Local) IsPlanned(taskID int) bool {
 	for i := range l.plan.Items {
 		if l.taskOf(i).ID == taskID {
@@ -748,9 +706,8 @@ func (l *Local) IsPlanned(taskID int) bool {
 // current clock, the committed per-node busy horizon, and the makespan of
 // the latest schedule over pending work. The plan's makespan alone is not
 // enough: under the §5 prediction-error study actual execution times can
-// run past the planned horizon, and a plan over a degraded node set never
-// sees the busy times of down nodes — either way an agent advertising
-// only the makespan would promise optimistic freetime.
+// run past the planned horizon, and an agent advertising only the makespan
+// would promise optimistic freetime.
 func (l *Local) Freetime() float64 {
 	ft := l.now
 	if l.clock != nil {
@@ -782,13 +739,9 @@ func (l *Local) Freetime() float64 {
 //	η_r = ω + min over node subsets of t_x(ρ, σ_r),
 //
 // which for a homogeneous resource is the engine's fastest time over the
-// node counts up to the nodes up (§3.2), memoised in its table.
+// node counts up to the resource's (§3.2), memoised in its table.
 func (l *Local) EstimateCompletion(app *pace.AppModel) (float64, error) {
-	up := l.monitor.NumUp()
-	if up == 0 {
-		return 0, fmt.Errorf("scheduler: %q: no processing nodes available", l.cfg.Name)
-	}
-	best, err := l.col.Best(app, up)
+	best, err := l.col.Best(app, l.cfg.NumNodes)
 	if err != nil {
 		return 0, err
 	}

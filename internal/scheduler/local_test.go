@@ -310,46 +310,6 @@ func TestLocalEstimateCompletionEq10(t *testing.T) {
 	}
 }
 
-func TestLocalEstimateCompletionFewerUpNodes(t *testing.T) {
-	l := newTestLocal(t, "S1", NewFIFOPolicy(), 16)
-	// cpi: min over k=1..16 is 2 (k=12); min over k=1..4 is 17.
-	for n := 4; n < 16; n++ {
-		_ = l.Monitor().SetNodeDown(n, true, 0)
-	}
-	eta, err := l.EstimateCompletion(appOf(t, "cpi"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eta != 17 {
-		t.Fatalf("η with 4 up nodes = %v, want 17", eta)
-	}
-}
-
-func TestLocalFailedNodesNotScheduled(t *testing.T) {
-	l := newTestLocal(t, "S1", NewFIFOPolicy(), 4)
-	_ = l.Monitor().SetNodeDown(2, true, 0)
-	for i := 0; i < 8; i++ {
-		if _, err := l.Submit(appOf(t, "closure"), 1e9, float64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	l.Drain()
-	for _, r := range l.Records() {
-		if r.Mask&(1<<2) != 0 {
-			t.Fatalf("task %d scheduled on a down node: mask %b", r.TaskID, r.Mask)
-		}
-	}
-}
-
-func TestLocalSubmitFailsWithAllNodesDown(t *testing.T) {
-	l := newTestLocal(t, "S1", NewFIFOPolicy(), 2)
-	_ = l.Monitor().SetNodeDown(0, true, 0)
-	_ = l.Monitor().SetNodeDown(1, true, 0)
-	if _, err := l.Submit(appOf(t, "fft"), 1e9, 0); err == nil {
-		t.Fatal("submit succeeded with zero up nodes")
-	}
-}
-
 func TestLocalServiceInfo(t *testing.T) {
 	l := newTestLocal(t, "S7", NewFIFOPolicy(), 16)
 	si := l.ServiceInfo()

@@ -1,7 +1,7 @@
 // Package scheduler implements the performance-driven local grid scheduler
 // of §2.2 (Fig. 3): task management and queueing, GA scheduling, a FIFO
-// baseline, resource monitoring and test-mode task execution, all driven
-// by PACE predictive data. One Local instance manages one grid resource (a
+// baseline and test-mode task execution, all driven by PACE predictive
+// data. One Local instance manages one grid resource (a
 // homogeneous cluster or multiprocessor).
 package scheduler
 
@@ -42,9 +42,8 @@ type Appender interface {
 	// schedule Reset for the available nodes, extended by this policy's
 	// Appends (or copied from its Plan), possibly less a prefix of tasks
 	// that have since started as planned; plan.NodeBusy is the
-	// availability t is allocated against. phys is Resource.Phys for the
-	// plan's nodes.
-	Append(plan *schedule.Schedule, t schedule.Task, phys []int, now float64, predict schedule.Predictor)
+	// availability t is allocated against.
+	Append(plan *schedule.Schedule, t schedule.Task, now float64, predict schedule.Predictor)
 }
 
 // NewPolicy builds the policy a scenario file, core.Options or a daemon's

@@ -2,7 +2,6 @@ package scheduler
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/pace"
@@ -19,7 +18,7 @@ type reservedTask struct {
 	bookingID uint64
 	app       *pace.AppModel
 	arrival   float64
-	mask      uint64 // physical node mask
+	mask      uint64 // node mask
 	start     float64
 	end       float64
 }
@@ -65,19 +64,10 @@ func (l *Local) QuoteReservation(nodes int, earliest, dur, now float64) (Reserve
 	// nothing of it.
 	avail := append(l.avail[:0], l.nodeBusy...)
 	l.avail = avail
-	up := 0
 	for i := range avail {
-		if !l.monitor.IsUp(i) {
-			avail[i] = math.Inf(1)
-			continue
-		}
-		up++
 		if now > avail[i] {
 			avail[i] = now
 		}
-	}
-	if up < nodes {
-		return ReserveQuote{}, fmt.Errorf("scheduler: %q: %d nodes up, %d requested", l.cfg.Name, up, nodes)
 	}
 	mask, start, ok := l.ensureBook().FindWindow(nodes, earliest, dur, avail, now)
 	if !ok {

@@ -10,8 +10,8 @@ import (
 // ArrivalProcess describes how request arrival times are produced. The
 // §4.1 case study sends requests at fixed one-second intervals, but a
 // grid that "handles as many scenarios as you can imagine" needs open
-// workloads too: Poisson streams, bursty on/off traffic, flash-crowd
-// ramps and recorded traces. Each process draws only from the RNG it is
+// workloads too: Poisson streams, flash-crowd ramps and recorded
+// traces. Each process draws only from the RNG it is
 // handed — Generate gives arrivals their own stream, derived from the
 // workload seed but disjoint from the app/agent/deadline stream, so
 // switching processes never perturbs what each request asks for.
@@ -81,70 +81,6 @@ func (p Poisson) Validate() error {
 
 func (p Poisson) String() string {
 	return fmt.Sprintf("poisson(rate=%g/s)", p.Rate)
-}
-
-// Bursty is a two-state Markov-modulated Poisson process: the stream
-// alternates between an "on" phase emitting at OnRate and an "off" phase
-// emitting at OffRate (0 for silent gaps), with phase durations drawn
-// exponentially with means OnMean and OffMean. The process starts in the
-// on phase. Because phase changes are memoryless, an arrival candidate
-// that lands past the current phase boundary is discarded and redrawn
-// under the next phase's rate — the standard exponential-restart
-// construction.
-type Bursty struct {
-	OnRate  float64 // arrivals per second while on
-	OffRate float64 // arrivals per second while off (may be 0)
-	OnMean  float64 // mean on-phase duration, seconds
-	OffMean float64 // mean off-phase duration, seconds
-}
-
-// Times implements ArrivalProcess.
-func (b Bursty) Times(rng *sim.RNG, max int) []float64 {
-	out := make([]float64, 0, max)
-	t := 0.0
-	on := true
-	phaseEnd := rng.ExpFloat64() * b.OnMean
-	for len(out) < max {
-		rate := b.OnRate
-		if !on {
-			rate = b.OffRate
-		}
-		next := math.Inf(1)
-		if rate > 0 {
-			next = t + rng.ExpFloat64()/rate
-		}
-		if next > phaseEnd {
-			t = phaseEnd
-			on = !on
-			mean := b.OnMean
-			if !on {
-				mean = b.OffMean
-			}
-			phaseEnd = t + rng.ExpFloat64()*mean
-			continue
-		}
-		t = next
-		out = append(out, t)
-	}
-	return out
-}
-
-// Validate implements ArrivalProcess.
-func (b Bursty) Validate() error {
-	if b.OnRate <= 0 {
-		return fmt.Errorf("workload: bursty on-rate %g must be positive", b.OnRate)
-	}
-	if b.OffRate < 0 {
-		return fmt.Errorf("workload: bursty off-rate %g must be non-negative", b.OffRate)
-	}
-	if b.OnMean <= 0 || b.OffMean <= 0 {
-		return fmt.Errorf("workload: bursty phase means (%g, %g) must be positive", b.OnMean, b.OffMean)
-	}
-	return nil
-}
-
-func (b Bursty) String() string {
-	return fmt.Sprintf("bursty(on=%g/s×%gs, off=%g/s×%gs)", b.OnRate, b.OnMean, b.OffRate, b.OffMean)
 }
 
 // FlashCrowd is a non-homogeneous Poisson process modelling a sudden

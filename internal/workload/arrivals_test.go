@@ -81,37 +81,6 @@ func TestPoissonInterArrivals(t *testing.T) {
 	}
 }
 
-func TestBurstyAlternatesPhases(t *testing.T) {
-	rng := sim.NewRNG(3)
-	b := Bursty{OnRate: 10, OffRate: 0, OnMean: 5, OffMean: 5}
-	times := b.Times(rng, 5000)
-	if len(times) != 5000 {
-		t.Fatalf("%d times, want 5000", len(times))
-	}
-	// With a silent off phase at 50% duty cycle the long-run rate is
-	// ~OnRate/2; the span should reflect that, and the stream must be
-	// non-decreasing with visible silent gaps (inter-arrival ≫ 1/OnRate).
-	prev := 0.0
-	gaps := 0
-	for i, at := range times {
-		if at < prev {
-			t.Fatalf("arrival %d at %v before %v", i, at, prev)
-		}
-		if at-prev > 1 { // 10× the mean on-phase spacing
-			gaps++
-		}
-		prev = at
-	}
-	if gaps < 50 {
-		t.Fatalf("only %d silent gaps in a 50%% duty-cycle burst stream", gaps)
-	}
-	span := times[len(times)-1]
-	effRate := float64(len(times)) / span
-	if effRate < 3.5 || effRate > 6.5 {
-		t.Fatalf("effective rate %v, want ~5 (10/s at 50%% duty)", effRate)
-	}
-}
-
 func TestFlashCrowdConcentratesArrivals(t *testing.T) {
 	f := FlashCrowd{BaseRate: 1, PeakRate: 20, RampStart: 100, RampDuration: 20, Hold: 60}
 	if got := f.RateAt(0); got != 1 {
@@ -192,8 +161,6 @@ func TestArrivalValidation(t *testing.T) {
 	cases := []ArrivalProcess{
 		FixedInterval{Interval: 0},
 		Poisson{Rate: 0},
-		Bursty{OnRate: 0, OnMean: 1, OffMean: 1},
-		Bursty{OnRate: 1, OnMean: 0, OffMean: 1},
 		FlashCrowd{BaseRate: 2, PeakRate: 1, RampDuration: 1},
 		FlashCrowd{BaseRate: 1, PeakRate: 2, RampDuration: 0},
 		TraceReplay{},

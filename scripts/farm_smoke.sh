@@ -9,6 +9,10 @@
 # by exactly the ack count, and the per-node results sum matches.
 #
 # Usage: scripts/farm_smoke.sh [count]
+#
+# GRID_BIN, when set, names a directory holding gridfarm and gridsubmit
+# binaries to run instead of building them (CI passes its coverage
+# build).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -25,19 +29,22 @@ cleanup() {
 }
 trap cleanup EXIT
 
-echo "== build"
-go build -o "$TMP/gridfarm" ./cmd/gridfarm
-go build -o "$TMP/gridsubmit" ./cmd/gridsubmit
+BIN="${GRID_BIN:-$TMP}"
+if [ -z "${GRID_BIN:-}" ]; then
+  echo "== build"
+  go build -o "$TMP/gridfarm" ./cmd/gridfarm
+  go build -o "$TMP/gridsubmit" ./cmd/gridsubmit
+fi
 
 echo "== boot farm (pooled, admission-gated, binary codec allowed)"
-"$TMP/gridfarm" -base "$BASE" -metrics "" \
+"$BIN/gridfarm" -base "$BASE" -metrics "" \
   -pool-size 4 -window 128 -admission 64 -binary \
   >"$TMP/farm.log" 2>&1 &
 FARM_PID=$!
 
 SUBMIT="127.0.0.1:$((BASE + NODES - 1))" # S12, the portal's entry node
 for i in $(seq 1 60); do
-  if "$TMP/gridsubmit" -to "$SUBMIT" -query >/dev/null 2>&1; then
+  if "$BIN/gridsubmit" -to "$SUBMIT" -query >/dev/null 2>&1; then
     break
   fi
   if ! kill -0 "$FARM_PID" 2>/dev/null; then
@@ -50,7 +57,7 @@ for i in $(seq 1 60); do
 done
 
 echo "== submit batch of $COUNT through $SUBMIT (pooled + binary wire codec)"
-"$TMP/gridsubmit" -to "$SUBMIT" -email "$EMAIL" \
+"$BIN/gridsubmit" -to "$SUBMIT" -email "$EMAIL" \
   -count "$COUNT" -interval 5ms -wire-binary | tee "$TMP/batch.log"
 grep -q "batch complete: $COUNT requests" "$TMP/batch.log" || {
   echo "FAIL: batch did not complete all $COUNT requests" >&2
@@ -61,7 +68,7 @@ echo "== collect results from every node"
 TOTAL=0
 for i in $(seq 0 $((NODES - 1))); do
   ADDR="127.0.0.1:$((BASE + i))"
-  "$TMP/gridsubmit" -to "$ADDR" -results -email "$EMAIL" >"$TMP/results.$i" 2>&1
+  "$BIN/gridsubmit" -to "$ADDR" -results -email "$EMAIL" >"$TMP/results.$i" 2>&1
   N=$(grep -c '^task ' "$TMP/results.$i" || true)
   TOTAL=$((TOTAL + N))
   [ "$N" -gt 0 ] && echo "  $ADDR holds $N task(s)"
