@@ -120,10 +120,9 @@ func BenchmarkFig10LoadBalanceTrends(b *testing.B) {
 }
 
 // BenchmarkFig2ScheduleBuild measures the two-part coding scheme end to
-// end: build the Fig. 2-scale schedule from a solution string — the inner
-// loop of every GA cost evaluation. The GA hot path reuses a Builder's
-// scratch buffers across evaluations, so that is what this bench times;
-// the validating one-shot Build is kept as a sub-bench for comparison.
+// end: build the Fig. 2-scale schedule from a solution string, the inner
+// loop of every GA cost evaluation. A Problem reuses its schedule and gap
+// record across builds, as the GA's cost path does.
 func BenchmarkFig2ScheduleBuild(b *testing.B) {
 	lib := pace.CaseStudyLibrary()
 	engine := pace.NewEngine()
@@ -137,30 +136,14 @@ func BenchmarkFig2ScheduleBuild(b *testing.B) {
 		m, _ := lib.Lookup(names[i%len(names)])
 		tasks[i] = schedule.Task{ID: i, App: m, Deadline: 1e9}
 	}
-	res := schedule.NewResource(16)
+	p := schedule.NewProblem(tasks, schedule.NewResource(16), 0, pred)
 	sol := schedule.NewRandomSolution(len(tasks), 16, rng)
-	b.Run("builder", func(b *testing.B) {
-		builder, err := schedule.NewBuilder(tasks, res, pred)
-		if err != nil {
-			b.Fatal(err)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if s := p.Build(sol); s.Makespan <= 0 {
+			b.Fatal("empty schedule")
 		}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s := builder.Build(sol, 0)
-			if s.Makespan <= 0 {
-				b.Fatal("empty schedule")
-			}
-		}
-	})
-	b.Run("oneshot", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s := schedule.Build(sol, tasks, res, 0, pred)
-			if s.Makespan <= 0 {
-				b.Fatal("empty schedule")
-			}
-		}
-	})
+	}
 }
 
 // --- Ablations (DESIGN.md) ---

@@ -411,12 +411,6 @@ func (g *Grid) Engine() *pace.Engine { return g.engine }
 // Hierarchy returns the agent hierarchy.
 func (g *Grid) Hierarchy() *agent.Hierarchy { return g.hier }
 
-// Local returns the named local scheduler.
-func (g *Grid) Local(name string) (*scheduler.Local, bool) {
-	l, ok := g.locals[name]
-	return l, ok
-}
-
 // NodeCounts maps every resource a run can execute on — the start-up
 // specs and the churn plan's runtime joiners (nil for none) — to its node
 // count: the table an audit.Observer is built from before the grid is.
@@ -808,16 +802,6 @@ func (g *Grid) Metrics(minWindow float64) (metrics.GridReport, error) {
 func (g *Grid) MetricsOver(recs []scheduler.Record, minWindow float64) (metrics.GridReport, error) {
 	return metrics.Compute(recs, g.NodesByResource(), metrics.WindowOver(recs, minWindow))
 }
-
-// Requests returns the number of scheduled requests.
-func (g *Grid) Requests() int { return g.requests }
-
-// Telemetry returns the registry the grid was built with, nil when
-// uninstrumented.
-func (g *Grid) Telemetry() *telemetry.Registry { return g.opts.Telemetry }
-
-// Sampler returns the virtual-time sampler, nil when uninstrumented.
-func (g *Grid) Sampler() *telemetry.Sampler { return g.sampler }
 
 // TelemetryExport bundles the final registry snapshot with the sampled
 // virtual-time series for JSON export; nil when uninstrumented.

@@ -94,7 +94,7 @@ func TestGridDefaults(t *testing.T) {
 	if !g.Engine().CacheEnabled() {
 		t.Fatal("evaluation cache disabled by default")
 	}
-	if _, ok := g.Local("fast"); !ok {
+	if _, ok := g.locals["fast"]; !ok {
 		t.Fatal("local lookup failed")
 	}
 	nodes := g.NodesByResource()
@@ -113,8 +113,8 @@ func TestGridRunDirectSubmission(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if g.Requests() != 10 {
-		t.Fatalf("requests = %d", g.Requests())
+	if g.requests != 10 {
+		t.Fatalf("requests = %d", g.requests)
 	}
 	if err := g.Run(); err != nil {
 		t.Fatal(err)
@@ -216,8 +216,8 @@ func TestRejectedSubmitChangesNothing(t *testing.T) {
 			t.Errorf("%s accepted", name)
 		}
 	}
-	if g.Requests() != 0 || g.lastRequestAt != 0 {
-		t.Fatalf("rejected submits left Requests() = %d, last request at %g", g.Requests(), g.lastRequestAt)
+	if g.requests != 0 || g.lastRequestAt != 0 {
+		t.Fatalf("rejected submits left Requests() = %d, last request at %g", g.requests, g.lastRequestAt)
 	}
 	if err := g.SubmitAt(0, "fast", "fft", 1000); err != nil {
 		t.Fatal(err)
@@ -225,8 +225,8 @@ func TestRejectedSubmitChangesNothing(t *testing.T) {
 	if err := g.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if g.Requests() != 1 {
-		t.Fatalf("Requests() = %d after one accepted submit, want 1", g.Requests())
+	if g.requests != 1 {
+		t.Fatalf("Requests() = %d after one accepted submit, want 1", g.requests)
 	}
 	for _, ev := range rec.Events() {
 		if ev.Kind == trace.KindArrive && ev.ReqID != 1 {
@@ -310,7 +310,7 @@ func TestGridTraceRecordsLifecycle(t *testing.T) {
 	if err := g.Run(); err != nil {
 		t.Fatal(err)
 	}
-	counts := rec.CountByKind()
+	counts := countKinds(rec)
 	if counts[trace.KindArrive] != 5 || counts[trace.KindDispatch] != 5 {
 		t.Fatalf("arrival/dispatch counts: %v", counts)
 	}
@@ -322,9 +322,23 @@ func TestGridTraceRecordsLifecycle(t *testing.T) {
 		if d.ReqID == 0 {
 			t.Fatalf("dispatch %+v carries no request ID", d)
 		}
-		hist := rec.TaskHistory(d.ReqID)
+		var hist []trace.Event
+		for _, ev := range rec.Events() {
+			if ev.ReqID == d.ReqID && ev.Kind.TaskBearing() {
+				hist = append(hist, ev)
+			}
+		}
 		if len(hist) == 0 || hist[0].Kind != trace.KindArrive || hist[len(hist)-1].Kind != trace.KindComplete {
 			t.Fatalf("request %d history: %+v", d.ReqID, hist)
 		}
 	}
+}
+
+// countKinds tallies the recorder's retained events by kind.
+func countKinds(rec *trace.Recorder) map[trace.Kind]int {
+	out := map[trace.Kind]int{}
+	for _, ev := range rec.Events() {
+		out[ev.Kind]++
+	}
+	return out
 }

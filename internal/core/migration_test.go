@@ -92,7 +92,7 @@ func TestMigrationMovesWorkOffDegradedNode(t *testing.T) {
 	if moved < st.Accepts {
 		t.Fatalf("%d records off the degraded resource, %d migrations accepted", moved, st.Accepts)
 	}
-	byKind := rec.CountByKind()
+	byKind := countKinds(rec)
 	if byKind[trace.KindMigrateOffer] != st.Offers ||
 		byKind[trace.KindMigrateWithdraw] != st.Accepts ||
 		byKind[trace.KindMigrateRedispatch] != st.Accepts {
@@ -140,7 +140,7 @@ func TestMigrationWithOverlappingPartition(t *testing.T) {
 	if st.Breaches == 0 {
 		t.Fatal("degradation went unnoticed")
 	}
-	if byKind := rec.CountByKind(); byKind[trace.KindMigrateRedispatch] != 0 {
+	if byKind := countKinds(rec); byKind[trace.KindMigrateRedispatch] != 0 {
 		t.Fatalf("%d tasks migrated across a cut link", byKind[trace.KindMigrateRedispatch])
 	}
 	if res := auditRun(t, g, rec); !res.OK() {
@@ -167,7 +167,7 @@ func TestMigrationRacesCrashRedispatch(t *testing.T) {
 	if err := g.Run(); err != nil {
 		t.Fatal(err)
 	}
-	byKind := rec.CountByKind()
+	byKind := countKinds(rec)
 	if byKind[trace.KindRedispatch] == 0 {
 		t.Fatal("the crash re-dispatched nothing; the race never happened")
 	}

@@ -16,7 +16,7 @@ func TestRetiredHoldLeavesTable3Untouched(t *testing.T) {
 	run := func(prep func(l *scheduler.Local)) ([]scheduler.Record, metrics.GridReport) {
 		g := smallGrid(t, Options{UseAgents: true, Seed: 907})
 		if prep != nil {
-			l, ok := g.Local("mid")
+			l, ok := g.locals["mid"]
 			if !ok {
 				t.Fatal("no local mid")
 			}

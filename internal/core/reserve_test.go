@@ -97,11 +97,11 @@ func TestReservationGuaranteedStart(t *testing.T) {
 	if rrec.End != rrec.Start+120 {
 		t.Fatalf("reserved task ran [%g,%g), want the booked 120 s", rrec.Start, rrec.End)
 	}
-	byKind := rec.CountByKind()
+	byKind := countKinds(rec)
 	if byKind[trace.KindReserveHold] != 1 || byKind[trace.KindReserveConfirm] != 1 {
 		t.Fatalf("reservation events: %v", byKind)
 	}
-	reg := g.Telemetry()
+	reg := g.opts.Telemetry
 	if v := reg.Counter("reservations_confirmed_total").Value(); v != 1 {
 		t.Fatalf("reservations_confirmed_total = %d", v)
 	}
@@ -178,7 +178,7 @@ func TestReservationRejectedBeyondMaxSlip(t *testing.T) {
 	if st.Confirmed != 1 || st.Rejected != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
-	byKind := rec.CountByKind()
+	byKind := countKinds(rec)
 	if byKind[trace.KindFail] != 1 {
 		t.Fatalf("fail events: %v", byKind)
 	}
@@ -186,7 +186,7 @@ func TestReservationRejectedBeyondMaxSlip(t *testing.T) {
 	// reservation ID (its first minted reqID, 4, after the blockade's
 	// three parts) must not appear in any book.
 	for _, name := range g.Hierarchy().Names() {
-		l, _ := g.Local(name)
+		l := g.locals[name]
 		if b := l.Book(); b != nil {
 			if bk, ok := b.Get(4); ok {
 				t.Fatalf("rejected reservation left booking %+v on %s", bk, name)
@@ -211,7 +211,7 @@ func TestReservationExpirySweep(t *testing.T) {
 	// The abandoned hold: placed before the run on mid's book with a 25 s
 	// TTL, never confirmed. The matching hold event keeps the audit's
 	// booking lifecycle consistent.
-	l, _ := g.Local("mid")
+	l := g.locals["mid"]
 	if err := l.HoldReservation(999, "client", 0b11, 1000, 1100, 0, 25); err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestReservationExpirySweep(t *testing.T) {
 	if st.Expired != 1 {
 		t.Fatalf("stats: %+v, want 1 expiry", st)
 	}
-	if byKind := rec.CountByKind(); byKind[trace.KindReserveExpire] != 1 {
+	if byKind := countKinds(rec); byKind[trace.KindReserveExpire] != 1 {
 		t.Fatalf("reserve-expire events: %v", byKind)
 	}
 	// The hold is terminally expired, so its window no longer blocks.

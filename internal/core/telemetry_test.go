@@ -98,7 +98,7 @@ func TestTelemetryCountsAndSeries(t *testing.T) {
 		t.Fatal("pace_evaluations collector not wired")
 	}
 
-	series := g.Sampler().Series()
+	series := g.sampler.Series()
 	if len(series.Points) < 3 {
 		t.Fatalf("series has %d points", len(series.Points))
 	}

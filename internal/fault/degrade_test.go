@@ -165,7 +165,7 @@ func TestDegradedRunStretchesExecutions(t *testing.T) {
 	if st.Degrades != 1 || st.Restores != 1 {
 		t.Fatalf("Degrades=%d Restores=%d, want 1 and 1", st.Degrades, st.Restores)
 	}
-	byKind := rec.CountByKind()
+	byKind := countKinds(rec)
 	if byKind[trace.KindDegrade] != 1 {
 		t.Fatalf("degrade trace events = %d, want 1", byKind[trace.KindDegrade])
 	}

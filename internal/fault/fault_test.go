@@ -216,7 +216,7 @@ func TestInjectorCrashRecoverZeroLost(t *testing.T) {
 	if st.Rerouted != 2 {
 		t.Fatalf("Rerouted = %d, want 2 (the two arrivals during downtime)", st.Rerouted)
 	}
-	byKind := rec.CountByKind()
+	byKind := countKinds(rec)
 	if byKind[trace.KindPeerDown] != 1 || byKind[trace.KindPeerUp] != 1 {
 		t.Fatalf("peerdown/peerup events = %d/%d, want 1/1",
 			byKind[trace.KindPeerDown], byKind[trace.KindPeerUp])
@@ -269,4 +269,13 @@ func TestFaultPlanRequiresAgents(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "UseAgents") {
 		t.Fatalf("err = %v, want UseAgents requirement", err)
 	}
+}
+
+// countKinds tallies the recorder's retained events by kind.
+func countKinds(rec *trace.Recorder) map[trace.Kind]int {
+	out := map[trace.Kind]int{}
+	for _, ev := range rec.Events() {
+		out[ev.Kind]++
+	}
+	return out
 }

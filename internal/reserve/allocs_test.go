@@ -3,7 +3,6 @@
 package reserve
 
 import (
-	"math"
 	"testing"
 )
 
@@ -21,7 +20,7 @@ func TestFindWindowAllocs(t *testing.T) {
 	if err := bk.Release(3, 0); err != nil {
 		t.Fatal(err)
 	}
-	avail := []float64{0, 5, 10, 200, 15, math.Inf(1), 30, 0}
+	avail := []float64{0, 5, 10, 200, 15, 1e6, 30, 0}
 	quote := func() {
 		if _, _, ok := bk.FindWindow(3, 20, 60, avail, 1); !ok {
 			t.Fatal("no window")

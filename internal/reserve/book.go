@@ -22,7 +22,6 @@ package reserve
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -289,10 +288,10 @@ func (bk *Book) Horizon(now float64) float64 {
 
 // FindWindow quotes the earliest start ≥ earliest at which k nodes are
 // simultaneously free for dur seconds: free of active bookings and past
-// their committed-work floor (avail[i], absolute virtual time; pass
-// +Inf for nodes that are down). It returns the chosen node mask and
-// start, or ok=false if fewer than k nodes have a finite floor. The
-// search is deterministic: among eligible nodes at the minimal feasible
+// their committed-work floor (avail[i], absolute virtual time). It
+// returns the chosen node mask and start, or ok=false if k is not in
+// 1..NumNodes or avail does not hold one floor per node. The search is
+// deterministic: among eligible nodes at the minimal feasible
 // start, the k lowest-indexed win.
 func (bk *Book) FindWindow(k int, earliest, dur float64, avail []float64, now float64) (mask uint64, start float64, ok bool) {
 	if k < 1 || k > bk.numNodes || len(avail) != bk.numNodes {
@@ -304,7 +303,7 @@ func (bk *Book) FindWindow(k int, earliest, dur float64, avail []float64, now fl
 	// only shrinks going backwards in time).
 	cands := append(bk.cands[:0], earliest)
 	for _, a := range avail {
-		if a > earliest && !math.IsInf(a, 1) {
+		if a > earliest {
 			cands = append(cands, a)
 		}
 	}

@@ -1,7 +1,6 @@
 package reserve
 
 import (
-	"math"
 	"reflect"
 	"testing"
 
@@ -180,12 +179,17 @@ func TestFindWindow(t *testing.T) {
 	if !ok || start != 0 || mask != 0b1101 {
 		t.Fatalf("gap quote = mask %b start %g ok %v, want 1101 at 0", mask, start, ok)
 	}
-	// Down nodes (infinite floor) never qualify.
-	down := []float64{0, math.Inf(1), math.Inf(1), math.Inf(1)}
-	if _, _, ok := bk.FindWindow(2, 0, 5, down, 0); ok {
-		t.Fatal("quote used down nodes")
+	// Nodes busy until late qualify from their floor on; a single node
+	// that is free now is quoted at once.
+	late := []float64{0, 500, 500, 500}
+	if mask, start, ok = bk.FindWindow(2, 0, 5, late, 0); !ok || start != 500 || mask != 0b0011 {
+		t.Fatalf("late quote = mask %b start %g ok %v, want 0011 at 500", mask, start, ok)
 	}
-	if _, _, ok := bk.FindWindow(1, 0, 5, down, 0); !ok {
-		t.Fatal("single up node not quoted")
+	if mask, start, ok = bk.FindWindow(1, 0, 5, late, 0); !ok || start != 0 || mask != 0b0001 {
+		t.Fatalf("single-node quote = mask %b start %g ok %v, want 0001 at 0", mask, start, ok)
+	}
+	// More nodes than the resource has is no quote.
+	if _, _, ok := bk.FindWindow(5, 0, 5, avail, 0); ok {
+		t.Fatal("quoted 5 nodes on a 4-node book")
 	}
 }

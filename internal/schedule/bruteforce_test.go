@@ -180,7 +180,7 @@ func bruteForceBestCompletion(p *Problem) float64 {
 	total := uint64(1) << uint(p.Res.NumNodes)
 	for mask := uint64(1); mask < total; mask++ {
 		sol := Solution{Order: []int{0}, Maps: []uint64{mask}}
-		s := Build(sol, p.Tasks, p.Res, p.Base, p.Predict)
+		s := build(sol, p.Tasks, p.Res, p.Base, p.Predict)
 		if end := s.Items[0].End; end < best {
 			best = end
 		}
@@ -199,7 +199,7 @@ func TestBuildSequentialEnforcesQueueOrder(t *testing.T) {
 	sol := Solution{Order: []int{0, 1}, Maps: []uint64{0b01, 0b10}}
 	pred := func(*pace.AppModel, int) float64 { return 10 }
 
-	plain := Build(sol, tasks, res, 0, pred)
+	plain := build(sol, tasks, res, 0, pred)
 	if plain.Items[1].Start != 0 {
 		t.Fatalf("plain Build blocked an independent task: %+v", plain.Items[1])
 	}

@@ -40,43 +40,35 @@ type Schedule struct {
 	Booked [][]Window
 }
 
-// Build times a solution against the tasks and resource. Tasks are placed
-// in the solution's order; each task starts at the latest availability of
-// its allocated nodes (the nodes begin "in unison", §2.1) and no earlier
-// than base (the scheduling instant) or its own arrival. Build panics on
-// an illegitimate solution; genetic operators maintain legitimacy, so a
-// violation is a programming error.
-func Build(sol Solution, tasks []Task, res Resource, base float64, predict Predictor) *Schedule {
-	return oneShot(sol, tasks, res, predict, false).Build(sol, base)
-}
-
-// BuildSequential is Build with strict queue semantics: start times are
-// non-decreasing in the solution's order, i.e. a task cannot begin before
-// the task ahead of it in the queue has begun (no backfilling). This is
-// the behaviour of the FIFO baseline: it "does not change the order of
-// tasks" (§4.1), so a wide task at the head of the queue holds narrower
-// tasks behind it — exactly the idle time the GA's reordering recovers.
+// BuildSequential times a solution with strict queue semantics: tasks
+// are placed in the solution's order, each starting no earlier than the
+// scheduling instant base, its own arrival, or the start of the task ahead
+// of it (no backfilling). This is the behaviour of the FIFO baseline: it
+// "does not change the order of tasks" (§4.1), so a wide task at the head
+// of the queue holds narrower tasks behind it — exactly the idle time the
+// GA's reordering recovers. FIFOPolicy.Append places the same way, one
+// arrival at a time; BuildSequential is its oracle in the tests and the
+// probes. It validates both the solution and the resource and panics on
+// either; it asks predict once per task.
 func BuildSequential(sol Solution, tasks []Task, res Resource, base float64, predict Predictor) *Schedule {
-	return oneShot(sol, tasks, res, predict, true).Build(sol, base)
-}
-
-// oneShot is the single-use Builder behind Build and BuildSequential,
-// whose callers hand over a solution nobody has checked: both it and the
-// resource are validated here, on every call. It has no duration table
-// and keeps no gap record: it predicts each placement's duration as it
-// places, asking only what its one solution uses, and allocates for
-// nothing else.
-func oneShot(sol Solution, tasks []Task, res Resource, predict Predictor, sequential bool) *Builder {
 	if err := sol.Validate(len(tasks), res.NumNodes); err != nil {
-		panic(fmt.Sprintf("schedule: Build on invalid solution: %v", err))
+		panic(fmt.Sprintf("schedule: BuildSequential on invalid solution: %v", err))
 	}
 	if err := res.Validate(); err != nil {
-		panic(fmt.Sprintf("schedule: Build on invalid resource: %v", err))
+		panic(fmt.Sprintf("schedule: BuildSequential on invalid resource: %v", err))
 	}
-	return &Builder{
-		tasks: tasks, res: res, predict: predict, sequential: sequential,
-		sched: Schedule{Items: make([]Placed, 0, len(tasks))},
+	s := &Schedule{Items: make([]Placed, 0, len(tasks))}
+	s.Reset(res, base)
+	floor := base // the start of the task ahead, never before base
+	for _, taskPos := range sol.Order {
+		t := &tasks[taskPos]
+		if t.Arrival > floor {
+			floor = t.Arrival
+		}
+		mask := sol.Maps[taskPos]
+		floor = s.Place(taskPos, mask, floor, predictDuration(predict, t, bits.OnesCount64(mask))).Start
 	}
+	return s
 }
 
 // Reset empties the schedule to the state before any task is placed on
@@ -104,7 +96,7 @@ func (s *Schedule) Reset(res Resource, base float64) {
 // would overlap. floor carries what the caller's queue discipline demands:
 // the scheduling instant, the task's arrival and, under strict queue
 // order, the start of the task ahead of it. It is the one placement step
-// behind Builder.Build and the FIFO policy.
+// behind Problem.Build, BuildSequential and the FIFO policy.
 func (s *Schedule) Place(taskPos int, mask uint64, floor, dur float64) Placed {
 	return s.place(taskPos, mask, floor, dur, nil)
 }
@@ -190,63 +182,6 @@ func (g *gapRecord) last(i int, nodeBusy []float64) float64 {
 	return nodeBusy[i]
 }
 
-// Builder repeatedly times solutions against one fixed problem instance
-// (tasks, resource, predictor) without per-call allocation: the schedule,
-// its placement list, the per-node busy vector and the gap record are
-// scratch buffers reused across calls. This is the GA's cost hot path —
-// the paper's own cost argument (§2.2) makes every scheduling event worth
-// ~1000 builds — so the per-Build garbage of the general entry point
-// matters.
-//
-// The (task, k) durations are fixed for one instance, so a Builder reads
-// them from a dense table filled once per instance instead of asking the
-// predictor on every placement. A Problem's cost builders also record
-// each node's idle gaps while they place tasks, from which Problem
-// evaluates eq. 8 without rescanning the placement list once per node.
-//
-// Validation is hoisted to construction: NewBuilder checks the resource
-// once, and Build trusts the solution (the genetic operators maintain
-// legitimacy; validate seeds once per Plan with Solution.Validate). A
-// Builder is not safe for concurrent use; use one per goroutine.
-type Builder struct {
-	tasks      []Task
-	res        Resource
-	sequential bool // strict queue order, see BuildSequential
-	sched      Schedule
-
-	// durs[pos*res.NumNodes+k-1] is tasks[pos]'s predicted duration on k
-	// nodes. It is read-only and may be shared (a Problem's builders share
-	// the Problem's). The one-shot builder has none and sets predict.
-	durs    []float64
-	predict Predictor
-
-	gaps *gapRecord // of the last Build; only cost builders keep one
-}
-
-// NewBuilder validates the resource once, fills the instance's duration
-// table and returns a builder for it.
-func NewBuilder(tasks []Task, res Resource, predict Predictor) (*Builder, error) {
-	if err := res.Validate(); err != nil {
-		return nil, err
-	}
-	if predict == nil {
-		return nil, fmt.Errorf("schedule: builder needs a predictor")
-	}
-	b := new(Builder)
-	b.point(tasks, res, fillDurations(nil, tasks, res.NumNodes, predict))
-	return b, nil
-}
-
-// point re-points b at a problem instance whose resource is valid and
-// whose duration table is durs, keeping b's scratch buffers: a builder
-// owned by a scheduler serves every scheduling event without allocating
-// once the buffers have grown.
-func (b *Builder) point(tasks []Task, res Resource, durs []float64) {
-	b.tasks, b.res, b.durs = tasks, res, durs
-	b.sched.Items = slices.Grow(b.sched.Items[:0], len(tasks))
-	b.sched.NodeBusy = slices.Grow(b.sched.NodeBusy[:0], res.NumNodes)
-}
-
 // fillDurations writes to durs the duration table of tasks on 1..numNodes
 // nodes, task-major and k ascending: the order in which GreedySeed reads
 // it, so filling it asks the predictor exactly what GreedySeed would.
@@ -270,39 +205,29 @@ func predictDuration(predict Predictor, t *Task, k int) float64 {
 	return dur
 }
 
-// Build times sol at the scheduling instant base. The returned schedule
-// aliases the builder's scratch buffers: it is valid only until the next
-// Build call and must be copied (or rebuilt via the package-level Build)
-// if it is to be retained. sol must be legitimate for the builder's
-// problem instance; Build does not re-validate it. This is the one
-// placement loop: Reset, then one Place per task in the solution's order,
-// recording the idle gaps it closes if b keeps a gap record, and
-// allocating nothing beyond growing Items.
+// Builder times solutions against one problem instance at a scheduling
+// instant given per call: it is a Problem whose Base each Build sets. It
+// exists for the layer probes in bench/probes.go; the schedulers use
+// Problem directly.
+type Builder struct{ p Problem }
+
+// NewBuilder validates the resource and returns a builder for the
+// instance. Its duration table is filled on the first Build.
+func NewBuilder(tasks []Task, res Resource, predict Predictor) (*Builder, error) {
+	if err := res.Validate(); err != nil {
+		return nil, err
+	}
+	if predict == nil {
+		return nil, fmt.Errorf("schedule: builder needs a predictor")
+	}
+	b := new(Builder)
+	b.p.Reset(tasks, res, 0, predict)
+	return b, nil
+}
+
+// Build is Problem.Build at the scheduling instant base: the schedule is
+// the builder's own until its next Build, and sol is not re-validated.
 func (b *Builder) Build(sol Solution, base float64) *Schedule {
-	b.sched.Reset(b.res, base)
-	if b.gaps != nil {
-		b.gaps.reset(len(b.tasks), b.res.NumNodes, base)
-	}
-	n := b.res.NumNodes
-	prevStart := base
-	for _, taskPos := range sol.Order {
-		t := &b.tasks[taskPos]
-		mask := sol.Maps[taskPos]
-		floor := base
-		if t.Arrival > floor {
-			floor = t.Arrival
-		}
-		if b.sequential && prevStart > floor {
-			floor = prevStart
-		}
-		k := bits.OnesCount64(mask)
-		var dur float64
-		if b.predict != nil {
-			dur = predictDuration(b.predict, t, k)
-		} else {
-			dur = b.durs[taskPos*n+k-1]
-		}
-		prevStart = b.sched.place(taskPos, mask, floor, dur, b.gaps).Start
-	}
-	return &b.sched
+	b.p.Base = base
+	return b.p.Build(sol)
 }

@@ -2,6 +2,7 @@ package schedule
 
 import (
 	"math/bits"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -29,11 +30,17 @@ func makeTasks(n int, deadline float64) []Task {
 	return tasks
 }
 
+// build times sol with a fresh Problem: the placement loop every test of
+// a built schedule exercises.
+func build(sol Solution, tasks []Task, res Resource, base float64, predict Predictor) *Schedule {
+	return NewProblem(tasks, res, base, predict).Build(sol)
+}
+
 func TestBuildSequentialOnOneNode(t *testing.T) {
 	tasks := makeTasks(3, 1e9)
 	res := NewResource(1)
 	sol := Solution{Order: []int{0, 1, 2}, Maps: []uint64{1, 1, 1}}
-	s := Build(sol, tasks, res, 0, constPredictor(10))
+	s := build(sol, tasks, res, 0, constPredictor(10))
 	wantStarts := []float64{0, 10, 20}
 	for i, it := range s.Items {
 		if it.Start != wantStarts[i] || it.End != wantStarts[i]+10 {
@@ -49,7 +56,7 @@ func TestBuildParallelDisjointNodes(t *testing.T) {
 	tasks := makeTasks(2, 1e9)
 	res := NewResource(2)
 	sol := Solution{Order: []int{0, 1}, Maps: []uint64{0b01, 0b10}}
-	s := Build(sol, tasks, res, 0, constPredictor(7))
+	s := build(sol, tasks, res, 0, constPredictor(7))
 	for _, it := range s.Items {
 		if it.Start != 0 || it.End != 7 {
 			t.Fatalf("disjoint tasks did not run in parallel: %+v", it)
@@ -66,7 +73,7 @@ func TestBuildUnisonStart(t *testing.T) {
 	tasks := makeTasks(1, 1e9)
 	res := Resource{NumNodes: 2, Avail: []float64{0, 5}}
 	sol := Solution{Order: []int{0}, Maps: []uint64{0b11}}
-	s := Build(sol, tasks, res, 0, constPredictor(3))
+	s := build(sol, tasks, res, 0, constPredictor(3))
 	if s.Items[0].Start != 5 || s.Items[0].End != 8 {
 		t.Fatalf("unison start violated: %+v", s.Items[0])
 	}
@@ -79,12 +86,12 @@ func TestBuildRespectsBaseAndArrival(t *testing.T) {
 	tasks := []Task{{ID: 0, Arrival: 12, Deadline: 1e9}}
 	res := NewResource(2)
 	sol := Solution{Order: []int{0}, Maps: []uint64{0b1}}
-	s := Build(sol, tasks, res, 10, constPredictor(1))
+	s := build(sol, tasks, res, 10, constPredictor(1))
 	if s.Items[0].Start != 12 {
 		t.Fatalf("task started at %v before its arrival 12", s.Items[0].Start)
 	}
 	tasks[0].Arrival = 0
-	s = Build(sol, tasks, res, 10, constPredictor(1))
+	s = build(sol, tasks, res, 10, constPredictor(1))
 	if s.Items[0].Start != 10 {
 		t.Fatalf("task started at %v before the scheduling instant 10", s.Items[0].Start)
 	}
@@ -97,7 +104,7 @@ func TestBuildLaterTaskMaySlotInEarlier(t *testing.T) {
 	res := NewResource(2)
 	sol := Solution{Order: []int{0, 1}, Maps: []uint64{0b01, 0b10}}
 	pred := func(_ *pace.AppModel, n int) float64 { return 100 }
-	s := Build(sol, tasks, res, 0, pred)
+	s := build(sol, tasks, res, 0, pred)
 	if s.Items[1].Start != 0 {
 		t.Fatalf("second task queued unnecessarily: %+v", s.Items[1])
 	}
@@ -105,22 +112,22 @@ func TestBuildLaterTaskMaySlotInEarlier(t *testing.T) {
 
 func TestBuildPanicsOnInvalidInput(t *testing.T) {
 	tasks := makeTasks(1, 1e9)
-	cases := []struct {
-		name string
-		sol  Solution
-		res  Resource
-	}{
-		{"empty map", Solution{Order: []int{0}, Maps: []uint64{0}}, NewResource(2)},
-		{"bad resource", Solution{Order: []int{0}, Maps: []uint64{1}}, Resource{NumNodes: 2, Avail: []float64{0}}},
-	}
-	for _, c := range cases {
+	good := Solution{Order: []int{0}, Maps: []uint64{1}}
+	bad := Resource{NumNodes: 2, Avail: []float64{0}}
+	for name, call := range map[string]func(){
+		"sequential, empty map": func() {
+			BuildSequential(Solution{Order: []int{0}, Maps: []uint64{0}}, tasks, NewResource(2), 0, constPredictor(1))
+		},
+		"sequential, bad resource": func() { BuildSequential(good, tasks, bad, 0, constPredictor(1)) },
+		"problem, bad resource":    func() { build(good, tasks, bad, 0, constPredictor(1)) },
+	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("%s: Build did not panic", c.name)
+					t.Errorf("%s: did not panic", name)
 				}
 			}()
-			Build(c.sol, tasks, c.res, 0, constPredictor(1))
+			call()
 		}()
 	}
 }
@@ -131,7 +138,7 @@ func TestBuildMakespanIncludesPreexistingBusy(t *testing.T) {
 	tasks := makeTasks(1, 1e9)
 	res := Resource{NumNodes: 2, Avail: []float64{0, 50}}
 	sol := Solution{Order: []int{0}, Maps: []uint64{0b01}}
-	s := Build(sol, tasks, res, 0, constPredictor(1))
+	s := build(sol, tasks, res, 0, constPredictor(1))
 	if s.Makespan != 50 {
 		t.Fatalf("makespan = %v, want 50 (busy node dominates)", s.Makespan)
 	}
@@ -143,7 +150,7 @@ func TestBuildNodeCountDrivesPrediction(t *testing.T) {
 	for k := 1; k <= 4; k++ {
 		mask := uint64(1)<<uint(k) - 1
 		sol := Solution{Order: []int{0}, Maps: []uint64{mask}}
-		s := Build(sol, tasks, res, 0, scalePredictor(100))
+		s := build(sol, tasks, res, 0, scalePredictor(100))
 		want := 100 / float64(k)
 		if s.Items[0].End != want {
 			t.Fatalf("k=%d: end = %v, want %v", k, s.Items[0].End, want)
@@ -167,7 +174,7 @@ func TestBuildInvariants(t *testing.T) {
 			res.Avail[i] = base + float64(rng.Intn(20))
 		}
 		sol := NewRandomSolution(nTasks, nNodes, rng)
-		s := Build(sol, tasks, res, base, scalePredictor(30))
+		s := build(sol, tasks, res, base, scalePredictor(30))
 
 		// Per-node interval consistency.
 		for node := 0; node < nNodes; node++ {
@@ -287,7 +294,7 @@ func TestBuildMaskPopcountMatchesNodeCount(t *testing.T) {
 }
 
 // TestBuilderMatchesBuild asserts the zero-alloc builder produces exactly
-// the schedule of the general entry point, across repeated reuse.
+// the schedule of the reference one-shot build, across repeated reuse.
 func TestBuilderMatchesBuild(t *testing.T) {
 	rng := sim.NewRNG(3)
 	tasks := make([]Task, 12)
@@ -302,7 +309,7 @@ func TestBuilderMatchesBuild(t *testing.T) {
 	}
 	for round := 0; round < 50; round++ {
 		sol := NewRandomSolution(len(tasks), 8, rng)
-		want := Build(sol, tasks, res, 2, pred)
+		want := refBuild(sol, tasks, res, 2, pred)
 		got := b.Build(sol, 2)
 		if got.Makespan != want.Makespan || got.Base != want.Base {
 			t.Fatalf("round %d: makespan/base %g/%g, want %g/%g",
@@ -350,8 +357,8 @@ func TestBuilderBuildAllocs(t *testing.T) {
 }
 
 // TestCostDoesNotAllocate pins the allocation-free cost evaluation: a
-// warmed Problem's Cost and Breakdown reuse its duration table and its
-// free-listed builder.
+// warmed Problem's Cost and Breakdown reuse its duration table, its
+// schedule and its gap record.
 func TestCostDoesNotAllocate(t *testing.T) {
 	tasks := make([]Task, 10)
 	for i := range tasks {
@@ -359,7 +366,7 @@ func TestCostDoesNotAllocate(t *testing.T) {
 	}
 	p := NewProblem(tasks, NewResource(8), 0, constPredictor(3))
 	sol := NewRandomSolution(len(tasks), 8, sim.NewRNG(2))
-	p.Cost(sol) // fill the table, grow a builder
+	p.Cost(sol) // fill the table, grow the buffers
 	allocs := testing.AllocsPerRun(100, func() {
 		if p.Cost(sol) < 0 || p.Breakdown(sol).Combined < 0 {
 			t.Fatal("negative cost")
@@ -371,8 +378,8 @@ func TestCostDoesNotAllocate(t *testing.T) {
 }
 
 // TestProblemResetRepointsBuilders re-points one Problem across task sets
-// of different sizes and resources: every cost must equal a fresh
-// Problem's, so no pooled builder keeps an earlier instance.
+// of different sizes and resources: every build and cost must equal a
+// fresh Problem's, so nothing of an earlier instance survives Reset.
 func TestProblemResetRepointsBuilders(t *testing.T) {
 	rng := sim.NewRNG(11)
 	reused := NewProblem(nil, NewResource(1), 0, constPredictor(1))
@@ -388,6 +395,9 @@ func TestProblemResetRepointsBuilders(t *testing.T) {
 		fresh := NewProblem(tasks, res, base, pred)
 		for k := 0; k < 5; k++ {
 			sol := NewRandomSolution(n, nodes, rng)
+			if got, want := reused.Build(sol), fresh.Build(sol); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d: build after Reset\n%+v\nfresh problem\n%+v", trial, got, want)
+			}
 			if got, want := reused.Cost(sol), fresh.Cost(sol); got != want {
 				t.Fatalf("trial %d: cost after Reset %v, fresh problem %v", trial, got, want)
 			}
@@ -401,8 +411,8 @@ func TestNegativePredictionPanics(t *testing.T) {
 	tasks := makeTasks(2, 1e9)
 	sol := Solution{Order: []int{0, 1}, Maps: []uint64{1, 1}}
 	for name, call := range map[string]func(){
-		"one-shot build": func() { Build(sol, tasks, NewResource(1), 0, constPredictor(-1)) },
-		"table fill":     func() { NewProblem(tasks, NewResource(1), 0, constPredictor(-1)).Cost(sol) },
+		"sequential build": func() { BuildSequential(sol, tasks, NewResource(1), 0, constPredictor(-1)) },
+		"table fill":       func() { NewProblem(tasks, NewResource(1), 0, constPredictor(-1)).Cost(sol) },
 	} {
 		func() {
 			defer func() {

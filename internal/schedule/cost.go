@@ -31,7 +31,7 @@ type CostBreakdown struct {
 }
 
 // breakdown evaluates the combined cost function (eq. 8) for the schedule
-// of b's last Build:
+// of p's last Build:
 //
 //	f_c = (W_m·ω + W_i·φ + W_c·θ) / (W_m + W_i + W_c)
 //
@@ -49,8 +49,9 @@ type CostBreakdown struct {
 // node-major, in placement order, each closed by the gap from the node's
 // last task to the makespan: the order in which a scan of the placement
 // list once per node meets them, so the sums are the same bit for bit.
-func (b *Builder) breakdown(w CostWeights, frontWeighted bool) CostBreakdown {
-	s := &b.sched
+func (p *Problem) breakdown() CostBreakdown {
+	s, g := &p.sched, &p.gaps
+	w, frontWeighted := p.Weights, p.FrontWeighted
 	var out CostBreakdown
 	out.Makespan = s.Makespan - s.Base
 	if out.Makespan < 0 {
@@ -59,7 +60,6 @@ func (b *Builder) breakdown(w CostWeights, frontWeighted bool) CostBreakdown {
 
 	n := len(s.NodeBusy)
 	horizon := s.Makespan - s.Base
-	g := b.gaps
 	var idleW, idleRaw float64
 	for i := 0; i < n; i++ {
 		var booked []Window
@@ -83,7 +83,7 @@ func (b *Builder) breakdown(w CostWeights, frontWeighted bool) CostBreakdown {
 	}
 
 	for _, it := range s.Items {
-		if d := b.tasks[it.TaskPos].Deadline; it.End > d {
+		if d := p.Tasks[it.TaskPos].Deadline; it.End > d {
 			out.ContractPen += it.End - d
 		}
 	}

@@ -2,6 +2,7 @@ package schedule
 
 import (
 	"fmt"
+	"math/bits"
 	"reflect"
 	"testing"
 
@@ -9,9 +10,36 @@ import (
 	"repro/internal/sim"
 )
 
+// refBuild is the one-shot build that Problem.Build replaced: it
+// validates the solution and the resource, then places each task in the
+// solution's order no earlier than base or its own arrival, asking
+// predict for each placement's duration. Problem.Build, which reads a
+// duration table and records the idle gaps as it places, must match it
+// exactly.
+func refBuild(sol Solution, tasks []Task, res Resource, base float64, predict Predictor) *Schedule {
+	if err := sol.Validate(len(tasks), res.NumNodes); err != nil {
+		panic(fmt.Sprintf("refBuild on invalid solution: %v", err))
+	}
+	if err := res.Validate(); err != nil {
+		panic(fmt.Sprintf("refBuild on invalid resource: %v", err))
+	}
+	s := &Schedule{Items: make([]Placed, 0, len(tasks))}
+	s.Reset(res, base)
+	for _, taskPos := range sol.Order {
+		t := &tasks[taskPos]
+		floor := base
+		if t.Arrival > floor {
+			floor = t.Arrival
+		}
+		mask := sol.Maps[taskPos]
+		s.Place(taskPos, mask, floor, predictDuration(predict, t, bits.OnesCount64(mask)))
+	}
+	return s
+}
+
 // refCost is eq. 8 as a scan of the placement list once per node, the
 // evaluation the gap record replaced. It is kept as the oracle that
-// Builder.breakdown must match bit for bit.
+// Problem.Breakdown must match bit for bit.
 func refCost(s *Schedule, tasks []Task, w CostWeights, frontWeighted bool) CostBreakdown {
 	var out CostBreakdown
 	out.Makespan = s.Makespan - s.Base
@@ -129,33 +157,21 @@ func randomCostInstance(rng *sim.RNG) costInstance {
 }
 
 // TestBreakdownMatchesScanOracle holds eq. 8 evaluated from the gap
-// record to the per-node scan of the placement list: every term must be
-// equal, not merely close, since the GA ranks genomes on them.
+// record to the per-node scan of the reference build's placement list:
+// every term must be equal, not merely close, since the GA ranks genomes
+// on them.
 func TestBreakdownMatchesScanOracle(t *testing.T) {
 	rng := sim.NewRNG(43)
 	for trial := 0; trial < 300; trial++ {
 		in := randomCostInstance(rng)
-		b, err := NewBuilder(in.tasks, in.res, in.predict)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b.sequential = trial%3 == 0
-		b.gaps = new(gapRecord) // as a Problem's cost builders keep
 		p := NewProblem(in.tasks, in.res, in.base, in.predict)
 		p.Weights, p.FrontWeighted = in.weights, in.front
 		for k := 0; k < 8; k++ {
 			sol := NewRandomSolution(len(in.tasks), in.res.NumNodes, rng)
-			s := b.Build(sol, in.base)
-			want := refCost(s, in.tasks, in.weights, in.front)
-			if got := b.breakdown(in.weights, in.front); got != want {
-				t.Fatalf("trial %d (%d nodes, sequential %v, front %v, booked %v): breakdown %+v, scan %+v",
-					trial, in.res.NumNodes, b.sequential, in.front, in.res.Booked != nil, got, want)
-			}
-			if b.sequential {
-				continue
-			}
+			want := refCost(refBuild(sol, in.tasks, in.res, in.base, in.predict), in.tasks, in.weights, in.front)
 			if got := p.Breakdown(sol); got != want {
-				t.Fatalf("trial %d: Problem.Breakdown %+v, scan %+v", trial, got, want)
+				t.Fatalf("trial %d (%d nodes, front %v, booked %v): breakdown %+v, scan %+v",
+					trial, in.res.NumNodes, in.front, in.res.Booked != nil, got, want)
 			}
 			if got := p.Cost(sol); got != want.Combined {
 				t.Fatalf("trial %d: Problem.Cost %v, scan %v", trial, got, want.Combined)
@@ -164,30 +180,22 @@ func TestBreakdownMatchesScanOracle(t *testing.T) {
 	}
 }
 
-// TestTableBuildMatchesPredictorBuild holds a build fed from the duration
-// table to one that asks the predictor per placement, and counts the
-// questions each asks: a Problem one per (task, k) cell of the instance
-// however many builds read it, the one-shot build one per task.
+// TestTableBuildMatchesPredictorBuild holds Problem.Build, fed from the
+// duration table, to the reference build that asks the predictor per
+// placement, over instances with and without booked windows, and counts
+// the questions the problem asks: one per (task, k) cell of the instance
+// however many builds read it.
 func TestTableBuildMatchesPredictorBuild(t *testing.T) {
 	rng := sim.NewRNG(44)
 	for trial := 0; trial < 200; trial++ {
 		in := randomCostInstance(rng)
-		counted := func(calls *int) Predictor {
-			return func(app *pace.AppModel, k int) float64 {
-				*calls++
-				return in.predict(app, k)
-			}
-		}
-		var problemCalls int
-		p := NewProblem(in.tasks, in.res, in.base, counted(&problemCalls))
+		var calls int
+		p := NewProblem(in.tasks, in.res, in.base, func(app *pace.AppModel, k int) float64 {
+			calls++
+			return in.predict(app, k)
+		})
 		var seed Solution
 		p.GreedySeed(&seed)
-		cells := len(in.tasks) * in.res.NumNodes
-		b, err := NewBuilder(in.tasks, in.res, in.predict)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b.sequential = true
 		for k := 0; k < 6; k++ {
 			sol := seed
 			if k > 0 {
@@ -195,22 +203,14 @@ func TestTableBuildMatchesPredictorBuild(t *testing.T) {
 			}
 			p.Cost(sol)
 			got := p.Build(sol)
-			var oneShotCalls int
-			want := Build(sol, in.tasks, in.res, in.base, counted(&oneShotCalls))
-			if oneShotCalls != len(in.tasks) {
-				t.Fatalf("trial %d: one-shot build asked %d predictions for %d tasks", trial, oneShotCalls, len(in.tasks))
-			}
+			want := refBuild(sol, in.tasks, in.res, in.base, in.predict)
 			if !reflect.DeepEqual(got.Items, want.Items) || !reflect.DeepEqual(got.NodeBusy, want.NodeBusy) ||
 				got.Makespan != want.Makespan || got.Base != want.Base {
 				t.Fatalf("trial %d: table build\n%+v\nwant\n%+v", trial, got, want)
 			}
-			seqWant := BuildSequential(sol, in.tasks, in.res, in.base, in.predict)
-			if seq := b.Build(sol, in.base); !reflect.DeepEqual(seq.Items, seqWant.Items) || seq.Makespan != seqWant.Makespan {
-				t.Fatalf("trial %d: sequential table build\n%+v\nwant\n%+v", trial, seq.Items, seqWant.Items)
-			}
 		}
-		if problemCalls != cells {
-			t.Fatalf("trial %d: the problem asked %d predictions for a %d-cell table", trial, problemCalls, cells)
+		if cells := len(in.tasks) * in.res.NumNodes; calls != cells {
+			t.Fatalf("trial %d: the problem asked %d predictions for a %d-cell table", trial, calls, cells)
 		}
 	}
 }

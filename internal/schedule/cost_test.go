@@ -164,7 +164,7 @@ func TestGreedySeedIsLegitimateAndReasonable(t *testing.T) {
 	if err := seed.Validate(10, 4); err != nil {
 		t.Fatalf("greedy seed invalid: %v", err)
 	}
-	s := Build(seed, tasks, res, 0, scalePredictor(40))
+	s := build(seed, tasks, res, 0, scalePredictor(40))
 	// Perfectly scalable work: the serial bound is 10*40/4 = 100.
 	if s.Makespan > 150 {
 		t.Fatalf("greedy seed makespan %v is worse than plausible bounds", s.Makespan)
@@ -191,7 +191,7 @@ func TestCheapestNodesPicksEarliest(t *testing.T) {
 	if seed.Maps[0] != 0b10010 { // nodes 1 and 4: 2 + 8/2 = 6 beats 5 + 8/3
 		t.Fatalf("first task mapped to %b, want 10010", seed.Maps[0])
 	}
-	if s := Build(seed, tasks, res, 0, scalePredictor(8)); s.Items[1].Start != 10 {
+	if s := build(seed, tasks, res, 0, scalePredictor(8)); s.Items[1].Start != 10 {
 		t.Fatalf("floor not applied: second task starts at %v", s.Items[1].Start)
 	}
 }

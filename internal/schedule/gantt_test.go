@@ -37,7 +37,7 @@ func TestGanttFig2Example(t *testing.T) {
 		t.Fatal(err)
 	}
 	tasks := makeTasks(6, 1e9)
-	s := Build(sol, tasks, NewResource(5), 0, constPredictor(10))
+	s := build(sol, tasks, NewResource(5), 0, constPredictor(10))
 	out := Gantt(s, 60)
 
 	// Five processor rows, highest processor first.
@@ -60,7 +60,7 @@ func TestGanttFig2Example(t *testing.T) {
 }
 
 func TestGanttEmptySchedule(t *testing.T) {
-	s := Build(Solution{Order: []int{}, Maps: []uint64{}}, nil, NewResource(2), 0, constPredictor(1))
+	s := build(Solution{Order: []int{}, Maps: []uint64{}}, nil, NewResource(2), 0, constPredictor(1))
 	out := Gantt(s, 20)
 	if !strings.Contains(out, "P1") || !strings.Contains(out, "P2") {
 		t.Fatalf("empty Gantt missing processor rows:\n%s", out)
@@ -69,7 +69,7 @@ func TestGanttEmptySchedule(t *testing.T) {
 
 func TestGanttMinimumWidth(t *testing.T) {
 	tasks := makeTasks(1, 1e9)
-	s := Build(Solution{Order: []int{0}, Maps: []uint64{1}}, tasks, NewResource(1), 0, constPredictor(5))
+	s := build(Solution{Order: []int{0}, Maps: []uint64{1}}, tasks, NewResource(1), 0, constPredictor(5))
 	out := Gantt(s, 1) // clamped up to 10
 	if !strings.Contains(out, strings.Repeat("1", 10)) {
 		t.Fatalf("minimum-width Gantt wrong:\n%s", out)
@@ -91,13 +91,14 @@ func TestTaskGlyph(t *testing.T) {
 func TestGanttShortTaskStillVisible(t *testing.T) {
 	// A task much shorter than one cell must still occupy one column.
 	tasks := makeTasks(2, 1e9)
+	short := &pace.AppModel{Name: "short"}
+	tasks[0].App, tasks[1].App = short, &pace.AppModel{Name: "long"}
 	sol := Solution{Order: []int{0, 1}, Maps: []uint64{0b01, 0b10}}
-	durs := []float64{0.01, 100}
-	i := 0
-	s := Build(sol, tasks, NewResource(2), 0, func(_ *pace.AppModel, _ int) float64 {
-		d := durs[i]
-		i++
-		return d
+	s := build(sol, tasks, NewResource(2), 0, func(app *pace.AppModel, _ int) float64 {
+		if app == short {
+			return 0.01
+		}
+		return 100
 	})
 	out := Gantt(s, 50)
 	if !strings.Contains(out, "|1") {

@@ -13,12 +13,15 @@ import (
 // are two-part Solutions, the cost is eq. 8 evaluated on the built
 // schedule. It implements ga.Problem[Solution].
 //
-// The (task, k) durations are fixed for one instance, so the first of
-// GreedySeed, Cost, Breakdown and Build after Reset fills a [task][k−1]
-// table of them, asking the predictor once per cell; everything after
-// reads it by index. Cost and Breakdown reuse one scratch Builder, and
-// Build another, so a Problem is not safe for concurrent use. Use it by
-// pointer only: a copy would share its builders.
+// Build is the one placement loop over a Solution; Cost and Breakdown
+// are Build plus eq. 8 over the idle gaps it recorded. The (task, k)
+// durations are fixed for one instance, so the first of GreedySeed, Cost,
+// Breakdown and Build after Reset validates the resource and fills a
+// [task][k−1] table of them, asking the predictor once per cell;
+// everything after reads it by index. Every build reuses the problem's
+// one schedule and gap record, so a warmed Problem builds and costs
+// without allocating, and is not safe for concurrent use. Use it by
+// pointer only: a copy would share its buffers.
 type Problem struct {
 	Tasks         []Task
 	Res           Resource
@@ -27,21 +30,14 @@ type Problem struct {
 	Weights       CostWeights
 	FrontWeighted bool // front-weighted idle time (§2.1); ablation knob
 
-	filled   bool      // durs holds the current instance's table; Reset clears it
-	durs     []float64 // the duration table, see Builder
-	instance uint64    // bumped by Reset; a builder of an older one is re-pointed
-
-	cost, result *costBuilder // Cost's and Build's
+	filled bool      // durs holds the current instance's table; Reset clears it
+	durs   []float64 // durs[pos*Res.NumNodes+k-1]: Tasks[pos] on k nodes
+	sched  Schedule  // of the last Build
+	gaps   gapRecord // the idle gaps of sched, per node
 
 	// GreedySeed scratch.
 	busy    []float64
 	byAvail []int
-}
-
-// costBuilder is a Builder and the problem instance it points at.
-type costBuilder struct {
-	Builder
-	instance uint64
 }
 
 // NewProblem returns a Problem with default weights and front-weighted
@@ -54,39 +50,47 @@ func NewProblem(tasks []Task, res Resource, base float64, predict Predictor) *Pr
 
 // Reset re-points p at a new problem instance. Its scratch is kept: a
 // scheduler that plans every arrival resets one Problem instead of
-// building one per event, and its builders follow when next used.
+// building one per event.
 func (p *Problem) Reset(tasks []Task, res Resource, base float64, predict Predictor) {
 	p.Tasks, p.Res, p.Base, p.Predict = tasks, res, base, predict
-	p.instance++
 	p.filled = false
 }
 
-// table returns the instance's duration table, filling it on first use.
+// table returns the instance's duration table. Its first call after
+// Reset validates the resource and fills the table.
 func (p *Problem) table() []float64 {
 	if !p.filled {
+		if err := p.Res.Validate(); err != nil {
+			panic(fmt.Sprintf("schedule: invalid problem: %v", err))
+		}
 		p.durs = fillDurations(p.durs, p.Tasks, p.Res.NumNodes, p.Predict)
+		p.sched.Items = slices.Grow(p.sched.Items[:0], len(p.Tasks))
 		p.filled = true
 	}
 	return p.durs
 }
 
-// current returns b, or a new builder when b is nil, pointed at p's
-// current instance. A new builder keeps a gap record if it is to cost.
-func (p *Problem) current(b *costBuilder, cost bool) *costBuilder {
-	if b == nil {
-		b = new(costBuilder)
-		if cost {
-			b.gaps = new(gapRecord)
+// Build times the legitimate solution g at the scheduling instant Base:
+// each task in g's order, on the nodes g maps it to, no earlier than Base
+// or its own arrival, for its duration in the instance's table, and each
+// idle gap it closes recorded for Breakdown. The schedule is the
+// problem's own: it is valid until the next Build, Cost, Breakdown or
+// Reset. g is not re-validated: the genetic operators maintain
+// legitimacy, and a scheduler validates its seeds once per plan.
+func (p *Problem) Build(g Solution) *Schedule {
+	durs := p.table()
+	n := p.Res.NumNodes
+	p.sched.Reset(p.Res, p.Base)
+	p.gaps.reset(len(p.Tasks), n, p.Base)
+	for _, taskPos := range g.Order {
+		floor := p.Base
+		if a := p.Tasks[taskPos].Arrival; a > floor {
+			floor = a
 		}
-	} else if b.instance == p.instance {
-		return b
+		mask := g.Maps[taskPos]
+		p.sched.place(taskPos, mask, floor, durs[taskPos*n+bits.OnesCount64(mask)-1], &p.gaps)
 	}
-	if err := p.Res.Validate(); err != nil {
-		panic(fmt.Sprintf("schedule: Cost on invalid problem: %v", err))
-	}
-	b.point(p.Tasks, p.Res, p.table())
-	b.instance = p.instance
-	return b
+	return &p.sched
 }
 
 // Random makes dst a uniformly random legitimate solution.
@@ -104,11 +108,8 @@ func (p *Problem) Mutate(g *Solution, rng *sim.RNG) {
 	Mutate(g, p.Res.NumNodes, rng)
 }
 
-// Cost builds the genome's schedule and returns its eq. 8 cost.
-// Solution validation is hoisted out of this inner loop: the genetic
-// operators maintain legitimacy, so only externally supplied solutions
-// (seeds) need a Solution.Validate, once per Plan, not once per cost
-// evaluation.
+// Cost builds the genome's schedule and returns its eq. 8 cost. g must
+// be legitimate (see Build).
 func (p *Problem) Cost(g Solution) float64 {
 	return p.Breakdown(g).Combined
 }
@@ -116,17 +117,8 @@ func (p *Problem) Cost(g Solution) float64 {
 // Breakdown builds the genome's schedule and evaluates eq. 8, returning
 // every term behind the combined cost. g must be legitimate.
 func (p *Problem) Breakdown(g Solution) CostBreakdown {
-	p.cost = p.current(p.cost, true)
-	p.cost.Build(g, p.Base)
-	return p.cost.breakdown(p.Weights, p.FrontWeighted)
-}
-
-// Build times the legitimate solution g with the instance's duration
-// table. The schedule is the problem's own: it is valid until the next
-// Build or Reset. Its builder keeps no gap record, as nothing costs it.
-func (p *Problem) Build(g Solution) *Schedule {
-	p.result = p.current(p.result, false)
-	return p.result.Build(g, p.Base)
+	p.Build(g)
+	return p.breakdown()
 }
 
 // Copy makes dst a deep copy of src in dst's own storage.

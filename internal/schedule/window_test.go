@@ -101,8 +101,8 @@ func TestBuildZeroWidthWindowsChangeNothing(t *testing.T) {
 	}
 	for round := 0; round < 20; round++ {
 		sol := NewRandomSolution(len(tasks), 4, rng)
-		a := Build(sol, tasks, plain, 0, scalePredictor(20))
-		b := Build(sol, tasks, booked, 0, scalePredictor(20))
+		a := build(sol, tasks, plain, 0, scalePredictor(20))
+		b := build(sol, tasks, booked, 0, scalePredictor(20))
 		if !reflect.DeepEqual(a.Items, b.Items) {
 			t.Fatalf("round %d: zero-width windows changed the schedule:\n%+v\n%+v", round, a.Items, b.Items)
 		}
@@ -118,7 +118,7 @@ func TestBuildAroundWindowAtBase(t *testing.T) {
 		{{Start: 0, End: 50}},
 	}
 	sol := Solution{Order: []int{0, 1, 2}, Maps: []uint64{0b01, 0b10, 0b11}}
-	s := Build(sol, tasks, res, 0, constPredictor(10))
+	s := build(sol, tasks, res, 0, constPredictor(10))
 	for _, it := range s.Items {
 		if it.Start < 50 {
 			t.Fatalf("task placed at %g inside the booked [0,50): %+v", it.Start, it)
@@ -136,7 +136,7 @@ func TestBuildFullyBookedHorizonPushesPastIt(t *testing.T) {
 		res.Booked[i] = []Window{{Start: 0, End: 1000}}
 	}
 	sol := NewRandomSolution(len(tasks), 3, sim.NewRNG(7))
-	s := Build(sol, tasks, res, 0, constPredictor(5))
+	s := build(sol, tasks, res, 0, constPredictor(5))
 	if len(s.Items) != len(tasks) {
 		t.Fatalf("%d placements for %d tasks", len(s.Items), len(tasks))
 	}
@@ -172,7 +172,7 @@ func TestBuildNeverOverlapsBookedWindows(t *testing.T) {
 			t.Fatalf("generated an invalid resource: %v", err)
 		}
 		sol := NewRandomSolution(nTasks, nNodes, rng)
-		s := Build(sol, tasks, res, float64(seedRaw%50), scalePredictor(40))
+		s := build(sol, tasks, res, float64(seedRaw%50), scalePredictor(40))
 		for _, it := range s.Items {
 			for m := it.Mask; m != 0; m &= m - 1 {
 				node := bits.TrailingZeros64(m)
@@ -192,7 +192,7 @@ func TestBuildNeverOverlapsBookedWindows(t *testing.T) {
 
 // TestBuilderMatchesBuildWithBooked extends the zero-alloc builder's
 // equivalence contract to booked resources: the scratch path must apply
-// the same window pushes as the general entry point.
+// the same window pushes as the reference one-shot build.
 func TestBuilderMatchesBuildWithBooked(t *testing.T) {
 	rng := sim.NewRNG(31)
 	tasks := makeTasks(8, 1e9)
@@ -210,10 +210,10 @@ func TestBuilderMatchesBuildWithBooked(t *testing.T) {
 	}
 	for round := 0; round < 40; round++ {
 		sol := NewRandomSolution(len(tasks), 4, rng)
-		want := Build(sol, tasks, res, 1, pred)
+		want := refBuild(sol, tasks, res, 1, pred)
 		got := b.Build(sol, 1)
 		if !reflect.DeepEqual(got.Items, want.Items) {
-			t.Fatalf("round %d: builder diverged from Build around booked windows:\n%+v\n%+v",
+			t.Fatalf("round %d: builder diverged from the reference build around booked windows:\n%+v\n%+v",
 				round, got.Items, want.Items)
 		}
 		if got.Makespan != want.Makespan {

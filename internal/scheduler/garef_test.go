@@ -370,7 +370,8 @@ func (g *refGAPolicy) forget(taskID int) { delete(g.maps, taskID) }
 func (g *refGAPolicy) plan(tasks []schedule.Task, res schedule.Resource, now float64, predict schedule.Predictor) *schedule.Schedule {
 	if len(tasks) == 0 {
 		g.order = nil
-		return schedule.Build(schedule.Solution{Order: []int{}, Maps: []uint64{}}, tasks, res, now, predict)
+		// An empty queue builds the same under any queue discipline.
+		return schedule.BuildSequential(schedule.Solution{Order: []int{}, Maps: []uint64{}}, tasks, res, now, predict)
 	}
 	p := schedule.NewProblem(tasks, res, now, predict)
 	seeds := []schedule.Solution{refGreedySeed(p)}
@@ -386,7 +387,7 @@ func (g *refGAPolicy) plan(tasks []schedule.Task, res schedule.Resource, now flo
 	for pos, t := range tasks {
 		g.maps[t.ID] = out.Best.Maps[pos]
 	}
-	return schedule.Build(out.Best, tasks, res, now, predict)
+	return p.Build(out.Best)
 }
 
 func (g *refGAPolicy) seed(tasks []schedule.Task, numNodes int) (schedule.Solution, bool) {

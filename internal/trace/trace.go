@@ -8,7 +8,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 )
 
@@ -274,46 +273,4 @@ func (r *Recorder) Events() []Event {
 	out := make([]Event, 0, len(r.events))
 	out = append(out, r.events[r.next:]...)
 	return append(out, r.events[:r.next]...)
-}
-
-// TaskHistory returns the lifecycle events of one request, in record
-// order. It is keyed on the grid-wide request ID: the former
-// (resource, taskID) key could not distinguish same-numbered tasks on
-// different resources, because scheduler-local IDs restart at 1 on every
-// resource.
-func (r *Recorder) TaskHistory(reqID uint64) []Event {
-	var out []Event
-	for _, ev := range r.Events() {
-		if ev.ReqID == reqID && ev.Kind.TaskBearing() {
-			out = append(out, ev)
-		}
-	}
-	return out
-}
-
-// CountByKind tallies retained events.
-func (r *Recorder) CountByKind() map[Kind]int {
-	out := map[Kind]int{}
-	for _, ev := range r.Events() {
-		out[ev.Kind]++
-	}
-	return out
-}
-
-// Summary aggregates per-kind counts into a stable one-line description.
-func (r *Recorder) Summary() string {
-	counts := r.CountByKind()
-	kinds := make([]Kind, 0, len(counts))
-	for k := range counts {
-		kinds = append(kinds, k)
-	}
-	sort.Slice(kinds, func(i, j int) bool { return kinds[i].String() < kinds[j].String() })
-	s := fmt.Sprintf("%d events", r.Len())
-	for _, k := range kinds {
-		s += fmt.Sprintf(", %s=%d", k, counts[k])
-	}
-	if d := r.Dropped(); d > 0 {
-		s += fmt.Sprintf(", %d dropped", d)
-	}
-	return s
 }
